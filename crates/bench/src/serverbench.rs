@@ -11,7 +11,8 @@
 //!
 //! Two transports: the in-process duplex pair (deterministic; the main
 //! sweep) and a loopback-TCP spot check (same workload through real
-//! sockets and reader threads, to bound the framing/syscall tax).
+//! sockets and one pump thread per server-side socket, to bound the
+//! framing/syscall tax).
 //!
 //! The workload is deliberately deadlock-free — each client holds at most
 //! one range at a time — so every configuration drains deterministically

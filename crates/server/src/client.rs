@@ -5,6 +5,14 @@
 //! outstanding request at a time. Concurrency lives on the *server* side,
 //! where thousands of these sessions multiplex onto a few worker threads;
 //! a load generator simply runs many clients.
+//!
+//! A client is exactly one thread — its caller's. Over TCP an RPC is one
+//! `write` of the request frame and (normally) one `read` of the reply,
+//! both on the calling thread; nothing is spawned per connection. The
+//! request is encoded from the borrowed arguments straight into the
+//! connection's send buffer and the reply is decoded where it lies in the
+//! receive buffer, so a call allocates only what it returns (`read`'s
+//! bytes, an error's message).
 
 use std::fmt;
 use std::io;
@@ -14,7 +22,7 @@ use range_lock::Range;
 use rl_file::LockMode;
 
 use crate::transport::Conn;
-use crate::wire::{decode_reply, encode_request, ErrCode, Reply, Request, WireError};
+use crate::wire::{decode_reply, ErrCode, Reply, RequestView, WireError};
 
 /// What a client call can fail with.
 #[derive(Debug)]
@@ -82,18 +90,18 @@ impl From<WireError> for ClientError {
 /// Rejects request strings the wire encoding would truncate: `put_str`
 /// carries a `u16` length prefix, and a silently shortened path would make
 /// the operation target a *different* file.
-fn check_strings(req: &Request) -> Result<(), ClientError> {
+fn check_strings(req: &RequestView<'_>) -> Result<(), ClientError> {
     let (field, s) = match req {
-        Request::Hello { name } => ("name", name.as_str()),
-        Request::Lock { path, .. }
-        | Request::TryLock { path, .. }
-        | Request::LockMany { path, .. }
-        | Request::Unlock { path, .. }
-        | Request::Read { path, .. }
-        | Request::Write { path, .. }
-        | Request::Append { path, .. }
-        | Request::Truncate { path, .. } => ("path", path.as_str()),
-        Request::Bye => return Ok(()),
+        RequestView::Hello { name } => ("name", *name),
+        RequestView::Lock { path, .. }
+        | RequestView::TryLock { path, .. }
+        | RequestView::LockMany { path, .. }
+        | RequestView::Unlock { path, .. }
+        | RequestView::Read { path, .. }
+        | RequestView::Write { path, .. }
+        | RequestView::Append { path, .. }
+        | RequestView::Truncate { path, .. } => ("path", *path),
+        RequestView::Bye => return Ok(()),
     };
     if s.len() > u16::MAX as usize {
         return Err(ClientError::TooLong(field));
@@ -115,21 +123,23 @@ impl Client {
     }
 
     /// Connects over TCP to a server started with
-    /// [`crate::Server::serve_tcp`].
+    /// [`crate::Server::serve_tcp`]. [`Conn::tcp`] sets `TCP_NODELAY`.
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client::over(Conn::tcp(stream)?))
+        Ok(Client::over(Conn::tcp(TcpStream::connect(addr)?)?))
     }
 
-    fn call(&mut self, req: &Request) -> Result<Reply, ClientError> {
+    /// One RPC; see the [module docs](self) for what it costs.
+    fn call(&mut self, req: &RequestView<'_>) -> Result<Reply, ClientError> {
         check_strings(req)?;
-        self.conn.send(&encode_request(req))?;
-        let frame = self.conn.recv_blocking().ok_or(ClientError::Disconnected)?;
-        Ok(decode_reply(&frame)?)
+        self.conn.send_with(|out| req.encode_into(out))?;
+        let reply = self
+            .conn
+            .recv_with(decode_reply)
+            .ok_or(ClientError::Disconnected)?;
+        Ok(reply?)
     }
 
-    fn expect_ok(&mut self, req: &Request) -> Result<(), ClientError> {
+    fn expect_ok(&mut self, req: &RequestView<'_>) -> Result<(), ClientError> {
         match self.call(req)? {
             Reply::Ok => Ok(()),
             Reply::Err { code, message } => Err(ClientError::Remote { code, message }),
@@ -141,9 +151,7 @@ impl Client {
     /// Must be called before the first lock request — the server rejects a
     /// rename once lock owners exist (they capture the name at creation).
     pub fn hello(&mut self, name: &str) -> Result<(), ClientError> {
-        self.expect_ok(&Request::Hello {
-            name: name.to_string(),
-        })
+        self.expect_ok(&RequestView::Hello { name })
     }
 
     /// Blocking acquisition of `range` on `path` in `mode`. Waits
@@ -151,8 +159,8 @@ impl Client {
     /// fails with a [`ErrCode::Deadlock`] remote error if granting it
     /// would create a wait cycle.
     pub fn lock(&mut self, path: &str, range: Range, mode: LockMode) -> Result<(), ClientError> {
-        self.expect_ok(&Request::Lock {
-            path: path.to_string(),
+        self.expect_ok(&RequestView::Lock {
+            path,
             start: range.start,
             end: range.end,
             mode,
@@ -167,8 +175,8 @@ impl Client {
         range: Range,
         mode: LockMode,
     ) -> Result<bool, ClientError> {
-        let req = Request::TryLock {
-            path: path.to_string(),
+        let req = RequestView::TryLock {
+            path,
             start: range.start,
             end: range.end,
             mode,
@@ -190,16 +198,16 @@ impl Client {
         path: &str,
         items: &[(Range, LockMode)],
     ) -> Result<(), ClientError> {
-        self.expect_ok(&Request::LockMany {
-            path: path.to_string(),
+        self.expect_ok(&RequestView::LockMany {
+            path,
             items: items.iter().map(|(r, m)| (r.start, r.end, *m)).collect(),
         })
     }
 
     /// Releases a previously acquired `range` on `path`.
     pub fn unlock(&mut self, path: &str, range: Range) -> Result<(), ClientError> {
-        self.expect_ok(&Request::Unlock {
-            path: path.to_string(),
+        self.expect_ok(&RequestView::Unlock {
+            path,
             start: range.start,
             end: range.end,
         })
@@ -207,11 +215,7 @@ impl Client {
 
     /// Reads up to `len` bytes of `path` at `offset`; short at EOF.
     pub fn read(&mut self, path: &str, offset: u64, len: u32) -> Result<Vec<u8>, ClientError> {
-        let req = Request::Read {
-            path: path.to_string(),
-            offset,
-            len,
-        };
+        let req = RequestView::Read { path, offset, len };
         match self.call(&req)? {
             Reply::Data(data) => Ok(data),
             Reply::Err { code, message } => Err(ClientError::Remote { code, message }),
@@ -221,19 +225,12 @@ impl Client {
 
     /// Writes `data` to `path` at `offset`, extending the file if needed.
     pub fn write(&mut self, path: &str, offset: u64, data: &[u8]) -> Result<(), ClientError> {
-        self.expect_ok(&Request::Write {
-            path: path.to_string(),
-            offset,
-            data: data.to_vec(),
-        })
+        self.expect_ok(&RequestView::Write { path, offset, data })
     }
 
     /// Appends `data` to `path`; returns the offset it landed at.
     pub fn append(&mut self, path: &str, data: &[u8]) -> Result<u64, ClientError> {
-        let req = Request::Append {
-            path: path.to_string(),
-            data: data.to_vec(),
-        };
+        let req = RequestView::Append { path, data };
         match self.call(&req)? {
             Reply::Offset(off) => Ok(off),
             Reply::Err { code, message } => Err(ClientError::Remote { code, message }),
@@ -243,16 +240,13 @@ impl Client {
 
     /// Truncates (or zero-extends) `path` to `len` bytes.
     pub fn truncate(&mut self, path: &str, len: u64) -> Result<(), ClientError> {
-        self.expect_ok(&Request::Truncate {
-            path: path.to_string(),
-            len,
-        })
+        self.expect_ok(&RequestView::Truncate { path, len })
     }
 
     /// Clean goodbye: the session releases everything and ends without
     /// counting as a disconnect.
     pub fn bye(mut self) -> Result<(), ClientError> {
-        self.expect_ok(&Request::Bye)
+        self.expect_ok(&RequestView::Bye)
     }
 
     /// Abrupt death: drops the connection with no goodbye, exactly like a

@@ -12,16 +12,20 @@
 //! [`Server::serve_tcp`] runs a real `std::net` acceptor whose blocking
 //! loop hands each socket to the pool through an [`rl_exec::Spawner`] —
 //! the acceptor outlives any borrow of the pool, which is exactly what
-//! `Spawner` exists for. [`Server::shutdown`] is drain-then-stop: close
-//! every session inbox (sessions observe it like a disconnect, cancel
-//! in-flight waits, release their ranges) and then
-//! [`TaskPool::shutdown`] waits for them all to finish.
+//! `Spawner` exists for. A session cannot block its pool worker in `read`,
+//! so each accepted socket also gets one pump thread feeding its inbox
+//! (see [`crate::transport`]); TCP *clients* need none.
+//! [`Server::shutdown`] is drain-then-stop: close every session inbox
+//! (sessions observe it like a disconnect, cancel in-flight waits, release
+//! their ranges) and then [`TaskPool::shutdown`] waits for them all to
+//! finish.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
+use std::time::Duration;
 
 use range_lock::{
     DynPending, DynRangeGuard, DynTwoPhaseRwRangeLock, Range, RwRangeLock, TwoPhaseRwRangeLock,
@@ -169,6 +173,9 @@ pub struct ServerConfig {
 /// Default [`ServerConfig::max_file_size`]: 1 GiB.
 pub const DEFAULT_MAX_FILE_SIZE: u64 = 1 << 30;
 
+/// How long the acceptor sleeps after a failed `accept` before retrying.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
+
 impl Default for ServerConfig {
     /// `list-rw` under the `Block` policy on a two-worker pool — the
     /// paper's lock, parked waiters, and enough workers to overlap — with
@@ -296,12 +303,19 @@ impl Server {
                     if stop_flag.load(Ordering::Acquire) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
-                    let _ = stream.set_nodelay(true);
-                    let Ok(conn) = Conn::tcp(stream) else {
-                        continue;
-                    };
-                    attach_conn(&state, &spawner, conn);
+                    match stream {
+                        // A socket `Conn::tcp` cannot configure is already
+                        // dead; dropping it is the hang-up.
+                        Ok(stream) => {
+                            if let Ok(conn) = Conn::tcp(stream) {
+                                attach_conn(&state, &spawner, conn);
+                            }
+                        }
+                        // `accept` errors that persist (`EMFILE`: out of
+                        // descriptors until some session ends) must not
+                        // turn the acceptor into a spin loop.
+                        Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+                    }
                 }
             })
             .expect("spawning the acceptor thread");

@@ -36,7 +36,7 @@ use rl_obs::trace;
 use crate::server::{DynLock, ServerState};
 use crate::stats::OpKind;
 use crate::transport::{Conn, FrameQueue};
-use crate::wire::{decode_request, encode_reply, ErrCode, Reply, Request};
+use crate::wire::{encode_reply_into, ErrCode, Reply, RequestView};
 
 /// Outcome of racing a future against connection close.
 enum Raced<T> {
@@ -79,7 +79,7 @@ async fn recv(rx: &FrameQueue) -> Option<Vec<u8>> {
 /// Sends a reply; `false` means the peer is gone and the session should
 /// end.
 fn send(conn: &Conn, reply: &Reply) -> bool {
-    conn.send(&encode_reply(reply)).is_ok()
+    conn.send_with(|out| encode_reply_into(reply, out)).is_ok()
 }
 
 fn elapsed_ns(since: Instant) -> u64 {
@@ -152,11 +152,15 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
     // Pessimistic: anything but a clean `Bye` is a disconnect.
     let mut disconnected = true;
 
+    // Asking for the inbox is what makes a TCP connection start its pump.
+    let inbox = conn.inbox();
+
     'session: loop {
-        let Some(frame) = recv(conn.inbox()).await else {
+        let Some(frame) = recv(inbox).await else {
             break; // peer hung up between requests
         };
-        let req = match decode_request(&frame) {
+        // Borrowed from `frame`: the path and the data are used in place.
+        let req = match RequestView::decode(&frame) {
             Ok(req) => req,
             Err(err) => {
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -171,9 +175,9 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
             }
         };
         let reply = match req {
-            Request::Hello { name: n } => {
+            RequestView::Hello { name: n } => {
                 if owners.is_empty() {
-                    name = n;
+                    name = n.to_string();
                     trace::label_actor(actor, &name);
                     Reply::Ok
                 } else {
@@ -183,12 +187,12 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     protocol_err(&stats, "Hello must precede lock requests".to_string())
                 }
             }
-            Request::Bye => {
+            RequestView::Bye => {
                 disconnected = false;
                 let _ = send(&conn, &Reply::Ok);
                 break;
             }
-            Request::Lock {
+            RequestView::Lock {
                 path,
                 start,
                 end,
@@ -200,9 +204,9 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     Ok(range) => {
                         let started = Instant::now();
                         let outcome = {
-                            let owner = owner_for(&state, &mut owners, &path, &name);
+                            let owner = owner_for(&state, &mut owners, path, &name);
                             let mut fut = pin!(owner.lock_async(range, mode));
-                            unless_closed(conn.inbox(), fut.as_mut()).await
+                            unless_closed(inbox, fut.as_mut()).await
                         };
                         match outcome {
                             Raced::Disconnected => break 'session,
@@ -221,7 +225,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     }
                 }
             }
-            Request::TryLock {
+            RequestView::TryLock {
                 path,
                 start,
                 end,
@@ -231,7 +235,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                 match checked_range(&state, start, end) {
                     Err(message) => protocol_err(&stats, message),
                     Ok(range) => {
-                        let owner = owner_for(&state, &mut owners, &path, &name);
+                        let owner = owner_for(&state, &mut owners, path, &name);
                         match owner.try_lock(range, mode) {
                             Ok(()) => Reply::Ok,
                             Err(wb) => {
@@ -245,16 +249,16 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     }
                 }
             }
-            Request::LockMany { path, items } => {
+            RequestView::LockMany { path, items } => {
                 stats.count_op(OpKind::LockMany);
                 match checked_batch(&state, &items) {
                     Err(message) => protocol_err(&stats, message),
                     Ok(batch) => {
                         let started = Instant::now();
                         let outcome = {
-                            let owner = owner_for(&state, &mut owners, &path, &name);
+                            let owner = owner_for(&state, &mut owners, path, &name);
                             let mut fut = pin!(owner.lock_many_async(&batch));
-                            unless_closed(conn.inbox(), fut.as_mut()).await
+                            unless_closed(inbox, fut.as_mut()).await
                         };
                         match outcome {
                             Raced::Disconnected => break 'session,
@@ -273,7 +277,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     }
                 }
             }
-            Request::Unlock { path, start, end } => {
+            RequestView::Unlock { path, start, end } => {
                 stats.count_op(OpKind::Unlock);
                 match checked_range(&state, start, end) {
                     Err(message) => protocol_err(&stats, message),
@@ -281,9 +285,9 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                         // Unlocking can wait too (re-securing the retained
                         // edges of a split), so it is raced like a lock.
                         let outcome = {
-                            let owner = owner_for(&state, &mut owners, &path, &name);
+                            let owner = owner_for(&state, &mut owners, path, &name);
                             let mut fut = pin!(owner.unlock_async(range));
-                            unless_closed(conn.inbox(), fut.as_mut()).await
+                            unless_closed(inbox, fut.as_mut()).await
                         };
                         match outcome {
                             Raced::Disconnected => break 'session,
@@ -292,13 +296,13 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     }
                 }
             }
-            Request::Read { path, offset, len } => {
+            RequestView::Read { path, offset, len } => {
                 stats.count_op(OpKind::Read);
                 if len > MAX_READ {
                     protocol_err(&stats, format!("read of {len} bytes exceeds {MAX_READ}"))
                 } else {
                     let started = Instant::now();
-                    let file = state.store.open(&path);
+                    let file = state.store.open(path);
                     let mut buf = vec![0u8; len as usize];
                     let n = file.pread(offset, &mut buf);
                     buf.truncate(n);
@@ -306,22 +310,22 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     Reply::Data(buf)
                 }
             }
-            Request::Write { path, offset, data } => {
+            RequestView::Write { path, offset, data } => {
                 stats.count_op(OpKind::Write);
                 match checked_file_span(&state, offset, data.len() as u64) {
                     Err(message) => protocol_err(&stats, message),
                     Ok(()) => {
                         let started = Instant::now();
-                        let file = state.store.open(&path);
-                        file.pwrite(offset, &data);
+                        let file = state.store.open(path);
+                        file.pwrite(offset, data);
                         stats.io_wait.record(elapsed_ns(started));
                         Reply::Ok
                     }
                 }
             }
-            Request::Append { path, data } => {
+            RequestView::Append { path, data } => {
                 stats.count_op(OpKind::Append);
-                let file = state.store.open(&path);
+                let file = state.store.open(path);
                 // The length check races concurrent appenders, but each
                 // passing request adds at most one frame of data, so the
                 // overshoot stays bounded by sessions × MAX_FRAME — the
@@ -330,19 +334,19 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     Err(message) => protocol_err(&stats, message),
                     Ok(()) => {
                         let started = Instant::now();
-                        let offset = file.append(&data);
+                        let offset = file.append(data);
                         stats.io_wait.record(elapsed_ns(started));
                         Reply::Offset(offset)
                     }
                 }
             }
-            Request::Truncate { path, len } => {
+            RequestView::Truncate { path, len } => {
                 stats.count_op(OpKind::Truncate);
                 match checked_file_span(&state, len, 0) {
                     Err(message) => protocol_err(&stats, message),
                     Ok(()) => {
                         let started = Instant::now();
-                        let file = state.store.open(&path);
+                        let file = state.store.open(path);
                         file.truncate(len);
                         stats.io_wait.record(elapsed_ns(started));
                         Reply::Ok

@@ -4,21 +4,55 @@
 //! [`FrameQueue`]) plus an outbound sink. Two implementations share it:
 //!
 //! * **in-process duplex** ([`Conn::pair`]) — two cross-wired frame
-//!   queues. Deterministic and allocation-only; what the tests, benches
-//!   and examples use.
-//! * **TCP** ([`Conn::tcp`]) — a reader thread decodes length-prefixed
-//!   frames off the socket into the inbox; sends write directly to the
-//!   socket under a mutex.
+//!   queues. A sent frame is one `Vec` that moves into the peer's inbox;
+//!   deterministic, no syscalls. What the tests, benches and examples use.
+//! * **TCP** ([`Conn::tcp`]) — one [`FrameWriter`]/[`FrameReader`] pair per
+//!   socket. A frame is assembled behind its length prefix in the reusable
+//!   send buffer and leaves in **one** `write`; it arrives through a
+//!   grow-on-demand receive buffer that hands out every whole frame one
+//!   `read` delivered. One RPC is therefore 2 writes and 2 reads across
+//!   both ends (it was 4 and ≥ 4 when prefix and payload travelled
+//!   separately), and neither direction allocates per frame.
+//!
+//! # Threads
+//!
+//! Who reads a socket depends on how its `Conn` is consumed, and the
+//! `Conn` finds out by being asked:
+//!
+//! * a **blocking** consumer ([`Conn::recv_blocking`]: every
+//!   [`crate::Client`]) reads the socket itself, on its own thread. A TCP
+//!   client costs **zero** extra threads and a reply reaches it in one
+//!   wake-up.
+//! * a **waker-based** consumer ([`Conn::inbox`]: the server session,
+//!   which cannot block its pool worker in `read`) gets a *pump* thread,
+//!   started by the first `inbox()` call, that reads frames into the
+//!   [`FrameQueue`] and closes it on EOF or error. A server pays **one**
+//!   thread per TCP socket.
+//!
+//! There is one constructor and no flag: the same `Conn::tcp` serves both,
+//! so a measurement of the transport alone and a measurement through the
+//! `Client` run the same code. One RPC is three thread wake-ups — pump,
+//! session, client — where the eager reader thread on both ends made four.
+//!
+//! An epoll reactor (one thread for *all* sockets, no pump → session hop)
+//! stays deferred: on a one-client closed loop it removes one of those
+//! three wake-ups at best, and what it is really for — thousands of mostly
+//! idle sockets without thousands of stacks — needs a many-session
+//! workload in the benchmark before it can be claimed.
+//!
+//! # Disconnects
 //!
 //! The property the server leans on is *disconnect visibility from the
 //! waker world*: a session suspended deep inside an async lock acquisition
 //! is not reading its inbox, so the inbox itself is the thing that must
 //! wake it. [`FrameQueue`] therefore supports both blocking receive (for
 //! synchronous clients) and poll-based receive **and close-notification**
-//! (for sessions): `close()` — called when a peer drops its `Conn`, a
-//! socket reader hits EOF/error, or the server shuts down — wakes the
-//! registered waker, and [`FrameQueue::poll_closed`] lets the session race
-//! "the connection died" against "the lock was granted".
+//! (for sessions): `close()` — called when a peer drops its `Conn`, the
+//! pump hits EOF/error, or the server shuts down — wakes the registered
+//! waker, and [`FrameQueue::poll_closed`] lets the session race "the
+//! connection died" against "the lock was granted". The pump keeps reading
+//! while its session is suspended, which is what lets a dead socket beat a
+//! wait.
 //!
 //! Closing beats backlog by design: once a connection is closed, queued
 //! but unserviced requests are dropped, exactly like requests that died in
@@ -29,8 +63,9 @@ use std::io;
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Waker};
+use std::thread::JoinHandle;
 
-use crate::wire::{read_frame, write_frame, MAX_FRAME};
+use crate::wire::{oversize, FrameReader, FrameWriter, LOCK_PLANE_FRAME, MAX_FRAME};
 
 /// A closeable queue of frames with blocking *and* waker-based receive.
 ///
@@ -162,9 +197,68 @@ impl std::fmt::Debug for FrameQueue {
 enum FrameTx {
     /// In-process: push straight into the peer's inbox.
     Queue(Arc<FrameQueue>),
-    /// TCP: write length-prefixed frames to the socket, serialized by the
-    /// mutex.
-    Tcp(Mutex<TcpStream>),
+    /// TCP: the socket and both framing buffers.
+    Tcp(TcpEnd),
+}
+
+/// The TCP end of a connection. The stream is shared (`&TcpStream` reads
+/// and writes) between senders, whoever receives, and `close`.
+struct TcpEnd {
+    stream: Arc<TcpStream>,
+    /// The send buffer; its mutex also keeps concurrent senders' frames
+    /// from interleaving on the socket.
+    writer: Mutex<FrameWriter>,
+    rx: Mutex<TcpRx>,
+}
+
+/// Who reads the socket; see the [module docs](self#threads).
+enum TcpRx {
+    /// Nobody has asked for the inbox: a blocking receive reads the socket
+    /// itself, through this buffer.
+    Direct(FrameReader),
+    /// A waker-based consumer asked for the inbox: the pump thread took
+    /// the buffer (and any bytes in it) and feeds the [`FrameQueue`].
+    Pumped(JoinHandle<()>),
+    /// A direct read hit EOF or an error; the inbox is closed.
+    Ended,
+}
+
+impl TcpEnd {
+    /// Hands the read side to a pump thread, unless that already happened
+    /// or the stream already ended.
+    fn start_pump(&self, inbox: &Arc<FrameQueue>) {
+        let mut rx = self.rx.lock().expect("a receiver panicked");
+        let mut reader = match std::mem::replace(&mut *rx, TcpRx::Ended) {
+            TcpRx::Direct(reader) => reader,
+            other => {
+                *rx = other;
+                return;
+            }
+        };
+        let stream = Arc::clone(&self.stream);
+        let inbox = Arc::clone(inbox);
+        let pump = std::thread::Builder::new()
+            .name("rl-server-rx".to_string())
+            .spawn(move || loop {
+                match reader.read_frame(&mut &*stream) {
+                    Ok(Some(frame)) => {
+                        if !inbox.push(frame.to_vec()) {
+                            // Consumer hung up; stop reading.
+                            let _ = stream.shutdown(Shutdown::Both);
+                            break;
+                        }
+                    }
+                    Ok(None) | Err(_) => {
+                        // Clean EOF or a dead socket: either way the
+                        // connection is over.
+                        inbox.close();
+                        break;
+                    }
+                }
+            })
+            .expect("spawning a connection pump thread");
+        *rx = TcpRx::Pumped(pump);
+    }
 }
 
 /// One end of a framed connection. Dropping it disconnects: the peer's
@@ -173,6 +267,17 @@ enum FrameTx {
 pub struct Conn {
     rx: Arc<FrameQueue>,
     tx: FrameTx,
+}
+
+fn push_to(peer: &FrameQueue, frame: Vec<u8>) -> io::Result<()> {
+    if peer.push(frame) {
+        Ok(())
+    } else {
+        Err(io::Error::new(
+            io::ErrorKind::BrokenPipe,
+            "peer disconnected",
+        ))
+    }
 }
 
 impl Conn {
@@ -192,36 +297,20 @@ impl Conn {
         (a, b)
     }
 
-    /// Wraps a TCP stream: spawns a reader thread that decodes frames into
-    /// the inbox and closes it on EOF or error. Used by both the server's
-    /// acceptor (per accepted socket) and [`crate::Client::connect_tcp`].
+    /// Wraps a TCP stream, setting `TCP_NODELAY` (a frame is a complete
+    /// message; Nagle would only hold it back). Spawns nothing: see the
+    /// [module docs](self#threads) for who reads the socket. Used by both
+    /// the server's acceptor (per accepted socket) and
+    /// [`crate::Client::connect_tcp`].
     pub fn tcp(stream: TcpStream) -> io::Result<Conn> {
-        let rx = Arc::new(FrameQueue::new());
-        let mut read_half = stream.try_clone()?;
-        let inbox = Arc::clone(&rx);
-        std::thread::Builder::new()
-            .name("rl-server-rx".to_string())
-            .spawn(move || loop {
-                match read_frame(&mut read_half) {
-                    Ok(Some(frame)) => {
-                        if !inbox.push(frame) {
-                            // Consumer hung up; stop reading.
-                            let _ = read_half.shutdown(Shutdown::Both);
-                            break;
-                        }
-                    }
-                    Ok(None) | Err(_) => {
-                        // Clean EOF or a dead socket: either way the
-                        // connection is over.
-                        inbox.close();
-                        break;
-                    }
-                }
-            })
-            .expect("spawning a connection reader thread");
+        stream.set_nodelay(true)?;
         Ok(Conn {
-            rx,
-            tx: FrameTx::Tcp(Mutex::new(stream)),
+            rx: Arc::new(FrameQueue::new()),
+            tx: FrameTx::Tcp(TcpEnd {
+                stream: Arc::new(stream),
+                writer: Mutex::new(FrameWriter::new()),
+                rx: Mutex::new(TcpRx::Direct(FrameReader::new())),
+            }),
         })
     }
 
@@ -233,37 +322,78 @@ impl Conn {
     /// or with the socket's error (TCP).
     pub fn send(&self, payload: &[u8]) -> io::Result<()> {
         if payload.len() > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "frame of {} bytes exceeds the {MAX_FRAME}-byte cap",
-                    payload.len()
-                ),
-            ));
+            return Err(oversize(payload.len()));
         }
         match &self.tx {
+            FrameTx::Queue(peer) => push_to(peer, payload.to_vec()),
+            FrameTx::Tcp(_) => self.send_with(|out| out.extend_from_slice(payload)),
+        }
+    }
+
+    /// [`Conn::send`] for a payload that does not exist yet: `encode`
+    /// appends it to the buffer it is handed, which is the frame itself —
+    /// the `Vec` that moves into the peer's inbox (in-process) or the
+    /// socket's send buffer, already behind its length prefix (TCP).
+    pub(crate) fn send_with(&self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        match &self.tx {
             FrameTx::Queue(peer) => {
-                if peer.push(payload.to_vec()) {
-                    Ok(())
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "peer disconnected",
-                    ))
+                let mut frame = Vec::with_capacity(LOCK_PLANE_FRAME);
+                encode(&mut frame);
+                if frame.len() > MAX_FRAME {
+                    return Err(oversize(frame.len()));
                 }
+                push_to(peer, frame)
             }
-            FrameTx::Tcp(stream) => write_frame(&mut *stream.lock().unwrap(), payload),
+            FrameTx::Tcp(tcp) => tcp
+                .writer
+                .lock()
+                .expect("a sender panicked")
+                .write(&mut &*tcp.stream, encode),
+        }
+    }
+
+    /// Runs `f` on the next frame read straight off the socket, if this is
+    /// a TCP end nobody pumps; hands `f` back otherwise.
+    fn recv_direct<T, F: FnOnce(&[u8]) -> T>(&self, f: F) -> Result<Option<T>, F> {
+        let FrameTx::Tcp(tcp) = &self.tx else {
+            return Err(f);
+        };
+        let mut rx = tcp.rx.lock().expect("a receiver panicked");
+        let TcpRx::Direct(reader) = &mut *rx else {
+            return Err(f);
+        };
+        match reader.read_frame(&mut &*tcp.stream) {
+            Ok(Some(frame)) => Ok(Some(f(frame))),
+            Ok(None) | Err(_) => {
+                *rx = TcpRx::Ended;
+                self.rx.close();
+                Ok(None)
+            }
         }
     }
 
     /// Blocks until the peer sends a frame; `None` once disconnected and
-    /// drained. The synchronous-client receive path.
+    /// drained. The synchronous-client receive path: on a TCP end it reads
+    /// the socket on the calling thread.
     pub fn recv_blocking(&self) -> Option<Vec<u8>> {
-        self.rx.recv_blocking()
+        self.recv_direct(<[u8]>::to_vec)
+            .unwrap_or_else(|_| self.rx.recv_blocking())
     }
 
-    /// The inbox, for waker-based consumers (the session loop).
+    /// [`Conn::recv_blocking`] for a consumer that only looks at the
+    /// frame: `f` runs on it where it lies (in the receive buffer, on TCP).
+    pub(crate) fn recv_with<T>(&self, f: impl FnOnce(&[u8]) -> T) -> Option<T> {
+        self.recv_direct(f)
+            .unwrap_or_else(|f| self.rx.recv_blocking().map(|frame| f(&frame)))
+    }
+
+    /// The inbox, for waker-based consumers (the session loop). On a TCP
+    /// end the first call starts the pump thread that fills it; from then
+    /// on blocking receives drain the inbox too.
     pub fn inbox(&self) -> &Arc<FrameQueue> {
+        if let FrameTx::Tcp(tcp) = &self.tx {
+            tcp.start_pump(&self.rx);
+        }
         &self.rx
     }
 
@@ -272,8 +402,8 @@ impl Conn {
         self.rx.close();
         match &self.tx {
             FrameTx::Queue(peer) => peer.close(),
-            FrameTx::Tcp(stream) => {
-                let _ = stream.lock().unwrap().shutdown(Shutdown::Both);
+            FrameTx::Tcp(tcp) => {
+                let _ = tcp.stream.shutdown(Shutdown::Both);
             }
         }
     }
@@ -282,6 +412,17 @@ impl Conn {
 impl Drop for Conn {
     fn drop(&mut self) {
         self.close();
+        if let FrameTx::Tcp(tcp) = &mut self.tx {
+            // The shutdown above ends the pump's read; a poisoned mutex
+            // just means there is no pump state worth joining.
+            if let Ok(TcpRx::Pumped(pump)) = tcp
+                .rx
+                .get_mut()
+                .map(|rx| std::mem::replace(rx, TcpRx::Ended))
+            {
+                let _ = pump.join();
+            }
+        }
     }
 }
 

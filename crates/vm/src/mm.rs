@@ -1027,8 +1027,13 @@ mod tests {
                 failures
             }));
         }
-        // The mutator grows and shrinks the region above the stable prefix.
-        for round in 0..300u64 {
+        // The mutator grows and shrinks the region above the stable prefix:
+        // 300 rounds, and on until a fault has run against it (on one core
+        // the faulting threads may not be scheduled before then).
+        for round in 0u64.. {
+            if round >= 300 && mm.stats().page_faults > 0 {
+                break;
+            }
             let extra = 32 + (round % 64);
             mm.mprotect(
                 base + 32 * PAGE_SIZE,

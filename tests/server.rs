@@ -1,6 +1,6 @@
 //! Integration suite for the `rl-server` range-lock/file service.
 //!
-//! Three properties carry the subsystem and each gets its own stress:
+//! Four properties carry the subsystem and each gets its own stress:
 //!
 //! * **Session storms** — N clients per server, every one of the five
 //!   registry variants, hammering conflicting slot ranges with
@@ -20,14 +20,22 @@
 //!   hangup. Trust-boundary checks ride along: data-plane spans bounded
 //!   by the configured max file size, oversized frames refused at the
 //!   sender, oversized strings refused before encoding.
+//! * **Real sockets** — the same guarantees over loopback TCP, plus what
+//!   only a byte stream can get wrong: five requests pipelined into one
+//!   segment, a socket cut while its session is suspended in a lock wait,
+//!   and a blocking-only `Conn::tcp` that must not spawn a pump thread.
+//!   (The framing itself is tortured in `rl_server::wire`'s unit tests.)
 
-use std::sync::mpsc;
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 use range_locks_repro::range_lock::Range;
 use range_locks_repro::rl_baselines::registry;
 use range_locks_repro::rl_server::{
-    wire, Client, ClientError, Conn, ErrCode, LockMode, Reply, Request, Server, ServerConfig,
+    wire, Client, ClientError, Conn, ErrCode, LockMode, OpKind, Reply, Request, Server,
+    ServerConfig,
 };
 use range_locks_repro::rl_sync::WaitPolicyKind;
 
@@ -659,10 +667,47 @@ fn oversized_strings_truncate_at_char_boundaries() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Real sockets
+// ---------------------------------------------------------------------------
+
+/// Serializes the tests that put sessions on sockets: one of them counts
+/// the process's `rl-server-rx` threads, which every TCP session has.
+static SOCKETS: Mutex<()> = Mutex::new(());
+
+fn sockets() -> std::sync::MutexGuard<'static, ()> {
+    SOCKETS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Threads of this process named like the TCP pump (`rl-server-rx`).
+fn pump_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("Linux /proc")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == "rl-server-rx")
+        .count()
+}
+
+/// Waits (bounded) for the pump count to reach `want`: a thread names
+/// itself only once it runs, and its `/proc` entry outlives a join by a
+/// moment.
+fn pump_threads_settle_at(want: usize) -> bool {
+    (0..1000).any(|_| {
+        let settled = pump_threads() == want;
+        if !settled {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        settled
+    })
+}
+
 /// The same storms and guarantees hold over real sockets: a TCP client
 /// killed abruptly (socket death) releases its ranges for a TCP waiter.
 #[test]
 fn tcp_sessions_and_socket_death() {
+    let _sockets = sockets();
     run_bounded("tcp socket death".to_string(), || {
         let server = server_for(registry::by_name("list-rw").unwrap());
         let handle = server.serve_tcp("127.0.0.1:0").expect("bind loopback");
@@ -691,4 +736,173 @@ fn tcp_sessions_and_socket_death() {
         assert!(stats.disconnects >= 1);
         assert_eq!(stats.disconnect_releases, 1);
     });
+}
+
+/// Five requests in one segment get five replies, in order: the buffered
+/// reader hands the session every frame one `read` delivered and strands
+/// none of them behind a `read` that will never return.
+#[test]
+fn pipelined_requests_in_one_write_are_all_answered() {
+    let _sockets = sockets();
+    run_bounded("tcp pipelining".to_string(), || {
+        let server = server_for(registry::by_name("list-rw").unwrap());
+        let handle = server.serve_tcp("127.0.0.1:0").expect("bind loopback");
+        let range = slot_range(3);
+        let path = || "/pipe".to_string();
+        let requests = [
+            Request::Hello {
+                name: "pipeliner".to_string(),
+            },
+            Request::Lock {
+                path: path(),
+                start: range.start,
+                end: range.end,
+                mode: LockMode::Exclusive,
+            },
+            Request::Write {
+                path: path(),
+                offset: range.start,
+                data: vec![0xAB; SLOT_BYTES as usize],
+            },
+            Request::Unlock {
+                path: path(),
+                start: range.start,
+                end: range.end,
+            },
+            Request::Bye,
+        ];
+        let mut writer = wire::FrameWriter::new();
+        let mut burst = Vec::new();
+        for req in &requests {
+            writer
+                .write(&mut burst, |out| wire::encode_request_into(req, out))
+                .unwrap();
+        }
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream.write_all(&burst).unwrap();
+
+        let mut reader = wire::FrameReader::new();
+        for req in &requests {
+            let frame = reader
+                .read_frame(&mut stream)
+                .unwrap()
+                .unwrap_or_else(|| panic!("hung up before answering {req:?}"));
+            assert_eq!(wire::decode_reply(frame).unwrap(), Reply::Ok, "{req:?}");
+        }
+        assert!(
+            reader.read_frame(&mut stream).unwrap().is_none(),
+            "a clean EOF follows the Bye"
+        );
+
+        let mut check = Client::connect_tcp(handle.addr()).unwrap();
+        assert_eq!(
+            check.read("/pipe", range.start, 4).unwrap(),
+            [0xAB; 4],
+            "the pipelined write landed"
+        );
+        check.bye().unwrap();
+        handle.stop();
+        let stats = server.shutdown();
+        assert_eq!(stats.disconnects, 0, "both sessions said Bye");
+        assert_eq!(stats.protocol_errors, 0);
+    });
+}
+
+/// Disconnect beats a wait over TCP too. The victim holds slot 1 and its
+/// session is suspended acquiring slot 0 — not reading its inbox — when
+/// the victim's socket dies. Only the pump can notice; it must close the
+/// inbox, which cancels the acquisition and frees slot 1 while slot 0 is
+/// still held, so nothing else could have ended that wait.
+#[test]
+fn tcp_client_killed_while_its_session_waits_frees_its_ranges() {
+    let _sockets = sockets();
+    run_bounded("tcp kill mid-wait".to_string(), || {
+        let server = server_for(registry::by_name("list-rw").unwrap());
+        let handle = server.serve_tcp("127.0.0.1:0").expect("bind loopback");
+
+        let mut holder = Client::connect_tcp(handle.addr()).unwrap();
+        holder.hello("holder").unwrap();
+        holder
+            .lock("/w", slot_range(0), LockMode::Exclusive)
+            .unwrap();
+
+        // The victim is a raw socket, so the test can cut it while its
+        // second request is pending.
+        let mut victim = TcpStream::connect(handle.addr()).unwrap();
+        let mut writer = wire::FrameWriter::new();
+        for slot in [1, 0] {
+            let req = Request::Lock {
+                path: "/w".to_string(),
+                start: slot_range(slot).start,
+                end: slot_range(slot).end,
+                mode: LockMode::Exclusive,
+            };
+            writer
+                .write(&mut victim, |out| wire::encode_request_into(&req, out))
+                .unwrap();
+        }
+        let mut reader = wire::FrameReader::new();
+        let granted = reader.read_frame(&mut victim).unwrap().unwrap();
+        assert_eq!(wire::decode_reply(granted).unwrap(), Reply::Ok);
+        // Requests are counted on receipt: at three Locks the session has
+        // reached the one it suspends in, behind the holder.
+        while server.stats().op_count(OpKind::Lock) < 3 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(victim);
+
+        let mut after = Client::connect_tcp(handle.addr()).unwrap();
+        after.hello("after").unwrap();
+        after
+            .lock("/w", slot_range(1), LockMode::Exclusive)
+            .unwrap();
+        after.bye().unwrap();
+        holder.bye().unwrap();
+        handle.stop();
+        let stats = server.shutdown();
+        assert_eq!(stats.disconnects, 1);
+        assert_eq!(stats.disconnect_releases, 1);
+        assert_eq!(stats.ranges_freed_on_disconnect, 1);
+    });
+}
+
+/// A `Conn::tcp` that is only ever consumed with `recv_blocking` reads its
+/// socket on the caller's thread: no `rl-server-rx` pump exists until
+/// somebody asks for the inbox.
+#[test]
+fn blocking_only_tcp_conn_spawns_no_pump_thread() {
+    let _sockets = sockets();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (far, _) = listener.accept().unwrap();
+    let (near, far) = (Conn::tcp(near).unwrap(), Conn::tcp(far).unwrap());
+    assert!(pump_threads_settle_at(0), "earlier sessions are gone");
+
+    let echo = std::thread::spawn(move || {
+        while let Some(frame) = far.recv_blocking() {
+            far.send(&frame).unwrap();
+        }
+    });
+    for len in [0usize, 1, 4096, 100_000] {
+        let frame = vec![len as u8; len];
+        near.send(&frame).unwrap();
+        assert_eq!(near.recv_blocking().unwrap(), frame);
+    }
+    assert_eq!(pump_threads(), 0, "blocking receives need no pump");
+
+    // Asking for the inbox is what starts one — and it takes over
+    // mid-stream without losing a frame.
+    let inbox = near.inbox();
+    assert!(
+        pump_threads_settle_at(1),
+        "the pump names itself once it runs"
+    );
+    near.send(b"after the switch").unwrap();
+    assert_eq!(inbox.recv_blocking().unwrap(), b"after the switch");
+    near.send(b"and through Conn").unwrap();
+    assert_eq!(near.recv_blocking().unwrap(), b"and through Conn");
+
+    drop(near);
+    echo.join().unwrap();
+    assert!(pump_threads_settle_at(0), "dropping the Conn ends its pump");
 }
