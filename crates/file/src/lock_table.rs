@@ -267,6 +267,43 @@ unsafe fn erase_lifetime<Src, Dst>(guard: Src) -> Dst {
     erased
 }
 
+/// One acquisition's hold on the table's [`WaitGraph`]: installs the
+/// owner's waits-for edges when a poll finds it must wait, and removes them
+/// when the acquisition resolves — granted, refused, or abandoned (an async
+/// acquisition's future dropped mid-wait). An acquisition granted on its
+/// first poll never registers, so it never takes the graph's mutex.
+struct WaitEdges<'a> {
+    graph: &'a WaitGraph,
+    owner_id: u64,
+    registered: bool,
+}
+
+impl<'a> WaitEdges<'a> {
+    fn new(graph: &'a WaitGraph, owner_id: u64) -> Self {
+        WaitEdges {
+            graph,
+            owner_id,
+            registered: false,
+        }
+    }
+
+    /// Replaces the owner's edge set with `holders`. A refused registration
+    /// leaves no edges behind (see [`WaitGraph::register`]).
+    fn register(&mut self, holders: &[u64]) -> Result<(), range_lock::Deadlock> {
+        let outcome = self.graph.register(self.owner_id, holders);
+        self.registered = outcome.is_ok() && !holders.is_empty();
+        outcome
+    }
+}
+
+impl Drop for WaitEdges<'_> {
+    fn drop(&mut self) {
+        if self.registered {
+            self.graph.deregister(self.owner_id);
+        }
+    }
+}
+
 /// One record shape of a transaction's post-commit layout.
 struct Shape {
     range: Range,
@@ -700,12 +737,12 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         mode: LockMode,
     ) -> Result<Tile<L>, DeadlockError> {
         let lock = self.lock_ref();
+        let mut edges = WaitEdges::new(&self.waits, owner_id);
         macro_rules! checked {
             ($enqueue:ident, $poll:ident, $cancel:ident, $variant:ident, $Guard:ident) => {{
                 let mut pending = lock.$enqueue(range);
                 loop {
                     if let Some(g) = lock.$poll(&mut pending) {
-                        self.waits.deregister(owner_id);
                         // SAFETY: As in `acquire_tile` — the lock is a stable
                         // heap allocation freed only after every guard drops.
                         let g = unsafe { erase_lifetime::<L::$Guard<'_>, L::$Guard<'static>>(g) };
@@ -715,7 +752,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                         });
                     }
                     let holders = self.conflicting_owner_ids(owner_id, range, mode);
-                    if let Err(cycle) = self.waits.register(owner_id, &holders) {
+                    if let Err(cycle) = edges.register(&holders) {
                         lock.$cancel(&mut pending);
                         let queue = lock.wait_queue();
                         queue.record_cancel();
@@ -1024,6 +1061,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         mode: LockMode,
     ) -> Result<Tile<L>, DeadlockError> {
         let lock = self.lock_ref();
+        let mut edges = WaitEdges::new(&self.waits, owner_id);
         macro_rules! checked {
             ($acquire:ident, $variant:ident, $Guard:ident) => {{
                 let mut fut = lock.$acquire(range);
@@ -1031,7 +1069,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                     Poll::Ready(g) => Poll::Ready(Ok(g)),
                     Poll::Pending => {
                         let holders = self.conflicting_owner_ids(owner_id, range, mode);
-                        match self.waits.register(owner_id, &holders) {
+                        match edges.register(&holders) {
                             Ok(()) => Poll::Pending,
                             Err(cycle) => Poll::Ready(Err(cycle)),
                         }
@@ -1040,7 +1078,6 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                 .await;
                 match resolved {
                     Ok(g) => {
-                        self.waits.deregister(owner_id);
                         // SAFETY: As in `acquire_tile`.
                         let g = unsafe { erase_lifetime::<L::$Guard<'_>, L::$Guard<'static>>(g) };
                         Ok(Tile {
@@ -1085,10 +1122,8 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     /// like a POSIX upgrade that blocks, the *operation* is not atomic —
     /// records detached in phase A are simply gone, as if the affected span
     /// had been unlocked. (Waits-for edges registered by an abandoned poll
-    /// linger until this owner's next acquisition or release; a lingering
-    /// edge can only cause a spurious `EDEADLK`, never a missed unlock.)
-    /// Callers that cannot accept that should not abandon an in-flight
-    /// `lock_async`.
+    /// are removed with the future.) Callers that cannot accept that should
+    /// not abandon an in-flight `lock_async`.
     async fn set_lock_async(
         &self,
         owner_id: u64,
@@ -1274,10 +1309,15 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         self.waits.deadlocks_detected()
     }
 
+    /// Number of owners with waits-for edges registered right now, i.e.
+    /// blocked (or suspended) in a deadlock-checked acquisition. `0` whenever
+    /// no acquisition is in flight: edges never outlive the acquisition that
+    /// registered them.
+    pub fn waiting_owners(&self) -> usize {
+        self.waits.waiting_owners()
+    }
+
     fn release_owner(&self, owner_id: u64) {
-        // An abandoned async acquisition may have left edges behind; they
-        // must not outlive the owner.
-        self.waits.deregister(owner_id);
         // Removing the state drops every record and therefore every guard.
         self.state.lock().unwrap().owners.remove(&owner_id);
     }
@@ -1626,6 +1666,7 @@ mod tests {
         assert_eq!(t.deadlocks_detected(), 1);
         // The detection mirrored into the lock's wait statistics.
         assert_eq!(stats.snapshot().deadlocks_detected, 1);
+        assert_eq!(t.waiting_owners(), 0);
         t.check_invariants();
     }
 
@@ -1647,6 +1688,7 @@ mod tests {
         let mut cx = Context::from_waker(Waker::noop());
         let mut fut_a = Box::pin(a.lock_async(Range::new(200, 300), LockMode::Exclusive));
         assert!(fut_a.as_mut().poll(&mut cx).is_pending());
+        assert_eq!(t.waiting_owners(), 1);
         {
             let mut fut_b = Box::pin(b.lock_async(Range::new(0, 100), LockMode::Exclusive));
             match fut_b.as_mut().poll(&mut cx) {
@@ -1656,8 +1698,10 @@ mod tests {
                 other => panic!("expected immediate EDEADLK, got {other:?}"),
             }
         }
-        // Abandon a's future too; both owners keep exactly their originals.
+        // Abandon a's future too: its edge goes with it, and both owners
+        // keep exactly their originals.
         drop(fut_a);
+        assert_eq!(t.waiting_owners(), 0);
         assert_eq!(t.deadlocks_detected(), 1);
         assert_eq!(a.held(), vec![(Range::new(0, 100), LockMode::Exclusive)]);
         assert_eq!(b.held(), vec![(Range::new(200, 300), LockMode::Exclusive)]);

@@ -14,44 +14,181 @@
 //! Two supporting mechanisms make the store useful as a correctness harness
 //! and a benchmark:
 //!
-//! * **Integrity checking** — file bytes are plain atomics, so even a broken
-//!   lock cannot cause undefined behavior, and [`RangeFile::write_stamped`] /
-//!   [`RangeFile::read_stamped`] implement a tag protocol that *detects* any
-//!   exclusion violation: a stamped writer re-reads its range before
-//!   releasing, a stamped reader requires the range to be uniform, so any
-//!   torn read or write surfaces as a counted violation.
+//! * **Integrity checking** — file bytes live in atomic 8-byte words and
+//!   every access to them is an atomic operation (see `Page`), so even a
+//!   broken lock cannot cause undefined behavior, and
+//!   [`RangeFile::write_stamped`] / [`RangeFile::read_stamped`] implement a
+//!   tag protocol that *detects* any exclusion violation: a stamped writer
+//!   re-reads its range before releasing, a stamped reader requires the
+//!   range to be uniform, so any torn read or write — down to a single
+//!   byte — surfaces as a counted violation.
 //! * **Per-operation wait accounting** — with
 //!   [`RangeFile::with_op_stats`] each operation records its lock
 //!   acquisition latency into a [`LabeledStats`] handle named after the
 //!   operation (`pread`, `pwrite`, `append`, `truncate`), the file-workload
 //!   analogue of the paper's Figures 7–8 wait-time tables.
+//!
+//! Pages are **sparse**: a page is allocated by the first write into it, a
+//! hole reads as zeros, so a write at a high offset costs one page (plus
+//! eight bytes of page table per page index below it), not the whole prefix.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use range_lock::{Range, RwRangeLock};
 use rl_sync::stats::{LabeledStats, WaitKind, WaitStats};
 
 /// Bytes per page of the backing store.
 pub const PAGE_SIZE: usize = 4096;
 
-/// One page of file bytes. Bytes are atomics so that racy access — which can
-/// only happen if the range lock under test is broken — stays defined
-/// behavior and is *observed* by the integrity checker instead of being UB.
+/// Bytes per word of a [`Page`].
+const WORD: usize = 8;
+
+/// One page of file bytes, held as little-endian atomic words: file byte
+/// `8w + i` is byte `i` of `words[w]` under `to_le_bytes`, whatever the
+/// host's endianness.
+///
+/// Every access is an atomic operation, so that racy access — which can only
+/// happen if the range lock under test is broken — stays defined behavior
+/// and is *observed* by the integrity checker instead of being UB. That is
+/// why the byte movers are not a `memcpy` over an `UnsafeCell`: it would be
+/// faster still, and would turn a lock bug into a data race. Whole words of
+/// a span move as one relaxed 8-byte load or store (the range lock held
+/// around the access orders it against every other holder; the words
+/// themselves publish nothing).
+///
+/// **The masked-edge rule.** Range locks are byte-granular, so two writers
+/// holding adjacent ranges that meet inside one word both own bytes of it.
+/// A span's partial first and last word are therefore written only through
+/// an atomic read-modify-write that replaces the bytes under the span's
+/// mask and leaves the rest of the word as it finds it — never by a load,
+/// a merge and a plain store, which would write back a stale copy of the
+/// neighbour's bytes.
 struct Page {
-    bytes: [AtomicU8; PAGE_SIZE],
+    words: [AtomicU64; PAGE_SIZE / WORD],
+}
+
+/// The word bits holding bytes `[lo, lo + n)` of a word (`1 <= n`,
+/// `lo + n <= WORD`).
+#[inline]
+fn byte_mask(lo: usize, n: usize) -> u64 {
+    (u64::MAX >> (64 - 8 * n)) << (8 * lo)
+}
+
+/// `tag` in every byte of a word.
+#[inline]
+fn splat(tag: u8) -> u64 {
+    u64::from_ne_bytes([tag; WORD])
 }
 
 impl Page {
     fn new_boxed() -> Box<Page> {
         Box::new(Page {
-            bytes: [const { AtomicU8::new(0) }; PAGE_SIZE],
+            words: [const { AtomicU64::new(0) }; PAGE_SIZE / WORD],
         })
+    }
+
+    /// Visits the words under bytes `[at, at + n)` of the page in order:
+    /// `f(word, lo, k, pos)` covers bytes `[lo, lo + k)` of `word`, which
+    /// are bytes `[pos, pos + k)` of the span. Only the first and the last
+    /// call can have `k < WORD`; the interior loop passes the constants
+    /// `(0, WORD)`, so once inlined a visitor's partial-word arm folds away
+    /// there.
+    #[inline]
+    fn walk(&self, at: usize, n: usize, mut f: impl FnMut(&AtomicU64, usize, usize, usize)) {
+        let mut first = at / WORD;
+        let lo = at % WORD;
+        let head = if lo == 0 { 0 } else { (WORD - lo).min(n) };
+        if head > 0 {
+            f(&self.words[first], lo, head, 0);
+            first += 1;
+        }
+        let (body, tail) = ((n - head) / WORD, (n - head) % WORD);
+        for (i, word) in self.words[first..first + body].iter().enumerate() {
+            f(word, 0, WORD, head + i * WORD);
+        }
+        if tail > 0 {
+            f(&self.words[first + body], 0, tail, n - tail);
+        }
+    }
+
+    /// Sets bytes `[lo, lo + k)` of `word` to those bytes of `value`: a
+    /// plain store for a whole word, the masked read-modify-write of the
+    /// type docs for a partial one.
+    #[inline]
+    fn put(word: &AtomicU64, lo: usize, k: usize, value: u64) {
+        if k == WORD {
+            word.store(value, Ordering::Relaxed);
+        } else {
+            let mask = byte_mask(lo, k);
+            let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                Some((cur & !mask) | (value & mask))
+            });
+        }
+    }
+
+    /// Copies `data` to bytes `[at, at + data.len())` of the page.
+    fn store(&self, at: usize, data: &[u8]) {
+        self.walk(at, data.len(), |word, lo, k, pos| {
+            let mut bytes = [0u8; WORD];
+            bytes[lo..lo + k].copy_from_slice(&data[pos..pos + k]);
+            Page::put(word, lo, k, u64::from_le_bytes(bytes));
+        });
+    }
+
+    /// Copies bytes `[at, at + buf.len())` of the page to `buf`.
+    fn load(&self, at: usize, buf: &mut [u8]) {
+        self.walk(at, buf.len(), |word, lo, k, pos| {
+            let bytes = word.load(Ordering::Relaxed).to_le_bytes();
+            buf[pos..pos + k].copy_from_slice(&bytes[lo..lo + k]);
+        });
+    }
+
+    /// Sets bytes `[at, at + n)` of the page to `tag`.
+    fn fill(&self, at: usize, n: usize, tag: u8) {
+        let pattern = splat(tag);
+        self.walk(at, n, |word, lo, k, _| Page::put(word, lo, k, pattern));
+    }
+
+    /// Whether every byte of `[at, at + n)` equals `tag`. XOR against the
+    /// pattern keeps the check byte-granular: one differing byte anywhere
+    /// under the span's masks leaves a non-zero bit.
+    fn all_eq(&self, at: usize, n: usize, tag: u8) -> bool {
+        let pattern = splat(tag);
+        let mut diff = 0;
+        self.walk(at, n, |word, lo, k, _| {
+            diff |= (word.load(Ordering::Relaxed) ^ pattern) & byte_mask(lo, k);
+        });
+        diff == 0
+    }
+}
+
+/// The page table: slot `i` backs file bytes `[i * PAGE_SIZE, (i + 1) *
+/// PAGE_SIZE)`; `None` (or past the end) is a hole that reads as zeros.
+type PageTable = Vec<Option<Box<Page>>>;
+
+fn page_at(pages: &[Option<Box<Page>>], index: usize) -> Option<&Page> {
+    pages.get(index)?.as_deref()
+}
+
+/// Cuts the byte span `[offset, offset + len)` at page boundaries:
+/// `f(page, at, n, pos)` covers bytes `[at, at + n)` of page `page`, which
+/// are bytes `[pos, pos + n)` of the span.
+#[inline]
+fn for_pages(offset: u64, len: usize, mut f: impl FnMut(usize, usize, usize, usize)) {
+    let mut addr = usize::try_from(offset).expect("file offset exceeds addressable memory");
+    let mut pos = 0;
+    while pos < len {
+        let (page, at) = (addr / PAGE_SIZE, addr % PAGE_SIZE);
+        let n = (PAGE_SIZE - at).min(len - pos);
+        f(page, at, n, pos);
+        addr += n;
+        pos += n;
     }
 }
 
@@ -93,9 +230,11 @@ struct OpStats {
 /// the usual "size is advisory under concurrency" file-system contract.
 pub struct RangeFile<L: RwRangeLock> {
     lock: L,
-    /// Page table. Grows only (truncation zeroes rather than frees), so the
-    /// read lock is only held for the duration of a byte copy.
-    pages: RwLock<Vec<Box<Page>>>,
+    /// Page table. Pages are only ever added (truncation zeroes rather than
+    /// frees). Its guard is the innermost lock of an operation: taken once,
+    /// after the range lock is held, for the duration of the byte copy — so
+    /// nobody waits for a range while holding it.
+    pages: RwLock<PageTable>,
     /// Committed logical length: maximum end of any completed write.
     len: AtomicU64,
     /// Reservation cursor for `append`: max end ever reserved or written.
@@ -148,69 +287,98 @@ impl<L: RwRangeLock> RangeFile<L> {
         self.lock.name()
     }
 
-    /// Number of allocated pages (monotonic; never shrinks).
+    /// Number of allocated pages (monotonic; never shrinks). Holes — pages
+    /// no write has touched — are not counted.
     pub fn allocated_pages(&self) -> usize {
-        self.pages.read().len()
+        self.pages.read().iter().flatten().count()
     }
 
-    fn record(
+    /// Runs `acquire` (a range-lock acquisition), recording its latency as a
+    /// `kind` wait under the `stats` label when op stats are attached — the
+    /// clock is read only then.
+    fn timed<G>(
         &self,
-        stats: impl Fn(&OpStats) -> &Arc<WaitStats>,
         kind: WaitKind,
-        started: Instant,
-    ) {
-        if let Some(ops) = &self.ops {
-            stats(ops).record_wait_ns(kind, started.elapsed().as_nanos() as u64);
-        }
+        stats: impl Fn(&OpStats) -> &Arc<WaitStats>,
+        acquire: impl FnOnce() -> G,
+    ) -> G {
+        let Some(ops) = &self.ops else {
+            return acquire();
+        };
+        let started = Instant::now();
+        let guard = acquire();
+        stats(ops).record_wait_ns(kind, started.elapsed().as_nanos() as u64);
+        guard
     }
 
-    /// Grows the page table to cover bytes `[0, end)`.
-    fn ensure_pages(&self, end: u64) {
+    fn lock_write(
+        &self,
+        range: Range,
+        stats: impl Fn(&OpStats) -> &Arc<WaitStats>,
+    ) -> L::WriteGuard<'_> {
+        self.timed(WaitKind::Write, stats, || self.lock.write(range))
+    }
+
+    fn lock_read(&self, range: Range) -> L::ReadGuard<'_> {
+        self.timed(WaitKind::Read, |o| &o.pread, || self.lock.read(range))
+    }
+
+    /// The page table with every page under bytes `[offset, end)` allocated.
+    fn pages_for_write(&self, offset: u64, end: u64) -> RwLockReadGuard<'_, PageTable> {
         let end = usize::try_from(end).expect("file offset exceeds addressable memory");
-        let needed = end.div_ceil(PAGE_SIZE);
-        if self.pages.read().len() >= needed {
-            return;
-        }
-        let mut pages = self.pages.write();
-        while pages.len() < needed {
-            pages.push(Page::new_boxed());
+        // `offset <= end`, so it fits as well.
+        let span = offset as usize / PAGE_SIZE..end.div_ceil(PAGE_SIZE);
+        loop {
+            let pages = self.pages.read();
+            if pages
+                .get(span.clone())
+                .is_some_and(|slots| slots.iter().all(Option::is_some))
+            {
+                return pages;
+            }
+            drop(pages);
+            let mut pages = self.pages.write();
+            if pages.len() < span.end {
+                pages.resize_with(span.end, || None);
+            }
+            for slot in &mut pages[span.clone()] {
+                slot.get_or_insert_with(Page::new_boxed);
+            }
         }
     }
 
-    /// Copies `data` into the file at `offset`. The caller must hold (or be
-    /// inside) the covering range acquisition; pages must already exist.
-    fn copy_in(&self, offset: u64, data: &[u8]) {
-        let pages = self.pages.read();
-        let mut addr = offset as usize;
-        let mut pos = 0;
-        while pos < data.len() {
-            let (page, in_page) = (addr / PAGE_SIZE, addr % PAGE_SIZE);
-            let n = (PAGE_SIZE - in_page).min(data.len() - pos);
-            let bytes = &pages[page].bytes;
-            for i in 0..n {
-                bytes[in_page + i].store(data[pos + i], Ordering::Relaxed);
-            }
-            addr += n;
-            pos += n;
-        }
+    /// Copies `data` into the file at `offset`. The caller must hold the
+    /// covering range acquisition; `pages` must come from
+    /// [`RangeFile::pages_for_write`] over the span.
+    fn copy_in(pages: &[Option<Box<Page>>], offset: u64, data: &[u8]) {
+        for_pages(offset, data.len(), |page, at, n, pos| {
+            let page = page_at(pages, page).expect("write span is allocated");
+            page.store(at, &data[pos..pos + n]);
+        });
     }
 
-    /// Copies `buf.len()` bytes out of the file at `offset` (pages must
-    /// exist for the whole span).
-    fn copy_out(&self, offset: u64, buf: &mut [u8]) {
-        let pages = self.pages.read();
-        let mut addr = offset as usize;
-        let mut pos = 0;
-        while pos < buf.len() {
-            let (page, in_page) = (addr / PAGE_SIZE, addr % PAGE_SIZE);
-            let n = (PAGE_SIZE - in_page).min(buf.len() - pos);
-            let bytes = &pages[page].bytes;
-            for i in 0..n {
-                buf[pos + i] = bytes[in_page + i].load(Ordering::Relaxed);
+    /// Copies `buf.len()` bytes out of the file at `offset`; holes read as
+    /// zeros.
+    fn copy_out(pages: &[Option<Box<Page>>], offset: u64, buf: &mut [u8]) {
+        for_pages(offset, buf.len(), |page, at, n, pos| {
+            let buf = &mut buf[pos..pos + n];
+            match page_at(pages, page) {
+                Some(page) => page.load(at, buf),
+                None => buf.fill(0),
             }
-            addr += n;
-            pos += n;
-        }
+        });
+    }
+
+    /// Whether every byte of `[offset, offset + len)` equals `tag`.
+    fn span_all_eq(pages: &[Option<Box<Page>>], offset: u64, len: usize, tag: u8) -> bool {
+        let mut uniform = true;
+        for_pages(offset, len, |page, at, n, _| {
+            uniform &= match page_at(pages, page) {
+                Some(page) => page.all_eq(at, n, tag),
+                None => tag == 0,
+            };
+        });
+        uniform
     }
 
     /// Publishes a completed write ending at `end`.
@@ -228,11 +396,8 @@ impl<L: RwRangeLock> RangeFile<L> {
         let end = offset
             .checked_add(data.len() as u64)
             .expect("file range overflows u64");
-        self.ensure_pages(end);
-        let started = Instant::now();
-        let _g = self.lock.write(Range::new(offset, end));
-        self.record(|o| &o.pwrite, WaitKind::Write, started);
-        self.copy_in(offset, data);
+        let _g = self.lock_write(Range::new(offset, end), |o| &o.pwrite);
+        Self::copy_in(&self.pages_for_write(offset, end), offset, data);
         self.publish_write(end);
     }
 
@@ -244,14 +409,8 @@ impl<L: RwRangeLock> RangeFile<L> {
         if n == 0 {
             return 0;
         }
-        let end = offset + n as u64;
-        // A growing `truncate` moves the end-of-file without allocating
-        // pages, so the span may lie past the allocated high-water mark.
-        self.ensure_pages(end);
-        let started = Instant::now();
-        let _g = self.lock.read(Range::new(offset, end));
-        self.record(|o| &o.pread, WaitKind::Read, started);
-        self.copy_out(offset, &mut buf[..n]);
+        let _g = self.lock_read(Range::new(offset, offset + n as u64));
+        Self::copy_out(&self.pages.read(), offset, &mut buf[..n]);
         n
     }
 
@@ -266,11 +425,8 @@ impl<L: RwRangeLock> RangeFile<L> {
             return offset;
         }
         let end = offset.checked_add(n).expect("file range overflows u64");
-        self.ensure_pages(end);
-        let started = Instant::now();
-        let _g = self.lock.write(Range::new(offset, end));
-        self.record(|o| &o.append, WaitKind::Write, started);
-        self.copy_in(offset, data);
+        let _g = self.lock_write(Range::new(offset, end), |o| &o.append);
+        Self::copy_in(&self.pages_for_write(offset, end), offset, data);
         self.publish_write(end);
         offset
     }
@@ -291,24 +447,21 @@ impl<L: RwRangeLock> RangeFile<L> {
     /// high-water mark, leaving a zero-filled gap — append offsets are
     /// monotonic for the lifetime of the file.
     pub fn truncate(&self, new_len: u64) {
-        let started = Instant::now();
-        let _g = self.lock.write(Range::new(new_len, u64::MAX));
-        self.record(|o| &o.truncate, WaitKind::Write, started);
+        let _g = self.lock_write(Range::new(new_len, u64::MAX), |o| &o.truncate);
         let old_end = self
             .reserved
             .load(Ordering::Acquire)
             .max(self.len.load(Ordering::Acquire));
         if old_end > new_len {
-            // Zero only what is actually allocated.
-            let alloc_end = (self.pages.read().len() * PAGE_SIZE) as u64;
-            let zero_end = old_end.min(alloc_end);
-            let mut addr = new_len;
-            let zeros = [0u8; 256];
-            while addr < zero_end {
-                let n = (zero_end - addr).min(zeros.len() as u64) as usize;
-                self.copy_in(addr, &zeros[..n]);
-                addr += n as u64;
-            }
+            let pages = self.pages.read();
+            // Nothing past the table's end, and no hole, needs zeroing.
+            let zero_end = old_end.min((pages.len() * PAGE_SIZE) as u64);
+            let cut = zero_end.saturating_sub(new_len) as usize;
+            for_pages(new_len, cut, |page, at, n, _| {
+                if let Some(page) = page_at(&pages, page) {
+                    page.fill(at, n, 0);
+                }
+            });
         }
         self.len.store(new_len, Ordering::Release);
         // Only ever raise the cursor (see the doc comment above).
@@ -326,44 +479,14 @@ impl<L: RwRangeLock> RangeFile<L> {
         let end = offset
             .checked_add(len as u64)
             .expect("file range overflows u64");
-        self.ensure_pages(end);
-        let started = Instant::now();
-        let _g = self.lock.write(Range::new(offset, end));
-        self.record(|o| &o.pwrite, WaitKind::Write, started);
-        {
-            let pages = self.pages.read();
-            let mut addr = offset as usize;
-            let mut left = len;
-            while left > 0 {
-                let (page, in_page) = (addr / PAGE_SIZE, addr % PAGE_SIZE);
-                let n = (PAGE_SIZE - in_page).min(left);
-                let bytes = &pages[page].bytes;
-                for b in &bytes[in_page..in_page + n] {
-                    b.store(tag, Ordering::Relaxed);
-                }
-                addr += n;
-                left -= n;
-            }
-        }
-        let mut ok = true;
-        {
-            let pages = self.pages.read();
-            let mut addr = offset as usize;
-            let mut left = len;
-            while left > 0 {
-                let (page, in_page) = (addr / PAGE_SIZE, addr % PAGE_SIZE);
-                let n = (PAGE_SIZE - in_page).min(left);
-                let bytes = &pages[page].bytes;
-                if bytes[in_page..in_page + n]
-                    .iter()
-                    .any(|b| b.load(Ordering::Relaxed) != tag)
-                {
-                    ok = false;
-                }
-                addr += n;
-                left -= n;
-            }
-        }
+        let _g = self.lock_write(Range::new(offset, end), |o| &o.pwrite);
+        let pages = self.pages_for_write(offset, end);
+        for_pages(offset, len, |page, at, n, _| {
+            let page = page_at(&pages, page).expect("write span is allocated");
+            page.fill(at, n, tag);
+        });
+        let ok = Self::span_all_eq(&pages, offset, len, tag);
+        drop(pages);
         self.publish_write(end);
         ok
     }
@@ -380,29 +503,11 @@ impl<L: RwRangeLock> RangeFile<L> {
         let end = offset
             .checked_add(len as u64)
             .expect("file range overflows u64");
-        self.ensure_pages(end);
-        let started = Instant::now();
-        let _g = self.lock.read(Range::new(offset, end));
-        self.record(|o| &o.pread, WaitKind::Read, started);
+        let _g = self.lock_read(Range::new(offset, end));
         let pages = self.pages.read();
-        let first = pages[offset as usize / PAGE_SIZE].bytes[offset as usize % PAGE_SIZE]
-            .load(Ordering::Relaxed);
-        let mut addr = offset as usize;
-        let mut left = len;
-        while left > 0 {
-            let (page, in_page) = (addr / PAGE_SIZE, addr % PAGE_SIZE);
-            let n = (PAGE_SIZE - in_page).min(left);
-            let bytes = &pages[page].bytes;
-            if bytes[in_page..in_page + n]
-                .iter()
-                .any(|b| b.load(Ordering::Relaxed) != first)
-            {
-                return None;
-            }
-            addr += n;
-            left -= n;
-        }
-        Some(first)
+        let mut first = [0u8];
+        Self::copy_out(&pages, offset, &mut first);
+        Self::span_all_eq(&pages, offset, len, first[0]).then_some(first[0])
     }
 }
 
@@ -517,10 +622,219 @@ impl<L: RwRangeLock> std::fmt::Debug for FileStore<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use range_lock::RwListRangeLock;
 
     fn file() -> RangeFile<RwListRangeLock> {
         RangeFile::new(RwListRangeLock::new())
+    }
+
+    /// The whole file as `pread` sees it.
+    fn contents(f: &RangeFile<RwListRangeLock>) -> Vec<u8> {
+        let mut buf = vec![0xAA; f.len() as usize];
+        assert_eq!(f.pread(0, &mut buf), buf.len());
+        buf
+    }
+
+    /// Reference model of a [`RangeFile`]: the committed bytes (its length
+    /// is the file length) and the append cursor.
+    #[derive(Default)]
+    struct Model {
+        bytes: Vec<u8>,
+        reserved: usize,
+    }
+
+    impl Model {
+        fn pwrite(&mut self, offset: usize, data: &[u8]) {
+            if data.is_empty() {
+                return;
+            }
+            let end = offset + data.len();
+            if self.bytes.len() < end {
+                self.bytes.resize(end, 0);
+            }
+            self.bytes[offset..end].copy_from_slice(data);
+            self.reserved = self.reserved.max(end);
+        }
+
+        fn append(&mut self, data: &[u8]) -> usize {
+            let offset = self.reserved;
+            self.reserved += data.len();
+            self.pwrite(offset, data);
+            offset
+        }
+
+        fn truncate(&mut self, new_len: usize) {
+            self.bytes.truncate(new_len);
+            self.bytes.resize(new_len, 0);
+            self.reserved = self.reserved.max(new_len);
+        }
+
+        fn pread(&self, offset: usize, n: usize) -> &[u8] {
+            let len = self.bytes.len();
+            &self.bytes[offset.min(len)..(offset + n).min(len)]
+        }
+    }
+
+    /// An offset near a word, page-interior or page-straddling anchor with
+    /// every in-word alignment, and a length of 0–3 pages ending on every
+    /// in-word alignment.
+    fn span_from(a: u64, b: u64) -> (usize, usize) {
+        const ANCHORS: [usize; 4] = [0, PAGE_SIZE / 2, PAGE_SIZE - 24, 2 * PAGE_SIZE - 8];
+        const WORDS: [usize; 9] = [0, 0, 1, 2, 5, 511, 512, 1030, 1536];
+        let offset = ANCHORS[(a % 4) as usize] + ((a >> 2) % 8) as usize;
+        let len = WORDS[((b >> 3) % 9) as usize] * WORD + (b % 8) as usize;
+        (offset, len)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Differential check of the word path: random positioned writes,
+        /// reads, appends and truncates agree with the byte-vector model
+        /// after every step.
+        #[test]
+        fn ops_match_a_byte_vector_model(
+            ops in collection::vec((0u8..4, any::<u64>(), any::<u64>(), any::<u8>()), 1..40),
+        ) {
+            let f = file();
+            let mut model = Model::default();
+            for &(kind, a, b, seed) in &ops {
+                let (offset, len) = span_from(a, b);
+                let data: Vec<u8> = (0..len).map(|i| seed.wrapping_add(i as u8) | 1).collect();
+                match kind {
+                    0 => {
+                        f.pwrite(offset as u64, &data);
+                        model.pwrite(offset, &data);
+                    }
+                    1 => {
+                        let mut buf = vec![0xAA; len];
+                        let n = f.pread(offset as u64, &mut buf);
+                        prop_assert_eq!(&buf[..n], model.pread(offset, len));
+                    }
+                    2 => {
+                        // Short appends: the cursor only ever grows.
+                        let data = &data[..len % 600];
+                        prop_assert_eq!(f.append(data), model.append(data) as u64);
+                    }
+                    _ => {
+                        f.truncate(offset as u64);
+                        model.truncate(offset);
+                    }
+                }
+                prop_assert_eq!(f.len(), model.bytes.len() as u64);
+            }
+            prop_assert_eq!(contents(&f), model.bytes);
+        }
+    }
+
+    #[test]
+    fn every_head_and_tail_alignment_round_trips() {
+        // All 8x8 (first byte, one-past-last byte) in-word alignments, for
+        // spans inside one word, with interior words, and across a page
+        // boundary; the bytes around the span must survive.
+        for base in [64, PAGE_SIZE - 16] {
+            for (head, tail, words) in (0..WORD * WORD * 3).map(|i| (i % 8, i / 8 % 8, i / 64)) {
+                let f = file();
+                let mut model = vec![0xEE; 2 * PAGE_SIZE];
+                f.pwrite(0, &model);
+                let len = words * WORD + (tail + WORD - head) % WORD;
+                let data: Vec<u8> = (1..=len as u8).collect();
+                f.pwrite((base + head) as u64, &data);
+                model[base + head..base + head + len].copy_from_slice(&data);
+                assert_eq!(contents(&f), model, "base {base} head {head} len {len}");
+                let mut back = vec![0; len];
+                assert_eq!(f.pread((base + head) as u64, &mut back), len);
+                assert_eq!(back, data, "base {base} head {head} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn stamped_checks_see_a_single_flipped_byte_at_every_in_word_position() {
+        // The span [base + 5, base + 27) has a partial head word, two whole
+        // words and a partial tail word; with base = PAGE_SIZE - 16 it also
+        // straddles a page. Flip each byte of those four words in turn.
+        const TAG: u8 = 0x5A;
+        for base in [0, PAGE_SIZE as u64 - 16] {
+            let f = file();
+            f.truncate(base + 32);
+            let (start, len) = (base + 5, 22);
+            assert!(f.write_stamped(start, len, TAG));
+            let clean = contents(&f);
+            for at in base..base + 32 {
+                let inside = (start..start + len as u64).contains(&at);
+                let original = clean[at as usize];
+                f.pwrite(at, &[original ^ 0x40]);
+                assert_eq!(
+                    f.read_stamped(start, len),
+                    (!inside).then_some(TAG),
+                    "flipped byte {at} of span [{start}, {})",
+                    start + len as u64
+                );
+                // A plain read sees exactly that byte changed.
+                let mut expected = clean.clone();
+                expected[at as usize] ^= 0x40;
+                assert_eq!(contents(&f), expected, "flipped byte {at}");
+                f.pwrite(at, &[original]);
+            }
+            assert_eq!(f.read_stamped(start, len), Some(TAG));
+        }
+    }
+
+    #[test]
+    fn adjacent_writers_sharing_a_word_lose_no_byte() {
+        // Two writers hold adjacent byte ranges that meet inside one word —
+        // [8, 8 + k) and [8 + k, 16) — under the real lock, which (rightly)
+        // lets them run in parallel. Each must always read back what it
+        // wrote: a partial-word write that stored back a stale copy of the
+        // neighbour's bytes would lose an update here.
+        let f = file();
+        f.truncate(PAGE_SIZE as u64);
+        let rounds = 100_000 / 7 + 1;
+        for k in 1..WORD {
+            std::thread::scope(|scope| {
+                for (start, len) in [(WORD, k), (WORD + k, WORD - k)] {
+                    let f = &f;
+                    scope.spawn(move || {
+                        let mut back = [0u8; WORD];
+                        for round in 0..rounds {
+                            let data = [(round as u8) | 1; WORD];
+                            f.pwrite(start as u64, &data[..len]);
+                            assert_eq!(f.pread(start as u64, &mut back[..len]), len);
+                            assert_eq!(back[..len], data[..len], "split {k} round {round}");
+                        }
+                    });
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn pages_are_allocated_by_first_write_only() {
+        let f = file();
+        let far = 512 << 20;
+        f.pwrite(far, &[9]);
+        assert_eq!(f.allocated_pages(), 1);
+        // Reading holes allocates nothing and sees zeros.
+        let mut buf = [7u8; 3 * PAGE_SIZE];
+        assert_eq!(
+            f.pread(far - 2 * PAGE_SIZE as u64, &mut buf),
+            2 * PAGE_SIZE + 1
+        );
+        assert!(buf[..2 * PAGE_SIZE].iter().all(|&b| b == 0));
+        assert_eq!(buf[2 * PAGE_SIZE], 9);
+        assert_eq!(f.read_stamped(PAGE_SIZE as u64 + 3, 5 * PAGE_SIZE), Some(0));
+        assert_eq!(f.read_stamped(far - 1, 2), None);
+        // Truncating across holes skips them; a growing truncate allocates
+        // nothing either.
+        f.truncate(100);
+        f.truncate(far + 1);
+        assert_eq!(f.read_stamped(far - 1, 2), Some(0));
+        assert_eq!(f.allocated_pages(), 1);
+        // A write straddling a page boundary allocates both pages.
+        f.pwrite(3 * PAGE_SIZE as u64 - 1, &[1, 2]);
+        assert_eq!(f.allocated_pages(), 3);
     }
 
     #[test]

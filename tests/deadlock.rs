@@ -118,6 +118,7 @@ where
         handle.join().unwrap();
     }
     assert_eq!(table.held_records(), 0, "{label}: residue after storm");
+    assert_eq!(table.waiting_owners(), 0, "{label}: stale waits-for edges");
     table.check_invariants();
     let surfaced = deadlocks.load(Ordering::Relaxed);
     assert_eq!(
@@ -189,6 +190,7 @@ fn async_storm_resolves_cycles_among_suspended_tasks() {
             task.join();
         }
         assert_eq!(table.held_records(), 0);
+        assert_eq!(table.waiting_owners(), 0);
         assert_eq!(
             table.deadlocks_detected(),
             deadlocks.load(Ordering::Relaxed)

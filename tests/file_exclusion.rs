@@ -8,10 +8,14 @@
 //! test — a torn write or a torn read — is therefore counted, and the test
 //! asserts the count is zero for all five variants (the exclusive locks run
 //! through the [`ExclusiveAsRw`] adapter). A second storm drives the
-//! [`LockTable`] from many concurrently dropping owners.
+//! [`LockTable`] from many concurrently dropping owners. A negative control
+//! runs the stamped protocol over a lock that excludes nothing and requires
+//! the violations to be *reported* — the zero counts above mean something
+//! only while the checker still bites.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use range_locks_repro::range_lock::{
     ExclusiveAsRw, ListRangeLock, Range, RwListRangeLock, RwRangeLock,
@@ -106,6 +110,55 @@ fn no_torn_io_under_list_ex() {
 #[test]
 fn no_torn_io_under_lustre_ex() {
     assert_eq!(storm(ExclusiveAsRw::new(TreeRangeLock::new())), 0);
+}
+
+/// A "range lock" that grants every request at once: the broken lock the
+/// stamped-I/O checker exists to catch.
+struct GrantAll;
+
+impl RwRangeLock for GrantAll {
+    type ReadGuard<'a> = ();
+    type WriteGuard<'a> = ();
+
+    fn read(&self, _range: Range) {}
+
+    fn write(&self, _range: Range) {}
+
+    fn name(&self) -> &'static str {
+        "grant-all"
+    }
+}
+
+/// Negative control: two stamped writers racing over one span with no
+/// exclusion at all must be caught by the writers' own re-read.
+#[test]
+fn stamped_io_reports_a_lock_that_excludes_nothing() {
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) == 1 {
+        eprintln!("skipped: two writers cannot run at once on 1 CPU");
+        return;
+    }
+    const SPAN: usize = 64 << 10;
+    let file = RangeFile::new(GrantAll);
+    let violations = AtomicU64::new(0);
+    let start = Barrier::new(2);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    std::thread::scope(|scope| {
+        for tag in [1u8, 2] {
+            let (file, violations, start) = (&file, &violations, &start);
+            scope.spawn(move || {
+                start.wait();
+                while violations.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+                    if !file.write_stamped(0, SPAN, tag) {
+                        violations.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+    });
+    assert!(
+        violations.load(Ordering::Relaxed) > 0,
+        "two unexcluded stamped writers over one span were never reported"
+    );
 }
 
 /// Concurrent owners on one lock table: writers hold exclusive table locks
