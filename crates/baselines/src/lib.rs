@@ -16,9 +16,10 @@
 //!
 //! The supporting [`range_tree`] module contains the augmented balanced
 //! interval tree used by the tree-based locks (the kernel's "range tree").
-//! All locks implement the [`range_lock::RangeLock`] /
-//! [`range_lock::RwRangeLock`] traits so they can be swapped freely in the VM
-//! simulator, the skip list and the benchmark harness; the [`registry`]
+//! All locks implement [`range_lock::RwRangeLock`] and
+//! [`range_lock::TwoPhaseRwRangeLock`] (the exclusive tree lock with both
+//! modes exclusive) so they can be swapped freely in the VM simulator, the
+//! skip list and the benchmark harness; the [`registry`]
 //! module additionally enumerates all five paper variants (these three
 //! baselines plus `list-ex` / `list-rw`) by name for runtime, dynamic-dispatch
 //! selection.
@@ -33,6 +34,6 @@ pub mod tree_lock;
 
 pub use range_tree::{Interval, RangeTree};
 pub use registry::{RegistryConfig, VariantSpec};
-pub use segment_lock::{AdaptiveConfig, SegmentRangeLock, SegmentReadGuard, SegmentWriteGuard};
+pub use segment_lock::{SegmentRangeLock, SegmentReadGuard, SegmentWriteGuard};
 pub use sem_lock::WholeSpaceSem;
 pub use tree_lock::{RwTreeRangeLock, TreeRangeGuard, TreeRangeLock};

@@ -2,18 +2,24 @@
 //! runtime.
 //!
 //! The evaluation (Section 7) compares five range-lock variants — the two
-//! list-based locks of this paper plus three baselines — and before this
-//! registry existed every driver that swept "all variants" (ArrBench,
-//! FileBench, the test suites) hand-rolled its own `enum AnyLock { … }` with
-//! five-way `match`es on every operation. The registry replaces those with
-//! one table built on the object-safe [`DynRwRangeLock`] layer of the core
-//! crate:
+//! list-based locks of this paper plus three baselines — and every driver
+//! that sweeps "all variants" (ArrBench, FileBench, the VM simulator, the
+//! server, the test suites) takes them from this one table, built on the
+//! object-safe [`DynRwRangeLock`] trait of the core crate:
 //!
-//! * every variant is exposed through the **reader-writer** interface; the
-//!   exclusive-only locks (`list-ex`, `lustre-ex`) are wrapped in
-//!   [`ExclusiveAsRw`], which serializes readers — exactly the cost the
-//!   paper's reader-writer variants exist to remove, and exactly how the
-//!   FileBench sweep has always driven them;
+//! * **what a variant implements** is `range_lock::TwoPhaseRwRangeLock`
+//!   (blocking + `try_` acquisition and the enqueue / poll / cancel
+//!   protocol); the exclusive-only locks (`list-ex`, `lustre-ex`) implement
+//!   it with every acquisition exclusive, so their readers serialize —
+//!   exactly the cost the paper's reader-writer variants exist to remove,
+//!   and exactly how the FileBench sweep has always driven them;
+//! * **what it gets for free** is everything else: the blanket
+//!   `DynRwRangeLock` impl erases it, and because `Box<dyn DynRwRangeLock>`
+//!   implements the static traits itself, one boxed lock plugs into every
+//!   generic subsystem — the file store, the lock table's deadlock-checked
+//!   and async paths, timed / async / batched acquisition, the benchmark
+//!   drivers — unchanged. There is one kind of registry lock, so there is
+//!   one constructor per variant;
 //! * construction is **wait-policy aware**: [`VariantSpec::build`] takes a
 //!   [`WaitPolicyKind`] and instantiates the lock with the corresponding
 //!   compile-time policy (`Spin` / `SpinThenYield` / `Block`);
@@ -21,9 +27,9 @@
 //!   [`RegistryConfig`] (span + segment count); the list and tree locks
 //!   ignore it.
 //!
-//! A boxed registry lock implements [`range_lock::RwRangeLock`] itself (see
-//! `range_lock::dynlock`), so it plugs into every generic subsystem — the
-//! file store, the lock table, the benchmark drivers — unchanged.
+//! [`VariantSpec::build_twophase`] is a one-line alias of `build` (every
+//! registry lock carries the two-phase protocol); it exists only because the
+//! frozen `benchmark/` harness calls it by that name.
 //!
 //! # Examples
 //!
@@ -43,10 +49,7 @@
 
 use std::sync::Arc;
 
-use range_lock::{
-    DynAsyncRwRangeLock, DynRwRangeLock, DynTwoPhaseRwRangeLock, ExclusiveAsRw, ListRangeLock,
-    RwListRangeLock,
-};
+use range_lock::{DynRwRangeLock, ListRangeLock, RwListRangeLock};
 use rl_sync::stats::WaitStats;
 use rl_sync::wait::{Block, Spin, SpinThenYield, WaitPolicyKind};
 
@@ -62,36 +65,16 @@ pub struct RegistryConfig {
     pub span: u64,
     /// Number of equal segments the span is split into.
     pub segments: usize,
-    /// When `true`, the segment lock rebalances its partitioning from
-    /// per-segment contention (geometry-derived
-    /// [`AdaptiveConfig`](crate::AdaptiveConfig) defaults:
-    /// hot segments split, cold runs coalesce). The signal is parking, so
-    /// this is only effective under [`WaitPolicyKind::Block`]; spinning
-    /// policies never park and their tables only drift toward the coalesced
-    /// floor. Off by default — the static layout is what the paper measures.
-    pub adaptive_segments: bool,
 }
 
 impl Default for RegistryConfig {
     /// One segment per 4 KiB page of a 1 MiB resource — pNOVA's natural
-    /// granularity and the FileBench default — with the static layout.
+    /// granularity and the FileBench default.
     fn default() -> Self {
         RegistryConfig {
             span: 1 << 20,
             segments: 1 << 8,
-            adaptive_segments: false,
         }
-    }
-}
-
-/// Builds the segment lock for `config`, enabling adaptive rebalancing when
-/// requested.
-fn make_segment_lock<P: rl_sync::wait::WaitPolicy>(config: &RegistryConfig) -> SegmentRangeLock<P> {
-    let lock = SegmentRangeLock::<P>::with_policy(config.span, config.segments);
-    if config.adaptive_segments {
-        lock.adaptive()
-    } else {
-        lock
     }
 }
 
@@ -115,12 +98,12 @@ macro_rules! per_policy {
     };
 }
 
-/// Constructor shape of [`VariantSpec::build_with_stats`]: wait policy,
-/// config, acquisition [`WaitStats`], optional internal-spin-lock stats.
-type StatsCtor = fn(
+/// Constructor shape of a registry row: wait policy, config, optional
+/// acquisition [`WaitStats`], optional internal-spin-lock stats.
+type Ctor = fn(
     WaitPolicyKind,
     &RegistryConfig,
-    Arc<WaitStats>,
+    Option<Arc<WaitStats>>,
     Option<Arc<WaitStats>>,
 ) -> Box<dyn DynRwRangeLock>;
 
@@ -130,31 +113,22 @@ pub struct VariantSpec {
     /// Stable name matching the paper's figure legends (`"list-rw"`, …).
     pub name: &'static str,
     /// `true` if overlapping readers share under this variant; `false` for
-    /// the exclusive locks, whose "readers" serialize through
-    /// [`ExclusiveAsRw`].
+    /// the exclusive locks, whose "readers" serialize.
     pub readers_share: bool,
     /// `true` if the variant guards its internal metadata with a spin lock
     /// whose wait time the paper reports separately (Figure 8: the tree-based
     /// locks). Callers that want that breakdown pass a second [`WaitStats`]
     /// to [`VariantSpec::build_with_stats`]; the other variants ignore it.
     pub internal_spinlock: bool,
-    ctor: fn(WaitPolicyKind, &RegistryConfig) -> Box<dyn DynRwRangeLock>,
-    stats_ctor: StatsCtor,
-    async_ctor: fn(WaitPolicyKind, &RegistryConfig) -> Box<dyn DynAsyncRwRangeLock>,
-    twophase_ctor: fn(WaitPolicyKind, &RegistryConfig) -> Box<dyn DynTwoPhaseRwRangeLock>,
+    ctor: Ctor,
 }
 
 impl VariantSpec {
     /// Constructs this variant waiting through `wait`, configured by `config`
-    /// (only `pnova-rw` reads it).
+    /// (only `pnova-rw` reads it). `wait` governs how *blocking* waiters of
+    /// the lock wait; async waiters always suspend on wakers.
     pub fn build(&self, wait: WaitPolicyKind, config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-        (self.ctor)(wait, config)
-    }
-
-    /// Constructs this variant with the default wait policy
-    /// ([`SpinThenYield`], the paper's `Pause()` loop) and default config.
-    pub fn build_default(&self) -> Box<dyn DynRwRangeLock> {
-        self.build(WaitPolicyKind::SpinThenYield, &RegistryConfig::default())
+        (self.ctor)(wait, config, None, None)
     }
 
     /// Constructs this variant reporting acquisition wait times into `stats`.
@@ -171,47 +145,18 @@ impl VariantSpec {
         stats: Arc<WaitStats>,
         spin_stats: Option<Arc<WaitStats>>,
     ) -> Box<dyn DynRwRangeLock> {
-        (self.stats_ctor)(wait, config, stats, spin_stats)
+        (self.ctor)(wait, config, Some(stats), spin_stats)
     }
 
-    /// Constructs this variant behind the **async-capable** dynamic
-    /// interface: the returned lock is awaited through
-    /// [`DynAsyncRwRangeLock::read_async_dyn`] /
-    /// [`DynAsyncRwRangeLock::write_async_dyn`] and still exposes the whole
-    /// sync surface (its supertrait, plus `RwRangeLock` for the boxed form).
-    /// `wait` only governs how *sync* waiters of the same lock wait; async
-    /// waiters always suspend on wakers.
-    pub fn build_async(
-        &self,
-        wait: WaitPolicyKind,
-        config: &RegistryConfig,
-    ) -> Box<dyn DynAsyncRwRangeLock> {
-        (self.async_ctor)(wait, config)
-    }
-
-    /// [`VariantSpec::build_async`] with the default wait policy and config.
-    pub fn build_async_default(&self) -> Box<dyn DynAsyncRwRangeLock> {
-        self.build_async(WaitPolicyKind::SpinThenYield, &RegistryConfig::default())
-    }
-
-    /// Constructs this variant behind the **two-phase-capable** dynamic
-    /// interface: the returned lock exposes the whole enqueue/poll/cancel
-    /// protocol (and, since `Box<dyn DynTwoPhaseRwRangeLock>` implements
-    /// `TwoPhaseRwRangeLock` itself, the timed, async, and batched
-    /// acquisition surfaces and the `rl-file` lock table's deadlock-checked
-    /// paths) on a variant chosen by name at runtime.
+    /// Alias of [`VariantSpec::build`]: every registry lock carries the
+    /// two-phase protocol. Kept only because the frozen `benchmark/` harness
+    /// calls it by this name; new code should call `build`.
     pub fn build_twophase(
         &self,
         wait: WaitPolicyKind,
         config: &RegistryConfig,
-    ) -> Box<dyn DynTwoPhaseRwRangeLock> {
-        (self.twophase_ctor)(wait, config)
-    }
-
-    /// [`VariantSpec::build_twophase`] with the default wait policy and
-    /// config.
-    pub fn build_twophase_default(&self) -> Box<dyn DynTwoPhaseRwRangeLock> {
-        self.build_twophase(WaitPolicyKind::SpinThenYield, &RegistryConfig::default())
+    ) -> Box<dyn DynRwRangeLock> {
+        self.build(wait, config)
     }
 }
 
@@ -224,48 +169,38 @@ impl std::fmt::Debug for VariantSpec {
     }
 }
 
-fn build_list_ex(wait: WaitPolicyKind, _config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(ListRangeLock::<P>::with_policy()))
+/// Attaches `stats` through the lock's `with_stats` builder when present.
+macro_rules! with_stats {
+    ($lock:expr, $stats:expr) => {
+        match $stats {
+            Some(s) => $lock.with_stats(s),
+            None => $lock,
+        }
+    };
 }
 
-fn build_list_rw(wait: WaitPolicyKind, _config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => RwListRangeLock::<P>::with_policy())
-}
-
-fn build_lustre_ex(wait: WaitPolicyKind, _config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(TreeRangeLock::<P>::with_policy()))
-}
-
-fn build_kernel_rw(wait: WaitPolicyKind, _config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => RwTreeRangeLock::<P>::with_policy())
-}
-
-fn build_pnova_rw(wait: WaitPolicyKind, config: &RegistryConfig) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => make_segment_lock::<P>(config))
-}
-
-fn build_list_ex_stats(
+fn build_list_ex(
     wait: WaitPolicyKind,
     _config: &RegistryConfig,
-    stats: Arc<WaitStats>,
+    stats: Option<Arc<WaitStats>>,
     _spin: Option<Arc<WaitStats>>,
 ) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(ListRangeLock::<P>::with_policy().with_stats(stats)))
+    per_policy!(wait, P => with_stats!(ListRangeLock::<P>::with_policy(), stats))
 }
 
-fn build_list_rw_stats(
+fn build_list_rw(
     wait: WaitPolicyKind,
     _config: &RegistryConfig,
-    stats: Arc<WaitStats>,
+    stats: Option<Arc<WaitStats>>,
     _spin: Option<Arc<WaitStats>>,
 ) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => RwListRangeLock::<P>::with_policy().with_stats(stats))
+    per_policy!(wait, P => with_stats!(RwListRangeLock::<P>::with_policy(), stats))
 }
 
-fn build_lustre_ex_stats(
+fn build_lustre_ex(
     wait: WaitPolicyKind,
     _config: &RegistryConfig,
-    stats: Arc<WaitStats>,
+    stats: Option<Arc<WaitStats>>,
     spin: Option<Arc<WaitStats>>,
 ) -> Box<dyn DynRwRangeLock> {
     per_policy!(wait, P => {
@@ -273,14 +208,14 @@ fn build_lustre_ex_stats(
             Some(s) => TreeRangeLock::<P>::with_policy_spin_stats(s),
             None => TreeRangeLock::<P>::with_policy(),
         };
-        ExclusiveAsRw::new(lock.with_stats(stats))
+        with_stats!(lock, stats)
     })
 }
 
-fn build_kernel_rw_stats(
+fn build_kernel_rw(
     wait: WaitPolicyKind,
     _config: &RegistryConfig,
-    stats: Arc<WaitStats>,
+    stats: Option<Arc<WaitStats>>,
     spin: Option<Arc<WaitStats>>,
 ) -> Box<dyn DynRwRangeLock> {
     per_policy!(wait, P => {
@@ -288,87 +223,20 @@ fn build_kernel_rw_stats(
             Some(s) => RwTreeRangeLock::<P>::with_policy_spin_stats(s),
             None => RwTreeRangeLock::<P>::with_policy(),
         };
-        lock.with_stats(stats)
+        with_stats!(lock, stats)
     })
 }
 
-fn build_pnova_rw_stats(
+fn build_pnova_rw(
     wait: WaitPolicyKind,
     config: &RegistryConfig,
-    stats: Arc<WaitStats>,
+    stats: Option<Arc<WaitStats>>,
     _spin: Option<Arc<WaitStats>>,
 ) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => make_segment_lock::<P>(config).with_stats(stats))
-}
-
-fn build_list_ex_async(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynAsyncRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(ListRangeLock::<P>::with_policy()))
-}
-
-fn build_list_rw_async(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynAsyncRwRangeLock> {
-    per_policy!(wait, P => RwListRangeLock::<P>::with_policy())
-}
-
-fn build_lustre_ex_async(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynAsyncRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(TreeRangeLock::<P>::with_policy()))
-}
-
-fn build_kernel_rw_async(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynAsyncRwRangeLock> {
-    per_policy!(wait, P => RwTreeRangeLock::<P>::with_policy())
-}
-
-fn build_pnova_rw_async(
-    wait: WaitPolicyKind,
-    config: &RegistryConfig,
-) -> Box<dyn DynAsyncRwRangeLock> {
-    per_policy!(wait, P => make_segment_lock::<P>(config))
-}
-
-fn build_list_ex_twophase(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynTwoPhaseRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(ListRangeLock::<P>::with_policy()))
-}
-
-fn build_list_rw_twophase(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynTwoPhaseRwRangeLock> {
-    per_policy!(wait, P => RwListRangeLock::<P>::with_policy())
-}
-
-fn build_lustre_ex_twophase(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynTwoPhaseRwRangeLock> {
-    per_policy!(wait, P => ExclusiveAsRw::new(TreeRangeLock::<P>::with_policy()))
-}
-
-fn build_kernel_rw_twophase(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-) -> Box<dyn DynTwoPhaseRwRangeLock> {
-    per_policy!(wait, P => RwTreeRangeLock::<P>::with_policy())
-}
-
-fn build_pnova_rw_twophase(
-    wait: WaitPolicyKind,
-    config: &RegistryConfig,
-) -> Box<dyn DynTwoPhaseRwRangeLock> {
-    per_policy!(wait, P => make_segment_lock::<P>(config))
+    per_policy!(wait, P => with_stats!(
+        SegmentRangeLock::<P>::with_policy(config.span, config.segments),
+        stats
+    ))
 }
 
 /// The five paper variants, baselines first, in the order the paper's figure
@@ -379,45 +247,30 @@ static ALL: [VariantSpec; 5] = [
         readers_share: false,
         internal_spinlock: true,
         ctor: build_lustre_ex,
-        stats_ctor: build_lustre_ex_stats,
-        async_ctor: build_lustre_ex_async,
-        twophase_ctor: build_lustre_ex_twophase,
     },
     VariantSpec {
         name: "kernel-rw",
         readers_share: true,
         internal_spinlock: true,
         ctor: build_kernel_rw,
-        stats_ctor: build_kernel_rw_stats,
-        async_ctor: build_kernel_rw_async,
-        twophase_ctor: build_kernel_rw_twophase,
     },
     VariantSpec {
         name: "pnova-rw",
         readers_share: true,
         internal_spinlock: false,
         ctor: build_pnova_rw,
-        stats_ctor: build_pnova_rw_stats,
-        async_ctor: build_pnova_rw_async,
-        twophase_ctor: build_pnova_rw_twophase,
     },
     VariantSpec {
         name: "list-ex",
         readers_share: false,
         internal_spinlock: false,
         ctor: build_list_ex,
-        stats_ctor: build_list_ex_stats,
-        async_ctor: build_list_ex_async,
-        twophase_ctor: build_list_ex_twophase,
     },
     VariantSpec {
         name: "list-rw",
         readers_share: true,
         internal_spinlock: false,
         ctor: build_list_rw,
-        stats_ctor: build_list_rw_stats,
-        async_ctor: build_list_rw_async,
-        twophase_ctor: build_list_rw_twophase,
     },
 ];
 
@@ -491,7 +344,6 @@ mod tests {
         let config = RegistryConfig {
             span: 256,
             segments: 32,
-            adaptive_segments: false,
         };
         for spec in all() {
             for wait in WaitPolicyKind::ALL {
@@ -523,24 +375,24 @@ mod tests {
         use std::pin::Pin;
         use std::task::{Context, Poll, Waker};
 
+        use range_lock::TwoPhaseRwRangeLock;
+
         let mut cx = Context::from_waker(Waker::noop());
         let config = RegistryConfig {
             span: 256,
             segments: 32,
-            adaptive_segments: false,
         };
         for spec in all() {
             for wait in WaitPolicyKind::ALL {
-                let lock = spec.build_async(wait, &config);
-                assert_eq!(lock.dyn_name(), spec.name, "under {}", wait.name());
+                let lock = spec.build(wait, &config);
                 // Uncontended async write resolves on the first poll.
-                let mut fut = lock.write_async_dyn(Range::new(0, 64));
+                let mut fut = lock.write_async(Range::new(0, 64));
                 let w = match Pin::new(&mut fut).poll(&mut cx) {
                     Poll::Ready(g) => g,
                     Poll::Pending => panic!("{}: uncontended write must resolve", spec.name),
                 };
                 // A conflicting future pends; dropping it mid-wait cancels.
-                let mut blocked = lock.write_async_dyn(Range::new(32, 96));
+                let mut blocked = lock.write_async(Range::new(32, 96));
                 assert!(Pin::new(&mut blocked).poll(&mut cx).is_pending());
                 drop(blocked);
                 drop(w);
@@ -551,7 +403,7 @@ mod tests {
                 );
                 // Reader sharing matches the spec through the async path too.
                 let r1 = {
-                    let mut fut = lock.read_async_dyn(Range::new(0, 64));
+                    let mut fut = lock.read_async(Range::new(0, 64));
                     match Pin::new(&mut fut).poll(&mut cx) {
                         Poll::Ready(g) => g,
                         Poll::Pending => panic!("{}: uncontended read must resolve", spec.name),
@@ -567,26 +419,32 @@ mod tests {
 
     #[test]
     fn twophase_built_variants_run_the_protocol_and_batches() {
-        use range_lock::{BatchMode, TwoPhaseRwRangeLock};
+        use range_lock::{BatchMode, RwRangeLock, TwoPhaseRwRangeLock};
 
         let config = RegistryConfig {
             span: 256,
             segments: 32,
-            adaptive_segments: false,
         };
         for spec in all() {
             for wait in WaitPolicyKind::ALL {
                 let lock = spec.build_twophase(wait, &config);
                 assert_eq!(lock.dyn_name(), spec.name, "under {}", wait.name());
                 assert_eq!(lock.readers_share_dyn(), spec.readers_share);
-                // Enqueue/poll/cancel round trip through the erased tokens.
+                // Only the list locks downgrade in place; the others decline
+                // through the erasure and hand the write guard back.
+                let w = lock.write(Range::new(128, 192));
+                assert_eq!(
+                    lock.downgrade(w).is_ok(),
+                    spec.name != "kernel-rw" && spec.name != "pnova-rw"
+                );
+                // Enqueue/poll/cancel round trip through the dyn methods.
                 let mut p = lock.enqueue_write_dyn(Range::new(0, 64));
                 let g = lock
                     .poll_write_dyn(&mut p)
                     .expect("uncontended write polls ready");
                 let mut blocked = lock.enqueue_write_dyn(Range::new(32, 96));
                 assert!(lock.poll_write_dyn(&mut blocked).is_none());
-                lock.cancel_write_dyn(&mut blocked);
+                lock.cancel_dyn(&mut blocked);
                 drop(g);
                 // The boxed lock is itself TwoPhaseRwRangeLock, so the batch
                 // surface comes along: all-or-nothing over disjoint items.
@@ -656,7 +514,15 @@ mod tests {
                 lock.try_read_dyn(Range::new(1 << 30, 1 << 31)).is_none(),
                 "stock must conflict across disjoint ranges"
             );
+            // `stock` carries the two-phase tier like every registry row.
+            use range_lock::TwoPhaseRwRangeLock;
+            assert!(lock
+                .read_timeout(Range::new(0, 8), std::time::Duration::from_millis(5))
+                .is_none());
             drop(w);
+            assert!(lock
+                .read_timeout(Range::new(0, 8), std::time::Duration::from_millis(100))
+                .is_some());
             assert!(stats.snapshot().acquisitions > 0);
         }
     }
@@ -670,7 +536,7 @@ mod tests {
             drop(lock.read(Range::new(0, 8)));
         }
         for spec in all() {
-            let lock = spec.build_default();
+            let lock = spec.build(WaitPolicyKind::SpinThenYield, &RegistryConfig::default());
             exercise(&lock);
         }
     }

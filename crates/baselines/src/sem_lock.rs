@@ -7,7 +7,9 @@
 //! [`RwRangeLock`] interface, ignoring the requested range: every shared
 //! acquisition conflicts with every exclusive acquisition regardless of
 //! overlap, which is exactly what `mmap_sem` does and exactly the cost the
-//! range-lock variants exist to remove.
+//! range-lock variants exist to remove. Like the tree and segment baselines
+//! it is a try-based two-phase lock: suspended acquisitions wait on the
+//! semaphore's own queue and barge on every release.
 
 use std::sync::Arc;
 
@@ -90,6 +92,8 @@ impl<P: WaitPolicy> RwRangeLock for WholeSpaceSem<P> {
     }
 }
 
+range_lock::try_based_two_phase!(WholeSpaceSem<P>, lock => lock.sem.wait_queue());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +120,15 @@ mod tests {
         assert!(lock.readers_share_dyn());
         let g = lock.write_dyn(Range::new(0, 1));
         assert!(lock.try_read_dyn(Range::new(100, 200)).is_none());
+        // The two-phase tier comes with the erasure: a blocked request
+        // polls `None`, cancels to nothing, and resolves after the release.
+        let mut pending = lock.enqueue_read_dyn(Range::new(100, 200));
+        assert!(lock.poll_read_dyn(&mut pending).is_none());
+        lock.cancel_dyn(&mut pending);
+        let gen = lock.wait_queue_dyn().generation();
         drop(g);
+        assert!(lock.wait_queue_dyn().generation() > gen, "release wakes");
+        let mut pending = lock.enqueue_read_dyn(Range::new(100, 200));
+        assert!(lock.poll_read_dyn(&mut pending).is_some());
     }
 }

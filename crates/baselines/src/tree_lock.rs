@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use range_lock::{Range, RangeLock, RwRangeLock, TwoPhaseRangeLock, TwoPhaseRwRangeLock};
+use range_lock::{Range, RwRangeLock};
 use rl_sync::stats::{WaitKind, WaitStats};
 use rl_sync::wait::{SpinThenYield, WaitPolicy, WaitQueue};
 use rl_sync::SpinLock;
@@ -214,7 +214,7 @@ impl<P: WaitPolicy> TreeLockInner<P> {
 ///
 /// ```
 /// use rl_baselines::TreeRangeLock;
-/// use range_lock::{Range, RangeLock};
+/// use range_lock::Range;
 ///
 /// let lock = TreeRangeLock::new();
 /// let a = lock.acquire(Range::new(0, 10));
@@ -447,15 +447,39 @@ impl<P: WaitPolicy> Drop for TreeRangeGuard<'_, P> {
     }
 }
 
-impl<P: WaitPolicy> RangeLock for TreeRangeLock<P> {
-    type Guard<'a> = TreeRangeGuard<'a, P>;
+/// The exclusive tree lock's face in the reader-writer trait family: both
+/// modes are the same exclusive acquisition (see the list lock's twin impl
+/// in `range_lock::mutex_list`).
+impl<P: WaitPolicy> RwRangeLock for TreeRangeLock<P> {
+    type ReadGuard<'a> = TreeRangeGuard<'a, P>;
+    type WriteGuard<'a> = TreeRangeGuard<'a, P>;
 
-    fn acquire(&self, range: Range) -> Self::Guard<'_> {
-        TreeRangeLock::acquire(self, range)
+    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
+        self.acquire(range)
     }
 
-    fn try_acquire(&self, range: Range) -> Option<Self::Guard<'_>> {
-        TreeRangeLock::try_acquire(self, range)
+    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
+        self.acquire(range)
+    }
+
+    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
+        self.try_acquire(range)
+    }
+
+    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
+        self.try_acquire(range)
+    }
+
+    fn downgrade<'a>(
+        &'a self,
+        guard: Self::WriteGuard<'a>,
+    ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
+        // An exclusive hold trivially satisfies a shared one.
+        Ok(guard)
+    }
+
+    fn readers_share(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -463,72 +487,15 @@ impl<P: WaitPolicy> RangeLock for TreeRangeLock<P> {
     }
 }
 
-/// The two-phase protocol for the tree locks is the natural *try-based*
-/// adapter: the tree's internal spin lock gives every bounded attempt a
-/// consistent view, so **enqueue** just records the range, **poll** is a
-/// `try_` acquisition, and **cancel** has nothing to undo. One fidelity
-/// note: a blocking tree acquisition queues FIFO inside the tree (its node
-/// counts toward later arrivals' block counts), while a suspended two-phase
-/// acquisition holds no tree node and therefore *barges* — it competes
-/// afresh on every wake, like a futex waiter without a queue slot. Every
-/// release wakes the queue (see `TreeLockInner::release`), so a suspended
-/// poller cannot miss the removal it was blocked on.
-impl<P: WaitPolicy> TwoPhaseRangeLock for TreeRangeLock<P> {
-    type Pending = Range;
-
-    fn enqueue_acquire(&self, range: Range) -> Self::Pending {
-        range
-    }
-
-    fn poll_acquire<'a>(&'a self, pending: &mut Self::Pending) -> Option<Self::Guard<'a>> {
-        TreeRangeLock::try_acquire(self, *pending)
-    }
-
-    fn cancel_acquire(&self, _pending: &mut Self::Pending) {}
-
-    fn wait_queue(&self) -> &WaitQueue {
-        &self.inner.queue
-    }
-
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        P::wait_until_deadline(&self.inner.queue, cond, deadline)
-    }
-}
-
-/// See the [`TwoPhaseRangeLock`] impl above for the try-based adapter and
-/// its FIFO-vs-barging fidelity note, which apply to both modes here.
-impl<P: WaitPolicy> TwoPhaseRwRangeLock for RwTreeRangeLock<P> {
-    type PendingRead = Range;
-    type PendingWrite = Range;
-
-    fn enqueue_read(&self, range: Range) -> Self::PendingRead {
-        range
-    }
-
-    fn poll_read<'a>(&'a self, pending: &mut Self::PendingRead) -> Option<Self::ReadGuard<'a>> {
-        RwTreeRangeLock::try_read(self, *pending)
-    }
-
-    fn cancel_read(&self, _pending: &mut Self::PendingRead) {}
-
-    fn enqueue_write(&self, range: Range) -> Self::PendingWrite {
-        range
-    }
-
-    fn poll_write<'a>(&'a self, pending: &mut Self::PendingWrite) -> Option<Self::WriteGuard<'a>> {
-        RwTreeRangeLock::try_write(self, *pending)
-    }
-
-    fn cancel_write(&self, _pending: &mut Self::PendingWrite) {}
-
-    fn wait_queue(&self) -> &WaitQueue {
-        &self.inner.queue
-    }
-
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        P::wait_until_deadline(&self.inner.queue, cond, deadline)
-    }
-}
+// The two-phase protocol for the tree locks is the try-based adapter: the
+// tree's internal spin lock gives every bounded attempt a consistent view.
+// One fidelity note: a blocking tree acquisition queues FIFO inside the tree
+// (its node counts toward later arrivals' block counts), while a suspended
+// two-phase acquisition holds no tree node and therefore *barges*. Every
+// release wakes the queue (see `TreeLockInner::release`), so a suspended
+// poller cannot miss the removal it was blocked on.
+range_lock::try_based_two_phase!(TreeRangeLock<P>, lock => &lock.inner.queue);
+range_lock::try_based_two_phase!(RwTreeRangeLock<P>, lock => &lock.inner.queue);
 
 impl<P: WaitPolicy> RwRangeLock for RwTreeRangeLock<P> {
     type ReadGuard<'a> = TreeRangeGuard<'a, P>;
@@ -742,8 +709,26 @@ mod tests {
 
     #[test]
     fn trait_impls_have_expected_names() {
-        assert_eq!(RangeLock::name(&TreeRangeLock::new()), "lustre-ex");
+        assert_eq!(RwRangeLock::name(&TreeRangeLock::new()), "lustre-ex");
         assert_eq!(RwRangeLock::name(&RwTreeRangeLock::new()), "kernel-rw");
+    }
+
+    #[test]
+    fn exclusive_tree_lock_serializes_readers() {
+        // `lustre-ex` is its own reader-writer face: "readers" conflict.
+        let lock = TreeRangeLock::new();
+        assert!(!lock.readers_share());
+        let r = lock.read(Range::new(0, 10));
+        assert!(lock.try_read(Range::new(5, 15)).is_none());
+        assert!(lock.try_write(Range::new(5, 15)).is_none());
+        drop(r);
+        let w = lock.write(Range::new(0, 10));
+        let r = lock
+            .downgrade(w)
+            .expect("exclusive downgrade is the identity");
+        assert!(lock.try_read(Range::new(5, 15)).is_none());
+        drop(r);
+        assert_eq!(lock.tracked_ranges(), 0);
     }
 
     #[test]

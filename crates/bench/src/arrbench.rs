@@ -47,7 +47,6 @@ pub const NON_CRITICAL_WORK: u64 = 2048;
 pub const ARRAY_REGISTRY_CONFIG: RegistryConfig = RegistryConfig {
     span: ARRAY_SLOTS,
     segments: ARRAY_SLOTS as usize,
-    adaptive_segments: false,
 };
 
 /// How each operation chooses the range it locks.

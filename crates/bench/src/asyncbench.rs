@@ -19,15 +19,16 @@
 //!
 //! Every owner performs a fixed number of operations (fixed work, not fixed
 //! time: the interesting number is how long the backlog takes to drain), on
-//! any variant of the dynamic registry via the async-capable
-//! [`DynAsyncRwRangeLock`] interface — the five paper variants all sweep
+//! any variant of the dynamic registry — the boxed [`DynRwRangeLock`] is a
+//! `TwoPhaseRwRangeLock` itself, so the async owners await the same generic
+//! futures a static lock returns — and the five paper variants all sweep
 //! through the same driver.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use range_lock::{DynAsyncRwRangeLock, DynRwRangeLock, Range};
+use range_lock::{DynRwRangeLock, Range, TwoPhaseRwRangeLock};
 use rl_baselines::registry::VariantSpec;
 use rl_exec::TaskPool;
 use rl_obs::{HistogramSnapshot, LatencyHistogram};
@@ -154,13 +155,13 @@ fn critical_section(slots: &[CachePadded<AtomicU64>], range: Range, read: bool) 
 }
 
 fn run_async_tasks(config: &AsyncBenchConfig) -> AsyncBenchResult {
-    let lock: Arc<Box<dyn DynAsyncRwRangeLock>> = Arc::new(
+    let lock: Arc<Box<dyn DynRwRangeLock>> = Arc::new(
         config
             .lock
             // The sync wait policy only governs sync waiters; async owners
             // always suspend on wakers. `Block` keeps any incidental sync
             // waiting honest.
-            .build_async(WaitPolicyKind::Block, &ARRAY_REGISTRY_CONFIG),
+            .build(WaitPolicyKind::Block, &ARRAY_REGISTRY_CONFIG),
     );
     let slots: Arc<Vec<CachePadded<AtomicU64>>> = Arc::new(padded_vec(ARRAY_SLOTS as usize));
     let waits = Arc::new(LatencyHistogram::new());
@@ -178,9 +179,9 @@ fn run_async_tasks(config: &AsyncBenchConfig) -> AsyncBenchResult {
                     let (range, read) = next_op(&mut rng_state, config.read_pct);
                     let requested = Instant::now();
                     let guard = if read {
-                        lock.read_async_dyn(range).await
+                        lock.read_async(range).await
                     } else {
-                        lock.write_async_dyn(range).await
+                        lock.write_async(range).await
                     };
                     waits.record(requested.elapsed().as_nanos() as u64);
                     critical_section(&slots, range, read);

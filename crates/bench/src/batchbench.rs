@@ -19,7 +19,7 @@
 //!   [`BatchBenchResult::deadlocks`] rather than counted as progress.
 //!
 //! The full lock-variant matrix comes from the dynamic registry via
-//! [`VariantSpec::build_twophase`], the same way FileBench gets its locks.
+//! [`VariantSpec::build`], the same way FileBench gets its locks.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,7 +51,6 @@ pub const SHARED_PCT: u64 = 50;
 pub const BATCH_REGISTRY_CONFIG: RegistryConfig = RegistryConfig {
     span: BATCH_SPAN,
     segments: (BATCH_SPAN / SLOT) as usize,
-    adaptive_segments: false,
 };
 
 /// How a worker turns its batch of ranges into lock-table calls.
@@ -158,9 +157,7 @@ pub fn run(config: &BatchBenchConfig) -> BatchBenchResult {
     assert!(config.threads > 0);
     assert!(config.batch_size > 0 && config.batch_size as u64 <= HOT_SLOTS);
     let table = Arc::new(LockTable::new(
-        config
-            .lock
-            .build_twophase(config.wait, &BATCH_REGISTRY_CONFIG),
+        config.lock.build(config.wait, &BATCH_REGISTRY_CONFIG),
     ));
     let stop = Arc::new(AtomicBool::new(false));
     let total_batches = Arc::new(AtomicU64::new(0));

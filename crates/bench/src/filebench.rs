@@ -15,8 +15,8 @@
 //! * the full lock-variant matrix, straight from the dynamic registry
 //!   (`rl_baselines::registry`): the reader-writer locks (`list-rw`,
 //!   `kernel-rw`, `pnova-rw`) plus the exclusive locks (`list-ex`,
-//!   `lustre-ex`), the latter registered behind `ExclusiveAsRw`, which makes
-//!   the cost of serializing readers directly visible.
+//!   `lustre-ex`), whose readers are as exclusive as their writers, which
+//!   makes the cost of serializing readers directly visible.
 //!
 //! Every write is a *stamped* region write and every read a *stamped* region
 //! read (see `rl_file::RangeFile::write_stamped`), so the benchmark doubles
@@ -62,7 +62,6 @@ pub const TRUNCATE_EVERY: u64 = 512;
 pub const FILE_REGISTRY_CONFIG: RegistryConfig = RegistryConfig {
     span: FILE_SIZE,
     segments: (FILE_SIZE >> 12) as usize,
-    adaptive_segments: false,
 };
 
 /// How operations pick their file offset.

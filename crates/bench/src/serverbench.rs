@@ -47,7 +47,6 @@ const BENCH_PATH: &str = "/bench/shared.dat";
 pub const SERVER_REGISTRY_CONFIG: RegistryConfig = RegistryConfig {
     span: SLOTS * SLOT_BYTES,
     segments: SLOTS as usize,
-    adaptive_segments: false,
 };
 
 /// One ServerBench configuration point.

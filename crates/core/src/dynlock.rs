@@ -1,28 +1,31 @@
-//! Object-safe (dynamic-dispatch) range-lock interfaces.
+//! The object-safe (dynamic-dispatch) face of the lock-trait family.
 //!
-//! The [`RangeLock`]/[`RwRangeLock`] traits use generic associated guard
+//! [`RwRangeLock`] and [`TwoPhaseRwRangeLock`] use generic associated guard
 //! types, which makes them fast (guards are concrete, drops are static calls)
 //! but not object-safe: you cannot put a `ListRangeLock` and a
-//! `TreeRangeLock` behind the same `dyn` pointer. The benchmark harness,
-//! however, wants exactly that — one variable that holds *any* of the five
-//! paper variants, chosen by name at runtime — and previously every call
-//! site grew its own hand-rolled `enum AnyLock { … }` to fake it.
+//! `TreeRangeLock` behind the same `dyn` pointer. The benchmark harness, the
+//! VM simulator and the server want exactly that — one variable that holds
+//! *any* of the paper's variants, chosen by name at runtime.
 //!
-//! This module provides the dynamic layer once:
+//! This module provides the dynamic layer once, as one trait:
 //!
-//! * [`DynRangeLock`] / [`DynRwRangeLock`] — object-safe mirror traits whose
-//!   methods return a [`DynRangeGuard`], a boxed type-erased guard;
-//! * blanket impls so **every** static lock (and any future one) is
-//!   automatically a dyn lock: `Box<TreeRangeLock>` coerces to
+//! * [`DynRwRangeLock`] mirrors both static traits — blocking and `try_`
+//!   acquisition plus the enqueue / poll / cancel protocol — with methods
+//!   returning a [`DynRangeGuard`], a boxed type-erased guard. Pending
+//!   tokens need no erasure: [`Pending`] is one concrete type for every
+//!   lock, so a dyn enqueue allocates nothing;
+//! * a blanket impl makes **every** static two-phase lock (and any future
+//!   one) a dyn lock: `Box<TreeRangeLock>` coerces to
 //!   `Box<dyn DynRwRangeLock>` with no per-lock code;
-//! * [`RangeLock`]/[`RwRangeLock`] impls **for** `Box<dyn DynRangeLock>` /
-//!   `Box<dyn DynRwRangeLock>`, closing the loop: a boxed dynamic lock plugs
-//!   back into every generic subsystem (the file store, the lock table, the
-//!   benchmark drivers) unchanged. [`RwRangeLock::downgrade`] survives the
-//!   erasure too — write guards are boxed together with their lock, so a
-//!   registry-built `list-rw` downgrades in place through the dyn layer just
-//!   like its static twin (locks without downgrade support still return
-//!   `Err`).
+//! * `Box<dyn DynRwRangeLock>` implements [`RwRangeLock`] and
+//!   [`TwoPhaseRwRangeLock`] itself, closing the loop: a boxed dynamic lock
+//!   plugs back into every generic subsystem (the file store, the lock
+//!   table, the benchmark drivers) unchanged, and inherits the timed, async
+//!   ([`crate::ReadFuture`] / [`crate::WriteFuture`] over the boxed lock) and
+//!   batched surfaces. [`RwRangeLock::downgrade`] survives the erasure too —
+//!   write guards are boxed together with their lock, so a registry-built
+//!   `list-rw` downgrades in place through the dyn layer just like its
+//!   static twin (locks without downgrade support still return `Err`).
 //!
 //! The variant registry in `rl-baselines` (`rl_baselines::registry`) builds
 //! on this layer to enumerate the paper's five lock variants by name and
@@ -39,11 +42,11 @@
 //! # Examples
 //!
 //! ```
-//! use range_lock::{DynRwRangeLock, ListRangeLock, Range, RwListRangeLock, ExclusiveAsRw};
+//! use range_lock::{DynRwRangeLock, ListRangeLock, Range, RwListRangeLock};
 //!
 //! let locks: Vec<Box<dyn DynRwRangeLock>> = vec![
 //!     Box::new(RwListRangeLock::new()),
-//!     Box::new(ExclusiveAsRw::new(ListRangeLock::new())),
+//!     Box::new(ListRangeLock::new()),
 //! ];
 //! for lock in &locks {
 //!     let g = lock.write_dyn(Range::new(0, 10));
@@ -51,13 +54,15 @@
 //! }
 //! ```
 
-use std::future::Future;
-use std::pin::Pin;
-use std::task::{Context, Poll};
+use std::ops::Deref;
+use std::time::Instant;
 
+use rl_sync::wait::WaitQueue;
+
+use crate::list_core::Pending;
 use crate::range::Range;
-use crate::traits::{RangeLock, RwRangeLock};
-use crate::twophase::{AsyncRwRangeLock, TwoPhaseRwRangeLock};
+use crate::traits::RwRangeLock;
+use crate::twophase::TwoPhaseRwRangeLock;
 
 /// Boxable guard interface. Private — the only way to obtain one is through
 /// the dyn traits below.
@@ -67,7 +72,7 @@ trait ErasedGuard: Send {
     fn downgrade_erased(&mut self) -> bool;
 }
 
-/// A read / exclusive / try guard (held for its Drop impl): no downgrade.
+/// A read guard (held for its Drop impl): no downgrade.
 struct PlainGuard<G: Send>(G);
 
 impl<G: Send> ErasedGuard for PlainGuard<G> {
@@ -120,7 +125,7 @@ where
 
 /// A type-erased, boxed RAII guard: releases its range when dropped.
 ///
-/// Returned by every method of [`DynRangeLock`] and [`DynRwRangeLock`]; the
+/// Returned by every acquiring method of [`DynRwRangeLock`]; the
 /// concrete guard type (and therefore the release logic) lives behind the
 /// box. The guard is [`Send`] so it can be released from another thread,
 /// which the `rl-file` lock table relies on.
@@ -133,48 +138,34 @@ impl std::fmt::Debug for DynRangeGuard<'_> {
     }
 }
 
-/// Object-safe mirror of [`RangeLock`]: an exclusive range lock usable
-/// through `dyn`.
-///
-/// Automatically implemented for every [`RangeLock`] whose guards are
-/// [`Send`] (all of them in this workspace); never implement it by hand.
-pub trait DynRangeLock: Send + Sync {
-    /// Acquires exclusive access to `range`, waiting for overlapping holders.
-    fn acquire_dyn(&self, range: Range) -> DynRangeGuard<'_>;
-
-    /// Bounded acquisition attempt; see the
-    /// [`try_` contract](crate::traits#try_-semantics-normative).
-    fn try_acquire_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>>;
-
-    /// Short, stable identifier (e.g. `"list-ex"`), matching
-    /// [`RangeLock::name`].
-    fn dyn_name(&self) -> &'static str;
-}
-
-impl<L> DynRangeLock for L
+/// Boxes a freshly acquired write guard together with its lock.
+fn erase_write<'a, L>(lock: &'a L, guard: L::WriteGuard<'a>) -> DynRangeGuard<'a>
 where
-    L: RangeLock,
-    for<'a> L::Guard<'a>: Send,
+    L: RwRangeLock,
+    L::ReadGuard<'a>: Send,
+    L::WriteGuard<'a>: Send,
 {
-    fn acquire_dyn(&self, range: Range) -> DynRangeGuard<'_> {
-        DynRangeGuard(Box::new(PlainGuard(self.acquire(range))))
-    }
-
-    fn try_acquire_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>> {
-        self.try_acquire(range)
-            .map(|g| DynRangeGuard(Box::new(PlainGuard(g)) as Box<dyn ErasedGuard + '_>))
-    }
-
-    fn dyn_name(&self) -> &'static str {
-        self.name()
-    }
+    DynRangeGuard(Box::new(WriteGuardErased {
+        lock,
+        state: WriteState::Write(guard),
+    }))
 }
 
-/// Object-safe mirror of [`RwRangeLock`]: a reader-writer range lock usable
-/// through `dyn`.
+/// Boxes a freshly acquired read guard.
+fn erase_read<'a, G: Send + 'a>(guard: G) -> DynRangeGuard<'a> {
+    DynRangeGuard(Box::new(PlainGuard(guard)))
+}
+
+/// Object-safe mirror of [`RwRangeLock`] + [`TwoPhaseRwRangeLock`]: a range
+/// lock usable through `dyn`.
 ///
-/// Automatically implemented for every [`RwRangeLock`] whose guards are
-/// [`Send`]; never implement it by hand.
+/// Automatically implemented for every [`TwoPhaseRwRangeLock`] whose guards
+/// are [`Send`] (all of them in this workspace); never implement it by hand.
+/// Closing the loop, `Box<dyn DynRwRangeLock>` implements both static traits
+/// itself, which makes the *whole* surface — timed acquisition, the
+/// acquisition futures, batched `acquire_many`, and the `rl-file` lock
+/// table's async + deadlock-checked paths — available on a variant chosen by
+/// name at runtime.
 pub trait DynRwRangeLock: Send + Sync {
     /// Acquires `range` in shared mode, waiting for conflicting writers.
     fn read_dyn(&self, range: Range) -> DynRangeGuard<'_>;
@@ -197,11 +188,44 @@ pub trait DynRwRangeLock: Send + Sync {
     /// Short, stable identifier (e.g. `"list-rw"`), matching
     /// [`RwRangeLock::name`].
     fn dyn_name(&self) -> &'static str;
+
+    /// Starts a two-phase shared acquisition; see
+    /// [`TwoPhaseRwRangeLock::enqueue_read`].
+    fn enqueue_read_dyn(&self, range: Range) -> Pending;
+
+    /// Drives a pending shared acquisition without waiting; see
+    /// [`TwoPhaseRwRangeLock::poll_read`].
+    fn poll_read_dyn(&self, pending: &mut Pending) -> Option<DynRangeGuard<'_>>;
+
+    /// Starts a two-phase exclusive acquisition; see
+    /// [`TwoPhaseRwRangeLock::enqueue_write`].
+    fn enqueue_write_dyn(&self, range: Range) -> Pending;
+
+    /// Drives a pending exclusive acquisition without waiting; see
+    /// [`TwoPhaseRwRangeLock::poll_write`].
+    fn poll_write_dyn(&self, pending: &mut Pending) -> Option<DynRangeGuard<'_>>;
+
+    /// Abandons a pending acquisition of either mode; see
+    /// [`TwoPhaseRwRangeLock::cancel`].
+    fn cancel_dyn(&self, pending: &mut Pending);
+
+    /// The queue suspended acquisitions wait on; see
+    /// [`TwoPhaseRwRangeLock::wait_queue`].
+    fn wait_queue_dyn(&self) -> &WaitQueue;
+
+    /// Keyed policy-aware deadline wait; see
+    /// [`TwoPhaseRwRangeLock::wait_deadline_keyed`].
+    fn wait_deadline_keyed_dyn(
+        &self,
+        key: u64,
+        cond: &mut dyn FnMut() -> bool,
+        deadline: Instant,
+    ) -> bool;
 }
 
 impl<L> DynRwRangeLock for L
 where
-    L: RwRangeLock,
+    L: TwoPhaseRwRangeLock,
     for<'a> L::ReadGuard<'a>: Send,
     for<'a> L::WriteGuard<'a>: Send,
 {
@@ -217,17 +241,11 @@ where
     }
 
     fn try_read_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>> {
-        self.try_read(range)
-            .map(|g| DynRangeGuard(Box::new(PlainGuard(g)) as Box<dyn ErasedGuard + '_>))
+        self.try_read(range).map(erase_read)
     }
 
     fn try_write_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>> {
-        self.try_write(range).map(|g| {
-            DynRangeGuard(Box::new(WriteGuardErased {
-                lock: self,
-                state: WriteState::Write(g),
-            }) as Box<dyn ErasedGuard + '_>)
-        })
+        self.try_write(range).map(|g| erase_write(self, g))
     }
 
     fn readers_share_dyn(&self) -> bool {
@@ -237,272 +255,58 @@ where
     fn dyn_name(&self) -> &'static str {
         self.name()
     }
-}
 
-/// A type-erased, boxed acquisition future resolving to a
-/// [`DynRangeGuard`].
-///
-/// Returned by the [`DynAsyncRwRangeLock`] methods: the concrete future
-/// type (and therefore the cancel-on-drop logic) lives behind the box, so a
-/// runtime-chosen variant can be awaited like any static lock. Dropping the
-/// future before it resolves cancels the underlying two-phase acquisition —
-/// the erasure preserves the cancellation-safety contract of
-/// [`crate::twophase`].
-#[must_use = "futures do nothing unless polled"]
-pub struct DynAcquireFuture<'a> {
-    inner: Pin<Box<dyn Future<Output = DynRangeGuard<'a>> + Send + 'a>>,
-}
-
-impl<'a> Future for DynAcquireFuture<'a> {
-    type Output = DynRangeGuard<'a>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        self.inner.as_mut().poll(cx)
-    }
-}
-
-impl std::fmt::Debug for DynAcquireFuture<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("DynAcquireFuture(..)")
-    }
-}
-
-/// Object-safe mirror of the async reader-writer API
-/// ([`AsyncRwRangeLock`]): asynchronous acquisition usable through `dyn`,
-/// with the sync interface along for the ride as a supertrait.
-///
-/// Automatically implemented for every [`TwoPhaseRwRangeLock`] whose guards
-/// are [`Send`] (all five registry variants); never implement it by hand.
-/// The erasure happens at the *future* level: each call boxes one future,
-/// whose output is a boxed guard. Write guards keep their lock alongside,
-/// so [`RwRangeLock::downgrade`] keeps working through
-/// `Box<dyn DynAsyncRwRangeLock>` exactly as through the sync dyn layer.
-pub trait DynAsyncRwRangeLock: DynRwRangeLock {
-    /// Acquires `range` in shared mode asynchronously; dropping the future
-    /// cancels the acquisition cleanly.
-    fn read_async_dyn(&self, range: Range) -> DynAcquireFuture<'_>;
-
-    /// Acquires `range` in exclusive mode asynchronously; dropping the
-    /// future cancels the acquisition cleanly.
-    fn write_async_dyn(&self, range: Range) -> DynAcquireFuture<'_>;
-}
-
-impl<L> DynAsyncRwRangeLock for L
-where
-    L: TwoPhaseRwRangeLock,
-    for<'a> L::ReadGuard<'a>: Send,
-    for<'a> L::WriteGuard<'a>: Send,
-{
-    fn read_async_dyn(&self, range: Range) -> DynAcquireFuture<'_> {
-        DynAcquireFuture {
-            inner: Box::pin(async move {
-                DynRangeGuard(Box::new(PlainGuard(self.read_async(range).await)))
-            }),
-        }
+    fn enqueue_read_dyn(&self, range: Range) -> Pending {
+        self.enqueue_read(range)
     }
 
-    fn write_async_dyn(&self, range: Range) -> DynAcquireFuture<'_> {
-        DynAcquireFuture {
-            inner: Box::pin(async move {
-                let guard = self.write_async(range).await;
-                DynRangeGuard(Box::new(WriteGuardErased {
-                    lock: self,
-                    state: WriteState::Write(guard),
-                }))
-            }),
-        }
-    }
-}
-
-/// A type-erased token for one pending two-phase acquisition, as issued by
-/// the [`DynTwoPhaseRwRangeLock`] enqueue methods.
-///
-/// The concrete `PendingRead`/`PendingWrite` type lives behind the box; the
-/// poll/cancel methods downcast it back. A token must only be passed back to
-/// the lock (and the mode family: read vs write) that issued it — handing it
-/// to a lock with a *different* concrete token type panics on the downcast
-/// rather than corrupting state. (Cross-instance misuse between locks that
-/// share a token type is as undetectable as it is in the static API.)
-#[must_use = "a pending acquisition must be polled to completion or cancelled"]
-pub struct DynPending(Box<dyn std::any::Any + Send>);
-
-impl std::fmt::Debug for DynPending {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("DynPending(..)")
-    }
-}
-
-/// Downcasts a [`DynPending`] back to the concrete token type `P`.
-fn downcast_pending<P: 'static>(pending: &mut DynPending) -> &mut P {
-    pending
-        .0
-        .downcast_mut::<P>()
-        .expect("DynPending passed back to a lock (or mode) other than the one that issued it")
-}
-
-/// Shared-reference form of [`downcast_pending`], for read-only accessors.
-fn downcast_pending_ref<P: 'static>(pending: &DynPending) -> &P {
-    pending
-        .0
-        .downcast_ref::<P>()
-        .expect("DynPending passed back to a lock (or mode) other than the one that issued it")
-}
-
-/// Object-safe mirror of the cancellable two-phase protocol
-/// ([`TwoPhaseRwRangeLock`]): enqueue / poll / cancel usable through `dyn`,
-/// with the async and sync interfaces as supertraits.
-///
-/// Automatically implemented for every [`TwoPhaseRwRangeLock`] whose guards
-/// are [`Send`] and whose pending tokens are `'static` (all five registry
-/// variants); never implement it by hand. Closing the loop,
-/// `Box<dyn DynTwoPhaseRwRangeLock>` implements [`TwoPhaseRwRangeLock`]
-/// itself (with [`DynPending`] tokens), which makes the *whole* two-phase
-/// surface — timed acquisition, the acquisition futures, batched
-/// `acquire_many`, and the `rl-file` lock table's async + deadlock-checked
-/// paths — available on a variant chosen by name at runtime.
-pub trait DynTwoPhaseRwRangeLock: DynAsyncRwRangeLock {
-    /// Starts a two-phase shared acquisition; see
-    /// [`TwoPhaseRwRangeLock::enqueue_read`].
-    fn enqueue_read_dyn(&self, range: Range) -> DynPending;
-
-    /// Drives a pending shared acquisition without waiting; see
-    /// [`TwoPhaseRwRangeLock::poll_read`].
-    fn poll_read_dyn(&self, pending: &mut DynPending) -> Option<DynRangeGuard<'_>>;
-
-    /// Abandons a pending shared acquisition; see
-    /// [`TwoPhaseRwRangeLock::cancel_read`].
-    fn cancel_read_dyn(&self, pending: &mut DynPending);
-
-    /// Starts a two-phase exclusive acquisition; see
-    /// [`TwoPhaseRwRangeLock::enqueue_write`].
-    fn enqueue_write_dyn(&self, range: Range) -> DynPending;
-
-    /// Drives a pending exclusive acquisition without waiting; see
-    /// [`TwoPhaseRwRangeLock::poll_write`].
-    fn poll_write_dyn(&self, pending: &mut DynPending) -> Option<DynRangeGuard<'_>>;
-
-    /// Abandons a pending exclusive acquisition; see
-    /// [`TwoPhaseRwRangeLock::cancel_write`].
-    fn cancel_write_dyn(&self, pending: &mut DynPending);
-
-    /// The queue suspended acquisitions wait on; see
-    /// [`TwoPhaseRwRangeLock::wait_queue`].
-    fn wait_queue_dyn(&self) -> &rl_sync::wait::WaitQueue;
-
-    /// Policy-aware deadline wait; see
-    /// [`TwoPhaseRwRangeLock::wait_deadline`].
-    fn wait_deadline_dyn(
-        &self,
-        cond: &mut dyn FnMut() -> bool,
-        deadline: std::time::Instant,
-    ) -> bool;
-
-    /// Wait key of the conflict blocking a pending shared acquisition; see
-    /// [`TwoPhaseRwRangeLock::pending_read_wait_key`].
-    fn pending_read_wait_key_dyn(&self, pending: &DynPending) -> u64;
-
-    /// Wait key of the conflict blocking a pending exclusive acquisition;
-    /// see [`TwoPhaseRwRangeLock::pending_write_wait_key`].
-    fn pending_write_wait_key_dyn(&self, pending: &DynPending) -> u64;
-
-    /// Keyed policy-aware deadline wait; see
-    /// [`TwoPhaseRwRangeLock::wait_deadline_keyed`].
-    fn wait_deadline_keyed_dyn(
-        &self,
-        key: u64,
-        cond: &mut dyn FnMut() -> bool,
-        deadline: std::time::Instant,
-    ) -> bool;
-}
-
-impl<L> DynTwoPhaseRwRangeLock for L
-where
-    L: TwoPhaseRwRangeLock,
-    L::PendingRead: 'static,
-    L::PendingWrite: 'static,
-    for<'a> L::ReadGuard<'a>: Send,
-    for<'a> L::WriteGuard<'a>: Send,
-{
-    fn enqueue_read_dyn(&self, range: Range) -> DynPending {
-        DynPending(Box::new(self.enqueue_read(range)))
+    fn poll_read_dyn(&self, pending: &mut Pending) -> Option<DynRangeGuard<'_>> {
+        self.poll_read(pending).map(erase_read)
     }
 
-    fn poll_read_dyn(&self, pending: &mut DynPending) -> Option<DynRangeGuard<'_>> {
-        self.poll_read(downcast_pending::<L::PendingRead>(pending))
-            .map(|g| DynRangeGuard(Box::new(PlainGuard(g)) as Box<dyn ErasedGuard + '_>))
+    fn enqueue_write_dyn(&self, range: Range) -> Pending {
+        self.enqueue_write(range)
     }
 
-    fn cancel_read_dyn(&self, pending: &mut DynPending) {
-        self.cancel_read(downcast_pending::<L::PendingRead>(pending));
+    fn poll_write_dyn(&self, pending: &mut Pending) -> Option<DynRangeGuard<'_>> {
+        self.poll_write(pending).map(|g| erase_write(self, g))
     }
 
-    fn enqueue_write_dyn(&self, range: Range) -> DynPending {
-        DynPending(Box::new(self.enqueue_write(range)))
+    fn cancel_dyn(&self, pending: &mut Pending) {
+        self.cancel(pending);
     }
 
-    fn poll_write_dyn(&self, pending: &mut DynPending) -> Option<DynRangeGuard<'_>> {
-        self.poll_write(downcast_pending::<L::PendingWrite>(pending))
-            .map(|g| {
-                DynRangeGuard(Box::new(WriteGuardErased {
-                    lock: self,
-                    state: WriteState::Write(g),
-                }) as Box<dyn ErasedGuard + '_>)
-            })
-    }
-
-    fn cancel_write_dyn(&self, pending: &mut DynPending) {
-        self.cancel_write(downcast_pending::<L::PendingWrite>(pending));
-    }
-
-    fn wait_queue_dyn(&self) -> &rl_sync::wait::WaitQueue {
+    fn wait_queue_dyn(&self) -> &WaitQueue {
         self.wait_queue()
     }
 
-    fn wait_deadline_dyn(
-        &self,
-        cond: &mut dyn FnMut() -> bool,
-        deadline: std::time::Instant,
-    ) -> bool {
-        self.wait_deadline(cond, deadline)
-    }
-
-    fn pending_read_wait_key_dyn(&self, pending: &DynPending) -> u64 {
-        self.pending_read_wait_key(downcast_pending_ref::<L::PendingRead>(pending))
-    }
-
-    fn pending_write_wait_key_dyn(&self, pending: &DynPending) -> u64 {
-        self.pending_write_wait_key(downcast_pending_ref::<L::PendingWrite>(pending))
-    }
-
     fn wait_deadline_keyed_dyn(
         &self,
         key: u64,
         cond: &mut dyn FnMut() -> bool,
-        deadline: std::time::Instant,
+        deadline: Instant,
     ) -> bool {
         self.wait_deadline_keyed(key, cond, deadline)
     }
 }
 
-impl RangeLock for Box<dyn DynRangeLock> {
-    type Guard<'a> = DynRangeGuard<'a>;
-
-    fn acquire(&self, range: Range) -> Self::Guard<'_> {
-        (**self).acquire_dyn(range)
-    }
-
-    fn try_acquire(&self, range: Range) -> Option<Self::Guard<'_>> {
-        (**self).try_acquire_dyn(range)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).dyn_name()
-    }
-}
-
-impl RwRangeLock for Box<dyn DynRwRangeLock> {
-    type ReadGuard<'a> = DynRangeGuard<'a>;
-    type WriteGuard<'a> = DynRangeGuard<'a>;
+/// Closing the loop: any owning pointer to a dyn lock — `Box<dyn
+/// DynRwRangeLock>` first of all, but equally an `Arc`, or a nominal newtype
+/// that derefs to one (`rl-server` needs such a newtype: rustc's auto-trait
+/// check on a spawned `'static` future over-generalizes the object lifetime
+/// of a bare `Box<dyn Trait>` it captures) — is a static-trait lock again.
+impl<T> RwRangeLock for T
+where
+    T: Deref<Target = dyn DynRwRangeLock> + Send + Sync,
+{
+    type ReadGuard<'a>
+        = DynRangeGuard<'a>
+    where
+        Self: 'a;
+    type WriteGuard<'a>
+        = DynRangeGuard<'a>
+    where
+        Self: 'a;
 
     fn read(&self, range: Range) -> Self::ReadGuard<'_> {
         (**self).read_dyn(range)
@@ -540,143 +344,39 @@ impl RwRangeLock for Box<dyn DynRwRangeLock> {
     }
 }
 
-/// The async-capable boxed lock drives every sync-generic subsystem too:
-/// the mirror of the `Box<dyn DynRwRangeLock>` impl above.
-impl RwRangeLock for Box<dyn DynAsyncRwRangeLock> {
-    type ReadGuard<'a> = DynRangeGuard<'a>;
-    type WriteGuard<'a> = DynRangeGuard<'a>;
-
-    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
-        (**self).read_dyn(range)
-    }
-
-    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
-        (**self).write_dyn(range)
-    }
-
-    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
-        (**self).try_read_dyn(range)
-    }
-
-    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
-        (**self).try_write_dyn(range)
-    }
-
-    fn downgrade<'a>(
-        &'a self,
-        mut guard: Self::WriteGuard<'a>,
-    ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
-        if guard.0.downgrade_erased() {
-            Ok(guard)
-        } else {
-            Err(guard)
-        }
-    }
-
-    fn readers_share(&self) -> bool {
-        (**self).readers_share_dyn()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).dyn_name()
-    }
-}
-
-/// The two-phase-capable boxed lock drives the sync-generic subsystems too:
-/// the mirror of the `Box<dyn DynRwRangeLock>` impl above.
-impl RwRangeLock for Box<dyn DynTwoPhaseRwRangeLock> {
-    type ReadGuard<'a> = DynRangeGuard<'a>;
-    type WriteGuard<'a> = DynRangeGuard<'a>;
-
-    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
-        (**self).read_dyn(range)
-    }
-
-    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
-        (**self).write_dyn(range)
-    }
-
-    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
-        (**self).try_read_dyn(range)
-    }
-
-    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
-        (**self).try_write_dyn(range)
-    }
-
-    fn downgrade<'a>(
-        &'a self,
-        mut guard: Self::WriteGuard<'a>,
-    ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
-        if guard.0.downgrade_erased() {
-            Ok(guard)
-        } else {
-            Err(guard)
-        }
-    }
-
-    fn readers_share(&self) -> bool {
-        (**self).readers_share_dyn()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).dyn_name()
-    }
-}
-
-/// Closing the two-phase loop: a boxed dyn two-phase lock *is* a
-/// [`TwoPhaseRwRangeLock`] (with [`DynPending`] tokens), so the blanket
-/// async layer, the timed methods, batched acquisition, and the `rl-file`
-/// lock table's two-phase paths all work on a runtime-chosen variant.
-impl TwoPhaseRwRangeLock for Box<dyn DynTwoPhaseRwRangeLock> {
-    type PendingRead = DynPending;
-    type PendingWrite = DynPending;
-
-    fn enqueue_read(&self, range: Range) -> Self::PendingRead {
+impl<T> TwoPhaseRwRangeLock for T
+where
+    T: Deref<Target = dyn DynRwRangeLock> + Send + Sync,
+{
+    fn enqueue_read(&self, range: Range) -> Pending {
         (**self).enqueue_read_dyn(range)
     }
 
-    fn poll_read<'a>(&'a self, pending: &mut Self::PendingRead) -> Option<Self::ReadGuard<'a>> {
+    fn poll_read<'a>(&'a self, pending: &mut Pending) -> Option<Self::ReadGuard<'a>> {
         (**self).poll_read_dyn(pending)
     }
 
-    fn cancel_read(&self, pending: &mut Self::PendingRead) {
-        (**self).cancel_read_dyn(pending);
-    }
-
-    fn enqueue_write(&self, range: Range) -> Self::PendingWrite {
+    fn enqueue_write(&self, range: Range) -> Pending {
         (**self).enqueue_write_dyn(range)
     }
 
-    fn poll_write<'a>(&'a self, pending: &mut Self::PendingWrite) -> Option<Self::WriteGuard<'a>> {
+    fn poll_write<'a>(&'a self, pending: &mut Pending) -> Option<Self::WriteGuard<'a>> {
         (**self).poll_write_dyn(pending)
     }
 
-    fn cancel_write(&self, pending: &mut Self::PendingWrite) {
-        (**self).cancel_write_dyn(pending);
+    fn cancel(&self, pending: &mut Pending) {
+        (**self).cancel_dyn(pending);
     }
 
-    fn wait_queue(&self) -> &rl_sync::wait::WaitQueue {
+    fn wait_queue(&self) -> &WaitQueue {
         (**self).wait_queue_dyn()
-    }
-
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        (**self).wait_deadline_dyn(cond, deadline)
-    }
-
-    fn pending_read_wait_key(&self, pending: &Self::PendingRead) -> u64 {
-        (**self).pending_read_wait_key_dyn(pending)
-    }
-
-    fn pending_write_wait_key(&self, pending: &Self::PendingWrite) -> u64 {
-        (**self).pending_write_wait_key_dyn(pending)
     }
 
     fn wait_deadline_keyed(
         &self,
         key: u64,
         cond: &mut dyn FnMut() -> bool,
-        deadline: std::time::Instant,
+        deadline: Instant,
     ) -> bool {
         (**self).wait_deadline_keyed_dyn(key, cond, deadline)
     }
@@ -685,18 +385,12 @@ impl TwoPhaseRwRangeLock for Box<dyn DynTwoPhaseRwRangeLock> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::ExclusiveAsRw;
-    use crate::{ListRangeLock, RwListRangeLock};
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::task::{Context, Poll};
 
-    #[test]
-    fn boxed_exclusive_lock_round_trip() {
-        let lock: Box<dyn DynRangeLock> = Box::new(ListRangeLock::new());
-        assert_eq!(RangeLock::name(&lock), "list-ex");
-        let g = lock.acquire(Range::new(0, 10));
-        assert!(lock.try_acquire(Range::new(5, 15)).is_none());
-        drop(g);
-        assert!(lock.try_acquire(Range::new(5, 15)).is_some());
-    }
+    use crate::twophase::BatchMode;
+    use crate::{ListRangeLock, RwListRangeLock};
 
     #[test]
     fn boxed_rw_lock_round_trip() {
@@ -712,10 +406,11 @@ mod tests {
 
     #[test]
     fn adapter_composes_with_dyn_layer() {
-        let lock: Box<dyn DynRwRangeLock> = Box::new(ExclusiveAsRw::new(ListRangeLock::new()));
+        // The exclusive lock is its own reader-writer face.
+        let lock: Box<dyn DynRwRangeLock> = Box::new(ListRangeLock::new());
         assert_eq!(RwRangeLock::name(&lock), "list-ex");
         let r = lock.read(Range::new(0, 10));
-        // Readers serialize through the exclusive adapter.
+        // Readers serialize: every acquisition is exclusive underneath.
         assert!(lock.try_read(Range::new(5, 15)).is_none());
         drop(r);
     }
@@ -733,17 +428,19 @@ mod tests {
         drop(r2);
         drop(r);
 
-        // ExclusiveAsRw downgrades trivially (stays exclusive).
-        let ex: Box<dyn DynRwRangeLock> = Box::new(ExclusiveAsRw::new(ListRangeLock::new()));
+        // The exclusive lock downgrades trivially (stays exclusive).
+        let ex: Box<dyn DynRwRangeLock> = Box::new(ListRangeLock::new());
         let w = ex.write(Range::new(0, 10));
-        let g = ex.downgrade(w).expect("adapter downgrade is the identity");
+        let g = ex
+            .downgrade(w)
+            .expect("exclusive downgrade is the identity");
         drop(g);
 
         // A lock without downgrade support returns the guard unchanged.
-        struct NoDowngrade(RwListRangeLock);
-        impl RwRangeLock for NoDowngrade {
-            type ReadGuard<'a> = crate::RwListRangeGuard<'a>;
-            type WriteGuard<'a> = crate::RwListRangeGuard<'a>;
+        struct NoDowngrade<P: rl_sync::wait::WaitPolicy>(RwListRangeLock<P>);
+        impl<P: rl_sync::wait::WaitPolicy> RwRangeLock for NoDowngrade<P> {
+            type ReadGuard<'a> = crate::RwListRangeGuard<'a, P>;
+            type WriteGuard<'a> = crate::RwListRangeGuard<'a, P>;
             fn read(&self, range: Range) -> Self::ReadGuard<'_> {
                 self.0.read(range)
             }
@@ -754,7 +451,10 @@ mod tests {
                 "no-downgrade"
             }
         }
-        let nd: Box<dyn DynRwRangeLock> = Box::new(NoDowngrade(RwListRangeLock::new()));
+        crate::try_based_two_phase!(NoDowngrade<P>, lock => lock.0.wait_queue());
+        let nd: Box<dyn DynRwRangeLock> = Box::new(NoDowngrade(RwListRangeLock::<
+            rl_sync::wait::Block,
+        >::with_policy()));
         let w = nd.write(Range::new(0, 10));
         let w = nd.downgrade(w).expect_err("default declines");
         drop(w);
@@ -776,20 +476,21 @@ mod tests {
         let waker = Waker::from(Arc::clone(&count));
         let mut cx = Context::from_waker(&waker);
 
-        let locks: Vec<Box<dyn DynAsyncRwRangeLock>> = vec![
+        let locks: Vec<Box<dyn DynRwRangeLock>> = vec![
             Box::new(RwListRangeLock::new()),
-            Box::new(ExclusiveAsRw::new(ListRangeLock::new())),
+            Box::new(ListRangeLock::new()),
         ];
         for lock in &locks {
-            // Uncontended write resolves on the first poll.
-            let mut fut = lock.write_async_dyn(Range::new(0, 100));
+            // Uncontended write resolves on the first poll (the generic
+            // future over the boxed lock).
+            let mut fut = lock.write_async(Range::new(0, 100));
             let guard = match Pin::new(&mut fut).poll(&mut cx) {
                 Poll::Ready(g) => g,
                 Poll::Pending => panic!("uncontended dyn future must resolve"),
             };
             // A conflicting write future stays pending until the release
             // wakes its registered waker.
-            let mut blocked = lock.write_async_dyn(Range::new(50, 150));
+            let mut blocked = lock.write_async(Range::new(50, 150));
             assert!(Pin::new(&mut blocked).poll(&mut cx).is_pending());
             let woken_before = count.0.load(Ordering::SeqCst);
             drop(guard);
@@ -803,15 +504,14 @@ mod tests {
     #[test]
     fn async_dyn_write_guard_still_downgrades() {
         use std::task::Waker;
-        let lock: Box<dyn DynAsyncRwRangeLock> = Box::new(RwListRangeLock::new());
+        let lock: Box<dyn DynRwRangeLock> = Box::new(RwListRangeLock::new());
         let mut cx = Context::from_waker(Waker::noop());
-        let mut fut = lock.write_async_dyn(Range::new(0, 100));
+        let mut fut = lock.write_async(Range::new(0, 100));
         let w = match Pin::new(&mut fut).poll(&mut cx) {
             Poll::Ready(g) => g,
             Poll::Pending => panic!("uncontended"),
         };
-        // Through the RwRangeLock impl for the async boxed lock.
-        let r = RwRangeLock::downgrade(&lock, w).expect("list-rw downgrades");
+        let r = lock.downgrade(w).expect("list-rw downgrades");
         assert!(lock.try_read_dyn(Range::new(50, 150)).is_some());
         assert!(lock.try_write_dyn(Range::new(0, 100)).is_none());
         drop(r);
@@ -821,17 +521,15 @@ mod tests {
     fn readers_share_survives_the_erasure() {
         let rw: Box<dyn DynRwRangeLock> = Box::new(RwListRangeLock::new());
         assert!(rw.readers_share());
-        let ex: Box<dyn DynRwRangeLock> = Box::new(ExclusiveAsRw::new(ListRangeLock::new()));
+        let ex: Box<dyn DynRwRangeLock> = Box::new(ListRangeLock::new());
         assert!(!ex.readers_share());
     }
 
     #[test]
     fn boxed_two_phase_lock_round_trips_the_protocol() {
-        use crate::twophase::{AsyncRwRangeLock, BatchMode, TwoPhaseRwRangeLock};
-
-        let locks: Vec<Box<dyn DynTwoPhaseRwRangeLock>> = vec![
+        let locks: Vec<Box<dyn DynRwRangeLock>> = vec![
             Box::new(RwListRangeLock::new()),
-            Box::new(ExclusiveAsRw::new(ListRangeLock::new())),
+            Box::new(ListRangeLock::new()),
         ];
         for lock in locks {
             // Uncontended enqueue/poll resolves; the write guard still
@@ -844,7 +542,7 @@ mod tests {
             // clears; cancel leaves no residue.
             let mut pending = lock.enqueue_write(Range::new(50, 150));
             assert!(lock.poll_write(&mut pending).is_none());
-            lock.cancel_write(&mut pending);
+            lock.cancel(&mut pending);
             drop(r);
             drop(lock.try_write(Range::FULL).expect("no residue"));
 
@@ -866,12 +564,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "DynPending passed back")]
-    fn foreign_pending_token_panics_on_downcast() {
-        let lock: Box<dyn DynTwoPhaseRwRangeLock> = Box::new(RwListRangeLock::new());
-        // A token whose concrete type no lock in this crate issues: the
-        // downcast must panic loudly instead of corrupting the lock.
-        let mut foreign = DynPending(Box::new(0u8));
+    #[should_panic(expected = "no list lock issued")]
+    fn foreign_pending_token_panics_on_poll() {
+        let lock: Box<dyn DynRwRangeLock> = Box::new(RwListRangeLock::new());
+        // A token the list lock never issued carries no node: the poll must
+        // panic loudly instead of dereferencing it.
+        let mut foreign = Pending::try_based(Range::new(0, 10));
         let _ = lock.poll_read_dyn(&mut foreign);
     }
 

@@ -62,14 +62,27 @@
 //! drop(r2);
 //! ```
 //!
-//! The [`RangeLock`] and [`RwRangeLock`] traits abstract over this crate's
-//! locks and the baseline implementations in the `rl-baselines` crate so that
-//! higher layers (the VM-subsystem simulator, the range-locked skip list, the
-//! benchmark harness) are generic over the lock implementation. When the lock
-//! must instead be chosen at *runtime* — one variable holding any variant —
-//! the object-safe [`dynlock`] layer ([`DynRangeLock`], [`DynRwRangeLock`],
-//! boxed [`DynRangeGuard`]s) erases the guard types, and the variant registry
-//! in `rl-baselines` enumerates every paper variant by name on top of it.
+//! # One lock-trait family
+//!
+//! The paper's primitive has two operations per mode — acquire a range,
+//! release it — and three traits describe it for every lock in the workspace
+//! (this crate's and the baselines in `rl-baselines`):
+//!
+//! * [`RwRangeLock`] — blocking and `try_` acquisition returning RAII
+//!   guards. The exclusive locks implement it too, with both modes exclusive
+//!   and [`RwRangeLock::readers_share`] `false`; their inherent
+//!   `acquire`/`try_acquire` stay as the paper-facing API.
+//! * [`TwoPhaseRwRangeLock`] — the cancellable enqueue / poll / cancel
+//!   protocol over one concrete [`Pending`] token. This is what a lock
+//!   *implements*; timed (`read_timeout`), async (`read_async`, resolving to
+//!   the ordinary guards) and batched (`acquire_many`) acquisition are
+//!   provided methods written once on top of it.
+//! * [`DynRwRangeLock`] — the object-safe mirror of both, blanket-implemented
+//!   for every two-phase lock, for when the lock must be chosen at
+//!   *runtime*. `Box<dyn DynRwRangeLock>` implements the two static traits
+//!   itself, so a boxed lock drives every generic subsystem (and the variant
+//!   registry in `rl-baselines` enumerates every paper variant by name on
+//!   top of it).
 
 #![deny(missing_docs)]
 
@@ -85,18 +98,12 @@ pub mod traits;
 pub mod twophase;
 pub mod waits_for;
 
-pub use dynlock::{
-    DynAcquireFuture, DynAsyncRwRangeLock, DynPending, DynRangeGuard, DynRangeLock, DynRwRangeLock,
-    DynTwoPhaseRwRangeLock,
-};
+pub use dynlock::{DynRangeGuard, DynRwRangeLock};
 pub use fairness::{FairnessGate, FairnessPermit};
-pub use list_core::{CompatMode, ListCore, ListLockConfig, PendingAcquire};
+pub use list_core::{CompatMode, ListCore, ListLockConfig, Pending};
 pub use mutex_list::{ListRangeGuard, ListRangeLock};
 pub use range::Range;
 pub use rw_list::{RwListRangeGuard, RwListRangeLock};
-pub use traits::{ExclusiveAsRw, RangeLock, RwRangeLock};
-pub use twophase::{
-    AcquireFuture, AcquireManyFuture, AsyncRangeLock, AsyncRwRangeLock, BatchMode, ReadFuture,
-    RwBatchGuard, TwoPhaseRangeLock, TwoPhaseRwRangeLock, WriteFuture,
-};
+pub use traits::RwRangeLock;
+pub use twophase::{BatchMode, ReadFuture, RwBatchGuard, TwoPhaseRwRangeLock, WriteFuture};
 pub use waits_for::{Deadlock, WaitGraph};

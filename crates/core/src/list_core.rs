@@ -135,17 +135,18 @@ impl CompatMode for ReaderWriter {
     }
 }
 
-/// One pending (started but not yet completed) two-phase acquisition.
+/// One pending (started but not yet completed) two-phase acquisition: the
+/// single token type of [`crate::TwoPhaseRwRangeLock`], whatever the lock.
 ///
-/// Created by [`ListCore::enqueue`], driven by [`ListCore::poll_acquire`],
-/// abandoned by [`ListCore::cancel_acquire`]. The token owns the request
-/// node until the acquisition completes (the node moves into the returned
-/// [`RawGuard`]) or is cancelled (the node is freed, or logically deleted if
-/// it was already published to the list); leaking the token without either
-/// leaks the node — the façade future types guarantee one of the two by
-/// cancelling on drop.
+/// The list locks create it with [`ListCore::enqueue`], drive it with
+/// [`ListCore::poll_acquire`] and abandon it with
+/// [`ListCore::cancel_acquire`]. The token owns the request node until the
+/// acquisition completes (the node moves into the returned [`RawGuard`]) or
+/// is cancelled (the node is freed, or logically deleted if it was already
+/// published to the list); leaking the token without either leaks the node
+/// — the façade future types guarantee one of the two by cancelling on drop.
 ///
-/// State machine:
+/// State machine of a list-lock token:
 ///
 /// * **searching** (`published == false`) — the node is exclusively owned
 ///   and not yet in the list; each poll re-runs the insertion traversal and
@@ -159,9 +160,14 @@ impl CompatMode for ReaderWriter {
 ///   those writers can proceed — the unlink-on-abandonment the blocking API
 ///   cannot express.
 /// * **done** (`node == null`) — completed or cancelled; polling again is a
-///   contract violation (checked by a debug assertion).
+///   contract violation and panics.
+///
+/// Locks whose poll is a plain `try_` acquisition (the tree, segment and
+/// semaphore baselines) keep no state between polls beyond the range:
+/// their tokens come from [`Pending::try_based`] and never carry a node.
 #[derive(Debug)]
-pub struct PendingAcquire {
+pub struct Pending {
+    range: Range,
     node: *mut LNode,
     reader: bool,
     published: bool,
@@ -178,23 +184,33 @@ pub struct PendingAcquire {
 // SAFETY: The node pointer is exclusively owned by this token (searching) or
 // published to a lock-free list whose operations are all atomic (validating);
 // either way the token may move across threads.
-unsafe impl Send for PendingAcquire {}
+unsafe impl Send for Pending {}
 
-impl PendingAcquire {
-    /// `true` once the acquisition has completed or been cancelled.
-    pub fn is_done(&self) -> bool {
-        self.node.is_null()
+impl Pending {
+    /// The token of a *try-based* two-phase lock — one whose poll is a
+    /// `try_` acquisition of [`Pending::range`] and whose cancel has nothing
+    /// to undo. It names no blocking conflict, so waiters ride the unkeyed
+    /// (`KEY_ANY`) wake paths.
+    pub fn try_based(range: Range) -> Self {
+        Pending {
+            range,
+            node: std::ptr::null_mut(),
+            reader: false,
+            published: false,
+            contended: false,
+            wait_key: KEY_ANY,
+            started: Instant::now(),
+        }
     }
 
-    /// The requested range (`None` once done).
-    pub fn range(&self) -> Option<Range> {
-        // SAFETY: A non-null node is owned by this token or published and
-        // not yet released; either way it is alive.
-        (!self.node.is_null()).then(|| unsafe { (*self.node).range() })
+    /// The requested range.
+    pub fn range(&self) -> Range {
+        self.range
     }
 
     /// The wait key of the conflict that blocked the most recent poll: the
-    /// blocking node's address, or `KEY_ANY` if no poll has blocked yet.
+    /// blocking node's address, or `KEY_ANY` if no poll has blocked yet (and
+    /// always for [try-based](Pending::try_based) tokens).
     ///
     /// Callers suspend under this key (a keyed park or keyed waker
     /// registration) so only the blocker's release wakes them, and must
@@ -202,6 +218,11 @@ impl PendingAcquire {
     /// retry on a different node.
     pub fn wait_key(&self) -> u64 {
         self.wait_key
+    }
+
+    /// `true` once a list-lock acquisition has completed or been cancelled.
+    fn is_done(&self) -> bool {
+        self.node.is_null()
     }
 }
 
@@ -546,7 +567,7 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
     /// insertion point, because in this list protocol inserting *is* (modulo
     /// validation) acquiring. The returned token must eventually reach
     /// [`ListCore::poll_acquire`] completion or [`ListCore::cancel_acquire`].
-    pub fn enqueue(&self, range: Range, reader: bool) -> PendingAcquire {
+    pub fn enqueue(&self, range: Range, reader: bool) -> Pending {
         if rl_obs::trace::is_enabled() {
             rl_obs::trace::emit_here(
                 rl_obs::EventKind::AcquireStart,
@@ -555,7 +576,8 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
                 range.end,
             );
         }
-        PendingAcquire {
+        Pending {
+            range,
             node: reclaim::alloc_node(range, reader),
             reader,
             published: false,
@@ -581,8 +603,15 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
     /// Two-phase acquisitions do not participate in the §4.3 fairness gate:
     /// a poll is one bounded attempt, and impatience cannot be carried
     /// across suspensions without holding a gate permit while descheduled.
-    pub fn poll_acquire(&self, pending: &mut PendingAcquire) -> Option<RawGuard> {
-        debug_assert!(!pending.is_done(), "poll of a completed acquisition");
+    pub fn poll_acquire(&self, pending: &mut Pending) -> Option<RawGuard> {
+        // A hard check, not a debug one: the token type is shared by every
+        // lock in the workspace, so safe code can hand this core a token it
+        // never issued (`Pending::try_based`) or one it already resolved,
+        // and both carry a null node that the code below would dereference.
+        assert!(
+            !pending.is_done(),
+            "poll of a completed acquisition, or of a token no list lock issued"
+        );
         let reader = pending.reader;
         let kind = if reader {
             WaitKind::Read
@@ -618,7 +647,7 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
                 .compare_exchange(0, mark(node_ptr), Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                let range = pending.range().expect("fast-path node is live");
+                let range = pending.range;
                 let node = std::mem::replace(&mut pending.node, std::ptr::null_mut());
                 self.record(kind, pending.started, pending.contended, range);
                 return Some(RawGuard { node, fast: true });
@@ -684,12 +713,12 @@ impl<M: CompatMode, P: WaitPolicy> ListCore<M, P> {
     /// Cancellation accounting ([`rl_sync::stats::WaitStats`] `cancels`) is
     /// recorded by the callers that decide to abandon (future drops, expired
     /// timeouts), not here, so a cancel is counted exactly once.
-    pub fn cancel_acquire(&self, pending: &mut PendingAcquire) {
+    pub fn cancel_acquire(&self, pending: &mut Pending) {
         if pending.is_done() {
             return;
         }
         if rl_obs::trace::is_enabled() {
-            let range = pending.range().expect("pending is not done");
+            let range = pending.range;
             rl_obs::trace::emit_here(
                 rl_obs::EventKind::Cancelled,
                 self.queue.trace_id(),
@@ -1256,10 +1285,9 @@ mod tests {
         // Uncontended: the first poll completes via the fast path.
         let mut p = ex.enqueue(Range::new(0, 10), false);
         assert!(!p.is_done());
-        assert_eq!(p.range(), Some(Range::new(0, 10)));
+        assert_eq!(p.range(), Range::new(0, 10));
         let g = ex.poll_acquire(&mut p).expect("uncontended poll completes");
         assert!(p.is_done());
-        assert!(p.range().is_none());
         // Contended: polls return None (and never complete) while the
         // conflicting holder remains.
         let mut p2 = ex.enqueue(Range::new(5, 15), false);

@@ -19,10 +19,10 @@ use std::time::{Duration, Instant};
 use rl_sync::stats::WaitStats;
 use rl_sync::wait::{SpinThenYield, WaitPolicy, WaitQueue};
 
-use crate::list_core::{Exclusive, ListCore, PendingAcquire, RawGuard};
+use crate::list_core::{Exclusive, ListCore, Pending, RawGuard};
 use crate::range::Range;
-use crate::traits::RangeLock;
-use crate::twophase::TwoPhaseRangeLock;
+use crate::traits::RwRangeLock;
+use crate::twophase::TwoPhaseRwRangeLock;
 
 pub use crate::list_core::ListLockConfig;
 
@@ -114,10 +114,10 @@ impl<P: WaitPolicy> ListRangeLock<P> {
     /// Attempts to acquire `range` without waiting.
     ///
     /// Returns `None` if an overlapping range is currently held; see the
-    /// [trait-level contract](RangeLock::try_acquire) for the spurious-failure
-    /// and no-residue guarantees. This entry point is not part of the paper's
-    /// API but falls out of the design for free and is convenient for callers
-    /// that can do other useful work.
+    /// [`try_` contract](crate::traits#try_-semantics-normative) for the
+    /// spurious-failure and no-residue guarantees. This entry point is not
+    /// part of the paper's API but falls out of the design for free and is
+    /// convenient for callers that can do other useful work.
     pub fn try_acquire(&self, range: Range) -> Option<ListRangeGuard<'_, P>> {
         self.core
             .try_acquire(range, false)
@@ -127,8 +127,8 @@ impl<P: WaitPolicy> ListRangeLock<P> {
     /// Acquires `range` like [`ListRangeLock::acquire`], but gives up
     /// (leaving no residue) once `timeout` elapses. Under the [`Block`]
     /// policy the waiter deadline-parks; the spinning policies check the
-    /// clock between backoff steps. Also available generically through
-    /// [`TwoPhaseRangeLock::acquire_timeout`].
+    /// clock between backoff steps. Generic code spells this
+    /// [`TwoPhaseRwRangeLock::write_timeout`].
     ///
     /// [`Block`]: rl_sync::wait::Block
     pub fn acquire_timeout(
@@ -136,7 +136,7 @@ impl<P: WaitPolicy> ListRangeLock<P> {
         range: Range,
         timeout: Duration,
     ) -> Option<ListRangeGuard<'_, P>> {
-        TwoPhaseRangeLock::acquire_timeout(self, range, timeout)
+        self.write_timeout(range, timeout)
     }
 
     /// Returns `true` if no range is currently held.
@@ -207,15 +207,43 @@ impl<P: WaitPolicy> std::fmt::Debug for ListRangeGuard<'_, P> {
     }
 }
 
-impl<P: WaitPolicy> RangeLock for ListRangeLock<P> {
-    type Guard<'a> = ListRangeGuard<'a, P>;
+/// The exclusive lock's face in the reader-writer trait family: both modes
+/// are the same exclusive acquisition, so overlapping "readers" serialize —
+/// exactly the cost the paper's reader-writer variant exists to remove, and
+/// how the file subsystem and the `filebench` sweep drive `list-ex` through
+/// the same generic code as the sharing locks.
+impl<P: WaitPolicy> RwRangeLock for ListRangeLock<P> {
+    type ReadGuard<'a> = ListRangeGuard<'a, P>;
+    type WriteGuard<'a> = ListRangeGuard<'a, P>;
 
-    fn acquire(&self, range: Range) -> Self::Guard<'_> {
-        ListRangeLock::acquire(self, range)
+    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
+        self.acquire(range)
     }
 
-    fn try_acquire(&self, range: Range) -> Option<Self::Guard<'_>> {
-        ListRangeLock::try_acquire(self, range)
+    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
+        self.acquire(range)
+    }
+
+    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
+        self.try_acquire(range)
+    }
+
+    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
+        self.try_acquire(range)
+    }
+
+    fn downgrade<'a>(
+        &'a self,
+        guard: Self::WriteGuard<'a>,
+    ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
+        // An exclusive hold trivially satisfies a shared one, so a
+        // "downgrade" is the identity: the range stays continuously
+        // (over-)protected.
+        Ok(guard)
+    }
+
+    fn readers_share(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -223,33 +251,31 @@ impl<P: WaitPolicy> RangeLock for ListRangeLock<P> {
     }
 }
 
-impl<P: WaitPolicy> TwoPhaseRangeLock for ListRangeLock<P> {
-    type Pending = PendingAcquire;
-
-    fn enqueue_acquire(&self, range: Range) -> Self::Pending {
+impl<P: WaitPolicy> TwoPhaseRwRangeLock for ListRangeLock<P> {
+    fn enqueue_read(&self, range: Range) -> Pending {
         self.core.enqueue(range, false)
     }
 
-    fn poll_acquire<'a>(&'a self, pending: &mut Self::Pending) -> Option<Self::Guard<'a>> {
+    fn poll_read<'a>(&'a self, pending: &mut Pending) -> Option<Self::ReadGuard<'a>> {
+        self.poll_write(pending)
+    }
+
+    fn enqueue_write(&self, range: Range) -> Pending {
+        self.core.enqueue(range, false)
+    }
+
+    fn poll_write<'a>(&'a self, pending: &mut Pending) -> Option<Self::WriteGuard<'a>> {
         self.core
             .poll_acquire(pending)
             .map(|raw| ListRangeGuard { lock: self, raw })
     }
 
-    fn cancel_acquire(&self, pending: &mut Self::Pending) {
+    fn cancel(&self, pending: &mut Pending) {
         self.core.cancel_acquire(pending);
     }
 
     fn wait_queue(&self) -> &WaitQueue {
         self.core.wait_queue()
-    }
-
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: Instant) -> bool {
-        P::wait_until_deadline(self.core.wait_queue(), cond, deadline)
-    }
-
-    fn pending_wait_key(&self, pending: &Self::Pending) -> u64 {
-        pending.wait_key()
     }
 
     fn wait_deadline_keyed(
@@ -515,14 +541,13 @@ mod tests {
 
     #[test]
     fn trait_object_usage_via_generics() {
-        fn exercise<L: RangeLock>(lock: &L) {
-            let g = lock.acquire(Range::new(0, 1));
-            drop(g);
-            let g = lock.acquire_full();
-            drop(g);
+        fn exercise<L: RwRangeLock>(lock: &L) {
+            drop(lock.write(Range::new(0, 1)));
+            drop(lock.read(Range::new(0, 1)));
+            drop(lock.write_full());
         }
         let lock = ListRangeLock::new();
         exercise(&lock);
-        assert_eq!(RangeLock::name(&lock), "list-ex");
+        assert_eq!(lock.name(), "list-ex");
     }
 }

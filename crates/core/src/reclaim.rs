@@ -258,6 +258,14 @@ thread_local! {
     static CTX: RefCell<Option<ThreadCtx>> = const { RefCell::new(None) };
 }
 
+// `with_ctx` and the thin public wrappers over it (`pin`, `Pin::drop`,
+// `alloc_node`, `retire_node`) are `#[inline]`: they sit on every
+// acquisition's fast path, and the generic `ListCore` code that calls them is
+// instantiated in *downstream* crates. Without the hint they are compiled
+// once, here, and whether `LocalKey::with` folds into them depends on how
+// this crate happens to be split into codegen units — an edit to an unrelated
+// module moved `core.static_op_ns` by 3 ns that way.
+#[inline]
 fn with_ctx<R>(f: impl FnOnce(&mut ThreadCtx) -> R) -> R {
     CTX.with(|cell| {
         let mut borrow = cell.borrow_mut();
@@ -277,6 +285,7 @@ pub struct Pin {
 }
 
 impl Pin {
+    #[inline]
     fn new() -> Self {
         with_ctx(|ctx| ctx.pin());
         Pin {
@@ -286,12 +295,14 @@ impl Pin {
 }
 
 impl Drop for Pin {
+    #[inline]
     fn drop(&mut self) {
         with_ctx(|ctx| ctx.unpin());
     }
 }
 
 /// Enters an epoch-protected critical section for the current thread.
+#[inline]
 pub fn pin() -> Pin {
     Pin::new()
 }
@@ -300,6 +311,7 @@ pub fn pin() -> Pin {
 ///
 /// The returned pointer is exclusively owned by the caller until it is
 /// published into a lock list.
+#[inline]
 pub fn alloc_node(range: Range, reader: bool) -> *mut LNode {
     with_ctx(|ctx| ctx.alloc(range, reader))
 }
@@ -313,6 +325,7 @@ pub fn alloc_node(range: Range, reader: bool) -> *mut LNode {
 /// list head), and the caller must not touch it afterwards. It may still be
 /// referenced by in-flight traversals; it will only be reused after a barrier
 /// proves those traversals have finished.
+#[inline]
 pub unsafe fn retire_node(ptr: *mut LNode) {
     with_ctx(|ctx| ctx.retire(ptr));
 }

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use rl_sync::stats::WaitStats;
 use rl_sync::wait::{SpinThenYield, WaitPolicy, WaitQueue};
 
-use crate::list_core::{ListCore, ListLockConfig, PendingAcquire, RawGuard, ReaderWriter};
+use crate::list_core::{ListCore, ListLockConfig, Pending, RawGuard, ReaderWriter};
 use crate::range::Range;
 use crate::traits::RwRangeLock;
 use crate::twophase::TwoPhaseRwRangeLock;
@@ -290,51 +290,32 @@ impl<P: WaitPolicy> RwRangeLock for RwListRangeLock<P> {
 }
 
 impl<P: WaitPolicy> TwoPhaseRwRangeLock for RwListRangeLock<P> {
-    type PendingRead = PendingAcquire;
-    type PendingWrite = PendingAcquire;
-
-    fn enqueue_read(&self, range: Range) -> Self::PendingRead {
+    fn enqueue_read(&self, range: Range) -> Pending {
         self.core.enqueue(range, true)
     }
 
-    fn poll_read<'a>(&'a self, pending: &mut Self::PendingRead) -> Option<Self::ReadGuard<'a>> {
-        self.core
-            .poll_acquire(pending)
-            .map(|raw| RwListRangeGuard { lock: self, raw })
+    fn poll_read<'a>(&'a self, pending: &mut Pending) -> Option<Self::ReadGuard<'a>> {
+        self.poll_write(pending)
     }
 
-    fn cancel_read(&self, pending: &mut Self::PendingRead) {
-        self.core.cancel_acquire(pending);
-    }
-
-    fn enqueue_write(&self, range: Range) -> Self::PendingWrite {
+    fn enqueue_write(&self, range: Range) -> Pending {
         self.core.enqueue(range, false)
     }
 
-    fn poll_write<'a>(&'a self, pending: &mut Self::PendingWrite) -> Option<Self::WriteGuard<'a>> {
+    fn poll_write<'a>(&'a self, pending: &mut Pending) -> Option<Self::WriteGuard<'a>> {
+        // One guard type and one token type serve both modes: the mode was
+        // fixed at enqueue and travels inside the token.
         self.core
             .poll_acquire(pending)
             .map(|raw| RwListRangeGuard { lock: self, raw })
     }
 
-    fn cancel_write(&self, pending: &mut Self::PendingWrite) {
+    fn cancel(&self, pending: &mut Pending) {
         self.core.cancel_acquire(pending);
     }
 
     fn wait_queue(&self) -> &WaitQueue {
         self.core.wait_queue()
-    }
-
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: Instant) -> bool {
-        P::wait_until_deadline(self.core.wait_queue(), cond, deadline)
-    }
-
-    fn pending_read_wait_key(&self, pending: &Self::PendingRead) -> u64 {
-        pending.wait_key()
-    }
-
-    fn pending_write_wait_key(&self, pending: &Self::PendingWrite) -> u64 {
-        pending.wait_key()
     }
 
     fn wait_deadline_keyed(

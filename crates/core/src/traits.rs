@@ -1,17 +1,27 @@
-//! Common range-lock interfaces.
+//! The blocking range-lock interface.
 //!
 //! Every range-lock implementation in this workspace — the paper's list-based
-//! locks in this crate and the tree / segment baselines in `rl-baselines` —
-//! implements one (or both) of these traits so that the VM simulator, the
+//! locks in this crate and the tree / segment / semaphore baselines in
+//! `rl-baselines` — implements [`RwRangeLock`], so that the file store, the
 //! skip list and the benchmark harness can be written once and parameterized
-//! over the lock. (For callers that need runtime dispatch instead — one
-//! variable holding *any* variant — see the [`crate::dynlock`] layer.)
+//! over the lock. It is the base of the workspace's one lock-trait family:
+//! [`crate::TwoPhaseRwRangeLock`] extends it with the cancellable
+//! enqueue / poll / cancel protocol (and, for free, timed, async and batched
+//! acquisition), and [`crate::DynRwRangeLock`] is the object-safe mirror of
+//! both for callers that choose the variant at runtime.
+//!
+//! There is no separate exclusive-only trait: the exclusive locks
+//! ([`crate::ListRangeLock`], `rl_baselines::TreeRangeLock`) implement this
+//! one with every acquisition exclusive and say so through
+//! [`RwRangeLock::readers_share`]. Their inherent `acquire` / `try_acquire`
+//! remain the paper-facing API.
 //!
 //! # `try_` semantics (normative)
 //!
-//! The bounded acquisition methods ([`RangeLock::try_acquire`],
-//! [`RwRangeLock::try_read`], [`RwRangeLock::try_write`]) share one contract,
-//! specified here once for every implementation in the workspace:
+//! The bounded acquisition methods ([`RwRangeLock::try_read`],
+//! [`RwRangeLock::try_write`], and the exclusive locks' inherent
+//! `try_acquire`) share one contract, specified here once for every
+//! implementation in the workspace:
 //!
 //! * **Never waits.** A `try_` call performs a bounded amount of work and
 //!   returns; it never spins on, yields to, or parks behind another thread
@@ -33,43 +43,22 @@
 
 use crate::range::Range;
 
-/// An exclusive-access range lock: disjoint ranges may be held concurrently,
-/// overlapping ranges serialize.
-pub trait RangeLock: Send + Sync {
-    /// RAII guard releasing the range when dropped.
-    type Guard<'a>
-    where
-        Self: 'a;
-
-    /// Acquires exclusive access to `range`, waiting for any overlapping
-    /// holder to release.
-    fn acquire(&self, range: Range) -> Self::Guard<'_>;
-
-    /// Acquires the entire resource (the `[0 .. 2^64-1]` full-range call of
-    /// the kernel API).
-    fn acquire_full(&self) -> Self::Guard<'_> {
-        self.acquire(Range::FULL)
-    }
-
-    /// Attempts to acquire exclusive access to `range` without waiting.
-    ///
-    /// Returns `None` if an overlapping range is held; see the
-    /// [module-level `try_` contract](self#try_-semantics-normative) for the
-    /// spurious-failure and no-residue guarantees. The default implementation
-    /// always fails, so implementations that cannot provide a bounded attempt
-    /// remain valid; every lock in this workspace overrides it.
-    fn try_acquire(&self, range: Range) -> Option<Self::Guard<'_>> {
-        let _ = range;
-        None
-    }
-
-    /// Short, stable identifier used by the benchmark harness
-    /// (e.g. `"list-ex"`, `"lustre-ex"`).
-    fn name(&self) -> &'static str;
-}
-
 /// A reader-writer range lock: overlapping *reader* ranges may be held
 /// concurrently; a writer range excludes every overlapping reader or writer.
+///
+/// An exclusive-only lock implements the same trait with `read` as exclusive
+/// as `write` — the cost the paper's reader-writer variants exist to remove:
+///
+/// ```
+/// use range_lock::{ListRangeLock, Range, RwRangeLock};
+///
+/// let lock = ListRangeLock::new();
+/// assert!(!lock.readers_share());
+/// let r = lock.read(Range::new(0, 10)); // really exclusive
+/// assert!(lock.try_read(Range::new(5, 15)).is_none());
+/// drop(r);
+/// let _w = lock.write(Range::new(0, 10));
+/// ```
 pub trait RwRangeLock: Send + Sync {
     /// RAII guard for a shared (reader) acquisition.
     type ReadGuard<'a>
@@ -86,7 +75,8 @@ pub trait RwRangeLock: Send + Sync {
     /// Acquires `range` in exclusive mode.
     fn write(&self, range: Range) -> Self::WriteGuard<'_>;
 
-    /// Acquires the entire resource in shared mode.
+    /// Acquires the entire resource (the `[0 .. 2^64-1]` full-range call of
+    /// the kernel API) in shared mode.
     fn read_full(&self) -> Self::ReadGuard<'_> {
         self.read(Range::FULL)
     }
@@ -101,7 +91,8 @@ pub trait RwRangeLock: Send + Sync {
     /// Returns `None` if a conflicting (writer) range is held; see the
     /// [module-level `try_` contract](self#try_-semantics-normative) for the
     /// spurious-failure and no-residue guarantees. The default implementation
-    /// always fails.
+    /// always fails, so implementations that cannot provide a bounded attempt
+    /// remain valid; every lock in this workspace overrides it.
     fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
         let _ = range;
         None
@@ -137,146 +128,19 @@ pub trait RwRangeLock: Send + Sync {
     /// Whether overlapping *shared* acquisitions of this lock can actually
     /// be held concurrently.
     ///
-    /// `true` (the default) for genuine reader-writer locks. Adapters that
-    /// serialize everything — [`ExclusiveAsRw`] over the exclusive-only
-    /// variants — return `false`: there, two "readers" of overlapping ranges
-    /// conflict even though their *modes* are compatible. Deadlock-detection
-    /// layers must consult this when deriving waits-for edges, otherwise a
-    /// reader blocked behind another reader looks unblockable and its cycle
-    /// is invisible.
+    /// `true` (the default) for genuine reader-writer locks. The
+    /// exclusive-only variants (`list-ex`, `lustre-ex`) return `false`:
+    /// there, two "readers" of overlapping ranges conflict even though their
+    /// *modes* are compatible. Deadlock-detection layers must consult this
+    /// when deriving waits-for edges, otherwise a reader blocked behind
+    /// another reader looks unblockable and its cycle is invisible.
     fn readers_share(&self) -> bool {
         true
     }
 
     /// Short, stable identifier used by the benchmark harness
-    /// (e.g. `"list-rw"`, `"kernel-rw"`, `"pnova-rw"`).
+    /// (e.g. `"list-rw"`, `"list-ex"`, `"kernel-rw"`, `"pnova-rw"`).
     fn name(&self) -> &'static str;
-}
-
-/// Adapts an exclusive [`RangeLock`] to the [`RwRangeLock`] interface by
-/// treating every acquisition — shared or exclusive — as exclusive.
-///
-/// This lets the file subsystem and the `filebench` sweep drive the
-/// exclusive-only variants (`list-ex`, `lustre-ex`) through the same generic
-/// code as the reader-writer locks, exposing exactly the cost the paper
-/// motivates: readers that could share instead serialize.
-///
-/// # Examples
-///
-/// ```
-/// use range_lock::{ExclusiveAsRw, ListRangeLock, Range, RwRangeLock};
-///
-/// let lock = ExclusiveAsRw::new(ListRangeLock::new());
-/// let r = lock.read(Range::new(0, 10)); // really exclusive
-/// drop(r);
-/// let _w = lock.write(Range::new(0, 10));
-/// ```
-#[derive(Debug, Default)]
-pub struct ExclusiveAsRw<L: RangeLock> {
-    inner: L,
-}
-
-impl<L: RangeLock> ExclusiveAsRw<L> {
-    /// Wraps an exclusive lock.
-    pub fn new(inner: L) -> Self {
-        ExclusiveAsRw { inner }
-    }
-
-    /// Returns the wrapped lock.
-    pub fn into_inner(self) -> L {
-        self.inner
-    }
-
-    /// Borrows the wrapped lock.
-    pub fn inner(&self) -> &L {
-        &self.inner
-    }
-}
-
-impl<L: RangeLock> RwRangeLock for ExclusiveAsRw<L> {
-    type ReadGuard<'a>
-        = L::Guard<'a>
-    where
-        Self: 'a;
-    type WriteGuard<'a>
-        = L::Guard<'a>
-    where
-        Self: 'a;
-
-    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
-        self.inner.acquire(range)
-    }
-
-    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
-        self.inner.acquire(range)
-    }
-
-    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
-        self.inner.try_acquire(range)
-    }
-
-    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
-        self.inner.try_acquire(range)
-    }
-
-    fn downgrade<'a>(
-        &'a self,
-        guard: Self::WriteGuard<'a>,
-    ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
-        // Read and write guards are the same exclusive guard here, and an
-        // exclusive hold trivially satisfies a shared one, so a "downgrade"
-        // is the identity: the range stays continuously (over-)protected.
-        Ok(guard)
-    }
-
-    fn readers_share(&self) -> bool {
-        // Every acquisition is exclusive underneath: overlapping "readers"
-        // serialize, and waits-for edges must treat them as conflicting.
-        false
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
-impl<L: RangeLock + crate::twophase::TwoPhaseRangeLock> crate::twophase::TwoPhaseRwRangeLock
-    for ExclusiveAsRw<L>
-{
-    type PendingRead = L::Pending;
-    type PendingWrite = L::Pending;
-
-    fn enqueue_read(&self, range: Range) -> Self::PendingRead {
-        self.inner.enqueue_acquire(range)
-    }
-
-    fn poll_read<'a>(&'a self, pending: &mut Self::PendingRead) -> Option<Self::ReadGuard<'a>> {
-        self.inner.poll_acquire(pending)
-    }
-
-    fn cancel_read(&self, pending: &mut Self::PendingRead) {
-        self.inner.cancel_acquire(pending);
-    }
-
-    fn enqueue_write(&self, range: Range) -> Self::PendingWrite {
-        self.inner.enqueue_acquire(range)
-    }
-
-    fn poll_write<'a>(&'a self, pending: &mut Self::PendingWrite) -> Option<Self::WriteGuard<'a>> {
-        self.inner.poll_acquire(pending)
-    }
-
-    fn cancel_write(&self, pending: &mut Self::PendingWrite) {
-        self.inner.cancel_acquire(pending);
-    }
-
-    fn wait_queue(&self) -> &rl_sync::wait::WaitQueue {
-        self.inner.wait_queue()
-    }
-
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        self.inner.wait_deadline(cond, deadline)
-    }
 }
 
 #[cfg(test)]
@@ -287,8 +151,8 @@ mod tests {
     #[test]
     fn default_full_range_methods_delegate() {
         let lock = ListRangeLock::new();
-        let g = RangeLock::acquire_full(&lock);
-        assert_eq!(g.range(), Range::FULL);
+        assert_eq!(lock.read_full().range(), Range::FULL);
+        assert_eq!(lock.write_full().range(), Range::FULL);
     }
 
     #[test]
@@ -296,29 +160,42 @@ mod tests {
         // A minimal implementation that does not override the try methods.
         struct AlwaysBlocks;
         struct NoGuard;
-        impl RangeLock for AlwaysBlocks {
-            type Guard<'a> = NoGuard;
-            fn acquire(&self, _range: Range) -> NoGuard {
+        impl RwRangeLock for AlwaysBlocks {
+            type ReadGuard<'a> = NoGuard;
+            type WriteGuard<'a> = NoGuard;
+            fn read(&self, _range: Range) -> NoGuard {
+                NoGuard
+            }
+            fn write(&self, _range: Range) -> NoGuard {
                 NoGuard
             }
             fn name(&self) -> &'static str {
                 "always-blocks"
             }
         }
-        assert!(AlwaysBlocks.try_acquire(Range::new(0, 1)).is_none());
+        assert!(AlwaysBlocks.try_read(Range::new(0, 1)).is_none());
+        assert!(AlwaysBlocks.try_write(Range::new(0, 1)).is_none());
     }
 
     #[test]
     fn exclusive_as_rw_serializes_readers() {
-        let lock = ExclusiveAsRw::new(ListRangeLock::new());
-        assert_eq!(RwRangeLock::name(&lock), "list-ex");
+        // The exclusive list lock is its own reader-writer face: both modes
+        // are exclusive underneath, so a second "reader" conflicts.
+        let lock = ListRangeLock::new();
+        assert_eq!(lock.name(), "list-ex");
+        assert!(!lock.readers_share());
         let r = lock.read(Range::new(0, 10));
-        // A second "reader" conflicts: the adapter is exclusive underneath.
         assert!(lock.try_read(Range::new(5, 15)).is_none());
         assert!(lock.try_write(Range::new(5, 15)).is_none());
         drop(r);
         assert!(lock.try_read(Range::new(5, 15)).is_some());
-        assert!(lock.inner().is_quiescent());
-        let _ = lock.into_inner();
+        // A downgrade is the identity: the range stays (over-)protected.
+        let w = lock.write(Range::new(0, 10));
+        let r = lock
+            .downgrade(w)
+            .expect("exclusive downgrade is the identity");
+        assert!(lock.try_read(Range::new(0, 10)).is_none());
+        drop(r);
+        assert!(lock.is_quiescent());
     }
 }

@@ -1,10 +1,10 @@
-//! The cancellable two-phase acquisition protocol and the async range-lock
-//! API built on it.
+//! The cancellable two-phase acquisition protocol and everything that rides
+//! on it: timed, async and batched acquisition.
 //!
-//! The blocking traits ([`RangeLock`], [`RwRangeLock`]) model a waiter as a
-//! thread: `acquire` does not return until the range is held, so at M
-//! concurrent owners the caller burns M threads, and a waiter cannot give up
-//! — there is no way out of `acquire` except owning the range. This module
+//! The blocking interface ([`RwRangeLock`]) models a waiter as a thread:
+//! `read`/`write` do not return until the range is held, so at M concurrent
+//! owners the caller burns M threads, and a waiter cannot give up — there is
+//! no way out of `write` except owning the range. [`TwoPhaseRwRangeLock`]
 //! decomposes acquisition into an explicit, resumable protocol:
 //!
 //! 1. **enqueue** — register the request (allocate its node). No waiting.
@@ -19,22 +19,33 @@
 //!    API fundamentally cannot express: a blocking waiter can only leave by
 //!    owning the range first (or leaking its node).
 //!
-//! Two consumers are layered on the protocol here:
+//! Those three steps (per mode), the lock's wait queue and its policy-aware
+//! deadline wait are all a lock implements; the state between polls lives in
+//! one concrete token type, [`Pending`]. Every other way of acquiring is a
+//! provided method written once here — blocking is poll + park, and:
 //!
-//! * **Timed acquisition** — [`TwoPhaseRangeLock::acquire_timeout`] and the
-//!   [`read_timeout`](TwoPhaseRwRangeLock::read_timeout) /
-//!   [`write_timeout`](TwoPhaseRwRangeLock::write_timeout) pair: poll, wait
-//!   with a deadline (under the `Block` policy a deadline *park*, under the
+//! * **Timed acquisition** — [`read_timeout`](TwoPhaseRwRangeLock::read_timeout) /
+//!   [`write_timeout`](TwoPhaseRwRangeLock::write_timeout): poll, wait with a
+//!   deadline (under the `Block` policy a deadline *park*, under the
 //!   spinning policies a clock-checked backoff loop), cancel on expiry.
-//! * **Async acquisition** — [`AsyncRangeLock::acquire_async`] /
-//!   [`AsyncRwRangeLock::read_async`] / [`AsyncRwRangeLock::write_async`]
-//!   return cancellation-safe futures ([`AcquireFuture`], [`ReadFuture`],
-//!   [`WriteFuture`]) resolving to the ordinary RAII guards. Dropping a
-//!   future mid-wait cancels the pending request and leaves no residue, so
-//!   `select!`-style races and task aborts are safe. A waiter costs a waker
-//!   registration, not a thread: millions of pending owners can be
-//!   multiplexed onto a few worker threads (see the `rl-exec` crate and the
-//!   `asyncbench` experiment).
+//! * **Async acquisition** — [`read_async`](TwoPhaseRwRangeLock::read_async) /
+//!   [`write_async`](TwoPhaseRwRangeLock::write_async) return
+//!   cancellation-safe futures ([`ReadFuture`], [`WriteFuture`]) resolving
+//!   to the ordinary RAII guards. Dropping a future mid-wait cancels the
+//!   pending request and leaves no residue, so `select!`-style races and
+//!   task aborts are safe. A waiter costs a waker registration, not a
+//!   thread: millions of pending owners can be multiplexed onto a few worker
+//!   threads (see the `rl-exec` crate and the `asyncbench` experiment).
+//! * **Batched acquisition** — [`acquire_many`](TwoPhaseRwRangeLock::acquire_many),
+//!   [`try_acquire_many`](TwoPhaseRwRangeLock::try_acquire_many) (one poll +
+//!   cancel per item, all-or-nothing) and
+//!   [`acquire_many_async`](TwoPhaseRwRangeLock::acquire_many_async), all in
+//!   ascending address order.
+//!
+//! Locks whose bounded attempt already sees a consistent view (the tree,
+//! segment and semaphore baselines) get the protocol from
+//! [`try_based_two_phase!`](crate::try_based_two_phase): poll is `try_`,
+//! cancel has nothing to undo.
 //!
 //! # Waking, whatever the policy
 //!
@@ -63,241 +74,81 @@ use std::time::{Duration, Instant};
 use rl_sync::wait::WaitQueue;
 use rl_sync::KEY_ANY;
 
+use crate::list_core::Pending;
 use crate::range::Range;
-use crate::traits::{RangeLock, RwRangeLock};
+use crate::traits::RwRangeLock;
 
-/// An exclusive range lock that supports the cancellable two-phase
-/// acquisition protocol (enqueue / poll / cancel).
+/// A range lock that supports the cancellable two-phase acquisition
+/// protocol (enqueue / poll / cancel) in both modes.
 ///
 /// Implementations must uphold, for every method, the protocol contract:
 ///
 /// * `poll_*` never waits (no spinning, yielding, or parking) and never
 ///   fails spuriously — `None` means a conflicting holder was observed;
 /// * after `poll_*` returns `None`, some release/downgrade/cancel wake of
-///   [`TwoPhaseRangeLock::wait_queue`] is guaranteed once the observed
+///   [`TwoPhaseRwRangeLock::wait_queue`] — under the token's
+///   [`Pending::wait_key`] or broadcast — is guaranteed once the observed
 ///   conflict clears (so a waiter registered per the queue's
 ///   snapshot-register-recheck protocol cannot sleep forever);
-/// * `cancel_*` leaves the lock as if the request had never been made
+/// * `cancel` leaves the lock as if the request had never been made
 ///   (pending-state residue is unlinked and successors are woken) and is
-///   idempotent.
-pub trait TwoPhaseRangeLock: RangeLock {
-    /// Token holding one pending acquisition's state between polls.
-    type Pending: Send + Unpin;
-
-    /// **Enqueue**: starts a two-phase acquisition of `range`.
-    fn enqueue_acquire(&self, range: Range) -> Self::Pending;
-
-    /// **Poll**: drives `pending` as far as it can get without waiting;
-    /// returns the guard once the range is held.
-    fn poll_acquire<'a>(&'a self, pending: &mut Self::Pending) -> Option<Self::Guard<'a>>;
-
-    /// **Cancel**: abandons `pending`, unlinking any published node and
-    /// waking successors. Idempotent; must be called (or the poll driven to
-    /// completion) before the token is dropped.
-    fn cancel_acquire(&self, pending: &mut Self::Pending);
-
-    /// The queue suspended acquisitions wait on; every release wakes it.
-    fn wait_queue(&self) -> &WaitQueue;
-
-    /// Waits through this lock's wait policy until `cond` holds or
-    /// `deadline` passes (returning `cond`'s final value). Backs the timed
-    /// acquisition methods; `cond` is the queue-generation check of the
-    /// two-phase wait loop.
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: Instant) -> bool;
-
-    /// The wait key of the conflict that blocked `pending`'s most recent
-    /// poll — the blocking node's address — or `KEY_ANY` when the lock
-    /// cannot name one. The timed and async layers suspend under this key
-    /// so only that conflict's release wakes them; the default keeps
-    /// implementations without per-conflict keys on the broadcast paths.
-    fn pending_wait_key(&self, pending: &Self::Pending) -> u64 {
-        let _ = pending;
-        KEY_ANY
-    }
-
-    /// The keyed form of [`TwoPhaseRangeLock::wait_deadline`]: waits parked
-    /// under `key` (see `rl_sync::wait`), so the waiter is woken by its
-    /// blocker's release instead of by every release on the lock. The
-    /// default ignores the key.
-    fn wait_deadline_keyed(
-        &self,
-        key: u64,
-        cond: &mut dyn FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool {
-        let _ = key;
-        self.wait_deadline(cond, deadline)
-    }
-
-    /// Acquires `range` like [`RangeLock::acquire`], but gives up — leaving
-    /// no residue — once `timeout` elapses. An expired attempt is recorded
-    /// as a cancel in the lock's wait statistics.
-    fn acquire_timeout(&self, range: Range, timeout: Duration) -> Option<Self::Guard<'_>>
-    where
-        Self: Sized,
-    {
-        timeout_loop(
-            self,
-            range,
-            timeout,
-            self.wait_queue(),
-            |key, cond, deadline| self.wait_deadline_keyed(key, cond, deadline),
-            self.enqueue_acquire(range),
-            |pending| self.pending_wait_key(pending),
-            Self::poll_acquire,
-            Self::cancel_acquire,
-        )
-    }
-
-    /// Acquires every range in `ranges` (a *batch*), waiting as needed, and
-    /// returns the guards in input order.
-    ///
-    /// Ranges are acquired in **ascending address order** whatever the input
-    /// order, so two concurrent batches can never deadlock each other — the
-    /// classic ordered-acquisition argument. (A batch can still deadlock
-    /// against a caller composing individual acquisitions in descending
-    /// order; the `rl-file` lock table layers cycle detection on top for
-    /// that.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if two items of the batch overlap: the second acquisition
-    /// would block on the first forever.
-    fn acquire_many(&self, ranges: &[Range]) -> Vec<Self::Guard<'_>>
-    where
-        Self: Sized,
-    {
-        let mut acquired: Vec<(usize, Self::Guard<'_>)> = Vec::with_capacity(ranges.len());
-        for i in batch_order(ranges) {
-            acquired.push((i, self.acquire(ranges[i])));
-        }
-        acquired.sort_by_key(|(i, _)| *i);
-        acquired.into_iter().map(|(_, g)| g).collect()
-    }
-
-    /// Attempts to acquire every range in `ranges` without waiting,
-    /// **all-or-nothing**: on the first conflicting item the batch cancels
-    /// its pending acquisition, releases everything it already took, records
-    /// a batch rollback in the lock's wait statistics, and returns `None` —
-    /// no residue remains.
-    ///
-    /// Each item is driven through one enqueue → poll step of the two-phase
-    /// protocol (never-spurious, unlike `try_acquire`), with `cancel` as the
-    /// rollback primitive; items are attempted in ascending address order
-    /// and the guards are returned in input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two items of the batch overlap.
-    fn try_acquire_many(&self, ranges: &[Range]) -> Option<Vec<Self::Guard<'_>>>
-    where
-        Self: Sized,
-    {
-        let mut acquired: Vec<(usize, Self::Guard<'_>)> = Vec::with_capacity(ranges.len());
-        for i in batch_order(ranges) {
-            let mut pending = self.enqueue_acquire(ranges[i]);
-            match self.poll_acquire(&mut pending) {
-                Some(guard) => acquired.push((i, guard)),
-                None => {
-                    self.cancel_acquire(&mut pending);
-                    let queue = self.wait_queue();
-                    queue.record_cancel();
-                    queue.record_batch_rollback();
-                    rl_obs::trace::emit_here(
-                        rl_obs::EventKind::BatchRollback,
-                        queue.trace_id(),
-                        ranges[i].start,
-                        ranges[i].end,
-                    );
-                    // Dropping the guards acquired so far rolls them back.
-                    return None;
-                }
-            }
-        }
-        acquired.sort_by_key(|(i, _)| *i);
-        Some(acquired.into_iter().map(|(_, g)| g).collect())
-    }
-}
-
-/// A reader-writer range lock that supports the cancellable two-phase
-/// acquisition protocol in both modes.
+///   idempotent;
+/// * a token is only ever passed back to the lock and mode that issued it.
 ///
-/// See [`TwoPhaseRangeLock`] for the protocol contract, which applies to
-/// the read and write method families alike.
+/// The seven required methods have no defaults on purpose: a wrapper that
+/// forgets to forward one must fail to compile, not silently degrade the
+/// list lock's published-reader protocol to try-based barging.
 pub trait TwoPhaseRwRangeLock: RwRangeLock {
-    /// Token holding one pending shared acquisition's state between polls.
-    type PendingRead: Send + Unpin;
-    /// Token holding one pending exclusive acquisition's state between polls.
-    type PendingWrite: Send + Unpin;
-
     /// **Enqueue**: starts a two-phase shared acquisition of `range`.
-    fn enqueue_read(&self, range: Range) -> Self::PendingRead;
+    fn enqueue_read(&self, range: Range) -> Pending;
 
-    /// **Poll**: drives a pending shared acquisition without waiting.
-    fn poll_read<'a>(&'a self, pending: &mut Self::PendingRead) -> Option<Self::ReadGuard<'a>>;
-
-    /// **Cancel**: abandons a pending shared acquisition. Idempotent.
-    fn cancel_read(&self, pending: &mut Self::PendingRead);
+    /// **Poll**: drives a pending shared acquisition without waiting;
+    /// returns the guard once the range is held.
+    fn poll_read<'a>(&'a self, pending: &mut Pending) -> Option<Self::ReadGuard<'a>>;
 
     /// **Enqueue**: starts a two-phase exclusive acquisition of `range`.
-    fn enqueue_write(&self, range: Range) -> Self::PendingWrite;
+    fn enqueue_write(&self, range: Range) -> Pending;
 
     /// **Poll**: drives a pending exclusive acquisition without waiting.
-    fn poll_write<'a>(&'a self, pending: &mut Self::PendingWrite) -> Option<Self::WriteGuard<'a>>;
+    fn poll_write<'a>(&'a self, pending: &mut Pending) -> Option<Self::WriteGuard<'a>>;
 
-    /// **Cancel**: abandons a pending exclusive acquisition. Idempotent.
-    fn cancel_write(&self, pending: &mut Self::PendingWrite);
+    /// **Cancel**: abandons a pending acquisition of either mode, unlinking
+    /// any published node and waking successors. Idempotent; must be called
+    /// (or the poll driven to completion) before the token is dropped.
+    fn cancel(&self, pending: &mut Pending);
 
     /// The queue suspended acquisitions wait on; every release wakes it.
     fn wait_queue(&self) -> &WaitQueue;
 
-    /// Waits through this lock's wait policy until `cond` holds or
-    /// `deadline` passes; see [`TwoPhaseRangeLock::wait_deadline`].
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: Instant) -> bool;
-
-    /// The wait key of the conflict blocking a pending shared acquisition;
-    /// see [`TwoPhaseRangeLock::pending_wait_key`].
-    fn pending_read_wait_key(&self, pending: &Self::PendingRead) -> u64 {
-        let _ = pending;
-        KEY_ANY
-    }
-
-    /// The wait key of the conflict blocking a pending exclusive
-    /// acquisition; see [`TwoPhaseRangeLock::pending_wait_key`].
-    fn pending_write_wait_key(&self, pending: &Self::PendingWrite) -> u64 {
-        let _ = pending;
-        KEY_ANY
-    }
-
-    /// The keyed form of [`TwoPhaseRwRangeLock::wait_deadline`]; see
-    /// [`TwoPhaseRangeLock::wait_deadline_keyed`].
+    /// Waits through this lock's wait policy, parked under `key` (see
+    /// `rl_sync::wait`; `KEY_ANY` is the unkeyed wait), until `cond` holds
+    /// or `deadline` passes, returning `cond`'s final value. Backs the timed
+    /// acquisition methods, where `cond` is the queue-generation check of
+    /// the two-phase wait loop and `key` the pending token's
+    /// [`Pending::wait_key`], so the waiter is woken by its blocker's
+    /// release instead of by every release on the lock.
     fn wait_deadline_keyed(
         &self,
         key: u64,
         cond: &mut dyn FnMut() -> bool,
         deadline: Instant,
-    ) -> bool {
-        let _ = key;
-        self.wait_deadline(cond, deadline)
+    ) -> bool;
+
+    /// [`TwoPhaseRwRangeLock::wait_deadline_keyed`] without a key: any wake
+    /// of the queue ends the wait.
+    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: Instant) -> bool {
+        self.wait_deadline_keyed(KEY_ANY, cond, deadline)
     }
 
     /// Acquires `range` in shared mode like [`RwRangeLock::read`], but gives
-    /// up — leaving no residue — once `timeout` elapses.
+    /// up — leaving no residue — once `timeout` elapses. An expired attempt
+    /// is recorded as a cancel in the lock's wait statistics.
     fn read_timeout(&self, range: Range, timeout: Duration) -> Option<Self::ReadGuard<'_>>
     where
         Self: Sized,
     {
-        timeout_loop(
-            self,
-            range,
-            timeout,
-            self.wait_queue(),
-            |key, cond, deadline| self.wait_deadline_keyed(key, cond, deadline),
-            self.enqueue_read(range),
-            |pending| self.pending_read_wait_key(pending),
-            Self::poll_read,
-            Self::cancel_read,
-        )
+        let pending = self.enqueue_read(range);
+        timeout_loop(self, timeout, pending, Self::poll_read)
     }
 
     /// Acquires `range` in exclusive mode like [`RwRangeLock::write`], but
@@ -306,39 +157,53 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
     where
         Self: Sized,
     {
-        timeout_loop(
-            self,
-            range,
-            timeout,
-            self.wait_queue(),
-            |key, cond, deadline| self.wait_deadline_keyed(key, cond, deadline),
-            self.enqueue_write(range),
-            |pending| self.pending_write_wait_key(pending),
-            Self::poll_write,
-            Self::cancel_write,
-        )
+        let pending = self.enqueue_write(range);
+        timeout_loop(self, timeout, pending, Self::poll_write)
+    }
+
+    /// Acquires `range` in shared mode asynchronously: the returned future
+    /// suspends (registering its task's waker) instead of blocking a thread,
+    /// and resolves to the same guard [`RwRangeLock::read`] returns.
+    /// Dropping the future cancels the acquisition cleanly.
+    fn read_async(&self, range: Range) -> ReadFuture<'_, Self>
+    where
+        Self: Sized,
+    {
+        ReadFuture::new(self, range)
+    }
+
+    /// Acquires `range` in exclusive mode asynchronously; see
+    /// [`TwoPhaseRwRangeLock::read_async`] for the waiting and cancellation
+    /// semantics.
+    fn write_async(&self, range: Range) -> WriteFuture<'_, Self>
+    where
+        Self: Sized,
+    {
+        WriteFuture::new(self, range)
     }
 
     /// Acquires every `(range, mode)` item of a batch, waiting as needed,
     /// and returns the guards in input order.
     ///
     /// Items are acquired in **ascending address order** whatever the input
-    /// order, so concurrent batches never deadlock each other; see
-    /// [`TwoPhaseRangeLock::acquire_many`] for the ordering argument and the
-    /// remaining caller-composed hazard.
+    /// order, so two concurrent batches can never deadlock each other — the
+    /// classic ordered-acquisition argument. (A batch can still deadlock
+    /// against a caller composing individual acquisitions in descending
+    /// order; the `rl-file` lock table layers cycle detection on top for
+    /// that.)
     ///
     /// # Panics
     ///
     /// Panics if two items of the batch overlap (even two reads: the batch
     /// must also be safe over locks where readers serialize, per
-    /// [`RwRangeLock::readers_share`]).
+    /// [`RwRangeLock::readers_share`]) — the second acquisition would block
+    /// on the first forever.
     fn acquire_many(&self, items: &[(Range, BatchMode)]) -> Vec<RwBatchGuard<'_, Self>>
     where
         Self: Sized,
     {
-        let ranges: Vec<Range> = items.iter().map(|(r, _)| *r).collect();
         let mut acquired: Vec<(usize, RwBatchGuard<'_, Self>)> = Vec::with_capacity(items.len());
-        for i in batch_order(&ranges) {
+        for i in batch_order(items) {
             let (range, mode) = items[i];
             let guard = match mode {
                 BatchMode::Read => RwBatchGuard::Read(self.read(range)),
@@ -346,18 +211,19 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
             };
             acquired.push((i, guard));
         }
-        acquired.sort_by_key(|(i, _)| *i);
-        acquired.into_iter().map(|(_, g)| g).collect()
+        in_input_order(acquired)
     }
 
     /// Attempts to acquire every `(range, mode)` item without waiting,
-    /// **all-or-nothing**: the first conflicting item rolls the whole batch
-    /// back (cancel the pending acquisition, release everything taken,
-    /// record a batch rollback) and returns `None`, leaving no residue.
+    /// **all-or-nothing**: on the first conflicting item the batch cancels
+    /// its pending acquisition, releases everything it already took, records
+    /// a batch rollback in the lock's wait statistics, and returns `None` —
+    /// no residue remains.
     ///
-    /// See [`TwoPhaseRangeLock::try_acquire_many`]; this is its two-mode
-    /// counterpart, driven through `enqueue_read`/`poll_read`/`cancel_read`
-    /// and the write triple.
+    /// Each item is driven through one enqueue → poll step of the two-phase
+    /// protocol (never-spurious, unlike `try_read`/`try_write`), with
+    /// `cancel` as the rollback primitive; items are attempted in ascending
+    /// address order and the guards are returned in input order.
     ///
     /// # Panics
     ///
@@ -366,30 +232,25 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
     where
         Self: Sized,
     {
-        let ranges: Vec<Range> = items.iter().map(|(r, _)| *r).collect();
         let mut acquired: Vec<(usize, RwBatchGuard<'_, Self>)> = Vec::with_capacity(items.len());
-        for i in batch_order(&ranges) {
+        for i in batch_order(items) {
             let (range, mode) = items[i];
             let polled = match mode {
                 BatchMode::Read => {
                     let mut pending = self.enqueue_read(range);
-                    match self.poll_read(&mut pending) {
-                        Some(guard) => Some(RwBatchGuard::Read(guard)),
-                        None => {
-                            self.cancel_read(&mut pending);
-                            None
-                        }
+                    let guard = self.poll_read(&mut pending);
+                    if guard.is_none() {
+                        self.cancel(&mut pending);
                     }
+                    guard.map(RwBatchGuard::Read)
                 }
                 BatchMode::Write => {
                     let mut pending = self.enqueue_write(range);
-                    match self.poll_write(&mut pending) {
-                        Some(guard) => Some(RwBatchGuard::Write(guard)),
-                        None => {
-                            self.cancel_write(&mut pending);
-                            None
-                        }
+                    let guard = self.poll_write(&mut pending);
+                    if guard.is_none() {
+                        self.cancel(&mut pending);
                     }
+                    guard.map(RwBatchGuard::Write)
                 }
             };
             match polled {
@@ -404,33 +265,120 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
                         range.start,
                         range.end,
                     );
+                    // Dropping the guards acquired so far rolls them back.
                     return None;
                 }
             }
         }
-        acquired.sort_by_key(|(i, _)| *i);
-        Some(acquired.into_iter().map(|(_, g)| g).collect())
+        Some(in_input_order(acquired))
     }
 
     /// Acquires a batch asynchronously: the returned future drives one item
     /// at a time in ascending address order, suspending (never blocking a
     /// thread) on each contended item, and resolves to the guards in input
-    /// order. Dropping the future mid-batch cancels the in-flight item and
-    /// releases every guard already taken — all-or-nothing under
-    /// cancellation.
+    /// order. **Cancellation safety:** dropping the future mid-batch drops
+    /// the in-flight single-item future (which cancels its pending
+    /// acquisition and records the cancel) and every guard already acquired
+    /// — the lock is left as if the batch had never been asked for.
     ///
     /// # Panics
     ///
-    /// Panics if two items of the batch overlap.
-    fn acquire_many_async(&self, items: &[(Range, BatchMode)]) -> AcquireManyFuture<'_, Self>
+    /// Panics (at the call, not the first poll) if two items of the batch
+    /// overlap.
+    fn acquire_many_async<'a>(
+        &'a self,
+        items: &[(Range, BatchMode)],
+    ) -> impl Future<Output = Vec<RwBatchGuard<'a, Self>>> + use<'a, Self>
     where
         Self: Sized,
     {
-        AcquireManyFuture::new(self, items)
+        let order: Vec<(usize, Range, BatchMode)> = batch_order(items)
+            .into_iter()
+            .map(|i| (i, items[i].0, items[i].1))
+            .collect();
+        async move {
+            let mut acquired = Vec::with_capacity(order.len());
+            for (i, range, mode) in order {
+                let guard = match mode {
+                    BatchMode::Read => RwBatchGuard::Read(self.read_async(range).await),
+                    BatchMode::Write => RwBatchGuard::Write(self.write_async(range).await),
+                };
+                acquired.push((i, guard));
+            }
+            in_input_order(acquired)
+        }
     }
 }
 
-/// Requested mode of one item of a batched reader-writer acquisition.
+/// Implements [`TwoPhaseRwRangeLock`] for a lock whose bounded attempt
+/// already sees a consistent view of the lock state — the *try-based*
+/// adapter, written once for every such lock: **enqueue** just records the
+/// range ([`Pending::try_based`]), **poll** is the lock's own
+/// [`RwRangeLock::try_read`] / [`RwRangeLock::try_write`], and **cancel**
+/// has nothing to undo.
+///
+/// A suspended try-based acquisition holds no queue slot inside the lock and
+/// therefore *barges*: it competes afresh on every wake, like a futex waiter
+/// without a queue node, and waits unkeyed. The lock's side of the bargain
+/// is that **every** release wakes the queue named here (at least its
+/// unkeyed population), so a suspended poller cannot miss the release it
+/// was blocked on.
+///
+/// `$lock => $queue` names the lock value and the expression borrowing its
+/// [`WaitQueue`]; the type must be generic over one
+/// [`WaitPolicy`](rl_sync::wait::WaitPolicy) parameter, which supplies the
+/// deadline wait.
+#[macro_export]
+macro_rules! try_based_two_phase {
+    ($ty:ident<$p:ident>, $lock:ident => $queue:expr) => {
+        impl<$p: rl_sync::wait::WaitPolicy> $crate::TwoPhaseRwRangeLock for $ty<$p> {
+            fn enqueue_read(&self, range: $crate::Range) -> $crate::Pending {
+                $crate::Pending::try_based(range)
+            }
+
+            fn poll_read<'a>(
+                &'a self,
+                pending: &mut $crate::Pending,
+            ) -> Option<Self::ReadGuard<'a>> {
+                $crate::RwRangeLock::try_read(self, pending.range())
+            }
+
+            fn enqueue_write(&self, range: $crate::Range) -> $crate::Pending {
+                $crate::Pending::try_based(range)
+            }
+
+            fn poll_write<'a>(
+                &'a self,
+                pending: &mut $crate::Pending,
+            ) -> Option<Self::WriteGuard<'a>> {
+                $crate::RwRangeLock::try_write(self, pending.range())
+            }
+
+            fn cancel(&self, _pending: &mut $crate::Pending) {}
+
+            fn wait_queue(&self) -> &rl_sync::wait::WaitQueue {
+                let $lock = self;
+                $queue
+            }
+
+            fn wait_deadline_keyed(
+                &self,
+                key: u64,
+                cond: &mut dyn FnMut() -> bool,
+                deadline: std::time::Instant,
+            ) -> bool {
+                $p::wait_until_deadline_keyed(
+                    $crate::TwoPhaseRwRangeLock::wait_queue(self),
+                    key,
+                    cond,
+                    deadline,
+                )
+            }
+        }
+    };
+}
+
+/// Requested mode of one item of a batched acquisition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatchMode {
     /// Shared (reader) access.
@@ -439,8 +387,8 @@ pub enum BatchMode {
     Write,
 }
 
-/// Guard for one item of a batched reader-writer acquisition: whichever of
-/// the lock's two guard types the item's [`BatchMode`] selected.
+/// Guard for one item of a batched acquisition: whichever of the lock's two
+/// guard types the item's [`BatchMode`] selected.
 pub enum RwBatchGuard<'a, L: RwRangeLock + 'a> {
     /// The item was acquired in shared mode.
     Read(L::ReadGuard<'a>),
@@ -464,13 +412,13 @@ impl<L: RwRangeLock> std::fmt::Debug for RwBatchGuard<'_, L> {
     }
 }
 
-/// Returns the indices of `ranges` in ascending address order, panicking if
+/// Returns the indices of `items` in ascending address order, panicking if
 /// any two ranges overlap — an overlapping batch would block on itself.
-fn batch_order(ranges: &[Range]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..ranges.len()).collect();
-    order.sort_by_key(|&i| (ranges[i].start, ranges[i].end));
+fn batch_order(items: &[(Range, BatchMode)]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_key(|&i| (items[i].0.start, items[i].0.end));
     for pair in order.windows(2) {
-        let (a, b) = (ranges[pair[0]], ranges[pair[1]]);
+        let (a, b) = (items[pair[0]].0, items[pair[1]].0);
         assert!(
             !a.overlaps(&b),
             "batched acquisition items overlap: {a:?} and {b:?}"
@@ -479,33 +427,31 @@ fn batch_order(ranges: &[Range]) -> Vec<usize> {
     order
 }
 
-/// The shared enqueue → poll → deadline-wait → cancel loop behind every
-/// timed acquisition method. The method-family triple comes in as plain
-/// function values so the loop serves both two-phase traits (and both modes
-/// of the reader-writer one); `range` exists only to stamp the timeout
-/// trace event, hence the argument count.
-#[allow(clippy::too_many_arguments)]
-fn timeout_loop<'a, L: ?Sized, Pend, G>(
+/// Restores input order on guards collected in acquisition order.
+fn in_input_order<G>(mut acquired: Vec<(usize, G)>) -> Vec<G> {
+    acquired.sort_by_key(|(i, _)| *i);
+    acquired.into_iter().map(|(_, g)| g).collect()
+}
+
+/// The shared poll → deadline-wait → cancel loop behind both timed
+/// acquisition methods; the mode's poll comes in as a plain function value.
+fn timeout_loop<'a, L: TwoPhaseRwRangeLock, G>(
     lock: &'a L,
-    range: Range,
     timeout: Duration,
-    queue: &WaitQueue,
-    wait: impl Fn(u64, &mut dyn FnMut() -> bool, Instant) -> bool,
-    pending: Pend,
-    wait_key: impl Fn(&Pend) -> u64,
-    mut poll: impl FnMut(&'a L, &mut Pend) -> Option<G>,
-    cancel: impl FnOnce(&L, &mut Pend),
+    mut pending: Pending,
+    poll: impl Fn(&'a L, &mut Pending) -> Option<G>,
 ) -> Option<G> {
     let deadline = Instant::now() + timeout;
-    let mut pending = pending;
+    let queue = lock.wait_queue();
     loop {
         let gen = queue.generation();
         if let Some(guard) = poll(lock, &mut pending) {
             return Some(guard);
         }
         if Instant::now() >= deadline {
-            cancel(lock, &mut pending);
+            lock.cancel(&mut pending);
             queue.record_cancel();
+            let range = pending.range();
             rl_obs::trace::emit_here(
                 rl_obs::EventKind::TimedOut,
                 queue.trace_id(),
@@ -517,20 +463,23 @@ fn timeout_loop<'a, L: ?Sized, Pend, G>(
         // Every release bumps the queue generation (whatever the policy), so
         // waiting for a generation change is waiting for "anything changed".
         // The wait parks under the key of the conflict the poll just
-        // observed — re-derived every iteration, because the blocker can be
-        // a different node each time — so under the `Block` policy only
-        // that conflict's release (or a broadcast) wakes us.
-        let key = wait_key(&pending);
-        wait(key, &mut || queue.generation() != gen, deadline);
+        // observed — re-read every iteration, because the blocker can be a
+        // different node each time — so under the `Block` policy only that
+        // conflict's release (or a broadcast) wakes us.
+        lock.wait_deadline_keyed(
+            pending.wait_key(),
+            &mut || queue.generation() != gen,
+            deadline,
+        );
     }
 }
 
-/// Declares one cancellation-safe acquisition future over a two-phase trait.
+/// Declares one cancellation-safe acquisition future over the two-phase
+/// trait.
 macro_rules! acquire_future {
     (
         $(#[$doc:meta])*
-        $name:ident, $trait_:ident, $pending:ident, $guard:ident,
-        $enqueue:ident, $poll:ident, $cancel:ident, $wait_key:ident
+        $name:ident, $guard:ident, $enqueue:ident, $poll:ident
     ) => {
         $(#[$doc])*
         ///
@@ -542,34 +491,40 @@ macro_rules! acquire_future {
         /// cancel is recorded in the lock's wait statistics. Dropping it
         /// after it resolved is just dropping the guard.
         #[must_use = "futures do nothing unless polled"]
-        pub struct $name<'a, L: $trait_> {
+        pub struct $name<'a, L: TwoPhaseRwRangeLock> {
             lock: &'a L,
             /// `None` once resolved (the pending token was consumed).
-            pending: Option<L::$pending>,
+            pending: Option<Pending>,
             /// Waker slot id on the lock's wait queue.
             slot: u64,
             /// The parking-table key the waker is currently filed under
             /// (`KEY_ANY` until a poll names a blocking conflict). Tracked
             /// so slot migration and drop deregister the right shard.
             key: u64,
+            /// Whether a waker registration was ever attempted. Until then
+            /// there is nothing to deregister, and an acquisition granted on
+            /// its first poll must not take the queue's waker mutex just to
+            /// remove a slot it never filed.
+            registered: bool,
         }
 
-        impl<'a, L: $trait_> $name<'a, L> {
+        impl<'a, L: TwoPhaseRwRangeLock> $name<'a, L> {
             pub(crate) fn new(lock: &'a L, range: Range) -> Self {
                 $name {
                     lock,
                     pending: Some(lock.$enqueue(range)),
                     slot: lock.wait_queue().alloc_waker_slot(),
                     key: KEY_ANY,
+                    registered: false,
                 }
             }
         }
 
-        impl<'a, L: $trait_> Future for $name<'a, L> {
+        impl<'a, L: TwoPhaseRwRangeLock> Future for $name<'a, L> {
             type Output = L::$guard<'a>;
 
             fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-                // All fields are `Unpin` (`Pending: Unpin` per the trait).
+                // All fields are `Unpin`.
                 let this = self.get_mut();
                 let queue = this.lock.wait_queue();
                 let mut pending = this
@@ -581,17 +536,22 @@ macro_rules! acquire_future {
                     // lost-wakeup argument in `rl_sync::wait`.
                     let gen = queue.generation();
                     if let Some(guard) = this.lock.$poll(&mut pending) {
-                        queue.deregister_waker_keyed(this.key, this.slot);
+                        if this.registered {
+                            queue.deregister_waker_keyed(this.key, this.slot);
+                        }
                         return Poll::Ready(guard);
                     }
                     // Waker-slot migration: the poll may have named a
                     // different blocking conflict than the one the waker is
                     // filed under, so re-home the slot before registering.
-                    let key = this.lock.$wait_key(&pending);
+                    let key = pending.wait_key();
                     if key != this.key {
-                        queue.deregister_waker_keyed(this.key, this.slot);
+                        if this.registered {
+                            queue.deregister_waker_keyed(this.key, this.slot);
+                        }
                         this.key = key;
                     }
+                    this.registered = true;
                     if queue.register_waker_keyed(key, this.slot, gen, cx.waker()) {
                         this.pending = Some(pending);
                         return Poll::Pending;
@@ -603,18 +563,20 @@ macro_rules! acquire_future {
             }
         }
 
-        impl<L: $trait_> Drop for $name<'_, L> {
+        impl<L: TwoPhaseRwRangeLock> Drop for $name<'_, L> {
             fn drop(&mut self) {
                 if let Some(mut pending) = self.pending.take() {
                     let queue = self.lock.wait_queue();
-                    queue.deregister_waker_keyed(self.key, self.slot);
-                    self.lock.$cancel(&mut pending);
+                    if self.registered {
+                        queue.deregister_waker_keyed(self.key, self.slot);
+                    }
+                    self.lock.cancel(&mut pending);
                     queue.record_cancel();
                 }
             }
         }
 
-        impl<L: $trait_> std::fmt::Debug for $name<'_, L> {
+        impl<L: TwoPhaseRwRangeLock> std::fmt::Debug for $name<'_, L> {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
                 f.debug_struct(stringify!($name))
                     .field("resolved", &self.pending.is_none())
@@ -625,179 +587,22 @@ macro_rules! acquire_future {
 }
 
 acquire_future!(
-    /// Future returned by [`AsyncRangeLock::acquire_async`]: an exclusive
+    /// Future returned by [`TwoPhaseRwRangeLock::read_async`]: a shared
     /// range acquisition in flight.
-    AcquireFuture,
-    TwoPhaseRangeLock,
-    Pending,
-    Guard,
-    enqueue_acquire,
-    poll_acquire,
-    cancel_acquire,
-    pending_wait_key
-);
-
-acquire_future!(
-    /// Future returned by [`AsyncRwRangeLock::read_async`]: a shared range
-    /// acquisition in flight.
     ReadFuture,
-    TwoPhaseRwRangeLock,
-    PendingRead,
     ReadGuard,
     enqueue_read,
-    poll_read,
-    cancel_read,
-    pending_read_wait_key
+    poll_read
 );
 
 acquire_future!(
-    /// Future returned by [`AsyncRwRangeLock::write_async`]: an exclusive
+    /// Future returned by [`TwoPhaseRwRangeLock::write_async`]: an exclusive
     /// range acquisition in flight.
     WriteFuture,
-    TwoPhaseRwRangeLock,
-    PendingWrite,
     WriteGuard,
     enqueue_write,
-    poll_write,
-    cancel_write,
-    pending_write_wait_key
+    poll_write
 );
-
-/// The in-flight item of an [`AcquireManyFuture`]: one of the two
-/// single-item futures, which already carry the full cancellation-safety
-/// protocol (drop = cancel + deregister + record).
-enum Inflight<'a, L: TwoPhaseRwRangeLock> {
-    /// A shared item in flight.
-    Read(ReadFuture<'a, L>),
-    /// An exclusive item in flight.
-    Write(WriteFuture<'a, L>),
-}
-
-/// Future returned by [`TwoPhaseRwRangeLock::acquire_many_async`]: a batched
-/// acquisition in flight.
-///
-/// Items are driven strictly one at a time in ascending address order; the
-/// future resolves to the guards in **input** order. **Cancellation
-/// safety:** dropping the future mid-batch drops the in-flight single-item
-/// future (which cancels its pending acquisition and records the cancel) and
-/// every guard already acquired (releasing those ranges) — the lock is left
-/// as if the batch had never been asked for.
-#[must_use = "futures do nothing unless polled"]
-pub struct AcquireManyFuture<'a, L: TwoPhaseRwRangeLock> {
-    lock: &'a L,
-    /// Items not yet started, in ascending address order, reversed so
-    /// `pop()` yields them ascending. Each entry is
-    /// `(input index, range, mode)`.
-    remaining: Vec<(usize, Range, BatchMode)>,
-    /// The single item currently being driven, with its input index.
-    inflight: Option<(usize, Inflight<'a, L>)>,
-    /// Guards already acquired, keyed by input index.
-    acquired: Vec<(usize, RwBatchGuard<'a, L>)>,
-}
-
-impl<'a, L: TwoPhaseRwRangeLock> AcquireManyFuture<'a, L> {
-    fn new(lock: &'a L, items: &[(Range, BatchMode)]) -> Self {
-        let ranges: Vec<Range> = items.iter().map(|(r, _)| *r).collect();
-        let mut remaining: Vec<(usize, Range, BatchMode)> = batch_order(&ranges)
-            .into_iter()
-            .map(|i| (i, items[i].0, items[i].1))
-            .collect();
-        remaining.reverse();
-        AcquireManyFuture {
-            lock,
-            remaining,
-            inflight: None,
-            acquired: Vec::with_capacity(items.len()),
-        }
-    }
-}
-
-// The future holds no self-references: the single-item futures are `Unpin`
-// (all their fields are) and the stored guards are plain values that are
-// only ever moved, never pointed into. Asserting `Unpin` lets callers drive
-// it with `Pin::new` like the single-item futures.
-impl<L: TwoPhaseRwRangeLock> Unpin for AcquireManyFuture<'_, L> {}
-
-impl<'a, L: TwoPhaseRwRangeLock> Future for AcquireManyFuture<'a, L> {
-    type Output = Vec<RwBatchGuard<'a, L>>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        loop {
-            if let Some((idx, inflight)) = this.inflight.as_mut() {
-                let guard = match inflight {
-                    Inflight::Read(fut) => match Pin::new(fut).poll(cx) {
-                        Poll::Ready(guard) => RwBatchGuard::Read(guard),
-                        Poll::Pending => return Poll::Pending,
-                    },
-                    Inflight::Write(fut) => match Pin::new(fut).poll(cx) {
-                        Poll::Ready(guard) => RwBatchGuard::Write(guard),
-                        Poll::Pending => return Poll::Pending,
-                    },
-                };
-                this.acquired.push((*idx, guard));
-                this.inflight = None;
-            }
-            match this.remaining.pop() {
-                Some((idx, range, mode)) => {
-                    let fut = match mode {
-                        BatchMode::Read => Inflight::Read(ReadFuture::new(this.lock, range)),
-                        BatchMode::Write => Inflight::Write(WriteFuture::new(this.lock, range)),
-                    };
-                    this.inflight = Some((idx, fut));
-                }
-                None => {
-                    let mut acquired = std::mem::take(&mut this.acquired);
-                    acquired.sort_by_key(|(i, _)| *i);
-                    return Poll::Ready(acquired.into_iter().map(|(_, g)| g).collect());
-                }
-            }
-        }
-    }
-}
-
-impl<L: TwoPhaseRwRangeLock> std::fmt::Debug for AcquireManyFuture<'_, L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AcquireManyFuture")
-            .field("remaining", &self.remaining.len())
-            .field("acquired", &self.acquired.len())
-            .finish()
-    }
-}
-
-/// The async face of an exclusive range lock. Blanket-implemented for every
-/// [`TwoPhaseRangeLock`]; never implement it by hand.
-pub trait AsyncRangeLock: TwoPhaseRangeLock + Sized {
-    /// Acquires `range` asynchronously: the returned future suspends
-    /// (registering its task's waker) instead of blocking a thread, and
-    /// resolves to the same guard [`RangeLock::acquire`] returns. Dropping
-    /// the future cancels the acquisition cleanly.
-    fn acquire_async(&self, range: Range) -> AcquireFuture<'_, Self> {
-        AcquireFuture::new(self, range)
-    }
-}
-
-impl<L: TwoPhaseRangeLock> AsyncRangeLock for L {}
-
-/// The async face of a reader-writer range lock. Blanket-implemented for
-/// every [`TwoPhaseRwRangeLock`]; never implement it by hand.
-pub trait AsyncRwRangeLock: TwoPhaseRwRangeLock + Sized {
-    /// Acquires `range` in shared mode asynchronously; see
-    /// [`AsyncRangeLock::acquire_async`] for the waiting and cancellation
-    /// semantics.
-    fn read_async(&self, range: Range) -> ReadFuture<'_, Self> {
-        ReadFuture::new(self, range)
-    }
-
-    /// Acquires `range` in exclusive mode asynchronously; see
-    /// [`AsyncRangeLock::acquire_async`] for the waiting and cancellation
-    /// semantics.
-    fn write_async(&self, range: Range) -> WriteFuture<'_, Self> {
-        WriteFuture::new(self, range)
-    }
-}
-
-impl<L: TwoPhaseRwRangeLock> AsyncRwRangeLock for L {}
 
 #[cfg(test)]
 mod tests {
@@ -834,7 +639,7 @@ mod tests {
     fn uncontended_future_resolves_on_first_poll() {
         let lock = ListRangeLock::new();
         let (_, waker) = counting_waker();
-        let mut fut = lock.acquire_async(Range::new(0, 10));
+        let mut fut = lock.write_async(Range::new(0, 10));
         let guard = match poll_once(&mut fut, &waker) {
             Poll::Ready(g) => g,
             Poll::Pending => panic!("uncontended acquisition must resolve immediately"),
@@ -850,7 +655,7 @@ mod tests {
         let lock = ListRangeLock::new();
         let held = lock.acquire(Range::new(0, 100));
         let (count, waker) = counting_waker();
-        let mut fut = lock.acquire_async(Range::new(50, 150));
+        let mut fut = lock.write_async(Range::new(50, 150));
         assert!(poll_once(&mut fut, &waker).is_pending());
         assert_eq!(count.0.load(Ordering::SeqCst), 0);
         drop(held); // the release hook must deliver the wake
@@ -921,11 +726,14 @@ mod tests {
         drop(guards);
         assert!(lock.is_quiescent());
 
-        // Exclusive-trait flavour.
+        // The exclusive lock rides the same provided method.
         let ex = ListRangeLock::new();
-        let guards = ex.acquire_many(&[Range::new(50, 60), Range::new(0, 10)]);
-        assert_eq!(guards[0].range(), Range::new(50, 60));
-        assert_eq!(guards[1].range(), Range::new(0, 10));
+        let guards = ex.acquire_many(&[
+            (Range::new(50, 60), BatchMode::Write),
+            (Range::new(0, 10), BatchMode::Read),
+        ]);
+        assert!(!guards[0].is_read());
+        assert_eq!(ex.held_ranges(), 2);
         drop(guards);
         assert!(ex.is_quiescent());
     }
@@ -950,16 +758,16 @@ mod tests {
         assert!(lock.try_acquire_many(&items).is_some());
         assert!(lock.is_quiescent());
 
-        // Exclusive-trait flavour, same protocol.
+        // The exclusive lock, same protocol: even "read" items conflict.
         let ex = ListRangeLock::new();
         let held = ex.acquire(Range::new(25, 75));
-        assert!(ex
-            .try_acquire_many(&[Range::new(0, 30), Range::new(100, 130)])
-            .is_none());
+        let items = [
+            (Range::new(0, 30), BatchMode::Read),
+            (Range::new(100, 130), BatchMode::Write),
+        ];
+        assert!(ex.try_acquire_many(&items).is_none());
         drop(held);
-        assert!(ex
-            .try_acquire_many(&[Range::new(0, 30), Range::new(100, 130)])
-            .is_some());
+        assert!(ex.try_acquire_many(&items).is_some());
         assert!(ex.is_quiescent());
     }
 
@@ -984,7 +792,7 @@ mod tests {
             (Range::new(100, 200), BatchMode::Write),
             (Range::new(0, 100), BatchMode::Read),
         ];
-        let mut fut = lock.acquire_many_async(&items);
+        let mut fut = Box::pin(lock.acquire_many_async(&items));
         let guards = match poll_once(&mut fut, &waker) {
             Poll::Ready(g) => g,
             Poll::Pending => panic!("uncontended batch must resolve immediately"),
@@ -997,7 +805,7 @@ mod tests {
         // Contended on the *second* (ascending) item: the batch suspends
         // with the first item held, then rolls everything back on drop.
         let held = lock.write(Range::new(150, 250));
-        let mut fut = lock.acquire_many_async(&items);
+        let mut fut = Box::pin(lock.acquire_many_async(&items));
         assert!(poll_once(&mut fut, &waker).is_pending());
         assert_eq!(lock.held_ranges(), 2); // conflict + first batch item
         drop(fut); // cancels the in-flight item, releases the acquired one
@@ -1007,7 +815,7 @@ mod tests {
 
         // Contention release resumes the batch.
         let held = lock.write(Range::new(150, 250));
-        let mut fut = lock.acquire_many_async(&items);
+        let mut fut = Box::pin(lock.acquire_many_async(&items));
         assert!(poll_once(&mut fut, &waker).is_pending());
         drop(held);
         match poll_once(&mut fut, &waker) {
@@ -1015,7 +823,6 @@ mod tests {
             Poll::Pending => panic!("released: the batch must resolve"),
         }
         assert!(lock.is_quiescent());
-        assert!(format!("{:?}", lock.acquire_many_async(&[])).contains("AcquireManyFuture"));
     }
 
     #[test]
@@ -1043,20 +850,16 @@ mod tests {
             range,
             Range::new(25, 75),
         );
-        // The exclusive lock through the adapter (and the exclusive trait).
+        // The exclusive lock, through the trait and its inherent spelling.
+        run(&ListRangeLock::new(), range, Range::new(25, 75));
         let ex = ListRangeLock::new();
         let held = ex.acquire(Range::new(0, 50));
-        assert!(TwoPhaseRangeLock::acquire_timeout(
-            &ex,
-            Range::new(25, 75),
-            Duration::from_millis(10)
-        )
-        .is_none());
+        assert!(ex
+            .acquire_timeout(Range::new(25, 75), Duration::from_millis(10))
+            .is_none());
         drop(held);
         assert!(ex
             .acquire_timeout(Range::new(25, 75), Duration::from_millis(100))
             .is_some());
-        let adapted = crate::ExclusiveAsRw::new(ListRangeLock::new());
-        run(&adapted, range, Range::new(25, 75));
     }
 }

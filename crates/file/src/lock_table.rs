@@ -55,7 +55,7 @@
 //!   re-lock (`lock`) keeps every exclusive tile that lies entirely inside
 //!   the re-locked span *held*, flipping it in place through
 //!   [`RwRangeLock::downgrade`] when the underlying lock supports it (the
-//!   list lock does; so do the `ExclusiveAsRw`-adapted locks, trivially).
+//!   list locks do — `list-ex` trivially; so does `lustre-ex`).
 //!   Those bytes stay continuously protected: no other writer can slip in,
 //!   exactly as in the kernel. Locks without downgrade support (e.g.
 //!   `kernel-rw`) fall back to the release-and-re-acquire path with its
@@ -88,7 +88,7 @@
 //!   cycle that a lucky scheduling would have dissolved. The gap and
 //!   rollback acquisitions that restore coverage an owner already held are
 //!   *not* checked — they re-take spans the owner released moments earlier.
-//!   Over an `ExclusiveAsRw`-adapted lock, overlapping *shared* records
+//!   Over an exclusive-only lock (`list-ex`, `lustre-ex`), overlapping *shared* records
 //!   conflict too ([`RwRangeLock::readers_share`] is `false`), and the edge
 //!   derivation accounts for it — a reader parked behind a reader is a real
 //!   wait there and can complete a real cycle.
@@ -130,7 +130,7 @@ use std::sync::{Arc, Mutex};
 use std::task::Poll;
 use std::time::{Duration, Instant};
 
-use range_lock::{AsyncRwRangeLock, Range, RwRangeLock, TwoPhaseRwRangeLock, WaitGraph};
+use range_lock::{Range, RwRangeLock, TwoPhaseRwRangeLock, WaitGraph};
 
 /// How long a blocked synchronous acquisition waits before re-deriving its
 /// waits-for edges. Bounds the detection latency of a cycle whose closing
@@ -739,7 +739,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         let lock = self.lock_ref();
         let mut edges = WaitEdges::new(&self.waits, owner_id);
         macro_rules! checked {
-            ($enqueue:ident, $poll:ident, $cancel:ident, $variant:ident, $Guard:ident) => {{
+            ($enqueue:ident, $poll:ident, $variant:ident, $Guard:ident) => {{
                 let mut pending = lock.$enqueue(range);
                 loop {
                     if let Some(g) = lock.$poll(&mut pending) {
@@ -753,7 +753,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                     }
                     let holders = self.conflicting_owner_ids(owner_id, range, mode);
                     if let Err(cycle) = edges.register(&holders) {
-                        lock.$cancel(&mut pending);
+                        lock.cancel(&mut pending);
                         let queue = lock.wait_queue();
                         queue.record_cancel();
                         queue.record_deadlock();
@@ -772,9 +772,9 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
             }};
         }
         match mode {
-            LockMode::Shared => checked!(enqueue_read, poll_read, cancel_read, Read, ReadGuard),
+            LockMode::Shared => checked!(enqueue_read, poll_read, Read, ReadGuard),
             LockMode::Exclusive => {
-                checked!(enqueue_write, poll_write, cancel_write, Write, WriteGuard)
+                checked!(enqueue_write, poll_write, Write, WriteGuard)
             }
         }
     }
@@ -2081,7 +2081,7 @@ mod tests {
         let t = Arc::new(LockTable::new(
             registry::by_name("list-rw")
                 .expect("paper variant")
-                .build_twophase_default(),
+                .build(rl_sync::WaitPolicyKind::SpinThenYield, &Default::default()),
         ));
         let mut a = t.owner("a");
         a.lock(Range::new(0, 100), LockMode::Exclusive).unwrap();

@@ -27,9 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
-use range_lock::{
-    DynPending, DynRangeGuard, DynTwoPhaseRwRangeLock, Range, RwRangeLock, TwoPhaseRwRangeLock,
-};
+use range_lock::DynRwRangeLock;
 use rl_baselines::registry::{self, RegistryConfig, VariantSpec};
 use rl_exec::{Spawner, TaskPool};
 use rl_file::{FileStore, LockTable, RangeFile};
@@ -42,109 +40,25 @@ use crate::transport::{Conn, FrameQueue};
 
 /// The registry-built lock every table and file in one server uses.
 ///
-/// A thin newtype over the boxed dyn two-phase lock rather than a type
-/// alias: session futures are spawned as `'static` tasks, and rustc's
-/// auto-trait checking over-generalizes the lifetime of a bare
-/// `Box<dyn Trait>` inside such a future ("implementation is not general
-/// enough"). Wrapping it in a nominal type keeps the trait obligations
-/// lifetime-free.
-pub struct DynLock(Box<dyn DynTwoPhaseRwRangeLock>);
+/// A newtype over the boxed dyn lock rather than a type alias: session
+/// futures are spawned as `'static` tasks, and rustc's auto-trait checking
+/// over-generalizes the lifetime of a bare `Box<dyn Trait>` inside such a
+/// future ("implementation is not general enough"). A nominal type keeps the
+/// trait obligations lifetime-free, and derefs to the dyn lock, which is all
+/// `range_lock` asks of a pointer to make it a static-trait lock again.
+pub struct DynLock(Box<dyn DynRwRangeLock>);
 
-impl RwRangeLock for DynLock {
-    type ReadGuard<'a> = DynRangeGuard<'a>;
-    type WriteGuard<'a> = DynRangeGuard<'a>;
+impl std::ops::Deref for DynLock {
+    type Target = dyn DynRwRangeLock;
 
-    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
-        self.0.read(range)
-    }
-
-    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
-        self.0.write(range)
-    }
-
-    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
-        self.0.try_read(range)
-    }
-
-    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
-        self.0.try_write(range)
-    }
-
-    fn downgrade<'a>(
-        &'a self,
-        guard: Self::WriteGuard<'a>,
-    ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
-        self.0.downgrade(guard)
-    }
-
-    fn readers_share(&self) -> bool {
-        self.0.readers_share()
-    }
-
-    fn name(&self) -> &'static str {
-        RwRangeLock::name(&self.0)
-    }
-}
-
-impl TwoPhaseRwRangeLock for DynLock {
-    type PendingRead = DynPending;
-    type PendingWrite = DynPending;
-
-    fn enqueue_read(&self, range: Range) -> Self::PendingRead {
-        self.0.enqueue_read(range)
-    }
-
-    fn poll_read<'a>(&'a self, pending: &mut Self::PendingRead) -> Option<Self::ReadGuard<'a>> {
-        self.0.poll_read(pending)
-    }
-
-    fn cancel_read(&self, pending: &mut Self::PendingRead) {
-        self.0.cancel_read(pending);
-    }
-
-    fn enqueue_write(&self, range: Range) -> Self::PendingWrite {
-        self.0.enqueue_write(range)
-    }
-
-    fn poll_write<'a>(&'a self, pending: &mut Self::PendingWrite) -> Option<Self::WriteGuard<'a>> {
-        self.0.poll_write(pending)
-    }
-
-    fn cancel_write(&self, pending: &mut Self::PendingWrite) {
-        self.0.cancel_write(pending);
-    }
-
-    fn wait_queue(&self) -> &rl_sync::wait::WaitQueue {
-        self.0.wait_queue()
-    }
-
-    fn wait_deadline(&self, cond: &mut dyn FnMut() -> bool, deadline: std::time::Instant) -> bool {
-        self.0.wait_deadline(cond, deadline)
-    }
-
-    fn pending_read_wait_key(&self, pending: &Self::PendingRead) -> u64 {
-        self.0.pending_read_wait_key(pending)
-    }
-
-    fn pending_write_wait_key(&self, pending: &Self::PendingWrite) -> u64 {
-        self.0.pending_write_wait_key(pending)
-    }
-
-    fn wait_deadline_keyed(
-        &self,
-        key: u64,
-        cond: &mut dyn FnMut() -> bool,
-        deadline: std::time::Instant,
-    ) -> bool {
-        self.0.wait_deadline_keyed(key, cond, deadline)
+    fn deref(&self) -> &Self::Target {
+        &*self.0
     }
 }
 
 impl std::fmt::Debug for DynLock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("DynLock")
-            .field(&RwRangeLock::name(&self.0))
-            .finish()
+        f.debug_tuple("DynLock").field(&self.dyn_name()).finish()
     }
 }
 
@@ -156,7 +70,7 @@ pub struct ServerConfig {
     /// Wait policy for the locks (async sessions suspend on wakers either
     /// way; the policy governs the underlying queues and any sync waiters).
     pub wait: WaitPolicyKind,
-    /// Geometry for the segment variant (span/segments/adaptive).
+    /// Geometry for the segment variant (span/segments).
     pub registry: RegistryConfig,
     /// Worker threads in the session pool.
     pub workers: usize,
@@ -218,7 +132,7 @@ impl ServerState {
             return Arc::clone(table);
         }
         let table = Arc::new(LockTable::new(DynLock(
-            self.spec.build_twophase(self.wait, &self.registry),
+            self.spec.build(self.wait, &self.registry),
         )));
         tables.insert(path.to_string(), Arc::clone(&table));
         table
@@ -253,9 +167,7 @@ impl Server {
             wait,
             registry: reg,
             tables: Mutex::new(HashMap::new()),
-            store: FileStore::new(move || {
-                RangeFile::new(DynLock(spec.build_twophase(wait, &store_reg)))
-            }),
+            store: FileStore::new(move || RangeFile::new(DynLock(spec.build(wait, &store_reg)))),
             max_file_size: config.max_file_size,
             stats: Arc::new(ServerStats::new()),
             inboxes: Mutex::new(Vec::new()),

@@ -16,8 +16,8 @@
 //! type so both variants measure the same traversal work.
 //!
 //! The lock type is generic over [`RwRangeLock`], so any of the five
-//! registry variants (under any wait policy) can back the list: exclusive
-//! locks come wrapped in [`range_lock::ExclusiveAsRw`], and
+//! registry variants (under any wait policy) can back the list — the
+//! exclusive locks implement the trait with both modes exclusive — and
 //! [`DynRangeSkipList::from_registry`] builds a dynamically dispatched list
 //! straight from a `rl_baselines::registry` variant name. Updates always
 //! take *write* acquisitions — the skip list never reads under the lock
@@ -327,7 +327,7 @@ impl<L: RwRangeLock> Drop for RangeSkipList<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use range_lock::{ExclusiveAsRw, ListRangeLock};
+    use range_lock::ListRangeLock;
     use rl_baselines::TreeRangeLock;
     use std::collections::BTreeSet;
     use std::sync::Arc;
@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn sequential_semantics_with_tree_lock() {
-        let set = RangeSkipList::with_lock(ExclusiveAsRw::new(TreeRangeLock::new()));
+        let set = RangeSkipList::with_lock(TreeRangeLock::new());
         assert!(set.insert(3));
         assert!(set.insert(1));
         assert!(set.insert(2));
@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn exclusive_adapter_preserves_lock_name() {
-        let set = RangeSkipList::with_lock(ExclusiveAsRw::new(ListRangeLock::new()));
+        let set = RangeSkipList::with_lock(ListRangeLock::new());
         assert!(set.insert(1));
         assert_eq!(set.lock_name(), "list-ex");
     }
@@ -462,9 +462,7 @@ mod tests {
     fn concurrent_workload_with_tree_lock_backend() {
         const THREADS: usize = 4;
         const OPS: usize = 1_000;
-        let set = Arc::new(RangeSkipList::with_lock(ExclusiveAsRw::new(
-            TreeRangeLock::new(),
-        )));
+        let set = Arc::new(RangeSkipList::with_lock(TreeRangeLock::new()));
         let mut handles = Vec::new();
         for t in 0..THREADS {
             let set = Arc::clone(&set);

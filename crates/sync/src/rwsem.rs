@@ -182,10 +182,12 @@ impl<P: WaitPolicy> RwSemaphore<P> {
         self.state.load(Ordering::Relaxed).max(0) as u64
     }
 
-    /// Number of times waiters parked on this semaphore (non-zero only under
-    /// the `Block` policy).
-    pub fn parks(&self) -> u64 {
-        self.queue.parks()
+    /// The queue this semaphore's waiters wait on. Every release that can
+    /// admit a waiter wakes it — the last read release and every write
+    /// release, both reaching the unkeyed population — so a lock built on
+    /// the semaphore can suspend barging `try_`-based pollers here.
+    pub fn wait_queue(&self) -> &WaitQueue {
+        &self.queue
     }
 
     #[inline]
@@ -463,12 +465,12 @@ mod tests {
                 let _w = sem.write();
             })
         };
-        while sem.parks() == 0 {
+        while sem.wait_queue().parks() == 0 {
             std::thread::yield_now();
         }
         drop(r);
         writer.join().unwrap();
-        assert!(sem.parks() >= 1);
+        assert!(sem.wait_queue().parks() >= 1);
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl WaitStats {
         self.waker_registrations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one abandoned two-phase acquisition: an `AcquireFuture`
+    /// Records one abandoned two-phase acquisition: an acquisition future
     /// dropped before readiness, or a timed acquisition that expired.
     #[inline]
     pub fn record_cancel(&self) {

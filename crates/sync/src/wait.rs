@@ -53,7 +53,7 @@
 //!
 //! Since the async range-lock API, a waiter slot holds either a **thread**
 //! (parked under [`Block`]) or a [`core::task::Waker`] (registered by an
-//! `AcquireFuture` poll, under *any* policy — an async waiter never spins
+//! acquisition-future poll, under *any* policy — an async waiter never spins
 //! regardless of how the lock's sync waiters wait). Keyed waker
 //! registrations ([`WaitQueue::register_waker_keyed`]) live in the same
 //! keyed slots as thread parkers, so one conflict's release wakes its sync
@@ -391,7 +391,7 @@ impl WaitQueue {
     }
 
     /// Records one abandoned two-phase acquisition (a dropped
-    /// `AcquireFuture` or an expired timeout).
+    /// acquisition future or an expired timeout).
     pub fn record_cancel(&self) {
         self.cancels.fetch_add(1, Ordering::Relaxed);
         if let Some(stats) = &self.stats {

@@ -365,7 +365,6 @@ impl Mm {
         RegistryConfig {
             span: MemorySpace::DEFAULT_MMAP_BASE + (1 << 40),
             segments: 1 << 4,
-            adaptive_segments: false,
         }
     }
 

@@ -1,12 +1,13 @@
 //! Cancellation-safety and exclusion suite for the async range-lock API.
 //!
 //! The dangerous part of a cancellable acquisition protocol is the cancel:
-//! a dropped `AcquireFuture` must unlink whatever it had already published,
+//! a dropped acquisition future must unlink whatever it had already published,
 //! wake the waiters behind it, and leave *nothing* — no node, no tree
 //! entry, no segment hold, no waker registration — or later acquisitions
 //! wedge forever. These tests storm exactly that path for all five registry
-//! variants, through both the generic (`AsyncRwRangeLock`) and the
-//! dynamic (`DynAsyncRwRangeLock`) APIs, and verify the absence of residue
+//! variants and the `stock` semaphore, through statically typed locks and
+//! registry-built boxed ones alike (one generic future type serves both),
+//! and verify the absence of residue
 //! two ways: the wait-stats counters (waker registrations and cancels must
 //! both be non-zero — the async path must not read zero like the pre-fix
 //! counters would) and a follow-up *full-range* exclusive acquisition,
@@ -19,7 +20,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 
 use range_locks_repro::range_lock::{
-    AsyncRangeLock, AsyncRwRangeLock, ListRangeLock, Range, RwListRangeLock,
+    DynRwRangeLock, ListRangeLock, Range, RwListRangeLock, TwoPhaseRwRangeLock,
 };
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_exec::{block_on, TaskPool};
@@ -30,7 +31,6 @@ use range_locks_repro::rl_sync::wait::WaitPolicyKind;
 const CONFIG: RegistryConfig = RegistryConfig {
     span: 256,
     segments: 32,
-    adaptive_segments: false,
 };
 
 struct CountingWaker(AtomicU64);
@@ -50,6 +50,28 @@ fn poll_once<F: Future + Unpin>(fut: &mut F, waker: &Waker) -> Poll<F::Output> {
     Pin::new(fut).poll(&mut cx)
 }
 
+/// Polls `fut` into the suspended state (twice, so the waker re-registers)
+/// and abandons it mid-wait; a future that resolves just drops its guard.
+/// Returns whether it suspended.
+fn poll_then_cancel<F: Future + Unpin>(mut fut: F, waker: &Waker) -> bool {
+    if poll_once(&mut fut, waker).is_ready() {
+        return false;
+    }
+    let _ = poll_once(&mut fut, waker);
+    true
+}
+
+/// Every registry variant plus the `stock` whole-space semaphore, which
+/// carries the same two-phase tier and must survive the same storms.
+fn all_locks(wait: WaitPolicyKind) -> Vec<(&'static str, Box<dyn DynRwRangeLock>)> {
+    let mut locks: Vec<_> = registry::all()
+        .iter()
+        .map(|spec| (spec.name, spec.build(wait, &CONFIG)))
+        .collect();
+    locks.push(("stock", registry::build_stock(wait, None)));
+    locks
+}
+
 /// Tiny deterministic rng (xorshift), one per thread.
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -65,10 +87,13 @@ fn cancellation_storm_all_variants_dyn() {
     // One holder thread churns a center range through the *sync* face of
     // the lock while canceller threads create conflicting write futures,
     // poll them into the suspended state, and drop them mid-wait.
-    for spec in registry::all() {
-        for wait in [WaitPolicyKind::SpinThenYield, WaitPolicyKind::Block] {
-            let lock = spec.build_async(wait, &CONFIG);
+    for wait in [WaitPolicyKind::SpinThenYield, WaitPolicyKind::Block] {
+        for (name, lock) in all_locks(wait) {
             let stop = AtomicBool::new(false);
+            // Set by the holder's first acquisition: the cancellers' 1 200
+            // bounded polls can otherwise finish before the holder thread is
+            // first scheduled, and the storm would storm nothing.
+            let holding = AtomicBool::new(false);
             std::thread::scope(|s| {
                 let holder = s.spawn(|| {
                     let mut held = 0u64;
@@ -77,6 +102,7 @@ fn cancellation_storm_all_variants_dyn() {
                         // pnova-rw conflicts are honest, not false sharing.
                         let g = lock.write_dyn(Range::new(96, 160));
                         held += 1;
+                        holding.store(true, Ordering::Release);
                         std::hint::black_box(&g);
                         drop(g);
                     }
@@ -84,29 +110,22 @@ fn cancellation_storm_all_variants_dyn() {
                 });
                 let mut cancellers = Vec::new();
                 for t in 0..3usize {
-                    let lock = &lock;
+                    let (lock, holding) = (&lock, &holding);
                     cancellers.push(s.spawn(move || {
+                        while !holding.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
                         let waker = counting_waker();
                         let mut rng = 0x9e3779b97f4a7c15u64.wrapping_add(t as u64);
                         let mut suspended = 0u64;
                         for i in 0..400u64 {
                             let start = 64 + (xorshift(&mut rng) % 16) * 8;
                             let range = Range::new(start, start + 64);
-                            let mut fut = if i % 3 == 0 {
-                                lock.read_async_dyn(range)
+                            suspended += u64::from(if i % 3 == 0 {
+                                poll_then_cancel(lock.read_async(range), &waker)
                             } else {
-                                lock.write_async_dyn(range)
-                            };
-                            match poll_once(&mut fut, &waker) {
-                                Poll::Ready(guard) => drop(guard),
-                                Poll::Pending => {
-                                    suspended += 1;
-                                    // Poll again (re-registers the waker),
-                                    // then abandon mid-wait.
-                                    let _ = poll_once(&mut fut, &waker);
-                                    drop(fut);
-                                }
-                            }
+                                poll_then_cancel(lock.write_async(range), &waker)
+                            });
                         }
                         suspended
                     }));
@@ -114,7 +133,7 @@ fn cancellation_storm_all_variants_dyn() {
                 let suspended: u64 = cancellers.into_iter().map(|c| c.join().unwrap()).sum();
                 stop.store(true, Ordering::Release);
                 let held = holder.join().unwrap();
-                assert!(held > 0, "{}: holder made no progress", spec.name);
+                assert!(held > 0, "{name}: holder made no progress");
                 // On a contended 1-core box some futures must have suspended;
                 // if none did the storm was vacuous (still correct, but note
                 // it via the follow-up check only).
@@ -124,13 +143,13 @@ fn cancellation_storm_all_variants_dyn() {
             // both faces of the lock.
             let g = lock
                 .try_write_dyn(Range::new(0, 256))
-                .unwrap_or_else(|| panic!("{}: cancelled futures left residue", spec.name));
+                .unwrap_or_else(|| panic!("{name}: cancelled futures left residue"));
             drop(g);
             let waker = counting_waker();
-            let mut fut = lock.write_async_dyn(Range::new(0, 256));
+            let mut fut = lock.write_async(Range::new(0, 256));
             match poll_once(&mut fut, &waker) {
                 Poll::Ready(g) => drop(g),
-                Poll::Pending => panic!("{}: async full-range acquire blocked", spec.name),
+                Poll::Pending => panic!("{name}: async full-range acquire blocked"),
             };
         }
     }
@@ -219,12 +238,12 @@ fn cancellation_storm_generic_api_counts_wakers_and_cancels() {
     );
     assert!(lock.is_quiescent());
 
-    // Same check for the exclusive lock through AsyncRangeLock.
+    // Same check for the exclusive lock.
     let ex_stats = Arc::new(WaitStats::new("async-storm-ex"));
     let ex = ListRangeLock::new().with_stats(Arc::clone(&ex_stats));
     let held = ex.acquire(Range::new(0, 100));
     let waker = counting_waker();
-    let mut fut = ex.acquire_async(Range::new(50, 150));
+    let mut fut = ex.write_async(Range::new(50, 150));
     assert!(poll_once(&mut fut, &waker).is_pending());
     drop(fut);
     drop(held);
@@ -241,7 +260,7 @@ fn async_exclusion_holds_on_a_task_pool() {
     // storms. (No awaits inside the critical section, so the counters
     // observe real exclusion windows.)
     for spec in registry::all() {
-        let lock: Arc<_> = Arc::new(spec.build_async(WaitPolicyKind::Block, &CONFIG));
+        let lock: Arc<_> = Arc::new(spec.build(WaitPolicyKind::Block, &CONFIG));
         let pool = TaskPool::new(2);
         let readers_inside = Arc::new(AtomicI64::new(0));
         let writer_inside = Arc::new(AtomicI64::new(0));
@@ -259,7 +278,7 @@ fn async_exclusion_holds_on_a_task_pool() {
                         let start = 64 + (xorshift(&mut rng) % 8) * 8;
                         let range = Range::new(start, start + 128);
                         if (t as u64 + i).is_multiple_of(3) {
-                            let g = lock.write_async_dyn(range).await;
+                            let g = lock.write_async(range).await;
                             writer_inside.fetch_add(1, Ordering::SeqCst);
                             if writer_inside.load(Ordering::SeqCst) != 1
                                 || readers_inside.load(Ordering::SeqCst) != 0
@@ -269,7 +288,7 @@ fn async_exclusion_holds_on_a_task_pool() {
                             writer_inside.fetch_sub(1, Ordering::SeqCst);
                             drop(g);
                         } else {
-                            let g = lock.read_async_dyn(range).await;
+                            let g = lock.read_async(range).await;
                             readers_inside.fetch_add(1, Ordering::SeqCst);
                             if writer_inside.load(Ordering::SeqCst) != 0 {
                                 violations.fetch_add(1, Ordering::SeqCst);

@@ -6,8 +6,8 @@
 //! write acquisition and re-read it before releasing; readers require a
 //! region to be uniformly one tag. Any exclusion violation by the lock under
 //! test — a torn write or a torn read — is therefore counted, and the test
-//! asserts the count is zero for all five variants (the exclusive locks run
-//! through the [`ExclusiveAsRw`] adapter). A second storm drives the
+//! asserts the count is zero for all five variants (the exclusive locks
+//! serialize their readers). A second storm drives the
 //! [`LockTable`] from many concurrently dropping owners. A negative control
 //! runs the stamped protocol over a lock that excludes nothing and requires
 //! the violations to be *reported* — the zero counts above mean something
@@ -17,9 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use range_locks_repro::range_lock::{
-    ExclusiveAsRw, ListRangeLock, Range, RwListRangeLock, RwRangeLock,
-};
+use range_locks_repro::range_lock::{ListRangeLock, Range, RwListRangeLock, RwRangeLock};
 use range_locks_repro::rl_baselines::{RwTreeRangeLock, SegmentRangeLock, TreeRangeLock};
 use range_locks_repro::rl_file::{FileStore, LockMode, LockTable, RangeFile};
 
@@ -104,12 +102,12 @@ fn no_torn_io_under_pnova_rw() {
 
 #[test]
 fn no_torn_io_under_list_ex() {
-    assert_eq!(storm(ExclusiveAsRw::new(ListRangeLock::new())), 0);
+    assert_eq!(storm(ListRangeLock::new()), 0);
 }
 
 #[test]
 fn no_torn_io_under_lustre_ex() {
-    assert_eq!(storm(ExclusiveAsRw::new(TreeRangeLock::new())), 0);
+    assert_eq!(storm(TreeRangeLock::new()), 0);
 }
 
 /// A "range lock" that grants every request at once: the broken lock the

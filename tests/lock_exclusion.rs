@@ -1,22 +1,21 @@
 //! Cross-crate integration tests: every range-lock implementation in the
 //! workspace must provide the same exclusion guarantees, checked through the
-//! shared `RangeLock` / `RwRangeLock` traits — and, for the full variant
+//! shared `RwRangeLock` trait — and, for the full variant
 //! matrix, through the dynamic registry (`rl_baselines::registry`), so the
 //! object-safe `DynRwRangeLock` path is exercised by the same storms.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use range_locks_repro::range_lock::{
-    ListRangeLock, Range, RangeLock, RwListRangeLock, RwRangeLock,
-};
+use range_locks_repro::range_lock::{ListRangeLock, Range, RwListRangeLock, RwRangeLock};
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_baselines::TreeRangeLock;
 use range_locks_repro::rl_sync::wait::WaitPolicyKind;
 
-/// Hammers an exclusive lock with overlapping ranges from many threads and
-/// checks that two critical sections never overlap.
-fn check_exclusive<L: RangeLock + 'static>(lock: L) {
+/// Hammers a lock with overlapping *writer* ranges from many threads and
+/// checks that two critical sections never overlap (the exclusive locks are
+/// driven writer-only through the one trait family).
+fn check_exclusive<L: RwRangeLock + 'static>(lock: L) {
     const THREADS: usize = 6;
     const ITERS: usize = 400;
     let lock = Arc::new(lock);
@@ -30,7 +29,7 @@ fn check_exclusive<L: RangeLock + 'static>(lock: L) {
         handles.push(std::thread::spawn(move || {
             for i in 0..ITERS {
                 let start = ((t + i) % 7) as u64 * 10;
-                let guard = lock.acquire(Range::new(start, start + 80));
+                let guard = lock.write(Range::new(start, start + 80));
                 if inside.swap(true, Ordering::SeqCst) {
                     violations.fetch_add(1, Ordering::SeqCst);
                 }
@@ -47,7 +46,7 @@ fn check_exclusive<L: RangeLock + 'static>(lock: L) {
 }
 
 /// Hammers a reader-writer lock with overlapping ranges and checks the
-/// reader/writer exclusion matrix. (For exclusive locks adapted into the RW
+/// reader/writer exclusion matrix. (For the exclusive locks behind the same
 /// interface the checks still hold one-sidedly: their "readers" serialize.)
 fn check_rw<L: RwRangeLock + 'static>(label: &str, lock: L) {
     const THREADS: usize = 6;
@@ -117,7 +116,6 @@ fn every_registry_variant_provides_exclusion_under_every_wait_policy() {
     let config = RegistryConfig {
         span: 256,
         segments: 32,
-        adaptive_segments: false,
     };
     for spec in registry::all() {
         for wait in WaitPolicyKind::ALL {

@@ -15,9 +15,8 @@
 //!   once per release.
 //!
 //! Storms cover all five registry variants under all three wait policies,
-//! through both the sync face and the async face on a real [`TaskPool`],
-//! plus the adaptive-pnova configuration (keyed parking racing segment
-//! rebalances). Shard-collision exactness and async waker-slot migration
+//! through both the sync face and the async face on a real [`TaskPool`].
+//! Shard-collision exactness and async waker-slot migration
 //! get deterministic tests of their own.
 
 use std::future::Future;
@@ -27,7 +26,7 @@ use std::sync::{mpsc, Arc};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
-use range_locks_repro::range_lock::{AsyncRwRangeLock, Range, RwListRangeLock};
+use range_locks_repro::range_lock::{Range, RwListRangeLock, TwoPhaseRwRangeLock};
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_exec::TaskPool;
 use range_locks_repro::rl_sync::stats::WaitStats;
@@ -44,7 +43,6 @@ const ITERS: usize = 200;
 const CONFIG: RegistryConfig = RegistryConfig {
     span: 256,
     segments: 32,
-    adaptive_segments: false,
 };
 
 struct CountingWaker(AtomicU64);
@@ -114,22 +112,6 @@ fn keyed_storm_every_variant_every_policy_sync() {
 }
 
 #[test]
-fn keyed_storm_adaptive_pnova_rebalances_under_parking() {
-    // Adaptive segmentation only rebalances under `Block` (parks are the
-    // heat signal); the storm races keyed parks, keyed wakes, and table
-    // swaps. The other variants ignore the flag, so only pnova is stormed.
-    let config = RegistryConfig {
-        adaptive_segments: true,
-        ..CONFIG
-    };
-    let spec = registry::by_name("pnova-rw").expect("pnova-rw is registered");
-    storm_sync(
-        "pnova-rw/block/adaptive".to_string(),
-        spec.build(WaitPolicyKind::Block, &config),
-    );
-}
-
-#[test]
 fn keyed_storm_every_variant_every_policy_async_on_task_pool() {
     // The async face: waiters suspend with *keyed waker slots* instead of
     // parked threads, and wakes must reach them through the shard table or
@@ -137,7 +119,7 @@ fn keyed_storm_every_variant_every_policy_async_on_task_pool() {
     // genuine suspension even on a one-core box.
     for spec in registry::all() {
         for wait in WaitPolicyKind::ALL {
-            let lock: Arc<_> = Arc::new(spec.build_async(wait, &CONFIG));
+            let lock: Arc<_> = Arc::new(spec.build(wait, &CONFIG));
             run_bounded(format!("{}/{}/async", spec.name, wait.name()), move || {
                 let pool = TaskPool::new(2);
                 let handles: Vec<_> = (0..6usize)
@@ -148,9 +130,9 @@ fn keyed_storm_every_variant_every_policy_async_on_task_pool() {
                                 let start = ((t as u64 * 13 + i * 5) % 8) * 8;
                                 let range = Range::new(start, start + 80);
                                 if (t as u64 + i).is_multiple_of(3) {
-                                    drop(lock.write_async_dyn(range).await);
+                                    drop(lock.write_async(range).await);
                                 } else {
-                                    drop(lock.read_async_dyn(range).await);
+                                    drop(lock.read_async(range).await);
                                 }
                             }
                         })

@@ -59,7 +59,6 @@ fn server_for(variant: &'static registry::VariantSpec) -> Server {
         registry: registry::RegistryConfig {
             span: SLOTS * SLOT_BYTES,
             segments: SLOTS as usize,
-            adaptive_segments: false,
         },
         workers: 2,
         ..ServerConfig::default()

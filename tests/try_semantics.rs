@@ -84,7 +84,6 @@ fn every_registry_variant_honors_the_try_contract() {
     let config = RegistryConfig {
         span: 1 << 10,
         segments: 16,
-        adaptive_segments: false,
     };
     for spec in registry::all() {
         for wait in WaitPolicyKind::ALL {
@@ -127,7 +126,7 @@ fn single_threaded_try_outcomes_are_exact() {
     // The contract allows spurious failure only under concurrent
     // modification; single-threaded, `None` iff a conflicting range is held.
     for spec in registry::all() {
-        let lock = spec.build_default();
+        let lock = spec.build(WaitPolicyKind::SpinThenYield, &RegistryConfig::default());
         assert!(
             lock.try_write(Range::new(0, 64)).is_some(),
             "{}: uncontended try_write must succeed",
