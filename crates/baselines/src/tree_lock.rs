@@ -31,7 +31,7 @@ use std::time::Instant;
 use range_lock::{Range, RwRangeLock};
 use rl_sync::stats::{WaitKind, WaitStats};
 use rl_sync::wait::{SpinThenYield, WaitPolicy, WaitQueue};
-use rl_sync::SpinLock;
+use rl_sync::{SpinLock, KEY_ANY};
 
 use crate::range_tree::{Interval, RangeTree};
 
@@ -113,9 +113,8 @@ impl<P: WaitPolicy> TreeLockInner<P> {
         // key, so an unrelated release leaves it parked.
         if waiter.blocked.load(Ordering::Acquire) != 0 {
             let wait_key = Arc::as_ptr(&waiter) as u64;
-            P::wait_until_keyed(&self.queue, wait_key, || {
-                waiter.blocked.load(Ordering::Acquire) == 0
-            });
+            let unblocked = || waiter.blocked.load(Ordering::Acquire) == 0;
+            P::wait(&self.queue, wait_key, unblocked, None);
             if let Some(s) = &self.stats {
                 let kind = if reader {
                     WaitKind::Read
@@ -189,16 +188,17 @@ impl<P: WaitPolicy> TreeLockInner<P> {
             });
         }
         // Wake hook, outside the spin lock. A release that dropped waiters'
-        // block counts to zero wakes exactly those waiters' keys; every
-        // other release still nudges the unkeyed population — a two-phase
-        // poller is not in the tree's count bookkeeping, so *every* removal
-        // may be the one it was blocked on — without disturbing keyed
-        // parkers whose counts are still positive.
+        // block counts to zero wakes exactly those waiters' keys (and, like
+        // every wake, the any-key waiters); every other release still
+        // nudges the any-key population alone — a two-phase poller is not
+        // in the tree's count bookkeeping, so *every* removal may be the
+        // one it was blocked on — without disturbing keyed parkers whose
+        // counts are still positive.
         if unblocked.is_empty() {
-            self.queue.wake_unkeyed();
+            self.queue.wake_key(KEY_ANY);
         } else {
             for key in unblocked {
-                P::wake_key(&self.queue, key);
+                self.queue.wake_key(key);
             }
         }
     }

@@ -42,7 +42,7 @@
 //!                      all 5 lock variants
 //!   batch-quick        a bounded batch sweep for CI: every variant under
 //!                      both drivers, small thread counts, short cells
-//!   parkbench          keyed parking lot vs broadcast eventcount: targeted
+//!   parkbench          keyed wakes vs the broadcast on one parking table: targeted
 //!                      wakes/sec, spurious wakeups per release, wake-to-run
 //!                      p50/p99, plus a disjoint-pair Block-policy lock storm
 //!   parkbench-quick    the same legs with fewer waiters and rounds, for CI
@@ -1135,7 +1135,7 @@ fn run_batch_quick(opts: &Options) {
     run_batch_tables(opts, &[1, 2], 3, Duration::from_millis(50));
 }
 
-/// ParkBench: the keyed parking lot against the broadcast eventcount.
+/// ParkBench: keyed wakes against the broadcast on the one parking table.
 fn run_parkbench(opts: &Options, quick: bool) {
     for table in parkbench::tables(quick) {
         emit(&table, opts.json);

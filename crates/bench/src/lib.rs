@@ -21,7 +21,7 @@
 //!   lock table;
 //! * [`obsbench`] — overhead of the `rl-obs` observability layer on the
 //!   uncontended fast path (recorder absent / disabled / sampled / full);
-//! * [`parkbench`] — the keyed parking lot vs the broadcast eventcount:
+//! * [`parkbench`] — keyed wakes vs the broadcast on the one parking table:
 //!   spurious wakeups per release (O(parked waiters) vs ~0), wake-to-run
 //!   latency, and a disjoint-pair lock storm under the `Block` policy;
 //! * [`serverbench`] — the `rl-server` range-lock/file service under

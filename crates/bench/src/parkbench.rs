@@ -1,17 +1,19 @@
-//! ParkBench — quantifies the sharded, address-keyed parking lot against
-//! the broadcast eventcount it replaced.
+//! ParkBench — quantifies the sharded, address-keyed parking lot: what a
+//! per-conflict wake saves over a per-lock broadcast.
 //!
 //! Two experiment families:
 //!
 //! * **Targeted-wake storm** (queue level, deterministic): `W` waiter
 //!   threads park on one [`WaitQueue`], each under its own key; a releaser
 //!   wakes exactly one of them per round and waits for it to run before the
-//!   next round. The *eventcount* leg parks everyone unkeyed and wakes with
-//!   the broadcast, so every release herds all `W` waiters awake —
+//!   next round. The *broadcast* leg parks everyone under `KEY_ANY` and
+//!   wakes with [`WaitQueue::wake_all`] — what a lock that cannot name its
+//!   conflicts does — so every release herds all `W` waiters awake,
 //!   `W - 1` of them spuriously. The *keyed* leg parks under per-waiter
 //!   keys and wakes with [`WaitQueue::wake_key`], so a release costs O(1)
-//!   wakeups however many waiters are parked. The spurious-wakeups-per-
-//!   release column is the paper-facing number: O(parked waiters) vs ~0.
+//!   wakeups however many waiters are parked. Same table, same park loop:
+//!   the legs differ only in the keys. The spurious-wakeups-per-release
+//!   column is the paper-facing number: O(parked waiters) vs ~0.
 //!   Wake-to-run latency (stamped by the releaser, recorded by the woken
 //!   waiter into an [`rl_obs`] histogram) gives the p50/p99 columns.
 //!
@@ -30,28 +32,38 @@ use range_lock::{Range, RwListRangeLock};
 use rl_obs::LatencyHistogram;
 use rl_sync::stats::WaitStats;
 use rl_sync::wait::Block;
-use rl_sync::WaitQueue;
+use rl_sync::{WaitQueue, KEY_ANY};
 
 use crate::report::Table;
 
 /// The two parking disciplines the targeted-wake storm compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParkMode {
-    /// Unkeyed condvar parking; every wake is the broadcast herd.
-    Eventcount,
-    /// Sharded address-keyed parking; every wake targets one key.
+    /// Every waiter parks under `KEY_ANY`; every wake is the broadcast herd.
+    Broadcast,
+    /// Every waiter parks under its own key; every wake targets one key.
     Keyed,
 }
 
 impl ParkMode {
     /// Both disciplines, in column order.
-    pub const ALL: [ParkMode; 2] = [ParkMode::Eventcount, ParkMode::Keyed];
+    pub const ALL: [ParkMode; 2] = [ParkMode::Broadcast, ParkMode::Keyed];
 
     /// Column label.
     pub fn name(self) -> &'static str {
         match self {
-            ParkMode::Eventcount => "eventcount",
+            ParkMode::Broadcast => "broadcast",
             ParkMode::Keyed => "keyed",
+        }
+    }
+
+    /// The key waiter `i` parks under. The keyed leg's keys are distinct
+    /// and spread so neighbouring waiters land in different shards (and
+    /// some collide).
+    fn key(self, i: usize) -> u64 {
+        match self {
+            ParkMode::Broadcast => KEY_ANY,
+            ParkMode::Keyed => 0x40 + i as u64 * 7,
         }
     }
 }
@@ -128,12 +140,7 @@ pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchR
                 let mut last = 0u64;
                 loop {
                     let cond = || boxes[i].round.load(Ordering::Acquire) != last;
-                    match mode {
-                        ParkMode::Eventcount => queue.park_until(cond),
-                        // Distinct keys, spread so neighbouring waiters
-                        // land in different shards (and some collide).
-                        ParkMode::Keyed => queue.park_until_keyed(0x40 + i as u64 * 7, cond),
-                    }
+                    queue.park(mode.key(i), cond, None);
                     let round = boxes[i].round.load(Ordering::Acquire);
                     if round == u64::MAX {
                         return;
@@ -158,8 +165,8 @@ pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchR
         boxes[target].round.store(r, Ordering::Release);
         wake_stamp.store(base.elapsed().as_nanos() as u64, Ordering::Release);
         match mode {
-            ParkMode::Eventcount => queue.wake_all(),
-            ParkMode::Keyed => queue.wake_key(0x40 + target as u64 * 7),
+            ParkMode::Broadcast => queue.wake_all(),
+            ParkMode::Keyed => queue.wake_key(mode.key(target)),
         }
         while boxes[target].ack.load(Ordering::Acquire) != r {
             std::thread::yield_now();
@@ -350,11 +357,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eventcount_herds_and_keyed_does_not() {
-        // 8 unkeyed waiters: each broadcast wakes all of them, 7 with a
+    fn broadcast_herds_and_keyed_does_not() {
+        // 8 any-key waiters: each broadcast wakes all of them, 7 with a
         // false predicate — so spurious/release must be far above the keyed
         // leg, which wakes exactly the eligible waiter.
-        let herd = run_targeted(ParkMode::Eventcount, 8, 200);
+        let herd = run_targeted(ParkMode::Broadcast, 8, 200);
         let keyed = run_targeted(ParkMode::Keyed, 8, 200);
         assert_eq!(herd.releases, 200);
         assert_eq!(keyed.releases, 200);
@@ -364,7 +371,7 @@ mod tests {
         );
         assert!(
             herd.spurious_per_release() >= 1.0,
-            "the eventcount broadcast stopped herding (got {:.2}/release) — \
+            "the broadcast stopped herding (got {:.2}/release) — \
              did the baseline leg accidentally go keyed?",
             herd.spurious_per_release()
         );
@@ -377,7 +384,7 @@ mod tests {
         assert!(result.operations > 0);
         // Disjoint pairs: a release resolves exactly one waiter's conflict,
         // and that waiter's predicate is true by the time it runs. A small
-        // residue is tolerated (wake_unkeyed nudges and barging races), but
+        // residue is tolerated (any-key nudges and barging races), but
         // the herd behaviour — one spurious wake per parked waiter per
         // release — must be gone.
         assert!(

@@ -284,7 +284,7 @@ impl<P: WaitPolicy> TwoPhaseRwRangeLock for ListRangeLock<P> {
         cond: &mut dyn FnMut() -> bool,
         deadline: Instant,
     ) -> bool {
-        P::wait_until_deadline_keyed(self.core.wait_queue(), key, cond, deadline)
+        P::wait(self.core.wait_queue(), key, cond, Some(deadline))
     }
 }
 

@@ -51,12 +51,13 @@
 //!
 //! Async waiters never spin, *regardless of the lock's wait policy*: the
 //! future registers a waker on the lock's [`WaitQueue`] and suspends. Every
-//! release path wakes that queue — since the async layer, even the spinning
-//! policies' release hook performs the generation bump that feeds
-//! registered wakers (see `rl_sync::wait`). Lost wakeups are excluded by
-//! the snapshot-register-recheck protocol documented there: the future
-//! snapshots the queue generation *before* polling the lock, and a
-//! registration against a stale snapshot fails, forcing a re-poll.
+//! release path wakes that queue — waking is the queue's job, not the
+//! policy's, so a lock whose blocking waiters spin still bumps the
+//! generation and claims registered wakers (see `rl_sync::wait`). Lost
+//! wakeups are excluded by the snapshot-register-recheck protocol
+//! documented there: the future snapshots the queue generation *before*
+//! polling the lock, and a registration against a stale snapshot fails,
+//! forcing a re-poll.
 //!
 //! # Fairness interaction (§4.3)
 //!
@@ -121,10 +122,10 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
     fn wait_queue(&self) -> &WaitQueue;
 
     /// Waits through this lock's wait policy, parked under `key` (see
-    /// `rl_sync::wait`; `KEY_ANY` is the unkeyed wait), until `cond` holds
-    /// or `deadline` passes, returning `cond`'s final value. Backs the timed
-    /// acquisition methods, where `cond` is the queue-generation check of
-    /// the two-phase wait loop and `key` the pending token's
+    /// `rl_sync::wait`; `KEY_ANY` is the wait every wake ends), until `cond`
+    /// holds or `deadline` passes, returning `cond`'s final value. Backs the
+    /// timed acquisition methods, where `cond` is the queue-generation check
+    /// of the two-phase wait loop and `key` the pending token's
     /// [`Pending::wait_key`], so the waiter is woken by its blocker's
     /// release instead of by every release on the lock.
     fn wait_deadline_keyed(
@@ -319,10 +320,10 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
 ///
 /// A suspended try-based acquisition holds no queue slot inside the lock and
 /// therefore *barges*: it competes afresh on every wake, like a futex waiter
-/// without a queue node, and waits unkeyed. The lock's side of the bargain
-/// is that **every** release wakes the queue named here (at least its
-/// unkeyed population), so a suspended poller cannot miss the release it
-/// was blocked on.
+/// without a queue node, and waits under `KEY_ANY`. The lock's side of the
+/// bargain is that **every** release wakes the queue named here — any wake
+/// claims the any-key waiters — so a suspended poller cannot miss the
+/// release it was blocked on.
 ///
 /// `$lock => $queue` names the lock value and the expression borrowing its
 /// [`WaitQueue`]; the type must be generic over one
@@ -367,11 +368,11 @@ macro_rules! try_based_two_phase {
                 cond: &mut dyn FnMut() -> bool,
                 deadline: std::time::Instant,
             ) -> bool {
-                $p::wait_until_deadline_keyed(
+                $p::wait(
                     $crate::TwoPhaseRwRangeLock::wait_queue(self),
                     key,
                     cond,
-                    deadline,
+                    Some(deadline),
                 )
             }
         }
@@ -495,17 +496,15 @@ macro_rules! acquire_future {
             lock: &'a L,
             /// `None` once resolved (the pending token was consumed).
             pending: Option<Pending>,
-            /// Waker slot id on the lock's wait queue.
-            slot: u64,
+            /// Waker slot id on the lock's wait queue, allocated by the
+            /// first registration attempt. Until then there is nothing to
+            /// deregister, and an acquisition granted on its first poll
+            /// touches no shared word of the queue.
+            slot: Option<u64>,
             /// The parking-table key the waker is currently filed under
             /// (`KEY_ANY` until a poll names a blocking conflict). Tracked
             /// so slot migration and drop deregister the right shard.
             key: u64,
-            /// Whether a waker registration was ever attempted. Until then
-            /// there is nothing to deregister, and an acquisition granted on
-            /// its first poll must not take the queue's waker mutex just to
-            /// remove a slot it never filed.
-            registered: bool,
         }
 
         impl<'a, L: TwoPhaseRwRangeLock> $name<'a, L> {
@@ -513,9 +512,8 @@ macro_rules! acquire_future {
                 $name {
                     lock,
                     pending: Some(lock.$enqueue(range)),
-                    slot: lock.wait_queue().alloc_waker_slot(),
+                    slot: None,
                     key: KEY_ANY,
-                    registered: false,
                 }
             }
         }
@@ -536,23 +534,27 @@ macro_rules! acquire_future {
                     // lost-wakeup argument in `rl_sync::wait`.
                     let gen = queue.generation();
                     if let Some(guard) = this.lock.$poll(&mut pending) {
-                        if this.registered {
-                            queue.deregister_waker_keyed(this.key, this.slot);
+                        if let Some(slot) = this.slot {
+                            queue.deregister_waker(this.key, slot);
                         }
                         return Poll::Ready(guard);
                     }
-                    // Waker-slot migration: the poll may have named a
-                    // different blocking conflict than the one the waker is
-                    // filed under, so re-home the slot before registering.
                     let key = pending.wait_key();
-                    if key != this.key {
-                        if this.registered {
-                            queue.deregister_waker_keyed(this.key, this.slot);
+                    let slot = match this.slot {
+                        Some(slot) => {
+                            // Waker-slot migration: the poll may have named
+                            // a different blocking conflict than the one the
+                            // waker is filed under, so re-home the slot
+                            // before registering.
+                            if key != this.key {
+                                queue.deregister_waker(this.key, slot);
+                            }
+                            slot
                         }
-                        this.key = key;
-                    }
-                    this.registered = true;
-                    if queue.register_waker_keyed(key, this.slot, gen, cx.waker()) {
+                        None => *this.slot.insert(queue.alloc_waker_slot()),
+                    };
+                    this.key = key;
+                    if queue.register_waker(key, slot, gen, cx.waker()) {
                         this.pending = Some(pending);
                         return Poll::Pending;
                     }
@@ -567,8 +569,8 @@ macro_rules! acquire_future {
             fn drop(&mut self) {
                 if let Some(mut pending) = self.pending.take() {
                     let queue = self.lock.wait_queue();
-                    if self.registered {
-                        queue.deregister_waker_keyed(self.key, self.slot);
+                    if let Some(slot) = self.slot {
+                        queue.deregister_waker(self.key, slot);
                     }
                     self.lock.cancel(&mut pending);
                     queue.record_cancel();
@@ -647,6 +649,31 @@ mod tests {
         assert_eq!(guard.range(), Range::new(0, 10));
         drop(guard);
         drop(fut); // resolved: dropping the future is a no-op
+        assert!(lock.is_quiescent());
+    }
+
+    #[test]
+    fn first_poll_grants_never_touch_the_queues_slot_allocator() {
+        let lock = RwListRangeLock::new();
+        let first_id = WaitQueue::new().alloc_waker_slot();
+        let (_, waker) = counting_waker();
+        for _ in 0..100 {
+            assert!(poll_once(&mut lock.write_async(Range::new(0, 10)), &waker).is_ready());
+            assert!(poll_once(&mut lock.read_async(Range::new(5, 15)), &waker).is_ready());
+        }
+        // Nor does a future that is dropped before its first poll.
+        drop(lock.write_async(Range::new(0, 10)));
+        assert_eq!(lock.wait_queue().alloc_waker_slot(), first_id);
+        // A future that has to wait allocates on its first registration and
+        // keeps that slot across re-polls.
+        let held = lock.write(Range::new(0, 10));
+        let mut fut = lock.read_async(Range::new(5, 15));
+        assert!(poll_once(&mut fut, &waker).is_pending());
+        assert!(poll_once(&mut fut, &waker).is_pending());
+        assert_eq!(lock.wait_queue().alloc_waker_slot(), first_id + 2);
+        drop(held);
+        assert!(poll_once(&mut fut, &waker).is_ready());
+        assert_eq!(lock.wait_queue().waiters(), 0);
         assert!(lock.is_quiescent());
     }
 

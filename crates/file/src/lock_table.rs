@@ -1323,14 +1323,6 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     }
 }
 
-/// Validates and orders a batch: empty items are dropped, the rest sorted
-/// ascending — the order they are applied and (on failure) unwound in.
-///
-/// # Panics
-///
-/// Panics if two items overlap: a batch is a set of independent spans, and
-/// "lock `[0, 10)` shared and `[5, 15)` exclusive atomically" has no
-/// coherent replace-semantics answer for the overlap.
 /// Smallest range covering every item of a (possibly empty) batch prefix;
 /// the range stamped on batch-rollback trace events.
 fn batch_span(items: &[(Range, LockMode)]) -> Range {
@@ -1339,6 +1331,14 @@ fn batch_span(items: &[(Range, LockMode)]) -> Range {
     Range::new(start, end)
 }
 
+/// Validates and orders a batch: empty items are dropped, the rest sorted
+/// ascending — the order they are applied and (on failure) unwound in.
+///
+/// # Panics
+///
+/// Panics if two items overlap: a batch is a set of independent spans, and
+/// "lock `[0, 10)` shared and `[5, 15)` exclusive atomically" has no
+/// coherent replace-semantics answer for the overlap.
 fn normalize_batch(items: &[(Range, LockMode)]) -> Vec<(Range, LockMode)> {
     let mut items: Vec<(Range, LockMode)> = items
         .iter()

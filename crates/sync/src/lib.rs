@@ -18,8 +18,8 @@
 //! * [`wait`] — the pluggable wait-policy layer ([`Spin`], [`SpinThenYield`],
 //!   [`Block`]) plus the futex-analogue [`WaitQueue`] every lock in the
 //!   workspace parks on under the blocking policy.
-//! * [`parking`] — the sharded, address-keyed parking table behind
-//!   [`WaitQueue`]'s keyed waits: waiters park under the address of the
+//! * [`parking`] — the sharded, address-keyed parking table every
+//!   [`WaitQueue`] wait goes through: waiters park under the address of the
 //!   conflict that blocks them, and releases wake only the matching keys
 //!   instead of broadcasting to the whole queue.
 //! * [`stats`] — per-lock wait-time accounting, the user-space analogue of

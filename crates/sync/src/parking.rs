@@ -1,27 +1,35 @@
 //! Sharded, address-keyed parking table — the futex analogue underneath
-//! [`WaitQueue`](crate::wait::WaitQueue).
+//! [`WaitQueue`](crate::wait::WaitQueue), and the only place anything in the
+//! workspace sleeps while it waits for a lock.
 //!
-//! The eventcount layer of [`crate::wait`] gives every lock *one* wake
-//! channel: a release broadcasts, every parked waiter re-checks its
-//! predicate, and the non-matching ones re-park. That costs O(parked
+//! A futex scales because each waiter sleeps on a *word*: a wake names the
+//! word and only the threads parked on it stir. A per-lock broadcast channel
+//! does the opposite — every release wakes every parked waiter, each
+//! re-checks its predicate, and the non-matching ones re-park: O(parked
 //! waiters) spurious wakeups per release under heavy disjoint-range
-//! parking — precisely the herd the paper's scalability claim is about
-//! avoiding. A real futex does better because each waiter sleeps on a
-//! *word*: a wake names the word and only the threads parked on it stir.
+//! parking, precisely the herd the paper's scalability claim is about
+//! avoiding.
 //!
 //! [`ShardTable`] is that word table in user space. Waiters register under a
 //! `u64` **key** — in practice the address of the conflicting list node,
 //! tree waiter, or a small class constant like "writers" — and a release
 //! wakes exactly the entries whose key matches. Keys hash onto a fixed
 //! array of [`SHARD_COUNT`] cache-padded shards (so disjoint keys rarely
-//! contend on the same shard mutex), each shard a short vector of entries:
+//! contend on the same shard mutex), each shard a short vector of entries.
 //!
-//! * a **thread parker** ([`ThreadParker`]) — a parked OS thread waiting on
-//!   [`std::thread::park`], signalled through a per-waiter flag so stray
-//!   unpark tokens can never be confused for a real wake;
-//! * a **waker slot** — a registered [`core::task::Waker`], the async
-//!   counterpart, living in the same keyed slots so sync and async waiters
-//!   of one conflict wake together.
+//! An entry is a [`core::task::Waker`] filed under `(key, id)` — one kind of
+//! entry for both kinds of waiter. An acquisition future registers its
+//! task's waker; a blocking thread registers a [`ThreadParker`], which *is*
+//! a waker ([`std::task::Wake`]: set a per-waiter flag, unpark the thread —
+//! the flag is what keeps stray unpark tokens from passing for a real
+//! wake). Sync and async waiters of one conflict therefore sit in the same
+//! slots and wake together.
+//!
+//! Key 0 is reserved as [`KEY_ANY`], for waiters that cannot name the
+//! conflict blocking them (barging two-phase pollers, deadlock re-checks).
+//! It is an ordinary key with one extra rule: **every** wake also claims
+//! the `KEY_ANY` entries, so an any-key waiter is woken by any release,
+//! while waiters under real keys are woken only by theirs.
 //!
 //! The table performs no predicate logic and no generation arithmetic: the
 //! lost-wakeup protocol (register *then* re-check, paired with the
@@ -32,14 +40,10 @@
 //! re-derivation and guard-drop fallback paths rely on — an O(shards) scan
 //! of *this lock's* waiters instead of a walk over every waiter in the
 //! process.
-//!
-//! Key 0 is reserved as [`KEY_ANY`]: the unkeyed sentinel. Callers passing
-//! it fall back to the eventcount broadcast paths, which is what keeps the
-//! conversion of call sites incremental and lost-wakeup-free.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::Waker;
+use std::task::{Wake, Waker};
 use std::thread::Thread;
 use std::time::Instant;
 
@@ -47,9 +51,9 @@ use parking_lot::Mutex;
 
 use crate::padded::CachePadded;
 
-/// The reserved "no key" sentinel: keyed APIs given `KEY_ANY` degrade to the
-/// unkeyed eventcount broadcast. Real keys (node addresses, waiter
-/// addresses, class constants ≥ 1) are never 0.
+/// The reserved "any conflict" key: entries filed under it are claimed by
+/// every wake, whatever key the wake names. Real keys (node addresses,
+/// waiter addresses, class constants ≥ 1) are never 0.
 pub const KEY_ANY: u64 = 0;
 
 /// Number of shards in a [`ShardTable`]. A small power of two: a single
@@ -64,17 +68,19 @@ const SHARD_BITS: u32 = SHARD_COUNT.trailing_zeros();
 /// pointer-like keys (aligned, low bits zero) across shards using their high
 /// product bits.
 #[inline]
-fn shard_index(key: u64) -> usize {
+pub(crate) fn shard_index(key: u64) -> usize {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_BITS)) as usize
 }
 
 /// One parked OS thread: the thread handle to unpark plus a per-waiter
-/// signal flag.
+/// signal flag. Registered in a [`ShardTable`] as a [`Waker`]
+/// (`Waker::from(Arc<ThreadParker>)`), so a wake signals it exactly like it
+/// wakes a task.
 ///
-/// The flag is what makes keyed parking immune to stray unpark tokens:
+/// The flag is what makes parking immune to stray unpark tokens:
 /// [`std::thread::park`] may return spuriously (or consume a token left by
 /// a previous wait), so [`ThreadParker::park`] loops until `signaled` is
-/// set by a genuine [`ShardTable`] wake.
+/// set by a genuine wake.
 #[derive(Debug)]
 pub struct ThreadParker {
     thread: Thread,
@@ -104,57 +110,52 @@ impl ThreadParker {
         self.signaled.load(Ordering::Acquire)
     }
 
-    /// Parks the calling thread until signalled.
-    pub fn park(&self) {
+    /// Parks the calling thread until signalled or, when there is one,
+    /// `deadline` passes; returns `true` when signalled.
+    pub fn park(&self, deadline: Option<Instant>) -> bool {
         while !self.is_signaled() {
-            std::thread::park();
+            match deadline {
+                None => std::thread::park(),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return self.is_signaled();
+                    }
+                    std::thread::park_timeout(deadline - now);
+                }
+            }
         }
+        true
+    }
+}
+
+impl Wake for ThreadParker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
     }
 
-    /// Parks the calling thread until signalled or `deadline` passes;
-    /// returns `true` when signalled.
-    pub fn park_deadline(&self, deadline: Instant) -> bool {
-        loop {
-            if self.is_signaled() {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return self.is_signaled();
-            }
-            std::thread::park_timeout(deadline - now);
-        }
-    }
-
-    /// Signals the parker and unparks its thread. Store-then-unpark: the
-    /// unpark token guarantees the parked thread re-runs its
-    /// [`ThreadParker::is_signaled`] check.
-    fn signal(&self) {
+    /// Store-then-unpark: the unpark token guarantees the parked thread
+    /// re-runs its [`ThreadParker::is_signaled`] check.
+    fn wake_by_ref(self: &Arc<Self>) {
         self.signaled.store(true, Ordering::SeqCst);
         self.thread.unpark();
     }
 }
 
-/// One keyed waiter: a parked thread or a registered waker.
-enum Entry {
-    Parker(Arc<ThreadParker>),
-    Waker { slot: u64, waker: Waker },
-}
-
-impl Entry {
-    fn wake(self) {
-        match self {
-            Entry::Parker(p) => p.signal(),
-            Entry::Waker { waker, .. } => waker.wake(),
-        }
-    }
+/// One registered waiter: the waker of a parked thread or a suspended task,
+/// filed under the conflict `key` it waits out and the `id` of the waiter
+/// (unique per queue, so it can withdraw exactly its own entry).
+struct Entry {
+    key: u64,
+    id: u64,
+    waker: Waker,
 }
 
 /// One shard: a mutex-protected entry list plus a sequentially consistent
 /// occupancy mirror so wake paths can prove the shard empty without taking
 /// the mutex.
 struct Shard {
-    entries: Mutex<Vec<(u64, Entry)>>,
+    entries: Mutex<Vec<Entry>>,
     /// `entries.len()`, mirrored with `SeqCst` stores under the entry
     /// mutex. Release paths load it (also `SeqCst`) to skip empty shards;
     /// the pairing with the waiter side is argued in `crate::wait`.
@@ -193,133 +194,63 @@ impl ShardTable {
         }
     }
 
-    fn shard(&self, key: u64) -> &Shard {
-        &self.shards[shard_index(key)]
-    }
-
-    /// Total registered entries (threads + wakers) across every shard.
+    /// Total registered entries (threads + tasks) across every shard.
     pub fn occupancy(&self) -> u64 {
         self.total.load(Ordering::SeqCst)
     }
 
-    /// Registered entries in the shard `key` hashes to — an upper bound on
-    /// the waiters a [`ShardTable::wake_key`] for `key` could wake. Zero
-    /// means the wake can provably skip the shard mutex.
-    pub fn shard_occupancy(&self, key: u64) -> u64 {
-        self.shard(key).occupancy.load(Ordering::SeqCst)
-    }
-
-    /// Publishes one entry into `key`'s shard with a sequentially
-    /// consistent occupancy bump, pairing with the releaser-side protocol
-    /// in `crate::wait`.
-    fn insert(&self, key: u64, entry: Entry) {
-        let shard = self.shard(key);
+    /// Files `waker` under `(key, id)`, publishing the entry with a
+    /// sequentially consistent occupancy bump; the caller must re-check its
+    /// wait condition *after* this returns (see the protocol in
+    /// `crate::wait`). A matching `(key, id)` entry is re-armed in place, so
+    /// a future that re-polls without migrating keys never duplicates
+    /// itself.
+    pub fn register(&self, key: u64, id: u64, waker: &Waker) {
+        let shard = &self.shards[shard_index(key)];
         let mut entries = shard.entries.lock();
-        entries.push((key, entry));
-        shard
-            .occupancy
-            .store(entries.len() as u64, Ordering::SeqCst);
-        self.total.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Registers `parker` under `key`. The caller must re-check its wait
-    /// predicate *after* this returns (see the protocol in `crate::wait`).
-    pub fn register_parker(&self, key: u64, parker: &Arc<ThreadParker>) {
-        self.insert(key, Entry::Parker(Arc::clone(parker)));
-    }
-
-    /// Removes `parker`'s entry under `key`, if a wake has not already
-    /// claimed it. Returns `true` if an entry was removed. Idempotent.
-    pub fn deregister_parker(&self, key: u64, parker: &Arc<ThreadParker>) -> bool {
-        let shard = self.shard(key);
-        let mut entries = shard.entries.lock();
-        let before = entries.len();
-        entries.retain(|(k, e)| {
-            !(*k == key && matches!(e, Entry::Parker(p) if Arc::ptr_eq(p, parker)))
-        });
-        let removed = before - entries.len();
-        shard
-            .occupancy
-            .store(entries.len() as u64, Ordering::SeqCst);
-        if removed > 0 {
-            self.total.fetch_sub(removed as u64, Ordering::SeqCst);
+        if let Some(e) = entries.iter_mut().find(|e| e.key == key && e.id == id) {
+            e.waker.clone_from(waker);
+            return;
         }
-        removed > 0
-    }
-
-    /// Registers (or re-arms) the waker for future `slot` under `key`. A
-    /// matching `(key, slot)` entry is updated in place so a future that
-    /// re-polls without migrating keys never duplicates itself.
-    pub fn register_waker(&self, key: u64, slot: u64, waker: &Waker) {
-        let shard = self.shard(key);
-        let mut entries = shard.entries.lock();
-        for (k, e) in entries.iter_mut() {
-            if *k == key {
-                if let Entry::Waker { slot: s, waker: w } = e {
-                    if *s == slot {
-                        w.clone_from(waker);
-                        return;
-                    }
-                }
-            }
-        }
-        entries.push((
+        entries.push(Entry {
             key,
-            Entry::Waker {
-                slot,
-                waker: waker.clone(),
-            },
-        ));
+            id,
+            waker: waker.clone(),
+        });
         shard
             .occupancy
             .store(entries.len() as u64, Ordering::SeqCst);
         self.total.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Removes the waker registered for `slot` under `key`, if a wake has
-    /// not already claimed it. Returns `true` if an entry was removed. A
-    /// future migrating to a new conflict key deregisters its old key
-    /// first, then registers afresh — the "waker-slot migration" path.
-    pub fn deregister_waker(&self, key: u64, slot: u64) -> bool {
-        let shard = self.shard(key);
+    /// Removes the entry filed under `(key, id)`, if a wake has not already
+    /// claimed it; returns whether one was removed. Idempotent. A future
+    /// migrating to a new conflict key deregisters its old key first, then
+    /// registers afresh — the "waker-slot migration" path.
+    pub fn deregister(&self, key: u64, id: u64) -> bool {
+        let shard = &self.shards[shard_index(key)];
         let mut entries = shard.entries.lock();
-        let before = entries.len();
-        entries.retain(|(k, e)| {
-            !(*k == key && matches!(e, Entry::Waker { slot: s, .. } if *s == slot))
-        });
-        let removed = before - entries.len();
+        let Some(at) = entries.iter().position(|e| e.key == key && e.id == id) else {
+            return false;
+        };
+        entries.remove(at);
         shard
             .occupancy
             .store(entries.len() as u64, Ordering::SeqCst);
-        if removed > 0 {
-            self.total.fetch_sub(removed as u64, Ordering::SeqCst);
-        }
-        removed > 0
+        self.total.fetch_sub(1, Ordering::SeqCst);
+        true
     }
 
-    /// Wakes and removes every entry registered under exactly `key`;
-    /// returns how many were woken. Entries under other keys — even ones
-    /// colliding into the same shard — are left parked.
-    ///
-    /// When the shard's occupancy mirror reads zero this is one load: the
-    /// provably-empty fast path release sites rely on.
-    pub fn wake_key(&self, key: u64) -> usize {
-        let shard = self.shard(key);
+    /// Wakes and removes the entries of `shard` whose key `matches`;
+    /// returns how many. One load when the shard's occupancy mirror reads
+    /// zero: the provably-empty fast path release sites rely on.
+    fn claim(&self, shard: &Shard, matches: impl Fn(u64) -> bool) -> usize {
         if shard.occupancy.load(Ordering::SeqCst) == 0 {
             return 0;
         }
         let claimed: Vec<Entry> = {
             let mut entries = shard.entries.lock();
-            let mut claimed = Vec::new();
-            let mut kept = Vec::with_capacity(entries.len());
-            for (k, e) in entries.drain(..) {
-                if k == key {
-                    claimed.push(e);
-                } else {
-                    kept.push((k, e));
-                }
-            }
-            *entries = kept;
+            let claimed: Vec<Entry> = entries.extract_if(.., |e| matches(e.key)).collect();
             shard
                 .occupancy
                 .store(entries.len() as u64, Ordering::SeqCst);
@@ -332,7 +263,23 @@ impl ShardTable {
         // unpark is a syscall.
         let woken = claimed.len();
         for entry in claimed {
-            entry.wake();
+            entry.waker.wake();
+        }
+        woken
+    }
+
+    /// Wakes and removes every entry registered under exactly `key`, plus
+    /// every [`KEY_ANY`] entry; returns how many were woken. Entries under
+    /// other keys — even ones colliding into the same shards — are left
+    /// parked. `wake_key(KEY_ANY)` wakes the any-key entries alone.
+    ///
+    /// Two occupancy loads when nobody waits (one when `key` hashes into
+    /// `KEY_ANY`'s shard).
+    pub fn wake_key(&self, key: u64) -> usize {
+        let (home, any) = (shard_index(key), shard_index(KEY_ANY));
+        let mut woken = self.claim(&self.shards[home], |k| k == key || k == KEY_ANY);
+        if any != home {
+            woken += self.claim(&self.shards[any], |k| k == KEY_ANY);
         }
         woken
     }
@@ -344,26 +291,7 @@ impl ShardTable {
         if self.total.load(Ordering::SeqCst) == 0 {
             return 0;
         }
-        let mut woken = 0;
-        for shard in &self.shards {
-            if shard.occupancy.load(Ordering::SeqCst) == 0 {
-                continue;
-            }
-            let claimed: Vec<(u64, Entry)> = {
-                let mut entries = shard.entries.lock();
-                let claimed = std::mem::take(&mut *entries);
-                shard.occupancy.store(0, Ordering::SeqCst);
-                if !claimed.is_empty() {
-                    self.total.fetch_sub(claimed.len() as u64, Ordering::SeqCst);
-                }
-                claimed
-            };
-            woken += claimed.len();
-            for (_, entry) in claimed {
-                entry.wake();
-            }
-        }
-        woken
+        self.shards.iter().map(|s| self.claim(s, |_| true)).sum()
     }
 }
 
@@ -404,7 +332,7 @@ mod tests {
 
     struct CountingWaker(Counter);
 
-    impl std::task::Wake for CountingWaker {
+    impl Wake for CountingWaker {
         fn wake(self: Arc<Self>) {
             self.0.fetch_add(1, Ordering::SeqCst);
         }
@@ -427,14 +355,14 @@ mod tests {
             .expect("some aligned key collides into k1's shard");
         let (c1, w1) = counting_waker();
         let (c2, w2) = counting_waker();
-        table.register_waker(k1, 1, &w1);
-        table.register_waker(k2, 2, &w2);
+        table.register(k1, 1, &w1);
+        table.register(k2, 2, &w2);
         assert_eq!(table.occupancy(), 2);
         // Waking k1 must not disturb k2 despite sharing a shard.
         assert_eq!(table.wake_key(k1), 1);
         assert_eq!(c1.0.load(Ordering::SeqCst), 1);
         assert_eq!(c2.0.load(Ordering::SeqCst), 0);
-        assert_eq!(table.shard_occupancy(k2), 1);
+        assert_eq!(table.occupancy(), 1);
         assert_eq!(table.wake_key(k2), 1);
         assert_eq!(c2.0.load(Ordering::SeqCst), 1);
         assert_eq!(table.occupancy(), 0);
@@ -452,13 +380,13 @@ mod tests {
         let table = ShardTable::new();
         let (count_old, old) = counting_waker();
         let (count_new, new) = counting_waker();
-        table.register_waker(64, 7, &old);
-        // Same (key, slot): replaced in place, not duplicated.
-        table.register_waker(64, 7, &new);
+        table.register(64, 7, &old);
+        // Same (key, id): replaced in place, not duplicated.
+        table.register(64, 7, &new);
         assert_eq!(table.occupancy(), 1);
         // Migration to a new conflict key: deregister old, register new.
-        assert!(table.deregister_waker(64, 7));
-        table.register_waker(128, 7, &new);
+        assert!(table.deregister(64, 7));
+        table.register(128, 7, &new);
         assert_eq!(
             table.wake_key(64),
             0,
@@ -473,10 +401,10 @@ mod tests {
     fn deregister_is_idempotent_and_exact() {
         let table = ShardTable::new();
         let (_, w) = counting_waker();
-        table.register_waker(64, 1, &w);
-        table.register_waker(64, 2, &w);
-        assert!(table.deregister_waker(64, 1));
-        assert!(!table.deregister_waker(64, 1));
+        table.register(64, 1, &w);
+        table.register(64, 2, &w);
+        assert!(table.deregister(64, 1));
+        assert!(!table.deregister(64, 1));
         assert_eq!(table.occupancy(), 1);
         assert_eq!(table.wake_key(64), 1);
     }
@@ -492,9 +420,9 @@ mod tests {
                 std::thread::spawn(move || {
                     let key = (i + 1) * 64;
                     let parker = ThreadParker::new();
-                    table.register_parker(key, &parker);
+                    table.register(key, i, &Waker::from(Arc::clone(&parker)));
                     parked.fetch_add(1, Ordering::SeqCst);
-                    parker.park();
+                    assert!(parker.park(None));
                     key
                 })
             })
@@ -516,9 +444,9 @@ mod tests {
     fn deregistered_parker_is_not_woken() {
         let table = ShardTable::new();
         let parker = ThreadParker::new();
-        table.register_parker(64, &parker);
-        assert!(table.deregister_parker(64, &parker));
-        assert!(!table.deregister_parker(64, &parker));
+        table.register(64, 1, &Waker::from(Arc::clone(&parker)));
+        assert!(table.deregister(64, 1));
+        assert!(!table.deregister(64, 1));
         assert_eq!(table.wake_key(64), 0);
         assert!(!parker.is_signaled());
     }
@@ -527,11 +455,11 @@ mod tests {
     fn parker_deadline_expires_without_signal() {
         let parker = ThreadParker::new();
         let deadline = Instant::now() + std::time::Duration::from_millis(5);
-        assert!(!parker.park_deadline(deadline));
+        assert!(!parker.park(Some(deadline)));
         parker.reset();
         // A pre-signalled parker returns immediately.
-        parker.signal();
-        assert!(parker.park_deadline(Instant::now() + std::time::Duration::from_secs(60)));
+        Waker::from(Arc::clone(&parker)).wake();
+        assert!(parker.park(Some(Instant::now() + std::time::Duration::from_secs(60))));
     }
 
     #[test]
@@ -540,7 +468,7 @@ mod tests {
         let mut counts = Vec::new();
         for i in 1..=16u64 {
             let (c, w) = counting_waker();
-            table.register_waker(i * 64, i, &w);
+            table.register(i * 64, i, &w);
             counts.push(c);
         }
         assert_eq!(table.wake_all(), 16);

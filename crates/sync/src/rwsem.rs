@@ -184,7 +184,7 @@ impl<P: WaitPolicy> RwSemaphore<P> {
 
     /// The queue this semaphore's waiters wait on. Every release that can
     /// admit a waiter wakes it — the last read release and every write
-    /// release, both reaching the unkeyed population — so a lock built on
+    /// release, both reaching the `KEY_ANY` waiters — so a lock built on
     /// the semaphore can suspend barging `try_`-based pollers here.
     pub fn wait_queue(&self) -> &WaitQueue {
         &self.queue
@@ -231,14 +231,15 @@ impl<P: WaitPolicy> RwSemaphore<P> {
         // a preference-honoring reader would never run. Liveness of the
         // barging phase needs only releases, which always wake the queue.
         let mut polls: u32 = 0;
-        P::wait_until_keyed(&self.queue, READ_WAIT_KEY, || {
+        let admitted = || {
             polls = polls.saturating_add(1);
             if polls <= Self::SPIN_ROUNDS {
                 self.try_read_fast()
             } else {
                 self.try_read_any()
             }
-        });
+        };
+        P::wait(&self.queue, READ_WAIT_KEY, admitted, None);
         self.finish_timer(timer);
         RwSemReadGuard { sem: self }
     }
@@ -247,11 +248,12 @@ impl<P: WaitPolicy> RwSemaphore<P> {
     fn write_slow(&self) -> RwSemWriteGuard<'_, P> {
         let timer = self.stats.as_ref().map(|s| s.start(WaitKind::Write));
         self.writers_waiting.fetch_add(1, Ordering::Relaxed);
-        P::wait_until_keyed(&self.queue, WRITE_WAIT_KEY, || {
+        let acquired = || {
             self.state
                 .compare_exchange(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
-        });
+        };
+        P::wait(&self.queue, WRITE_WAIT_KEY, acquired, None);
         self.writers_waiting.fetch_sub(1, Ordering::Relaxed);
         self.finish_timer(timer);
         RwSemWriteGuard { sem: self }
@@ -272,7 +274,7 @@ impl<P: WaitPolicy> RwSemaphore<P> {
             // read release (parked readers are waiting out a writer, who
             // will broadcast on its own release), so wake the writer wait
             // class alone and leave reader parkers undisturbed.
-            P::wake_key(&self.queue, WRITE_WAIT_KEY);
+            self.queue.wake_key(WRITE_WAIT_KEY);
         }
     }
 
@@ -282,7 +284,7 @@ impl<P: WaitPolicy> RwSemaphore<P> {
         // Both wait classes are eligible after a write release (readers may
         // share, the next writer may take over), so this one stays a
         // broadcast.
-        P::wake(&self.queue);
+        self.queue.wake_all();
     }
 }
 

@@ -145,7 +145,7 @@ impl WaitStats {
         }
     }
 
-    /// Records one park: a waiter descheduled itself (condvar wait) instead
+    /// Records one park: a waiter descheduled itself (a thread park) instead
     /// of spinning. Fed by the lock's `WaitQueue` under the `Block` policy;
     /// always zero under the spinning policies.
     #[inline]

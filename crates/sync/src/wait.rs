@@ -18,88 +18,55 @@
 //!   of a futex wait: the kernel-fidelity choice, and the only policy whose
 //!   waiters consume no CPU while descheduled.
 //!
-//! Locks own one [`WaitQueue`] each and call
-//! [`WaitPolicy::wait_until`]/[`WaitPolicy::wake`] instead of open-coded
-//! backoff loops. A release's wake hook costs one generation bump
-//! (fetch-add) plus a handful of loads when no one is waiting, under every
-//! policy.
+//! Locks own one [`WaitQueue`] each, wait through [`WaitPolicy::wait`]
+//! instead of open-coded backoff loops, and wake the queue from every
+//! release path. Waking is not a policy decision: a release calls
+//! [`WaitQueue::wake_key`] (or [`WaitQueue::wake_all`]) whatever the
+//! policy, because suspended futures and timed parkers must be woken even
+//! on a lock whose blocking waiters spin. With nobody waiting a wake is one
+//! generation bump (fetch-add), a fence and one or two loads — no mutex, no
+//! syscall.
 //!
-//! # Granularity: keyed parking
+//! # One mechanism: keyed parking
 //!
-//! The queue is per lock, but waiting is **per conflict**: waiters that know
-//! *which* node or range blocks them park under that address as a key in
-//! the queue's sharded [`ShardTable`] (see [`crate::parking`]), and the
-//! blocker's release calls [`WaitQueue::wake_key`] to wake exactly the
-//! matching entries — a futex analogue with per-conflict wait words. Before
-//! this table existed, a release broadcast to every parked waiter of the
-//! lock, each re-checked its predicate, and the non-matching ones re-parked:
-//! O(parked waiters) spurious wakeups per release under heavy
-//! disjoint-range parking. The herd survives only where it is wanted — the
-//! [`WaitQueue::wake_all`] broadcast remains for guard-drop fallbacks and
-//! deadlock re-derivation, and [`KEY_ANY`] keeps every unkeyed call site on
-//! the classic eventcount paths. Spurious wakeups (woken but re-parked with
-//! the predicate still false) are counted either way, so the
-//! `spurious_wakeups` column in benchmark reports measures the herd
-//! directly.
+//! The queue is per lock, but waiting is **per conflict**. Everything that
+//! waits on a queue — a parked thread or a suspended future's
+//! [`core::task::Waker`], with or without a deadline — is an entry in the
+//! queue's sharded [`ShardTable`] (see [`crate::parking`]), filed under a
+//! key: the address of the node or range that blocks it. The blocker's
+//! release calls [`WaitQueue::wake_key`] with that address and wakes
+//! exactly the matching entries — a futex analogue with per-conflict wait
+//! words, so a release costs O(1) wakeups however many waiters are parked
+//! on other conflicts.
 //!
-//! Every wake — keyed or not — still bumps the shared generation counter
-//! first. That is the compatibility contract that makes the keyed layer
-//! safe to adopt incrementally: a waiter parked unkeyed (or a future
-//! registered unkeyed) can never miss a keyed wake, because the keyed wake
-//! performs the full eventcount signal too; the selectivity is that keyed
-//! *waiters* are no longer in the broadcast herd.
-//!
-//! # Waker slots: one queue, two kinds of waiter
-//!
-//! Since the async range-lock API, a waiter slot holds either a **thread**
-//! (parked under [`Block`]) or a [`core::task::Waker`] (registered by an
-//! acquisition-future poll, under *any* policy — an async waiter never spins
-//! regardless of how the lock's sync waiters wait). Keyed waker
-//! registrations ([`WaitQueue::register_waker_keyed`]) live in the same
-//! keyed slots as thread parkers, so one conflict's release wakes its sync
-//! and async waiters together; unkeyed registrations stay on the legacy
-//! per-queue vector. Both kinds hang off the same generation counter, so
-//! the lost-wakeup argument below covers both.
-//!
-//! Because wakers must be woken even on locks whose sync waiters spin, the
-//! spinning policies' [`WaitPolicy::wake`] is not a no-op: it calls
-//! [`WaitQueue::wake_all`]. With keyed parking this is cheaper than it used
-//! to be: deadline parkers that know their key now sleep on
-//! [`std::thread::park_timeout`] in the shard table instead of on the
-//! queue condvar, so a wake whose keyed shard is **provably empty** (one
-//! occupancy load) skips the syscall path entirely — the inefficiency the
-//! old design documented ("deadline parkers sleep on the condvar under any
-//! policy") is gone for keyed deadline parks, and the condvar notify is
-//! still gated on the unkeyed parked-waiter count.
+//! A waiter that cannot name its conflict (a barging two-phase poller of a
+//! try-based lock, a deadlock re-check) files under the reserved key
+//! [`KEY_ANY`], whose entries **every** wake also claims;
+//! `wake_key(KEY_ANY)` wakes that population alone. [`WaitQueue::wake_all`]
+//! is the one broadcast, for releases that cannot name what they resolved
+//! (guard-drop fallbacks, deadlock re-derivation). Spurious wakeups — woken,
+//! predicate still false, re-parked — are counted, so the
+//! `spurious_wakeups` column in benchmark reports measures whatever herd
+//! remains directly.
 //!
 //! # Lost wakeups
 //!
-//! [`WaitQueue`] is an eventcount: a generation counter plus a
-//! mutex/condvar pair. Unkeyed waiters re-check their predicate with the
-//! generation snapshotted under the queue mutex; wakers bump the generation
-//! *before* checking for parked waiters (both with sequentially consistent
-//! ordering), so either the waker observes the waiter and notifies under
-//! the mutex, or the waiter observes the new generation and re-checks its
-//! predicate. A wakeup can therefore never fall between a waiter's
-//! predicate check and its park.
+//! One Dekker-style protocol, run against the generation counter and the
+//! shard occupancies, covers every waiter:
 //!
-//! Keyed parking runs the same Dekker-style protocol against the shard
-//! table's occupancy instead of the waiter count: the waiter publishes its
-//! entry (a sequentially consistent occupancy bump) and only then re-checks
-//! its predicate behind a `SeqCst` fence; the releaser publishes the state
-//! change, bumps the generation, and only then (behind a `SeqCst` fence)
-//! loads the shard occupancy. In the fence order, either the releaser sees
-//! the entry and signals it, or the waiter's re-check sees the released
-//! state and returns — never neither.
+//! * **waiter** — publish the entry (a sequentially consistent occupancy
+//!   store), `SeqCst` fence, *then* re-check: a parking thread re-evaluates
+//!   its predicate, a future compares the generation with the snapshot it
+//!   took **before** polling the lock;
+//! * **waker** — publish the state change the predicate observes, bump the
+//!   generation (`SeqCst`), `SeqCst` fence, *then* load the occupancy of
+//!   the key's shard and of `KEY_ANY`'s.
 //!
-//! Waker registration follows the same protocol, keyed or not: the future
-//! snapshots the generation *before* polling the lock, and registration
-//! publishes itself **before** re-checking the generation against the
-//! snapshot. Either the releaser's bump precedes the future's generation
-//! check — registration fails and the caller re-polls the lock, observing
-//! the release — or the registration precedes the releaser's occupancy
-//! load, which then claims and wakes the waker. Either way the wakeup
-//! cannot be lost.
+//! In the fence order either the waker's occupancy load sees the entry and
+//! claims it, or the waiter's re-check sees the released state (the thread
+//! returns; the future's registration reports `false` and its caller
+//! re-polls the lock) — never neither. A wakeup can therefore not fall
+//! between a waiter's check and its sleep.
 //!
 //! # Examples
 //!
@@ -109,70 +76,49 @@
 //!
 //! let queue = WaitQueue::new();
 //! let flag = AtomicBool::new(true); // pretend a release already happened
-//! Block::wait_until(&queue, || flag.load(Ordering::Acquire));
-//! Block::wake(&queue); // no waiters: a few atomics, no syscall
-//! // Keyed: wake only the waiters parked on conflict 0x40.
-//! Block::wait_until_keyed(&queue, 0x40, || flag.load(Ordering::Acquire));
-//! Block::wake_key(&queue, 0x40);
+//! // Wait out conflict 0x40; the release wakes exactly that key.
+//! Block::wait(&queue, 0x40, || flag.load(Ordering::Acquire), None);
+//! queue.wake_key(0x40); // no waiters: a few atomics, no syscall
 //! ```
+//!
+//! [`KEY_ANY`]: crate::parking::KEY_ANY
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::Waker;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
-
 use crate::backoff::Backoff;
-use crate::parking::{ShardTable, ThreadParker, KEY_ANY};
+use crate::parking::{ShardTable, ThreadParker};
 use crate::stats::WaitStats;
 
-/// A futex-analogue wait queue owned by a lock instance: an eventcount (for
-/// unkeyed waiters) fused with a sharded address-keyed parking table (for
-/// waiters that know which conflict blocks them).
+/// A futex-analogue wait queue owned by a lock instance: a generation
+/// counter over a sharded address-keyed parking table.
 ///
-/// Unkeyed waiters park until the queue's generation advances; keyed
-/// waiters ([`WaitQueue::park_until_keyed`]) park in the [`ShardTable`]
-/// under the conflicting node's address and are woken selectively by
-/// [`WaitQueue::wake_key`]. Every release path of the owning lock wakes
-/// through [`WaitPolicy::wake`]/[`WaitPolicy::wake_key`]. The queue also
-/// counts parks, effective wakes, and spurious wakeups so benchmarks can
-/// attribute wait time to blocking vs spinning and measure wake herds; the
-/// counters are mirrored into an attached [`WaitStats`] when the owning
-/// lock has one.
+/// Waiters — threads ([`WaitQueue::park`]) and futures
+/// ([`WaitQueue::register_waker`]) — sit in the [`ShardTable`] under the
+/// address of the conflict that blocks them (or [`KEY_ANY`]) and are woken
+/// selectively by [`WaitQueue::wake_key`]; every release path of the owning
+/// lock calls it or [`WaitQueue::wake_all`]. The queue also counts parks,
+/// effective wakes, and spurious wakeups so benchmarks can attribute wait
+/// time to blocking vs spinning and measure wake herds; the counters are
+/// mirrored into an attached [`WaitStats`] when the owning lock has one.
+///
+/// [`KEY_ANY`]: crate::parking::KEY_ANY
 pub struct WaitQueue {
-    /// Bumped by every wake (keyed or not); unkeyed waiters park only while
-    /// it is unchanged.
+    /// Bumped by every wake; futures register against a snapshot of it.
     generation: AtomicU64,
-    /// Number of threads currently inside [`WaitQueue::park_until`] or
-    /// [`WaitQueue::park_until_deadline`] (the condvar population; keyed
-    /// parkers are tracked by the shard table's occupancy instead).
-    waiters: AtomicU64,
-    /// Total individual parks (condvar waits and keyed thread parks) since
-    /// construction.
+    /// Total individual thread parks since construction.
     parks: AtomicU64,
     /// Total wake operations that found at least one waiter to wake.
     wakes: AtomicU64,
     /// Total spurious wakeups: a parked waiter woke, found its predicate
     /// still false, and re-parked. The herd metric.
     spurious: AtomicU64,
-    gate: Mutex<()>,
-    condvar: Condvar,
-    /// The keyed parking table: thread parkers and waker slots filed under
-    /// the conflicting node/range address.
+    /// The parking table: every waiter of this queue, filed under the
+    /// conflicting node/range address.
     table: ShardTable,
-    /// Registered *unkeyed* async waiters, keyed by the slot id of the
-    /// owning future.
-    ///
-    /// A plain vector: a lock rarely has more than a handful of futures
-    /// parked on it at once, and registration is off the uncontended fast
-    /// path anyway.
-    wakers: Mutex<Vec<(u64, Waker)>>,
-    /// `wakers.len()`, mirrored outside the mutex with sequentially
-    /// consistent stores so release paths can skip the mutex when no future
-    /// is registered (see the module-level lost-wakeup argument).
-    async_waiters: AtomicU64,
-    /// Allocator for waker slot ids.
+    /// Allocator for waiter ids (waker slots and parked threads).
     next_slot: AtomicU64,
     /// Total successful waker registrations (the async analogue of `parks`).
     waker_regs: AtomicU64,
@@ -197,15 +143,10 @@ impl WaitQueue {
     pub const fn new() -> Self {
         WaitQueue {
             generation: AtomicU64::new(0),
-            waiters: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
             spurious: AtomicU64::new(0),
-            gate: Mutex::new(()),
-            condvar: Condvar::new(),
             table: ShardTable::new(),
-            wakers: Mutex::new(Vec::new()),
-            async_waiters: AtomicU64::new(0),
             next_slot: AtomicU64::new(1),
             waker_regs: AtomicU64::new(0),
             cancels: AtomicU64::new(0),
@@ -243,8 +184,7 @@ impl WaitQueue {
         self.stats = Some(stats);
     }
 
-    /// Number of individual parks (condvar waits plus keyed thread parks)
-    /// so far.
+    /// Number of individual thread parks so far.
     pub fn parks(&self) -> u64 {
         self.parks.load(Ordering::Relaxed)
     }
@@ -262,9 +202,8 @@ impl WaitQueue {
         self.spurious.load(Ordering::Relaxed)
     }
 
-    /// Number of waiters (threads + wakers) currently registered in the
-    /// keyed parking table.
-    pub fn keyed_waiters(&self) -> u64 {
+    /// Number of waiters (threads + wakers) currently registered.
+    pub fn waiters(&self) -> u64 {
         self.table.occupancy()
     }
 
@@ -307,69 +246,26 @@ impl WaitQueue {
         self.next_slot.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Registers (or re-registers) `waker` under `slot`, unless the
-    /// generation has advanced past the `gen` snapshot.
+    /// Registers (or re-arms) `waker` for future `slot` in the parking
+    /// table under `key`, unless the generation has advanced past the `gen`
+    /// snapshot. Only [`WaitQueue::wake_key`] for that key (every key, for
+    /// `KEY_ANY`) or a broadcast wakes it.
     ///
-    /// Returns `false` when a wake slipped in between the caller's snapshot
-    /// and this call; the caller must then re-poll its condition and retry
-    /// with a fresh snapshot — that re-poll is what makes the registration
-    /// lost-wakeup-free (see the module-level argument).
-    pub fn register_waker(&self, slot: u64, gen: u64, waker: &Waker) -> bool {
-        let mut wakers = self.wakers.lock();
-        // Publish the registration *before* the generation check: in the
-        // sequentially consistent total order, either the releaser's bump
-        // precedes our check (we fail and re-poll) or our count store
-        // precedes the releaser's count load (it drains and wakes us).
-        if let Some((_, w)) = wakers.iter_mut().find(|(id, _)| *id == slot) {
-            w.clone_from(waker);
-        } else {
-            wakers.push((slot, waker.clone()));
-        }
-        self.async_waiters
-            .store(wakers.len() as u64, Ordering::SeqCst);
-        if self.generation.load(Ordering::SeqCst) != gen {
-            wakers.retain(|(id, _)| *id != slot);
-            self.async_waiters
-                .store(wakers.len() as u64, Ordering::SeqCst);
-            return false;
-        }
-        self.waker_regs.fetch_add(1, Ordering::Relaxed);
-        if let Some(stats) = &self.stats {
-            stats.record_waker_registration();
-        }
-        true
-    }
-
-    /// Removes `slot`'s waker, if still registered. Called when the owning
-    /// future resolves or is dropped; idempotent.
-    pub fn deregister_waker(&self, slot: u64) {
-        let mut wakers = self.wakers.lock();
-        wakers.retain(|(id, _)| *id != slot);
-        self.async_waiters
-            .store(wakers.len() as u64, Ordering::SeqCst);
-    }
-
-    /// The keyed form of [`WaitQueue::register_waker`]: files the waker in
-    /// the parking table under `key`, so only [`WaitQueue::wake_key`] for
-    /// that key (or a broadcast) wakes it. `KEY_ANY` falls back to the
-    /// unkeyed registration.
-    ///
-    /// Same contract as the unkeyed form: returns `false` (leaving nothing
-    /// registered) when the generation advanced past `gen`, in which case
-    /// the caller re-polls and retries. A future whose blocking conflict
-    /// *changes* between polls must deregister its old key
-    /// ([`WaitQueue::deregister_waker_keyed`]) before registering the new
-    /// one — the waker-slot migration path.
-    pub fn register_waker_keyed(&self, key: u64, slot: u64, gen: u64, waker: &Waker) -> bool {
-        if key == KEY_ANY {
-            return self.register_waker(slot, gen, waker);
-        }
-        // Publish-then-check, exactly like the unkeyed path but against the
-        // shard occupancy (see the module-level keyed protocol).
-        self.table.register_waker(key, slot, waker);
+    /// Returns `false`, leaving nothing registered, when a wake slipped in
+    /// between the caller's snapshot and this call; the caller must then
+    /// re-poll its condition and retry with a fresh snapshot — that re-poll
+    /// is what makes the registration lost-wakeup-free (see the module-level
+    /// argument). A future whose blocking conflict *changes* between polls
+    /// must deregister its old key ([`WaitQueue::deregister_waker`]) before
+    /// registering the new one — the waker-slot migration path.
+    pub fn register_waker(&self, key: u64, slot: u64, gen: u64, waker: &Waker) -> bool {
+        // Publish *before* the generation check: either the releaser's bump
+        // precedes our check (we fail and re-poll) or our occupancy store
+        // precedes the releaser's occupancy load (it claims and wakes us).
+        self.table.register(key, slot, waker);
         fence(Ordering::SeqCst);
         if self.generation.load(Ordering::SeqCst) != gen {
-            self.table.deregister_waker(key, slot);
+            self.table.deregister(key, slot);
             return false;
         }
         self.waker_regs.fetch_add(1, Ordering::Relaxed);
@@ -380,14 +276,10 @@ impl WaitQueue {
     }
 
     /// Removes the waker registered for `slot` under `key`, if a wake has
-    /// not already claimed it. Idempotent; `KEY_ANY` falls back to the
-    /// unkeyed deregistration.
-    pub fn deregister_waker_keyed(&self, key: u64, slot: u64) {
-        if key == KEY_ANY {
-            self.deregister_waker(slot);
-        } else {
-            self.table.deregister_waker(key, slot);
-        }
+    /// not already claimed it. Called when the owning future migrates keys,
+    /// resolves or is dropped; idempotent.
+    pub fn deregister_waker(&self, key: u64, slot: u64) {
+        self.table.deregister(key, slot);
     }
 
     /// Records one abandoned two-phase acquisition (a dropped
@@ -447,161 +339,55 @@ impl WaitQueue {
         }
     }
 
-    /// Parks the calling thread until `cond` returns `true`.
-    ///
-    /// `cond` is re-evaluated under the queue mutex whenever the generation
-    /// advances; it may have side effects (e.g. a CAS that acquires the
-    /// lock) because it runs exactly once per observed generation.
-    pub fn park_until(&self, mut cond: impl FnMut() -> bool) {
-        let mut guard = self.gate.lock();
-        // SeqCst pairs with the SeqCst generation bump in the wake paths:
-        // either the waker sees our increment, or we see its bump
-        // (Dekker-style).
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut woken = false;
-        loop {
-            let generation = self.generation.load(Ordering::SeqCst);
-            if cond() {
-                break;
-            }
-            if woken {
-                // Woken by a generation bump but the predicate is still
-                // false: the broadcast herd cost, re-parking below.
-                self.record_spurious();
-                woken = false;
-            }
-            while self.generation.load(Ordering::SeqCst) == generation {
-                self.record_park();
-                self.condvar.wait(&mut guard);
-                self.record_woken();
-                woken = true;
-            }
-        }
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Parks the calling thread until `cond` returns `true` or `deadline`
-    /// passes; returns the final value of `cond`.
-    ///
-    /// The deadline variant of [`WaitQueue::park_until`], used by the
-    /// timed acquisition API of the `Block` policy when no conflict key is
-    /// known (keyed timed waits go through
-    /// [`WaitQueue::park_until_deadline_keyed`] and stay off the condvar).
-    pub fn park_until_deadline(&self, mut cond: impl FnMut() -> bool, deadline: Instant) -> bool {
-        let mut guard = self.gate.lock();
-        // SeqCst pairs with the SeqCst generation bump in the wake paths,
-        // exactly as in `park_until`.
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let mut woken = false;
-        let satisfied = loop {
-            let generation = self.generation.load(Ordering::SeqCst);
-            if cond() {
-                break true;
-            }
-            if woken {
-                self.record_spurious();
-                woken = false;
-            }
-            let mut expired = false;
-            while self.generation.load(Ordering::SeqCst) == generation {
-                let now = Instant::now();
-                if now >= deadline {
-                    expired = true;
-                    break;
-                }
-                self.record_park();
-                self.condvar.wait_for(&mut guard, deadline - now);
-                self.record_woken();
-                woken = true;
-            }
-            if expired {
-                // One last look: the deadline racing a wake must not report
-                // failure when the condition in fact became true.
-                break cond();
-            }
-        };
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        satisfied
-    }
-
-    /// Parks the calling thread in the keyed table under `key` until `cond`
-    /// returns `true`; only [`WaitQueue::wake_key`] for `key` or a
-    /// [`WaitQueue::wake_all`] broadcast wakes it. `KEY_ANY` falls back to
-    /// the eventcount park.
+    /// Parks the calling thread in the table under `key` until `cond`
+    /// returns `true` or, when there is one, `deadline` passes; returns the
+    /// final value of `cond`. Only [`WaitQueue::wake_key`] for `key` (every
+    /// key, for `KEY_ANY`) or a [`WaitQueue::wake_all`] broadcast wakes it.
     ///
     /// The caller keys on the conflict it is waiting out (the blocking
     /// node's address), and `cond` must become observable before that
     /// conflict's release wakes the key — which every lock's release order
-    /// (publish state, then wake) guarantees.
-    pub fn park_until_keyed(&self, key: u64, mut cond: impl FnMut() -> bool) {
-        if key == KEY_ANY {
-            return self.park_until(cond);
-        }
-        let parker = ThreadParker::new();
-        loop {
-            parker.reset();
-            self.table.register_parker(key, &parker);
-            // Publish-then-check (see the module-level keyed protocol):
-            // either the releaser's occupancy load sees our entry, or this
-            // re-check sees the released state.
-            fence(Ordering::SeqCst);
-            if cond() {
-                self.table.deregister_parker(key, &parker);
-                return;
-            }
-            self.record_park();
-            parker.park();
-            self.record_woken();
-            // The wake that signalled us also claimed (removed) our entry,
-            // so the next round re-registers from scratch.
-            if cond() {
-                return;
-            }
-            self.record_spurious();
-        }
-    }
-
-    /// Parks in the keyed table under `key` until `cond` returns `true` or
-    /// `deadline` passes; returns the final value of `cond`. `KEY_ANY`
-    /// falls back to the condvar deadline park.
-    ///
-    /// Keyed deadline parkers sleep on [`std::thread::park_timeout`] inside
-    /// the shard table — not on the queue condvar — which is what lets
-    /// wakes skip the condvar syscall path when the keyed shard is provably
-    /// empty.
-    pub fn park_until_deadline_keyed(
+    /// (publish state, then wake) guarantees. `cond` may have side effects
+    /// (e.g. a CAS that acquires the lock): it is not called again once it
+    /// has returned `true`.
+    pub fn park(
         &self,
         key: u64,
         mut cond: impl FnMut() -> bool,
-        deadline: Instant,
+        deadline: Option<Instant>,
     ) -> bool {
-        if key == KEY_ANY {
-            return self.park_until_deadline(cond, deadline);
-        }
         let parker = ThreadParker::new();
+        let waker = Waker::from(Arc::clone(&parker));
+        let id = self.alloc_waker_slot();
         loop {
             parker.reset();
-            self.table.register_parker(key, &parker);
+            self.table.register(key, id, &waker);
+            // Publish-then-check (see the module-level protocol): either the
+            // releaser's occupancy load sees our entry, or this re-check
+            // sees the released state.
             fence(Ordering::SeqCst);
             if cond() {
-                self.table.deregister_parker(key, &parker);
+                self.table.deregister(key, id);
                 return true;
             }
-            if Instant::now() >= deadline {
-                self.table.deregister_parker(key, &parker);
-                // One last look, as in the unkeyed deadline park.
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                self.table.deregister(key, id);
+                // One last look: the deadline racing a wake must not report
+                // failure when the condition in fact became true.
                 return cond();
             }
             self.record_park();
-            let signaled = parker.park_deadline(deadline);
+            let signaled = parker.park(deadline);
             self.record_woken();
             if !signaled {
                 // Expired while registered: withdraw (a racing wake that
                 // already claimed the entry makes this a no-op and leaves a
-                // stray signal, which the next round's reset absorbs).
-                self.table.deregister_parker(key, &parker);
+                // stray signal, which is dropped with the parker).
+                self.table.deregister(key, id);
                 return cond();
             }
+            // The wake that signalled us also claimed (removed) our entry,
+            // so the next round re-registers from scratch.
             if cond() {
                 return true;
             }
@@ -609,110 +395,41 @@ impl WaitQueue {
         }
     }
 
+    /// One wake operation: bump, fence, then let `claim` pick the entries.
+    fn wake_with(&self, claim: impl FnOnce(&ShardTable) -> usize) {
+        // Bump first so a concurrently registering waiter (parking thread
+        // or future) detects the wake even if the occupancy loads in
+        // `claim` miss its registration (see the module-level argument).
+        self.generation.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if claim(&self.table) > 0 {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            if let Some(stats) = &self.stats {
+                stats.record_wake();
+            }
+        }
+    }
+
     /// Wakes exactly the waiters (threads and wakers) parked under `key`,
-    /// plus the legacy unkeyed population — a `KEY_ANY` key degrades to
-    /// [`WaitQueue::wake_all`].
+    /// plus the `KEY_ANY` waiters, which every wake claims; waiters under
+    /// other keys stay parked. `wake_key(KEY_ANY)` wakes the any-key
+    /// population alone — for release paths that proved no keyed waiter
+    /// became eligible but must still nudge barging two-phase pollers.
     ///
-    /// Every wake bumps the generation and checks the unkeyed counts, so
-    /// call sites that still park or register unkeyed can never lose a
-    /// wakeup; the win is that *keyed* waiters under other keys stay
-    /// parked. With nobody waiting this is a fetch-add plus a few loads —
-    /// no mutex, no syscall.
+    /// With nobody waiting this is a fetch-add, a fence and two loads — no
+    /// mutex, no syscall.
     pub fn wake_key(&self, key: u64) {
-        if key == KEY_ANY {
-            return self.wake_all();
-        }
-        // Bump first so a concurrently registering waiter (parking thread
-        // or future, keyed or not) detects the wake even if the occupancy
-        // loads below miss its registration.
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        let keyed = self.table.wake_key(key);
-        if keyed > 0 {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = &self.stats {
-                stats.record_wake();
-            }
-        }
-        self.notify_unkeyed();
-        self.drain_wakers();
+        self.wake_with(|table| table.wake_key(key));
     }
 
-    /// Wakes only the *unkeyed* population — condvar parkers and unkeyed
-    /// waker registrations — leaving keyed parkers of every conflict
-    /// undisturbed.
+    /// Wakes every parked waiter, threads and wakers under every key, so it
+    /// re-checks its predicate.
     ///
-    /// For release paths that proved no tracked (keyed) waiter became
-    /// eligible but must still nudge barging two-phase pollers, which
-    /// register unkeyed because they hold no queue slot in the lock's own
-    /// bookkeeping. The generation still advances, so generation-watching
-    /// wait loops observe the release.
-    pub fn wake_unkeyed(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        self.notify_unkeyed();
-        self.drain_wakers();
-    }
-
-    /// Wakes every parked waiter — keyed and unkeyed, threads and wakers —
-    /// so it re-checks its predicate.
-    ///
-    /// When nobody is waiting this is one fetch-add plus a few loads —
-    /// cheap enough for uncontended release paths. This is the broadcast
-    /// fallback: guard-drop herds, deadlock re-derivation, and every
-    /// call site that cannot name the conflict it resolved.
+    /// The broadcast fallback: guard-drop herds, deadlock re-derivation,
+    /// and every call site that cannot name the conflict it resolved. With
+    /// nobody waiting this is a fetch-add, a fence and one load.
     pub fn wake_all(&self) {
-        // Bump first so a concurrently registering waiter (parking thread
-        // or future) detects the wake even if the count loads below miss
-        // its registration (see the module-level lost-wakeup argument).
-        self.generation.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        let keyed = self.table.wake_all();
-        if keyed > 0 {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = &self.stats {
-                stats.record_wake();
-            }
-        }
-        self.notify_unkeyed();
-        self.drain_wakers();
-    }
-
-    /// Notifies the condvar population (unkeyed parkers), if any.
-    fn notify_unkeyed(&self) {
-        if self.waiters.load(Ordering::SeqCst) != 0 {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = &self.stats {
-                stats.record_wake();
-            }
-            // Taking the gate orders the notification after any waiter that
-            // read the old generation has actually parked (or re-checked).
-            let _guard = self.gate.lock();
-            self.condvar.notify_all();
-        }
-    }
-
-    /// Wakes and removes every registered unkeyed waker, if any.
-    fn drain_wakers(&self) {
-        if self.async_waiters.load(Ordering::SeqCst) == 0 {
-            return;
-        }
-        let drained: Vec<(u64, Waker)> = {
-            let mut wakers = self.wakers.lock();
-            let drained = std::mem::take(&mut *wakers);
-            self.async_waiters.store(0, Ordering::SeqCst);
-            drained
-        };
-        if !drained.is_empty() {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = &self.stats {
-                stats.record_wake();
-            }
-        }
-        // Wake outside the mutex: a waker may run arbitrary executor code.
-        for (_, waker) in drained {
-            waker.wake();
-        }
+        self.wake_with(ShardTable::wake_all);
     }
 }
 
@@ -725,8 +442,7 @@ impl Default for WaitQueue {
 impl std::fmt::Debug for WaitQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WaitQueue")
-            .field("waiters", &self.waiters.load(Ordering::Relaxed))
-            .field("keyed_waiters", &self.keyed_waiters())
+            .field("waiters", &self.waiters())
             .field("parks", &self.parks())
             .field("wakes", &self.wakes())
             .field("spurious", &self.spurious_wakeups())
@@ -738,70 +454,57 @@ impl std::fmt::Debug for WaitQueue {
 ///
 /// Implementations are zero-sized strategy types plugged into the locks as a
 /// defaulted type parameter (`ListRangeLock<P: WaitPolicy = SpinThenYield>`
-/// and friends). All three policies live in this module; downstream crates
-/// select one at the type level. Release paths call [`WaitPolicy::wake_key`]
-/// with the address of the conflict they resolved (or
-/// [`WaitPolicy::wake`] when they cannot name one), which only parks/wakes
-/// threads under [`Block`] but always services async wakers.
+/// and friends). All three policies live in this module and differ only in
+/// the three constants; downstream crates select one at the type level.
+/// Waking is not part of the policy: release paths call
+/// [`WaitQueue::wake_key`] with the address of the conflict they resolved
+/// (or [`WaitQueue::wake_all`] when they cannot name one) under every
+/// policy.
 pub trait WaitPolicy: Send + Sync + Default + Copy + std::fmt::Debug + 'static {
     /// Stable short name used by benchmark reports
     /// (`"spin"` / `"spin-yield"` / `"block"`).
     const NAME: &'static str;
 
-    /// Whether waiters of this policy may park (deschedule) themselves.
+    /// Whether waiters of this policy may park (deschedule) themselves once
+    /// the backoff ramp is exhausted.
     const BLOCKS: bool;
 
-    /// Returns once `cond` yields `true`. `queue` is the owning lock's wake
-    /// channel; spinning policies ignore it.
-    fn wait_until(queue: &WaitQueue, cond: impl FnMut() -> bool);
+    /// Whether the backoff ramp escalates from pausing to
+    /// [`std::thread::yield_now`] ([`Backoff::snooze`]) or only ever pauses
+    /// ([`Backoff::spin`]).
+    const YIELDS: bool;
 
-    /// Returns `true` once `cond` yields `true`, or `false` when `deadline`
-    /// passes first. Backs the timed acquisition API (`acquire_timeout` and
-    /// friends): under [`Block`] the waiter deadline-parks on the queue, the
-    /// spinning policies poll the clock between backoff steps.
-    fn wait_until_deadline(
-        queue: &WaitQueue,
-        cond: impl FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool;
-
-    /// [`WaitPolicy::wait_until`], but parked under `key` — the address of
-    /// the conflict being waited out — so the blocker's release wakes this
-    /// waiter selectively instead of herding the whole queue. Spinning
-    /// policies ignore the key (they never park); [`Block`] parks in the
-    /// queue's keyed table.
-    fn wait_until_keyed(queue: &WaitQueue, key: u64, cond: impl FnMut() -> bool) {
-        let _ = key;
-        Self::wait_until(queue, cond);
-    }
-
-    /// [`WaitPolicy::wait_until_deadline`], parked under `key` as in
-    /// [`WaitPolicy::wait_until_keyed`].
-    fn wait_until_deadline_keyed(
+    /// Waits until `cond` yields `true` (returning `true`) or, when there is
+    /// one, `deadline` passes first (returning `false`). `queue` is the
+    /// owning lock's wake channel and `key` the address of the conflict
+    /// being waited out (`KEY_ANY` when the caller cannot name one), so a
+    /// parked waiter is woken by its blocker's release instead of by every
+    /// release on the lock; policies that never park ignore both and poll
+    /// the clock between backoff steps.
+    #[inline]
+    fn wait(
         queue: &WaitQueue,
         key: u64,
-        cond: impl FnMut() -> bool,
-        deadline: Instant,
+        mut cond: impl FnMut() -> bool,
+        deadline: Option<Instant>,
     ) -> bool {
-        let _ = key;
-        Self::wait_until_deadline(queue, cond, deadline)
-    }
-
-    /// Called by the owning lock's release paths after the state change that
-    /// `cond` observes has been published.
-    ///
-    /// Every policy calls [`WaitQueue::wake_all`]: the spinning policies'
-    /// sync waiters poll on their own, but async waiters (registered
-    /// wakers) and deadline parkers must be woken whatever the policy.
-    fn wake(queue: &WaitQueue);
-
-    /// The selective form of [`WaitPolicy::wake`]: wakes the waiters parked
-    /// under `key` (and the legacy unkeyed population), leaving keyed
-    /// waiters of other conflicts parked. Identical under every policy —
-    /// async wakers and keyed parkers must be serviced whether or not the
-    /// lock's sync waiters spin.
-    fn wake_key(queue: &WaitQueue, key: u64) {
-        queue.wake_key(key);
+        // Optimistic phase: the holder usually releases within the backoff
+        // ramp, in which case a blocking waiter never touches the queue.
+        let backoff = Backoff::new();
+        while !(Self::BLOCKS && backoff.is_completed()) {
+            if cond() {
+                return true;
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return false;
+            }
+            if Self::YIELDS {
+                backoff.snooze();
+            } else {
+                backoff.spin();
+            }
+        }
+        queue.park(key, cond, deadline)
     }
 }
 
@@ -812,37 +515,7 @@ pub struct Spin;
 impl WaitPolicy for Spin {
     const NAME: &'static str = "spin";
     const BLOCKS: bool = false;
-
-    #[inline]
-    fn wait_until(_queue: &WaitQueue, mut cond: impl FnMut() -> bool) {
-        let backoff = Backoff::new();
-        while !cond() {
-            backoff.spin();
-        }
-    }
-
-    #[inline]
-    fn wait_until_deadline(
-        _queue: &WaitQueue,
-        mut cond: impl FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool {
-        let backoff = Backoff::new();
-        loop {
-            if cond() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            backoff.spin();
-        }
-    }
-
-    #[inline]
-    fn wake(queue: &WaitQueue) {
-        queue.wake_all();
-    }
+    const YIELDS: bool = false;
 }
 
 /// Busy-wait briefly, then interleave [`std::thread::yield_now`] between
@@ -853,120 +526,20 @@ pub struct SpinThenYield;
 impl WaitPolicy for SpinThenYield {
     const NAME: &'static str = "spin-yield";
     const BLOCKS: bool = false;
-
-    #[inline]
-    fn wait_until(_queue: &WaitQueue, mut cond: impl FnMut() -> bool) {
-        let backoff = Backoff::new();
-        while !cond() {
-            backoff.snooze();
-        }
-    }
-
-    #[inline]
-    fn wait_until_deadline(
-        _queue: &WaitQueue,
-        mut cond: impl FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool {
-        let backoff = Backoff::new();
-        loop {
-            if cond() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            backoff.snooze();
-        }
-    }
-
-    #[inline]
-    fn wake(queue: &WaitQueue) {
-        queue.wake_all();
-    }
+    const YIELDS: bool = true;
 }
 
 /// Busy-wait through one backoff ramp, then park on the lock's
 /// [`WaitQueue`] until a release wakes it (the futex-style, kernel-fidelity
-/// policy). Keyed waits park in the queue's sharded table and are woken
-/// per conflict.
+/// policy). Waits park in the queue's sharded table and are woken per
+/// conflict.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Block;
 
 impl WaitPolicy for Block {
     const NAME: &'static str = "block";
     const BLOCKS: bool = true;
-
-    #[inline]
-    fn wait_until(queue: &WaitQueue, mut cond: impl FnMut() -> bool) {
-        // Optimistic phase: the holder usually releases within the backoff
-        // ramp, in which case we never touch the queue.
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            if cond() {
-                return;
-            }
-            backoff.snooze();
-        }
-        queue.park_until(cond);
-    }
-
-    #[inline]
-    fn wait_until_deadline(
-        queue: &WaitQueue,
-        mut cond: impl FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool {
-        // Optimistic phase, bounded by the deadline.
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            if cond() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            backoff.snooze();
-        }
-        queue.park_until_deadline(cond, deadline)
-    }
-
-    #[inline]
-    fn wait_until_keyed(queue: &WaitQueue, key: u64, mut cond: impl FnMut() -> bool) {
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            if cond() {
-                return;
-            }
-            backoff.snooze();
-        }
-        queue.park_until_keyed(key, cond);
-    }
-
-    #[inline]
-    fn wait_until_deadline_keyed(
-        queue: &WaitQueue,
-        key: u64,
-        mut cond: impl FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool {
-        let backoff = Backoff::new();
-        while !backoff.is_completed() {
-            if cond() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            backoff.snooze();
-        }
-        queue.park_until_deadline_keyed(key, cond, deadline)
-    }
-
-    #[inline]
-    fn wake(queue: &WaitQueue) {
-        queue.wake_all();
-    }
+    const YIELDS: bool = true;
 }
 
 /// Runtime selector for the three [`WaitPolicy`] types, used by the
@@ -1007,18 +580,39 @@ impl WaitPolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parking::{shard_index, KEY_ANY};
     use std::sync::atomic::AtomicBool;
     use std::time::Duration;
+
+    /// Spawns a thread that parks on `queue` under `key` until `flag` is
+    /// set; returns the park's result.
+    fn spawn_parker(
+        queue: &Arc<WaitQueue>,
+        key: u64,
+        flag: &Arc<AtomicBool>,
+        deadline: Option<Instant>,
+    ) -> std::thread::JoinHandle<bool> {
+        let (queue, flag) = (Arc::clone(queue), Arc::clone(flag));
+        std::thread::spawn(move || queue.park(key, || flag.load(Ordering::Acquire), deadline))
+    }
+
+    fn sleep_until(mut cond: impl FnMut() -> bool) {
+        while !cond() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn satisfied_condition_returns_immediately() {
         let queue = WaitQueue::new();
-        Spin::wait_until(&queue, || true);
-        SpinThenYield::wait_until(&queue, || true);
-        Block::wait_until(&queue, || true);
-        Block::wait_until_keyed(&queue, 0x40, || true);
+        for key in [KEY_ANY, 0x40] {
+            assert!(Spin::wait(&queue, key, || true, None));
+            assert!(SpinThenYield::wait(&queue, key, || true, None));
+            assert!(Block::wait(&queue, key, || true, None));
+            assert!(queue.park(key, || true, None));
+        }
         assert_eq!(queue.parks(), 0);
-        assert_eq!(queue.keyed_waiters(), 0);
+        assert_eq!(queue.waiters(), 0);
     }
 
     #[test]
@@ -1029,16 +623,14 @@ mod tests {
             let queue = Arc::clone(&queue);
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
-                Block::wait_until(&queue, || flag.load(Ordering::Acquire));
+                Block::wait(&queue, KEY_ANY, || flag.load(Ordering::Acquire), None);
             })
         };
         // Give the waiter long enough to exhaust the backoff ramp and park
         // (the ramp is a few microseconds of spinning).
-        while queue.parks() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        sleep_until(|| queue.parks() != 0);
         flag.store(true, Ordering::Release);
-        Block::wake(&queue);
+        queue.wake_all();
         waiter.join().unwrap();
         assert!(queue.parks() >= 1);
         assert_eq!(queue.wakes(), 1);
@@ -1048,95 +640,131 @@ mod tests {
     fn wake_with_no_waiters_is_quiet() {
         let queue = WaitQueue::new();
         for _ in 0..100 {
-            Block::wake(&queue);
-            Block::wake_key(&queue, 0x40);
+            queue.wake_all();
+            queue.wake_key(0x40);
+            queue.wake_key(KEY_ANY);
         }
         assert_eq!(queue.wakes(), 0);
     }
 
+    /// A writer bumps a turn counter and wakes; the waiter — through the one
+    /// wait function, with and without a (never-reached) deadline — must
+    /// always observe the bump in bounded time, across many iterations
+    /// racing the park itself.
+    fn rapid_handoff<P: WaitPolicy>(key: u64, wake: impl Fn(&WaitQueue, u64)) {
+        const ITERS: u64 = 2_000;
+        for timed in [false, true] {
+            let queue = Arc::new(WaitQueue::new());
+            let turn = Arc::new(AtomicU64::new(0));
+            let waiter = {
+                let queue = Arc::clone(&queue);
+                let turn = Arc::clone(&turn);
+                std::thread::spawn(move || {
+                    let deadline = timed.then(|| Instant::now() + Duration::from_secs(600));
+                    for i in 0..ITERS {
+                        let passed = || turn.load(Ordering::Acquire) > i;
+                        assert!(P::wait(&queue, key, passed, deadline), "{}", P::NAME);
+                    }
+                })
+            };
+            for i in 0..ITERS {
+                turn.store(i + 1, Ordering::Release);
+                wake(&queue, i);
+                // Vary the interleaving so some rounds race the park itself.
+                if i % 7 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            waiter.join().unwrap();
+            assert_eq!(queue.waiters(), 0, "{} left an entry behind", P::NAME);
+        }
+    }
+
     #[test]
     fn no_lost_wakeup_under_rapid_handoff() {
-        // A writer flips a flag and wakes; the waiter must always observe the
-        // flip in bounded time, across many iterations racing the park.
-        const ITERS: usize = 2_000;
-        let queue = Arc::new(WaitQueue::new());
-        let turn = Arc::new(AtomicU64::new(0));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            let turn = Arc::clone(&turn);
-            std::thread::spawn(move || {
-                for i in 0..ITERS as u64 {
-                    Block::wait_until(&queue, || turn.load(Ordering::Acquire) > i);
-                }
-            })
-        };
-        for i in 0..ITERS as u64 {
-            turn.store(i + 1, Ordering::Release);
-            Block::wake(&queue);
-            // Vary the interleaving so some rounds race the park itself.
-            if i % 7 == 0 {
-                std::thread::yield_now();
+        // Any-key waiter: the broadcast and a wake naming some unrelated
+        // conflict must both reach it.
+        fn wake(queue: &WaitQueue, i: u64) {
+            if i.is_multiple_of(2) {
+                queue.wake_all();
+            } else {
+                queue.wake_key(0x80);
             }
         }
-        waiter.join().unwrap();
+        rapid_handoff::<Spin>(KEY_ANY, wake);
+        rapid_handoff::<SpinThenYield>(KEY_ANY, wake);
+        rapid_handoff::<Block>(KEY_ANY, wake);
     }
 
     #[test]
     fn no_lost_wakeup_under_rapid_keyed_handoff() {
-        // The keyed analogue: registration racing wake_key on the same key
-        // must never strand the waiter.
-        const ITERS: usize = 2_000;
+        // Registration racing wake_key on the same key must never strand
+        // the waiter.
         const KEY: u64 = 0xA40;
-        let queue = Arc::new(WaitQueue::new());
-        let turn = Arc::new(AtomicU64::new(0));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            let turn = Arc::clone(&turn);
-            std::thread::spawn(move || {
-                for i in 0..ITERS as u64 {
-                    Block::wait_until_keyed(&queue, KEY, || turn.load(Ordering::Acquire) > i);
-                }
-            })
-        };
-        for i in 0..ITERS as u64 {
-            turn.store(i + 1, Ordering::Release);
-            Block::wake_key(&queue, KEY);
-            if i % 7 == 0 {
-                std::thread::yield_now();
-            }
-        }
-        waiter.join().unwrap();
+        rapid_handoff::<Spin>(KEY, |queue, _| queue.wake_key(KEY));
+        rapid_handoff::<SpinThenYield>(KEY, |queue, _| queue.wake_key(KEY));
+        rapid_handoff::<Block>(KEY, |queue, _| queue.wake_key(KEY));
     }
 
     #[test]
     fn keyed_park_ignores_other_keys_and_wakes_on_its_own() {
         let queue = Arc::new(WaitQueue::new());
         let flag = Arc::new(AtomicBool::new(false));
-        let done = Arc::new(AtomicBool::new(false));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            let flag = Arc::clone(&flag);
-            let done = Arc::clone(&done);
-            std::thread::spawn(move || {
-                queue.park_until_keyed(0x40, || flag.load(Ordering::Acquire));
-                done.store(true, Ordering::Release);
-            })
-        };
-        while queue.keyed_waiters() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let waiter = spawn_parker(&queue, 0x40, &flag, None);
+        sleep_until(|| queue.parks() == 1);
         // A wake for an unrelated key must leave the waiter parked (its
         // entry stays in the table) and cost no spurious wakeup.
         queue.wake_key(0x80);
         std::thread::sleep(Duration::from_millis(5));
-        assert!(!done.load(Ordering::Acquire));
-        assert_eq!(queue.keyed_waiters(), 1);
+        assert!(!waiter.is_finished());
+        assert_eq!(queue.waiters(), 1);
         assert_eq!(queue.spurious_wakeups(), 0);
         flag.store(true, Ordering::Release);
         queue.wake_key(0x40);
-        waiter.join().unwrap();
-        assert!(done.load(Ordering::Acquire));
-        assert_eq!(queue.keyed_waiters(), 0);
+        assert!(waiter.join().unwrap());
+        assert_eq!(queue.waiters(), 0);
+        assert_eq!(queue.spurious_wakeups(), 0);
+    }
+
+    #[test]
+    fn wake_key_claims_any_key_waiters_and_stays_exact_under_collision() {
+        let collides_with = |key: u64| {
+            (2..10_000u64)
+                .map(|i| i * 64)
+                .find(|k| *k != key && shard_index(*k) == shard_index(key))
+                .expect("some aligned key collides into the shard")
+        };
+        let k = 64u64;
+        assert_ne!(shard_index(k), shard_index(KEY_ANY));
+        let queue = Arc::new(WaitQueue::new());
+        let flag = Arc::new(AtomicBool::new(false));
+        let any = spawn_parker(&queue, KEY_ANY, &flag, None);
+        let own = spawn_parker(&queue, k, &flag, None);
+        let in_home_shard = spawn_parker(&queue, collides_with(k), &flag, None);
+        let in_any_shard = spawn_parker(&queue, collides_with(KEY_ANY), &flag, None);
+        let (count, waker) = counting_waker();
+        let slot = queue.alloc_waker_slot();
+        assert!(queue.register_waker(KEY_ANY, slot, queue.generation(), &waker));
+        sleep_until(|| queue.parks() == 4);
+        // Everyone's predicate holds from here on, so whoever is woken
+        // leaves and whoever stays parked was provably not woken.
+        flag.store(true, Ordering::Release);
+        queue.wake_key(k);
+        assert!(any.join().unwrap());
+        assert!(own.join().unwrap());
+        assert_eq!(count.0.load(Ordering::SeqCst), 1);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!in_home_shard.is_finished() && !in_any_shard.is_finished());
+        assert_eq!(queue.waiters(), 2);
+        assert_eq!(queue.wakes(), 1, "one wake operation counts once");
+        // Naming `KEY_ANY` wakes the any-key population alone.
+        assert!(queue.register_waker(KEY_ANY, slot, queue.generation(), &waker));
+        queue.wake_key(KEY_ANY);
+        assert_eq!(count.0.load(Ordering::SeqCst), 2);
+        assert_eq!(queue.waiters(), 2);
+        queue.wake_all();
+        assert!(in_home_shard.join().unwrap());
+        assert!(in_any_shard.join().unwrap());
         assert_eq!(queue.spurious_wakeups(), 0);
     }
 
@@ -1144,55 +772,60 @@ mod tests {
     fn broadcast_wakes_keyed_parker_and_counts_spurious() {
         let queue = Arc::new(WaitQueue::new());
         let flag = Arc::new(AtomicBool::new(false));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            let flag = Arc::clone(&flag);
-            std::thread::spawn(move || {
-                queue.park_until_keyed(0x40, || flag.load(Ordering::Acquire));
-            })
-        };
-        while queue.keyed_waiters() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let waiter = spawn_parker(&queue, 0x40, &flag, None);
+        sleep_until(|| queue.parks() == 1);
         // A broadcast herds the keyed parker awake with its predicate still
         // false — one spurious wakeup, then it re-parks.
         queue.wake_all();
-        while queue.spurious_wakeups() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        while queue.keyed_waiters() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        sleep_until(|| queue.spurious_wakeups() == 1 && queue.parks() == 2);
         flag.store(true, Ordering::Release);
         queue.wake_all();
-        waiter.join().unwrap();
-        assert!(queue.spurious_wakeups() >= 1);
+        assert!(waiter.join().unwrap());
+        assert_eq!(queue.spurious_wakeups(), 1);
     }
 
     #[test]
     fn unkeyed_herd_wakeups_are_counted_spurious() {
         let queue = Arc::new(WaitQueue::new());
         let flag = Arc::new(AtomicBool::new(false));
+        let waiter = spawn_parker(&queue, KEY_ANY, &flag, None);
+        sleep_until(|| queue.parks() == 1);
+        // A wake for some conflict claims the any-key waiter without
+        // satisfying its predicate: it re-parks and the herd counter ticks.
+        queue.wake_key(0x80);
+        sleep_until(|| queue.spurious_wakeups() == 1 && queue.parks() == 2);
+        flag.store(true, Ordering::Release);
+        queue.wake_key(0xC0);
+        assert!(waiter.join().unwrap());
+        assert_eq!(queue.spurious_wakeups(), 1);
+    }
+
+    #[test]
+    fn parked_deadline_waiter_does_not_tax_every_wake() {
+        // A wake is effective only if it claims an entry, and each entry
+        // was parked on — so a waiter resident in a deadline wait must not
+        // turn every wake of the queue into an effective one (a mutex and a
+        // syscall per release, for as long as it sits there).
+        let queue = Arc::new(WaitQueue::new());
         let waiter = {
             let queue = Arc::clone(&queue);
-            let flag = Arc::clone(&flag);
             std::thread::spawn(move || {
-                queue.park_until(|| flag.load(Ordering::Acquire));
+                let deadline = Instant::now() + Duration::from_millis(200);
+                Block::wait(&queue, KEY_ANY, || false, Some(deadline))
             })
         };
-        while queue.parks() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
+        sleep_until(|| queue.parks() != 0);
+        for _ in 0..100_000 {
+            queue.wake_all();
         }
-        // Wake without satisfying the predicate: the waiter re-parks and
-        // the herd counter ticks.
-        queue.wake_all();
-        while queue.spurious_wakeups() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        flag.store(true, Ordering::Release);
-        queue.wake_all();
-        waiter.join().unwrap();
-        assert!(queue.spurious_wakeups() >= 1);
+        assert!(!waiter.join().unwrap(), "the predicate never held");
+        assert!(
+            queue.wakes() <= queue.parks() + 1,
+            "{} effective wakes for {} parks",
+            queue.wakes(),
+            queue.parks()
+        );
+        assert_eq!(queue.waiters(), 0);
     }
 
     #[test]
@@ -1202,27 +835,17 @@ mod tests {
         queue.attach_stats(Arc::clone(&stats));
         let queue = Arc::new(queue);
         let flag = Arc::new(AtomicBool::new(false));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            let flag = Arc::clone(&flag);
-            std::thread::spawn(move || {
-                queue.park_until(|| flag.load(Ordering::Acquire));
-            })
-        };
-        while queue.parks() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let waiter = spawn_parker(&queue, KEY_ANY, &flag, None);
+        sleep_until(|| queue.parks() != 0);
         // Herd it once so the spurious counter mirrors too.
         queue.wake_all();
-        while queue.spurious_wakeups() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        sleep_until(|| queue.spurious_wakeups() != 0);
         flag.store(true, Ordering::Release);
         queue.wake_all();
         waiter.join().unwrap();
         let snap = stats.snapshot();
-        assert!(snap.parks >= 1);
-        assert!(snap.wakes >= 1);
+        assert_eq!(snap.parks, queue.parks());
+        assert_eq!(snap.wakes, queue.wakes());
         assert!(snap.spurious_wakeups >= 1);
         assert_eq!(snap.spurious_wakeups, queue.spurious_wakeups());
     }
@@ -1275,11 +898,11 @@ mod tests {
             let (count, waker) = counting_waker();
             let slot = queue.alloc_waker_slot();
             let gen = queue.generation();
-            assert!(queue.register_waker(slot, gen, &waker));
+            assert!(queue.register_waker(KEY_ANY, slot, gen, &waker));
             assert_eq!(queue.waker_registrations(), 1);
             queue.wake_all();
             assert_eq!(count.0.load(Ordering::SeqCst), 1);
-            // The drain removed the registration: waking again is a no-op.
+            // The wake claimed the registration: waking again is a no-op.
             queue.wake_all();
             assert_eq!(count.0.load(Ordering::SeqCst), 1);
         }
@@ -1292,8 +915,9 @@ mod tests {
         let slot = queue.alloc_waker_slot();
         let gen = queue.generation();
         queue.wake_all(); // a wake slips in between snapshot and register
-        assert!(!queue.register_waker(slot, gen, &waker));
+        assert!(!queue.register_waker(KEY_ANY, slot, gen, &waker));
         // The refused registration left nothing behind.
+        assert_eq!(queue.waiters(), 0);
         queue.wake_all();
         assert_eq!(count.0.load(Ordering::SeqCst), 0);
         assert_eq!(queue.waker_registrations(), 0);
@@ -1304,22 +928,24 @@ mod tests {
         let queue = WaitQueue::new();
         let (count, waker) = counting_waker();
         let slot = queue.alloc_waker_slot();
-        assert!(queue.register_waker_keyed(0x40, slot, queue.generation(), &waker));
+        assert!(queue.register_waker(0x40, slot, queue.generation(), &waker));
         assert_eq!(queue.waker_registrations(), 1);
-        // A wake for a different key leaves the keyed waker registered.
+        // Wakes for a different key, or for the any-key population alone,
+        // leave the keyed waker registered.
         queue.wake_key(0x80);
+        queue.wake_key(KEY_ANY);
         assert_eq!(count.0.load(Ordering::SeqCst), 0);
-        assert_eq!(queue.keyed_waiters(), 1);
+        assert_eq!(queue.waiters(), 1);
         // Its own key wakes (and claims) it.
         queue.wake_key(0x40);
         assert_eq!(count.0.load(Ordering::SeqCst), 1);
-        assert_eq!(queue.keyed_waiters(), 0);
+        assert_eq!(queue.waiters(), 0);
         // Re-register, then a broadcast claims it too.
         let (count2, waker2) = counting_waker();
-        assert!(queue.register_waker_keyed(0x40, slot, queue.generation(), &waker2));
+        assert!(queue.register_waker(0x40, slot, queue.generation(), &waker2));
         queue.wake_all();
         assert_eq!(count2.0.load(Ordering::SeqCst), 1);
-        assert_eq!(queue.keyed_waiters(), 0);
+        assert_eq!(queue.waiters(), 0);
     }
 
     #[test]
@@ -1329,13 +955,13 @@ mod tests {
         let slot = queue.alloc_waker_slot();
         let gen = queue.generation();
         queue.wake_key(0x80); // unrelated key, but every wake bumps the generation
-        assert!(!queue.register_waker_keyed(0x40, slot, gen, &waker));
-        assert_eq!(queue.keyed_waiters(), 0);
+        assert!(!queue.register_waker(0x40, slot, gen, &waker));
+        assert_eq!(queue.waiters(), 0);
         // Migration: register under one conflict, move to another (as a
         // future does when re-polling finds a different blocker).
-        assert!(queue.register_waker_keyed(0x40, slot, queue.generation(), &waker));
-        queue.deregister_waker_keyed(0x40, slot);
-        assert!(queue.register_waker_keyed(0x80, slot, queue.generation(), &waker));
+        assert!(queue.register_waker(0x40, slot, queue.generation(), &waker));
+        queue.deregister_waker(0x40, slot);
+        assert!(queue.register_waker(0x80, slot, queue.generation(), &waker));
         queue.wake_key(0x40);
         assert_eq!(count.0.load(Ordering::SeqCst), 0, "old key must be empty");
         queue.wake_key(0x80);
@@ -1348,11 +974,12 @@ mod tests {
         let (count_a, waker_a) = counting_waker();
         let (count_b, waker_b) = counting_waker();
         let slot = queue.alloc_waker_slot();
-        assert!(queue.register_waker(slot, queue.generation(), &waker_a));
+        assert!(queue.register_waker(KEY_ANY, slot, queue.generation(), &waker_a));
         // Re-registering the same slot replaces the waker (one slot, one
         // pending acquisition).
-        assert!(queue.register_waker(slot, queue.generation(), &waker_b));
-        queue.deregister_waker(slot);
+        assert!(queue.register_waker(KEY_ANY, slot, queue.generation(), &waker_b));
+        assert_eq!(queue.waiters(), 1);
+        queue.deregister_waker(KEY_ANY, slot);
         queue.wake_all();
         assert_eq!(count_a.0.load(Ordering::SeqCst), 0);
         assert_eq!(count_b.0.load(Ordering::SeqCst), 0);
@@ -1377,75 +1004,29 @@ mod tests {
     }
 
     #[test]
-    fn spinning_wakes_deliver_to_wakers() {
-        // The whole point of re-pointing the spin policies' wake at
-        // `wake_all`: a future waiting on a spin-policy lock must still be
-        // woken by its release hook.
-        for kind in [WaitPolicyKind::Spin, WaitPolicyKind::SpinThenYield] {
-            let queue = WaitQueue::new();
-            let (count, waker) = counting_waker();
-            let slot = queue.alloc_waker_slot();
-            assert!(queue.register_waker(slot, queue.generation(), &waker));
-            match kind {
-                WaitPolicyKind::Spin => Spin::wake(&queue),
-                WaitPolicyKind::SpinThenYield => SpinThenYield::wake(&queue),
-                WaitPolicyKind::Block => unreachable!(),
-            }
-            assert_eq!(count.0.load(Ordering::SeqCst), 1, "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn keyed_wakes_deliver_to_unkeyed_wakers_under_every_policy() {
-        // The compatibility contract: a keyed wake still services the
-        // legacy unkeyed population, so unconverted call sites never lose
-        // wakeups.
-        fn hook<P: WaitPolicy>() {
-            let queue = WaitQueue::new();
-            let (count, waker) = counting_waker();
-            let slot = queue.alloc_waker_slot();
-            assert!(queue.register_waker(slot, queue.generation(), &waker));
-            P::wake_key(&queue, 0x40);
-            assert_eq!(count.0.load(Ordering::SeqCst), 1, "{}", P::NAME);
-        }
-        hook::<Spin>();
-        hook::<SpinThenYield>();
-        hook::<Block>();
-    }
-
-    #[test]
     fn deadline_park_times_out_and_reports_late_success() {
         let queue = WaitQueue::new();
-        // Condition never satisfied: the deadline must fire.
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(!queue.park_until_deadline(|| false, deadline));
-        // Condition already satisfied: immediate success, no park.
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(queue.park_until_deadline(|| true, deadline));
-        // The keyed variant honours the deadline and leaves no residue.
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(!queue.park_until_deadline_keyed(0x40, || false, deadline));
-        assert_eq!(queue.keyed_waiters(), 0);
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert!(queue.park_until_deadline_keyed(0x40, || true, deadline));
-        assert_eq!(queue.keyed_waiters(), 0);
+        let soon = || Some(Instant::now() + Duration::from_millis(10));
+        for key in [KEY_ANY, 0x40] {
+            // Condition never satisfied: the deadline must fire, leaving no
+            // residue in the table.
+            assert!(!queue.park(key, || false, soon()));
+            assert_eq!(queue.waiters(), 0);
+            // Condition already satisfied: immediate success, no park.
+            let parks = queue.parks();
+            assert!(queue.park(key, || true, soon()));
+            assert_eq!(queue.parks(), parks);
+            assert_eq!(queue.waiters(), 0);
+        }
     }
 
     #[test]
     fn deadline_park_is_woken_before_the_deadline() {
         let queue = Arc::new(WaitQueue::new());
         let flag = Arc::new(AtomicBool::new(false));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            let flag = Arc::clone(&flag);
-            std::thread::spawn(move || {
-                let deadline = Instant::now() + Duration::from_secs(60);
-                queue.park_until_deadline(|| flag.load(Ordering::Acquire), deadline)
-            })
-        };
-        while queue.parks() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let waiter = spawn_parker(&queue, KEY_ANY, &flag, Some(deadline));
+        sleep_until(|| queue.parks() != 0);
         flag.store(true, Ordering::Release);
         queue.wake_all();
         // Must return well before the 60s deadline, reporting success.
@@ -1456,45 +1037,25 @@ mod tests {
     fn keyed_deadline_park_is_woken_by_its_key() {
         let queue = Arc::new(WaitQueue::new());
         let flag = Arc::new(AtomicBool::new(false));
-        let waiter = {
-            let queue = Arc::clone(&queue);
-            let flag = Arc::clone(&flag);
-            std::thread::spawn(move || {
-                let deadline = Instant::now() + Duration::from_secs(60);
-                queue.park_until_deadline_keyed(0x40, || flag.load(Ordering::Acquire), deadline)
-            })
-        };
-        while queue.keyed_waiters() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let waiter = spawn_parker(&queue, 0x40, &flag, Some(deadline));
+        sleep_until(|| queue.parks() != 0);
         flag.store(true, Ordering::Release);
         queue.wake_key(0x40);
         assert!(waiter.join().unwrap());
-        // The keyed deadline parker never sat on the condvar, so the wake
-        // above should not have had to notify it: no unkeyed waiters ever.
-        assert_eq!(queue.keyed_waiters(), 0);
+        assert_eq!(queue.waiters(), 0);
     }
 
     #[test]
     fn every_policy_honors_wait_until_deadline() {
         fn expired<P: WaitPolicy>() {
             let queue = WaitQueue::new();
-            let deadline = Instant::now() + Duration::from_millis(5);
-            assert!(!P::wait_until_deadline(&queue, || false, deadline));
-            assert!(P::wait_until_deadline(&queue, || true, deadline));
-            let deadline = Instant::now() + Duration::from_millis(5);
-            assert!(!P::wait_until_deadline_keyed(
-                &queue,
-                0x40,
-                || false,
-                deadline
-            ));
-            assert!(P::wait_until_deadline_keyed(
-                &queue,
-                0x40,
-                || true,
-                deadline
-            ));
+            for key in [KEY_ANY, 0x40] {
+                let deadline = Some(Instant::now() + Duration::from_millis(5));
+                assert!(!P::wait(&queue, key, || false, deadline));
+                assert!(P::wait(&queue, key, || true, deadline));
+                assert_eq!(queue.waiters(), 0);
+            }
         }
         expired::<Spin>();
         expired::<SpinThenYield>();

@@ -249,9 +249,9 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
         waiter.join().unwrap();
     }
 
-    // SpuriousWake: a keyed parker herded by an unkeyed broadcast while its
-    // predicate is still false — the legacy eventcount cost that per-key
-    // wakes avoid, provoked here directly on a [`WaitQueue`]. The wake_all
+    // SpuriousWake: a keyed parker herded by a broadcast while its
+    // predicate is still false — the cost that per-key wakes avoid,
+    // provoked here directly on a [`WaitQueue`]. The wake_all
     // loop retries until the parker has genuinely parked and re-checked.
     {
         use range_locks_repro::rl_sync::WaitQueue;
@@ -262,9 +262,7 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
         let parker = {
             let queue = Arc::clone(&queue);
             let flag = Arc::clone(&flag);
-            std::thread::spawn(move || {
-                queue.park_until_keyed(0x5157, || flag.load(Ordering::Acquire))
-            })
+            std::thread::spawn(move || queue.park(0x5157, || flag.load(Ordering::Acquire), None))
         };
         while queue.spurious_wakeups() == 0 {
             queue.wake_all();

@@ -1,7 +1,7 @@
 //! Lost-wakeup and wake-selectivity stress suite for the sharded,
 //! address-keyed parking lot.
 //!
-//! The keyed protocol has two failure modes the eventcount never had:
+//! Keyed parking has two failure modes:
 //!
 //! * **Lost wakeup** — a waiter registers under conflict key `K` but the
 //!   release that resolves `K` misses its entry (the Dekker
@@ -11,8 +11,8 @@
 //! * **Lost selectivity** — a wake under key `K` also wakes (or worse, only
 //!   wakes) waiters under other keys. The disjoint-conflict test pins the
 //!   headline property: releases of unrelated ranges leave a keyed parker
-//!   parked with **zero** spurious wakeups, where the eventcount herded it
-//!   once per release.
+//!   parked with **zero** spurious wakeups, where a per-lock broadcast
+//!   would herd it once per release.
 //!
 //! Storms cover all five registry variants under all three wait policies,
 //! through both the sync face and the async face on a real [`TaskPool`].
@@ -149,10 +149,10 @@ fn keyed_storm_every_variant_every_policy_async_on_task_pool() {
 #[test]
 fn releases_of_disjoint_conflicts_leave_a_keyed_parker_parked() {
     // The tentpole property, measured: a waiter parked on conflict key `A`
-    // must sleep through any number of releases of unrelated ranges. Under
-    // the old eventcount every release herded it awake (one spurious wakeup
-    // per release, O(parked waiters) in aggregate); under keyed parking the
-    // spurious count stays exactly zero.
+    // must sleep through any number of releases of unrelated ranges. A
+    // per-lock broadcast would herd it awake on every release (one spurious
+    // wakeup per release, O(parked waiters) in aggregate); under keyed
+    // parking the spurious count stays exactly zero.
     let stats = Arc::new(WaitStats::new("selectivity"));
     let lock = Arc::new(RwListRangeLock::<Block>::with_policy().with_stats(Arc::clone(&stats)));
     let held = lock.write(Range::new(0, 64));
@@ -202,8 +202,8 @@ fn keyed_wakes_stay_exact_across_shard_collisions() {
             let flags = Arc::clone(&flags);
             parkers.push(std::thread::spawn(move || {
                 // Keys spread across (and colliding within) the 8 shards.
-                queue
-                    .park_until_keyed(0x1000 + k * 7, || flags[k as usize].load(Ordering::Acquire));
+                let flagged = || flags[k as usize].load(Ordering::Acquire);
+                queue.park(0x1000 + k * 7, flagged, None);
             }));
         }
         // Wake one key at a time, flag first (the publish-then-check

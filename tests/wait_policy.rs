@@ -13,11 +13,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use range_locks_repro::range_lock::{ListRangeLock, Range, RwListRangeLock, RwRangeLock};
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_file::{LockMode, LockTable};
+use range_locks_repro::rl_sync::stats::WaitStats;
 use range_locks_repro::rl_sync::wait::{Block, WaitPolicyKind};
 use range_locks_repro::rl_sync::RwSemaphore;
 
@@ -269,5 +270,69 @@ fn lock_table_block_policy_never_loses_a_wakeup() {
         })
     });
     assert_eq!(completed.load(Ordering::SeqCst), THREADS as u64);
+    assert_eq!(table.held_records(), 0);
+}
+
+#[test]
+fn blocked_table_owner_does_not_tax_the_running_owners_commits() {
+    // Owner B blocks in `lock()` behind A's exclusive record and re-derives
+    // its waits-for edges every millisecond from an any-key deadline wait
+    // with an always-false predicate. Every `commit` of A broadcasts on the
+    // lock's queue. A broadcast may cost A a real wake only when it claims
+    // B's entry — a queue that counts B as a waiter for its whole residency
+    // makes *every* commit that finds it there an effective wake (a mutex
+    // and a syscall each: thousands here, against a handful of parks).
+    const PAIRS: usize = 10_000;
+    let stats = Arc::new(WaitStats::new("table"));
+    let spec = registry::by_name("list-rw").expect("list-rw is registered");
+    let table = Arc::new(LockTable::new(spec.build_with_stats(
+        WaitPolicyKind::Block,
+        &RegistryConfig::default(),
+        Arc::clone(&stats),
+        None,
+    )));
+    let contested = Range::new(0, 64);
+    let disjoint = Range::new(1024, 1088);
+    let mut a = table.owner("a");
+    a.lock(contested, LockMode::Exclusive).unwrap();
+
+    let (granted_tx, granted_rx) = mpsc::channel();
+    let b = {
+        let table = Arc::clone(&table);
+        std::thread::spawn(move || {
+            let mut b = table.owner("b");
+            b.lock(contested, LockMode::Exclusive).unwrap();
+            granted_tx.send(()).expect("main stopped listening");
+            b.unlock(contested);
+        })
+    };
+    while table.waiting_owners() == 0 || stats.snapshot().parks == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let started = Instant::now();
+    for _ in 0..PAIRS {
+        a.lock(disjoint, LockMode::Exclusive).unwrap();
+        a.unlock(disjoint);
+    }
+    // One slack unit per 1 ms recheck round of B: a round's last
+    // registration can be claimed by a commit in the instant before the
+    // expired deadline withdraws it, a wake with no park to show for it.
+    let slack = 16 + started.elapsed().as_millis() as u64;
+    let snap = stats.snapshot();
+    assert!(
+        snap.wakes <= snap.parks + slack,
+        "{PAIRS} lock/unlock pairs beside one parked owner cost {} effective wakes \
+         for {} parks (slack {slack})",
+        snap.wakes,
+        snap.parks
+    );
+
+    a.unlock(contested);
+    granted_rx
+        .recv_timeout(DEADLINE)
+        .expect("B stayed blocked after A unlocked (lost wakeup)");
+    b.join().unwrap();
+    assert_eq!(table.waiting_owners(), 0);
     assert_eq!(table.held_records(), 0);
 }
