@@ -1219,7 +1219,18 @@ fn run_perfdiff(opts: &Options) {
         ),
         ("BENCH_fig8.json", fig8_tables(&fig578_sweeps)),
         ("BENCH_skip.json", skip_sweep_tables(opts)),
-        ("BENCH_filebench.json", filebench_tables(opts)),
+        // FileBench's throughput tables gate; its per-acquisition wait
+        // tables do not. A cell there is the mean over the few acquisitions
+        // that happened to wait at all, and `kernel-rw [x=2, truncate]` is
+        // bimodal on the same binary (0.15 us vs 6-24 us: over the 4x
+        // tolerance in 15 of 26 pinned runs on two adjacent commits).
+        (
+            "BENCH_filebench.json",
+            filebench_tables(opts)
+                .into_iter()
+                .filter(|table| !table.title.contains("wait per acquisition"))
+                .collect(),
+        ),
         (
             "BENCH_async.json",
             asyncbench_tables(

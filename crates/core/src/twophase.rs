@@ -72,8 +72,7 @@ use std::pin::Pin;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-use rl_sync::wait::WaitQueue;
-use rl_sync::KEY_ANY;
+use rl_sync::{WaitQueue, WakerSlot, KEY_ANY};
 
 use crate::list_core::Pending;
 use crate::range::Range;
@@ -496,15 +495,11 @@ macro_rules! acquire_future {
             lock: &'a L,
             /// `None` once resolved (the pending token was consumed).
             pending: Option<Pending>,
-            /// Waker slot id on the lock's wait queue, allocated by the
-            /// first registration attempt. Until then there is nothing to
-            /// deregister, and an acquisition granted on its first poll
-            /// touches no shared word of the queue.
-            slot: Option<u64>,
-            /// The parking-table key the waker is currently filed under
-            /// (`KEY_ANY` until a poll names a blocking conflict). Tracked
-            /// so slot migration and drop deregister the right shard.
-            key: u64,
+            /// This acquisition's waker registration on the lock's wait
+            /// queue: allocated by the first registration attempt (an
+            /// acquisition granted on its first poll touches no shared word
+            /// of the queue) and re-homed when a poll names a new blocker.
+            slot: WakerSlot<'a>,
         }
 
         impl<'a, L: TwoPhaseRwRangeLock> $name<'a, L> {
@@ -512,8 +507,7 @@ macro_rules! acquire_future {
                 $name {
                     lock,
                     pending: Some(lock.$enqueue(range)),
-                    slot: None,
-                    key: KEY_ANY,
+                    slot: WakerSlot::new(lock.wait_queue()),
                 }
             }
         }
@@ -534,27 +528,12 @@ macro_rules! acquire_future {
                     // lost-wakeup argument in `rl_sync::wait`.
                     let gen = queue.generation();
                     if let Some(guard) = this.lock.$poll(&mut pending) {
-                        if let Some(slot) = this.slot {
-                            queue.deregister_waker(this.key, slot);
-                        }
+                        this.slot.clear();
                         return Poll::Ready(guard);
                     }
-                    let key = pending.wait_key();
-                    let slot = match this.slot {
-                        Some(slot) => {
-                            // Waker-slot migration: the poll may have named
-                            // a different blocking conflict than the one the
-                            // waker is filed under, so re-home the slot
-                            // before registering.
-                            if key != this.key {
-                                queue.deregister_waker(this.key, slot);
-                            }
-                            slot
-                        }
-                        None => *this.slot.insert(queue.alloc_waker_slot()),
-                    };
-                    this.key = key;
-                    if queue.register_waker(key, slot, gen, cx.waker()) {
+                    // Filed under the conflict this poll named; the slot
+                    // migrates if that is not the one it was filed under.
+                    if this.slot.register(pending.wait_key(), gen, cx.waker()) {
                         this.pending = Some(pending);
                         return Poll::Pending;
                     }
@@ -568,12 +547,9 @@ macro_rules! acquire_future {
         impl<L: TwoPhaseRwRangeLock> Drop for $name<'_, L> {
             fn drop(&mut self) {
                 if let Some(mut pending) = self.pending.take() {
-                    let queue = self.lock.wait_queue();
-                    if let Some(slot) = self.slot {
-                        queue.deregister_waker(self.key, slot);
-                    }
+                    self.slot.clear();
                     self.lock.cancel(&mut pending);
-                    queue.record_cancel();
+                    self.lock.wait_queue().record_cancel();
                 }
             }
         }

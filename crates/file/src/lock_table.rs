@@ -1,5 +1,5 @@
 //! A POSIX `fcntl`-style byte-range lock table layered over any
-//! [`RwRangeLock`].
+//! [`TwoPhaseRwRangeLock`].
 //!
 //! The paper's range locks hand out RAII guards: one guard, one range, one
 //! mode, released on drop. File systems expose a different contract —
@@ -14,11 +14,11 @@
 //! * unlocking is just "replace with nothing";
 //! * dropping the owner releases everything it still holds.
 //!
-//! [`LockTable`] implements that contract *on top of* the generic
-//! [`RwRangeLock`] trait, so the same table runs over the paper's
-//! `RwListRangeLock`, the kernel's `kernel-rw` tree lock, or the `pnova-rw`
-//! segment lock interchangeably — the underlying lock remains the one and
-//! only exclusion mechanism between owners.
+//! [`LockTable`] implements that contract *on top of* the generic two-phase
+//! lock trait, so the same table runs over the paper's `RwListRangeLock`, the
+//! kernel's `kernel-rw` tree lock, or the `pnova-rw` segment lock
+//! interchangeably — the underlying lock remains the one and only exclusion
+//! mechanism between owners.
 //!
 //! The table also inherits the underlying lock's **wait policy**: over
 //! `RwListRangeLock<Block>` a blocked `lock()` call parks on the lock's wait
@@ -30,15 +30,43 @@
 //!
 //! # How records map onto the underlying lock
 //!
-//! Every committed record (one owner, one range, one mode) is backed by one
-//! or more **tiles**: held guards of the underlying lock whose ranges are
-//! disjoint and exactly cover the record. Two conflicting records can
-//! therefore never coexist: their backing guards would conflict. Re-lock
-//! operations detach the owner's overlapping records, keep the tiles that lie
-//! entirely outside the re-locked span, release the rest, and acquire fresh
-//! guards for the gaps and the new span — in ascending range order, which
-//! keeps concurrent multi-piece transactions from deadlocking against each
-//! other.
+//! There is one level of bookkeeping: an owner is a sorted list of disjoint
+//! **tiles**, each one held guard of the underlying lock with its range (the
+//! guard's type is the mode). Two conflicting tiles can never coexist: their
+//! guards would conflict. A *record* — what `fcntl` reports — is not stored
+//! anywhere: guards cannot merge, so adjacent same-mode tiles are coalesced
+//! into maximal runs only where somebody looks ([`LockTable::records`],
+//! [`LockOwner::held`], the `F_GETLK` answer, the "already held" check).
+//!
+//! A re-lock is one **transaction**, written once for every entry point:
+//!
+//! 1. **begin** (table mutex held, no waiting): fail-fast conflict check for
+//!    the non-blocking form, no-op check, then *detach* the owner's tiles
+//!    that overlap the span. After the mutex is dropped the detached tiles
+//!    are sorted into those that stay held (in-place downgrade, below) and
+//!    those released, and the list of missing guards is computed: the
+//!    re-locked span itself (the **target**) plus the **gaps** — the parts
+//!    of a split tile outside the span, which must be re-taken.
+//! 2. **poll** drives the transaction as far as it can get without waiting:
+//!    for each missing guard in ascending range order — which keeps
+//!    concurrent multi-piece transactions from deadlocking against each
+//!    other — enqueue on the underlying lock on the first visit, then poll.
+//!    A conflict on the target either fails the transaction (`try_`: one
+//!    poll + cancel), or registers the owner's waits-for edges and fails on
+//!    a cycle (`EDEADLK`), or reports "pending"; a conflict on a gap just
+//!    reports "pending". A failed transaction releases what it holds and
+//!    keeps going with its detached originals as the missing list. When
+//!    nothing is missing the tiles are committed back into the owner's list.
+//! 3. Dropping an unfinished transaction cancels the in-flight request,
+//!    removes the waits-for edges and releases its tiles.
+//!
+//! Two small **drivers** are the only code that waits. The blocking one
+//! (`lock`, `try_lock`, `unlock`, `lock_many`, `try_lock_many`) is
+//! `loop { poll; wait }` through the lock's own wait policy; the async one
+//! (`lock_async`, `try_lock_async`, `unlock_async`, `lock_many_async`)
+//! registers the task's waker on the lock's queue under the in-flight
+//! request's wait key. A batch is the same machine one level up: a list of
+//! transactions, and on failure an undo list.
 //!
 //! # Fidelity caveats (vs. an in-kernel `fcntl`)
 //!
@@ -60,25 +88,34 @@
 //!   exactly as in the kernel. Locks without downgrade support (e.g.
 //!   `kernel-rw`) fall back to the release-and-re-acquire path with its
 //!   usual window, as does a non-blocking `try_lock` — its rollback must be
-//!   able to restore the original records, which a premature downgrade
+//!   able to restore the original tiles, which a premature downgrade
 //!   would have already weakened.
+//! * **Abandoning a transaction loses what it detached.** Dropping a
+//!   `lock_async`/`unlock_async` future mid-wait leaves the table
+//!   consistent, but — like a POSIX upgrade that blocks — the tiles detached
+//!   by *begin* are gone, as if the part of them inside the span had been
+//!   unlocked and the split edges not yet re-taken. Callers that cannot
+//!   accept that should not abandon an in-flight operation.
 //! * **`try_lock` is non-blocking only for the requested span.** The
 //!   conflict *decision* never waits: a request that conflicts with a
-//!   committed record fails immediately, leaving the table unchanged. But a
+//!   committed tile fails immediately, leaving the table unchanged. But a
 //!   request that is granted — or that loses a bounded-acquisition race to
 //!   an uncommitted transaction — may still wait while re-establishing the
 //!   owner's retained coverage (split edges, rollback of the originals),
-//!   exactly as in the previous bullet.
+//!   exactly as in the first bullet. (`try_lock_async` suspends instead.)
 //! * **`try_lock` conflict checks are table-level.** A conflicting guard held
-//!   by an owner whose transaction has not committed yet is detected by the
-//!   underlying lock's bounded `try_*` acquisition instead, and reported
-//!   without a conflicting-owner name.
+//!   by a transaction that has not committed yet is detected by the single
+//!   poll of the underlying lock instead, and reported without a
+//!   conflicting-owner name (`conflict: None`). That includes the guards of
+//!   tiles a concurrent transaction has *detached but not yet released*:
+//!   they leave the table under the mutex and are dropped after it, so for
+//!   that instant the table shows no conflict while the lock still has one.
 //! * **`EDEADLK` detection is best-effort, exactly as POSIX specifies.**
-//!   Before waiting — and periodically while waiting — a blocking `lock()`
-//!   derives the set of owners whose *committed* records conflict with the
-//!   requested span and registers those edges in a table-wide waits-for
-//!   graph; an acquisition whose edges would close a cycle fails fast with
-//!   [`DeadlockError`] instead of parking. SUSv4 only requires detection
+//!   Whenever a poll finds the target blocked, a blocking `lock()` derives
+//!   the set of owners whose *committed* tiles conflict with the requested
+//!   span and registers those edges in a table-wide waits-for graph; an
+//!   acquisition whose edges would close a cycle fails fast with
+//!   [`DeadlockError`] instead of waiting. SUSv4 only requires detection
 //!   "as far as the implementation can determine", and that is the contract
 //!   here: a wait that blocks on an *uncommitted* transaction's guard has no
 //!   visible holder and contributes no edge, so such a cycle is detected
@@ -87,8 +124,11 @@
 //!   recheck interval — sync), and a conservatively derived edge can flag a
 //!   cycle that a lucky scheduling would have dissolved. The gap and
 //!   rollback acquisitions that restore coverage an owner already held are
-//!   *not* checked — they re-take spans the owner released moments earlier.
-//!   Over an exclusive-only lock (`list-ex`, `lustre-ex`), overlapping *shared* records
+//!   *not* checked — they re-take spans the owner released moments earlier —
+//!   but they go through the same enqueue → poll → wait steps as the target
+//!   (they do not block inside the lock's own `read`/`write`), so a blocked
+//!   one is re-polled on the same recheck interval and can be abandoned.
+//!   Over an exclusive-only lock (`list-ex`, `lustre-ex`), overlapping *shared* tiles
 //!   conflict too ([`RwRangeLock::readers_share`] is `false`), and the edge
 //!   derivation accounts for it — a reader parked behind a reader is a real
 //!   wait there and can complete a real cycle.
@@ -99,21 +139,23 @@
 //! of disjoint `(range, mode)` items **all-or-nothing**: the items are
 //! applied in ascending address order — the same ordered-acquisition
 //! discipline every multi-piece transaction in this table follows, so two
-//! batches cannot deadlock *against each other* — and a failure part-way
-//! through (an `EDEADLK` against a non-batch waiter, or a conflict for the
-//! non-blocking form) unlocks the spans the batch had already taken and
-//! re-establishes the owner's pre-batch records before the error is
-//! returned. Rollback re-acquisition is blocking and, for the blocking form,
-//! itself deadlock-checked: an original that can no longer be restored
-//! without closing a cycle is skipped, exactly as a blocked POSIX upgrade
-//! loses its old lock.
+//! batches cannot deadlock *against each other* — one committed transaction
+//! per item, because committed prefixes are what make a batch-vs-single
+//! cycle visible to the waits-for graph. A failure part-way through (an
+//! `EDEADLK` against a non-batch waiter, or a conflict for the non-blocking
+//! form) switches the batch to its undo list: unlock the spans already
+//! taken, then re-establish the owner's pre-batch records that overlapped
+//! them, before the error is returned. The undo transactions wait like any
+//! other, and re-locking an original is itself deadlock-checked: one that
+//! can no longer be restored without closing a cycle is skipped, exactly as
+//! a blocked POSIX upgrade loses its old lock.
 //!
 //! # Granularity requirement
 //!
 //! The table backs each record with guards of *exactly* the record's range,
 //! so the underlying lock must serialize only **truly overlapping** ranges —
 //! true for the list locks and the tree locks. A false-sharing lock such as
-//! `pnova-rw` conflicts at segment granularity: two disjoint records in the
+//! `pnova-rw` conflicts at segment granularity: two disjoint tiles in the
 //! same segment would need two same-segment guards, which that lock cannot
 //! hold at once (a split would self-deadlock). `pnova-rw` therefore works
 //! under this table exactly when every locked range is segment-aligned — the
@@ -122,15 +164,14 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::future::Future;
 use std::mem;
-use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::Poll;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::task::{ready, Poll};
 use std::time::{Duration, Instant};
 
-use range_lock::{Range, RwRangeLock, TwoPhaseRwRangeLock, WaitGraph};
+use range_lock::{Pending, Range, RwRangeLock, TwoPhaseRwRangeLock, WaitGraph};
+use rl_sync::{WakerSlot, KEY_ANY};
 
 /// How long a blocked synchronous acquisition waits before re-deriving its
 /// waits-for edges. Bounds the detection latency of a cycle whose closing
@@ -241,12 +282,41 @@ impl fmt::Display for DeadlockError {
 
 impl std::error::Error for DeadlockError {}
 
-/// Internal failure of one `set_lock` transaction: the non-blocking form
-/// fails with `EAGAIN`, the blocking form with `EDEADLK`; neither form can
-/// produce the other's error.
+/// Internal failure of one transaction: the non-blocking form fails with
+/// `EAGAIN`, the blocking form with `EDEADLK`; neither form can produce the
+/// other's error, which is what the two projections below rely on.
 enum SetLockError {
     WouldBlock(WouldBlock),
     Deadlock(DeadlockError),
+}
+
+impl SetLockError {
+    /// The error of a blocking entry point.
+    fn deadlock(self) -> DeadlockError {
+        match self {
+            SetLockError::Deadlock(deadlock) => deadlock,
+            SetLockError::WouldBlock(_) => {
+                unreachable!("a blocking target never fails with EAGAIN")
+            }
+        }
+    }
+
+    /// The error of a non-blocking entry point.
+    fn would_block(self) -> WouldBlock {
+        match self {
+            SetLockError::WouldBlock(wb) => wb,
+            SetLockError::Deadlock(_) => {
+                unreachable!("a non-blocking target is never cycle-checked")
+            }
+        }
+    }
+}
+
+/// The outcome of an unlock: only a target can fail, and an unlock has none.
+fn unlock_cannot_fail(outcome: Result<(), SetLockError>) {
+    if outcome.is_err() {
+        unreachable!("an unlock has no target to fail on");
+    }
 }
 
 /// Erases a guard's borrow lifetime to `'static`.
@@ -257,7 +327,7 @@ enum SetLockError {
 /// the size assertion below), and the caller must guarantee that whatever the
 /// guard borrows outlives the erased value. [`LockTable`] guarantees it by
 /// keeping the underlying lock in a stable heap allocation that is freed only
-/// after every record (and therefore every guard) has been dropped.
+/// after every tile (and therefore every guard) has been dropped.
 unsafe fn erase_lifetime<Src, Dst>(guard: Src) -> Dst {
     assert_eq!(mem::size_of::<Src>(), mem::size_of::<Dst>());
     // SAFETY: Same layout per the contract above; the original is forgotten
@@ -278,15 +348,7 @@ struct WaitEdges<'a> {
     registered: bool,
 }
 
-impl<'a> WaitEdges<'a> {
-    fn new(graph: &'a WaitGraph, owner_id: u64) -> Self {
-        WaitEdges {
-            graph,
-            owner_id,
-            registered: false,
-        }
-    }
-
+impl WaitEdges<'_> {
     /// Replaces the owner's edge set with `holders`. A refused registration
     /// leaves no edges behind (see [`WaitGraph::register`]).
     fn register(&mut self, holders: &[u64]) -> Result<(), range_lock::Deadlock> {
@@ -294,36 +356,19 @@ impl<'a> WaitEdges<'a> {
         self.registered = outcome.is_ok() && !holders.is_empty();
         outcome
     }
-}
 
-impl Drop for WaitEdges<'_> {
-    fn drop(&mut self) {
-        if self.registered {
+    /// Removes the owner's edges, if any are installed.
+    fn clear(&mut self) {
+        if mem::take(&mut self.registered) {
             self.graph.deregister(self.owner_id);
         }
     }
 }
 
-/// One record shape of a transaction's post-commit layout.
-struct Shape {
-    range: Range,
-    mode: LockMode,
-    is_target: bool,
-}
-
-/// The working set of one re-lock transaction, computed under the table
-/// mutex by `LockTable::plan_set_lock` and executed by the (sync or async)
-/// phase B.
-struct Plan<L: RwRangeLock + 'static> {
-    /// Tiles that survive the transaction (outside the target, or downgraded
-    /// in place).
-    kept: Vec<Tile<L>>,
-    /// Record shapes to commit.
-    shapes: Vec<Shape>,
-    /// Guard gaps to acquire, ascending: `(range, mode, is_target)`.
-    need: Vec<(Range, LockMode, bool)>,
-    /// Original `(range, mode)` records, for the non-blocking rollback.
-    originals: Vec<(Range, LockMode)>,
+impl Drop for WaitEdges<'_> {
+    fn drop(&mut self) {
+        self.clear();
+    }
 }
 
 /// A held guard of the underlying lock, in either mode.
@@ -332,20 +377,38 @@ enum ModeGuard<L: RwRangeLock + 'static> {
     Write(L::WriteGuard<'static>),
 }
 
-/// One guard plus the range it covers. A record is backed by a set of tiles
-/// that exactly cover its range.
+/// One guard plus the range it covers: the unit an owner's holdings are
+/// kept in.
 struct Tile<L: RwRangeLock + 'static> {
     range: Range,
-    /// Held for its Drop impl; read only by the downgrade path.
+    /// Held for its Drop impl; its variant is the tile's mode.
     guard: ModeGuard<L>,
 }
 
-/// One committed (owner, range, mode) entry.
-struct Record<L: RwRangeLock + 'static> {
-    range: Range,
-    mode: LockMode,
-    /// Disjoint, sorted, and exactly covering `range`.
-    tiles: Vec<Tile<L>>,
+impl<L: RwRangeLock + 'static> Tile<L> {
+    fn mode(&self) -> LockMode {
+        match self.guard {
+            ModeGuard::Read(_) => LockMode::Shared,
+            ModeGuard::Write(_) => LockMode::Exclusive,
+        }
+    }
+}
+
+/// The records `fcntl` would report for a sorted, disjoint tile list:
+/// maximal runs of adjacent same-mode tiles (POSIX merges touching locks of
+/// equal type; guards cannot merge, so the merge happens here, on read).
+fn runs<L: RwRangeLock + 'static>(
+    tiles: &[Tile<L>],
+) -> impl Iterator<Item = (Range, LockMode)> + '_ {
+    let mut tiles = tiles.iter().peekable();
+    std::iter::from_fn(move || {
+        let first = tiles.next()?;
+        let (mut range, mode) = (first.range, first.mode());
+        while let Some(next) = tiles.next_if(|t| t.range.start == range.end && t.mode() == mode) {
+            range.end = next.range.end;
+        }
+        Some((range, mode))
+    })
 }
 
 struct OwnerState<L: RwRangeLock + 'static> {
@@ -353,14 +416,248 @@ struct OwnerState<L: RwRangeLock + 'static> {
     /// `rl-obs` actor id this owner's lock events are stamped with.
     actor: u64,
     /// Sorted by start; pairwise disjoint.
-    records: Vec<Record<L>>,
+    tiles: Vec<Tile<L>>,
 }
 
 struct TableState<L: RwRangeLock + 'static> {
     owners: HashMap<u64, OwnerState<L>>,
 }
 
-/// A per-file POSIX-style byte-range lock table over an [`RwRangeLock`].
+/// One guard a transaction still has to acquire.
+#[derive(Clone, Copy)]
+struct Missing {
+    range: Range,
+    mode: LockMode,
+    /// Part of the requested span — honours the transaction's `blocking`
+    /// flag and is deadlock-checked — as opposed to coverage the owner held
+    /// going in (a split edge, or an original being restored), which always
+    /// waits, unchecked.
+    is_target: bool,
+}
+
+/// A resumable operation on the table. `poll` never waits; waiting is the
+/// two drivers' job ([`LockTable::drive_blocking`], [`LockTable::drive_async`]).
+trait Resumable {
+    /// Drives the operation as far as it can get without waiting.
+    fn poll(&mut self) -> Poll<Result<(), SetLockError>>;
+
+    /// The wait key of the request the last `Pending` poll stopped at.
+    fn wait_key(&self) -> u64;
+}
+
+/// One re-lock transaction in flight: replaces whatever the owner holds over
+/// one span with one mode (or nothing). Built by [`LockTable::begin`]; a
+/// plain value between polls. Dropping it unfinished abandons the operation:
+/// the in-flight request is cancelled (and the cancel recorded), the owner's
+/// waits-for edges are removed, and the tiles it holds are released.
+struct Transaction<'t, L: TwoPhaseRwRangeLock + 'static> {
+    table: &'t LockTable<L>,
+    owner_id: u64,
+    /// Whether a conflict on the target waits (`EDEADLK`-checked) or fails
+    /// the transaction with `EAGAIN`.
+    blocking: bool,
+    /// Whether `begin` detached or planned anything: a no-op, an empty span
+    /// or a fail-fast refusal has nothing to commit and nobody to wake.
+    touched: bool,
+    /// Tiles this transaction holds and will commit: kept across the mode
+    /// change (in-place downgrade) or acquired so far.
+    held: Vec<Tile<L>>,
+    /// Guards to acquire, ascending; `missing[next..]` are still missing.
+    missing: Vec<Missing>,
+    next: usize,
+    /// The in-flight request for `missing[next]`, once enqueued.
+    pending: Option<Pending>,
+    /// What `begin` detached, as the missing list of a rollback.
+    originals: Vec<Missing>,
+    /// Set once the transaction has failed and is restoring `originals`.
+    failure: Option<SetLockError>,
+    edges: WaitEdges<'t>,
+}
+
+impl<L: TwoPhaseRwRangeLock + 'static> Transaction<'_, L> {
+    /// Cancels the in-flight request, if any; `true` if there was one.
+    fn cancel_pending(&mut self) -> bool {
+        let Some(mut pending) = self.pending.take() else {
+            return false;
+        };
+        self.table.lock_ref().cancel(&mut pending);
+        true
+    }
+
+    /// Switches to rolling back: everything held is released, and the
+    /// originals become the missing list — re-taken from scratch, ascending,
+    /// unchecked (the spans were held by this owner moments ago) — to be
+    /// committed in place of the plan before `err` is reported.
+    fn fail(&mut self, err: SetLockError) {
+        self.held.clear();
+        self.missing = mem::take(&mut self.originals);
+        self.next = 0;
+        self.failure = Some(err);
+    }
+}
+
+impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Transaction<'_, L> {
+    fn poll(&mut self) -> Poll<Result<(), SetLockError>> {
+        let table = self.table;
+        loop {
+            let Some(&want) = self.missing.get(self.next) else {
+                if self.touched {
+                    table.commit(self.owner_id, mem::take(&mut self.held));
+                }
+                return Poll::Ready(self.failure.take().map_or(Ok(()), Err));
+            };
+            if let Some(tile) = table.poll_tile(&mut self.pending, want.range, want.mode) {
+                self.edges.clear();
+                self.held.push(tile);
+                self.next += 1;
+            } else if !want.is_target {
+                return Poll::Pending;
+            } else if !self.blocking {
+                // `try_`: one poll + cancel.
+                self.cancel_pending();
+                self.fail(SetLockError::WouldBlock(WouldBlock { conflict: None }));
+            } else {
+                // (Re-)derive this owner's waits-for edges from the
+                // committed table. An edge set that closes a cycle cancels
+                // the request and fails with `EDEADLK`; otherwise the driver
+                // waits and re-polls, so a cycle committed behind this
+                // waiter's back is still noticed.
+                let holders = table.conflicting_owner_ids(self.owner_id, want.range, want.mode);
+                let Err(cycle) = self.edges.register(&holders) else {
+                    return Poll::Pending;
+                };
+                self.cancel_pending();
+                let queue = table.lock_ref().wait_queue();
+                queue.record_cancel();
+                queue.record_deadlock();
+                rl_obs::trace::emit(
+                    rl_obs::EventKind::DeadlockDetected,
+                    queue.trace_id(),
+                    table.owner_actor(self.owner_id),
+                    want.range.start,
+                    want.range.end,
+                );
+                self.fail(SetLockError::Deadlock(table.deadlock_error(cycle.cycle())));
+            }
+        }
+    }
+
+    fn wait_key(&self) -> u64 {
+        self.pending.as_ref().map_or(KEY_ANY, Pending::wait_key)
+    }
+}
+
+impl<L: TwoPhaseRwRangeLock + 'static> Drop for Transaction<'_, L> {
+    fn drop(&mut self) {
+        if self.cancel_pending() {
+            self.table.lock_ref().wait_queue().record_cancel();
+        }
+    }
+}
+
+/// An all-or-nothing batch in flight: the transaction machine one level up.
+/// Its steps are whole transactions, run one at a time in order; when one
+/// fails, the steps are replaced by the undo list — unlock what was applied,
+/// then re-lock the pre-batch records that overlapped it — and the failure
+/// is reported once that has run. Dropping it unfinished abandons the step
+/// in flight; the steps already committed stay committed.
+struct Batch<'t, L: TwoPhaseRwRangeLock + 'static> {
+    table: &'t LockTable<L>,
+    owner_id: u64,
+    blocking: bool,
+    /// The owner's records going in: the restore set of a rollback.
+    before: Vec<(Range, LockMode)>,
+    /// `(span, op)` of every step; `steps[next..]` have not begun.
+    steps: Vec<(Range, Option<LockMode>)>,
+    next: usize,
+    /// The step in flight.
+    current: Option<Transaction<'t, L>>,
+    /// Set once an item has failed (the steps are the undo list from then
+    /// on), with the span of the items that had been applied.
+    failure: Option<(SetLockError, Range)>,
+}
+
+impl<L: TwoPhaseRwRangeLock + 'static> Batch<'_, L> {
+    /// The non-blocking batch's up-front check: the first lock step that
+    /// conflicts with a committed record of another owner, looked up for
+    /// every step under one mutex hold.
+    fn precheck(&self) -> Result<(), WouldBlock> {
+        let st = self.table.state.lock().unwrap();
+        let conflict = self
+            .steps
+            .iter()
+            .find_map(|&(range, op)| LockTable::conflicting_record(&st, self.owner_id, range, op?));
+        match conflict {
+            None => Ok(()),
+            Some(_) => Err(WouldBlock { conflict }),
+        }
+    }
+}
+
+impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Batch<'_, L> {
+    fn poll(&mut self) -> Poll<Result<(), SetLockError>> {
+        loop {
+            let step = match &mut self.current {
+                Some(step) => step,
+                None => {
+                    let Some(&(range, op)) = self.steps.get(self.next) else {
+                        let Some((err, span)) = self.failure.take() else {
+                            return Poll::Ready(Ok(()));
+                        };
+                        let queue = self.table.lock_ref().wait_queue();
+                        queue.record_batch_rollback();
+                        rl_obs::trace::emit(
+                            rl_obs::EventKind::BatchRollback,
+                            queue.trace_id(),
+                            self.table.owner_actor(self.owner_id),
+                            span.start,
+                            span.end,
+                        );
+                        return Poll::Ready(Err(err));
+                    };
+                    // Undo steps restore what the owner held: they wait.
+                    let blocking = self.blocking || self.failure.is_some();
+                    self.current
+                        .insert(self.table.begin(self.owner_id, range, op, blocking))
+                }
+            };
+            let outcome = ready!(step.poll());
+            self.current = None;
+            self.next += 1;
+            match outcome {
+                Ok(()) => {}
+                // Restoring an original is best-effort: one that would
+                // itself close a cycle is skipped — the coverage is lost, as
+                // when a blocked POSIX upgrade loses its old lock.
+                Err(_) if self.failure.is_some() => {}
+                Err(err) => {
+                    let applied = &self.steps[..self.next - 1];
+                    let overlaps_applied = |r: &Range| applied.iter().any(|(a, _)| a.overlaps(r));
+                    let undo = applied
+                        .iter()
+                        .map(|&(range, _)| (range, None))
+                        .chain(
+                            self.before
+                                .iter()
+                                .filter(|(range, _)| overlaps_applied(range))
+                                .map(|&(range, mode)| (range, Some(mode))),
+                        )
+                        .collect();
+                    self.failure = Some((err, batch_span(applied)));
+                    self.steps = undo;
+                    self.next = 0;
+                }
+            }
+        }
+    }
+
+    fn wait_key(&self) -> u64 {
+        self.current.as_ref().map_or(KEY_ANY, Transaction::wait_key)
+    }
+}
+
+/// A per-file POSIX-style byte-range lock table over a
+/// [`TwoPhaseRwRangeLock`].
 ///
 /// See the [module documentation](self) for the semantics. Construct one per
 /// file, wrap it in an [`Arc`], and hand out [`LockOwner`] handles.
@@ -387,7 +684,7 @@ struct TableState<L: RwRangeLock + 'static> {
 pub struct LockTable<L: TwoPhaseRwRangeLock + 'static> {
     /// Declared (and therefore dropped) before `lock` is freed.
     state: Mutex<TableState<L>>,
-    /// Waits-for edges between blocked owners and the committed-record
+    /// Waits-for edges between blocked owners and the committed-tile
     /// holders blocking them; cycle-checked on every (re-)registration.
     waits: WaitGraph,
     next_owner: AtomicU64,
@@ -400,7 +697,7 @@ pub struct LockTable<L: TwoPhaseRwRangeLock + 'static> {
 // SAFETY: The raw pointer is a uniquely owned heap allocation (a leaked Box)
 // that only `Drop` frees; shared access to the lock itself is safe because
 // `RwRangeLock` requires `Send + Sync`. The table additionally stores guards,
-// which cross threads when records are committed or released, hence the guard
+// which cross threads when tiles are committed or released, hence the guard
 // `Send` bounds.
 unsafe impl<L> Send for LockTable<L>
 where
@@ -455,7 +752,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
             OwnerState {
                 name: name.clone(),
                 actor,
-                records: Vec::new(),
+                tiles: Vec::new(),
             },
         );
         LockOwner {
@@ -478,10 +775,10 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
             .owners
             .values()
             .flat_map(|o| {
-                o.records.iter().map(|r| LockRecord {
+                runs(&o.tiles).map(|(range, mode)| LockRecord {
                     owner: o.name.clone(),
-                    range: r.range,
-                    mode: r.mode,
+                    range,
+                    mode,
                 })
             })
             .collect();
@@ -492,46 +789,29 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     /// Number of committed records across all owners.
     pub fn held_records(&self) -> usize {
         let st = self.state.lock().unwrap();
-        st.owners.values().map(|o| o.records.len()).sum()
+        st.owners.values().map(|o| runs(&o.tiles).count()).sum()
     }
 
-    /// Panics if a structural invariant is violated: per-owner records must
-    /// be sorted, disjoint, and non-empty, and each record's tiles must be
-    /// sorted, disjoint, and exactly cover the record. Used by the model
+    /// Panics if a structural invariant is violated: every owner's tiles
+    /// must be non-empty, sorted, and pairwise disjoint. Used by the model
     /// tests; cheap enough to call after every operation.
     pub fn check_invariants(&self) {
         let st = self.state.lock().unwrap();
         for owner in st.owners.values() {
-            let mut prev_end: Option<u64> = None;
-            for rec in &owner.records {
+            for tile in &owner.tiles {
                 assert!(
-                    !rec.range.is_empty(),
-                    "owner {}: empty record {:?}",
+                    !tile.range.is_empty(),
+                    "owner {}: empty tile {:?}",
                     owner.name,
-                    rec.range
+                    tile.range
                 );
-                if let Some(end) = prev_end {
-                    assert!(
-                        rec.range.start >= end,
-                        "owner {}: records out of order or overlapping at {:?}",
-                        owner.name,
-                        rec.range
-                    );
-                }
-                prev_end = Some(rec.range.end);
-                let mut cursor = rec.range.start;
-                for tile in &rec.tiles {
-                    assert_eq!(
-                        tile.range.start, cursor,
-                        "owner {}: tile gap in record {:?}",
-                        owner.name, rec.range
-                    );
-                    cursor = tile.range.end;
-                }
-                assert_eq!(
-                    cursor, rec.range.end,
-                    "owner {}: tiles do not cover record {:?}",
-                    owner.name, rec.range
+            }
+            for pair in owner.tiles.windows(2) {
+                assert!(
+                    pair[0].range.end <= pair[1].range.start,
+                    "owner {}: tiles out of order or overlapping at {:?}",
+                    owner.name,
+                    pair[1].range
                 );
             }
         }
@@ -546,28 +826,36 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         range: Range,
         mode: LockMode,
     ) -> Option<LockRecord> {
-        for (&id, owner) in &st.owners {
-            if id == owner_id {
-                continue;
-            }
-            for rec in &owner.records {
-                if rec.range.overlaps(&range) && mode.conflicts_with(rec.mode) {
-                    return Some(LockRecord {
+        st.owners
+            .iter()
+            .filter(|(&id, _)| id != owner_id)
+            .find_map(|(_, owner)| {
+                runs(&owner.tiles)
+                    .find(|(held, held_mode)| {
+                        held.overlaps(&range) && mode.conflicts_with(*held_mode)
+                    })
+                    .map(|(range, mode)| LockRecord {
                         owner: owner.name.clone(),
-                        range: rec.range,
-                        mode: rec.mode,
-                    });
-                }
-            }
-        }
-        None
+                        range,
+                        mode,
+                    })
+            })
     }
 
-    fn acquire_tile(&self, range: Range, mode: LockMode) -> Tile<L> {
+    /// The one route into the underlying lock: enqueues the request for
+    /// `range` on the first visit (leaving the token in `pending`), then
+    /// polls it. `None` means a conflicting holder blocks it right now and
+    /// the token stays in `pending` for the next poll — or for `cancel`.
+    fn poll_tile(
+        &self,
+        pending: &mut Option<Pending>,
+        range: Range,
+        mode: LockMode,
+    ) -> Option<Tile<L>> {
         let lock = self.lock_ref();
         let guard = match mode {
             LockMode::Shared => {
-                let g = lock.read(range);
+                let g = lock.poll_read(pending.get_or_insert_with(|| lock.enqueue_read(range)))?;
                 // SAFETY: `g` borrows the heap lock, which outlives every
                 // tile (see `erase_lifetime` and the `Drop` impl).
                 ModeGuard::Read(unsafe {
@@ -575,14 +863,16 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                 })
             }
             LockMode::Exclusive => {
-                let g = lock.write(range);
+                let g =
+                    lock.poll_write(pending.get_or_insert_with(|| lock.enqueue_write(range)))?;
                 // SAFETY: As above.
                 ModeGuard::Write(unsafe {
                     erase_lifetime::<L::WriteGuard<'_>, L::WriteGuard<'static>>(g)
                 })
             }
         };
-        Tile { range, guard }
+        *pending = None;
+        Some(Tile { range, guard })
     }
 
     /// Converts a tile that lies inside a shared-mode target into a read
@@ -613,53 +903,24 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         }
     }
 
-    fn try_acquire_tile(&self, range: Range, mode: LockMode) -> Option<Tile<L>> {
-        let lock = self.lock_ref();
-        let guard = match mode {
-            LockMode::Shared => {
-                let g = lock.try_read(range)?;
-                // SAFETY: As in `acquire_tile`.
-                ModeGuard::Read(unsafe {
-                    erase_lifetime::<L::ReadGuard<'_>, L::ReadGuard<'static>>(g)
-                })
-            }
-            LockMode::Exclusive => {
-                let g = lock.try_write(range)?;
-                // SAFETY: As in `acquire_tile`.
-                ModeGuard::Write(unsafe {
-                    erase_lifetime::<L::WriteGuard<'_>, L::WriteGuard<'static>>(g)
-                })
-            }
-        };
-        Some(Tile { range, guard })
-    }
-
-    /// Re-inserts records for `owner_id` and coalesces adjacent same-mode
-    /// records (POSIX merges touching locks of equal type).
-    fn commit(&self, owner_id: u64, mut new_records: Vec<Record<L>>) {
-        {
+    /// Publishes a finished transaction's tiles into the owner's list. They
+    /// lie in the hole `begin` detached them (or their originals) from, so
+    /// they go in as one block.
+    fn commit(&self, owner_id: u64, mut tiles: Vec<Tile<L>>) {
+        if !tiles.is_empty() {
+            tiles.sort_by_key(|t| t.range.start);
             let mut st = self.state.lock().unwrap();
             let owner = st
                 .owners
                 .get_mut(&owner_id)
                 .expect("commit for an unregistered owner");
-            owner.records.append(&mut new_records);
-            owner.records.sort_by_key(|r| r.range.start);
-            let mut i = 0;
-            while i + 1 < owner.records.len() {
-                if owner.records[i].range.end == owner.records[i + 1].range.start
-                    && owner.records[i].mode == owner.records[i + 1].mode
-                {
-                    let mut next = owner.records.remove(i + 1);
-                    owner.records[i].range.end = next.range.end;
-                    owner.records[i].tiles.append(&mut next.tiles);
-                } else {
-                    i += 1;
-                }
-            }
+            let at = owner
+                .tiles
+                .partition_point(|t| t.range.start < tiles[0].range.start);
+            owner.tiles.splice(at..at, tiles);
         }
         // A commit changes the waits-for edges other blocked owners must
-        // derive: the new records are new potential holders. Sync waiters
+        // derive: the new tiles are new potential holders. Sync waiters
         // re-derive on a short timeout anyway; async waiters re-derive only
         // when polled, so wake the lock's queue (a spurious wake costs one
         // re-poll). This is deliberately the keyed-table *broadcast*, not a
@@ -670,7 +931,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         self.lock_ref().wait_queue().wake_all();
     }
 
-    /// Ids of the *other* owners whose committed records block `owner_id`
+    /// Ids of the *other* owners whose committed tiles block `owner_id`
     /// from acquiring `range` in `mode` right now — one waits-for edge per
     /// returned id. Over a lock whose "readers" serialize
     /// ([`RwRangeLock::readers_share`] is `false`), overlap alone conflicts,
@@ -683,8 +944,8 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
             if id == owner_id {
                 continue;
             }
-            if owner.records.iter().any(|rec| {
-                rec.range.overlaps(&range) && (mode.conflicts_with(rec.mode) || !readers_share)
+            if owner.tiles.iter().any(|tile| {
+                tile.range.overlaps(&range) && (mode.conflicts_with(tile.mode()) || !readers_share)
             }) {
                 holders.push(id);
             }
@@ -714,593 +975,215 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         DeadlockError { cycle, waits_dot }
     }
 
-    /// Snapshot of one owner's committed `(range, mode)` records, used as
-    /// the restore set for batch rollback.
+    /// Snapshot of one owner's committed `(range, mode)` records.
     fn owner_records(&self, owner_id: u64) -> Vec<(Range, LockMode)> {
         let st = self.state.lock().unwrap();
         st.owners
             .get(&owner_id)
-            .map(|o| o.records.iter().map(|r| (r.range, r.mode)).collect())
+            .map(|o| runs(&o.tiles).collect())
             .unwrap_or_default()
     }
 
-    /// Blocking, deadlock-checked tile acquisition: drives the underlying
-    /// lock's two-phase protocol, and between polls (re-)derives this
-    /// owner's waits-for edges from the committed table. An edge set that
-    /// closes a cycle cancels the pending acquisition and fails with
-    /// `EDEADLK`; otherwise the wait is bounded by [`DEADLOCK_RECHECK`] so
-    /// a cycle committed behind this waiter's back is still noticed.
-    fn acquire_tile_checked(
-        &self,
-        owner_id: u64,
-        range: Range,
-        mode: LockMode,
-    ) -> Result<Tile<L>, DeadlockError> {
-        let lock = self.lock_ref();
-        let mut edges = WaitEdges::new(&self.waits, owner_id);
-        macro_rules! checked {
-            ($enqueue:ident, $poll:ident, $variant:ident, $Guard:ident) => {{
-                let mut pending = lock.$enqueue(range);
-                loop {
-                    if let Some(g) = lock.$poll(&mut pending) {
-                        // SAFETY: As in `acquire_tile` — the lock is a stable
-                        // heap allocation freed only after every guard drops.
-                        let g = unsafe { erase_lifetime::<L::$Guard<'_>, L::$Guard<'static>>(g) };
-                        return Ok(Tile {
-                            range,
-                            guard: ModeGuard::$variant(g),
-                        });
-                    }
-                    let holders = self.conflicting_owner_ids(owner_id, range, mode);
-                    if let Err(cycle) = edges.register(&holders) {
-                        lock.cancel(&mut pending);
-                        let queue = lock.wait_queue();
-                        queue.record_cancel();
-                        queue.record_deadlock();
-                        rl_obs::trace::emit(
-                            rl_obs::EventKind::DeadlockDetected,
-                            queue.trace_id(),
-                            self.owner_actor(owner_id),
-                            range.start,
-                            range.end,
-                        );
-                        return Err(self.deadlock_error(cycle.cycle()));
-                    }
-                    let deadline = Instant::now() + DEADLOCK_RECHECK;
-                    lock.wait_deadline(&mut || false, deadline);
-                }
-            }};
-        }
-        match mode {
-            LockMode::Shared => checked!(enqueue_read, poll_read, Read, ReadGuard),
-            LockMode::Exclusive => {
-                checked!(enqueue_write, poll_write, Write, WriteGuard)
-            }
-        }
-    }
-
-    /// Phase A of a re-lock transaction (table mutex held): fail-fast
-    /// conflict check, then detach the owner's overlapping records, sorting
-    /// their tiles into those kept (entirely outside `target`, or downgraded
-    /// in place) and those released here; finally compute the guard gaps
-    /// that phase B must acquire. `Ok(None)` means the request was a no-op.
-    fn plan_set_lock(
+    /// The heart of the table: begins the transaction that replaces whatever
+    /// `owner_id` holds over `target` with `op` (`Some(mode)` to lock, `None`
+    /// to unlock). Takes the table mutex once and never waits.
+    ///
+    /// A non-blocking request fails with `EAGAIN` when it would have to
+    /// wait; a blocking one fails with `EDEADLK` when waiting would close an
+    /// owner cycle. Either way the transaction restores the owner's prior
+    /// tiles before it reports the error.
+    fn begin(
         &self,
         owner_id: u64,
         target: Range,
         op: Option<LockMode>,
         blocking: bool,
-    ) -> Result<Option<Plan<L>>, WouldBlock> {
-        let mut kept: Vec<Tile<L>> = Vec::new();
-        let mut shapes: Vec<Shape> = Vec::new();
-        let mut originals: Vec<(Range, LockMode)> = Vec::new();
-        {
+    ) -> Transaction<'_, L> {
+        let mut txn = Transaction {
+            table: self,
+            owner_id,
+            blocking,
+            touched: false,
+            held: Vec::new(),
+            missing: Vec::new(),
+            next: 0,
+            pending: None,
+            originals: Vec::new(),
+            failure: None,
+            edges: WaitEdges {
+                graph: &self.waits,
+                owner_id,
+                registered: false,
+            },
+        };
+        if target.is_empty() {
+            return txn;
+        }
+        let detached: Vec<Tile<L>> = {
             let mut st = self.state.lock().unwrap();
-            if let Some(mode) = op {
-                if !blocking {
-                    if let Some(conflict) = Self::conflicting_record(&st, owner_id, target, mode) {
-                        return Err(WouldBlock {
-                            conflict: Some(conflict),
-                        });
-                    }
-                }
-                // No-op fast path: the span is already held in this mode.
-                let owner = st
-                    .owners
-                    .get(&owner_id)
-                    .expect("operation on an unregistered owner");
-                if owner.records.iter().any(|r| {
-                    r.mode == mode && r.range.start <= target.start && r.range.end >= target.end
-                }) {
-                    return Ok(None);
+            if let (Some(mode), false) = (op, blocking) {
+                if let Some(conflict) = Self::conflicting_record(&st, owner_id, target, mode) {
+                    txn.failure = Some(SetLockError::WouldBlock(WouldBlock {
+                        conflict: Some(conflict),
+                    }));
+                    return txn;
                 }
             }
             let owner = st
                 .owners
                 .get_mut(&owner_id)
                 .expect("operation on an unregistered owner");
-            let mut detached = Vec::new();
-            let mut i = 0;
-            while i < owner.records.len() {
-                if owner.records[i].range.overlaps(&target) {
-                    detached.push(owner.records.remove(i));
-                } else {
-                    i += 1;
-                }
+            // The tiles overlapping `target` are one contiguous block.
+            let lo = owner.tiles.partition_point(|t| t.range.end <= target.start);
+            let hi = owner.tiles.partition_point(|t| t.range.start < target.end);
+            let noop = match op {
+                // The span is already held in this mode.
+                Some(mode) => runs(&owner.tiles[lo..hi]).any(|(held, held_mode)| {
+                    held_mode == mode && held.start <= target.start && held.end >= target.end
+                }),
+                None => lo == hi,
+            };
+            if noop {
+                return txn;
             }
-            if detached.is_empty() && op.is_none() {
-                return Ok(None);
+            owner.tiles.drain(lo..hi).collect()
+        };
+        // The detached tiles belong to the transaction now, so the guards
+        // that have to go are released here, after the mutex: a release
+        // wakes waiters, and every other owner's `begin` and `commit` would
+        // queue behind it.
+        txn.touched = true;
+        for tile in detached {
+            let (range, mode) = (tile.range, tile.mode());
+            let unchecked = |range| Missing {
+                range,
+                mode,
+                is_target: false,
+            };
+            txn.originals.push(unchecked(range));
+            if range.start < target.start {
+                txn.missing
+                    .push(unchecked(Range::new(range.start, target.start)));
             }
-            for rec in detached {
-                originals.push((rec.range, rec.mode));
-                if rec.range.start < target.start {
-                    shapes.push(Shape {
-                        range: Range::new(rec.range.start, target.start),
-                        mode: rec.mode,
-                        is_target: false,
-                    });
-                }
-                if rec.range.end > target.end {
-                    shapes.push(Shape {
-                        range: Range::new(target.end, rec.range.end),
-                        mode: rec.mode,
-                        is_target: false,
-                    });
-                }
-                for tile in rec.tiles {
-                    if tile.range.end <= target.start || tile.range.start >= target.end {
-                        kept.push(tile);
-                    } else if blocking
-                        && op == Some(LockMode::Shared)
-                        && tile.range.start >= target.start
-                        && tile.range.end <= target.end
-                    {
-                        // Blocking exclusive→shared re-lock: keep the tile
-                        // held across the mode change (in-place downgrade) so
-                        // no other writer can slip in. Falls back to release +
-                        // re-acquire when the lock has no downgrade. Blocking
-                        // transactions cannot roll back, so a downgraded tile
-                        // always reaches commit; non-blocking requests skip
-                        // the downgrade because their rollback would have to
-                        // release the weakened tile and re-take it exclusive.
-                        if let Ok(tile) = self.downgrade_tile(tile) {
-                            kept.push(tile);
-                        }
-                    }
-                    // Remaining tiles overlapping `target` are dropped here,
-                    // releasing their guards so the span can be re-acquired
-                    // below.
-                }
+            if range.end > target.end {
+                txn.missing
+                    .push(unchecked(Range::new(target.end, range.end)));
             }
-            if let Some(mode) = op {
-                shapes.push(Shape {
-                    range: target,
-                    mode,
-                    is_target: true,
-                });
-            }
-        }
-        kept.sort_by_key(|t| t.range.start);
-
-        // Compute the guard gaps: sub-ranges of each shape not covered by a
-        // kept tile (for a shared-mode target, downgraded and pass-through
-        // read tiles may already cover part or all of it).
-        let mut need: Vec<(Range, LockMode, bool)> = Vec::new();
-        for shape in &shapes {
-            let mut cursor = shape.range.start;
-            for tile in kept
-                .iter()
-                .filter(|t| t.range.start >= shape.range.start && t.range.end <= shape.range.end)
+            if blocking
+                && op == Some(LockMode::Shared)
+                && range.start >= target.start
+                && range.end <= target.end
             {
-                if tile.range.start > cursor {
-                    need.push((Range::new(cursor, tile.range.start), shape.mode, false));
-                }
-                cursor = tile.range.end;
-            }
-            if cursor < shape.range.end {
-                need.push((
-                    Range::new(cursor, shape.range.end),
-                    shape.mode,
-                    shape.is_target,
-                ));
-            }
-        }
-        need.sort_by_key(|(r, _, _)| r.start);
-        Ok(Some(Plan {
-            kept,
-            shapes,
-            need,
-            originals,
-        }))
-    }
-
-    /// Phase C: assembles the transaction's tile pool into the planned
-    /// record shapes and commits them.
-    fn assemble_and_commit(&self, owner_id: u64, shapes: Vec<Shape>, mut pool: Vec<Tile<L>>) {
-        pool.sort_by_key(|t| t.range.start);
-        let records = shapes
-            .into_iter()
-            .map(|shape| {
-                let mut tiles = Vec::new();
-                let mut rest = Vec::new();
-                for tile in pool.drain(..) {
-                    if tile.range.start >= shape.range.start && tile.range.end <= shape.range.end {
-                        tiles.push(tile);
-                    } else {
-                        rest.push(tile);
-                    }
-                }
-                pool = rest;
-                Record {
-                    range: shape.range,
-                    mode: shape.mode,
-                    tiles,
-                }
-            })
-            .collect();
-        debug_assert!(pool.is_empty(), "unassigned tiles after a transaction");
-        self.commit(owner_id, records);
-    }
-
-    /// The heart of the table: replaces whatever `owner_id` holds over
-    /// `target` with `op` (`Some(mode)` to lock, `None` to unlock).
-    ///
-    /// A non-blocking request fails with `EAGAIN` when it would have to
-    /// wait; a blocking one fails with `EDEADLK` when waiting would close an
-    /// owner cycle. Either way the table is restored to its prior records
-    /// before the error returns.
-    fn set_lock(
-        &self,
-        owner_id: u64,
-        target: Range,
-        op: Option<LockMode>,
-        blocking: bool,
-    ) -> Result<(), SetLockError> {
-        if target.is_empty() {
-            return Ok(());
-        }
-        let Some(Plan {
-            mut kept,
-            shapes,
-            need,
-            originals,
-        }) = self
-            .plan_set_lock(owner_id, target, op, blocking)
-            .map_err(SetLockError::WouldBlock)?
-        else {
-            return Ok(());
-        };
-
-        // Phase B (no mutex held): acquire the missing guards in ascending
-        // range order. Only the target itself honors `blocking == false` and
-        // only the target is deadlock-checked; gaps restore coverage the
-        // owner already held and always block unchecked.
-        let mut acquired: Vec<Tile<L>> = Vec::new();
-        let mut failure: Option<SetLockError> = None;
-        for &(range, mode, is_target) in &need {
-            if is_target && !blocking {
-                match self.try_acquire_tile(range, mode) {
-                    Some(t) => acquired.push(t),
-                    None => {
-                        failure = Some(SetLockError::WouldBlock(WouldBlock { conflict: None }));
-                        break;
-                    }
-                }
-            } else if is_target {
-                match self.acquire_tile_checked(owner_id, range, mode) {
-                    Ok(t) => acquired.push(t),
-                    Err(deadlock) => {
-                        failure = Some(SetLockError::Deadlock(deadlock));
-                        break;
-                    }
-                }
-            } else {
-                acquired.push(self.acquire_tile(range, mode));
-            }
-        }
-
-        if let Some(err) = failure {
-            // Roll back: drop every guard of this transaction, then restore
-            // the original records from scratch (ascending, blocking — the
-            // spans were held by this owner moments ago).
-            kept.clear();
-            acquired.clear();
-            let restored = originals
-                .iter()
-                .map(|&(range, mode)| Record {
-                    range,
-                    mode,
-                    tiles: vec![self.acquire_tile(range, mode)],
-                })
-                .collect();
-            self.commit(owner_id, restored);
-            return Err(err);
-        }
-
-        // Phase C: assemble the records and commit them.
-        let mut pool: Vec<Tile<L>> = kept;
-        pool.append(&mut acquired);
-        self.assemble_and_commit(owner_id, shapes, pool);
-        Ok(())
-    }
-
-    /// Acquires one tile asynchronously: the task suspends (waker-driven)
-    /// instead of blocking its worker thread.
-    async fn acquire_tile_async(&self, range: Range, mode: LockMode) -> Tile<L> {
-        let lock = self.lock_ref();
-        let guard = match mode {
-            LockMode::Shared => {
-                let g = lock.read_async(range).await;
-                // SAFETY: As in `acquire_tile` — the lock is a stable heap
-                // allocation freed only after every guard has been dropped.
-                ModeGuard::Read(unsafe {
-                    erase_lifetime::<L::ReadGuard<'_>, L::ReadGuard<'static>>(g)
-                })
-            }
-            LockMode::Exclusive => {
-                let g = lock.write_async(range).await;
-                // SAFETY: As above.
-                ModeGuard::Write(unsafe {
-                    erase_lifetime::<L::WriteGuard<'_>, L::WriteGuard<'static>>(g)
-                })
-            }
-        };
-        Tile { range, guard }
-    }
-
-    /// The async form of [`LockTable::acquire_tile_checked`]: the waker-driven
-    /// acquisition future is wrapped so that every `Pending` poll re-derives
-    /// this owner's waits-for edges (commits wake the queue, so a cycle that
-    /// forms while suspended gets a re-derivation). A cycle resolves the
-    /// wrapper to `EDEADLK`; dropping the inner future then cancels the
-    /// pending acquisition through its RAII guard (which records the cancel).
-    async fn acquire_tile_checked_async(
-        &self,
-        owner_id: u64,
-        range: Range,
-        mode: LockMode,
-    ) -> Result<Tile<L>, DeadlockError> {
-        let lock = self.lock_ref();
-        let mut edges = WaitEdges::new(&self.waits, owner_id);
-        macro_rules! checked {
-            ($acquire:ident, $variant:ident, $Guard:ident) => {{
-                let mut fut = lock.$acquire(range);
-                let resolved = std::future::poll_fn(|cx| match Pin::new(&mut fut).poll(cx) {
-                    Poll::Ready(g) => Poll::Ready(Ok(g)),
-                    Poll::Pending => {
-                        let holders = self.conflicting_owner_ids(owner_id, range, mode);
-                        match edges.register(&holders) {
-                            Ok(()) => Poll::Pending,
-                            Err(cycle) => Poll::Ready(Err(cycle)),
-                        }
-                    }
-                })
-                .await;
-                match resolved {
-                    Ok(g) => {
-                        // SAFETY: As in `acquire_tile`.
-                        let g = unsafe { erase_lifetime::<L::$Guard<'_>, L::$Guard<'static>>(g) };
-                        Ok(Tile {
-                            range,
-                            guard: ModeGuard::$variant(g),
-                        })
-                    }
-                    Err(cycle) => {
-                        drop(fut);
-                        let queue = lock.wait_queue();
-                        queue.record_deadlock();
-                        rl_obs::trace::emit(
-                            rl_obs::EventKind::DeadlockDetected,
-                            queue.trace_id(),
-                            self.owner_actor(owner_id),
-                            range.start,
-                            range.end,
-                        );
-                        Err(self.deadlock_error(cycle.cycle()))
-                    }
-                }
-            }};
-        }
-        match mode {
-            LockMode::Shared => checked!(read_async, Read, ReadGuard),
-            LockMode::Exclusive => checked!(write_async, Write, WriteGuard),
-        }
-    }
-
-    /// The async counterpart of the blocking [`LockTable::set_lock`] path:
-    /// phase A (planning) runs synchronously under the table mutex, phase B
-    /// awaits each missing tile **in ascending range order** (the same
-    /// deadlock-avoidance discipline as the sync path — a suspended task
-    /// keeps earlier tiles held, exactly like a blocked thread) with the
-    /// target tiles deadlock-checked, and phase C commits. `EDEADLK` rolls
-    /// the transaction back to the original records, like the sync path.
-    ///
-    /// # Cancellation
-    ///
-    /// Each tile future is individually cancellation-safe, and the table
-    /// structure stays consistent if this future is dropped mid-flight; but
-    /// like a POSIX upgrade that blocks, the *operation* is not atomic —
-    /// records detached in phase A are simply gone, as if the affected span
-    /// had been unlocked. (Waits-for edges registered by an abandoned poll
-    /// are removed with the future.) Callers that cannot accept that should
-    /// not abandon an in-flight `lock_async`.
-    async fn set_lock_async(
-        &self,
-        owner_id: u64,
-        target: Range,
-        op: Option<LockMode>,
-    ) -> Result<(), DeadlockError> {
-        if target.is_empty() {
-            return Ok(());
-        }
-        let Some(Plan {
-            mut kept,
-            shapes,
-            need,
-            originals,
-        }) = self
-            .plan_set_lock(owner_id, target, op, true)
-            .unwrap_or_else(|_| unreachable!("blocking plan cannot fail"))
-        else {
-            return Ok(());
-        };
-        let mut acquired: Vec<Tile<L>> = Vec::new();
-        let mut failure: Option<DeadlockError> = None;
-        for &(range, mode, is_target) in &need {
-            if is_target {
-                match self.acquire_tile_checked_async(owner_id, range, mode).await {
-                    Ok(t) => acquired.push(t),
-                    Err(deadlock) => {
-                        failure = Some(deadlock);
-                        break;
-                    }
-                }
-            } else {
-                acquired.push(self.acquire_tile_async(range, mode).await);
-            }
-        }
-        if let Some(deadlock) = failure {
-            kept.clear();
-            acquired.clear();
-            let mut restored = Vec::new();
-            for &(range, mode) in &originals {
-                restored.push(Record {
-                    range,
-                    mode,
-                    tiles: vec![self.acquire_tile_async(range, mode).await],
-                });
-            }
-            self.commit(owner_id, restored);
-            return Err(deadlock);
-        }
-        let mut pool: Vec<Tile<L>> = Vec::new();
-        pool.append(&mut kept);
-        pool.append(&mut acquired);
-        self.assemble_and_commit(owner_id, shapes, pool);
-        Ok(())
-    }
-
-    /// Applies a batch of disjoint items for `owner_id`, all-or-nothing.
-    /// Items are applied in ascending order; an `EDEADLK` part-way through
-    /// rolls the applied prefix back to `before` and reports the cycle.
-    fn set_many(&self, owner_id: u64, items: &[(Range, LockMode)]) -> Result<(), DeadlockError> {
-        let items = normalize_batch(items);
-        let before = self.owner_records(owner_id);
-        for (i, &(range, mode)) in items.iter().enumerate() {
-            match self.set_lock(owner_id, range, Some(mode), true) {
-                Ok(()) => {}
-                Err(SetLockError::Deadlock(deadlock)) => {
-                    self.rollback_batch(owner_id, &items[..i], &before);
-                    return Err(deadlock);
-                }
-                Err(SetLockError::WouldBlock(_)) => {
-                    unreachable!("blocking set_lock cannot return EAGAIN")
+                // Blocking exclusive→shared re-lock: keep the tile held
+                // across the mode change (in-place downgrade) so no other
+                // writer can slip in. Falls back to release + re-acquire
+                // when the lock has no downgrade. Non-blocking requests skip
+                // the downgrade because their rollback would have to
+                // release the weakened tile and re-take it exclusive.
+                if let Ok(tile) = self.downgrade_tile(tile) {
+                    txn.held.push(tile);
                 }
             }
+            // Every other tile is dropped here, releasing its guard so the
+            // span can be re-acquired by the polls.
         }
-        Ok(())
-    }
-
-    /// The non-blocking batch: every item is first checked against the
-    /// committed table under one mutex hold — a visible conflict fails the
-    /// whole batch before anything is touched — then applied item by item;
-    /// losing a bounded-acquisition race to an uncommitted transaction rolls
-    /// the applied prefix back.
-    fn try_set_many(&self, owner_id: u64, items: &[(Range, LockMode)]) -> Result<(), WouldBlock> {
-        let items = normalize_batch(items);
-        {
-            let st = self.state.lock().unwrap();
-            for &(range, mode) in &items {
-                if let Some(conflict) = Self::conflicting_record(&st, owner_id, range, mode) {
-                    return Err(WouldBlock {
-                        conflict: Some(conflict),
+        if let Some(mode) = op {
+            // The target is missing wherever a kept tile does not cover it.
+            let mut cursor = target.start;
+            let kept_ends = txn.held.iter().map(|t| (t.range.start, t.range.end));
+            for (start, end) in kept_ends.chain([(target.end, target.end)]) {
+                if start > cursor {
+                    txn.missing.push(Missing {
+                        range: Range::new(cursor, start),
+                        mode,
+                        is_target: true,
                     });
                 }
+                cursor = end;
             }
         }
-        let before = self.owner_records(owner_id);
-        for (i, &(range, mode)) in items.iter().enumerate() {
-            match self.set_lock(owner_id, range, Some(mode), false) {
-                Ok(()) => {}
-                Err(SetLockError::WouldBlock(wb)) => {
-                    self.rollback_batch(owner_id, &items[..i], &before);
-                    return Err(wb);
-                }
-                Err(SetLockError::Deadlock(_)) => {
-                    unreachable!("non-blocking set_lock cannot deadlock")
-                }
-            }
-        }
-        Ok(())
+        txn.missing.sort_by_key(|m| m.range.start);
+        txn
     }
 
-    /// The async batch: [`LockTable::set_many`] with suspending waits.
-    async fn set_many_async(
+    /// The blocking driver: poll, and between polls wait through the lock's
+    /// own wait policy. The wait is bounded by [`DEADLOCK_RECHECK`] and its
+    /// predicate never holds, so every poll — and with it the re-derivation
+    /// of the owner's waits-for edges — happens on that fixed interval.
+    fn drive_blocking(&self, mut op: impl Resumable) -> Result<(), SetLockError> {
+        loop {
+            if let Poll::Ready(outcome) = op.poll() {
+                return outcome;
+            }
+            let deadline = Instant::now() + DEADLOCK_RECHECK;
+            self.lock_ref().wait_deadline(&mut || false, deadline);
+        }
+    }
+
+    /// The async driver: poll, and suspend the task on the lock's queue
+    /// under the wait key of the request the poll stopped at, so the
+    /// blocker's release (or any commit's broadcast) re-polls it.
+    ///
+    /// The waker registration lives in `slot` and goes with it: when the
+    /// operation resolves, or — dropping the future abandons `op` — before
+    /// the operation's own `Drop` cancels whatever it had in flight.
+    async fn drive_async(&self, mut op: impl Resumable) -> Result<(), SetLockError> {
+        let queue = self.lock_ref().wait_queue();
+        let mut slot = WakerSlot::new(queue);
+        std::future::poll_fn(|cx| loop {
+            // Snapshot *before* polling: see the lost-wakeup argument in
+            // `rl_sync::wait`. A refused registration means a wake slipped
+            // in since, and whatever it signalled may unblock us: re-poll.
+            let gen = queue.generation();
+            if let Poll::Ready(outcome) = op.poll() {
+                return Poll::Ready(outcome);
+            }
+            if slot.register(op.wait_key(), gen, cx.waker()) {
+                return Poll::Pending;
+            }
+        })
+        .await
+    }
+
+    /// Begins an all-or-nothing batch for `owner_id`: empty items are
+    /// dropped and the rest applied in ascending order, one transaction
+    /// each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two items overlap: a batch is a set of independent spans,
+    /// and "lock `[0, 10)` shared and `[5, 15)` exclusive atomically" has no
+    /// coherent replace-semantics answer for the overlap.
+    fn begin_many(
         &self,
         owner_id: u64,
         items: &[(Range, LockMode)],
-    ) -> Result<(), DeadlockError> {
-        let items = normalize_batch(items);
-        let before = self.owner_records(owner_id);
-        for (i, &(range, mode)) in items.iter().enumerate() {
-            if let Err(deadlock) = self.set_lock_async(owner_id, range, Some(mode)).await {
-                for &(applied, _) in &items[..i] {
-                    self.set_lock_async(owner_id, applied, None)
-                        .await
-                        .unwrap_or_else(|_| unreachable!("unlock cannot deadlock"));
-                }
-                for &(range, mode) in &before {
-                    if items[..i].iter().any(|(a, _)| a.overlaps(&range)) {
-                        // Best-effort, as in `rollback_batch`.
-                        let _ = self.set_lock_async(owner_id, range, Some(mode)).await;
-                    }
-                }
-                let queue = self.lock_ref().wait_queue();
-                queue.record_batch_rollback();
-                let span = batch_span(&items[..i]);
-                rl_obs::trace::emit(
-                    rl_obs::EventKind::BatchRollback,
-                    queue.trace_id(),
-                    self.owner_actor(owner_id),
-                    span.start,
-                    span.end,
-                );
-                return Err(deadlock);
-            }
+        blocking: bool,
+    ) -> Batch<'_, L> {
+        let mut steps: Vec<(Range, Option<LockMode>)> = items
+            .iter()
+            .filter(|(range, _)| !range.is_empty())
+            .map(|&(range, mode)| (range, Some(mode)))
+            .collect();
+        steps.sort_by_key(|(r, _)| (r.start, r.end));
+        for pair in steps.windows(2) {
+            assert!(
+                !pair[0].0.overlaps(&pair[1].0),
+                "batched lock items overlap: {:?} and {:?}",
+                pair[0].0,
+                pair[1].0
+            );
         }
-        Ok(())
-    }
-
-    /// Rolls an owner back after a failed batch: the spans of the applied
-    /// prefix are unlocked, then every pre-batch record overlapping them is
-    /// re-established. Restoring an original is deadlock-checked; a restore
-    /// that would itself close a cycle is skipped — the coverage is lost,
-    /// as when a blocked POSIX upgrade loses its old lock.
-    fn rollback_batch(
-        &self,
-        owner_id: u64,
-        applied: &[(Range, LockMode)],
-        before: &[(Range, LockMode)],
-    ) {
-        for &(range, _) in applied {
-            self.set_lock(owner_id, range, None, true)
-                .unwrap_or_else(|_| unreachable!("unlock cannot fail"));
+        Batch {
+            table: self,
+            owner_id,
+            blocking,
+            before: self.owner_records(owner_id),
+            steps,
+            next: 0,
+            current: None,
+            failure: None,
         }
-        for &(range, mode) in before {
-            if applied.iter().any(|(a, _)| a.overlaps(&range)) {
-                let _ = self.set_lock(owner_id, range, Some(mode), true);
-            }
-        }
-        let queue = self.lock_ref().wait_queue();
-        queue.record_batch_rollback();
-        let span = batch_span(applied);
-        rl_obs::trace::emit(
-            rl_obs::EventKind::BatchRollback,
-            queue.trace_id(),
-            self.owner_actor(owner_id),
-            span.start,
-            span.end,
-        );
     }
 
     /// Number of `EDEADLK` failures this table has surfaced (each one also
@@ -1318,49 +1201,26 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     }
 
     fn release_owner(&self, owner_id: u64) {
-        // Removing the state drops every record and therefore every guard.
-        self.state.lock().unwrap().owners.remove(&owner_id);
+        // Detached under the mutex, dropped — every tile, and therefore
+        // every guard — after it.
+        let owner = self.state.lock().unwrap().owners.remove(&owner_id);
+        drop(owner);
     }
 }
 
 /// Smallest range covering every item of a (possibly empty) batch prefix;
 /// the range stamped on batch-rollback trace events.
-fn batch_span(items: &[(Range, LockMode)]) -> Range {
+fn batch_span(items: &[(Range, Option<LockMode>)]) -> Range {
     let start = items.iter().map(|(r, _)| r.start).min().unwrap_or(0);
     let end = items.iter().map(|(r, _)| r.end).max().unwrap_or(0);
     Range::new(start, end)
 }
 
-/// Validates and orders a batch: empty items are dropped, the rest sorted
-/// ascending — the order they are applied and (on failure) unwound in.
-///
-/// # Panics
-///
-/// Panics if two items overlap: a batch is a set of independent spans, and
-/// "lock `[0, 10)` shared and `[5, 15)` exclusive atomically" has no
-/// coherent replace-semantics answer for the overlap.
-fn normalize_batch(items: &[(Range, LockMode)]) -> Vec<(Range, LockMode)> {
-    let mut items: Vec<(Range, LockMode)> = items
-        .iter()
-        .copied()
-        .filter(|(r, _)| !r.is_empty())
-        .collect();
-    items.sort_by_key(|(r, _)| (r.start, r.end));
-    for pair in items.windows(2) {
-        assert!(
-            !pair[0].0.overlaps(&pair[1].0),
-            "batched lock items overlap: {:?} and {:?}",
-            pair[0].0,
-            pair[1].0
-        );
-    }
-    items
-}
-
 impl<L: TwoPhaseRwRangeLock + 'static> Drop for LockTable<L> {
     fn drop(&mut self) {
         // Drop every guard before freeing the lock they borrow.
-        self.state.lock().unwrap().owners.clear();
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        state.owners.clear();
         // SAFETY: Created by `Box::into_raw` in `new`; freed exactly once,
         // and no guard referencing it remains.
         unsafe { drop(Box::from_raw(self.lock)) };
@@ -1412,13 +1272,10 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     /// not been made. Detection is best-effort, exactly as POSIX allows;
     /// see the fidelity caveats in the [module documentation](self).
     pub fn lock(&mut self, range: Range, mode: LockMode) -> Result<(), DeadlockError> {
-        match self.table.set_lock(self.id, range, Some(mode), true) {
-            Ok(()) => Ok(()),
-            Err(SetLockError::Deadlock(deadlock)) => Err(deadlock),
-            Err(SetLockError::WouldBlock(_)) => {
-                unreachable!("blocking set_lock cannot return EAGAIN")
-            }
-        }
+        let txn = self.table.begin(self.id, range, Some(mode), true);
+        self.table
+            .drive_blocking(txn)
+            .map_err(SetLockError::deadlock)
     }
 
     /// Locks `range` in `mode` without waiting for the requested span
@@ -1429,13 +1286,20 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     /// rollback after losing a bounded-acquisition race) may still wait —
     /// see the fidelity caveats in the [module documentation](self).
     pub fn try_lock(&mut self, range: Range, mode: LockMode) -> Result<(), WouldBlock> {
-        match self.table.set_lock(self.id, range, Some(mode), false) {
-            Ok(()) => Ok(()),
-            Err(SetLockError::WouldBlock(wb)) => Err(wb),
-            Err(SetLockError::Deadlock(_)) => {
-                unreachable!("non-blocking set_lock cannot deadlock")
-            }
-        }
+        let txn = self.table.begin(self.id, range, Some(mode), false);
+        self.table
+            .drive_blocking(txn)
+            .map_err(SetLockError::would_block)
+    }
+
+    /// Asynchronous [`LockOwner::try_lock`]: the conflict decision is the
+    /// same and as immediate, but where `try_lock` may still *block* the
+    /// thread — re-taking split edges, or rolling back after a lost race —
+    /// this suspends the task, and dropping the future abandons the wait.
+    pub async fn try_lock_async(&mut self, range: Range, mode: LockMode) -> Result<(), WouldBlock> {
+        let txn = self.table.begin(self.id, range, Some(mode), false);
+        let outcome = self.table.drive_async(txn).await;
+        outcome.map_err(SetLockError::would_block)
     }
 
     /// Atomically locks every `(range, mode)` item of a batch, waiting for
@@ -1450,25 +1314,34 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     ///
     /// Panics if two items of the batch overlap.
     pub fn lock_many(&mut self, items: &[(Range, LockMode)]) -> Result<(), DeadlockError> {
-        self.table.set_many(self.id, items)
+        let batch = self.table.begin_many(self.id, items, true);
+        self.table
+            .drive_blocking(batch)
+            .map_err(SetLockError::deadlock)
     }
 
     /// Non-blocking [`LockOwner::lock_many`] (`F_SETLK` over a batch): every
-    /// item is conflict-checked against the committed table before anything
-    /// is touched, then applied; a lost bounded-acquisition race rolls the
-    /// applied prefix back. On `Err` the owner's records are exactly its
-    /// pre-batch records — no residue.
+    /// item is first conflict-checked against the committed table under one
+    /// mutex hold — a visible conflict fails the whole batch before anything
+    /// is touched — then applied item by item; a lost bounded-acquisition
+    /// race rolls the applied prefix back. On `Err` the owner's records are
+    /// exactly its pre-batch records — no residue.
     ///
     /// # Panics
     ///
     /// Panics if two items of the batch overlap.
     pub fn try_lock_many(&mut self, items: &[(Range, LockMode)]) -> Result<(), WouldBlock> {
-        self.table.try_set_many(self.id, items)
+        let batch = self.table.begin_many(self.id, items, false);
+        batch.precheck()?;
+        self.table
+            .drive_blocking(batch)
+            .map_err(SetLockError::would_block)
     }
 
     /// Asynchronous [`LockOwner::lock_many`]: contended items suspend the
     /// task instead of blocking a thread; `EDEADLK` rolls the applied prefix
-    /// back with suspending waits too.
+    /// back with suspending waits too. Dropping the future mid-batch
+    /// abandons the item in flight; the items already applied stay applied.
     ///
     /// # Panics
     ///
@@ -1477,7 +1350,9 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
         &mut self,
         items: &[(Range, LockMode)],
     ) -> Result<(), DeadlockError> {
-        self.table.set_many_async(self.id, items).await
+        let batch = self.table.begin_many(self.id, items, true);
+        let outcome = self.table.drive_async(batch).await;
+        outcome.map_err(SetLockError::deadlock)
     }
 
     /// Releases whatever this owner holds inside `range` (`F_UNLCK`),
@@ -1487,9 +1362,8 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     /// only the deadlock-checked *target* acquisitions of a `lock` can
     /// return `EDEADLK`, and an unlock has none.
     pub fn unlock(&mut self, range: Range) {
-        self.table
-            .set_lock(self.id, range, None, true)
-            .unwrap_or_else(|_| unreachable!("unlock cannot fail"));
+        let txn = self.table.begin(self.id, range, None, true);
+        unlock_cannot_fail(self.table.drive_blocking(txn));
     }
 
     /// Releases every range this owner holds.
@@ -1516,24 +1390,29 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     /// Asynchronous [`LockOwner::lock`]: same replace semantics
     /// (split/merge/upgrade/downgrade) and the same `EDEADLK` contract, but
     /// waiting for conflicting owners suspends the task instead of blocking
-    /// a thread — the tile futures are awaited in ascending range order, so
-    /// async owners keep the same deadlock-avoidance discipline as blocking
-    /// ones (and may wait behind them and vice versa; the underlying lock is
-    /// the only exclusion mechanism either way), and a task suspended in a
-    /// cycle is detected exactly like a blocked thread. See
-    /// `LockTable::set_lock_async` for what happens if the returned future
-    /// is dropped mid-flight.
+    /// a thread — it is the same transaction, polled by a waker instead of a
+    /// loop, so async owners keep the same ascending-order discipline as
+    /// blocking ones (and may wait behind them and vice versa; the
+    /// underlying lock is the only exclusion mechanism either way), and a
+    /// task suspended in a cycle is detected exactly like a blocked thread.
+    ///
+    /// # Cancellation
+    ///
+    /// Dropping the future mid-wait leaves the table consistent and the
+    /// lock free of residue, but the operation is not atomic: what this
+    /// owner held over `range` going in is gone, as if it had been unlocked
+    /// (see the fidelity caveats in the [module documentation](self)).
     pub async fn lock_async(&mut self, range: Range, mode: LockMode) -> Result<(), DeadlockError> {
-        self.table.set_lock_async(self.id, range, Some(mode)).await
+        let txn = self.table.begin(self.id, range, Some(mode), true);
+        let outcome = self.table.drive_async(txn).await;
+        outcome.map_err(SetLockError::deadlock)
     }
 
     /// Asynchronous [`LockOwner::unlock`]: re-securing the retained edges of
     /// a split suspends instead of blocking.
     pub async fn unlock_async(&mut self, range: Range) {
-        self.table
-            .set_lock_async(self.id, range, None)
-            .await
-            .unwrap_or_else(|_| unreachable!("unlock cannot deadlock"));
+        let txn = self.table.begin(self.id, range, None, true);
+        unlock_cannot_fail(self.table.drive_async(txn).await);
     }
 
     /// The `F_GETLK` probe: the first committed record of another owner that
@@ -1545,11 +1424,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
 
     /// Snapshot of this owner's committed records, sorted by start.
     pub fn held(&self) -> Vec<(Range, LockMode)> {
-        let st = self.table.state.lock().unwrap();
-        st.owners
-            .get(&self.id)
-            .map(|o| o.records.iter().map(|r| (r.range, r.mode)).collect())
-            .unwrap_or_default()
+        self.table.owner_records(self.id)
     }
 }
 
@@ -1705,6 +1580,105 @@ mod tests {
         assert_eq!(t.deadlocks_detected(), 1);
         assert_eq!(a.held(), vec![(Range::new(0, 100), LockMode::Exclusive)]);
         assert_eq!(b.held(), vec![(Range::new(200, 300), LockMode::Exclusive)]);
+        t.check_invariants();
+    }
+
+    /// A table over a registry-built `list-rw` with wait statistics
+    /// attached, and a waker that counts its deliveries.
+    #[allow(clippy::type_complexity)]
+    fn abandonment_fixture() -> (
+        Arc<LockTable<Box<dyn range_lock::DynRwRangeLock>>>,
+        Arc<rl_sync::stats::WaitStats>,
+        Arc<AtomicU64>,
+        std::task::Waker,
+    ) {
+        struct CountingWaker(Arc<AtomicU64>);
+        impl std::task::Wake for CountingWaker {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let stats = Arc::new(rl_sync::stats::WaitStats::new("abandon"));
+        let spec = rl_baselines::registry::by_name("list-rw").expect("paper variant");
+        let lock = spec.build_with_stats(
+            rl_sync::WaitPolicyKind::Block,
+            &Default::default(),
+            Arc::clone(&stats),
+            None,
+        );
+        let wakes = Arc::new(AtomicU64::new(0));
+        let waker = std::task::Waker::from(Arc::new(CountingWaker(Arc::clone(&wakes))));
+        (Arc::new(LockTable::new(lock)), stats, wakes, waker)
+    }
+
+    #[test]
+    fn abandoned_lock_async_is_cancelled_and_loses_what_it_detached() {
+        use std::future::Future;
+        use std::task::Context;
+
+        // A holds [5, 10) exclusive, B holds [0, 5) shared. B's upgrade of
+        // [0, 10) detaches its shared tile, pends behind A, and is dropped.
+        let (t, stats, wakes, waker) = abandonment_fixture();
+        let mut a = t.owner("a");
+        let mut b = t.owner("b");
+        a.lock(Range::new(5, 10), LockMode::Exclusive).unwrap();
+        b.lock(Range::new(0, 5), LockMode::Shared).unwrap();
+        let cancels = stats.snapshot().cancels;
+        {
+            let mut cx = Context::from_waker(&waker);
+            let mut fut = Box::pin(b.lock_async(Range::new(0, 10), LockMode::Exclusive));
+            assert!(fut.as_mut().poll(&mut cx).is_pending());
+            assert_eq!(t.waiting_owners(), 1);
+        }
+        // The drop cancelled the one request in flight and removed the
+        // waits-for edge; what B held over the span going in is gone.
+        assert_eq!(t.waiting_owners(), 0);
+        assert_eq!(stats.snapshot().cancels, cancels + 1);
+        assert!(b.held().is_empty());
+        assert_eq!(a.held(), vec![(Range::new(5, 10), LockMode::Exclusive)]);
+        // No residue: the waker went with the future, and once A unlocks the
+        // whole space is free — no node of B's was left in the lock.
+        a.unlock_all();
+        assert_eq!(wakes.load(Ordering::SeqCst), 0);
+        t.owner("c")
+            .try_lock(Range::FULL, LockMode::Exclusive)
+            .unwrap();
+        t.check_invariants();
+    }
+
+    #[test]
+    fn abandoned_lock_many_async_keeps_the_items_already_applied() {
+        use std::future::Future;
+        use std::task::Context;
+
+        // B's batch commits [0, 10), pends on [20, 30) behind A, and is
+        // dropped: the first item stays, nothing else does.
+        let (t, stats, wakes, waker) = abandonment_fixture();
+        let mut a = t.owner("a");
+        let mut b = t.owner("b");
+        a.lock(Range::new(20, 30), LockMode::Exclusive).unwrap();
+        let cancels = stats.snapshot().cancels;
+        let items = [
+            (Range::new(20, 30), LockMode::Shared),
+            (Range::new(0, 10), LockMode::Exclusive),
+        ];
+        {
+            let mut cx = Context::from_waker(&waker);
+            let mut fut = Box::pin(b.lock_many_async(&items));
+            assert!(fut.as_mut().poll(&mut cx).is_pending());
+            assert_eq!(t.waiting_owners(), 1);
+        }
+        assert_eq!(t.waiting_owners(), 0);
+        assert_eq!(stats.snapshot().cancels, cancels + 1);
+        assert_eq!(stats.snapshot().batch_rollbacks, 0);
+        assert_eq!(b.held(), vec![(Range::new(0, 10), LockMode::Exclusive)]);
+        assert_eq!(a.held(), vec![(Range::new(20, 30), LockMode::Exclusive)]);
+        a.unlock_all();
+        b.unlock_all();
+        assert_eq!(wakes.load(Ordering::SeqCst), 0);
+        t.owner("c")
+            .try_lock(Range::FULL, LockMode::Exclusive)
+            .unwrap();
         t.check_invariants();
     }
 

@@ -8,6 +8,14 @@
 //! agree record-for-record, the real table's structural invariants must hold,
 //! and `try_lock` must fail exactly when the reference sees a conflict.
 //!
+//! The generated `kind` byte also picks the **entry point**, so the sweep
+//! covers both drivers and the batch machine against the one reference:
+//! `try_lock` or `try_lock_async` always; and, when the reference says the
+//! request is conflict-free (so it cannot wait, and a single thread can make
+//! it), blocking `lock`, `block_on(lock_async)`, or a one-item `lock_many` /
+//! `try_lock_many` / `lock_many_async`; unlocks alternate between `unlock`
+//! and `block_on(unlock_async)`.
+//!
 //! Runs over `list-rw` and `kernel-rw` at byte granularity, and over
 //! `pnova-rw` at segment alignment (see the granularity requirement in the
 //! `lock_table` module docs).
@@ -17,7 +25,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use range_lock::{Range, RwListRangeLock, TwoPhaseRwRangeLock};
 use rl_baselines::{RwTreeRangeLock, SegmentRangeLock};
-use rl_file::{LockMode, LockTable};
+use rl_exec::block_on;
+use rl_file::{LockMode, LockOwner, LockTable};
 use rl_sync::wait::{Block, Spin};
 
 /// One reference record. Kept intentionally dumb: no tiles, no guards.
@@ -104,8 +113,34 @@ impl RefTable {
     }
 }
 
-/// One generated operation: which owner, where, and what.
+/// One generated operation: which owner, where, and what (`kind % 3`:
+/// shared, exclusive, unlock; `kind / 3`: which entry point).
 type Op = (u64, u64, u64, u8);
+
+/// Applies one set-lock through the entry point `driver` selects. Every
+/// entry point that can wait is only chosen when `conflict_free`; `Err`
+/// means "would block" (the waiting forms fail only with `EDEADLK`, which a
+/// single-threaded run cannot produce).
+fn set_lock<L: TwoPhaseRwRangeLock + 'static>(
+    owner: &mut LockOwner<L>,
+    range: Range,
+    mode: LockMode,
+    driver: u8,
+    conflict_free: bool,
+) -> Result<(), String> {
+    fn text<E: std::fmt::Display>(outcome: Result<(), E>) -> Result<(), String> {
+        outcome.map_err(|e| e.to_string())
+    }
+    match (driver % 7, conflict_free) {
+        (1, _) => text(block_on(owner.try_lock_async(range, mode))),
+        (2, _) => text(owner.try_lock_many(&[(range, mode)])),
+        (3, true) => text(owner.lock(range, mode)),
+        (4, true) => text(block_on(owner.lock_async(range, mode))),
+        (5, true) => text(owner.lock_many(&[(range, mode)])),
+        (6, true) => text(block_on(owner.lock_many_async(&[(range, mode)]))),
+        _ => text(owner.try_lock(range, mode)),
+    }
+}
 
 /// Applies `ops` to a real `LockTable` over `lock` and to the reference, and
 /// checks agreement after every step. `align` snaps every boundary to a
@@ -127,8 +162,9 @@ fn run_model<L: TwoPhaseRwRangeLock + 'static>(
         let end = start + len.max(1) * align;
         let owner = owner % owners.len() as u64;
         match kind % 3 {
-            // Shared / exclusive set-lock through try_lock; the reference
-            // applies the op only when the table accepted it.
+            // Shared / exclusive set-lock through the entry point the
+            // kind byte selects; the reference applies the op only when the
+            // table accepted it.
             k @ (0 | 1) => {
                 let exclusive = k == 1;
                 let mode = if exclusive {
@@ -137,7 +173,13 @@ fn run_model<L: TwoPhaseRwRangeLock + 'static>(
                     LockMode::Shared
                 };
                 let ref_conflict = reference.conflicts(owner, start, end, exclusive);
-                let result = owners[owner as usize].try_lock(Range::new(start, end), mode);
+                let result = set_lock(
+                    &mut owners[owner as usize],
+                    Range::new(start, end),
+                    mode,
+                    kind / 3,
+                    !ref_conflict,
+                );
                 if ref_conflict {
                     prop_assert!(
                         result.is_err(),
@@ -157,7 +199,12 @@ fn run_model<L: TwoPhaseRwRangeLock + 'static>(
             }
             // Unlock.
             _ => {
-                owners[owner as usize].unlock(Range::new(start, end));
+                let range = Range::new(start, end);
+                if (kind / 3).is_multiple_of(2) {
+                    owners[owner as usize].unlock(range);
+                } else {
+                    block_on(owners[owner as usize].unlock_async(range));
+                }
                 reference.set(owner, start, end, None);
             }
         }

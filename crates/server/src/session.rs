@@ -235,10 +235,18 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                 match checked_range(&state, start, end) {
                     Err(message) => protocol_err(&stats, message),
                     Ok(range) => {
-                        let owner = owner_for(&state, &mut owners, path, &name);
-                        match owner.try_lock(range, mode) {
-                            Ok(()) => Reply::Ok,
-                            Err(wb) => {
+                        // The conflict decision never waits, but re-taking
+                        // split edges (or rolling back a lost race) can: it
+                        // suspends the task, and a dead socket cancels it.
+                        let outcome = {
+                            let owner = owner_for(&state, &mut owners, path, &name);
+                            let mut fut = pin!(owner.try_lock_async(range, mode));
+                            unless_closed(inbox, fut.as_mut()).await
+                        };
+                        match outcome {
+                            Raced::Disconnected => break 'session,
+                            Raced::Done(Ok(())) => Reply::Ok,
+                            Raced::Done(Err(wb)) => {
                                 stats.would_blocks.fetch_add(1, Ordering::Relaxed);
                                 Reply::Err {
                                     code: ErrCode::WouldBlock,

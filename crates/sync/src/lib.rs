@@ -49,4 +49,4 @@ pub use rwsem::{RwSemReadGuard, RwSemWriteGuard, RwSemaphore};
 pub use seqcount::SeqCount;
 pub use spinlock::{SpinLock, SpinLockGuard};
 pub use stats::{LabeledStats, LockStatRegistry, LockStatSnapshot, WaitKind, WaitStats};
-pub use wait::{Block, Spin, SpinThenYield, WaitPolicy, WaitPolicyKind, WaitQueue};
+pub use wait::{Block, Spin, SpinThenYield, WaitPolicy, WaitPolicyKind, WaitQueue, WakerSlot};

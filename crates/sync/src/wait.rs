@@ -439,6 +439,68 @@ impl Default for WaitQueue {
     }
 }
 
+/// One pending acquisition's waker registration on a [`WaitQueue`] — the
+/// bookkeeping every future that suspends on a queue needs, written once:
+///
+/// * the slot id is allocated by the **first registration attempt**, so an
+///   acquisition granted on its first poll touches no shared word of the
+///   queue and has nothing to deregister;
+/// * the waker is filed under the key of the conflict the latest poll named,
+///   and **migrates** when a re-poll names a different one (the old key is
+///   deregistered before the new one is registered);
+/// * [`WakerSlot::clear`] removes it when the acquisition resolves, and
+///   `Drop` when the owning future is abandoned, so no waker outlives the
+///   acquisition that filed it.
+///
+/// The lost-wakeup contract is [`WaitQueue::register_waker`]'s: snapshot the
+/// generation *before* polling, and treat `false` as "re-poll".
+#[derive(Debug)]
+pub struct WakerSlot<'q> {
+    queue: &'q WaitQueue,
+    /// Slot id on the queue; `None` until the first registration attempt.
+    id: Option<u64>,
+    /// The key the waker is filed under, while one is.
+    filed: Option<u64>,
+}
+
+impl<'q> WakerSlot<'q> {
+    /// A slot on `queue` with nothing allocated and nothing registered.
+    pub const fn new(queue: &'q WaitQueue) -> Self {
+        WakerSlot {
+            queue,
+            id: None,
+            filed: None,
+        }
+    }
+
+    /// Files (or re-arms) `waker` under `key` against the `gen` snapshot,
+    /// re-homing it first if it is filed under another key. `false` means a
+    /// wake slipped in after the snapshot: nothing stays registered and the
+    /// caller must re-poll with a fresh snapshot.
+    pub fn register(&mut self, key: u64, gen: u64, waker: &Waker) -> bool {
+        if self.filed != Some(key) {
+            self.clear();
+        }
+        let id = *self.id.get_or_insert_with(|| self.queue.alloc_waker_slot());
+        let registered = self.queue.register_waker(key, id, gen, waker);
+        self.filed = registered.then_some(key);
+        registered
+    }
+
+    /// Removes the registration, if a wake has not already claimed it.
+    pub fn clear(&mut self) {
+        if let (Some(id), Some(key)) = (self.id, self.filed.take()) {
+            self.queue.deregister_waker(key, id);
+        }
+    }
+}
+
+impl Drop for WakerSlot<'_> {
+    fn drop(&mut self) {
+        self.clear();
+    }
+}
+
 impl std::fmt::Debug for WaitQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WaitQueue")
@@ -965,6 +1027,39 @@ mod tests {
         queue.wake_key(0x40);
         assert_eq!(count.0.load(Ordering::SeqCst), 0, "old key must be empty");
         queue.wake_key(0x80);
+        assert_eq!(count.0.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn waker_slot_allocates_lazily_migrates_and_withdraws_on_drop() {
+        let queue = WaitQueue::new();
+        let first_id = WaitQueue::new().alloc_waker_slot();
+        let (count, waker) = counting_waker();
+        // Never registered: no slot id was taken, nothing to withdraw.
+        drop(WakerSlot::new(&queue));
+        let mut slot = WakerSlot::new(&queue);
+        slot.clear();
+        assert_eq!(queue.alloc_waker_slot(), first_id);
+        // A stale snapshot is refused and leaves nothing filed.
+        let gen = queue.generation();
+        queue.wake_all();
+        assert!(!slot.register(0x40, gen, &waker));
+        assert_eq!(queue.waiters(), 0);
+        // Filed under one conflict, then re-homed under another: one entry,
+        // one slot id, and the old key no longer reaches it.
+        assert!(slot.register(0x40, queue.generation(), &waker));
+        assert!(slot.register(0x80, queue.generation(), &waker));
+        assert_eq!(queue.waiters(), 1);
+        assert_eq!(queue.alloc_waker_slot(), first_id + 2);
+        queue.wake_key(0x40);
+        assert_eq!(count.0.load(Ordering::SeqCst), 0);
+        queue.wake_key(0x80);
+        assert_eq!(count.0.load(Ordering::SeqCst), 1);
+        // Re-armed after the wake claimed it; dropping the slot withdraws it.
+        assert!(slot.register(0x80, queue.generation(), &waker));
+        drop(slot);
+        assert_eq!(queue.waiters(), 0);
+        queue.wake_all();
         assert_eq!(count.0.load(Ordering::SeqCst), 1);
     }
 

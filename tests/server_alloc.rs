@@ -41,18 +41,20 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Steady-state heap allocations, all threads, of one `lock` + `unlock`
-/// RPC pair over `Server::connect()`: 13 measured, plus one of slack for
-/// the amortized growth of pools. Four of the 13 are the four frames —
-/// each is the one `Vec` that moves through the peer's inbox — and nine are
-/// `LockTable`'s (tile plans, records, the boxed dyn guard). Pending
-/// acquisitions are not among them: the token is a plain value, so a dyn
-/// enqueue allocates nothing.
+/// RPC pair over `Server::connect()`: 9 measured, plus one of slack for
+/// the amortized growth of pools. Four of the 9 are the four frames —
+/// each is the one `Vec` that moves through the peer's inbox — and five are
+/// `LockTable`'s: the lock transaction's missing list and held tiles and
+/// the boxed dyn guard, the unlock transaction's detached tiles and
+/// originals. Pending acquisitions are not among them: the token is a plain
+/// value, so a dyn enqueue allocates nothing.
 ///
-/// The commit before the `FrameWriter`/`RequestView` codec measured 26 on
-/// this test: on top of the above, the client's `path.to_string()`, the
-/// encoder's `Vec` regrowing from empty, `payload.to_vec()` into the inbox
-/// and the decoder's `String`, per direction where they apply.
-const BUDGET: u64 = 14;
+/// Earlier commits measured 13 (two-level records: per-record tile `Vec`s,
+/// shapes, a tile pool) and, before the `FrameWriter`/`RequestView` codec,
+/// 26 (the client's `path.to_string()`, the encoder's `Vec` regrowing from
+/// empty, `payload.to_vec()` into the inbox and the decoder's `String`, per
+/// direction where they apply).
+const BUDGET: u64 = 10;
 
 #[test]
 fn lock_unlock_pair_stays_inside_its_allocation_budget() {
