@@ -1031,12 +1031,19 @@ fn run_serverbench(opts: &Options) {
     run_serverbench_tables(opts, connection_counts, ops);
 }
 
+/// Operation triples per connection in `serverbench-quick` and in the
+/// `perfdiff` gate's fresh server tables: enough that a one-connection
+/// in-process cell (~2 us a triple) lasts ~2 ms. At 200 that cell is
+/// 0.4 ms, one scheduler hiccup from the gate's 4x tolerance (2 of 26
+/// pinned gate runs failed on such a cell; 0 of 20 at 1 000).
+const SERVERBENCH_QUICK_OPS: u64 = 1_000;
+
 /// A bounded serverbench for CI: every variant over the in-process
 /// transport plus the TCP spot check, small connection and op counts —
 /// fixed counts (not core multiples) so the committed baseline rows match
 /// on any runner.
 fn run_serverbench_quick(opts: &Options) {
-    run_serverbench_tables(opts, &[1, 2, 4], 200);
+    run_serverbench_tables(opts, &[1, 2, 4], SERVERBENCH_QUICK_OPS);
 }
 
 /// Two tables per lock variant: threads (rows) × driver (columns) at a
@@ -1252,12 +1259,13 @@ fn run_perfdiff(opts: &Options) {
         }),
         ("BENCH_park.json", parkbench::tables(opts.quick)),
         // Gate throughput and the transport comparison only: the op-latency
-        // p99 columns come from a few hundred samples per cell and flap well
-        // past tolerance under runner jitter. The latency tables stay in the
-        // committed baseline for human reference; unmatched tables skip.
+        // p99 columns come from a few thousand samples per cell at most and
+        // flap well past tolerance under runner jitter. The latency tables
+        // stay in the committed baseline for human reference; unmatched
+        // tables skip.
         (
             "BENCH_server.json",
-            serverbench_tables(&[1, 2, 4], 200)
+            serverbench_tables(&[1, 2, 4], SERVERBENCH_QUICK_OPS)
                 .into_iter()
                 .filter(|table| !table.title.contains("op latency"))
                 .collect(),

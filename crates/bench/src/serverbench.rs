@@ -181,8 +181,12 @@ pub fn run(config: &ServerBenchConfig) -> ServerBenchResult {
             })
         })
         .collect();
-    barrier.wait();
+    // The clock starts before the barrier releases the clients: read after
+    // it, a quick backlog can be half drained (on two CPUs: fully) before
+    // this thread is scheduled again, and the cell reports the throughput
+    // of a run that was never timed.
     let started = Instant::now();
+    barrier.wait();
     for handle in handles {
         handle.join().expect("ServerBench client thread panicked");
     }

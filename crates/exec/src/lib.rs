@@ -15,10 +15,37 @@
 //!   `asyncbench` experiment — M lock owners ≫ N threads — and exactly what
 //!   thread-per-owner blocking cannot do.
 //!
-//! Scheduling is deliberately simple: one global FIFO injector, no work
-//! stealing, no timers, no I/O — lock wakeups are in-process waker calls, so
-//! a global queue is all the async range locks need. Fairness is the
-//! queue's FIFO order; a woken task is enqueued at the tail.
+//! Scheduling is deliberately simple: no work stealing, no timers, no I/O
+//! — lock wakeups are in-process waker calls. There are two ways a woken
+//! task gets polled:
+//!
+//! * **The injector.** One global FIFO queue drained by the workers.
+//!   Everything woken from a thread that is not inside a *run scope* goes
+//!   here — a task's first poll, wakes from blocking threads, closes,
+//!   overflow — and fairness is the queue's FIFO order.
+//! * **Direct hand-off.** [`run_woken`] opens a run scope on the calling
+//!   thread. While its closure runs, the *first* pool task woken from this
+//!   thread is parked in a thread-local one-task `next` slot instead of the
+//!   injector; when the closure has returned, the scope polls that task
+//!   **on this thread**, then whatever that poll put in the slot, for at
+//!   most `HANDOFF_BUDGET` consecutive polls (a self-waking task or a
+//!   ping-pong pair then goes to the injector, so neither can starve the
+//!   queue or pin the caller). The thread that makes a task runnable is
+//!   usually the cheapest thread to run it: it is awake, the data is in
+//!   its cache, and nothing has to cross a futex. Every worker polls inside
+//!   a scope (a per-worker LIFO slot), and so may any other thread.
+//!
+//! What `wake` may and may not do: a [`Waker`] of a pool task only ever
+//! moves the task to the slot or the injector. It **never polls** —
+//! polling starts after the scope's closure returned, so no task code runs
+//! inside a waker call or under a lock its caller holds. A second wake in
+//! the same scope goes to the injector (a release that grants five waiters
+//! still fans out to the workers), a nested scope is a plain call, a filled
+//! slot is never dropped (scope exit, unwinding included, flushes it to the
+//! injector), and nothing is polled once the pool's destructor has begun.
+//! A task is polled by one thread at a time — a wake that arrives while it
+//! is being polled makes the poller reschedule it afterwards — so no thread
+//! ever waits for another thread's poll to finish.
 //!
 //! # Examples
 //!
@@ -39,10 +66,11 @@
 
 #![deny(missing_docs)]
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::{JoinHandle as ThreadHandle, Thread};
@@ -98,35 +126,208 @@ struct Task {
     /// Back-pointer for re-enqueueing on wake; `Weak` so wakers held by
     /// long-dead locks do not keep the pool alive.
     pool: Weak<PoolShared>,
-    /// `true` while the task sits in the injector queue (coalesces wakes: a
-    /// task is enqueued at most once at a time).
-    scheduled: AtomicBool,
+    /// One of [`IDLE`], [`SCHEDULED`], [`RUNNING`], [`NOTIFIED`]. Coalesces
+    /// wakes (a task sits in a slot or the injector at most once at a time)
+    /// and keeps it off every queue while it is being polled, so two
+    /// threads never contend for `future`.
+    state: AtomicU8,
 }
+
+/// Suspended: the next wake schedules the task.
+const IDLE: u8 = 0;
+/// In a `next` slot or the injector; further wakes are absorbed (the
+/// upcoming poll sees the new state).
+const SCHEDULED: u8 = 1;
+/// Being polled; a wake moves it to [`NOTIFIED`].
+const RUNNING: u8 = 2;
+/// Being polled *and* woken since the poll began: the poller reschedules
+/// it when the poll returns `Pending`.
+const NOTIFIED: u8 = 3;
 
 impl Wake for Task {
     fn wake(self: Arc<Self>) {
-        self.schedule();
+        if self.mark_woken() {
+            self.enqueue();
+        }
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        Arc::clone(self).schedule();
+        if self.mark_woken() {
+            Arc::clone(self).enqueue();
+        }
     }
 }
 
 impl Task {
-    fn schedule(self: Arc<Self>) {
-        if self.scheduled.swap(true, Ordering::AcqRel) {
-            return; // already queued; the upcoming poll sees the new state
+    /// The state half of a wake; `true` if the caller must now enqueue the
+    /// task. A waker does this and [`Task::enqueue`], and never polls — see
+    /// the [crate docs](crate).
+    fn mark_woken(&self) -> bool {
+        // Always a read-modify-write, even where the state does not change,
+        // and so is every transition `run_task` makes: the two sides are
+        // then totally ordered on `state`. Either this wake comes first and
+        // the poll that follows acquires what the waker wrote before it, or
+        // it finds RUNNING and the poller's closing update finds NOTIFIED.
+        let before = self
+            .state
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |state| {
+                Some(match state {
+                    IDLE | SCHEDULED => SCHEDULED,
+                    _ => NOTIFIED,
+                })
+            });
+        before == Ok(IDLE)
+    }
+
+    /// Hands a task that just became [`SCHEDULED`] to whoever polls it
+    /// next: this thread's run scope if it is open and its slot is free,
+    /// the injector otherwise.
+    fn enqueue(self: Arc<Self>) {
+        let mut task = Some(self);
+        // `try_with`: a waker dropped or fired from another thread-local's
+        // destructor finds `SCOPE` already gone; that is just "no scope".
+        let _ = SCOPE.try_with(|scope| {
+            if scope.open.get() {
+                let slot = scope.next.take();
+                scope.next.set(slot.or_else(|| task.take()));
+            }
+        });
+        if let Some(task) = task {
+            task.inject();
         }
+    }
+
+    /// Pushes the task onto its pool's injector (dropping it if the pool is
+    /// gone: its future went with the pool).
+    fn inject(self: Arc<Self>) {
         if let Some(pool) = self.pool.upgrade() {
             pool.push(self);
         }
     }
 }
 
+/// Polls a [`SCHEDULED`] task once. The only function that polls a pool
+/// task: workers call it on what they pop, run scopes on what was woken
+/// into their slot.
+fn run_task(pool: &PoolShared, task: Arc<Task>) {
+    // The pool's destructor has begun: it drops every unfinished future
+    // itself, and nothing may be polled behind its back.
+    if pool.shutdown.load(Ordering::Acquire) {
+        return;
+    }
+    // Leave SCHEDULED *before* polling: a wake arriving mid-poll must lead
+    // to another poll (possibly redundantly — it just returns Pending
+    // again).
+    task.state.swap(RUNNING, Ordering::AcqRel);
+    let mut slot = task.future.lock().unwrap();
+    let Some(future) = slot.as_mut() else {
+        return;
+    };
+    let waker = Waker::from(Arc::clone(&task));
+    let mut cx = Context::from_waker(&waker);
+    if future.as_mut().poll(&mut cx).is_ready() {
+        *slot = None;
+        drop(slot);
+        pool.task_done();
+        return;
+    }
+    drop(slot);
+    let after_poll = task
+        .state
+        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |state| {
+            Some(if state == RUNNING { IDLE } else { SCHEDULED })
+        });
+    if after_poll == Ok(NOTIFIED) {
+        // Woken while it was being polled: that wake was this poll's to
+        // honour.
+        task.enqueue();
+    }
+}
+
+/// Most consecutive polls one [`run_woken`] scope makes before what is left
+/// in its slot goes to the injector instead.
+const HANDOFF_BUDGET: usize = 16;
+
+/// One thread's run scope; see [`run_woken`].
+struct Scope {
+    /// Whether a `run_woken` call is active on this thread.
+    open: Cell<bool>,
+    /// The first task woken on this thread since the slot was last emptied.
+    next: Cell<Option<Arc<Task>>>,
+}
+
+thread_local! {
+    static SCOPE: Scope = const {
+        Scope {
+            open: Cell::new(false),
+            next: Cell::new(None),
+        }
+    };
+}
+
+/// Closes the scope on every exit path of [`run_woken`], unwinding included:
+/// a task still in the slot goes to the injector, never nowhere.
+struct CloseScope;
+
+impl Drop for CloseScope {
+    fn drop(&mut self) {
+        let left = SCOPE.with(|scope| {
+            scope.open.set(false);
+            scope.next.take()
+        });
+        if let Some(task) = left {
+            task.inject();
+        }
+    }
+}
+
+/// Runs `f`, then polls **on the calling thread** the first pool task `f`
+/// woke — direct hand-off instead of a trip through the injector and a
+/// worker's futex. See the [crate docs](crate) for the rules; in short:
+///
+/// * only the *first* task woken goes to this thread, later ones to the
+///   workers; what its poll wakes is next, up to a fixed budget of
+///   consecutive polls;
+/// * nothing is polled before `f` has returned, so `f` may wake while
+///   holding locks — but it must not *wait* for a task it woke;
+/// * nested calls just run `f`: the outermost scope does the polling.
+///
+/// Use it around a wake whose target will most likely answer at once — a
+/// frame handed to a session, a lock released to its next owner. The pool's
+/// own workers poll every task this way. A task's panic unwinds through
+/// whichever thread polls it, this one included.
+pub fn run_woken<R>(f: impl FnOnce() -> R) -> R {
+    // Already open (or no thread-locals left to open one in): a plain call.
+    if SCOPE
+        .try_with(|scope| scope.open.replace(true))
+        .unwrap_or(true)
+    {
+        return f();
+    }
+    let _close = CloseScope;
+    let out = f();
+    for _ in 0..HANDOFF_BUDGET {
+        let Some(task) = SCOPE.with(|scope| scope.next.take()) else {
+            break;
+        };
+        // A task whose pool is gone lost its future with it.
+        if let Some(pool) = task.pool.upgrade() {
+            run_task(&pool, task);
+        }
+    }
+    out
+}
+
+/// The injector queue plus what `push` needs to know to skip the futex.
+struct Injector {
+    tasks: VecDeque<Arc<Task>>,
+    /// Workers waiting on [`PoolShared::available`] right now.
+    idle: usize,
+}
+
 /// State shared between the pool handle and its workers.
 struct PoolShared {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+    queue: Mutex<Injector>,
     available: Condvar,
     shutdown: AtomicBool,
     /// Every task ever spawned (weak, so completed tasks cost one dead
@@ -161,8 +362,17 @@ impl PoolShared {
 
 impl PoolShared {
     fn push(&self, task: Arc<Task>) {
-        self.queue.lock().unwrap().push_back(task);
-        self.available.notify_one();
+        let idle = {
+            let mut queue = self.queue.lock().unwrap();
+            queue.tasks.push_back(task);
+            queue.idle
+        };
+        // std's futex condvar makes a syscall per notify whether or not
+        // anyone waits; `idle` is exact under the queue mutex, so a busy
+        // pool is not charged for it.
+        if idle > 0 {
+            self.available.notify_one();
+        }
     }
 
     fn pop(&self) -> Option<Arc<Task>> {
@@ -173,10 +383,12 @@ impl PoolShared {
             if self.shutdown.load(Ordering::Acquire) {
                 return None;
             }
-            if let Some(task) = queue.pop_front() {
+            if let Some(task) = queue.tasks.pop_front() {
                 return Some(task);
             }
+            queue.idle += 1;
             queue = self.available.wait(queue).unwrap();
+            queue.idle -= 1;
         }
     }
 }
@@ -250,7 +462,10 @@ impl TaskPool {
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "a task pool needs at least one worker");
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Injector {
+                tasks: VecDeque::new(),
+                idle: 0,
+            }),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             tasks: Mutex::new(Vec::new()),
@@ -411,7 +626,7 @@ where
     let task = Arc::new(Task {
         future: Mutex::new(Some(Box::pin(wrapped))),
         pool: Arc::downgrade(shared),
-        scheduled: AtomicBool::new(false),
+        state: AtomicU8::new(IDLE),
     });
     {
         let mut tasks = shared.tasks.lock().unwrap();
@@ -421,7 +636,7 @@ where
         }
         tasks.push(Arc::downgrade(&task));
     }
-    Arc::clone(&task).schedule();
+    task.wake();
     Some(JoinHandle { state })
 }
 
@@ -433,7 +648,7 @@ impl Drop for TaskPool {
             let _ = worker.join();
         }
         // Drop whatever never ran; pending acquisition futures cancel here.
-        self.shared.queue.lock().unwrap().clear();
+        self.shared.queue.lock().unwrap().tasks.clear();
         // Tasks suspended on external wakers (e.g. a lock's wait queue) are
         // reachable only through the task registry: drop their futures too,
         // so their cancel-on-drop cleanup (releasing guards, unlinking
@@ -465,26 +680,12 @@ impl std::fmt::Debug for TaskPool {
     }
 }
 
-fn worker_loop(shared: &Arc<PoolShared>) {
+fn worker_loop(shared: &PoolShared) {
+    // Each poll is a run scope: what the task wakes first (the session its
+    // release granted, the task awaiting its JoinHandle) runs next on this
+    // worker, without a queue round trip.
     while let Some(task) = shared.pop() {
-        // Clear the queued flag *before* polling: a wake arriving mid-poll
-        // re-enqueues the task (possibly redundantly — the extra poll just
-        // returns Pending again).
-        task.scheduled.store(false, Ordering::Release);
-        let mut slot = task.future.lock().unwrap();
-        let mut completed = false;
-        if let Some(future) = slot.as_mut() {
-            let waker = Waker::from(Arc::clone(&task));
-            let mut cx = Context::from_waker(&waker);
-            if future.as_mut().poll(&mut cx).is_ready() {
-                *slot = None;
-                completed = true;
-            }
-        }
-        drop(slot);
-        if completed {
-            shared.task_done();
-        }
+        run_woken(|| run_task(shared, task));
     }
 }
 
@@ -718,5 +919,253 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    // ---- run scopes ----------------------------------------------------
+
+    /// A one-shot event for the scope tests: `wait()` is pending until
+    /// `open()`, and resolves to the thread that made the resolving poll.
+    #[derive(Clone, Default)]
+    struct Latch(Arc<(AtomicBool, Mutex<Option<Waker>>)>);
+
+    impl Latch {
+        fn wait(&self) -> impl Future<Output = Thread> + Send + 'static {
+            let latch = self.clone();
+            std::future::poll_fn(move |cx| {
+                let (open, waker) = &*latch.0;
+                if open.load(Ordering::SeqCst) {
+                    return Poll::Ready(std::thread::current());
+                }
+                *waker.lock().unwrap() = Some(cx.waker().clone());
+                Poll::Pending
+            })
+        }
+
+        /// Spawns `wait()` and returns once the task is suspended on the
+        /// latch and every worker is parked again — so the task is not
+        /// mid-poll, and the next `open()` is the wake that schedules it.
+        fn suspended_on(pool: &TaskPool) -> (Latch, JoinHandle<Thread>) {
+            let latch = Latch::default();
+            let handle = pool.spawn(latch.wait());
+            within("the task to suspend", || {
+                let queue = pool.shared.queue.lock().unwrap();
+                latch.0 .1.lock().unwrap().is_some()
+                    && queue.tasks.is_empty()
+                    && queue.idle == pool.workers()
+            });
+            (latch, handle)
+        }
+
+        fn open(&self) {
+            let (open, waker) = &*self.0;
+            open.store(true, Ordering::SeqCst);
+            if let Some(waker) = waker.lock().unwrap().take() {
+                waker.wake();
+            }
+        }
+    }
+
+    /// Polls `done` until it holds; every wait in the scope tests goes
+    /// through here, so a hang is a failed assertion, not a hung suite.
+    fn within(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    fn join_within<T: Send>(handle: &JoinHandle<T>) -> T {
+        let mut out = None;
+        within("the task to finish", || {
+            out = handle.try_join();
+            out.is_some()
+        });
+        out.unwrap()
+    }
+
+    /// Runs `body` on a thread of its own and gives it ten seconds.
+    fn bounded(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        if finished.recv_timeout(Duration::from_secs(10)).is_err() {
+            panic!("the test body hung or panicked");
+        }
+        runner.join().unwrap();
+    }
+
+    fn on_a_worker(thread: &Thread) -> bool {
+        thread
+            .name()
+            .is_some_and(|name| name.starts_with("rl-exec-"))
+    }
+
+    #[test]
+    fn a_task_woken_in_a_scope_is_polled_here_before_the_scope_returns() {
+        let pool = TaskPool::new(1);
+        let (latch, handle) = Latch::suspended_on(&pool);
+        run_woken(|| {
+            latch.open();
+            // wake() only moved the task to the slot: nothing ran yet.
+            assert!(handle.try_join().is_none(), "wake() polled the task");
+        });
+        let polled_on = handle.try_join().expect("the scope did not poll its slot");
+        assert_eq!(polled_on.id(), std::thread::current().id());
+    }
+
+    #[test]
+    fn a_task_woken_outside_any_scope_is_polled_on_a_worker() {
+        let pool = TaskPool::new(1);
+        let (latch, handle) = Latch::suspended_on(&pool);
+        latch.open();
+        assert!(on_a_worker(&join_within(&handle)));
+    }
+
+    #[test]
+    fn only_the_first_wake_of_a_scope_stays_on_the_calling_thread() {
+        let pool = TaskPool::new(1);
+        let (first, first_handle) = Latch::suspended_on(&pool);
+        let (second, second_handle) = Latch::suspended_on(&pool);
+        run_woken(|| {
+            first.open();
+            second.open();
+        });
+        let here = std::thread::current().id();
+        assert_eq!(first_handle.try_join().map(|t| t.id()), Some(here));
+        assert!(on_a_worker(&join_within(&second_handle)));
+    }
+
+    #[test]
+    fn a_self_waking_task_leaves_the_calling_thread_within_the_budget() {
+        let pool = TaskPool::new(1);
+        let polls: Arc<Mutex<Vec<Thread>>> = Arc::default();
+        let log = Arc::clone(&polls);
+        let handle = run_woken(|| {
+            pool.spawn(async move {
+                for _ in 0..100 {
+                    log.lock().unwrap().push(std::thread::current());
+                    YieldOnce::default().await;
+                }
+            })
+        });
+        let here = std::thread::current().id();
+        let made_here = |polls: &[Thread]| polls.iter().filter(|t| t.id() == here).count();
+        // Whatever the worker has added by now, this thread is done with it.
+        let after_scope = made_here(&polls.lock().unwrap());
+        assert!(
+            (1..=HANDOFF_BUDGET).contains(&after_scope),
+            "{after_scope} polls on the calling thread"
+        );
+        join_within(&handle);
+        let polls = polls.lock().unwrap();
+        assert_eq!(polls.len(), 100);
+        assert_eq!(made_here(&polls), after_scope);
+        assert!(polls[after_scope..].iter().all(on_a_worker));
+    }
+
+    #[test]
+    fn a_nested_scope_does_not_drain_early() {
+        let pool = TaskPool::new(1);
+        let (latch, handle) = Latch::suspended_on(&pool);
+        run_woken(|| {
+            run_woken(|| latch.open());
+            assert!(handle.try_join().is_none(), "the inner scope polled");
+        });
+        let here = std::thread::current().id();
+        assert_eq!(handle.try_join().map(|t| t.id()), Some(here));
+    }
+
+    #[test]
+    fn a_panicking_scope_flushes_its_slot_to_the_injector() {
+        let pool = TaskPool::new(1);
+        let (latch, handle) = Latch::suspended_on(&pool);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_woken(|| {
+                latch.open();
+                // Unwinds without going through the panic hook's stderr.
+                std::panic::resume_unwind(Box::new("boom"));
+            })
+        }));
+        assert!(unwound.is_err());
+        assert!(on_a_worker(&join_within(&handle)));
+        // And the scope is closed again: a wake from here is a plain wake.
+        let (latch, handle) = Latch::suspended_on(&pool);
+        latch.open();
+        assert!(on_a_worker(&join_within(&handle)));
+    }
+
+    #[test]
+    fn a_pool_dropped_under_a_filled_slot_drops_the_future_unpolled() {
+        struct Counted {
+            polls: Arc<AtomicU64>,
+            drops: Arc<AtomicU64>,
+        }
+        impl Future for Counted {
+            type Output = ();
+            fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
+                self.polls.fetch_add(1, Ordering::SeqCst);
+                Poll::Pending
+            }
+        }
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.drops.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let (polls, drops) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        run_woken(|| {
+            let pool = TaskPool::new(1);
+            // Spawned inside the scope: its first poll would be this
+            // thread's, at scope exit — after the pool is gone.
+            let _detached = pool.spawn(Counted {
+                polls: Arc::clone(&polls),
+                drops: Arc::clone(&drops),
+            });
+            drop(pool);
+            assert_eq!(drops.load(Ordering::SeqCst), 1, "the pool's Drop cancels");
+        });
+        assert_eq!(polls.load(Ordering::SeqCst), 0, "polled after shutdown");
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn drain_never_cancels_a_spawn_accepted_inside_a_scope() {
+        // `drain_never_cancels_an_accepted_spawn` with the producer
+        // spawning inside run scopes: the first task of each scope sits in
+        // the producer's slot (counted live, so the drain waits for it) and
+        // is polled by the producer; the second goes to the injector.
+        bounded(|| {
+            for _ in 0..50 {
+                let pool = TaskPool::new(1);
+                let spawner = pool.spawner();
+                let producer = std::thread::spawn(move || {
+                    let mut accepted = Vec::new();
+                    for i in 0..32u64 {
+                        let pair = run_woken(|| {
+                            [
+                                spawner.spawn(async move { i }),
+                                spawner.spawn(async move { i }),
+                            ]
+                        });
+                        let refused = pair.iter().any(Option::is_none);
+                        accepted.extend(pair.into_iter().flatten());
+                        if refused {
+                            break; // the drain decision beat this spawn
+                        }
+                    }
+                    accepted
+                });
+                pool.shutdown();
+                for handle in producer.join().unwrap() {
+                    assert!(
+                        handle.try_join().is_some(),
+                        "an accepted spawn was cancelled by the drain"
+                    );
+                }
+            }
+        });
     }
 }

@@ -4,7 +4,8 @@
 //! locks ([`rl_baselines::registry`]), deadlock-checked [`rl_file`] lock
 //! tables, the sharded [`rl_file::FileStore`] — into a *service*: a
 //! [`Server`] that multiplexes many client sessions onto a small
-//! `rl-exec` worker pool. Each connection is one session task; an
+//! `rl-exec` worker pool (and, frame by frame, onto the threads that
+//! deliver their requests). Each connection is one session task; an
 //! `fcntl`-flavoured request vocabulary (`Lock`/`TryLock`/`LockMany`/
 //! `Unlock` over shared/exclusive byte ranges, plus `Read`/`Write`/
 //! `Append`/`Truncate` against the store) rides a hand-rolled

@@ -3,18 +3,26 @@
 //! One [`Server`] owns a per-path family of deadlock-checked
 //! [`LockTable`]s and one [`FileStore`], all built from a single registry
 //! variant (any of the five paper locks) under a chosen wait policy, plus
-//! an `rl-exec` [`TaskPool`] that every session runs on — M sessions ≫ N
-//! worker threads, which is the async layer's whole point at service
+//! an `rl-exec` [`TaskPool`] that every session is a task of — M sessions ≫
+//! N worker threads, which is the async layer's whole point at service
 //! scale.
+//!
+//! A session is *spawned on* the pool but, in steady state, not *polled
+//! by* it: the thread that makes a session runnable polls it
+//! ([`rl_exec::run_woken`]). That is the thread delivering its next frame
+//! (the in-process sender, the socket's pump — see [`crate::transport`]),
+//! or a thread already polling a session whose release granted this one;
+//! the workers take everything else — first polls, closes, shutdown,
+//! wakes from blocking threads, and a scope's overflow.
 //!
 //! Connections arrive two ways: [`Server::connect`] hands back the client
 //! end of an in-process duplex pair (tests, benches, examples), and
 //! [`Server::serve_tcp`] runs a real `std::net` acceptor whose blocking
 //! loop hands each socket to the pool through an [`rl_exec::Spawner`] —
 //! the acceptor outlives any borrow of the pool, which is exactly what
-//! `Spawner` exists for. A session cannot block its pool worker in `read`,
-//! so each accepted socket also gets one pump thread feeding its inbox
-//! (see [`crate::transport`]); TCP *clients* need none.
+//! `Spawner` exists for. A session must not block the thread polling it in
+//! `read`, so each accepted socket also gets one pump thread feeding its
+//! inbox; TCP *clients* need none.
 //! [`Server::shutdown`] is drain-then-stop: close every session inbox
 //! (sessions observe it like a disconnect, cancel in-flight waits, release
 //! their ranges) and then [`TaskPool::shutdown`] waits for them all to
@@ -72,7 +80,11 @@ pub struct ServerConfig {
     pub wait: WaitPolicyKind,
     /// Geometry for the segment variant (span/segments).
     pub registry: RegistryConfig,
-    /// Worker threads in the session pool.
+    /// Worker threads in the session pool. This bounds how many sessions
+    /// can be polled at once *by the pool* — first polls, teardown after a
+    /// close, wakes from threads outside any run scope, overflow — not how
+    /// many run at once: a session answering a frame runs on the thread
+    /// that delivered it (see the [module docs](self)).
     pub workers: usize,
     /// Largest byte offset any data-plane operation may reach (`offset +
     /// len` for a write, the new length for a truncate). The store

@@ -13,7 +13,7 @@
 //! blocked on those ranges are woken by the release like any other.
 //!
 //! Data-plane operations (`Read`/`Write`/…) call the `FileStore` directly
-//! on the worker thread: their internal mandatory range locks are held
+//! on whichever thread is polling the session: their internal mandatory range locks are held
 //! only for the copy itself (the same trade filebench makes), while all
 //! *advisory* waiting happens in the async lock table. Like lock ranges,
 //! data spans are validated at the trust boundary before they touch the

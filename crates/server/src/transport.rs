@@ -24,21 +24,50 @@
 //!   client costs **zero** extra threads and a reply reaches it in one
 //!   wake-up.
 //! * a **waker-based** consumer ([`Conn::inbox`]: the server session,
-//!   which cannot block its pool worker in `read`) gets a *pump* thread,
-//!   started by the first `inbox()` call, that reads frames into the
-//!   [`FrameQueue`] and closes it on EOF or error. A server pays **one**
-//!   thread per TCP socket.
+//!   which must not block whoever polls it in `read`) gets a *pump*
+//!   thread, started by the first `inbox()` call, that reads frames into
+//!   the [`FrameQueue`] and closes it on EOF or error. A server pays
+//!   **one** thread per TCP socket.
 //!
 //! There is one constructor and no flag: the same `Conn::tcp` serves both,
 //! so a measurement of the transport alone and a measurement through the
-//! `Client` run the same code. One RPC is three thread wake-ups — pump,
-//! session, client — where the eager reader thread on both ends made four.
+//! `Client` run the same code.
 //!
-//! An epoll reactor (one thread for *all* sockets, no pump → session hop)
-//! stays deferred: on a one-client closed loop it removes one of those
-//! three wake-ups at best, and what it is really for — thousands of mostly
-//! idle sockets without thousands of stacks — needs a many-session
-//! workload in the benchmark before it can be claimed.
+//! **Who polls a session.** Frame delivery — [`FrameQueue::push`] — wakes
+//! the registered waker inside an [`rl_exec::run_woken`] scope, so the
+//! thread that delivers a frame polls the session it woke, right there,
+//! before `push` returns:
+//!
+//! * in-process, that thread is the *sender*. `Conn::send` carries the
+//!   request into the session and comes back with the reply already in the
+//!   sender's own inbox; the `recv` that follows finds it without waiting.
+//!   An RPC is zero thread wake-ups (it was two: session, client).
+//! * over TCP it is the socket's *pump*, which runs its own session
+//!   between two `read`s. An RPC is two wake-ups — pump, client — where the
+//!   pump → session hop made three (and the eager reader thread on both
+//!   ends, before that, four).
+//!
+//! `push` takes no part in the poll: it has released the queue's lock, and
+//! `wake()` itself only parks the task in the scope's slot. A suspended
+//! session woken by something else (another session's release, a close) is
+//! polled by whichever thread ran that release, or by a pool worker; see
+//! `rl-exec`'s crate docs for the rules.
+//!
+//! The price is one hazard, designed for here: a session owns the
+//! server-end `Conn`, whose destructor joins the pump, and a session that
+//! ends *because of a frame* (`Bye`, a protocol hang-up, a failed reply)
+//! now ends on a pump thread — normally its own. A pump therefore never
+//! joins: not itself (that hangs at once) and not another connection's pump
+//! either (two pumps, each ending the other's session through the slot,
+//! would wait for each other). It detaches the pump instead, which falls
+//! out of its loop on the shut-down socket as soon as the poll it is in
+//! returns. Every other thread — a pool worker tearing down a killed or
+//! shut-down session, a client dropping its end — still joins.
+//!
+//! An epoll reactor (one thread for *all* sockets) stays deferred. The hop
+//! it was meant to remove is gone without one; what is left for it is
+//! thousands of mostly idle sockets without thousands of stacks, and that
+//! needs a many-session workload in the benchmark before it can be claimed.
 //!
 //! # Disconnects
 //!
@@ -58,6 +87,7 @@
 //! but unserviced requests are dropped, exactly like requests that died in
 //! a kernel socket buffer when the process vanished.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{Shutdown, TcpStream};
@@ -81,6 +111,11 @@ struct QueueState {
     frames: VecDeque<Vec<u8>>,
     closed: bool,
     waker: Option<Waker>,
+    /// Receivers inside `ready.wait` right now. std's futex condvar makes a
+    /// syscall per notify whether or not anyone waits; a queue whose
+    /// consumer is a waker, or whose receiver has not started waiting yet,
+    /// is not charged for it.
+    blocked: usize,
 }
 
 impl FrameQueue {
@@ -91,6 +126,7 @@ impl FrameQueue {
                 frames: VecDeque::new(),
                 closed: false,
                 waker: None,
+                blocked: 0,
             }),
             ready: Condvar::new(),
         }
@@ -98,18 +134,26 @@ impl FrameQueue {
 
     /// Enqueues a frame and wakes the consumer. Returns `false` (dropping
     /// the frame) if the queue is closed.
+    ///
+    /// A waker-based consumer — a session — is woken inside
+    /// [`rl_exec::run_woken`], so it is polled *by the delivering thread*,
+    /// after the queue's lock is released and before `push` returns: an
+    /// in-process sender usually comes back with the reply already in its
+    /// own inbox. See the [module docs](self#threads).
     pub fn push(&self, frame: Vec<u8>) -> bool {
-        let waker = {
+        let (waker, blocked) = {
             let mut st = self.state.lock().unwrap();
             if st.closed {
                 return false;
             }
             st.frames.push_back(frame);
-            st.waker.take()
+            (st.waker.take(), st.blocked)
         };
-        self.ready.notify_one();
+        if blocked > 0 {
+            self.ready.notify_one();
+        }
         if let Some(waker) = waker {
-            waker.wake();
+            rl_exec::run_woken(|| waker.wake());
         }
         true
     }
@@ -118,13 +162,19 @@ impl FrameQueue {
     /// waker-based one. Idempotent. Frames already queued stay readable by
     /// [`FrameQueue::recv_blocking`] but [`FrameQueue::poll_closed`]
     /// reports closure immediately (disconnect beats backlog).
+    ///
+    /// Unlike [`FrameQueue::push`] this is a plain wake: it opens no run
+    /// scope, so the teardown of a killed or shut-down session is a pool
+    /// worker's job and no destructor or shutdown loop ever runs a session.
     pub fn close(&self) {
-        let waker = {
+        let (waker, blocked) = {
             let mut st = self.state.lock().unwrap();
             st.closed = true;
-            st.waker.take()
+            (st.waker.take(), st.blocked)
         };
-        self.ready.notify_all();
+        if blocked > 0 {
+            self.ready.notify_all();
+        }
         if let Some(waker) = waker {
             waker.wake();
         }
@@ -146,7 +196,9 @@ impl FrameQueue {
             if st.closed {
                 return None;
             }
+            st.blocked += 1;
             st = self.ready.wait(st).unwrap();
+            st.blocked -= 1;
         }
     }
 
@@ -223,6 +275,17 @@ enum TcpRx {
     Ended,
 }
 
+thread_local! {
+    /// Set on pump threads. A pump polls sessions — its own, and through
+    /// the run scope's slot whichever session that one's release granted —
+    /// and a session that ends drops its `Conn`, whose destructor joins
+    /// *that* connection's pump. Joining itself would hang at once; joining
+    /// another pump can hang too (two pumps, each ending the other's
+    /// session), so pumps are the leaves of the join graph: they wait for
+    /// no thread, and every other thread may wait for them.
+    static ON_PUMP: Cell<bool> = const { Cell::new(false) };
+}
+
 impl TcpEnd {
     /// Hands the read side to a pump thread, unless that already happened
     /// or the stream already ended.
@@ -239,20 +302,25 @@ impl TcpEnd {
         let inbox = Arc::clone(inbox);
         let pump = std::thread::Builder::new()
             .name("rl-server-rx".to_string())
-            .spawn(move || loop {
-                match reader.read_frame(&mut &*stream) {
-                    Ok(Some(frame)) => {
-                        if !inbox.push(frame.to_vec()) {
-                            // Consumer hung up; stop reading.
-                            let _ = stream.shutdown(Shutdown::Both);
+            .spawn(move || {
+                ON_PUMP.with(|on| on.set(true));
+                loop {
+                    match reader.read_frame(&mut &*stream) {
+                        // `push` polls the session on this thread; when it
+                        // returns the reply is usually on the wire already.
+                        Ok(Some(frame)) => {
+                            if !inbox.push(frame.to_vec()) {
+                                // Consumer hung up; stop reading.
+                                let _ = stream.shutdown(Shutdown::Both);
+                                break;
+                            }
+                        }
+                        Ok(None) | Err(_) => {
+                            // Clean EOF or a dead socket: either way the
+                            // connection is over.
+                            inbox.close();
                             break;
                         }
-                    }
-                    Ok(None) | Err(_) => {
-                        // Clean EOF or a dead socket: either way the
-                        // connection is over.
-                        inbox.close();
-                        break;
                     }
                 }
             })
@@ -420,7 +488,15 @@ impl Drop for Conn {
                 .get_mut()
                 .map(|rx| std::mem::replace(rx, TcpRx::Ended))
             {
-                let _ = pump.join();
+                // A session that ends while a pump is polling it (`Bye`,
+                // protocol hang-up, send failure) drops its `Conn` *on*
+                // that pump thread — usually its own, which cannot join
+                // itself. The pump is detached instead: it falls out of
+                // its loop on the shut-down socket as soon as the poll it
+                // is in returns. Every other thread joins.
+                if !ON_PUMP.with(Cell::get) {
+                    let _ = pump.join();
+                }
             }
         }
     }

@@ -23,7 +23,10 @@
 //! * **Real sockets** — the same guarantees over loopback TCP, plus what
 //!   only a byte stream can get wrong: five requests pipelined into one
 //!   segment, a socket cut while its session is suspended in a lock wait,
-//!   and a blocking-only `Conn::tcp` that must not spawn a pump thread.
+//!   sessions that end on the pump thread polling them (which must not
+//!   join itself), a client that pipelines without reading (which must
+//!   stall nobody but itself), and a blocking-only `Conn::tcp` that must
+//!   not spawn a pump thread.
 //!   (The framing itself is tortured in `rl_server::wire`'s unit tests.)
 
 use std::io::Write;
@@ -693,8 +696,14 @@ fn pump_threads() -> usize {
 /// itself only once it runs, and its `/proc` entry outlives a join by a
 /// moment.
 fn pump_threads_settle_at(want: usize) -> bool {
-    (0..1000).any(|_| {
-        let settled = pump_threads() == want;
+    settles(1000, || pump_threads() == want)
+}
+
+/// Polls `done` once a millisecond, `polls` times; `false` if it never
+/// held.
+fn settles(polls: u32, mut done: impl FnMut() -> bool) -> bool {
+    (0..polls).any(|_| {
+        let settled = done();
         if !settled {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -804,6 +813,260 @@ fn pipelined_requests_in_one_write_are_all_answered() {
         let stats = server.shutdown();
         assert_eq!(stats.disconnects, 0, "both sessions said Bye");
         assert_eq!(stats.protocol_errors, 0);
+    });
+}
+
+/// A TCP session in steady state is polled by its own pump thread (the
+/// thread that delivers a frame polls the session it woke), so a session
+/// that ends *because of a frame* — `Bye`, an undecodable request — drops
+/// its `Conn` on the very thread `Conn::drop` wants to join. The pump must
+/// step over itself and fall out of its loop; a `kill()` still tears down
+/// on a worker, which joins the pump as before. Either way nothing is left:
+/// no session, no held range, no `rl-server-rx` thread, and `shutdown`
+/// returns.
+#[test]
+fn tcp_sessions_that_end_on_their_pump_thread_leave_nothing_behind() {
+    let _sockets = sockets();
+    run_bounded("tcp session end on the pump".to_string(), || {
+        let server = server_for(registry::by_name("list-rw").unwrap());
+        let handle = server.serve_tcp("127.0.0.1:0").expect("bind loopback");
+        // A session's first poll is a pool worker's; a few round trips in,
+        // every frame finds it suspended and the pump polls it.
+        let settled = |name: &str, slot: u64| {
+            let mut client = Client::connect_tcp(handle.addr()).unwrap();
+            client.hello(name).unwrap();
+            for _ in 0..20 {
+                assert!(client
+                    .try_lock("/end", slot_range(slot), LockMode::Exclusive)
+                    .unwrap());
+                client.unlock("/end", slot_range(slot)).unwrap();
+            }
+            client
+        };
+
+        // `Bye` while holding: released, but not a disconnect.
+        let mut polite = settled("polite", 0);
+        polite
+            .lock("/end", slot_range(0), LockMode::Exclusive)
+            .unwrap();
+        polite.bye().unwrap();
+
+        // Protocol hang-up: answered with a typed error, then EOF.
+        let mut rude = TcpStream::connect(handle.addr()).unwrap();
+        let mut writer = wire::FrameWriter::new();
+        let mut reader = wire::FrameReader::new();
+        let hello = Request::Hello {
+            name: "rude".to_string(),
+        };
+        for _ in 0..20 {
+            writer
+                .write(&mut rude, |out| wire::encode_request_into(&hello, out))
+                .unwrap();
+            let frame = reader.read_frame(&mut rude).unwrap().unwrap();
+            assert_eq!(wire::decode_reply(frame).unwrap(), Reply::Ok);
+        }
+        writer
+            .write(&mut rude, |out| out.extend_from_slice(&[0xFF, 0xEE, 0xDD]))
+            .unwrap();
+        let frame = reader.read_frame(&mut rude).unwrap().unwrap();
+        assert!(matches!(
+            wire::decode_reply(frame).unwrap(),
+            Reply::Err {
+                code: ErrCode::Protocol,
+                ..
+            }
+        ));
+        assert!(
+            reader.read_frame(&mut rude).unwrap().is_none(),
+            "the server hangs up after a protocol error"
+        );
+
+        // Killed while holding: the range is freed and counted.
+        let mut victim = settled("victim", 1);
+        victim
+            .lock("/end", slot_range(1), LockMode::Exclusive)
+            .unwrap();
+        victim.kill();
+
+        // Both slots are free again — which also waits out the teardowns.
+        let mut after = settled("after", 2);
+        for slot in [0, 1] {
+            after
+                .lock("/end", slot_range(slot), LockMode::Exclusive)
+                .unwrap();
+        }
+        after.bye().unwrap();
+
+        // Nothing joins a detached pump or waits for a worker's teardown of
+        // the killed session: these are asynchronous exits, so they get a
+        // longer window than a `/proc` entry outliving a join does.
+        assert!(
+            settles(5000, || server.stats().sessions_active == 0),
+            "a session outlived its connection"
+        );
+        assert!(
+            settles(5000, || pump_threads() == 0),
+            "a pump outlived its session"
+        );
+        handle.stop();
+        let stats = server.shutdown();
+        assert_eq!(stats.sessions_started, 4);
+        assert_eq!(stats.sessions_active, 0);
+        assert_eq!(stats.protocol_errors, 1);
+        assert_eq!(stats.disconnects, 2, "the hang-up and the kill");
+        assert_eq!(stats.disconnect_releases, 1);
+        assert_eq!(stats.ranges_freed_on_disconnect, 1, "the victim's slot");
+    });
+}
+
+/// The price of the pump polling its own session: the session's reply
+/// `write` blocks the pump, so a client that pipelines requests and does
+/// not read stops its own connection being served once the socket buffers
+/// are full of replies. This pins down how far that goes. The stall is that
+/// connection's alone — other sockets and in-process clients are served
+/// while it lasts; it ends the moment the client reads, every reply
+/// arriving whole and in order; and a client that hangs up instead fails
+/// the blocked `write`, which ends the session on its pump and frees what
+/// it held.
+///
+/// The requests are small and the replies large, so the client never blocks
+/// writing. A client whose *requests* also outgrow the socket buffers while
+/// it reads nothing deadlocks against itself (there is no unbounded inbox
+/// behind the socket to absorb them); that one is documented in DESIGN.md,
+/// not tested.
+#[test]
+fn a_tcp_client_that_stops_reading_stalls_only_its_own_connection() {
+    const READS: usize = 512;
+    const READ_LEN: usize = 60 * 1024;
+    let _sockets = sockets();
+    run_bounded("tcp client that stops reading".to_string(), || {
+        let server = server_for(registry::by_name("list-rw").unwrap());
+        let handle = server.serve_tcp("127.0.0.1:0").expect("bind loopback");
+        let pattern: Vec<u8> = (0..READS + READ_LEN).map(|i| (i % 251) as u8).collect();
+        let mut seed = Client::connect_tcp(handle.addr()).unwrap();
+        seed.write("/big", 0, &pattern).unwrap();
+        seed.bye().unwrap();
+
+        // A raw socket that holds `slot`, has been polled by its pump for a
+        // while, and then bursts READS large reads without reading a reply.
+        // Returns once the server has stopped making progress on them.
+        let stalled = |name: &str, slot: u64| {
+            let mut stream = TcpStream::connect(handle.addr()).unwrap();
+            let mut writer = wire::FrameWriter::new();
+            let mut reader = wire::FrameReader::new();
+            let hello = Request::Hello {
+                name: name.to_string(),
+            };
+            let lock = Request::Lock {
+                path: "/big".to_string(),
+                start: slot_range(slot).start,
+                end: slot_range(slot).end,
+                mode: LockMode::Exclusive,
+            };
+            for req in std::iter::repeat_n(&hello, 20).chain([&lock]) {
+                writer
+                    .write(&mut stream, |out| wire::encode_request_into(req, out))
+                    .unwrap();
+                let frame = reader.read_frame(&mut stream).unwrap().unwrap();
+                assert_eq!(wire::decode_reply(frame).unwrap(), Reply::Ok);
+            }
+            let before = server.stats().op_count(OpKind::Read);
+            let mut burst = Vec::new();
+            for i in 0..READS {
+                let req = Request::Read {
+                    path: "/big".to_string(),
+                    offset: i as u64,
+                    len: READ_LEN as u32,
+                };
+                writer
+                    .write(&mut burst, |out| wire::encode_request_into(&req, out))
+                    .unwrap();
+            }
+            stream.write_all(&burst).unwrap();
+            // Requests are counted on receipt; the count stands still once
+            // the reply in flight no longer fits the socket buffers.
+            let served = || (server.stats().op_count(OpKind::Read) - before) as usize;
+            let mut last = (0, 0);
+            assert!(
+                settles(10_000, || {
+                    last = if served() == last.0 {
+                        (last.0, last.1 + 1)
+                    } else {
+                        (served(), 0)
+                    };
+                    last.0 > 0 && last.1 >= 200
+                }),
+                "the burst never came to rest"
+            );
+            assert!(
+                served() < READS,
+                "the socket buffers took {READS} replies; raise READS"
+            );
+            (stream, reader)
+        };
+
+        let (mut greedy, mut reader) = stalled("greedy", 0);
+        // Everyone else is served meanwhile, on sockets and in process.
+        let mut tcp = Client::connect_tcp(handle.addr()).unwrap();
+        let mut local = server.connect();
+        for (client, slot) in [(&mut tcp, 1), (&mut local, 2)] {
+            client.hello("bystander").unwrap();
+            client
+                .lock("/big", slot_range(slot), LockMode::Exclusive)
+                .unwrap();
+            assert_eq!(client.read("/big", 7, 4).unwrap(), pattern[7..11]);
+            client.unlock("/big", slot_range(slot)).unwrap();
+            assert!(!client
+                .try_lock("/big", slot_range(0), LockMode::Shared)
+                .unwrap());
+        }
+        tcp.bye().unwrap();
+        local.bye().unwrap();
+
+        // Reading is all it takes: every reply, whole and in order.
+        for i in 0..READS {
+            let frame = reader.read_frame(&mut greedy).unwrap().unwrap();
+            match wire::decode_reply(frame).unwrap() {
+                Reply::Data(data) => assert!(data == pattern[i..i + READ_LEN], "reply {i}"),
+                other => panic!("reply {i}: {other:?}"),
+            }
+        }
+        let mut writer = wire::FrameWriter::new();
+        writer
+            .write(&mut greedy, |out| {
+                wire::encode_request_into(&Request::Bye, out)
+            })
+            .unwrap();
+        let frame = reader.read_frame(&mut greedy).unwrap().unwrap();
+        assert_eq!(wire::decode_reply(frame).unwrap(), Reply::Ok);
+        assert!(reader.read_frame(&mut greedy).unwrap().is_none());
+
+        // Hanging up instead fails the blocked write: the session ends on
+        // its pump and slot 3 comes free with no one reading anything.
+        let (quitter, _) = stalled("quitter", 3);
+        drop(quitter);
+        let mut after = Client::connect_tcp(handle.addr()).unwrap();
+        for slot in [0, 3] {
+            after
+                .lock("/big", slot_range(slot), LockMode::Exclusive)
+                .unwrap();
+        }
+        after.bye().unwrap();
+
+        assert!(
+            settles(5000, || server.stats().sessions_active == 0),
+            "a session outlived its connection"
+        );
+        assert!(
+            settles(5000, || pump_threads() == 0),
+            "a pump outlived its session"
+        );
+        handle.stop();
+        let stats = server.shutdown();
+        assert_eq!(stats.sessions_started, 6);
+        assert_eq!(stats.protocol_errors, 0);
+        assert_eq!(stats.disconnects, 1, "the quitter");
+        assert_eq!(stats.ranges_freed_on_disconnect, 1, "the quitter's slot");
     });
 }
 
