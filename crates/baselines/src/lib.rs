@@ -9,7 +9,8 @@
 //!   balanced range tree protected by a spin lock, with per-waiter
 //!   blocking-range counts;
 //! * [`RwTreeRangeLock`] (`kernel-rw`) — Davidlohr Bueso's reader-writer
-//!   extension of the same design;
+//!   extension of the same design (both are aliases of one [`TreeLock`],
+//!   generic over the list lock's `CompatMode`);
 //! * [`SegmentRangeLock`] (`pnova-rw`) — the pNOVA design of Kim et al.: the
 //!   resource is statically split into segments, each guarded by its own
 //!   reader-writer lock.
@@ -36,4 +37,4 @@ pub use range_tree::{Interval, RangeTree};
 pub use registry::{RegistryConfig, VariantSpec};
 pub use segment_lock::{SegmentRangeLock, SegmentReadGuard, SegmentWriteGuard};
 pub use sem_lock::WholeSpaceSem;
-pub use tree_lock::{RwTreeRangeLock, TreeRangeGuard, TreeRangeLock};
+pub use tree_lock::{RwTreeRangeLock, TreeGuard, TreeLock, TreeRangeLock};

@@ -49,13 +49,13 @@
 
 use std::sync::Arc;
 
-use range_lock::{DynRwRangeLock, ListRangeLock, RwListRangeLock};
+use range_lock::{CompatMode, DynRwRangeLock, Exclusive, ListLock, ReaderWriter};
 use rl_sync::stats::WaitStats;
 use rl_sync::wait::{Block, Spin, SpinThenYield, WaitPolicyKind};
 
 use crate::segment_lock::SegmentRangeLock;
 use crate::sem_lock::WholeSpaceSem;
-use crate::tree_lock::{RwTreeRangeLock, TreeRangeLock};
+use crate::tree_lock::TreeLock;
 
 /// Build-time parameters for variants that statically partition the resource
 /// (today only `pnova-rw`); the list and tree locks ignore it.
@@ -179,25 +179,16 @@ macro_rules! with_stats {
     };
 }
 
-fn build_list_ex(
+fn build_list<M: CompatMode>(
     wait: WaitPolicyKind,
     _config: &RegistryConfig,
     stats: Option<Arc<WaitStats>>,
     _spin: Option<Arc<WaitStats>>,
 ) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => with_stats!(ListRangeLock::<P>::with_policy(), stats))
+    per_policy!(wait, P => with_stats!(ListLock::<M, P>::with_policy(), stats))
 }
 
-fn build_list_rw(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-    stats: Option<Arc<WaitStats>>,
-    _spin: Option<Arc<WaitStats>>,
-) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => with_stats!(RwListRangeLock::<P>::with_policy(), stats))
-}
-
-fn build_lustre_ex(
+fn build_tree<M: CompatMode>(
     wait: WaitPolicyKind,
     _config: &RegistryConfig,
     stats: Option<Arc<WaitStats>>,
@@ -205,23 +196,8 @@ fn build_lustre_ex(
 ) -> Box<dyn DynRwRangeLock> {
     per_policy!(wait, P => {
         let lock = match spin {
-            Some(s) => TreeRangeLock::<P>::with_policy_spin_stats(s),
-            None => TreeRangeLock::<P>::with_policy(),
-        };
-        with_stats!(lock, stats)
-    })
-}
-
-fn build_kernel_rw(
-    wait: WaitPolicyKind,
-    _config: &RegistryConfig,
-    stats: Option<Arc<WaitStats>>,
-    spin: Option<Arc<WaitStats>>,
-) -> Box<dyn DynRwRangeLock> {
-    per_policy!(wait, P => {
-        let lock = match spin {
-            Some(s) => RwTreeRangeLock::<P>::with_policy_spin_stats(s),
-            None => RwTreeRangeLock::<P>::with_policy(),
+            Some(s) => TreeLock::<M, P>::with_policy_spin_stats(s),
+            None => TreeLock::<M, P>::with_policy(),
         };
         with_stats!(lock, stats)
     })
@@ -246,13 +222,13 @@ static ALL: [VariantSpec; 5] = [
         name: "lustre-ex",
         readers_share: false,
         internal_spinlock: true,
-        ctor: build_lustre_ex,
+        ctor: build_tree::<Exclusive>,
     },
     VariantSpec {
         name: "kernel-rw",
         readers_share: true,
         internal_spinlock: true,
-        ctor: build_kernel_rw,
+        ctor: build_tree::<ReaderWriter>,
     },
     VariantSpec {
         name: "pnova-rw",
@@ -264,13 +240,13 @@ static ALL: [VariantSpec; 5] = [
         name: "list-ex",
         readers_share: false,
         internal_spinlock: false,
-        ctor: build_list_ex,
+        ctor: build_list::<Exclusive>,
     },
     VariantSpec {
         name: "list-rw",
         readers_share: true,
         internal_spinlock: false,
-        ctor: build_list_rw,
+        ctor: build_list::<ReaderWriter>,
     },
 ];
 

@@ -1,18 +1,19 @@
 //! Kernel-style tree-based range locks (the paper's baselines).
 //!
 //! This is a faithful user-space port of the range lock found in the Linux
-//! kernel patches the paper compares against (Section 3):
+//! kernel patches the paper compares against (Section 3), written once as
+//! [`TreeLock`] over the same compile-time [`CompatMode`] as the list lock:
 //!
-//! * [`TreeRangeLock`] — the original exclusive-only design from the Lustre
-//!   file system / Jan Kara's `lib: Implement range locks` (the paper's
-//!   `lustre-ex`);
-//! * [`RwTreeRangeLock`] — Davidlohr Bueso's reader-writer extension (the
-//!   paper's `kernel-rw`).
+//! * [`TreeRangeLock`] (`TreeLock<Exclusive, _>`) — the original
+//!   exclusive-only design from the Lustre file system / Jan Kara's
+//!   `lib: Implement range locks` (the paper's `lustre-ex`);
+//! * [`RwTreeRangeLock`] (`TreeLock<ReaderWriter, _>`) — Davidlohr Bueso's
+//!   reader-writer extension (the paper's `kernel-rw`).
 //!
 //! The algorithm: every acquisition takes an internal **spin lock**, counts
 //! the ranges already in the range tree that block it (overlapping ranges,
-//! excluding reader-reader pairs in the reader-writer variant), inserts its
-//! own node annotated with that count, and releases the spin lock. If the
+//! excluding reader-reader pairs when the mode lets readers share), inserts
+//! its own node annotated with that count, and releases the spin lock. If the
 //! count was zero the range is held; otherwise the thread waits for it to
 //! drop to zero. On release the thread takes the spin lock again, removes its
 //! node and decrements the block count of every overlapping waiter.
@@ -24,11 +25,12 @@
 //! sinks.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use range_lock::{Range, RwRangeLock};
+use range_lock::{CompatMode, Exclusive, Range, ReaderWriter, RwRangeLock};
 use rl_sync::stats::{WaitKind, WaitStats};
 use rl_sync::wait::{SpinThenYield, WaitPolicy, WaitQueue};
 use rl_sync::{SpinLock, KEY_ANY};
@@ -49,60 +51,166 @@ struct TreeState {
     waiters: HashMap<u64, Arc<Waiter>>,
 }
 
-/// Shared implementation behind both public lock types.
+impl TreeState {
+    /// Calls `f` on every entry overlapping `range` that an acquisition in
+    /// mode `reader` cannot share with.
+    fn for_each_blocker(&self, range: &Range, reader: bool, mut f: impl FnMut(&Arc<Waiter>)) {
+        self.tree.for_each_overlap(range, |iv| {
+            let other = self
+                .waiters
+                .get(&iv.id)
+                .expect("every tree entry has a registered waiter");
+            if !(reader && other.reader) {
+                f(other);
+            }
+        });
+    }
+}
+
+/// A tree-based range lock in compatibility mode `M` (which decides whether
+/// readers share), waiting through `P`. Usually spelled through its
+/// aliases, [`TreeRangeLock`] and [`RwTreeRangeLock`].
 #[derive(Debug)]
-struct TreeLockInner<P: WaitPolicy> {
+pub struct TreeLock<M: CompatMode, P: WaitPolicy = SpinThenYield> {
     state: SpinLock<TreeState>,
     next_id: AtomicU64,
     /// Range-acquisition wait times (Figure 7).
     stats: Option<Arc<WaitStats>>,
-    /// Wake channel for the `Block` policy; idle under spinning policies.
+    /// Wake channel for the `Block` policy and suspended two-phase polls.
     queue: WaitQueue,
-    _policy: std::marker::PhantomData<P>,
+    _mode: PhantomData<(M, P)>,
 }
 
-impl<P: WaitPolicy> TreeLockInner<P> {
-    fn new() -> Self {
-        TreeLockInner {
-            state: SpinLock::new(TreeState::default()),
+/// The exclusive tree-based range lock (`lustre-ex`); its `read` is as
+/// exclusive as its `write`.
+///
+/// # Examples
+///
+/// ```
+/// use rl_baselines::TreeRangeLock;
+/// use range_lock::Range;
+///
+/// let lock = TreeRangeLock::new();
+/// let a = lock.write(Range::new(0, 10));
+/// let b = lock.write(Range::new(10, 20));
+/// assert!(lock.try_read(Range::new(5, 15)).is_none());
+/// drop(a);
+/// drop(b);
+/// ```
+pub type TreeRangeLock<P = SpinThenYield> = TreeLock<Exclusive, P>;
+
+/// The reader-writer tree-based range lock (`kernel-rw`).
+///
+/// # Examples
+///
+/// ```
+/// use rl_baselines::RwTreeRangeLock;
+/// use range_lock::Range;
+///
+/// let lock = RwTreeRangeLock::new();
+/// let r1 = lock.read(Range::new(0, 100));
+/// let r2 = lock.read(Range::new(50, 150));
+/// drop(r1);
+/// drop(r2);
+/// let _w = lock.write(Range::new(0, 100));
+/// ```
+pub type RwTreeRangeLock<P = SpinThenYield> = TreeLock<ReaderWriter, P>;
+
+impl<M: CompatMode> TreeLock<M> {
+    /// Creates a new lock with the default [`SpinThenYield`] wait policy.
+    pub fn new() -> Self {
+        Self::with_policy()
+    }
+
+    /// Creates a default-policy lock whose *internal spin lock* reports wait
+    /// times to `spin_stats` (used to reproduce Figure 8).
+    pub fn with_spin_stats(spin_stats: Arc<WaitStats>) -> Self {
+        Self::with_policy_spin_stats(spin_stats)
+    }
+}
+
+impl<M: CompatMode, P: WaitPolicy> TreeLock<M, P> {
+    /// Creates a lock whose waiters wait through policy `P`.
+    pub fn with_policy() -> Self {
+        Self::with_state(SpinLock::new(TreeState::default()))
+    }
+
+    /// Creates a policy-`P` lock whose *internal spin lock* reports wait
+    /// times to `spin_stats`.
+    pub fn with_policy_spin_stats(spin_stats: Arc<WaitStats>) -> Self {
+        Self::with_state(SpinLock::with_stats(TreeState::default(), spin_stats))
+    }
+
+    fn with_state(state: SpinLock<TreeState>) -> Self {
+        TreeLock {
+            state,
             next_id: AtomicU64::new(1),
             stats: None,
             queue: WaitQueue::new(),
-            _policy: std::marker::PhantomData,
+            _mode: PhantomData,
         }
     }
 
-    fn with_spin_stats(spin_stats: Arc<WaitStats>) -> Self {
-        TreeLockInner {
-            state: SpinLock::with_stats(TreeState::default(), spin_stats),
-            next_id: AtomicU64::new(1),
-            stats: None,
-            queue: WaitQueue::new(),
-            _policy: std::marker::PhantomData,
-        }
+    /// Attaches a [`WaitStats`] sink recording range-acquisition wait times
+    /// (used to reproduce Figure 7), plus park/wake counts under `Block`.
+    pub fn with_stats(mut self, stats: Arc<WaitStats>) -> Self {
+        self.queue.attach_stats(Arc::clone(&stats));
+        self.stats = Some(stats);
+        self
     }
 
-    /// Acquires `range`; `reader` selects the blocking rule.
-    fn acquire(&self, range: Range, reader: bool) -> u64 {
-        let started = Instant::now();
+    /// Acquires `range` in shared mode (exclusive under [`Exclusive`]).
+    pub fn read(&self, range: Range) -> TreeGuard<'_, M, P> {
+        self.acquire(range, true, true)
+            .expect("a blocking acquisition")
+    }
+
+    /// Acquires `range` in exclusive mode.
+    pub fn write(&self, range: Range) -> TreeGuard<'_, M, P> {
+        self.acquire(range, false, true)
+            .expect("a blocking acquisition")
+    }
+
+    /// Attempts to acquire `range` in shared mode without waiting; `None` if
+    /// a conflicting range is already in the tree.
+    pub fn try_read(&self, range: Range) -> Option<TreeGuard<'_, M, P>> {
+        self.acquire(range, true, false)
+    }
+
+    /// Attempts to acquire `range` in exclusive mode without waiting; `None`
+    /// if anything overlapping is already in the tree.
+    pub fn try_write(&self, range: Range) -> Option<TreeGuard<'_, M, P>> {
+        self.acquire(range, false, false)
+    }
+
+    /// Number of ranges currently in the tree (holders and waiters).
+    pub fn tracked_ranges(&self) -> usize {
+        self.state.lock().tree.len()
+    }
+
+    /// Acquires `range`, in shared mode if `reader` and the mode lets
+    /// readers share. With `wait`, the range is inserted with its block
+    /// count and the thread waits for the count to reach zero; without, a
+    /// blocked range leaves the tree untouched and returns `None`.
+    ///
+    /// The bounded attempt cannot fail spuriously — the internal spin lock
+    /// gives it a consistent view of the tree — but it still takes that spin
+    /// lock, which is exactly the scalability cost the paper measures.
+    fn acquire(&self, range: Range, reader: bool, wait: bool) -> Option<TreeGuard<'_, M, P>> {
+        let reader = reader && M::READERS_SHARE;
+        let started = self.stats.as_ref().map(|_| Instant::now());
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let waiter = Arc::new(Waiter {
             reader,
             blocked: AtomicUsize::new(0),
         });
         {
-            let mut guard = self.state.lock();
-            let state = &mut *guard;
+            let mut state = self.state.lock();
             let mut blocked = 0usize;
-            let waiters = &state.waiters;
-            state.tree.for_each_overlap(&range, |iv| {
-                let other = waiters
-                    .get(&iv.id)
-                    .expect("every tree entry has a registered waiter");
-                if !(reader && other.reader) {
-                    blocked += 1;
-                }
-            });
+            state.for_each_blocker(&range, reader, |_| blocked += 1);
+            if blocked != 0 && !wait {
+                return None;
+            }
             waiter.blocked.store(blocked, Ordering::Relaxed);
             state.tree.insert(Interval { range, id });
             state.waiters.insert(id, Arc::clone(&waiter));
@@ -112,10 +220,9 @@ impl<P: WaitPolicy> TreeLockInner<P> {
         // and the releaser that drops its count to zero wakes exactly that
         // key, so an unrelated release leaves it parked.
         if waiter.blocked.load(Ordering::Acquire) != 0 {
-            let wait_key = Arc::as_ptr(&waiter) as u64;
             let unblocked = || waiter.blocked.load(Ordering::Acquire) == 0;
-            P::wait(&self.queue, wait_key, unblocked, None);
-            if let Some(s) = &self.stats {
+            P::wait(&self.queue, Arc::as_ptr(&waiter) as u64, unblocked, None);
+            if let (Some(s), Some(started)) = (&self.stats, started) {
                 let kind = if reader {
                     WaitKind::Read
                 } else {
@@ -126,63 +233,23 @@ impl<P: WaitPolicy> TreeLockInner<P> {
         } else if let Some(s) = &self.stats {
             s.record_uncontended();
         }
-        id
-    }
-
-    /// Bounded acquisition attempt: inserts the range only if nothing blocks
-    /// it, otherwise leaves the tree untouched and returns `None`.
-    ///
-    /// Unlike the list-based locks this attempt cannot fail spuriously — the
-    /// internal spin lock gives it a consistent view of the tree — but it
-    /// still takes that spin lock, which is exactly the scalability cost the
-    /// paper measures.
-    fn try_acquire(&self, range: Range, reader: bool) -> Option<u64> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut guard = self.state.lock();
-            let state = &mut *guard;
-            let mut blocked = false;
-            let waiters = &state.waiters;
-            state.tree.for_each_overlap(&range, |iv| {
-                let other = waiters
-                    .get(&iv.id)
-                    .expect("every tree entry has a registered waiter");
-                if !(reader && other.reader) {
-                    blocked = true;
-                }
-            });
-            if blocked {
-                return None;
-            }
-            state.tree.insert(Interval { range, id });
-            state.waiters.insert(
-                id,
-                Arc::new(Waiter {
-                    reader,
-                    blocked: AtomicUsize::new(0),
-                }),
-            );
-        }
-        if let Some(s) = &self.stats {
-            s.record_uncontended();
-        }
-        Some(id)
+        Some(TreeGuard {
+            lock: self,
+            range,
+            id,
+            reader,
+        })
     }
 
     fn release(&self, range: Range, id: u64, reader: bool) {
         let mut unblocked: Vec<u64> = Vec::new();
         {
-            let mut guard = self.state.lock();
-            let state = &mut *guard;
+            let mut state = self.state.lock();
             let removed = state.tree.remove(&Interval { range, id });
             debug_assert!(removed, "released a range that was not in the tree");
             state.waiters.remove(&id);
-            let waiters = &state.waiters;
-            state.tree.for_each_overlap(&range, |iv| {
-                let other = waiters
-                    .get(&iv.id)
-                    .expect("every tree entry has a registered waiter");
-                if !(reader && other.reader) && other.blocked.fetch_sub(1, Ordering::AcqRel) == 1 {
+            state.for_each_blocker(&range, reader, |other| {
+                if other.blocked.fetch_sub(1, Ordering::AcqRel) == 1 {
                     unblocked.push(Arc::as_ptr(other) as u64);
                 }
             });
@@ -202,234 +269,25 @@ impl<P: WaitPolicy> TreeLockInner<P> {
             }
         }
     }
-
-    fn held_ranges(&self) -> usize {
-        self.state.lock().tree.len()
-    }
 }
 
-/// The exclusive tree-based range lock (`lustre-ex`).
-///
-/// # Examples
-///
-/// ```
-/// use rl_baselines::TreeRangeLock;
-/// use range_lock::Range;
-///
-/// let lock = TreeRangeLock::new();
-/// let a = lock.acquire(Range::new(0, 10));
-/// let b = lock.acquire(Range::new(10, 20));
-/// drop(a);
-/// drop(b);
-/// ```
-#[derive(Debug)]
-pub struct TreeRangeLock<P: WaitPolicy = SpinThenYield> {
-    inner: TreeLockInner<P>,
-}
-
-impl TreeRangeLock {
-    /// Creates a new lock with the default [`SpinThenYield`] wait policy.
-    pub fn new() -> Self {
-        Self::with_policy()
-    }
-
-    /// Creates a default-policy lock whose *internal spin lock* reports wait
-    /// times to `spin_stats` (used to reproduce Figure 8).
-    pub fn with_spin_stats(spin_stats: Arc<WaitStats>) -> Self {
-        Self::with_policy_spin_stats(spin_stats)
-    }
-}
-
-impl<P: WaitPolicy> TreeRangeLock<P> {
-    /// Creates a lock whose waiters wait through policy `P`.
-    pub fn with_policy() -> Self {
-        TreeRangeLock {
-            inner: TreeLockInner::new(),
-        }
-    }
-
-    /// Creates a policy-`P` lock whose *internal spin lock* reports wait
-    /// times to `spin_stats`.
-    pub fn with_policy_spin_stats(spin_stats: Arc<WaitStats>) -> Self {
-        TreeRangeLock {
-            inner: TreeLockInner::with_spin_stats(spin_stats),
-        }
-    }
-
-    /// Attaches a [`WaitStats`] sink recording range-acquisition wait times
-    /// (used to reproduce Figure 7), plus park/wake counts under `Block`.
-    pub fn with_stats(mut self, stats: Arc<WaitStats>) -> Self {
-        self.inner.queue.attach_stats(Arc::clone(&stats));
-        self.inner.stats = Some(stats);
-        self
-    }
-
-    /// Acquires exclusive access to `range`.
-    pub fn acquire(&self, range: Range) -> TreeRangeGuard<'_, P> {
-        let id = self.inner.acquire(range, false);
-        TreeRangeGuard {
-            lock: &self.inner,
-            range,
-            id,
-            reader: false,
-        }
-    }
-
-    /// Acquires the entire resource.
-    pub fn acquire_full(&self) -> TreeRangeGuard<'_, P> {
-        self.acquire(Range::FULL)
-    }
-
-    /// Attempts to acquire `range` without waiting; `None` if anything
-    /// overlapping is already in the tree.
-    pub fn try_acquire(&self, range: Range) -> Option<TreeRangeGuard<'_, P>> {
-        let id = self.inner.try_acquire(range, false)?;
-        Some(TreeRangeGuard {
-            lock: &self.inner,
-            range,
-            id,
-            reader: false,
-        })
-    }
-
-    /// Number of ranges currently in the tree (holders and waiters).
-    pub fn tracked_ranges(&self) -> usize {
-        self.inner.held_ranges()
-    }
-}
-
-impl<P: WaitPolicy> Default for TreeRangeLock<P> {
+impl<M: CompatMode, P: WaitPolicy> Default for TreeLock<M, P> {
     fn default() -> Self {
         Self::with_policy()
     }
 }
 
-/// The reader-writer tree-based range lock (`kernel-rw`).
-///
-/// # Examples
-///
-/// ```
-/// use rl_baselines::RwTreeRangeLock;
-/// use range_lock::{Range, RwRangeLock};
-///
-/// let lock = RwTreeRangeLock::new();
-/// let r1 = lock.read(Range::new(0, 100));
-/// let r2 = lock.read(Range::new(50, 150));
-/// drop(r1);
-/// drop(r2);
-/// let _w = lock.write(Range::new(0, 100));
-/// ```
-#[derive(Debug)]
-pub struct RwTreeRangeLock<P: WaitPolicy = SpinThenYield> {
-    inner: TreeLockInner<P>,
-}
-
-impl RwTreeRangeLock {
-    /// Creates a new lock with the default [`SpinThenYield`] wait policy.
-    pub fn new() -> Self {
-        Self::with_policy()
-    }
-
-    /// Creates a default-policy lock whose *internal spin lock* reports wait
-    /// times to `spin_stats` (used to reproduce Figure 8).
-    pub fn with_spin_stats(spin_stats: Arc<WaitStats>) -> Self {
-        Self::with_policy_spin_stats(spin_stats)
-    }
-}
-
-impl<P: WaitPolicy> RwTreeRangeLock<P> {
-    /// Creates a lock whose waiters wait through policy `P`.
-    pub fn with_policy() -> Self {
-        RwTreeRangeLock {
-            inner: TreeLockInner::new(),
-        }
-    }
-
-    /// Creates a policy-`P` lock whose *internal spin lock* reports wait
-    /// times to `spin_stats`.
-    pub fn with_policy_spin_stats(spin_stats: Arc<WaitStats>) -> Self {
-        RwTreeRangeLock {
-            inner: TreeLockInner::with_spin_stats(spin_stats),
-        }
-    }
-
-    /// Attaches a [`WaitStats`] sink recording range-acquisition wait times
-    /// (used to reproduce Figure 7), plus park/wake counts under `Block`.
-    pub fn with_stats(mut self, stats: Arc<WaitStats>) -> Self {
-        self.inner.queue.attach_stats(Arc::clone(&stats));
-        self.inner.stats = Some(stats);
-        self
-    }
-
-    /// Acquires `range` in shared (reader) mode.
-    pub fn read(&self, range: Range) -> TreeRangeGuard<'_, P> {
-        let id = self.inner.acquire(range, true);
-        TreeRangeGuard {
-            lock: &self.inner,
-            range,
-            id,
-            reader: true,
-        }
-    }
-
-    /// Acquires `range` in exclusive (writer) mode.
-    pub fn write(&self, range: Range) -> TreeRangeGuard<'_, P> {
-        let id = self.inner.acquire(range, false);
-        TreeRangeGuard {
-            lock: &self.inner,
-            range,
-            id,
-            reader: false,
-        }
-    }
-
-    /// Attempts to acquire `range` in shared mode without waiting; `None` if
-    /// an overlapping writer is already in the tree.
-    pub fn try_read(&self, range: Range) -> Option<TreeRangeGuard<'_, P>> {
-        let id = self.inner.try_acquire(range, true)?;
-        Some(TreeRangeGuard {
-            lock: &self.inner,
-            range,
-            id,
-            reader: true,
-        })
-    }
-
-    /// Attempts to acquire `range` in exclusive mode without waiting; `None`
-    /// if anything overlapping is already in the tree.
-    pub fn try_write(&self, range: Range) -> Option<TreeRangeGuard<'_, P>> {
-        let id = self.inner.try_acquire(range, false)?;
-        Some(TreeRangeGuard {
-            lock: &self.inner,
-            range,
-            id,
-            reader: false,
-        })
-    }
-
-    /// Number of ranges currently in the tree (holders and waiters).
-    pub fn tracked_ranges(&self) -> usize {
-        self.inner.held_ranges()
-    }
-}
-
-impl<P: WaitPolicy> Default for RwTreeRangeLock<P> {
-    fn default() -> Self {
-        Self::with_policy()
-    }
-}
-
-/// RAII guard for a range held in a tree-based range lock.
+/// RAII guard for a range held in a [`TreeLock`].
 #[must_use = "the range is released as soon as the guard is dropped"]
 #[derive(Debug)]
-pub struct TreeRangeGuard<'a, P: WaitPolicy = SpinThenYield> {
-    lock: &'a TreeLockInner<P>,
+pub struct TreeGuard<'a, M: CompatMode, P: WaitPolicy = SpinThenYield> {
+    lock: &'a TreeLock<M, P>,
     range: Range,
     id: u64,
     reader: bool,
 }
 
-impl<P: WaitPolicy> TreeRangeGuard<'_, P> {
+impl<M: CompatMode, P: WaitPolicy> TreeGuard<'_, M, P> {
     /// The range this guard protects.
     pub fn range(&self) -> Range {
         self.range
@@ -441,49 +299,55 @@ impl<P: WaitPolicy> TreeRangeGuard<'_, P> {
     }
 }
 
-impl<P: WaitPolicy> Drop for TreeRangeGuard<'_, P> {
+impl<M: CompatMode, P: WaitPolicy> Drop for TreeGuard<'_, M, P> {
     fn drop(&mut self) {
         self.lock.release(self.range, self.id, self.reader);
     }
 }
 
-/// The exclusive tree lock's face in the reader-writer trait family: both
-/// modes are the same exclusive acquisition (see the list lock's twin impl
-/// in `range_lock::mutex_list`).
-impl<P: WaitPolicy> RwRangeLock for TreeRangeLock<P> {
-    type ReadGuard<'a> = TreeRangeGuard<'a, P>;
-    type WriteGuard<'a> = TreeRangeGuard<'a, P>;
+impl<M: CompatMode, P: WaitPolicy> RwRangeLock for TreeLock<M, P> {
+    type ReadGuard<'a> = TreeGuard<'a, M, P>;
+    type WriteGuard<'a> = TreeGuard<'a, M, P>;
 
     fn read(&self, range: Range) -> Self::ReadGuard<'_> {
-        self.acquire(range)
+        TreeLock::read(self, range)
     }
 
     fn write(&self, range: Range) -> Self::WriteGuard<'_> {
-        self.acquire(range)
+        TreeLock::write(self, range)
     }
 
     fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
-        self.try_acquire(range)
+        TreeLock::try_read(self, range)
     }
 
     fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
-        self.try_acquire(range)
+        TreeLock::try_write(self, range)
     }
 
+    /// An exclusive hold trivially satisfies a shared one (`lustre-ex`);
+    /// `kernel-rw` has no atomic downgrade.
     fn downgrade<'a>(
         &'a self,
         guard: Self::WriteGuard<'a>,
     ) -> Result<Self::ReadGuard<'a>, Self::WriteGuard<'a>> {
-        // An exclusive hold trivially satisfies a shared one.
-        Ok(guard)
+        if M::READERS_SHARE {
+            Err(guard)
+        } else {
+            Ok(guard)
+        }
     }
 
     fn readers_share(&self) -> bool {
-        false
+        M::READERS_SHARE
     }
 
     fn name(&self) -> &'static str {
-        "lustre-ex"
+        if M::READERS_SHARE {
+            "kernel-rw"
+        } else {
+            "lustre-ex"
+        }
     }
 }
 
@@ -492,35 +356,9 @@ impl<P: WaitPolicy> RwRangeLock for TreeRangeLock<P> {
 // One fidelity note: a blocking tree acquisition queues FIFO inside the tree
 // (its node counts toward later arrivals' block counts), while a suspended
 // two-phase acquisition holds no tree node and therefore *barges*. Every
-// release wakes the queue (see `TreeLockInner::release`), so a suspended
-// poller cannot miss the removal it was blocked on.
-range_lock::try_based_two_phase!(TreeRangeLock<P>, lock => &lock.inner.queue);
-range_lock::try_based_two_phase!(RwTreeRangeLock<P>, lock => &lock.inner.queue);
-
-impl<P: WaitPolicy> RwRangeLock for RwTreeRangeLock<P> {
-    type ReadGuard<'a> = TreeRangeGuard<'a, P>;
-    type WriteGuard<'a> = TreeRangeGuard<'a, P>;
-
-    fn read(&self, range: Range) -> Self::ReadGuard<'_> {
-        RwTreeRangeLock::read(self, range)
-    }
-
-    fn write(&self, range: Range) -> Self::WriteGuard<'_> {
-        RwTreeRangeLock::write(self, range)
-    }
-
-    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
-        RwTreeRangeLock::try_read(self, range)
-    }
-
-    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
-        RwTreeRangeLock::try_write(self, range)
-    }
-
-    fn name(&self) -> &'static str {
-        "kernel-rw"
-    }
-}
+// release wakes the queue (see `TreeLock::release`), so a suspended poller
+// cannot miss the removal it was blocked on.
+range_lock::try_based_two_phase!(TreeLock<M: CompatMode, P>, lock => &lock.queue);
 
 #[cfg(test)]
 mod tests {
@@ -530,8 +368,8 @@ mod tests {
     #[test]
     fn exclusive_disjoint_ranges_coexist() {
         let lock = TreeRangeLock::new();
-        let a = lock.acquire(Range::new(0, 10));
-        let b = lock.acquire(Range::new(10, 20));
+        let a = lock.write(Range::new(0, 10));
+        let b = lock.write(Range::new(10, 20));
         assert_eq!(lock.tracked_ranges(), 2);
         drop(a);
         drop(b);
@@ -541,10 +379,10 @@ mod tests {
     #[test]
     fn exclusive_overlap_blocks() {
         let lock = Arc::new(TreeRangeLock::new());
-        let g = lock.acquire(Range::new(0, 100));
+        let g = lock.write(Range::new(0, 100));
         let l2 = Arc::clone(&lock);
         let handle = std::thread::spawn(move || {
-            let _g = l2.acquire(Range::new(50, 150));
+            let _g = l2.write(Range::new(50, 150));
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!handle.is_finished());
@@ -570,13 +408,13 @@ mod tests {
         // C=[4..5] does not overlap A but is queued behind B and must wait for
         // B to be ordered (i.e. C's block count includes B).
         let lock = Arc::new(TreeRangeLock::new());
-        let a = lock.acquire(Range::new(1, 3));
+        let a = lock.write(Range::new(1, 3));
 
         let lock_b = Arc::clone(&lock);
         let b_holding = Arc::new(AtomicBool::new(false));
         let b_flag = Arc::clone(&b_holding);
         let b = std::thread::spawn(move || {
-            let g = lock_b.acquire(Range::new(2, 7));
+            let g = lock_b.write(Range::new(2, 7));
             b_flag.store(true, StdOrdering::SeqCst);
             std::thread::sleep(std::time::Duration::from_millis(30));
             drop(g);
@@ -588,7 +426,7 @@ mod tests {
         let c_done = Arc::new(AtomicBool::new(false));
         let c_flag = Arc::clone(&c_done);
         let c = std::thread::spawn(move || {
-            let _g = lock_c.acquire(Range::new(4, 5));
+            let _g = lock_c.write(Range::new(4, 5));
             c_flag.store(true, StdOrdering::SeqCst);
         });
 
@@ -618,7 +456,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..ITERS {
                     let start = ((t + i) % 10) as u64 * 5;
-                    let g = lock.acquire(Range::new(start, start + 60));
+                    let g = lock.write(Range::new(start, start + 60));
                     if inside.swap(true, StdOrdering::SeqCst) {
                         violations.fetch_add(1, StdOrdering::SeqCst);
                     }
@@ -734,9 +572,9 @@ mod tests {
     #[test]
     fn try_acquire_respects_overlap() {
         let lock = TreeRangeLock::new();
-        let g = lock.acquire(Range::new(0, 10));
-        assert!(lock.try_acquire(Range::new(5, 15)).is_none());
-        let disjoint = lock.try_acquire(Range::new(10, 20)).expect("disjoint");
+        let g = lock.write(Range::new(0, 10));
+        assert!(lock.try_write(Range::new(5, 15)).is_none());
+        let disjoint = lock.try_write(Range::new(10, 20)).expect("disjoint");
         drop(g);
         drop(disjoint);
         assert_eq!(lock.tracked_ranges(), 0);

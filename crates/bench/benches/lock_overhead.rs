@@ -19,28 +19,28 @@ fn bench_uncontended(c: &mut Criterion) {
 
     group.bench_function(BenchmarkId::from_parameter("list-ex/fast-path"), |b| {
         let lock = ListRangeLock::new();
-        b.iter(|| drop(lock.acquire(range)));
+        b.iter(|| drop(lock.write(range)));
     });
     group.bench_function(BenchmarkId::from_parameter("list-ex/no-fast-path"), |b| {
         let lock = ListRangeLock::with_config(ListLockConfig {
             fast_path: false,
             ..Default::default()
         });
-        b.iter(|| drop(lock.acquire(range)));
+        b.iter(|| drop(lock.write(range)));
     });
     group.bench_function(BenchmarkId::from_parameter("list-ex/fairness-on"), |b| {
         let lock = ListRangeLock::with_config(ListLockConfig {
             fairness: true,
             ..Default::default()
         });
-        b.iter(|| drop(lock.acquire(range)));
+        b.iter(|| drop(lock.write(range)));
     });
     // The wait-policy layer must keep the uncontended fast path a pure
     // atomic sequence: these must stay within noise of their spin-yield
     // (default policy) twins above.
     group.bench_function(BenchmarkId::from_parameter("list-ex/block-policy"), |b| {
         let lock = ListRangeLock::<Block>::with_policy();
-        b.iter(|| drop(lock.acquire(range)));
+        b.iter(|| drop(lock.write(range)));
     });
     group.bench_function(BenchmarkId::from_parameter("list-rw/block-policy"), |b| {
         let lock = RwListRangeLock::<Block>::with_policy();
@@ -56,7 +56,7 @@ fn bench_uncontended(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::from_parameter("lustre-ex"), |b| {
         let lock = TreeRangeLock::new();
-        b.iter(|| drop(lock.acquire(range)));
+        b.iter(|| drop(lock.write(range)));
     });
     group.bench_function(BenchmarkId::from_parameter("kernel-rw/write"), |b| {
         let lock = RwTreeRangeLock::new();

@@ -62,13 +62,13 @@ fn measure(iters: u64, reps: u32) -> f64 {
     let lock = ListRangeLock::new();
     // Warm up: fault in the lock's head slot and the emission path.
     for _ in 0..iters.min(10_000) {
-        drop(lock.acquire(RANGE));
+        drop(lock.write(RANGE));
     }
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let started = Instant::now();
         for _ in 0..iters {
-            drop(lock.acquire(RANGE));
+            drop(lock.write(RANGE));
         }
         let ns = started.elapsed().as_nanos() as f64 / iters as f64;
         best = best.min(ns);

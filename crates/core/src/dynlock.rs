@@ -439,8 +439,8 @@ mod tests {
         // A lock without downgrade support returns the guard unchanged.
         struct NoDowngrade<P: rl_sync::wait::WaitPolicy>(RwListRangeLock<P>);
         impl<P: rl_sync::wait::WaitPolicy> RwRangeLock for NoDowngrade<P> {
-            type ReadGuard<'a> = crate::RwListRangeGuard<'a, P>;
-            type WriteGuard<'a> = crate::RwListRangeGuard<'a, P>;
+            type ReadGuard<'a> = crate::ListGuard<'a, crate::ReaderWriter, P>;
+            type WriteGuard<'a> = crate::ListGuard<'a, crate::ReaderWriter, P>;
             fn read(&self, range: Range) -> Self::ReadGuard<'_> {
                 self.0.read(range)
             }

@@ -19,7 +19,7 @@ use crate::range::Range;
 /// (used only by the reader-writer variant), and the marked `next` pointer.
 ///
 /// The reader flag is atomic so that a *held* writer node can be downgraded
-/// to a reader node in place (see `RwListRangeGuard::downgrade`): concurrent
+/// to a reader node in place (see `ListGuard::downgrade`): concurrent
 /// traversals and validation passes read the flag while the owner flips it.
 #[repr(align(8))]
 #[derive(Debug)]
@@ -126,7 +126,7 @@ pub fn mark(ptr: u64) -> u64 {
 /// a live `LNode` for the duration of the returned borrow (i.e. the caller is
 /// inside an epoch-protected section and the node has not been reclaimed).
 #[inline]
-pub unsafe fn deref_node<'a>(ptr: u64) -> Option<&'a LNode> {
+pub(crate) unsafe fn deref_node<'a>(ptr: u64) -> Option<&'a LNode> {
     let raw = unmark(ptr) as *const LNode;
     // SAFETY: Guaranteed by the caller per this function's contract.
     unsafe { raw.as_ref() }

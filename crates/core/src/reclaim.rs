@@ -258,9 +258,9 @@ thread_local! {
     static CTX: RefCell<Option<ThreadCtx>> = const { RefCell::new(None) };
 }
 
-// `with_ctx` and the thin public wrappers over it (`pin`, `Pin::drop`,
+// `with_ctx` and the thin wrappers over it (`pin`, `Pin::drop`,
 // `alloc_node`, `retire_node`) are `#[inline]`: they sit on every
-// acquisition's fast path, and the generic `ListCore` code that calls them is
+// acquisition's fast path, and the generic `ListLock` code that calls them is
 // instantiated in *downstream* crates. Without the hint they are compiled
 // once, here, and whether `LocalKey::with` folds into them depends on how
 // this crate happens to be split into codegen units — an edit to an unrelated
@@ -326,7 +326,7 @@ pub fn alloc_node(range: Range, reader: bool) -> *mut LNode {
 /// referenced by in-flight traversals; it will only be reused after a barrier
 /// proves those traversals have finished.
 #[inline]
-pub unsafe fn retire_node(ptr: *mut LNode) {
+pub(crate) unsafe fn retire_node(ptr: *mut LNode) {
     with_ctx(|ctx| ctx.retire(ptr));
 }
 
@@ -337,7 +337,7 @@ pub unsafe fn retire_node(ptr: *mut LNode) {
 ///
 /// No other thread may hold a reference to `ptr`, and it must have been
 /// allocated by [`alloc_node`] (or `Box::new`) and not freed before.
-pub unsafe fn free_node_now(ptr: *mut LNode) {
+pub(crate) unsafe fn free_node_now(ptr: *mut LNode) {
     // SAFETY: Per this function's contract the node is exclusively owned.
     drop(unsafe { Box::from_raw(ptr) });
 }

@@ -10,18 +10,18 @@
 //! acquisition), and [`crate::DynRwRangeLock`] is the object-safe mirror of
 //! both for callers that choose the variant at runtime.
 //!
-//! There is no separate exclusive-only trait: the exclusive locks
-//! ([`crate::ListRangeLock`], `rl_baselines::TreeRangeLock`) implement this
-//! one with every acquisition exclusive and say so through
-//! [`RwRangeLock::readers_share`]. Their inherent `acquire` / `try_acquire`
-//! remain the paper-facing API.
+//! There is no separate exclusive-only trait, nor an exclusive-only type: the
+//! exclusive locks ([`crate::ListRangeLock`], `rl_baselines::TreeRangeLock`)
+//! are the [`Exclusive`](crate::Exclusive) instantiations of the generic list
+//! and tree locks, implement this trait with every acquisition exclusive, and
+//! say so through [`RwRangeLock::readers_share`].
 //!
 //! # `try_` semantics (normative)
 //!
 //! The bounded acquisition methods ([`RwRangeLock::try_read`],
-//! [`RwRangeLock::try_write`], and the exclusive locks' inherent
-//! `try_acquire`) share one contract, specified here once for every
-//! implementation in the workspace:
+//! [`RwRangeLock::try_write`], and the locks' inherent methods of the same
+//! names) share one contract, specified here once for every implementation
+//! in the workspace:
 //!
 //! * **Never waits.** A `try_` call performs a bounded amount of work and
 //!   returns; it never spins on, yields to, or parks behind another thread

@@ -325,13 +325,22 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
 /// release it was blocked on.
 ///
 /// `$lock => $queue` names the lock value and the expression borrowing its
-/// [`WaitQueue`]; the type must be generic over one
-/// [`WaitPolicy`](rl_sync::wait::WaitPolicy) parameter, which supplies the
-/// deadline wait.
+/// [`WaitQueue`]; the type's last generic parameter must be its
+/// [`WaitPolicy`](rl_sync::wait::WaitPolicy), which supplies the deadline
+/// wait; a mode parameter before it is written with its bound
+/// (`TreeLock<M: CompatMode, P>`).
 #[macro_export]
 macro_rules! try_based_two_phase {
     ($ty:ident<$p:ident>, $lock:ident => $queue:expr) => {
-        impl<$p: rl_sync::wait::WaitPolicy> $crate::TwoPhaseRwRangeLock for $ty<$p> {
+        $crate::try_based_two_phase!(@impl [] $ty<$p>, $lock => $queue);
+    };
+    ($ty:ident<$m:ident: $mb:path, $p:ident>, $lock:ident => $queue:expr) => {
+        $crate::try_based_two_phase!(@impl [$m: $mb] $ty<$p>, $lock => $queue);
+    };
+    (@impl [$($m:ident: $mb:path)?] $ty:ident<$p:ident>, $lock:ident => $queue:expr) => {
+        impl<$($m: $mb,)? $p: rl_sync::wait::WaitPolicy> $crate::TwoPhaseRwRangeLock
+            for $ty<$($m,)? $p>
+        {
             fn enqueue_read(&self, range: $crate::Range) -> $crate::Pending {
                 $crate::Pending::try_based(range)
             }
@@ -656,7 +665,7 @@ mod tests {
     #[test]
     fn blocked_future_is_woken_by_the_release() {
         let lock = ListRangeLock::new();
-        let held = lock.acquire(Range::new(0, 100));
+        let held = lock.write(Range::new(0, 100));
         let (count, waker) = counting_waker();
         let mut fut = lock.write_async(Range::new(50, 150));
         assert!(poll_once(&mut fut, &waker).is_pending());
@@ -763,7 +772,7 @@ mod tests {
 
         // The exclusive lock, same protocol: even "read" items conflict.
         let ex = ListRangeLock::new();
-        let held = ex.acquire(Range::new(25, 75));
+        let held = ex.write(Range::new(25, 75));
         let items = [
             (Range::new(0, 30), BatchMode::Read),
             (Range::new(100, 130), BatchMode::Write),
@@ -856,13 +865,13 @@ mod tests {
         // The exclusive lock, through the trait and its inherent spelling.
         run(&ListRangeLock::new(), range, Range::new(25, 75));
         let ex = ListRangeLock::new();
-        let held = ex.acquire(Range::new(0, 50));
+        let held = ex.write(Range::new(0, 50));
         assert!(ex
-            .acquire_timeout(Range::new(25, 75), Duration::from_millis(10))
+            .write_timeout(Range::new(25, 75), Duration::from_millis(10))
             .is_none());
         drop(held);
         assert!(ex
-            .acquire_timeout(Range::new(25, 75), Duration::from_millis(100))
+            .write_timeout(Range::new(25, 75), Duration::from_millis(100))
             .is_some());
     }
 }

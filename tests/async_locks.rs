@@ -241,7 +241,7 @@ fn cancellation_storm_generic_api_counts_wakers_and_cancels() {
     // Same check for the exclusive lock.
     let ex_stats = Arc::new(WaitStats::new("async-storm-ex"));
     let ex = ListRangeLock::new().with_stats(Arc::clone(&ex_stats));
-    let held = ex.acquire(Range::new(0, 100));
+    let held = ex.write(Range::new(0, 100));
     let waker = counting_waker();
     let mut fut = ex.write_async(Range::new(50, 150));
     assert!(poll_once(&mut fut, &waker).is_pending());

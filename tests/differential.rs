@@ -2,7 +2,7 @@
 //! *writer-only-driven* reader-writer list lock must expose identical
 //! acquisition/conflict semantics.
 //!
-//! Both locks are façades over the same `ListCore` engine (one in `Exclusive`
+//! Both locks are the same generic `ListLock` (one in `Exclusive`
 //! compatibility mode, one in `ReaderWriter` mode driven exclusively through
 //! `write`/`try_write`); a writer-only workload must not be able to tell them
 //! apart. Random range programs are replayed against both locks *and* a naive
@@ -76,7 +76,7 @@ fn replay<P: WaitPolicy>(ops: &[Op]) -> Result<(), TestCaseError> {
             Op::TryAcquire { start, len } => {
                 let range = Range::new(start, start + len);
                 let expected = oracle.iter().all(|held| !held.overlaps(&range));
-                let ex_guard = ex.try_acquire(range);
+                let ex_guard = ex.try_write(range);
                 let rw_guard = rw.try_write(range);
                 // Exclusive lock, writer-only rw lock, and oracle must agree.
                 prop_assert_eq!(ex_guard.is_some(), expected);
@@ -355,7 +355,7 @@ proptest! {
                 }
                 taken.push(slot);
                 let range = Range::new(slot * 10, slot * 10 + 10);
-                ex_guards.push(ex.acquire(range));
+                ex_guards.push(ex.write(range));
                 rw_guards.push(rw.write(range));
             }
             prop_assert_eq!(ex.held_ranges(), taken.len());
@@ -393,7 +393,7 @@ proptest! {
             seen.push(s);
             // Exactly adjacent, zero-gap tiling: [10s, 10s+10).
             let range = Range::new(s * 10, s * 10 + 10);
-            ex_guards.push(ex.try_acquire(range).expect("adjacent tiles are disjoint"));
+            ex_guards.push(ex.try_write(range).expect("adjacent tiles are disjoint"));
             rw_guards.push(rw.try_write(range).expect("adjacent tiles are disjoint"));
         }
         drop(ex_guards);

@@ -204,11 +204,11 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
 
     // Granted + Release: one uncontended acquire/release pair.
     let lock = ListRangeLock::new();
-    drop(lock.acquire(Range::new(0, 100)));
+    drop(lock.write(Range::new(0, 100)));
 
     // Cancelled: enqueue behind a held conflicting range, then cancel.
     {
-        let _held = lock.acquire(Range::new(200, 300));
+        let _held = lock.write(Range::new(200, 300));
         let mut pending = lock.enqueue_write(Range::new(200, 300));
         assert!(lock.poll_write(&mut pending).is_none());
         lock.cancel(&mut pending);
@@ -217,15 +217,15 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
     // TimedOut: a timed acquisition that can never succeed (the same thread
     // holds the conflicting guard past the deadline).
     {
-        let _held = lock.acquire(Range::new(400, 500));
+        let _held = lock.write(Range::new(400, 500));
         assert!(lock
-            .acquire_timeout(Range::new(400, 500), Duration::from_millis(5))
+            .write_timeout(Range::new(400, 500), Duration::from_millis(5))
             .is_none());
     }
 
     // BatchRollback: an all-or-nothing batch whose second item conflicts.
     {
-        let _held = lock.acquire(Range::new(600, 700));
+        let _held = lock.write(Range::new(600, 700));
         assert!(lock
             .try_acquire_many(&[
                 (Range::new(500, 600), BatchMode::Write),
@@ -239,10 +239,10 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
     // recorder, so the wake is deterministic rather than a sleep-based race.
     {
         let blocking = Arc::new(ListRangeLock::<Block>::with_policy());
-        let guard = blocking.acquire(Range::new(0, 64));
+        let guard = blocking.write(Range::new(0, 64));
         let waiter = {
             let blocking = Arc::clone(&blocking);
-            std::thread::spawn(move || drop(blocking.acquire(Range::new(0, 64))))
+            std::thread::spawn(move || drop(blocking.write(Range::new(0, 64))))
         };
         wait_for_event(recorder, EventKind::Parked);
         drop(guard);

@@ -72,8 +72,8 @@ proptest! {
             // Acquire a batch of pairwise-disjoint ranges together.
             let mut held: Vec<_> = Vec::new();
             for r in chunk {
-                if held.iter().all(|g: &range_locks_repro::range_lock::ListRangeGuard<'_>| !g.range().overlaps(r)) {
-                    held.push(lock.acquire(*r));
+                if held.iter().all(|g: &range_locks_repro::range_lock::ListGuard<'_, range_locks_repro::range_lock::Exclusive>| !g.range().overlaps(r)) {
+                    held.push(lock.write(*r));
                 }
             }
             drop(held);
@@ -106,8 +106,8 @@ proptest! {
         let spin = ListRangeLock::<Spin>::with_policy();
         let block = ListRangeLock::<Block>::with_policy();
         for r in &ranges {
-            drop(spin.acquire(*r));
-            drop(block.acquire(*r));
+            drop(spin.write(*r));
+            drop(block.write(*r));
         }
         prop_assert!(spin.is_quiescent());
         prop_assert!(block.is_quiescent());

@@ -19,11 +19,11 @@ const ATTEMPTS: usize = 64;
 fn failed_try_acquire_leaves_no_node_behind() {
     let stats = Arc::new(WaitStats::new("list-ex"));
     let lock = ListRangeLock::new().with_stats(Arc::clone(&stats));
-    let held = lock.acquire(Range::new(100, 200));
+    let held = lock.write(Range::new(100, 200));
     let baseline = stats.snapshot().acquisitions;
 
     for _ in 0..ATTEMPTS {
-        assert!(lock.try_acquire(Range::new(150, 250)).is_none());
+        assert!(lock.try_write(Range::new(150, 250)).is_none());
     }
 
     // Leak check via LockStatSnapshot: failed attempts are not acquisitions.
@@ -43,7 +43,7 @@ fn failed_try_acquire_leaves_no_node_behind() {
     // The empty-list fast path must be reachable again: a leaked node would
     // leave the head non-null and the uncontended CAS path dead.
     for _ in 0..ATTEMPTS {
-        drop(lock.acquire(Range::new(0, 10)));
+        drop(lock.write(Range::new(0, 10)));
     }
     assert!(lock.is_quiescent());
 }

@@ -134,17 +134,17 @@ fn every_registry_variant_under_block_never_loses_a_wakeup() {
 #[test]
 fn block_policy_timeouts_park_expire_and_recover() {
     // The timed acquisition API over the parking policy: a blocked
-    // `acquire_timeout` must actually *park* (not spin) until its deadline,
+    // `write_timeout` must actually *park* (not spin) until its deadline,
     // expire as a counted cancel with no residue, and succeed normally once
     // the conflict is gone.
     use range_locks_repro::rl_sync::stats::WaitStats;
 
     let stats = Arc::new(WaitStats::new("timeout-block"));
     let lock = Arc::new(ListRangeLock::<Block>::with_policy().with_stats(Arc::clone(&stats)));
-    let held = lock.acquire(Range::new(0, 100));
+    let held = lock.write(Range::new(0, 100));
     let t0 = std::time::Instant::now();
     assert!(lock
-        .acquire_timeout(Range::new(50, 150), Duration::from_millis(40))
+        .write_timeout(Range::new(50, 150), Duration::from_millis(40))
         .is_none());
     assert!(t0.elapsed() >= Duration::from_millis(40));
     let snap = stats.snapshot();
@@ -152,17 +152,17 @@ fn block_policy_timeouts_park_expire_and_recover() {
     assert_eq!(snap.cancels, 1);
     drop(held);
     drop(
-        lock.acquire_timeout(Range::new(50, 150), Duration::from_secs(10))
+        lock.write_timeout(Range::new(50, 150), Duration::from_secs(10))
             .expect("conflict gone: timed acquire succeeds"),
     );
     assert!(lock.is_quiescent());
 
     // A timed waiter woken *before* the deadline completes early.
-    let held = lock.acquire(Range::new(0, 100));
+    let held = lock.write(Range::new(0, 100));
     let waiter = {
         let lock = Arc::clone(&lock);
         std::thread::spawn(move || {
-            lock.acquire_timeout(Range::new(50, 150), Duration::from_secs(60))
+            lock.write_timeout(Range::new(50, 150), Duration::from_secs(60))
                 .is_some()
         })
     };
