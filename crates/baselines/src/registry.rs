@@ -395,7 +395,7 @@ mod tests {
 
     #[test]
     fn twophase_built_variants_run_the_protocol_and_batches() {
-        use range_lock::{BatchMode, RwRangeLock, TwoPhaseRwRangeLock};
+        use range_lock::{RwRangeLock, TwoPhaseRwRangeLock};
 
         let config = RegistryConfig {
             span: 256,
@@ -422,15 +422,13 @@ mod tests {
                 assert!(lock.poll_write_dyn(&mut blocked).is_none());
                 lock.cancel_dyn(&mut blocked);
                 drop(g);
-                // The boxed lock is itself TwoPhaseRwRangeLock, so the batch
-                // surface comes along: all-or-nothing over disjoint items.
-                let guards = lock
-                    .try_acquire_many(&[
-                        (Range::new(0, 32), BatchMode::Write),
-                        (Range::new(64, 96), BatchMode::Read),
-                    ])
-                    .expect("uncontended batch succeeds");
-                assert_eq!(guards.len(), 2);
+                // The steps a batch is built from (`rl-file`'s `lock_many`):
+                // disjoint items in ascending order, each one enqueue + poll,
+                // all held at once through the boxed lock.
+                let mut first = lock.enqueue_write(Range::new(0, 32));
+                let mut second = lock.enqueue_read(Range::new(64, 96));
+                let guards = (lock.poll_write(&mut first), lock.poll_read(&mut second));
+                assert!(guards.0.is_some() && guards.1.is_some(), "{}", spec.name);
                 drop(guards);
                 assert!(
                     lock.try_write_dyn(Range::new(0, 256)).is_some(),

@@ -91,8 +91,8 @@ impl<P: WaitPolicy> SegmentRangeLock<P> {
     }
 
     /// Attaches a [`WaitStats`] sink recording contended acquisition times;
-    /// under `Block`, every segment also mirrors its park/wake counts there,
-    /// and the lock-level queue mirrors waker-registration/cancel counts.
+    /// under `Block`, every segment also records its park/wake counts there,
+    /// and the lock-level queue its waker-registration/cancel counts.
     pub fn with_stats(mut self, stats: Arc<WaitStats>) -> Self {
         for seg in self.segments.iter_mut() {
             seg.attach_park_stats(Arc::clone(&stats));

@@ -13,7 +13,8 @@
 //!   keys and wakes with [`WaitQueue::wake_key`], so a release costs O(1)
 //!   wakeups however many waiters are parked. Same table, same park loop:
 //!   the legs differ only in the keys. The spurious-wakeups-per-release
-//!   column is the paper-facing number: O(parked waiters) vs ~0.
+//!   column is the paper-facing number: O(parked waiters) vs ~0, read from
+//!   the [`WaitStats`] attached to the queue.
 //!   Wake-to-run latency (stamped by the releaser, recorded by the woken
 //!   waiter into an [`rl_obs`] histogram) gives the p50/p99 columns.
 //!
@@ -115,7 +116,10 @@ struct Mailbox {
 /// Runs one targeted-wake storm: `waiters` parked threads, `releases`
 /// rounds of wake-exactly-one.
 pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchResult {
-    let queue = Arc::new(WaitQueue::new());
+    let stats = Arc::new(WaitStats::new("parkbench-targeted"));
+    let mut queue = WaitQueue::new();
+    queue.attach_stats(Arc::clone(&stats));
+    let queue = Arc::new(queue);
     let hist = Arc::new(LatencyHistogram::new());
     let base = Instant::now();
     // Nanoseconds since `base` at which the releaser issued the current
@@ -155,7 +159,7 @@ pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchR
         .collect();
 
     // Give every waiter a chance to genuinely park before measuring.
-    while queue.parks() < waiters as u64 {
+    while stats.snapshot().parks < waiters as u64 {
         std::thread::yield_now();
     }
 
@@ -185,7 +189,7 @@ pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchR
     ParkBenchResult {
         releases,
         elapsed,
-        spurious: queue.spurious_wakeups(),
+        spurious: stats.snapshot().spurious_wakeups,
         latency: hist.snapshot(),
     }
 }

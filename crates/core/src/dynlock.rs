@@ -20,9 +20,9 @@
 //! * `Box<dyn DynRwRangeLock>` implements [`RwRangeLock`] and
 //!   [`TwoPhaseRwRangeLock`] itself, closing the loop: a boxed dynamic lock
 //!   plugs back into every generic subsystem (the file store, the lock
-//!   table, the benchmark drivers) unchanged, and inherits the timed, async
-//!   ([`crate::ReadFuture`] / [`crate::WriteFuture`] over the boxed lock) and
-//!   batched surfaces. [`RwRangeLock::downgrade`] survives the erasure too —
+//!   table, the benchmark drivers) unchanged, and inherits the timed and
+//!   async surfaces ([`crate::Acquire`] over the boxed lock).
+//!   [`RwRangeLock::downgrade`] survives the erasure too —
 //!   write guards are boxed together with their lock, so a registry-built
 //!   `list-rw` downgrades in place through the dyn layer just like its
 //!   static twin (locks without downgrade support still return `Err`).
@@ -163,9 +163,9 @@ fn erase_read<'a, G: Send + 'a>(guard: G) -> DynRangeGuard<'a> {
 /// are [`Send`] (all of them in this workspace); never implement it by hand.
 /// Closing the loop, `Box<dyn DynRwRangeLock>` implements both static traits
 /// itself, which makes the *whole* surface — timed acquisition, the
-/// acquisition futures, batched `acquire_many`, and the `rl-file` lock
-/// table's async + deadlock-checked paths — available on a variant chosen by
-/// name at runtime.
+/// acquisition futures, and the `rl-file` lock table's batched, async and
+/// deadlock-checked paths — available on a variant chosen by name at
+/// runtime.
 pub trait DynRwRangeLock: Send + Sync {
     /// Acquires `range` in shared mode, waiting for conflicting writers.
     fn read_dyn(&self, range: Range) -> DynRangeGuard<'_>;
@@ -230,14 +230,11 @@ where
     for<'a> L::WriteGuard<'a>: Send,
 {
     fn read_dyn(&self, range: Range) -> DynRangeGuard<'_> {
-        DynRangeGuard(Box::new(PlainGuard(self.read(range))))
+        erase_read(self.read(range))
     }
 
     fn write_dyn(&self, range: Range) -> DynRangeGuard<'_> {
-        DynRangeGuard(Box::new(WriteGuardErased {
-            lock: self,
-            state: WriteState::Write(self.write(range)),
-        }))
+        erase_write(self, self.write(range))
     }
 
     fn try_read_dyn(&self, range: Range) -> Option<DynRangeGuard<'_>> {
@@ -389,7 +386,6 @@ mod tests {
     use std::pin::Pin;
     use std::task::{Context, Poll};
 
-    use crate::twophase::BatchMode;
     use crate::{ListRangeLock, RwListRangeLock};
 
     #[test]
@@ -446,6 +442,12 @@ mod tests {
             }
             fn write(&self, range: Range) -> Self::WriteGuard<'_> {
                 self.0.write(range)
+            }
+            fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
+                self.0.try_read(range)
+            }
+            fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
+                self.0.try_write(range)
             }
             fn name(&self) -> &'static str {
                 "no-downgrade"
@@ -546,20 +548,13 @@ mod tests {
             drop(r);
             drop(lock.try_write(Range::FULL).expect("no residue"));
 
-            // The timed + async + batch surfaces ride on the impl for free.
+            // The timed + async surfaces ride on the impl for free.
             assert!(lock
                 .write_timeout(Range::new(0, 10), std::time::Duration::from_millis(50))
                 .is_some());
             let mut cx = Context::from_waker(std::task::Waker::noop());
             let mut fut = lock.read_async(Range::new(0, 10));
             assert!(Pin::new(&mut fut).poll(&mut cx).is_ready());
-            drop(fut);
-            let items = [
-                (Range::new(0, 10), BatchMode::Write),
-                (Range::new(20, 30), BatchMode::Read),
-            ];
-            let guards = lock.try_acquire_many(&items).expect("uncontended batch");
-            assert_eq!(guards.len(), 2);
         }
     }
 

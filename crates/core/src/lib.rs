@@ -75,9 +75,11 @@
 //!   and [`RwRangeLock::readers_share`] `false`.
 //! * [`TwoPhaseRwRangeLock`] — the cancellable enqueue / poll / cancel
 //!   protocol over one concrete [`Pending`] token. This is what a lock
-//!   *implements*; timed (`read_timeout`), async (`read_async`, resolving to
-//!   the ordinary guards) and batched (`acquire_many`) acquisition are
-//!   provided methods written once on top of it.
+//!   *implements*; timed (`read_timeout`) and async (`read_async`)
+//!   acquisition are provided methods written once on top of it, both
+//!   driving one [`Acquire`] value that resolves to the ordinary guards.
+//!   Batched all-or-nothing acquisition is the `rl-file` lock table's
+//!   `lock_many`, a consumer of the same protocol.
 //! * [`DynRwRangeLock`] — the object-safe mirror of both, blanket-implemented
 //!   for every two-phase lock, for when the lock must be chosen at
 //!   *runtime*. `Box<dyn DynRwRangeLock>` implements the two static traits
@@ -114,5 +116,5 @@ pub use list_core::{
 };
 pub use range::Range;
 pub use traits::RwRangeLock;
-pub use twophase::{BatchMode, ReadFuture, RwBatchGuard, TwoPhaseRwRangeLock, WriteFuture};
+pub use twophase::{Acquire, TwoPhaseRwRangeLock};
 pub use waits_for::{Deadlock, WaitGraph};

@@ -6,9 +6,9 @@
 //! skip list and the benchmark harness can be written once and parameterized
 //! over the lock. It is the base of the workspace's one lock-trait family:
 //! [`crate::TwoPhaseRwRangeLock`] extends it with the cancellable
-//! enqueue / poll / cancel protocol (and, for free, timed, async and batched
-//! acquisition), and [`crate::DynRwRangeLock`] is the object-safe mirror of
-//! both for callers that choose the variant at runtime.
+//! enqueue / poll / cancel protocol (and, written once on top of it, timed
+//! and async acquisition), and [`crate::DynRwRangeLock`] is the object-safe
+//! mirror of both for callers that choose the variant at runtime.
 //!
 //! There is no separate exclusive-only trait, nor an exclusive-only type: the
 //! exclusive locks ([`crate::ListRangeLock`], `rl_baselines::TreeRangeLock`)
@@ -90,24 +90,19 @@ pub trait RwRangeLock: Send + Sync {
     ///
     /// Returns `None` if a conflicting (writer) range is held; see the
     /// [module-level `try_` contract](self#try_-semantics-normative) for the
-    /// spurious-failure and no-residue guarantees. The default implementation
-    /// always fails, so implementations that cannot provide a bounded attempt
-    /// remain valid; every lock in this workspace overrides it.
-    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>> {
-        let _ = range;
-        None
-    }
+    /// spurious-failure and no-residue guarantees. Required, with no
+    /// always-`None` default: the try-based two-phase adapter polls with it,
+    /// so a lock that never succeeds here would hang every timed and async
+    /// acquisition instead of failing to compile.
+    fn try_read(&self, range: Range) -> Option<Self::ReadGuard<'_>>;
 
     /// Attempts to acquire `range` in exclusive mode without waiting.
     ///
     /// Returns `None` if any overlapping range is held; see the
     /// [module-level `try_` contract](self#try_-semantics-normative) for the
-    /// spurious-failure and no-residue guarantees. The default implementation
-    /// always fails.
-    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>> {
-        let _ = range;
-        None
-    }
+    /// spurious-failure and no-residue guarantees. Required, like
+    /// [`RwRangeLock::try_read`].
+    fn try_write(&self, range: Range) -> Option<Self::WriteGuard<'_>>;
 
     /// Atomically downgrades a held write guard to a read guard without
     /// releasing the range.
@@ -153,28 +148,6 @@ mod tests {
         let lock = ListRangeLock::new();
         assert_eq!(lock.read_full().range(), Range::FULL);
         assert_eq!(lock.write_full().range(), Range::FULL);
-    }
-
-    #[test]
-    fn default_try_methods_fail() {
-        // A minimal implementation that does not override the try methods.
-        struct AlwaysBlocks;
-        struct NoGuard;
-        impl RwRangeLock for AlwaysBlocks {
-            type ReadGuard<'a> = NoGuard;
-            type WriteGuard<'a> = NoGuard;
-            fn read(&self, _range: Range) -> NoGuard {
-                NoGuard
-            }
-            fn write(&self, _range: Range) -> NoGuard {
-                NoGuard
-            }
-            fn name(&self) -> &'static str {
-                "always-blocks"
-            }
-        }
-        assert!(AlwaysBlocks.try_read(Range::new(0, 1)).is_none());
-        assert!(AlwaysBlocks.try_write(Range::new(0, 1)).is_none());
     }
 
     #[test]

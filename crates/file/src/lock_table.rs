@@ -1116,31 +1116,26 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                 return outcome;
             }
             let deadline = Instant::now() + DEADLOCK_RECHECK;
-            self.lock_ref().wait_deadline(&mut || false, deadline);
+            self.lock_ref()
+                .wait_deadline_keyed(KEY_ANY, &mut || false, deadline);
         }
     }
 
     /// The async driver: poll, and suspend the task on the lock's queue
     /// under the wait key of the request the poll stopped at, so the
-    /// blocker's release (or any commit's broadcast) re-polls it.
+    /// blocker's release (or any commit's broadcast) re-polls it — the one
+    /// async wait step, [`WakerSlot::step`], the lock futures use too.
     ///
     /// The waker registration lives in `slot` and goes with it: when the
     /// operation resolves, or — dropping the future abandons `op` — before
     /// the operation's own `Drop` cancels whatever it had in flight.
     async fn drive_async(&self, mut op: impl Resumable) -> Result<(), SetLockError> {
-        let queue = self.lock_ref().wait_queue();
-        let mut slot = WakerSlot::new(queue);
-        std::future::poll_fn(|cx| loop {
-            // Snapshot *before* polling: see the lost-wakeup argument in
-            // `rl_sync::wait`. A refused registration means a wake slipped
-            // in since, and whatever it signalled may unblock us: re-poll.
-            let gen = queue.generation();
-            if let Poll::Ready(outcome) = op.poll() {
-                return Poll::Ready(outcome);
-            }
-            if slot.register(op.wait_key(), gen, cx.waker()) {
-                return Poll::Pending;
-            }
+        let mut slot = WakerSlot::new(self.lock_ref().wait_queue());
+        std::future::poll_fn(|cx| {
+            slot.step(cx.waker(), || match op.poll() {
+                Poll::Ready(outcome) => Ok(outcome),
+                Poll::Pending => Err(op.wait_key()),
+            })
         })
         .await
     }

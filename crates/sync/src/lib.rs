@@ -48,5 +48,5 @@ pub use parking::{ShardTable, ThreadParker, KEY_ANY};
 pub use rwsem::{RwSemReadGuard, RwSemWriteGuard, RwSemaphore};
 pub use seqcount::SeqCount;
 pub use spinlock::{SpinLock, SpinLockGuard};
-pub use stats::{LabeledStats, LockStatRegistry, LockStatSnapshot, WaitKind, WaitStats};
+pub use stats::{LabeledStats, LockStatSnapshot, WaitKind, WaitStats};
 pub use wait::{Block, Spin, SpinThenYield, WaitPolicy, WaitPolicyKind, WaitQueue, WakerSlot};

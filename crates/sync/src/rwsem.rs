@@ -459,7 +459,8 @@ mod tests {
     fn blocked_writer_parks_and_is_woken() {
         // Deterministic parking: hold a read guard until the writer has
         // demonstrably parked, then release and expect it to finish.
-        let sem = Arc::new(RwSemaphore::new());
+        let stats = Arc::new(WaitStats::new("rwsem-park"));
+        let sem = Arc::new(RwSemaphore::with_stats(Arc::clone(&stats)));
         let r = sem.read();
         let writer = {
             let sem = Arc::clone(&sem);
@@ -467,12 +468,12 @@ mod tests {
                 let _w = sem.write();
             })
         };
-        while sem.wait_queue().parks() == 0 {
+        while stats.snapshot().parks == 0 {
             std::thread::yield_now();
         }
         drop(r);
         writer.join().unwrap();
-        assert!(sem.wait_queue().parks() >= 1);
+        assert!(stats.snapshot().parks >= 1);
     }
 
     #[test]

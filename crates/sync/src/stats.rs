@@ -9,8 +9,9 @@
 //! `Arc`). Slow paths call [`WaitStats::start`] before waiting and
 //! [`WaitStats::finish`] once the lock is acquired; fast paths that never wait
 //! simply record nothing, matching `lock_stat`, which only accounts for
-//! contended acquisitions. A [`LockStatRegistry`] aggregates several
-//! [`WaitStats`] so the benchmark harness can print one table per experiment.
+//! contended acquisitions. [`LabeledStats`] keeps one [`WaitStats`] per
+//! operation label for subsystems that funnel many operations through one
+//! lock.
 //!
 //! Beyond the totals, every wait is also recorded into a pair of lock-free
 //! log-bucketed latency histograms ([`rl_obs::hist`]), one per
@@ -197,7 +198,7 @@ impl WaitStats {
 
     /// Records one batched acquisition that failed partway and rolled back
     /// every range it had already taken (the all-or-nothing guarantee of
-    /// `acquire_many`/`lock_many` firing).
+    /// `lock_many` firing).
     #[inline]
     pub fn record_batch_rollback(&self) {
         self.batch_rollbacks.fetch_add(1, Ordering::Relaxed);
@@ -286,7 +287,7 @@ pub struct LockStatSnapshot {
     /// have closed a waits-for cycle. Each one also cancelled its pending
     /// acquisition, so `cancels` counts it too.
     pub deadlocks_detected: u64,
-    /// Number of batched acquisitions (`acquire_many`/`lock_many`) that
+    /// Number of batched acquisitions (`lock_many`) that
     /// failed partway and rolled back every range already taken.
     pub batch_rollbacks: u64,
     /// Distribution of the individual *contended* read-wait times (whose
@@ -364,53 +365,10 @@ impl LockStatSnapshot {
     }
 }
 
-/// A registry of named [`WaitStats`], used by the benchmark harness to gather
-/// every instrumented lock of an experiment in one place.
-#[derive(Debug, Default)]
-pub struct LockStatRegistry {
-    stats: Mutex<Vec<Arc<WaitStats>>>,
-}
-
-impl LockStatRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates and registers a new [`WaitStats`] labelled `name`.
-    pub fn register(&self, name: impl Into<String>) -> Arc<WaitStats> {
-        let stats = Arc::new(WaitStats::new(name));
-        self.stats.lock().unwrap().push(Arc::clone(&stats));
-        stats
-    }
-
-    /// Adds an existing [`WaitStats`] to the registry.
-    pub fn adopt(&self, stats: Arc<WaitStats>) {
-        self.stats.lock().unwrap().push(stats);
-    }
-
-    /// Takes a snapshot of every registered lock.
-    pub fn snapshots(&self) -> Vec<LockStatSnapshot> {
-        self.stats
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|s| s.snapshot())
-            .collect()
-    }
-
-    /// Resets every registered lock's counters.
-    pub fn reset_all(&self) {
-        for s in self.stats.lock().unwrap().iter() {
-            s.reset();
-        }
-    }
-}
-
 /// Per-call-site wait-time accounting: a set of [`WaitStats`] keyed by a
 /// short label.
 ///
-/// [`LockStatRegistry`] names counters after the *lock* they instrument; a
+/// A [`WaitStats`] is named after the *lock* it instruments; a
 /// subsystem that funnels many different operations through one lock (the
 /// `rl-file` store routing `pread`/`pwrite`/`append` through a single range
 /// lock) instead wants one counter block per **operation**. `handle` returns
@@ -619,23 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_collects_and_resets() {
-        let reg = LockStatRegistry::new();
-        let a = reg.register("a");
-        let b = reg.register("b");
-        a.record_wait_ns(WaitKind::Read, 100);
-        b.record_wait_ns(WaitKind::Write, 200);
-        let snaps = reg.snapshots();
-        assert_eq!(snaps.len(), 2);
-        assert_eq!(snaps[0].name, "a");
-        assert_eq!(snaps[1].name, "b");
-        assert_eq!(snaps[0].read_wait_ns, 100);
-        assert_eq!(snaps[1].write_wait_ns, 200);
-        reg.reset_all();
-        assert!(reg.snapshots().iter().all(|s| s.total_wait_ns() == 0));
-    }
-
-    #[test]
     fn labeled_stats_deduplicate_and_report_in_order() {
         let ops = LabeledStats::new();
         let a = ops.handle("pwrite");
@@ -655,14 +596,5 @@ mod tests {
         assert_eq!(snaps[1].acquisitions, 1);
         ops.reset_all();
         assert!(ops.snapshots().iter().all(|s| s.acquisitions == 0));
-    }
-
-    #[test]
-    fn adopt_registers_external_stats() {
-        let reg = LockStatRegistry::new();
-        let s = Arc::new(WaitStats::new("external"));
-        reg.adopt(Arc::clone(&s));
-        s.record_wait_ns(WaitKind::Write, 42);
-        assert_eq!(reg.snapshots()[0].write_wait_ns, 42);
     }
 }

@@ -45,9 +45,9 @@
 //! `wake_key(KEY_ANY)` wakes that population alone. [`WaitQueue::wake_all`]
 //! is the one broadcast, for releases that cannot name what they resolved
 //! (guard-drop fallbacks, deadlock re-derivation). Spurious wakeups — woken,
-//! predicate still false, re-parked — are counted, so the
-//! `spurious_wakeups` column in benchmark reports measures whatever herd
-//! remains directly.
+//! predicate still false, re-parked — are counted in the owning lock's
+//! attached [`WaitStats`], so the `spurious_wakeups` column in benchmark
+//! reports measures whatever herd remains directly.
 //!
 //! # Lost wakeups
 //!
@@ -64,9 +64,9 @@
 //!
 //! In the fence order either the waker's occupancy load sees the entry and
 //! claims it, or the waiter's re-check sees the released state (the thread
-//! returns; the future's registration reports `false` and its caller
-//! re-polls the lock) — never neither. A wakeup can therefore not fall
-//! between a waiter's check and its sleep.
+//! returns; the future's registration reports `false` and
+//! [`WakerSlot::step`] re-polls the lock) — never neither. A wakeup can
+//! therefore not fall between a waiter's check and its sleep.
 //!
 //! # Examples
 //!
@@ -85,7 +85,7 @@
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::Waker;
+use std::task::{Poll, Waker};
 use std::time::Instant;
 
 use crate::backoff::Backoff;
@@ -99,38 +99,22 @@ use crate::stats::WaitStats;
 /// ([`WaitQueue::register_waker`]) — sit in the [`ShardTable`] under the
 /// address of the conflict that blocks them (or [`KEY_ANY`]) and are woken
 /// selectively by [`WaitQueue::wake_key`]; every release path of the owning
-/// lock calls it or [`WaitQueue::wake_all`]. The queue also counts parks,
-/// effective wakes, and spurious wakeups so benchmarks can attribute wait
-/// time to blocking vs spinning and measure wake herds; the counters are
-/// mirrored into an attached [`WaitStats`] when the owning lock has one.
+/// lock calls it or [`WaitQueue::wake_all`]. The queue keeps no counters of
+/// its own: each wait event (park, effective wake, spurious wakeup, waker
+/// registration, cancel, deadlock, batch rollback) is recorded once, into the
+/// [`WaitStats`] the owning lock attached, and costs nothing without one.
 ///
 /// [`KEY_ANY`]: crate::parking::KEY_ANY
 pub struct WaitQueue {
     /// Bumped by every wake; futures register against a snapshot of it.
     generation: AtomicU64,
-    /// Total individual thread parks since construction.
-    parks: AtomicU64,
-    /// Total wake operations that found at least one waiter to wake.
-    wakes: AtomicU64,
-    /// Total spurious wakeups: a parked waiter woke, found its predicate
-    /// still false, and re-parked. The herd metric.
-    spurious: AtomicU64,
     /// The parking table: every waiter of this queue, filed under the
     /// conflicting node/range address.
     table: ShardTable,
     /// Allocator for waiter ids (waker slots and parked threads).
     next_slot: AtomicU64,
-    /// Total successful waker registrations (the async analogue of `parks`).
-    waker_regs: AtomicU64,
-    /// Total abandoned two-phase acquisitions (futures dropped mid-wait and
-    /// expired timeouts).
-    cancels: AtomicU64,
-    /// Total acquisitions refused with `EDEADLK` by a waits-for cycle check.
-    deadlocks: AtomicU64,
-    /// Total batched acquisitions that failed partway and rolled back.
-    batch_rollbacks: AtomicU64,
-    /// Optional mirror for the park/wake counters, attached by the owning
-    /// lock's `with_stats` builder before the lock is shared.
+    /// Where the wait events go, attached by the owning lock's `with_stats`
+    /// builder before the lock is shared.
     stats: Option<Arc<WaitStats>>,
     /// Lazily-allocated `rl-obs` lock id stamped on every event the owning
     /// lock (and this queue) emits; 0 until first use. Lazy because
@@ -143,15 +127,8 @@ impl WaitQueue {
     pub const fn new() -> Self {
         WaitQueue {
             generation: AtomicU64::new(0),
-            parks: AtomicU64::new(0),
-            wakes: AtomicU64::new(0),
-            spurious: AtomicU64::new(0),
             table: ShardTable::new(),
             next_slot: AtomicU64::new(1),
-            waker_regs: AtomicU64::new(0),
-            cancels: AtomicU64::new(0),
-            deadlocks: AtomicU64::new(0),
-            batch_rollbacks: AtomicU64::new(0),
             stats: None,
             trace_id: AtomicU64::new(0),
         }
@@ -176,7 +153,9 @@ impl WaitQueue {
         }
     }
 
-    /// Mirrors this queue's park/wake counters into `stats`.
+    /// Records this queue's wait events (parks, wakes, spurious wakeups,
+    /// waker registrations, cancels, deadlocks, batch rollbacks) into
+    /// `stats`.
     ///
     /// Must be called before the queue is shared (it takes `&mut self`),
     /// which is why every lock exposes it through its `with_stats` builder.
@@ -184,51 +163,9 @@ impl WaitQueue {
         self.stats = Some(stats);
     }
 
-    /// Number of individual thread parks so far.
-    pub fn parks(&self) -> u64 {
-        self.parks.load(Ordering::Relaxed)
-    }
-
-    /// Number of wake operations that found at least one waiter to wake.
-    pub fn wakes(&self) -> u64 {
-        self.wakes.load(Ordering::Relaxed)
-    }
-
-    /// Number of spurious wakeups so far: parked waiters that woke, found
-    /// their predicate still false, and re-parked. Broadcast wakes herd
-    /// O(parked waiters) of these; keyed wakes are built to keep this ~0 on
-    /// disjoint-range workloads.
-    pub fn spurious_wakeups(&self) -> u64 {
-        self.spurious.load(Ordering::Relaxed)
-    }
-
     /// Number of waiters (threads + wakers) currently registered.
     pub fn waiters(&self) -> u64 {
         self.table.occupancy()
-    }
-
-    /// Number of successful [`WaitQueue::register_waker`] calls so far (the
-    /// async analogue of [`WaitQueue::parks`]).
-    pub fn waker_registrations(&self) -> u64 {
-        self.waker_regs.load(Ordering::Relaxed)
-    }
-
-    /// Number of abandoned two-phase acquisitions recorded through
-    /// [`WaitQueue::record_cancel`].
-    pub fn cancels(&self) -> u64 {
-        self.cancels.load(Ordering::Relaxed)
-    }
-
-    /// Number of acquisitions refused with `EDEADLK`, recorded through
-    /// [`WaitQueue::record_deadlock`].
-    pub fn deadlocks(&self) -> u64 {
-        self.deadlocks.load(Ordering::Relaxed)
-    }
-
-    /// Number of rolled-back batched acquisitions, recorded through
-    /// [`WaitQueue::record_batch_rollback`].
-    pub fn batch_rollbacks(&self) -> u64 {
-        self.batch_rollbacks.load(Ordering::Relaxed)
     }
 
     /// Current generation. Snapshot this **before** polling the condition a
@@ -268,7 +205,6 @@ impl WaitQueue {
             self.table.deregister(key, slot);
             return false;
         }
-        self.waker_regs.fetch_add(1, Ordering::Relaxed);
         if let Some(stats) = &self.stats {
             stats.record_waker_registration();
         }
@@ -285,7 +221,6 @@ impl WaitQueue {
     /// Records one abandoned two-phase acquisition (a dropped
     /// acquisition future or an expired timeout).
     pub fn record_cancel(&self) {
-        self.cancels.fetch_add(1, Ordering::Relaxed);
         if let Some(stats) = &self.stats {
             stats.record_cancel();
         }
@@ -296,16 +231,14 @@ impl WaitQueue {
     /// acquisition also cancels its pending node, so callers record a
     /// [`WaitQueue::record_cancel`] alongside.
     pub fn record_deadlock(&self) {
-        self.deadlocks.fetch_add(1, Ordering::Relaxed);
         if let Some(stats) = &self.stats {
             stats.record_deadlock();
         }
     }
 
-    /// Records one batched acquisition (`acquire_many`/`lock_many`) that
-    /// failed partway and rolled back every range it had already taken.
+    /// Records one batched acquisition (`lock_many`) that failed partway
+    /// and rolled back every range it had already taken.
     pub fn record_batch_rollback(&self) {
-        self.batch_rollbacks.fetch_add(1, Ordering::Relaxed);
         if let Some(stats) = &self.stats {
             stats.record_batch_rollback();
         }
@@ -314,7 +247,6 @@ impl WaitQueue {
     /// Records one spurious wakeup: a waiter woke and found its predicate
     /// still false.
     fn record_spurious(&self) {
-        self.spurious.fetch_add(1, Ordering::Relaxed);
         if let Some(stats) = &self.stats {
             stats.record_spurious_wakeup();
         }
@@ -324,7 +256,6 @@ impl WaitQueue {
     }
 
     fn record_park(&self) {
-        self.parks.fetch_add(1, Ordering::Relaxed);
         if let Some(stats) = &self.stats {
             stats.record_park();
         }
@@ -403,7 +334,6 @@ impl WaitQueue {
         self.generation.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
         if claim(&self.table) > 0 {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
             if let Some(stats) = &self.stats {
                 stats.record_wake();
             }
@@ -440,7 +370,8 @@ impl Default for WaitQueue {
 }
 
 /// One pending acquisition's waker registration on a [`WaitQueue`] — the
-/// bookkeeping every future that suspends on a queue needs, written once:
+/// bookkeeping every future that suspends on a queue needs, and the async
+/// wait step itself, written once ([`WakerSlot::step`]):
 ///
 /// * the slot id is allocated by the **first registration attempt**, so an
 ///   acquisition granted on its first poll touches no shared word of the
@@ -448,12 +379,15 @@ impl Default for WaitQueue {
 /// * the waker is filed under the key of the conflict the latest poll named,
 ///   and **migrates** when a re-poll names a different one (the old key is
 ///   deregistered before the new one is registered);
-/// * [`WakerSlot::clear`] removes it when the acquisition resolves, and
+/// * the registration is removed when the acquisition resolves, and by
 ///   `Drop` when the owning future is abandoned, so no waker outlives the
 ///   acquisition that filed it.
 ///
 /// The lost-wakeup contract is [`WaitQueue::register_waker`]'s: snapshot the
 /// generation *before* polling, and treat `false` as "re-poll".
+/// [`WakerSlot::step`] is that contract as code, and the only way to file a
+/// waker through a slot; the acquisition futures of the lock traits and the
+/// `rl-file` lock table's async driver all suspend through it.
 #[derive(Debug)]
 pub struct WakerSlot<'q> {
     queue: &'q WaitQueue,
@@ -475,9 +409,9 @@ impl<'q> WakerSlot<'q> {
 
     /// Files (or re-arms) `waker` under `key` against the `gen` snapshot,
     /// re-homing it first if it is filed under another key. `false` means a
-    /// wake slipped in after the snapshot: nothing stays registered and the
-    /// caller must re-poll with a fresh snapshot.
-    pub fn register(&mut self, key: u64, gen: u64, waker: &Waker) -> bool {
+    /// wake slipped in after the snapshot: nothing stays registered and
+    /// [`WakerSlot::step`] re-polls with a fresh snapshot.
+    fn register(&mut self, key: u64, gen: u64, waker: &Waker) -> bool {
         if self.filed != Some(key) {
             self.clear();
         }
@@ -488,9 +422,41 @@ impl<'q> WakerSlot<'q> {
     }
 
     /// Removes the registration, if a wake has not already claimed it.
+    #[inline]
     pub fn clear(&mut self) {
         if let (Some(id), Some(key)) = (self.id, self.filed.take()) {
             self.queue.deregister_waker(key, id);
+        }
+    }
+
+    /// One async wait step: drives `poll` — which must never wait, and
+    /// returns either its value or the wait key of the conflict it stopped
+    /// at — until it is ready or `waker` is filed under that key.
+    ///
+    /// Each round snapshots the generation *before* polling; a registration
+    /// the snapshot makes stale means a wake slipped in after the poll, and
+    /// whatever it signalled may unblock us, so the step re-polls instead of
+    /// suspending. On ready the registration is withdrawn, so a step that is
+    /// ready on its first poll allocates no slot id at all.
+    ///
+    /// Inlined, with [`WakerSlot::clear`], into the futures that call it
+    /// across the crate boundary: out of line, the pair cost an `rl-server`
+    /// lock hand-off ≈ 3 % (one pinned x86-64 vCPU).
+    #[inline]
+    pub fn step<T>(&mut self, waker: &Waker, mut poll: impl FnMut() -> Result<T, u64>) -> Poll<T> {
+        loop {
+            let gen = self.queue.generation();
+            match poll() {
+                Ok(value) => {
+                    self.clear();
+                    return Poll::Ready(value);
+                }
+                Err(key) => {
+                    if self.register(key, gen, waker) {
+                        return Poll::Pending;
+                    }
+                }
+            }
         }
     }
 }
@@ -505,9 +471,7 @@ impl std::fmt::Debug for WaitQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WaitQueue")
             .field("waiters", &self.waiters())
-            .field("parks", &self.parks())
-            .field("wakes", &self.wakes())
-            .field("spurious", &self.spurious_wakeups())
+            .field("generation", &self.generation())
             .finish()
     }
 }
@@ -658,28 +622,40 @@ mod tests {
         std::thread::spawn(move || queue.park(key, || flag.load(Ordering::Acquire), deadline))
     }
 
+    /// Polls `cond` every millisecond; panics after 30 s instead of hanging.
     fn sleep_until(mut cond: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
         while !cond() {
+            assert!(Instant::now() < deadline, "condition never held");
             std::thread::sleep(Duration::from_millis(1));
         }
     }
 
+    /// A queue whose wait events are recorded into the returned stats (the
+    /// queue itself counts nothing).
+    fn counted_queue() -> (Arc<WaitQueue>, Arc<WaitStats>) {
+        let stats = Arc::new(WaitStats::new("queue"));
+        let mut queue = WaitQueue::new();
+        queue.attach_stats(Arc::clone(&stats));
+        (Arc::new(queue), stats)
+    }
+
     #[test]
     fn satisfied_condition_returns_immediately() {
-        let queue = WaitQueue::new();
+        let (queue, stats) = counted_queue();
         for key in [KEY_ANY, 0x40] {
             assert!(Spin::wait(&queue, key, || true, None));
             assert!(SpinThenYield::wait(&queue, key, || true, None));
             assert!(Block::wait(&queue, key, || true, None));
             assert!(queue.park(key, || true, None));
         }
-        assert_eq!(queue.parks(), 0);
+        assert_eq!(stats.snapshot().parks, 0);
         assert_eq!(queue.waiters(), 0);
     }
 
     #[test]
     fn block_parks_and_release_wakes() {
-        let queue = Arc::new(WaitQueue::new());
+        let (queue, stats) = counted_queue();
         let flag = Arc::new(AtomicBool::new(false));
         let waiter = {
             let queue = Arc::clone(&queue);
@@ -690,23 +666,23 @@ mod tests {
         };
         // Give the waiter long enough to exhaust the backoff ramp and park
         // (the ramp is a few microseconds of spinning).
-        sleep_until(|| queue.parks() != 0);
+        sleep_until(|| stats.snapshot().parks != 0);
         flag.store(true, Ordering::Release);
         queue.wake_all();
         waiter.join().unwrap();
-        assert!(queue.parks() >= 1);
-        assert_eq!(queue.wakes(), 1);
+        assert!(stats.snapshot().parks >= 1);
+        assert_eq!(stats.snapshot().wakes, 1);
     }
 
     #[test]
     fn wake_with_no_waiters_is_quiet() {
-        let queue = WaitQueue::new();
+        let (queue, stats) = counted_queue();
         for _ in 0..100 {
             queue.wake_all();
             queue.wake_key(0x40);
             queue.wake_key(KEY_ANY);
         }
-        assert_eq!(queue.wakes(), 0);
+        assert_eq!(stats.snapshot().wakes, 0);
     }
 
     /// A writer bumps a turn counter and wakes; the waiter — through the one
@@ -770,22 +746,22 @@ mod tests {
 
     #[test]
     fn keyed_park_ignores_other_keys_and_wakes_on_its_own() {
-        let queue = Arc::new(WaitQueue::new());
+        let (queue, stats) = counted_queue();
         let flag = Arc::new(AtomicBool::new(false));
         let waiter = spawn_parker(&queue, 0x40, &flag, None);
-        sleep_until(|| queue.parks() == 1);
+        sleep_until(|| stats.snapshot().parks == 1);
         // A wake for an unrelated key must leave the waiter parked (its
         // entry stays in the table) and cost no spurious wakeup.
         queue.wake_key(0x80);
         std::thread::sleep(Duration::from_millis(5));
         assert!(!waiter.is_finished());
         assert_eq!(queue.waiters(), 1);
-        assert_eq!(queue.spurious_wakeups(), 0);
+        assert_eq!(stats.snapshot().spurious_wakeups, 0);
         flag.store(true, Ordering::Release);
         queue.wake_key(0x40);
         assert!(waiter.join().unwrap());
         assert_eq!(queue.waiters(), 0);
-        assert_eq!(queue.spurious_wakeups(), 0);
+        assert_eq!(stats.snapshot().spurious_wakeups, 0);
     }
 
     #[test]
@@ -798,7 +774,7 @@ mod tests {
         };
         let k = 64u64;
         assert_ne!(shard_index(k), shard_index(KEY_ANY));
-        let queue = Arc::new(WaitQueue::new());
+        let (queue, stats) = counted_queue();
         let flag = Arc::new(AtomicBool::new(false));
         let any = spawn_parker(&queue, KEY_ANY, &flag, None);
         let own = spawn_parker(&queue, k, &flag, None);
@@ -807,7 +783,7 @@ mod tests {
         let (count, waker) = counting_waker();
         let slot = queue.alloc_waker_slot();
         assert!(queue.register_waker(KEY_ANY, slot, queue.generation(), &waker));
-        sleep_until(|| queue.parks() == 4);
+        sleep_until(|| stats.snapshot().parks == 4);
         // Everyone's predicate holds from here on, so whoever is woken
         // leaves and whoever stays parked was provably not woken.
         flag.store(true, Ordering::Release);
@@ -818,7 +794,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         assert!(!in_home_shard.is_finished() && !in_any_shard.is_finished());
         assert_eq!(queue.waiters(), 2);
-        assert_eq!(queue.wakes(), 1, "one wake operation counts once");
+        assert_eq!(stats.snapshot().wakes, 1, "one wake operation counts once");
         // Naming `KEY_ANY` wakes the any-key population alone.
         assert!(queue.register_waker(KEY_ANY, slot, queue.generation(), &waker));
         queue.wake_key(KEY_ANY);
@@ -827,39 +803,39 @@ mod tests {
         queue.wake_all();
         assert!(in_home_shard.join().unwrap());
         assert!(in_any_shard.join().unwrap());
-        assert_eq!(queue.spurious_wakeups(), 0);
+        assert_eq!(stats.snapshot().spurious_wakeups, 0);
     }
 
     #[test]
     fn broadcast_wakes_keyed_parker_and_counts_spurious() {
-        let queue = Arc::new(WaitQueue::new());
+        let (queue, stats) = counted_queue();
         let flag = Arc::new(AtomicBool::new(false));
         let waiter = spawn_parker(&queue, 0x40, &flag, None);
-        sleep_until(|| queue.parks() == 1);
+        sleep_until(|| stats.snapshot().parks == 1);
         // A broadcast herds the keyed parker awake with its predicate still
         // false — one spurious wakeup, then it re-parks.
         queue.wake_all();
-        sleep_until(|| queue.spurious_wakeups() == 1 && queue.parks() == 2);
+        sleep_until(|| stats.snapshot().spurious_wakeups == 1 && stats.snapshot().parks == 2);
         flag.store(true, Ordering::Release);
         queue.wake_all();
         assert!(waiter.join().unwrap());
-        assert_eq!(queue.spurious_wakeups(), 1);
+        assert_eq!(stats.snapshot().spurious_wakeups, 1);
     }
 
     #[test]
     fn unkeyed_herd_wakeups_are_counted_spurious() {
-        let queue = Arc::new(WaitQueue::new());
+        let (queue, stats) = counted_queue();
         let flag = Arc::new(AtomicBool::new(false));
         let waiter = spawn_parker(&queue, KEY_ANY, &flag, None);
-        sleep_until(|| queue.parks() == 1);
+        sleep_until(|| stats.snapshot().parks == 1);
         // A wake for some conflict claims the any-key waiter without
         // satisfying its predicate: it re-parks and the herd counter ticks.
         queue.wake_key(0x80);
-        sleep_until(|| queue.spurious_wakeups() == 1 && queue.parks() == 2);
+        sleep_until(|| stats.snapshot().spurious_wakeups == 1 && stats.snapshot().parks == 2);
         flag.store(true, Ordering::Release);
         queue.wake_key(0xC0);
         assert!(waiter.join().unwrap());
-        assert_eq!(queue.spurious_wakeups(), 1);
+        assert_eq!(stats.snapshot().spurious_wakeups, 1);
     }
 
     #[test]
@@ -868,7 +844,7 @@ mod tests {
         // was parked on — so a waiter resident in a deadline wait must not
         // turn every wake of the queue into an effective one (a mutex and a
         // syscall per release, for as long as it sits there).
-        let queue = Arc::new(WaitQueue::new());
+        let (queue, stats) = counted_queue();
         let waiter = {
             let queue = Arc::clone(&queue);
             std::thread::spawn(move || {
@@ -876,40 +852,37 @@ mod tests {
                 Block::wait(&queue, KEY_ANY, || false, Some(deadline))
             })
         };
-        sleep_until(|| queue.parks() != 0);
+        sleep_until(|| stats.snapshot().parks != 0);
         for _ in 0..100_000 {
             queue.wake_all();
         }
         assert!(!waiter.join().unwrap(), "the predicate never held");
+        let snap = stats.snapshot();
         assert!(
-            queue.wakes() <= queue.parks() + 1,
+            snap.wakes <= snap.parks + 1,
             "{} effective wakes for {} parks",
-            queue.wakes(),
-            queue.parks()
+            snap.wakes,
+            snap.parks
         );
         assert_eq!(queue.waiters(), 0);
     }
 
     #[test]
     fn park_counters_mirror_into_stats() {
-        let stats = Arc::new(WaitStats::new("queue"));
-        let mut queue = WaitQueue::new();
-        queue.attach_stats(Arc::clone(&stats));
-        let queue = Arc::new(queue);
+        // Every park, effective wake and spurious wakeup lands in the
+        // attached stats exactly once: park, a herding wake (one spurious
+        // wakeup), re-park, then the wake that satisfies the predicate.
+        let (queue, stats) = counted_queue();
         let flag = Arc::new(AtomicBool::new(false));
         let waiter = spawn_parker(&queue, KEY_ANY, &flag, None);
-        sleep_until(|| queue.parks() != 0);
-        // Herd it once so the spurious counter mirrors too.
+        sleep_until(|| stats.snapshot().parks == 1);
         queue.wake_all();
-        sleep_until(|| queue.spurious_wakeups() != 0);
+        sleep_until(|| stats.snapshot().parks == 2);
         flag.store(true, Ordering::Release);
         queue.wake_all();
-        waiter.join().unwrap();
+        assert!(waiter.join().unwrap());
         let snap = stats.snapshot();
-        assert_eq!(snap.parks, queue.parks());
-        assert_eq!(snap.wakes, queue.wakes());
-        assert!(snap.spurious_wakeups >= 1);
-        assert_eq!(snap.spurious_wakeups, queue.spurious_wakeups());
+        assert_eq!((snap.parks, snap.wakes, snap.spurious_wakeups), (2, 2, 1));
     }
 
     #[test]
@@ -933,8 +906,8 @@ mod tests {
     fn queue_debug_lists_counters() {
         let queue = WaitQueue::default();
         let s = format!("{queue:?}");
-        assert!(s.contains("parks"));
-        assert!(s.contains("spurious"));
+        assert!(s.contains("waiters"));
+        assert!(s.contains("generation"));
     }
 
     /// Waker that counts deliveries, for driving the registration protocol
@@ -956,12 +929,12 @@ mod tests {
     #[test]
     fn registered_waker_is_woken_by_repeated_wakes() {
         for _ in 0..2 {
-            let queue = WaitQueue::new();
+            let (queue, stats) = counted_queue();
             let (count, waker) = counting_waker();
             let slot = queue.alloc_waker_slot();
             let gen = queue.generation();
             assert!(queue.register_waker(KEY_ANY, slot, gen, &waker));
-            assert_eq!(queue.waker_registrations(), 1);
+            assert_eq!(stats.snapshot().waker_registrations, 1);
             queue.wake_all();
             assert_eq!(count.0.load(Ordering::SeqCst), 1);
             // The wake claimed the registration: waking again is a no-op.
@@ -972,7 +945,7 @@ mod tests {
 
     #[test]
     fn stale_generation_registration_is_refused() {
-        let queue = WaitQueue::new();
+        let (queue, stats) = counted_queue();
         let (count, waker) = counting_waker();
         let slot = queue.alloc_waker_slot();
         let gen = queue.generation();
@@ -982,16 +955,16 @@ mod tests {
         assert_eq!(queue.waiters(), 0);
         queue.wake_all();
         assert_eq!(count.0.load(Ordering::SeqCst), 0);
-        assert_eq!(queue.waker_registrations(), 0);
+        assert_eq!(stats.snapshot().waker_registrations, 0);
     }
 
     #[test]
     fn keyed_waker_is_woken_only_by_its_key_or_broadcast() {
-        let queue = WaitQueue::new();
+        let (queue, stats) = counted_queue();
         let (count, waker) = counting_waker();
         let slot = queue.alloc_waker_slot();
         assert!(queue.register_waker(0x40, slot, queue.generation(), &waker));
-        assert_eq!(queue.waker_registrations(), 1);
+        assert_eq!(stats.snapshot().waker_registrations, 1);
         // Wakes for a different key, or for the any-key population alone,
         // leave the keyed waker registered.
         queue.wake_key(0x80);
@@ -1064,8 +1037,90 @@ mod tests {
     }
 
     #[test]
-    fn reregistration_replaces_and_deregistration_removes() {
+    fn step_ready_on_its_first_poll_allocates_no_slot() {
         let queue = WaitQueue::new();
+        let first_id = WaitQueue::new().alloc_waker_slot();
+        let (_, waker) = counting_waker();
+        let mut slot = WakerSlot::new(&queue);
+        let mut polls = 0;
+        let step = slot.step(&waker, || {
+            polls += 1;
+            Ok::<_, u64>(7)
+        });
+        assert_eq!((step, polls), (Poll::Ready(7), 1));
+        assert_eq!(queue.alloc_waker_slot(), first_id);
+        assert_eq!(queue.waiters(), 0);
+    }
+
+    #[test]
+    fn step_repolls_when_a_wake_lands_between_snapshot_and_registration() {
+        let queue = WaitQueue::new();
+        let (count, waker) = counting_waker();
+        let mut slot = WakerSlot::new(&queue);
+        let mut polls = 0;
+        // The first poll names its conflict, and that conflict's release
+        // lands before the step registers: the registration is refused and
+        // the step must poll again rather than suspend on a spent wake.
+        let step = slot.step(&waker, || {
+            polls += 1;
+            if polls == 1 {
+                queue.wake_key(0x40);
+            }
+            Err::<(), _>(0x40)
+        });
+        assert!(step.is_pending());
+        assert_eq!(polls, 2, "a refused registration re-polls");
+        assert_eq!(queue.waiters(), 1, "the second round's registration");
+        assert_eq!(count.0.load(Ordering::SeqCst), 0);
+        // Ready on the next step: the registration goes with the wait.
+        assert_eq!(slot.step(&waker, || Ok::<_, u64>(())), Poll::Ready(()));
+        assert_eq!(queue.waiters(), 0);
+    }
+
+    #[test]
+    fn dropping_a_suspended_step_deregisters_before_the_operation_cancels() {
+        use std::future::Future;
+        use std::task::Context;
+
+        /// A never-ready operation whose `Drop` is its cancel: by then the
+        /// waker it was suspended under must already be gone.
+        struct Op<'q> {
+            queue: &'q WaitQueue,
+            cancelled: &'q AtomicBool,
+        }
+        impl Drop for Op<'_> {
+            fn drop(&mut self) {
+                assert_eq!(self.queue.waiters(), 0, "waker outlived the step");
+                self.cancelled.store(true, Ordering::SeqCst);
+            }
+        }
+        /// The shape of a suspending driver: the operation comes in by
+        /// value, the slot is a local of the future.
+        async fn drive(queue: &WaitQueue, _op: Op<'_>) {
+            let mut slot = WakerSlot::new(queue);
+            std::future::poll_fn(|cx| slot.step(cx.waker(), || Err::<(), _>(0x40))).await
+        }
+
+        let queue = WaitQueue::new();
+        let cancelled = AtomicBool::new(false);
+        let (_, waker) = counting_waker();
+        let op = Op {
+            queue: &queue,
+            cancelled: &cancelled,
+        };
+        let mut fut = Box::pin(drive(&queue, op));
+        assert!(fut
+            .as_mut()
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending());
+        assert_eq!(queue.waiters(), 1);
+        drop(fut);
+        assert!(cancelled.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn reregistration_replaces_and_deregistration_removes() {
+        let (queue, stats) = counted_queue();
         let (count_a, waker_a) = counting_waker();
         let (count_b, waker_b) = counting_waker();
         let slot = queue.alloc_waker_slot();
@@ -1080,19 +1135,15 @@ mod tests {
         assert_eq!(count_b.0.load(Ordering::SeqCst), 0);
 
         queue.record_cancel();
-        assert_eq!(queue.cancels(), 1);
+        assert_eq!(stats.snapshot().cancels, 1);
     }
 
     #[test]
     fn deadlock_and_rollback_counters_mirror_into_stats() {
-        let stats = Arc::new(WaitStats::new("queue"));
-        let mut queue = WaitQueue::new();
-        queue.attach_stats(Arc::clone(&stats));
+        let (queue, stats) = counted_queue();
         queue.record_deadlock();
         queue.record_batch_rollback();
         queue.record_batch_rollback();
-        assert_eq!(queue.deadlocks(), 1);
-        assert_eq!(queue.batch_rollbacks(), 2);
         let snap = stats.snapshot();
         assert_eq!(snap.deadlocks_detected, 1);
         assert_eq!(snap.batch_rollbacks, 2);
@@ -1100,7 +1151,7 @@ mod tests {
 
     #[test]
     fn deadline_park_times_out_and_reports_late_success() {
-        let queue = WaitQueue::new();
+        let (queue, stats) = counted_queue();
         let soon = || Some(Instant::now() + Duration::from_millis(10));
         for key in [KEY_ANY, 0x40] {
             // Condition never satisfied: the deadline must fire, leaving no
@@ -1108,20 +1159,20 @@ mod tests {
             assert!(!queue.park(key, || false, soon()));
             assert_eq!(queue.waiters(), 0);
             // Condition already satisfied: immediate success, no park.
-            let parks = queue.parks();
+            let parks = stats.snapshot().parks;
             assert!(queue.park(key, || true, soon()));
-            assert_eq!(queue.parks(), parks);
+            assert_eq!(stats.snapshot().parks, parks);
             assert_eq!(queue.waiters(), 0);
         }
     }
 
     #[test]
     fn deadline_park_is_woken_before_the_deadline() {
-        let queue = Arc::new(WaitQueue::new());
+        let (queue, stats) = counted_queue();
         let flag = Arc::new(AtomicBool::new(false));
         let deadline = Instant::now() + Duration::from_secs(60);
         let waiter = spawn_parker(&queue, KEY_ANY, &flag, Some(deadline));
-        sleep_until(|| queue.parks() != 0);
+        sleep_until(|| stats.snapshot().parks != 0);
         flag.store(true, Ordering::Release);
         queue.wake_all();
         // Must return well before the 60s deadline, reporting success.
@@ -1130,11 +1181,11 @@ mod tests {
 
     #[test]
     fn keyed_deadline_park_is_woken_by_its_key() {
-        let queue = Arc::new(WaitQueue::new());
+        let (queue, stats) = counted_queue();
         let flag = Arc::new(AtomicBool::new(false));
         let deadline = Instant::now() + Duration::from_secs(60);
         let waiter = spawn_parker(&queue, 0x40, &flag, Some(deadline));
-        sleep_until(|| queue.parks() != 0);
+        sleep_until(|| stats.snapshot().parks != 0);
         flag.store(true, Ordering::Release);
         queue.wake_key(0x40);
         assert!(waiter.join().unwrap());

@@ -122,6 +122,14 @@ impl RwRangeLock for GrantAll {
 
     fn write(&self, _range: Range) {}
 
+    fn try_read(&self, _range: Range) -> Option<()> {
+        Some(())
+    }
+
+    fn try_write(&self, _range: Range) -> Option<()> {
+        Some(())
+    }
+
     fn name(&self) -> &'static str {
         "grant-all"
     }

@@ -11,9 +11,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use range_locks_repro::range_lock::{
-    BatchMode, ListRangeLock, Range, RwListRangeLock, TwoPhaseRwRangeLock,
-};
+use range_locks_repro::range_lock::{ListRangeLock, Range, RwListRangeLock, TwoPhaseRwRangeLock};
 use range_locks_repro::rl_file::{LockMode, LockTable};
 use range_locks_repro::rl_obs::{trace, EventKind, Recorder, RecorderConfig};
 use range_locks_repro::rl_sync::wait::Block;
@@ -223,15 +221,39 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
             .is_none());
     }
 
-    // BatchRollback: an all-or-nothing batch whose second item conflicts.
+    // BatchRollback: a lock-table batch rolled back mid-batch. Bob holds
+    // [200,300) and is suspended waiting for [0,100); alice's batch commits
+    // [120,130), then closes the cycle on [200,300) and rolls back.
     {
-        let _held = lock.write(Range::new(600, 700));
-        assert!(lock
-            .try_acquire_many(&[
-                (Range::new(500, 600), BatchMode::Write),
-                (Range::new(600, 700), BatchMode::Write),
-            ])
-            .is_none());
+        use std::future::Future;
+        use std::task::{Context, Poll, Waker};
+
+        let table = Arc::new(LockTable::new(RwListRangeLock::new()));
+        let mut alice = table.owner("obs-alice");
+        let mut bob = table.owner("obs-bob");
+        alice.lock(Range::new(0, 10), LockMode::Shared).unwrap();
+        bob.lock(Range::new(200, 300), LockMode::Exclusive).unwrap();
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut bob_fut = Box::pin(bob.lock_async(Range::new(0, 100), LockMode::Exclusive));
+        assert!(bob_fut.as_mut().poll(&mut cx).is_pending());
+        let items = [
+            (Range::new(120, 130), LockMode::Exclusive),
+            (Range::new(200, 300), LockMode::Shared),
+        ];
+        let mut batch = Box::pin(alice.lock_many_async(&items));
+        let mut outcome = None;
+        for _ in 0..64 {
+            match batch.as_mut().poll(&mut cx) {
+                Poll::Ready(result) => {
+                    outcome = Some(result);
+                    break;
+                }
+                // Let bob re-derive his edge (bob -> alice) after the commit.
+                Poll::Pending => assert!(bob_fut.as_mut().poll(&mut cx).is_pending()),
+            }
+        }
+        let outcome = outcome.expect("the batch did not resolve");
+        assert!(outcome.is_err(), "the batch must roll back on EDEADLK");
     }
 
     // AcquireStart + Parked + Woken: a Block-policy waiter that genuinely
@@ -254,17 +276,20 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
     // provoked here directly on a [`WaitQueue`]. The wake_all
     // loop retries until the parker has genuinely parked and re-checked.
     {
-        use range_locks_repro::rl_sync::WaitQueue;
+        use range_locks_repro::rl_sync::{WaitQueue, WaitStats};
         use std::sync::atomic::{AtomicBool, Ordering};
 
-        let queue = Arc::new(WaitQueue::new());
+        let stats = Arc::new(WaitStats::new("obs-herd"));
+        let mut queue = WaitQueue::new();
+        queue.attach_stats(Arc::clone(&stats));
+        let queue = Arc::new(queue);
         let flag = Arc::new(AtomicBool::new(false));
         let parker = {
             let queue = Arc::clone(&queue);
             let flag = Arc::clone(&flag);
             std::thread::spawn(move || queue.park(0x5157, || flag.load(Ordering::Acquire), None))
         };
-        while queue.spurious_wakeups() == 0 {
+        while stats.snapshot().spurious_wakeups == 0 {
             queue.wake_all();
             std::thread::sleep(Duration::from_millis(1));
         }

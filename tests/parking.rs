@@ -192,7 +192,10 @@ fn keyed_wakes_stay_exact_across_shard_collisions() {
     // is its own flag, set before its wake — any bleed-through wakes a
     // parker whose flag is still false and shows up as a spurious wakeup.
     const KEYS: u64 = 16;
-    let queue = Arc::new(WaitQueue::new());
+    let stats = Arc::new(WaitStats::new("shard-collision"));
+    let mut queue = WaitQueue::new();
+    queue.attach_stats(Arc::clone(&stats));
+    let queue = Arc::new(queue);
     let flags: Arc<Vec<AtomicBool>> = Arc::new((0..KEYS).map(|_| AtomicBool::new(false)).collect());
 
     run_bounded("shard-collision".to_string(), move || {
@@ -217,7 +220,7 @@ fn keyed_wakes_stay_exact_across_shard_collisions() {
             p.join().unwrap();
         }
         assert_eq!(
-            queue.spurious_wakeups(),
+            stats.snapshot().spurious_wakeups,
             0,
             "a keyed wake bled into a colliding key's parker"
         );
