@@ -191,64 +191,6 @@ pub fn run(config: &ArrBenchConfig) -> ArrBenchResult {
     }
 }
 
-/// Runs a fixed number of operations per thread (used by the Criterion
-/// benches, which need deterministic work rather than a fixed duration).
-pub fn run_fixed_ops(
-    lock: &'static VariantSpec,
-    policy: RangePolicy,
-    threads: usize,
-    read_pct: u32,
-    ops_per_thread: u64,
-) -> u64 {
-    let lock: Arc<Box<dyn TwoPhaseRwRangeLock>> =
-        Arc::new(lock.build(WaitPolicyKind::SpinThenYield, &ARRAY_REGISTRY_CONFIG));
-    let slots: Arc<Vec<CachePadded<AtomicU64>>> = Arc::new(padded_vec(ARRAY_SLOTS as usize));
-    let mut handles = Vec::with_capacity(threads);
-    for thread_id in 0..threads {
-        let lock = Arc::clone(&lock);
-        let slots = Arc::clone(&slots);
-        handles.push(std::thread::spawn(move || {
-            let mut rng_state = seed(thread_id);
-            let slice_len = (ARRAY_SLOTS / threads as u64).max(1);
-            let my_slice = Range::new(
-                (thread_id as u64 * slice_len).min(ARRAY_SLOTS - 1),
-                ((thread_id as u64 + 1) * slice_len)
-                    .min(ARRAY_SLOTS)
-                    .max(thread_id as u64 * slice_len + 1),
-            );
-            let mut acc = 0u64;
-            for _ in 0..ops_per_thread {
-                let read = (xorshift(&mut rng_state) % 100) < read_pct as u64;
-                let (range, passes) = match policy {
-                    RangePolicy::FullRange => (Range::new(0, ARRAY_SLOTS), 1),
-                    RangePolicy::NonOverlapping => (my_slice, threads as u64),
-                    RangePolicy::Random => {
-                        let a = xorshift(&mut rng_state) % ARRAY_SLOTS;
-                        let b = xorshift(&mut rng_state) % ARRAY_SLOTS;
-                        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                        (Range::new(lo, hi + 1), 1)
-                    }
-                };
-                let _guard = acquire(&**lock, range, read);
-                for _ in 0..passes {
-                    for slot in slots[range.start as usize..range.end as usize].iter() {
-                        if read {
-                            acc = acc.wrapping_add(slot.load(Ordering::Relaxed));
-                        } else {
-                            slot.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            acc
-        }));
-    }
-    handles
-        .into_iter()
-        .map(|h| h.join().unwrap())
-        .fold(0u64, u64::wrapping_add)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,14 +215,6 @@ mod tests {
                 assert!(result.operations > 0, "{} / {}", lock.name, policy.name());
                 assert!(result.ops_per_sec() > 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn fixed_ops_mode_completes() {
-        for name in ["list-rw", "kernel-rw"] {
-            let lock = registry::by_name(name).expect("paper variant");
-            run_fixed_ops(lock, RangePolicy::Random, 2, 80, 200);
         }
     }
 

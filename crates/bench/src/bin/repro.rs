@@ -2,1295 +2,943 @@
 //!
 //! ```text
 //! repro [--quick|--full] [--threads 1,2,4,8] [--json] <experiment>...
-//!
-//! experiments:
-//!   fig3-full          ArrBench, all threads acquire the full range
-//!   fig3-nonoverlap    ArrBench, per-thread disjoint ranges
-//!   fig3-random        ArrBench, random ranges
-//!   fig3-quick         one tiny fig3-random sweep (threads 1,2) — the CI
-//!                      smoke step exercising every registry variant via
-//!                      dynamic dispatch
-//!   fig3-oversub       ArrBench with more threads than cores, all 5 lock
-//!                      variants x all 3 wait policies (spin/spin-yield/block)
-//!   fig4               skip-list throughput (orig / range-lustre / range-list)
-//!   skip-sweep         range-locked skip list over every registry variant x
-//!                      every wait policy (one table per policy)
-//!   skipbench-quick    a bounded skip-sweep for CI: small key universe,
-//!                      short cells, threads 1 and 2
-//!   fig5               Metis runtimes: stock vs tree/list, full vs refined
-//!                      (noise-vetted: best of N reps per cell)
-//!   fig5-quick         a bounded fig5 for CI: quick scale, threads 1 and 2
-//!   fig6               refinement breakdown (list-full/pf/mprotect/refined)
-//!                      plus the per-cell speculation success rate
-//!   fig6-quick         a bounded fig6 for CI: quick scale, threads 1 and 2
-//!   fig7               average + p50/p99 wait time of mmap_sem / the range
-//!                      lock, plus the vmacache-vs-tree-walk microbench
-//!   fig8               average wait time of the tree lock's internal spin lock
-//!   filebench          rl-file workload: reader/writer mix x threads x lock
-//!                      variant, uniform + skewed offsets, per-op wait times
-//!   filebench-oversub  filebench with more threads than cores, all 5 lock
-//!                      variants x all 3 wait policies
-//!   asyncbench         M lock owners >> N threads: async (waker-driven)
-//!                      tasks on a fixed worker pool vs thread-per-owner
-//!                      block / spin-yield baselines, 1x/2x/4x core
-//!                      multipliers, all 5 variants (one table per variant)
-//!   asyncbench-quick   a bounded asyncbench for CI: every variant and
-//!                      driver, small owner counts and op counts
-//!   batch              atomic multi-range acquisition (lock_many) vs
-//!                      sequential ascending-order locking on the
-//!                      deadlock-checked lock table, batches/sec x threads,
-//!                      all 5 lock variants
-//!   batch-quick        a bounded batch sweep for CI: every variant under
-//!                      both drivers, small thread counts, short cells
-//!   parkbench          keyed wakes vs the broadcast on one parking table: targeted
-//!                      wakes/sec, spurious wakeups per release, wake-to-run
-//!                      p50/p99, plus a disjoint-pair Block-policy lock storm
-//!   parkbench-quick    the same legs with fewer waiters and rounds, for CI
-//!   serverbench        the rl-server range-lock/file service under client
-//!                      saturation: connections x read mix x lock variant,
-//!                      lock -> I/O -> unlock triples over the in-process
-//!                      transport, plus a loopback-TCP spot check
-//!   serverbench-quick  a bounded serverbench for CI: every variant, small
-//!                      connection and op counts
-//!   obsbench           rl-obs instrumentation overhead on the uncontended
-//!                      list-ex fast path: recorder absent / installed-but-
-//!                      disabled / enabled-sampled / enabled-full
-//!   obsbench-quick     the same four legs with fewer iterations, for CI
-//!   perfdiff           regression gate: re-run the quick sweeps and compare
-//!                      cell-by-cell (direction-aware, p50/p99 included)
-//!                      against the committed BENCH_*.json baselines; exits
-//!                      nonzero on a large regression. --inject-regression
-//!                      degrades the fresh numbers first (the gate's
-//!                      self-test must then fail); --tolerance N overrides
-//!                      the 4x default
-//!   all                everything above except perfdiff
+//! repro perfdiff [--inject-regression] [--tolerance N]
 //! ```
+//!
+//! Every experiment is one row of the `EXPERIMENTS` table below: its name,
+//! a one-line help (`repro --help` prints them all), the committed
+//! `BENCH_*.json` baseline it is gated against, if any, and the function
+//! that measures its tables. `all` (the default) runs every row except the
+//! `-quick` CI smokes, in table order. `perfdiff` is the regression gate:
+//! it re-runs every gated row and compares it cell by cell against its
+//! baseline, direction-aware (see `rl_bench::perfdiff`), and exits nonzero
+//! on a regression beyond `--tolerance` (4x by default);
+//! `--inject-regression` degrades the fresh numbers first, so the gate's
+//! self-test must then fail.
 //!
 //! `--threads` entries may be plain counts (`8`) or core-count multipliers
 //! (`2x` = twice the available cores), which is how the CI smoke step keeps
 //! the oversubscription experiments bounded on any runner. Without an
 //! explicit `--threads`, the oversubscription experiments sweep 1x, 2x and
-//! 4x the core count.
+//! 4x the core count, and the smokes threads 1 and 2.
 //!
 //! `--quick` (default) uses scaled-down inputs that finish in a couple of
 //! minutes on a laptop; `--full` uses larger inputs closer to the paper's
 //! per-thread work. Shapes — who wins and by roughly how much — are what to
-//! compare; absolute numbers depend on the machine (see EXPERIMENTS.md).
+//! compare; absolute numbers depend on the machine (the committed baselines
+//! record one).
 
+use std::cell::OnceCell;
 use std::time::Duration;
 
-use rl_baselines::registry;
+use range_lock::{ListLockConfig, ListRangeLock, Range, RwListRangeLock, RwRangeLock};
+use rl_baselines::registry::{self, VariantSpec};
+use rl_baselines::{RwTreeRangeLock, SegmentRangeLock, TreeRangeLock};
 use rl_bench::arrbench::{self, ArrBenchConfig, RangePolicy};
-use rl_bench::asyncbench::{self, AsyncBenchConfig, AsyncBenchResult, AsyncDriver};
+use rl_bench::asyncbench::{self, AsyncBenchConfig, AsyncDriver};
 use rl_bench::batchbench::{self, BatchBenchConfig, BatchDriver};
-use rl_bench::filebench::{self, FileBenchConfig, OffsetDist};
-use rl_bench::metisbench::{self, MetisScale};
-use rl_bench::obsbench;
-use rl_bench::parkbench;
-use rl_bench::perfdiff;
+use rl_bench::filebench::{self, FileBenchConfig, FileBenchResult, OffsetDist};
+use rl_bench::metisbench::{self, MetisMeasurement, MetisScale};
 use rl_bench::report::Table;
 use rl_bench::serverbench::{self, ServerBenchConfig};
 use rl_bench::skipbench::{self, SkipBenchConfig, SkipListVariant};
+use rl_bench::{obsbench, parkbench, perfdiff};
 use rl_metis::Workload;
-use rl_sync::WaitPolicyKind;
+use rl_sync::wait::Block;
+use rl_sync::WaitPolicyKind::{self, SpinThenYield};
+use rl_vm::Strategy;
 
-#[derive(Debug, Clone)]
-struct Options {
+/// One experiment: a row of the table the subcommands, `all`, `--help` and
+/// `perfdiff` are all read from.
+struct Experiment {
+    name: &'static str,
+    help: &'static str,
+    /// The committed baseline `perfdiff` compares this experiment against,
+    /// less the tables whose titles contain one of the fragments (they stay
+    /// in the baseline for reference).
+    gate: Option<(&'static str, &'static [&'static str])>,
+    tables: fn(&Ctx) -> Vec<Table>,
+}
+
+const fn exp(name: &'static str, tables: fn(&Ctx) -> Vec<Table>) -> Experiment {
+    Experiment {
+        name,
+        help: "",
+        gate: None,
+        tables,
+    }
+}
+
+impl Experiment {
+    const fn help(self, help: &'static str) -> Self {
+        Experiment { help, ..self }
+    }
+
+    const fn gate(self, baseline: &'static str, ungated: &'static [&'static str]) -> Self {
+        let gate = Some((baseline, ungated));
+        Experiment { gate, ..self }
+    }
+
+    /// A CI smoke: a bounded twin of a full experiment, left out of `all`.
+    fn is_smoke(&self) -> bool {
+        self.name.ends_with("-quick")
+    }
+}
+
+/// Every experiment, in the order `all` runs them. `obsbench` stays last:
+/// it installs the process-global recorder, and every earlier experiment
+/// (and every earlier `perfdiff` baseline) measures the never-installed
+/// state.
+static EXPERIMENTS: &[Experiment] = &[
+    exp("uncontended", uncontended).help(
+        "one thread's acquire+release on every variant; list-ex without §4.5 / with §4.3 / Block",
+    ),
+    exp("fig3-full", |c| fig3(c, RangePolicy::FullRange))
+        .help("ArrBench, all threads acquire the full range"),
+    exp("fig3-nonoverlap", |c| fig3(c, RangePolicy::NonOverlapping))
+        .help("ArrBench, per-thread disjoint ranges"),
+    exp("fig3-random", |c| fig3(c, RangePolicy::Random)).help("ArrBench, random ranges"),
+    exp("fig3-quick", fig3_quick)
+        .help("one tiny fig3-random sweep (threads 1,2): every registry variant via dyn dispatch"),
+    exp("fig3-oversub", fig3_oversub)
+        .help("ArrBench with more threads than cores: 5 variants x spin/spin-yield/block"),
+    exp("fig4", fig4).help("skip-list throughput (orig / range-lustre / range-list)"),
+    exp("skip-sweep", |c| skip_sweep(&c.threads(), c.quick))
+        .help("range-locked skip list over every variant x wait policy")
+        .gate("BENCH_skip.json", &[]),
+    exp("skipbench-quick", |c| skip_sweep(&c.smoke_threads(), true))
+        .help("a bounded skip-sweep: small key universe, short cells, threads 1,2"),
+    exp("fig5", |c| fig5_tables(c.figure5()))
+        .help("Metis runtimes: stock vs tree/list, full vs refined (best of N reps per cell)")
+        .gate("BENCH_fig5.json", &[]),
+    exp("fig5-quick", fig5_quick).help("a bounded fig5: quick scale, threads 1,2"),
+    exp("fig6", fig6)
+        .help("refinement breakdown (list-full/pf/mprotect/refined) plus speculation success")
+        .gate("BENCH_fig6.json", &[]),
+    exp("fig6-quick", fig6_quick)
+        .help("a bounded fig6 that asserts list-refined speculates on every cell"),
+    // Percentiles of a handful of parked acquisitions flap orders of
+    // magnitude run to run on an oversubscribed runner.
+    exp("fig7", |c| fig7_tables(c.figure5(), c.quick))
+        .help("avg + p50/p99 VM-lock wait, plus the vmacache-vs-tree-walk microbench")
+        .gate("BENCH_fig7.json", &["wait percentiles"]),
+    exp("fig8", |c| fig8_tables(c.figure5()))
+        .help("avg wait on the tree lock's internal spin lock")
+        .gate("BENCH_fig8.json", &[]),
+    // A wait cell is the mean over the few acquisitions that waited at all;
+    // `kernel-rw [x=2, truncate]` is bimodal on one binary (0.15 vs 6-24 us).
+    exp("filebench", filebench)
+        .help("rl-file: read mix x threads x variant, uniform + skewed offsets, per-op waits")
+        .gate("BENCH_filebench.json", &["wait per acquisition"]),
+    exp("filebench-oversub", filebench_oversub)
+        .help("filebench with more threads than cores: 5 variants x 3 wait policies"),
+    exp("asyncbench", asyncbench)
+        .help("M owners >> N threads: async tasks on a pool vs thread-per-owner, 1x/2x/4x cores")
+        .gate("BENCH_async.json", &[]),
+    exp("asyncbench-quick", asyncbench_quick)
+        .help("a bounded asyncbench: every variant and driver, small owner and op counts"),
+    exp("batch", batch)
+        .help("lock_many vs sequential ascending locking on the lock table, batches/sec")
+        .gate("BENCH_batch.json", &[]),
+    exp("batch-quick", |_| batch_tables(&[1, 2], 3, ms(50)))
+        .help("a bounded batch sweep: every variant under both drivers, threads 1,2"),
+    exp("parkbench", |c| parkbench::tables(c.quick))
+        .help("keyed wakes vs the broadcast: wakes/sec, spurious per release, p50/p99, pair storm")
+        .gate("BENCH_park.json", &[]),
+    exp("parkbench-quick", |_| parkbench::tables(true))
+        .help("the same legs with fewer waiters and rounds"),
+    exp("serverbench", serverbench)
+        .help("rl-server under saturation: connections x read mix x variant, plus loopback TCP"),
+    // Op-latency p99s come from a few thousand samples per cell at most and
+    // flap well past the tolerance under runner jitter.
+    exp("serverbench-quick", serverbench_quick)
+        .help("a bounded serverbench: every variant, 1/2/4 connections")
+        .gate("BENCH_server.json", &["op latency"]),
+    exp("obsbench", |c| obsbench(c.quick))
+        .help("rl-obs overhead on the list-ex fast path: absent / disabled / sampled / full")
+        .gate("BENCH_obs.json", &[]),
+    exp("obsbench-quick", |_| obsbench(true)).help("the same four legs with fewer iterations"),
+];
+
+/// The experiments `all` runs.
+fn all() -> impl Iterator<Item = &'static Experiment> {
+    EXPERIMENTS.iter().filter(|e| !e.is_smoke())
+}
+
+/// The command line, plus the one measurement several experiments share.
+struct Ctx {
     quick: bool,
     json: bool,
-    threads: Vec<usize>,
-    /// `--threads` was given explicitly (the oversubscription experiments
-    /// then use it verbatim instead of their core-multiple default).
-    threads_overridden: bool,
+    /// `--threads`, if given: every experiment then sweeps exactly these.
+    threads: Option<Vec<usize>>,
     /// perfdiff only: degrade the fresh numbers so the gate must fail.
     inject_regression: bool,
     /// perfdiff only: multiplicative regression tolerance.
     tolerance: f64,
-    experiments: Vec<String>,
+    /// The FIGURE5 Metis sweep at `threads`. Figures 5, 7 and 8 are three
+    /// projections of it, so `all` and `perfdiff` measure it once.
+    figure5: OnceCell<MetisSweeps>,
 }
 
-fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(8)
-}
-
-fn default_threads() -> Vec<usize> {
-    let max = available_cores();
-    let mut t = vec![1, 2, 4, 8, 16, 32, 64, 128];
-    t.retain(|&x| x <= max.max(2));
-    if !t.contains(&max) && max > 1 {
-        t.push(max);
+impl Ctx {
+    fn pick<T>(&self, quick: T, full: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
+        }
     }
-    t
+
+    fn threads_or(&self, default: Vec<usize>) -> Vec<usize> {
+        self.threads.clone().unwrap_or(default)
+    }
+
+    /// The figures' sweep: powers of two up to the core count, and the core
+    /// count itself.
+    fn threads(&self) -> Vec<usize> {
+        let n = cores();
+        let mut t: Vec<usize> = (0..8).map(|i| 1 << i).filter(|&x| x <= n.max(2)).collect();
+        if !t.contains(&n) && n > 1 {
+            t.push(n);
+        }
+        self.threads_or(t)
+    }
+
+    /// 1x, 2x and 4x the core count, so the sweep crosses the point where
+    /// spinning waiters start fighting the scheduler on any machine.
+    fn oversub_threads(&self) -> Vec<usize> {
+        let mut t: Vec<usize> = [1, 2, 4].iter().map(|m| m * cores()).collect();
+        t.dedup();
+        self.threads_or(t)
+    }
+
+    fn smoke_threads(&self) -> Vec<usize> {
+        self.threads_or(vec![1, 2])
+    }
+
+    fn figure5(&self) -> &MetisSweeps {
+        self.figure5
+            .get_or_init(|| metis_sweep(&Strategy::FIGURE5, &self.threads(), self.quick))
+    }
 }
 
-/// Thread counts for the oversubscription experiments: 1x, 2x and 4x the
-/// core count, so the sweep crosses the point where spinning waiters start
-/// fighting the scheduler on any machine.
-fn default_oversub_threads() -> Vec<usize> {
-    let cores = available_cores();
-    let mut t: Vec<usize> = [1, 2, 4].iter().map(|m| m * cores).collect();
-    t.dedup();
-    t
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(8, |n| n.get())
+}
+
+fn ms(ms: u64) -> Duration {
+    Duration::from_millis(ms)
 }
 
 /// Parses one `--threads` entry: a plain count (`8`) or a core-count
 /// multiplier (`2x`).
 fn parse_thread_entry(entry: &str) -> usize {
     let entry = entry.trim();
-    if let Some(mult) = entry.strip_suffix('x') {
-        let mult: usize = mult.parse().expect("invalid thread multiplier");
-        (mult * available_cores()).max(1)
-    } else {
-        entry.parse().expect("invalid thread count")
+    match entry.strip_suffix('x') {
+        Some(mult) => (mult.parse::<usize>().expect("invalid thread multiplier") * cores()).max(1),
+        None => entry.parse().expect("invalid thread count"),
     }
 }
 
-fn parse_args() -> Options {
-    let mut opts = Options {
+fn usage() -> String {
+    let mut out = String::from(
+        "repro [--quick|--full] [--threads 1,2,4,8|2x,4x] [--json] <experiment>...\n\n\
+         experiments:\n",
+    );
+    for e in EXPERIMENTS {
+        out += &format!("  {:<18} {}\n", e.name, e.help);
+    }
+    out += "  perfdiff           re-run every gated experiment against its BENCH_*.json \
+            (--tolerance N, default 4; --inject-regression must fail)\n";
+    out + "  all                every experiment except the -quick smokes (the default)"
+}
+
+fn parse_args() -> (Ctx, Vec<String>) {
+    let mut ctx = Ctx {
         quick: true,
         json: false,
-        threads: default_threads(),
-        threads_overridden: false,
+        threads: None,
         inject_regression: false,
         tolerance: perfdiff::DEFAULT_TOLERANCE,
-        experiments: Vec::new(),
+        figure5: OnceCell::new(),
     };
-    let mut args = std::env::args().skip(1).peekable();
+    let mut experiments = Vec::new();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value")))
+        };
         match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--full" => opts.quick = false,
-            "--json" => opts.json = true,
-            "--inject-regression" => opts.inject_regression = true,
+            "--quick" => ctx.quick = true,
+            "--full" => ctx.quick = false,
+            "--json" => ctx.json = true,
+            "--inject-regression" => ctx.inject_regression = true,
             "--tolerance" => {
-                opts.tolerance = args.next().and_then(|t| t.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--tolerance requires a number");
-                    std::process::exit(2);
-                });
+                ctx.tolerance = value()
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("bad --tolerance"))
             }
-            "--threads" => {
-                let list = args.next().unwrap_or_else(|| {
-                    eprintln!("--threads requires a comma-separated list");
-                    std::process::exit(2);
-                });
-                opts.threads = list.split(',').map(parse_thread_entry).collect();
-                opts.threads_overridden = true;
-            }
+            "--threads" => ctx.threads = Some(value().split(',').map(parse_thread_entry).collect()),
             "--help" | "-h" => {
-                println!("see the module documentation at the top of repro.rs, or README.md");
+                println!("{}", usage());
                 std::process::exit(0);
             }
-            other => opts.experiments.push(other.to_string()),
+            _ => experiments.push(arg),
         }
     }
-    if opts.experiments.is_empty() {
-        opts.experiments.push("all".to_string());
+    if experiments.is_empty() {
+        experiments.push("all".to_string());
     }
-    opts
+    (ctx, experiments)
 }
 
-fn emit(table: &Table, json: bool) {
-    if json {
-        println!("{}", table.to_json());
-    } else {
-        println!("{}", table.render());
+/// Results over an x axis (threads, owners, connections): `rows[i]` holds
+/// one result per column item at `xs[i]`. A table is a projection of a
+/// sweep, so one measurement can feed several tables.
+struct Sweep<R> {
+    xs: Vec<usize>,
+    rows: Vec<Vec<R>>,
+}
+
+impl<R> Sweep<R> {
+    /// Runs `run(item, x)` for every x and, within it, every item.
+    fn measure<'a, C>(xs: &[usize], items: &'a [C], run: impl Fn(&'a C, usize) -> R) -> Self {
+        let row = |&x: &usize| items.iter().map(|item| run(item, x)).collect();
+        let rows = xs.iter().map(row).collect();
+        let xs = xs.to_vec();
+        Sweep { xs, rows }
+    }
+
+    /// One table row per x, valued `cell(results at x)`.
+    fn table(&self, head: [&str; 3], cols: Vec<String>, cell: impl Fn(&[R]) -> Vec<f64>) -> Table {
+        let mut table = Table::new(head[0], head[1], head[2], cols);
+        for (&x, row) in self.xs.iter().zip(&self.rows) {
+            table.push_row(x as u64, cell(row));
+        }
+        table
     }
 }
 
-fn arrbench_duration(quick: bool) -> Duration {
-    if quick {
-        Duration::from_millis(300)
-    } else {
-        Duration::from_secs(3)
+impl Sweep<[f64; 3]> {
+    /// A throughput table and its p50/p99 latency companion, from one sweep
+    /// of `[rate, p50, p99]` cells: `titles` and `[x label, rate metric,
+    /// latency metric]`.
+    fn with_latency(&self, titles: [String; 2], axes: [&str; 3], cols: &[String]) -> [Table; 2] {
+        let [x, rate, latency] = axes;
+        let rates = |row: &[[f64; 3]]| row.iter().map(|c| c[0]).collect();
+        let ps = |row: &[[f64; 3]]| row.iter().flat_map(|c| [c[1], c[2]]).collect();
+        [
+            self.table([&titles[0], x, rate], cols.to_vec(), rates),
+            self.table([&titles[1], x, latency], p50_p99(cols), ps),
+        ]
     }
 }
 
-fn run_fig3(policy: RangePolicy, opts: &Options) {
+/// A registry variant: the column axis of most experiments.
+type Variant = &'static VariantSpec;
+
+/// A threads × registry-variant ops/sec table, one measurement per cell.
+fn variant_grid(title: &str, xs: &[usize], cell: impl Fn(Variant, usize) -> f64) -> Table {
+    let (sweep, cols) = (Sweep::measure(xs, registry::all(), cell), variant_names());
+    sweep.table([title, "threads", "ops/sec"], cols, <[_]>::to_vec)
+}
+
+/// One variant grid per wait policy, at 1x/2x/4x the core count.
+fn oversub(c: &Ctx, title: &str, f: impl Fn(Variant, WaitPolicyKind, usize) -> f64) -> Vec<Table> {
+    let xs = c.oversub_threads();
+    let grid = |wait: WaitPolicyKind| {
+        let title = format!("{title} — {} policy ({} cores)", wait.name(), cores());
+        variant_grid(&title, &xs, |lock, threads| f(lock, wait, threads))
+    };
+    WaitPolicyKind::ALL.map(grid).into()
+}
+
+/// Each column's p50 and p99 companion columns.
+fn p50_p99(cols: &[String]) -> Vec<String> {
+    cols.iter()
+        .flat_map(|c| [format!("{c} p50"), format!("{c} p99")])
+        .collect()
+}
+
+fn names<T, S: ToString>(items: &[T], name: impl Fn(&T) -> S) -> Vec<String> {
+    items.iter().map(|i| name(i).to_string()).collect()
+}
+
+fn variant_names() -> Vec<String> {
+    names(registry::all(), |l| l.name)
+}
+
+/// The uncontended ablation (Sections 3, 4.3, 4.5): what one thread pays for
+/// a range lock at all. Every variant, plus the list lock with its fast path
+/// off, with its fairness gate on, and under `Block`, which must stay within
+/// noise of the default policy.
+fn uncontended(c: &Ctx) -> Vec<Table> {
+    fn ns<L: RwRangeLock>(lock: L, read: bool, range: Range, (n, reps): (u64, u32)) -> f64 {
+        let guard = |range| {
+            if read {
+                lock.read(range)
+            } else {
+                lock.write(range)
+            }
+        };
+        obsbench::ns_per_op(n, reps, || drop(guard(range)))
+    }
+    const LEGS: [&str; 11] = [
+        "list-ex/fast-path",
+        "list-ex/no-fast-path",
+        "list-ex/fairness-on",
+        "list-ex/block-policy",
+        "list-rw/block-policy",
+        "list-rw/write",
+        "list-rw/read",
+        "lustre-ex",
+        "kernel-rw/write",
+        "pnova-rw/write",
+        "pnova-rw/full-range",
+    ];
+    // Best of three runs per leg; `pnova-rw/full-range` (~7 us an op) sets
+    // the wall time.
+    let q = c.pick((100_000, 3), (1_000_000, 3));
+    // `ns`'s `read` flag for a write leg and a read leg.
+    let (w, r, x) = (false, true, Range::new(10, 20));
+    let list = |fast_path, fairness| {
+        ListRangeLock::with_config(ListLockConfig {
+            fast_path,
+            fairness,
+            ..ListLockConfig::default()
+        })
+    };
+    let row = vec![
+        ns(ListRangeLock::new(), w, x, q),
+        ns(list(false, false), w, x, q),
+        ns(list(true, true), w, x, q),
+        ns(ListRangeLock::<Block>::with_policy(), w, x, q),
+        ns(RwListRangeLock::<Block>::with_policy(), w, x, q),
+        ns(RwListRangeLock::new(), w, x, q),
+        ns(RwListRangeLock::new(), r, x, q),
+        ns(TreeRangeLock::new(), w, x, q),
+        ns(RwTreeRangeLock::new(), w, x, q),
+        ns(SegmentRangeLock::new(256, 256), w, x, q),
+        ns(SegmentRangeLock::new(256, 256), w, Range::FULL, q),
+    ];
+    let title = "Uncontended acquire+release: every variant; list-ex fast path / fairness / Block";
+    let mut table = Table::new(title, "threads", "ns/op", names(&LEGS, |l| *l));
+    table.push_row(1, row);
+    vec![table]
+}
+
+/// One ArrBench cell, in ops/sec.
+fn arr(
+    lock: Variant,
+    wait: WaitPolicyKind,
+    policy: RangePolicy,
+    pct: u32,
+    t: usize,
+    d: Duration,
+) -> f64 {
+    let config = ArrBenchConfig {
+        lock,
+        policy,
+        wait,
+        threads: t,
+        read_pct: pct,
+        duration: d,
+    };
+    let result = arrbench::run(&config);
+    let name = lock.name;
+    assert!(result.operations > 0, "ArrBench: {name} made no progress");
+    result.ops_per_sec()
+}
+
+fn fig3_quick(_: &Ctx) -> Vec<Table> {
+    let title = "Figure 3 quick smoke: random ranges — 60% reads (registry, dyn dispatch)";
+    let cell = |lock, t| arr(lock, SpinThenYield, RangePolicy::Random, 60, t, ms(50));
+    vec![variant_grid(title, &[1, 2], cell)]
+}
+
+fn fig3_oversub(c: &Ctx) -> Vec<Table> {
+    let title = "Figure 3 oversubscribed: random ranges — 60% reads";
+    let d = c.pick(ms(300), ms(3_000));
+    oversub(c, title, |lock, wait, t| {
+        arr(lock, wait, RangePolicy::Random, 60, t, d)
+    })
+}
+
+fn fig3(c: &Ctx, policy: RangePolicy) -> Vec<Table> {
     let panel = match policy {
         RangePolicy::FullRange => "Figure 3 (a,b): full-range acquisitions",
         RangePolicy::NonOverlapping => "Figure 3 (c,d): non-overlapping acquisitions",
         RangePolicy::Random => "Figure 3 (e,f): random-range acquisitions",
     };
-    for read_pct in [100u32, 60] {
-        let columns: Vec<String> = registry::all().iter().map(|l| l.name.to_string()).collect();
-        let mut table = Table::new(
-            format!("{panel} — {read_pct}% reads"),
-            "threads",
-            "ops/sec",
-            columns,
-        );
-        for &threads in &opts.threads {
-            let mut row = Vec::new();
-            for lock in registry::all() {
-                let result = arrbench::run(&ArrBenchConfig {
-                    lock,
-                    policy,
-                    wait: WaitPolicyKind::SpinThenYield,
-                    threads,
-                    read_pct,
-                    duration: arrbench_duration(opts.quick),
-                });
-                row.push(result.ops_per_sec());
-            }
-            table.push_row(threads as u64, row);
-        }
-        emit(&table, opts.json);
-    }
+    let d = c.pick(ms(300), ms(3_000));
+    let grid = |pct| {
+        let cell = |lock, t| arr(lock, SpinThenYield, policy, pct, t, d);
+        variant_grid(&format!("{panel} — {pct}% reads"), &c.threads(), cell)
+    };
+    [100, 60].map(grid).into()
 }
 
-/// Thread counts the oversubscription experiments sweep.
-fn oversub_threads(opts: &Options) -> Vec<usize> {
-    if opts.threads_overridden {
-        opts.threads.clone()
-    } else {
-        default_oversub_threads()
-    }
-}
-
-fn run_fig3_oversub(opts: &Options) {
-    let threads = oversub_threads(opts);
-    for wait in WaitPolicyKind::ALL {
-        let columns: Vec<String> = registry::all().iter().map(|l| l.name.to_string()).collect();
-        let mut table = Table::new(
-            format!(
-                "Figure 3 oversubscribed: random ranges — 60% reads — {} policy ({} cores)",
-                wait.name(),
-                available_cores()
-            ),
-            "threads",
-            "ops/sec",
-            columns,
-        );
-        for &t in &threads {
-            let mut row = Vec::new();
-            for lock in registry::all() {
-                let result = arrbench::run(&ArrBenchConfig {
-                    lock,
-                    policy: RangePolicy::Random,
-                    wait,
-                    threads: t,
-                    read_pct: 60,
-                    duration: arrbench_duration(opts.quick),
-                });
-                row.push(result.ops_per_sec());
-            }
-            table.push_row(t as u64, row);
-        }
-        emit(&table, opts.json);
-    }
-}
-
-/// A bounded fig3-random sweep for CI: every registry variant through the
-/// dynamic-dispatch interface, small thread counts, short cells — fast enough
-/// to run on every push regardless of runner size.
-fn run_fig3_quick(opts: &Options) {
-    let columns: Vec<String> = registry::all().iter().map(|l| l.name.to_string()).collect();
-    let mut table = Table::new(
-        "Figure 3 quick smoke: random ranges — 60% reads (registry, dyn dispatch)",
-        "threads",
-        "ops/sec",
-        columns,
-    );
-    for threads in [1usize, 2] {
-        let mut row = Vec::new();
-        for lock in registry::all() {
-            let result = arrbench::run(&ArrBenchConfig {
-                lock,
-                policy: RangePolicy::Random,
-                wait: WaitPolicyKind::SpinThenYield,
-                threads,
-                read_pct: 60,
-                duration: Duration::from_millis(50),
-            });
-            assert!(
-                result.operations > 0,
-                "fig3-quick: {} made no progress",
-                lock.name
-            );
-            row.push(result.ops_per_sec());
-        }
-        table.push_row(threads as u64, row);
-    }
-    emit(&table, opts.json);
-}
-
-fn run_fig4(opts: &Options) {
-    let columns: Vec<String> = SkipListVariant::ALL
-        .iter()
-        .map(|v| v.name().to_string())
-        .collect();
-    let mut table = Table::new(
-        "Figure 4: skip-list throughput (80% find / 20% update)",
-        "threads",
-        "ops/sec",
-        columns,
-    );
-    for &threads in &opts.threads {
-        let mut row = Vec::new();
-        for variant in SkipListVariant::ALL {
-            let config = if opts.quick {
-                SkipBenchConfig::quick(variant, threads)
-            } else {
-                let mut c = SkipBenchConfig::paper(variant, threads);
-                c.duration = Duration::from_secs(3);
-                c
-            };
-            row.push(skipbench::run(&config).ops_per_sec());
-        }
-        table.push_row(threads as u64, row);
-    }
-    emit(&table, opts.json);
-}
-
-/// Registry variant names in the order [`SkipListVariant::SWEEP`] groups
-/// them (five per wait policy).
-fn skip_sweep_columns() -> Vec<String> {
-    registry::all().iter().map(|l| l.name.to_string()).collect()
+fn fig4(c: &Ctx) -> Vec<Table> {
+    let variants = SkipListVariant::ALL;
+    let sweep = Sweep::measure(&c.threads(), &variants, |&variant, threads| {
+        let mut config = SkipBenchConfig::paper(variant, threads);
+        config.duration = Duration::from_secs(3);
+        let config = c.pick(SkipBenchConfig::quick(variant, threads), config);
+        skipbench::run(&config).ops_per_sec()
+    });
+    let title = "Figure 4: skip-list throughput (80% find / 20% update)";
+    let cols = names(&variants, |v| v.name());
+    vec![sweep.table([title, "threads", "ops/sec"], cols, <[_]>::to_vec)]
 }
 
 /// One table per wait policy: every registry variant backing the
 /// range-locked skip list under that policy.
-fn skip_sweep_tables(opts: &Options) -> Vec<Table> {
-    let mut tables = Vec::new();
-    for wait in WaitPolicyKind::ALL {
-        let mut table = Table::new(
-            format!(
-                "Skip-list registry sweep: 80% find — {} policy",
-                wait.name()
-            ),
-            "threads",
-            "ops/sec",
-            skip_sweep_columns(),
+fn skip_sweep(threads: &[usize], quick: bool) -> Vec<Table> {
+    let grid = |wait: WaitPolicyKind| {
+        let title = format!(
+            "Skip-list registry sweep: 80% find — {} policy",
+            wait.name()
         );
-        for &threads in &opts.threads {
-            let mut row = Vec::new();
-            for variant in SkipListVariant::SWEEP {
-                let SkipListVariant::Registry { wait: row_wait, .. } = variant else {
-                    unreachable!("sweep rows are registry-backed");
-                };
-                if row_wait != wait {
-                    continue;
-                }
-                let mut config = SkipBenchConfig::quick(variant, threads);
-                if opts.quick {
-                    config.key_range = 1 << 14;
-                    config.initial_keys = 1 << 13;
-                    config.duration = Duration::from_millis(100);
-                }
-                let result = skipbench::run(&config);
-                assert!(
-                    result.operations > 0,
-                    "skip-sweep: {} made no progress",
-                    variant.name()
-                );
-                row.push(result.ops_per_sec());
+        variant_grid(&title, threads, |lock, threads| {
+            let variant = sweep_row(lock.name, wait);
+            let mut config = SkipBenchConfig::quick(variant, threads);
+            if quick {
+                config.key_range = 1 << 14;
+                config.initial_keys = 1 << 13;
+                config.duration = ms(100);
             }
-            table.push_row(threads as u64, row);
-        }
-        tables.push(table);
-    }
-    tables
-}
-
-fn run_skip_sweep(opts: &Options) {
-    for table in skip_sweep_tables(opts) {
-        emit(&table, opts.json);
-    }
-}
-
-fn metis_scale(quick: bool) -> MetisScale {
-    if quick {
-        MetisScale::Quick
-    } else {
-        MetisScale::Full
-    }
-}
-
-/// Repetitions per Metis cell; the fastest run is kept (noise vetting).
-fn metis_reps(quick: bool) -> u32 {
-    if quick {
-        2
-    } else {
-        3
-    }
-}
-
-/// One workload's noise-vetted measurements: `rows[i][j]` is thread count
-/// `threads[i]` under strategy `j` of the sweep's strategy set.
-struct MetisSweep {
-    workload: Workload,
-    threads: Vec<usize>,
-    rows: Vec<Vec<metisbench::MetisMeasurement>>,
-}
-
-/// Measures `strategies` across every workload and thread count, best of
-/// [`metis_reps`] runs per cell. One sweep feeds several figures (runtime,
-/// wait averages, wait percentiles, spin waits) so nothing is measured
-/// twice.
-fn metis_sweep(strategies: &[rl_vm::Strategy], opts: &Options) -> Vec<MetisSweep> {
-    let scale = metis_scale(opts.quick);
-    let reps = metis_reps(opts.quick);
-    Workload::ALL
-        .iter()
-        .map(|&workload| {
-            let rows = opts
-                .threads
-                .iter()
-                .map(|&threads| {
-                    strategies
-                        .iter()
-                        .map(|&strategy| {
-                            metisbench::measure_best(workload, strategy, threads, scale, reps)
-                        })
-                        .collect()
-                })
-                .collect();
-            MetisSweep {
-                workload,
-                threads: opts.threads.clone(),
-                rows,
-            }
+            let result = skipbench::run(&config);
+            let name = variant.name();
+            assert!(result.operations > 0, "skip-sweep: {name} made no progress");
+            result.ops_per_sec()
         })
-        .collect()
+    };
+    WaitPolicyKind::ALL.map(grid).into()
 }
 
-fn strategy_columns(strategies: &[rl_vm::Strategy]) -> Vec<String> {
-    strategies.iter().map(|s| s.name.to_string()).collect()
+/// The skip-list sweep row backed by registry variant `name` under `wait`.
+fn sweep_row(name: &str, wait: WaitPolicyKind) -> SkipListVariant {
+    let of = |v: &&SkipListVariant| match v {
+        SkipListVariant::Registry {
+            variant, wait: w, ..
+        } => (*variant, *w) == (name, wait),
+        _ => false,
+    };
+    *SkipListVariant::SWEEP
+        .iter()
+        .find(of)
+        .expect("SWEEP covers every variant x policy")
 }
 
-/// Builds one table per workload from a sweep, with one column per strategy.
-fn sweep_tables(
-    sweeps: &[MetisSweep],
-    title: impl Fn(&str) -> String,
-    metric: &str,
-    columns: Vec<String>,
-    cell: impl Fn(&metisbench::MetisMeasurement) -> f64,
+/// One Metis sweep per workload.
+type MetisSweeps = Vec<(Workload, Sweep<MetisMeasurement>)>;
+
+/// Measures `strategies` over every workload and thread count, best of 2
+/// (quick) or 3 runs per cell.
+fn metis_sweep(strategies: &[Strategy], threads: &[usize], quick: bool) -> MetisSweeps {
+    let (scale, reps) = if quick {
+        (MetisScale::Quick, 2)
+    } else {
+        (MetisScale::Full, 3)
+    };
+    let sweep = |wl| {
+        Sweep::measure(threads, strategies, |&s, t| {
+            metisbench::measure_best(wl, s, t, scale, reps)
+        })
+    };
+    Workload::ALL.iter().map(|&wl| (wl, sweep(wl))).collect()
+}
+
+/// One table per workload, titled `"{figure}, Metis {workload}"`.
+fn per_workload(
+    sweeps: &MetisSweeps,
+    [figure, metric]: [&str; 2],
+    cols: Vec<String>,
+    cell: impl Fn(&[MetisMeasurement]) -> Vec<f64>,
 ) -> Vec<Table> {
-    sweeps
-        .iter()
-        .map(|sweep| {
-            let mut table = Table::new(
-                title(sweep.workload.name()),
-                "threads",
-                metric,
-                columns.clone(),
+    let table = |(wl, sweep): &(Workload, Sweep<MetisMeasurement>)| {
+        let title = format!("{figure}, Metis {}", wl.name());
+        sweep.table([&title, "threads", metric], cols.clone(), &cell)
+    };
+    sweeps.iter().map(table).collect()
+}
+
+/// A cell projection: `value` of every result in the row.
+fn each<R>(value: fn(&R) -> f64) -> impl Fn(&[R]) -> Vec<f64> {
+    move |row| row.iter().map(value).collect()
+}
+
+fn list_refined(m: &&MetisMeasurement) -> bool {
+    m.strategy.name == "list-refined"
+}
+
+fn runtime_ms(m: &MetisMeasurement) -> f64 {
+    m.runtime.as_secs_f64() * 1_000.0
+}
+
+/// Runtime tables, each noting the worst/best runtime ratio at the largest
+/// thread count and list-refined's speculation success there.
+fn fig5_tables(sweeps: &MetisSweeps) -> Vec<Table> {
+    let cols = names(&Strategy::FIGURE5, |s| s.name);
+    let table = |(wl, sweep): &(Workload, Sweep<MetisMeasurement>)| {
+        let (wl, max) = (wl.name(), *sweep.xs.iter().max().unwrap_or(&0));
+        let title = format!("Figure 5: Metis {wl} runtime");
+        let head = [title.as_str(), "threads", "runtime (ms)"];
+        let mut table = sweep.table(head, cols.clone(), each(runtime_ms));
+        let spec = sweep.rows.last().and_then(|r| r.iter().find(list_refined));
+        let spec = spec.map_or(0.0, MetisMeasurement::speculation_rate_pct);
+        if let Some(spread) = table.spread_at(max as u64) {
+            table.note = format!(
+                "  {wl}: worst/best runtime ratio at {max} threads = {spread:.1}x; \
+                 list-refined speculation success = {spec:.1}%\n"
             );
-            for (i, &threads) in sweep.threads.iter().enumerate() {
-                table.push_row(threads as u64, sweep.rows[i].iter().map(&cell).collect());
-            }
-            table
-        })
-        .collect()
-}
-
-/// Figure 5: runtime tables from a FIGURE5 sweep.
-fn fig5_tables(sweeps: &[MetisSweep]) -> Vec<Table> {
-    sweep_tables(
-        sweeps,
-        |wl| format!("Figure 5: Metis {wl} runtime"),
-        "runtime (ms)",
-        strategy_columns(&rl_vm::Strategy::FIGURE5),
-        |m| m.runtime.as_secs_f64() * 1_000.0,
-    )
-}
-
-/// Figure 7: average-wait tables, wait-percentile tables, and the
-/// vmacache-vs-tree-walk microbench, from the same FIGURE5 sweep.
-fn fig7_tables(sweeps: &[MetisSweep], quick: bool) -> Vec<Table> {
-    let mut tables = sweep_tables(
-        sweeps,
-        |wl| format!("Figure 7: avg wait per acquisition, Metis {wl}"),
-        "wait (us)",
-        strategy_columns(&rl_vm::Strategy::FIGURE5),
-        metisbench::MetisMeasurement::avg_lock_wait_us,
-    );
-    let percentile_columns: Vec<String> = rl_vm::Strategy::FIGURE5
-        .iter()
-        .flat_map(|s| [format!("{} p50", s.name), format!("{} p99", s.name)])
-        .collect();
-    for sweep in sweeps {
-        let mut table = Table::new(
-            format!("Figure 7 wait percentiles, Metis {}", sweep.workload.name()),
-            "threads",
-            "wait (us)",
-            percentile_columns.clone(),
-        );
-        for (i, &threads) in sweep.threads.iter().enumerate() {
-            let row = sweep.rows[i]
-                .iter()
-                .flat_map(|m| [m.p50_wait_us(), m.p99_wait_us()])
-                .collect();
-            table.push_row(threads as u64, row);
         }
-        tables.push(table);
+        table
+    };
+    sweeps.iter().map(table).collect()
+}
+
+fn fig5_quick(c: &Ctx) -> Vec<Table> {
+    fig5_tables(&metis_sweep(&Strategy::FIGURE5, &c.smoke_threads(), true))
+}
+
+fn fig6(c: &Ctx) -> Vec<Table> {
+    fig6_tables(&metis_sweep(&Strategy::FIGURE6, &c.threads(), c.quick))
+}
+
+/// Runtime-breakdown tables plus the per-cell speculation success rate.
+fn fig6_tables(sweeps: &MetisSweeps) -> Vec<Table> {
+    let cols = names(&Strategy::FIGURE6, |s| s.name);
+    let head = ["Figure 6: refinement breakdown", "runtime (ms)"];
+    let mut tables = per_workload(sweeps, head, cols.clone(), each(runtime_ms));
+    let head = ["Figure 6 speculation rate", "spec success (%)"];
+    let rate = each(MetisMeasurement::speculation_rate_pct);
+    tables.extend(per_workload(sweeps, head, cols, rate));
+    tables
+}
+
+/// The smoke also guards the headline Section 7.2 claim: the fully refined
+/// strategy completes a nonzero share of its mprotects speculatively even
+/// on the smallest inputs.
+fn fig6_quick(c: &Ctx) -> Vec<Table> {
+    let sweeps = metis_sweep(&Strategy::FIGURE6, &c.smoke_threads(), true);
+    for (wl, sweep) in &sweeps {
+        let wl = wl.name();
+        for m in sweep.rows.iter().flatten().filter(list_refined) {
+            let rate = m.speculation_rate_pct();
+            assert!(rate > 0.0, "no speculative mprotect on {wl}");
+        }
     }
-    // The companion microbenchmark: a refined fault through the per-thread
-    // vmacache vs the full tree walk, on a heavily fragmented space.
+    fig6_tables(&sweeps)
+}
+
+/// Average-wait and wait-percentile tables, plus the companion
+/// microbenchmark: a refined fault through the per-thread vmacache vs the
+/// full tree walk, on a heavily fragmented space.
+fn fig7_tables(sweeps: &MetisSweeps, quick: bool) -> Vec<Table> {
+    let cols = names(&Strategy::FIGURE5, |s| s.name);
+    let p_cols = p50_p99(&cols);
+    let head = ["Figure 7: avg wait per acquisition", "wait (us)"];
+    let mut tables = per_workload(sweeps, head, cols, each(MetisMeasurement::avg_lock_wait_us));
+    let head = ["Figure 7 wait percentiles", "wait (us)"];
+    let ps = |row: &[MetisMeasurement]| {
+        row.iter()
+            .flat_map(|m| [m.p50_wait_us(), m.p99_wait_us()])
+            .collect()
+    };
+    tables.extend(per_workload(sweeps, head, p_cols, ps));
     let bench = metisbench::vmacache_bench(if quick { 50_000 } else { 500_000 });
-    let mut cache_table = Table::new(
-        "Figure 7 companion: refined fault VMA lookup",
-        "threads",
-        "ns/op",
-        vec!["tree-walk".to_string(), "vmacache".to_string()],
-    );
-    cache_table.push_row(1, vec![bench.tree_walk_ns, bench.cached_ns]);
-    tables.push(cache_table);
+    let title = "Figure 7 companion: refined fault VMA lookup";
+    let cols = vec!["tree-walk".to_string(), "vmacache".to_string()];
+    let mut cache = Table::new(title, "threads", "ns/op", cols);
+    cache.push_row(1, vec![bench.tree_walk_ns, bench.cached_ns]);
+    tables.push(cache);
     tables
 }
 
-/// Figure 8: spin-lock wait tables, from the tree columns of the same
-/// FIGURE5 sweep (`tree-full` is strategy 1, `tree-refined` strategy 3).
-fn fig8_tables(sweeps: &[MetisSweep]) -> Vec<Table> {
-    sweeps
-        .iter()
-        .map(|sweep| {
-            let mut table = Table::new(
-                format!(
-                    "Figure 8: range-tree spin-lock wait, Metis {}",
-                    sweep.workload.name()
-                ),
-                "threads",
-                "wait (us)",
-                vec!["tree-full".to_string(), "tree-refined".to_string()],
-            );
-            for (i, &threads) in sweep.threads.iter().enumerate() {
-                let row: Vec<f64> = sweep.rows[i]
-                    .iter()
-                    .filter(|m| m.spin_stats.is_some())
-                    .map(metisbench::MetisMeasurement::avg_spin_wait_us)
-                    .collect();
-                assert_eq!(row.len(), 2, "FIGURE5 has exactly two tree strategies");
-                table.push_row(threads as u64, row);
-            }
-            table
-        })
-        .collect()
+/// Spin-lock waits from the two tree columns of the FIGURE5 sweep.
+fn fig8_tables(sweeps: &MetisSweeps) -> Vec<Table> {
+    let head = ["Figure 8: range-tree spin-lock wait", "wait (us)"];
+    let cols = names(&["tree-full", "tree-refined"], |s| *s);
+    per_workload(sweeps, head, cols, |row| {
+        let trees = row.iter().filter(|m| m.spin_stats.is_some());
+        let waits: Vec<f64> = trees.map(MetisMeasurement::avg_spin_wait_us).collect();
+        assert_eq!(waits.len(), 2, "FIGURE5 has exactly two tree strategies");
+        waits
+    })
 }
 
-/// Figure 6: runtime-breakdown tables plus the per-cell speculation success
-/// rate, from a FIGURE6 sweep.
-fn fig6_tables(sweeps: &[MetisSweep]) -> Vec<Table> {
-    let mut tables = sweep_tables(
-        sweeps,
-        |wl| format!("Figure 6: refinement breakdown, Metis {wl}"),
-        "runtime (ms)",
-        strategy_columns(&rl_vm::Strategy::FIGURE6),
-        |m| m.runtime.as_secs_f64() * 1_000.0,
-    );
-    tables.extend(sweep_tables(
-        sweeps,
-        |wl| format!("Figure 6 speculation rate, Metis {wl}"),
-        "spec success (%)",
-        strategy_columns(&rl_vm::Strategy::FIGURE6),
-        metisbench::MetisMeasurement::speculation_rate_pct,
-    ));
-    tables
+/// One FileBench run; its stamped I/O must have torn nothing.
+fn file_run(
+    c: &Ctx,
+    lock: Variant,
+    wait: WaitPolicyKind,
+    pct: u32,
+    t: usize,
+    dist: OffsetDist,
+) -> FileBenchResult {
+    let config = FileBenchConfig {
+        lock,
+        wait,
+        threads: t,
+        read_pct: pct,
+        dist,
+        duration: c.pick(ms(200), ms(2_000)),
+    };
+    let result = filebench::run(&config);
+    let (name, dist) = (lock.name, dist.name());
+    assert_eq!(result.violations, 0, "torn I/O under {name}, {dist}");
+    result
 }
 
-fn run_fig5(opts: &Options) {
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE5, opts);
-    for (sweep, table) in sweeps.iter().zip(fig5_tables(&sweeps)) {
-        emit(&table, opts.json);
-        if let (Some(&max_threads), false) = (opts.threads.iter().max(), opts.json) {
-            let spec_rate_at_max = sweep
-                .rows
-                .last()
-                .and_then(|row| row.iter().find(|m| m.strategy.name == "list-refined"))
-                .map_or(0.0, metisbench::MetisMeasurement::speculation_rate_pct);
-            if let Some(spread) = table.spread_at(max_threads as u64) {
-                println!(
-                    "  {}: worst/best runtime ratio at {} threads = {:.1}x; list-refined speculation success = {:.1}%\n",
-                    sweep.workload.name(),
-                    max_threads,
-                    spread,
-                    spec_rate_at_max
-                );
-            }
-        }
-    }
+/// The FileBench operations whose waits are labeled.
+const FILE_OPS: [&str; 4] = ["pread", "pwrite", "append", "truncate"];
+
+/// One run's wait row: each labeled operation's mean wait, then the p50/p99
+/// of all of them.
+fn file_waits(run: &FileBenchResult) -> Vec<f64> {
+    let hist = run.wait_hist();
+    let mut waits: Vec<f64> = FILE_OPS.iter().map(|op| run.avg_wait_us(op)).collect();
+    waits.extend([hist.p50(), hist.p99()].map(|ns| ns.unwrap_or(0) as f64 / 1e3));
+    waits
 }
 
-fn run_fig6(opts: &Options) {
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE6, opts);
-    for table in fig6_tables(&sweeps) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_fig7(opts: &Options) {
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE5, opts);
-    for table in fig7_tables(&sweeps, opts.quick) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_fig8(opts: &Options) {
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE5, opts);
-    for table in fig8_tables(&sweeps) {
-        emit(&table, opts.json);
-    }
-}
-
-/// Bounded options for the CI smoke experiments: quick scale, threads 1
-/// and 2 (unless `--threads` was given explicitly).
-fn quick_opts(opts: &Options) -> Options {
-    Options {
-        quick: true,
-        threads: if opts.threads_overridden {
-            opts.threads.clone()
-        } else {
-            vec![1, 2]
-        },
-        ..opts.clone()
-    }
-}
-
-fn run_fig5_quick(opts: &Options) {
-    let opts = quick_opts(opts);
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE5, &opts);
-    for table in fig5_tables(&sweeps) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_fig6_quick(opts: &Options) {
-    let opts = quick_opts(opts);
-    let sweeps = metis_sweep(&rl_vm::Strategy::FIGURE6, &opts);
-    // The smoke step also guards the headline Section 7.2 claim: the fully
-    // refined strategy must complete a nonzero share of its mprotects
-    // speculatively even on the smallest inputs.
-    for sweep in &sweeps {
-        for row in &sweep.rows {
-            let refined = row
-                .iter()
-                .find(|m| m.strategy.name == "list-refined")
-                .expect("FIGURE6 contains list-refined");
-            assert!(
-                refined.speculation_rate_pct() > 0.0,
-                "fig6-quick: no speculative mprotect succeeded on {}",
-                sweep.workload.name()
-            );
-        }
-    }
-    for table in fig6_tables(&sweeps) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_skipbench_quick(opts: &Options) {
-    let opts = quick_opts(opts);
-    run_skip_sweep(&opts);
-}
-
-fn filebench_duration(quick: bool) -> Duration {
-    if quick {
-        Duration::from_millis(200)
-    } else {
-        Duration::from_secs(2)
-    }
-}
-
-fn filebench_tables(opts: &Options) -> Vec<Table> {
+/// Per offset distribution and read mix, a throughput table; for the
+/// write-heavy mix also one wait table per reader-writer variant.
+fn filebench(c: &Ctx) -> Vec<Table> {
+    let mut wait_cols = names(&FILE_OPS, |op| *op);
+    wait_cols.extend(["p50 (all ops)", "p99 (all ops)"].map(String::from));
     let mut tables = Vec::new();
     for dist in [OffsetDist::Uniform, OffsetDist::Skewed] {
-        for read_pct in [95u32, 50] {
-            let columns: Vec<String> = registry::all().iter().map(|l| l.name.to_string()).collect();
-            let mut throughput = Table::new(
-                format!("FileBench: {} offsets — {read_pct}% reads", dist.name()),
-                "threads",
-                "ops/sec",
-                columns,
-            );
-            // One wait table per reader-writer variant for the write-heavy
-            // mix: rows are thread counts, columns the labeled operations'
-            // mean waits plus the p50/p99 of the combined wait histogram.
-            let mut waits: Vec<(&str, Table)> = if read_pct == 50 {
-                registry::readers_share()
-                    .map(|lock| {
-                        (
-                            lock.name,
-                            Table::new(
-                                format!(
-                                    "FileBench wait per acquisition: {} offsets — 50% reads — {}",
-                                    dist.name(),
-                                    lock.name
-                                ),
-                                "threads",
-                                "wait (us)",
-                                vec![
-                                    "pread".to_string(),
-                                    "pwrite".to_string(),
-                                    "append".to_string(),
-                                    "truncate".to_string(),
-                                    "p50 (all ops)".to_string(),
-                                    "p99 (all ops)".to_string(),
-                                ],
-                            ),
-                        )
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            for &threads in &opts.threads {
-                let mut row = Vec::new();
-                for lock in registry::all() {
-                    let result = filebench::run(&FileBenchConfig {
-                        lock,
-                        wait: WaitPolicyKind::SpinThenYield,
-                        threads,
-                        read_pct,
-                        dist,
-                        duration: filebench_duration(opts.quick),
-                    });
-                    assert_eq!(
-                        result.violations,
-                        0,
-                        "FileBench integrity violation under {} ({} offsets, {read_pct}% reads, \
-                         {threads} threads)",
-                        lock.name,
-                        dist.name()
-                    );
-                    row.push(result.ops_per_sec());
-                    if let Some((_, table)) = waits.iter_mut().find(|(l, _)| *l == lock.name) {
-                        let hist = result.wait_hist();
-                        table.push_row(
-                            threads as u64,
-                            vec![
-                                result.avg_wait_us("pread"),
-                                result.avg_wait_us("pwrite"),
-                                result.avg_wait_us("append"),
-                                result.avg_wait_us("truncate"),
-                                hist.p50().unwrap_or(0) as f64 / 1_000.0,
-                                hist.p99().unwrap_or(0) as f64 / 1_000.0,
-                            ],
-                        );
-                    }
-                }
-                throughput.push_row(threads as u64, row);
+        for pct in [95, 50] {
+            let cell = |lock, t| file_run(c, lock, SpinThenYield, pct, t, dist);
+            let sweep = Sweep::measure(&c.threads(), registry::all(), cell);
+            let title = format!("FileBench: {} offsets — {pct}% reads", dist.name());
+            let rates = each(FileBenchResult::ops_per_sec);
+            tables.push(sweep.table([&title, "threads", "ops/sec"], variant_names(), rates));
+            let variants = registry::all().iter().enumerate();
+            for (i, lock) in variants.filter(|(_, l)| l.readers_share && pct == 50) {
+                let (dist, name) = (dist.name(), lock.name);
+                let title =
+                    format!("FileBench wait per acquisition: {dist} offsets — 50% reads — {name}");
+                let head = [title.as_str(), "threads", "wait (us)"];
+                let waits = |row: &[FileBenchResult]| file_waits(&row[i]);
+                tables.push(sweep.table(head, wait_cols.clone(), waits));
             }
-            tables.push(throughput);
-            tables.extend(waits.into_iter().map(|(_, table)| table));
         }
     }
     tables
 }
 
-fn run_filebench(opts: &Options) {
-    for table in filebench_tables(opts) {
-        emit(&table, opts.json);
-    }
+fn filebench_oversub(c: &Ctx) -> Vec<Table> {
+    let title = "FileBench oversubscribed: uniform offsets — 50% reads";
+    let cell = |lock, wait, t| file_run(c, lock, wait, 50, t, OffsetDist::Uniform).ops_per_sec();
+    oversub(c, title, cell)
 }
 
-fn run_filebench_oversub(opts: &Options) {
-    let threads = oversub_threads(opts);
-    for wait in WaitPolicyKind::ALL {
-        let columns: Vec<String> = registry::all().iter().map(|l| l.name.to_string()).collect();
-        let mut table = Table::new(
-            format!(
-                "FileBench oversubscribed: uniform offsets — 50% reads — {} policy ({} cores)",
-                wait.name(),
-                available_cores()
-            ),
-            "threads",
-            "ops/sec",
-            columns,
-        );
-        for &t in &threads {
-            let mut row = Vec::new();
-            for lock in registry::all() {
-                let result = filebench::run(&FileBenchConfig {
-                    lock,
-                    wait,
-                    threads: t,
-                    read_pct: 50,
-                    dist: OffsetDist::Uniform,
-                    duration: filebench_duration(opts.quick),
-                });
-                assert_eq!(
-                    result.violations,
-                    0,
-                    "FileBench integrity violation under {} ({} policy, {t} threads)",
-                    lock.name,
-                    wait.name()
-                );
-                row.push(result.ops_per_sec());
-            }
-            table.push_row(t as u64, row);
-        }
-        emit(&table, opts.json);
-    }
+fn asyncbench(c: &Ctx) -> Vec<Table> {
+    asyncbench_tables(&c.oversub_threads(), c.pick(12_000, 60_000))
+}
+
+fn asyncbench_quick(_: &Ctx) -> Vec<Table> {
+    asyncbench_tables(&[cores().max(2), 4 * cores()], 300)
 }
 
 /// Two tables per lock variant: owners (rows) × driver (columns) with fixed
 /// work per owner, so the number measured is backlog-drain throughput, plus
-/// a companion acquisition-latency table (p50/p99 per driver, from the
-/// harness-side histogram of the best run).
+/// the acquisition-latency companion from the best run's histogram.
 fn asyncbench_tables(owner_counts: &[usize], ops_per_owner: u64) -> Vec<Table> {
-    let workers = available_cores();
-    let mut tables = Vec::new();
-    for lock in registry::all() {
-        let columns: Vec<String> = AsyncDriver::ALL
-            .iter()
-            .map(|d| d.name().to_string())
-            .collect();
-        let mut table = Table::new(
-            format!(
-                "AsyncBench: {} — 60% reads — {} pool workers ({} cores)",
-                lock.name,
+    let workers = cores();
+    let drivers = names(&AsyncDriver::ALL, |d| d.name());
+    let tables = |lock: Variant| {
+        let sweep = Sweep::measure(owner_counts, &AsyncDriver::ALL, |&driver, owners| {
+            let config = AsyncBenchConfig {
+                lock,
+                driver,
+                owners,
                 workers,
-                available_cores()
-            ),
-            "owners",
-            "ops/sec",
-            columns,
-        );
-        let latency_columns: Vec<String> = AsyncDriver::ALL
-            .iter()
-            .flat_map(|d| [format!("{} p50", d.name()), format!("{} p99", d.name())])
-            .collect();
-        let mut latency = Table::new(
-            format!(
-                "AsyncBench acquire latency: {} — 60% reads — {} pool workers",
-                lock.name, workers
-            ),
-            "owners",
-            "wait (us)",
-            latency_columns,
-        );
-        for &owners in owner_counts {
-            let mut row = Vec::new();
-            let mut latency_row = Vec::new();
-            for driver in AsyncDriver::ALL {
-                // Best of three: backlog-drain time on an oversubscribed
-                // 1-core box is at the mercy of scheduler phase; the best
-                // run is the least-perturbed measurement of each driver.
-                let mut best: Option<AsyncBenchResult> = None;
-                for _ in 0..3 {
-                    let result = asyncbench::run(&AsyncBenchConfig {
-                        lock,
-                        driver,
-                        owners,
-                        workers,
-                        ops_per_owner,
-                        read_pct: 60,
-                    });
-                    assert!(
-                        result.operations > 0,
-                        "asyncbench: {} / {} made no progress",
-                        lock.name,
-                        driver.name()
-                    );
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| result.ops_per_sec() > b.ops_per_sec())
-                    {
-                        best = Some(result);
-                    }
-                }
-                let best = best.expect("three runs measured");
-                row.push(best.ops_per_sec());
-                latency_row.push(best.p50_wait_us());
-                latency_row.push(best.p99_wait_us());
-            }
-            table.push_row(owners as u64, row);
-            latency.push_row(owners as u64, latency_row);
-        }
-        tables.push(table);
-        tables.push(latency);
-    }
-    tables
+                ops_per_owner,
+                read_pct: 60,
+            };
+            // Best of three: backlog-drain time on an oversubscribed box is
+            // at the mercy of scheduler phase; the best run is the
+            // least-perturbed measurement of each driver.
+            let runs = (0..3).map(|_| {
+                let result = asyncbench::run(&config);
+                let (name, driver) = (lock.name, driver.name());
+                assert!(
+                    result.operations > 0,
+                    "asyncbench: {name} / {driver} made no progress"
+                );
+                result
+            });
+            let best = runs.max_by(|a, b| a.ops_per_sec().total_cmp(&b.ops_per_sec()));
+            let best = best.expect("three runs measured");
+            [best.ops_per_sec(), best.p50_wait_us(), best.p99_wait_us()]
+        });
+        let tail = format!("{} — 60% reads — {workers} pool workers", lock.name);
+        let titles = [
+            format!("AsyncBench: {tail} ({} cores)", cores()),
+            format!("AsyncBench acquire latency: {tail}"),
+        ];
+        sweep.with_latency(titles, ["owners", "ops/sec", "wait (us)"], &drivers)
+    };
+    registry::all().iter().flat_map(tables).collect()
 }
 
-fn run_asyncbench_tables(opts: &Options, owner_counts: &[usize], ops_per_owner: u64) {
-    for table in asyncbench_tables(owner_counts, ops_per_owner) {
-        emit(&table, opts.json);
-    }
+fn serverbench(c: &Ctx) -> Vec<Table> {
+    let connections = c.threads_or(vec![1, 4, 16, 64]);
+    serverbench_tables(&connections, c.pick(400, 5_000))
 }
 
-fn run_asyncbench(opts: &Options) {
-    let owner_counts = oversub_threads(opts);
-    // Enough work per owner that the backlog spans many scheduler
-    // timeslices — otherwise thread-per-owner "runs" are really sequential
-    // timeslice-sized bursts that never contend.
-    let ops = if opts.quick { 12_000 } else { 60_000 };
-    run_asyncbench_tables(opts, &owner_counts, ops);
-}
-
-/// A bounded asyncbench for CI: every variant and driver with small counts,
-/// so the async paths (pool scheduling, waker wakes, cancellation-free
-/// completion) run on every push regardless of runner size.
-fn run_asyncbench_quick(opts: &Options) {
-    let cores = available_cores();
-    let owner_counts = [cores.max(2), 4 * cores];
-    run_asyncbench_tables(opts, &owner_counts, 300);
+/// The gated server experiment: fixed connection counts (not core
+/// multiples) so the committed baseline rows match on any runner, and 1 000
+/// operation triples per connection, so a one-connection in-process cell
+/// (~2 us a triple) lasts ~2 ms. At 200 that cell was 0.4 ms, one scheduler
+/// hiccup from the gate's 4x tolerance (2 of 26 pinned gate runs failed on
+/// such a cell; 0 of 20 at 1 000).
+fn serverbench_quick(_: &Ctx) -> Vec<Table> {
+    serverbench_tables(&[1, 2, 4], 1_000)
 }
 
 /// Two tables per lock variant — connections (rows) × read mix (columns)
-/// throughput, plus a companion p50/p99 operation-latency table — and one
+/// throughput, plus its p50/p99 operation-latency companion — and one
 /// transport table (list-rw only) comparing the in-process duplex channel
 /// against loopback TCP at the same connection counts. Titles carry no
-/// core counts so the committed baselines match on any runner.
+/// core counts so the committed baselines match on any runner; the pool has
+/// a fixed 2 workers for the same reason (the regime under test is
+/// sessions >> workers).
 fn serverbench_tables(connection_counts: &[usize], ops_per_conn: u64) -> Vec<Table> {
-    const READ_MIXES: [u32; 2] = [95, 50];
-    // Fixed worker count (not core count): the regime under test is
-    // sessions >> workers, and baseline comparability across runners
-    // matters more than soaking big machines.
-    const WORKERS: usize = 2;
-    let mut tables = Vec::new();
-    for lock in registry::all() {
-        let mut throughput = Table::new(
-            format!("ServerBench: {} — in-process — 2 pool workers", lock.name),
-            "connections",
-            "ops/sec",
-            READ_MIXES.iter().map(|p| format!("{p}% reads")).collect(),
-        );
-        let mut latency = Table::new(
-            format!(
-                "ServerBench op latency: {} — in-process — 2 pool workers",
-                lock.name
-            ),
-            "connections",
-            "latency (us)",
-            READ_MIXES
-                .iter()
-                .flat_map(|p| [format!("{p}% reads p50"), format!("{p}% reads p99")])
-                .collect(),
-        );
-        for &connections in connection_counts {
-            let mut row = Vec::new();
-            let mut latency_row = Vec::new();
-            for read_pct in READ_MIXES {
-                let result = serverbench::run(&ServerBenchConfig {
-                    lock,
-                    wait: WaitPolicyKind::Block,
-                    connections,
-                    workers: WORKERS,
-                    read_pct,
-                    ops_per_conn,
-                    tcp: false,
-                });
-                assert_eq!(
-                    result.stats.deadlocks, 0,
-                    "serverbench: {} is single-range and must not deadlock",
-                    lock.name
-                );
-                row.push(result.ops_per_sec());
-                latency_row.push(result.p50_op_us());
-                latency_row.push(result.p99_op_us());
-            }
-            throughput.push_row(connections as u64, row);
-            latency.push_row(connections as u64, latency_row);
-        }
-        tables.push(throughput);
-        tables.push(latency);
-    }
+    let run = |lock, read_pct, connections, tcp| {
+        let config = ServerBenchConfig {
+            lock,
+            wait: WaitPolicyKind::Block,
+            connections,
+            workers: 2,
+            read_pct,
+            ops_per_conn,
+            tcp,
+        };
+        serverbench::run(&config)
+    };
+    let mixes = [95, 50];
+    let tables = |lock: Variant| {
+        let sweep = Sweep::measure(connection_counts, &mixes, |&read_pct, connections| {
+            let result = run(lock, read_pct, connections, false);
+            let name = lock.name;
+            assert_eq!(result.stats.deadlocks, 0, "serverbench: {name} deadlocked");
+            [result.ops_per_sec(), result.p50_op_us(), result.p99_op_us()]
+        });
+        let tail = format!("{} — in-process — 2 pool workers", lock.name);
+        let titles = [
+            format!("ServerBench: {tail}"),
+            format!("ServerBench op latency: {tail}"),
+        ];
+        let cols = names(&mixes, |p| format!("{p}% reads"));
+        sweep.with_latency(titles, ["connections", "ops/sec", "latency (us)"], &cols)
+    };
+    let mut tables: Vec<Table> = registry::all().iter().flat_map(tables).collect();
     // The transport tax, isolated: same workload, same lock, real sockets.
     let lock = registry::by_name("list-rw").expect("list-rw is registered");
-    let mut transport = Table::new(
-        "ServerBench transport: list-rw — 50% reads — 2 pool workers".to_string(),
-        "connections",
-        "ops/sec",
-        vec!["in-process".to_string(), "tcp-loopback".to_string()],
-    );
-    for &connections in connection_counts {
-        let mut row = Vec::new();
-        for tcp in [false, true] {
-            let result = serverbench::run(&ServerBenchConfig {
-                lock,
-                wait: WaitPolicyKind::Block,
-                connections,
-                workers: WORKERS,
-                read_pct: 50,
-                ops_per_conn,
-                tcp,
-            });
-            row.push(result.ops_per_sec());
-        }
-        transport.push_row(connections as u64, row);
-    }
-    tables.push(transport);
+    let transport = Sweep::measure(connection_counts, &[false, true], |&tcp, connections| {
+        run(lock, 50, connections, tcp).ops_per_sec()
+    });
+    let title = "ServerBench transport: list-rw — 50% reads — 2 pool workers";
+    let cols = names(&["in-process", "tcp-loopback"], |s| *s);
+    tables.push(transport.table([title, "connections", "ops/sec"], cols, <[_]>::to_vec));
     tables
 }
 
-fn run_serverbench_tables(opts: &Options, connection_counts: &[usize], ops_per_conn: u64) {
-    for table in serverbench_tables(connection_counts, ops_per_conn) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_serverbench(opts: &Options) {
-    let connection_counts: &[usize] = if opts.threads_overridden {
-        &opts.threads
-    } else {
-        &[1, 4, 16, 64]
-    };
-    let ops = if opts.quick { 400 } else { 5_000 };
-    run_serverbench_tables(opts, connection_counts, ops);
-}
-
-/// Operation triples per connection in `serverbench-quick` and in the
-/// `perfdiff` gate's fresh server tables: enough that a one-connection
-/// in-process cell (~2 us a triple) lasts ~2 ms. At 200 that cell is
-/// 0.4 ms, one scheduler hiccup from the gate's 4x tolerance (2 of 26
-/// pinned gate runs failed on such a cell; 0 of 20 at 1 000).
-const SERVERBENCH_QUICK_OPS: u64 = 1_000;
-
-/// A bounded serverbench for CI: every variant over the in-process
-/// transport plus the TCP spot check, small connection and op counts —
-/// fixed counts (not core multiples) so the committed baseline rows match
-/// on any runner.
-fn run_serverbench_quick(opts: &Options) {
-    run_serverbench_tables(opts, &[1, 2, 4], SERVERBENCH_QUICK_OPS);
+fn batch(c: &Ctx) -> Vec<Table> {
+    let duration = c.pick(ms(300), ms(2_000));
+    let tables = |size| batch_tables(&c.threads(), size, duration);
+    [2, 8].into_iter().flat_map(tables).collect()
 }
 
 /// Two tables per lock variant: threads (rows) × driver (columns) at a
-/// fixed batch size — the interesting shape is the gap between one atomic
-/// `lock_many` transaction and `batch_size` sequential deadlock-checked
-/// `lock` calls as contention grows — plus a companion whole-batch
-/// acquisition-latency table (p50/p99 per driver).
+/// fixed batch size — the gap between one atomic `lock_many` transaction and
+/// `batch_size` sequential deadlock-checked `lock` calls as contention
+/// grows — plus the whole-batch acquisition-latency companion.
 fn batch_tables(thread_counts: &[usize], batch_size: usize, duration: Duration) -> Vec<Table> {
-    let mut tables = Vec::new();
-    for lock in registry::all() {
-        let columns: Vec<String> = BatchDriver::ALL
-            .iter()
-            .map(|d| d.name().to_string())
-            .collect();
-        let mut table = Table::new(
-            format!(
-                "BatchBench: {} — {batch_size} ranges/batch — {}% shared ({} hot slots)",
-                lock.name,
-                batchbench::SHARED_PCT,
-                batchbench::HOT_SLOTS
-            ),
-            "threads",
-            "batches/sec",
-            columns,
-        );
-        let latency_columns: Vec<String> = BatchDriver::ALL
-            .iter()
-            .flat_map(|d| [format!("{} p50", d.name()), format!("{} p99", d.name())])
-            .collect();
-        let mut latency = Table::new(
-            format!(
-                "BatchBench acquire latency: {} — {batch_size} ranges/batch",
-                lock.name
-            ),
-            "threads",
-            "wait (us)",
-            latency_columns,
-        );
-        for &threads in thread_counts {
-            let mut row = Vec::new();
-            let mut latency_row = Vec::new();
-            for driver in BatchDriver::ALL {
-                let result = batchbench::run(&BatchBenchConfig {
-                    lock,
-                    wait: WaitPolicyKind::SpinThenYield,
-                    threads,
-                    batch_size,
-                    driver,
-                    duration,
-                });
-                assert!(
-                    result.batches > 0,
-                    "batch: {} / {} made no progress",
-                    lock.name,
-                    driver.name()
-                );
-                row.push(result.batches_per_sec());
-                latency_row.push(result.p50_wait_us());
-                latency_row.push(result.p99_wait_us());
-            }
-            table.push_row(threads as u64, row);
-            latency.push_row(threads as u64, latency_row);
-        }
-        tables.push(table);
-        tables.push(latency);
-    }
-    tables
-}
-
-fn run_batch_tables(
-    opts: &Options,
-    thread_counts: &[usize],
-    batch_size: usize,
-    duration: Duration,
-) {
-    for table in batch_tables(thread_counts, batch_size, duration) {
-        emit(&table, opts.json);
-    }
-}
-
-fn run_batch(opts: &Options) {
-    let duration = if opts.quick {
-        Duration::from_millis(300)
-    } else {
-        Duration::from_secs(2)
+    let drivers = names(&BatchDriver::ALL, |d| d.name());
+    let tables = |lock: Variant| {
+        let sweep = Sweep::measure(thread_counts, &BatchDriver::ALL, |&driver, threads| {
+            let config = BatchBenchConfig {
+                lock,
+                wait: SpinThenYield,
+                threads,
+                batch_size,
+                driver,
+                duration,
+            };
+            let result = batchbench::run(&config);
+            let (name, driver) = (lock.name, driver.name());
+            assert!(
+                result.batches > 0,
+                "batch: {name} / {driver} made no progress"
+            );
+            [
+                result.batches_per_sec(),
+                result.p50_wait_us(),
+                result.p99_wait_us(),
+            ]
+        });
+        let (shared, hot) = (batchbench::SHARED_PCT, batchbench::HOT_SLOTS);
+        let tail = format!("{} — {batch_size} ranges/batch", lock.name);
+        let titles = [
+            format!("BatchBench: {tail} — {shared}% shared ({hot} hot slots)"),
+            format!("BatchBench acquire latency: {tail}"),
+        ];
+        sweep.with_latency(titles, ["threads", "batches/sec", "wait (us)"], &drivers)
     };
-    for batch_size in [2usize, 8] {
-        run_batch_tables(opts, &opts.threads, batch_size, duration);
-    }
-}
-
-/// A bounded batch sweep for CI: every variant under both drivers, so the
-/// batched two-phase apply, the rollback paths, and the waits-for graph
-/// bookkeeping all run contended on every push.
-fn run_batch_quick(opts: &Options) {
-    run_batch_tables(opts, &[1, 2], 3, Duration::from_millis(50));
-}
-
-/// ParkBench: keyed wakes against the broadcast on the one parking table.
-fn run_parkbench(opts: &Options, quick: bool) {
-    for table in parkbench::tables(quick) {
-        emit(&table, opts.json);
-    }
-}
-
-/// ObsBench measurement parameters: (iterations per rep, reps).
-fn obsbench_scale(quick: bool) -> (u64, u32) {
-    if quick {
-        (300_000, 3)
-    } else {
-        (3_000_000, 5)
-    }
+    registry::all().iter().flat_map(tables).collect()
 }
 
 /// One single-row table: the four recording regimes as columns, ns per
-/// uncontended acquire/release pair as the metric.
-fn obsbench_table(results: &[obsbench::ObsBenchResult]) -> Table {
-    let columns: Vec<String> = results.iter().map(|r| r.mode.to_string()).collect();
-    let mut table = Table::new(
-        "ObsBench: uncontended acquire+release, list-ex fast path",
-        "threads",
-        "ns/op",
-        columns,
-    );
-    table.push_row(1, results.iter().map(|r| r.ns_per_op).collect());
-    table
-}
-
-fn obsbench_tables(quick: bool) -> Vec<Table> {
-    let (iters, reps) = obsbench_scale(quick);
-    vec![obsbench_table(&obsbench::run(iters, reps))]
-}
-
-fn run_obsbench(opts: &Options) {
-    let (iters, reps) = obsbench_scale(opts.quick);
+/// uncontended acquire/release pair, noting each regime's overhead.
+fn obsbench(quick: bool) -> Vec<Table> {
+    let (iters, reps) = if quick { (300_000, 3) } else { (3_000_000, 5) };
     let results = obsbench::run(iters, reps);
-    emit(&obsbench_table(&results), opts.json);
-    if !opts.json {
-        let baseline = results[0];
-        for result in &results[1..] {
-            println!(
-                "  {}: {:+.1}% vs baseline ({:.1} ns/op vs {:.1} ns/op)",
-                result.mode,
-                result.overhead_pct(&baseline),
-                result.ns_per_op,
-                baseline.ns_per_op
-            );
-        }
-        println!();
+    let title = "ObsBench: uncontended acquire+release, list-ex fast path";
+    let mut table = Table::new(title, "threads", "ns/op", names(&results, |r| r.mode));
+    table.push_row(1, results.iter().map(|r| r.ns_per_op).collect());
+    let base = results[0].ns_per_op;
+    for r in &results[1..] {
+        let (mode, ns, pct) = (r.mode, r.ns_per_op, (r.ns_per_op / base - 1.0) * 100.0);
+        let line = format!("  {mode}: {pct:+.1}% vs baseline ({ns:.1} ns/op vs {base:.1} ns/op)\n");
+        table.note += &line;
     }
+    vec![table]
 }
 
-/// The regression gate: re-runs the quick sweeps, parses the committed
-/// `BENCH_*.json` baselines, and exits nonzero if any cell got more than
-/// `--tolerance` times worse (direction-aware; see `rl_bench::perfdiff`).
-fn run_perfdiff(opts: &Options) {
-    // obsbench last: it installs the process-global recorder, and the other
-    // fresh runs should see the same (never-installed) state the committed
-    // baselines were recorded under.
-    //
-    // One FIGURE5 sweep feeds the fig5/fig7/fig8 baselines — the three
-    // figures are different projections of the same measurements.
-    let fig578_sweeps = metis_sweep(&rl_vm::Strategy::FIGURE5, opts);
-    let fig6_sweeps = metis_sweep(&rl_vm::Strategy::FIGURE6, opts);
-    let pairs: Vec<(&str, Vec<Table>)> = vec![
-        ("BENCH_fig5.json", fig5_tables(&fig578_sweeps)),
-        ("BENCH_fig6.json", fig6_tables(&fig6_sweeps)),
-        // Figure 7's avg-wait and companion tables gate; the wait-percentile
-        // tables are excluded from the fresh set. Their p50/p99 come from
-        // whether a handful of acquisitions happened to park, which flaps
-        // orders of magnitude run-to-run on an oversubscribed runner. The
-        // percentile tables stay in the committed baseline for reference;
-        // unmatched baseline tables skip.
-        (
-            "BENCH_fig7.json",
-            fig7_tables(&fig578_sweeps, opts.quick)
-                .into_iter()
-                .filter(|table| !table.title.contains("wait percentiles"))
-                .collect(),
-        ),
-        ("BENCH_fig8.json", fig8_tables(&fig578_sweeps)),
-        ("BENCH_skip.json", skip_sweep_tables(opts)),
-        // FileBench's throughput tables gate; its per-acquisition wait
-        // tables do not. A cell there is the mean over the few acquisitions
-        // that happened to wait at all, and `kernel-rw [x=2, truncate]` is
-        // bimodal on the same binary (0.15 us vs 6-24 us: over the 4x
-        // tolerance in 15 of 26 pinned runs on two adjacent commits).
-        (
-            "BENCH_filebench.json",
-            filebench_tables(opts)
-                .into_iter()
-                .filter(|table| !table.title.contains("wait per acquisition"))
-                .collect(),
-        ),
-        (
-            "BENCH_async.json",
-            asyncbench_tables(
-                &oversub_threads(opts),
-                if opts.quick { 12_000 } else { 60_000 },
-            ),
-        ),
-        ("BENCH_batch.json", {
-            let duration = if opts.quick {
-                Duration::from_millis(300)
-            } else {
-                Duration::from_secs(2)
-            };
-            let mut tables = Vec::new();
-            for batch_size in [2usize, 8] {
-                tables.extend(batch_tables(&opts.threads, batch_size, duration));
-            }
-            tables
-        }),
-        ("BENCH_park.json", parkbench::tables(opts.quick)),
-        // Gate throughput and the transport comparison only: the op-latency
-        // p99 columns come from a few thousand samples per cell at most and
-        // flap well past tolerance under runner jitter. The latency tables
-        // stay in the committed baseline for human reference; unmatched
-        // tables skip.
-        (
-            "BENCH_server.json",
-            serverbench_tables(&[1, 2, 4], SERVERBENCH_QUICK_OPS)
-                .into_iter()
-                .filter(|table| !table.title.contains("op latency"))
-                .collect(),
-        ),
-        ("BENCH_obs.json", obsbench_tables(opts.quick)),
-    ];
+/// The regression gate: every gated experiment, re-measured and compared
+/// against its committed baseline. Exits nonzero on a regression.
+fn perfdiff(ctx: &Ctx) {
     let mut failed = false;
-    for (path, fresh_tables) in pairs {
+    for e in EXPERIMENTS {
+        let Some((path, ungated)) = e.gate else {
+            continue;
+        };
         let Ok(text) = std::fs::read_to_string(path) else {
             println!("perfdiff: {path} not found — skipped");
             continue;
         };
         let base = match perfdiff::parse_tables(&text) {
-            Ok(tables) => tables,
+            Ok(base) => base,
             Err(err) => {
                 eprintln!("perfdiff: {path} does not parse: {err}");
                 failed = true;
                 continue;
             }
         };
-        let mut fresh = perfdiff::tables_to_parsed(&fresh_tables);
-        if opts.inject_regression {
+        let mut fresh = (e.tables)(ctx);
+        fresh.retain(|t| !ungated.iter().any(|u| t.title.contains(u)));
+        let mut fresh = perfdiff::tables_to_parsed(&fresh);
+        if ctx.inject_regression {
             perfdiff::inject_regression(&mut fresh);
         }
-        let report = perfdiff::diff(&base, &fresh, opts.tolerance);
+        let report = perfdiff::diff(&base, &fresh, ctx.tolerance);
         println!(
             "perfdiff: {path}: {} cells compared, {} skipped, {} regression(s)",
             report.compared,
@@ -1303,81 +951,131 @@ fn run_perfdiff(opts: &Options) {
         }
     }
     if failed {
-        eprintln!("perfdiff: FAILED (tolerance {:.1}x)", opts.tolerance);
+        eprintln!("perfdiff: FAILED (tolerance {:.1}x)", ctx.tolerance);
         std::process::exit(1);
     }
-    println!("perfdiff: OK (tolerance {:.1}x)", opts.tolerance);
+    println!("perfdiff: OK (tolerance {:.1}x)", ctx.tolerance);
+}
+
+fn run(e: &Experiment, ctx: &Ctx) {
+    for table in (e.tables)(ctx) {
+        let text = if ctx.json {
+            table.to_json()
+        } else {
+            table.render()
+        };
+        println!("{text}");
+    }
+}
+
+/// Exits on a malformed command line.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}; run with --help for the experiments");
+    std::process::exit(2);
 }
 
 fn main() {
-    let opts = parse_args();
-    if !opts.json {
-        println!(
-            "range-locks repro harness — {} mode, thread counts: {:?}\n",
-            if opts.quick { "quick" } else { "full" },
-            opts.threads
-        );
+    let (ctx, experiments) = parse_args();
+    if !ctx.json {
+        let mode = if ctx.quick { "quick" } else { "full" };
+        let threads = ctx.threads();
+        println!("range-locks repro harness — {mode} mode, thread counts: {threads:?}\n");
     }
-    for experiment in opts.experiments.clone() {
-        match experiment.as_str() {
-            "fig3-full" => run_fig3(RangePolicy::FullRange, &opts),
-            "fig3-nonoverlap" => run_fig3(RangePolicy::NonOverlapping, &opts),
-            "fig3-random" => run_fig3(RangePolicy::Random, &opts),
-            "fig3-quick" => run_fig3_quick(&opts),
-            "fig3-oversub" => run_fig3_oversub(&opts),
-            "fig4" => run_fig4(&opts),
-            "skip-sweep" => run_skip_sweep(&opts),
-            "skipbench-quick" => run_skipbench_quick(&opts),
-            "fig5" => run_fig5(&opts),
-            "fig5-quick" => run_fig5_quick(&opts),
-            "fig6" => run_fig6(&opts),
-            "fig6-quick" => run_fig6_quick(&opts),
-            "fig7" => run_fig7(&opts),
-            "fig8" => run_fig8(&opts),
-            "filebench" => run_filebench(&opts),
-            "filebench-oversub" => run_filebench_oversub(&opts),
-            "asyncbench" => run_asyncbench(&opts),
-            "asyncbench-quick" => run_asyncbench_quick(&opts),
-            "batch" => run_batch(&opts),
-            "batch-quick" => run_batch_quick(&opts),
-            "parkbench" => run_parkbench(&opts, opts.quick),
-            "parkbench-quick" => run_parkbench(&opts, true),
-            "serverbench" => run_serverbench(&opts),
-            "serverbench-quick" => run_serverbench_quick(&opts),
-            "obsbench" => run_obsbench(&opts),
-            "obsbench-quick" => {
-                let quick = Options {
-                    quick: true,
-                    ..opts.clone()
-                };
-                run_obsbench(&quick);
+    for name in &experiments {
+        match name.as_str() {
+            "all" => all().for_each(|e| run(e, &ctx)),
+            "perfdiff" => perfdiff(&ctx),
+            name => match EXPERIMENTS.iter().find(|e| e.name == name) {
+                Some(e) => run(e, &ctx),
+                None => usage_error(&format!("unknown experiment '{name}'")),
+            },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Committed baselines no gate reads, kept for reference.
+    const REFERENCE_ONLY: [&str; 1] = ["BENCH_oversub.json"];
+
+    #[test]
+    fn experiment_names_are_unique_and_free_of_the_drivers() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
+        assert!(!names.contains(&"all") && !names.contains(&"perfdiff"));
+    }
+
+    #[test]
+    fn all_runs_every_full_experiment_in_order_with_obsbench_last() {
+        let names: Vec<&str> = all().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            [
+                "uncontended",
+                "fig3-full",
+                "fig3-nonoverlap",
+                "fig3-random",
+                "fig3-oversub",
+                "fig4",
+                "skip-sweep",
+                "fig5",
+                "fig6",
+                "fig7",
+                "fig8",
+                "filebench",
+                "filebench-oversub",
+                "asyncbench",
+                "batch",
+                "parkbench",
+                "serverbench",
+                "obsbench",
+            ]
+        );
+        // `perfdiff` runs the gated rows in table order: obsbench last
+        // there too.
+        let mut gated = EXPERIMENTS.iter().filter(|e| e.gate.is_some());
+        assert_eq!(gated.next_back().map(|e| e.name), Some("obsbench"));
+    }
+
+    #[test]
+    fn every_committed_baseline_is_gated_once_or_reference_only() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut committed = Vec::new();
+        for entry in std::fs::read_dir(&root).expect("repository root") {
+            let name = entry.expect("directory entry").file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                committed.push(name.into_owned());
             }
-            "perfdiff" => run_perfdiff(&opts),
-            "all" => {
-                run_fig3(RangePolicy::FullRange, &opts);
-                run_fig3(RangePolicy::NonOverlapping, &opts);
-                run_fig3(RangePolicy::Random, &opts);
-                run_fig3_oversub(&opts);
-                run_fig4(&opts);
-                run_skip_sweep(&opts);
-                run_fig5(&opts);
-                run_fig6(&opts);
-                run_fig7(&opts);
-                run_fig8(&opts);
-                run_filebench(&opts);
-                run_filebench_oversub(&opts);
-                run_asyncbench(&opts);
-                run_batch(&opts);
-                run_parkbench(&opts, opts.quick);
-                run_serverbench(&opts);
-                // Last: obsbench installs the process-global recorder, and
-                // every earlier experiment should measure the pristine
-                // (never-installed) state.
-                run_obsbench(&opts);
-            }
-            other => {
-                eprintln!("unknown experiment '{other}'; run with --help for the list");
-                std::process::exit(2);
+        }
+        assert!(
+            !committed.is_empty(),
+            "no BENCH_*.json at {}",
+            root.display()
+        );
+        let baseline = |e: &Experiment| e.gate.map(|(path, _)| path);
+        for name in &committed {
+            let gates = EXPERIMENTS
+                .iter()
+                .filter(|e| baseline(e) == Some(name.as_str()))
+                .count();
+            let reference = REFERENCE_ONLY.contains(&name.as_str());
+            assert!(
+                (gates == 1 && !reference) || (gates == 0 && reference),
+                "{name}: gated by {gates} experiments, reference-only: {reference}"
+            );
+        }
+        for e in EXPERIMENTS {
+            if let Some(path) = baseline(e) {
+                assert!(
+                    committed.iter().any(|c| c == path),
+                    "{}: {path} is not committed",
+                    e.name
+                );
             }
         }
     }

@@ -259,45 +259,6 @@ pub fn run(config: &FileBenchConfig) -> FileBenchResult {
     )
 }
 
-/// Runs a fixed number of operations per thread (used by the Criterion
-/// bench, which needs deterministic work rather than a fixed duration).
-/// Returns the number of integrity violations, which the caller should
-/// assert to be zero.
-///
-/// Every variant is built under the default [`SpinThenYield`] policy so the
-/// comparison is waiting-discipline-uniform. (Before the registry port,
-/// `pnova-rw` alone defaulted to `Block` here — its Criterion numbers are
-/// therefore not comparable across that boundary.)
-///
-/// [`SpinThenYield`]: rl_sync::wait::SpinThenYield
-pub fn run_fixed_ops(
-    lock: &'static VariantSpec,
-    threads: usize,
-    read_pct: u32,
-    dist: OffsetDist,
-    ops_per_thread: u64,
-) -> u64 {
-    let lock = lock.build(WaitPolicyKind::SpinThenYield, &FILE_REGISTRY_CONFIG);
-    let file = Arc::new(RangeFile::new(lock));
-    file.truncate(FILE_SIZE);
-    let mut handles = Vec::with_capacity(threads);
-    for thread_id in 0..threads {
-        let file = Arc::clone(&file);
-        handles.push(std::thread::spawn(move || {
-            let mut rng = seed(thread_id);
-            let mut torn = 0u64;
-            let mut writes = 0u64;
-            for _ in 0..ops_per_thread {
-                if one_op(&file, &mut rng, &mut writes, thread_id, read_pct, dist) {
-                    torn += 1;
-                }
-            }
-            torn
-        }));
-    }
-    handles.into_iter().map(|h| h.join().unwrap()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,14 +287,6 @@ mod tests {
                 assert_eq!(result.op_waits.len(), 4);
                 assert_eq!(result.op_waits[0].name, "pread");
             }
-        }
-    }
-
-    #[test]
-    fn fixed_ops_mode_is_violation_free() {
-        for name in ["list-rw", "list-ex"] {
-            let lock = registry::by_name(name).expect("paper variant");
-            assert_eq!(run_fixed_ops(lock, 2, 60, OffsetDist::Skewed, 300), 0);
         }
     }
 

@@ -20,7 +20,8 @@
 //!   hand-rolled sequential ascending-order locking on the deadlock-checked
 //!   lock table;
 //! * [`obsbench`] — overhead of the `rl-obs` observability layer on the
-//!   uncontended fast path (recorder absent / disabled / sampled / full);
+//!   uncontended fast path (recorder absent / disabled / sampled / full),
+//!   and the best-of-reps timing loop `repro -- uncontended` shares;
 //! * [`parkbench`] — keyed wakes vs the broadcast on the one parking table:
 //!   spurious wakeups per release (O(parked waiters) vs ~0), wake-to-run
 //!   latency, and a disjoint-pair lock storm under the `Block` policy;
@@ -33,9 +34,8 @@
 //!   direction-aware (throughput down, p50/p99 latency up);
 //! * [`report`] — table rendering shared by the `repro` binary.
 //!
-//! The `repro` binary drives full thread sweeps and prints one table per
-//! figure; the Criterion benches under `benches/` time representative single
-//! configurations so `cargo bench` stays fast.
+//! The `repro` binary is one table of experiments over these modules: it
+//! drives the thread sweeps and prints one table per figure.
 
 #![warn(missing_docs)]
 

@@ -4,8 +4,8 @@
 //! one-CAS acquire), which is exactly where instrumentation overhead would
 //! hurt: a contended acquisition already costs a list traversal, but the
 //! fast path is ~70 ns of straight-line atomics. This benchmark times the
-//! `lock_overhead` loop shape — single-thread `acquire`/`release` of a fixed
-//! range on the exclusive list lock — under four recording regimes:
+//! `repro -- uncontended` loop shape — single-thread `acquire`/`release` of
+//! a fixed range on the exclusive list lock — under four recording regimes:
 //!
 //! * **baseline** — no recorder has ever been installed in the process;
 //!   every emission helper is the relaxed load of the master switch and a
@@ -34,7 +34,7 @@ use std::time::Instant;
 use range_lock::{ListRangeLock, Range};
 use rl_obs::{trace, Recorder, RecorderConfig};
 
-/// The fixed range every iteration acquires (the `lock_overhead` shape).
+/// The fixed range every iteration acquires (the `uncontended` shape).
 const RANGE: Range = Range { start: 10, end: 20 };
 
 /// The four recording regimes, in measurement order.
@@ -49,31 +49,28 @@ pub struct ObsBenchResult {
     pub ns_per_op: f64,
 }
 
-impl ObsBenchResult {
-    /// Overhead of this mode relative to `baseline`, in percent.
-    pub fn overhead_pct(&self, baseline: &ObsBenchResult) -> f64 {
-        (self.ns_per_op / baseline.ns_per_op - 1.0) * 100.0
-    }
-}
-
-/// Times `iters` uncontended acquire/release pairs, best of `reps` runs
-/// (the least-perturbed run is the honest measurement on a shared machine).
-fn measure(iters: u64, reps: u32) -> f64 {
-    let lock = ListRangeLock::new();
-    // Warm up: fault in the lock's head slot and the emission path.
+/// Times `iters` calls of `op`, best of `reps` runs (the least-perturbed
+/// run is the honest measurement on a shared machine), after a warm-up of
+/// up to 10 000 calls that faults in whatever `op` touches.
+pub fn ns_per_op(iters: u64, reps: u32, mut op: impl FnMut()) -> f64 {
     for _ in 0..iters.min(10_000) {
-        drop(lock.write(RANGE));
+        op();
     }
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let started = Instant::now();
         for _ in 0..iters {
-            drop(lock.write(RANGE));
+            op();
         }
-        let ns = started.elapsed().as_nanos() as f64 / iters as f64;
-        best = best.min(ns);
+        best = best.min(started.elapsed().as_nanos() as f64 / iters as f64);
     }
     best
+}
+
+/// Times `iters` uncontended acquire/release pairs on a fresh lock.
+fn measure(iters: u64, reps: u32) -> f64 {
+    let lock = ListRangeLock::new();
+    ns_per_op(iters, reps, || drop(lock.write(RANGE)))
 }
 
 /// Runs all four regimes and returns one result per [`MODES`] entry, in

@@ -20,6 +20,9 @@ pub struct Table {
     pub columns: Vec<String>,
     /// Rows: x value plus one metric value per column.
     pub rows: Vec<TableRow>,
+    /// Text printed under the rendered table (a summary of the rows);
+    /// left out of the JSON.
+    pub note: String,
 }
 
 /// One row of a [`Table`].
@@ -45,6 +48,7 @@ impl Table {
             metric: metric.into(),
             columns,
             rows: Vec::new(),
+            note: String::new(),
         }
     }
 
@@ -79,6 +83,10 @@ impl Table {
             }
             out.push_str(&line);
             out.push('\n');
+        }
+        if !self.note.is_empty() {
+            out.push('\n');
+            out.push_str(&self.note);
         }
         out
     }
@@ -259,6 +267,14 @@ mod tests {
         assert!(text.contains("threads"));
         assert!(text.contains("4000"));
         assert!(text.lines().count() >= 4);
+    }
+
+    #[test]
+    fn note_renders_under_the_table_but_not_into_json() {
+        let mut t = sample();
+        t.note = "  a wins 2x".into();
+        assert!(t.render().ends_with("\n\n  a wins 2x"));
+        assert!(!t.to_json().contains("wins"));
     }
 
     #[test]

@@ -498,9 +498,13 @@ impl<M: CompatMode, P: WaitPolicy> ListLock<M, P> {
     }
 
     /// The token of a blocking or `try_` acquisition that took the fast
-    /// path; its `Granted` is sampled, like every fast-path event.
+    /// path: an uncontended acquisition, whose `Granted` is sampled like
+    /// every fast-path event.
     #[inline]
     fn fast_held(&self, node: *mut LNode, range: Range, mode: LockMode) -> Held {
+        if let Some(s) = &self.stats {
+            s.record_uncontended();
+        }
         rl_obs::trace::emit_sampled(
             rl_obs::EventKind::Granted,
             self.queue.trace_id(),
@@ -557,8 +561,8 @@ impl<M: CompatMode, P: WaitPolicy> ListLock<M, P> {
     }
 
     /// Completes a slow-path acquisition: records it (a wait if any attempt
-    /// was contended) and emits the unsampled `Granted` that pairs with its
-    /// `AcquireStart`.
+    /// was contended) and emits the unsampled `Granted` that pairs with a
+    /// blocking or two-phase acquisition's `AcquireStart`.
     fn grant(&self, pending: &mut Pending, fast: bool) -> Held {
         let range = pending.range;
         if let Some(s) = &self.stats {
@@ -891,9 +895,6 @@ impl<M: CompatMode, P: WaitPolicy> RwRangeLock for ListLock<M, P> {
         let node = reclaim::alloc_node(range, mode == LockMode::Shared);
         let fast = self.fast_path(node);
         if fast == Some(true) {
-            if let Some(s) = &self.stats {
-                s.record_uncontended();
-            }
             return self.fast_held(node, range, mode);
         }
         // A lost fast-path race keeps its node and counts as contention.
@@ -904,7 +905,8 @@ impl<M: CompatMode, P: WaitPolicy> RwRangeLock for ListLock<M, P> {
 
     /// The `try_` driver: one attempt that never waits and never retries;
     /// a failure frees (never published) or logically deletes (published)
-    /// the node, so it leaves nothing behind. Records no wait statistics.
+    /// the node, so it leaves nothing behind and counts nothing. A grant
+    /// counts once as an uncontended acquisition, like every other lock's.
     fn try_acquire(&self, range: Range, mode: LockMode) -> Option<Held> {
         let mode = Self::granted(mode);
         let node = reclaim::alloc_node(range, mode == LockMode::Shared);
@@ -917,15 +919,7 @@ impl<M: CompatMode, P: WaitPolicy> RwRangeLock for ListLock<M, P> {
             ..Pending::try_based(range, mode)
         };
         if let Step::Done = self.attempt::<GiveUp>(&mut pending) {
-            if rl_obs::trace::is_enabled() {
-                rl_obs::trace::emit_here(
-                    rl_obs::EventKind::Granted,
-                    self.queue.trace_id(),
-                    range.start,
-                    range.end,
-                );
-            }
-            return Some(self.id.issue(range, mode, node as u64));
+            return Some(self.grant(&mut pending, false));
         }
         self.abandon(&mut pending);
         None

@@ -126,50 +126,37 @@ impl<P: WaitPolicy> RwSemaphore<P> {
 
     /// Acquires the semaphore for shared (read) access.
     pub fn read(&self) -> RwSemReadGuard<'_, P> {
-        if self.try_read_fast() {
-            if let Some(s) = &self.stats {
-                s.record_uncontended();
-            }
-            return RwSemReadGuard { sem: self };
-        }
-        self.read_slow()
+        self.try_read().unwrap_or_else(|| self.read_slow())
     }
 
     /// Acquires the semaphore for exclusive (write) access.
     pub fn write(&self) -> RwSemWriteGuard<'_, P> {
-        if self
-            .state
-            .compare_exchange(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            if let Some(s) = &self.stats {
-                s.record_uncontended();
-            }
-            return RwSemWriteGuard { sem: self };
-        }
-        self.write_slow()
+        self.try_write().unwrap_or_else(|| self.write_slow())
     }
 
-    /// Attempts a shared acquisition without waiting.
+    /// Attempts a shared acquisition without waiting; a grant counts as an
+    /// uncontended acquisition.
     pub fn try_read(&self) -> Option<RwSemReadGuard<'_, P>> {
-        if self.try_read_fast() {
-            Some(RwSemReadGuard { sem: self })
-        } else {
-            None
-        }
+        self.try_read_fast()
+            .then(|| self.uncontended(RwSemReadGuard { sem: self }))
     }
 
-    /// Attempts an exclusive acquisition without waiting.
+    /// Attempts an exclusive acquisition without waiting; a grant counts as
+    /// an uncontended acquisition.
     pub fn try_write(&self) -> Option<RwSemWriteGuard<'_, P>> {
-        if self
-            .state
+        self.state
             .compare_exchange(0, WRITER, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
-        {
-            Some(RwSemWriteGuard { sem: self })
-        } else {
-            None
+            .then(|| self.uncontended(RwSemWriteGuard { sem: self }))
+    }
+
+    /// Records an acquisition that did not wait and passes its guard on.
+    #[inline]
+    fn uncontended<G>(&self, guard: G) -> G {
+        if let Some(s) = &self.stats {
+            s.record_uncontended();
         }
+        guard
     }
 
     /// Returns `true` if a writer currently holds the semaphore.

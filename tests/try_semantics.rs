@@ -3,12 +3,14 @@
 //! must never wait and must leave **no residue** — no node behind in the
 //! list (leak check via `held_ranges` / `is_quiescent` and via
 //! `LockStatSnapshot`, which must not count failed attempts as
-//! acquisitions), and no effect on later acquisitions, including the
-//! empty-list fast path.
+//! acquisitions, and counts a granted one once), and no effect on later
+//! acquisitions, including the empty-list fast path.
 
 use std::sync::Arc;
 
-use range_locks_repro::range_lock::{ListRangeLock, Range, RwListRangeLock, RwRangeLock};
+use range_locks_repro::range_lock::{
+    ListRangeLock, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock,
+};
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_sync::stats::WaitStats;
 use range_locks_repro::rl_sync::wait::WaitPolicyKind;
@@ -118,6 +120,63 @@ fn every_registry_variant_honors_the_try_contract() {
                     .unwrap_or_else(|| panic!("{}: span must be free after release", spec.name)),
             );
         }
+    }
+}
+
+#[test]
+fn a_granted_try_counts_once_for_every_variant_and_stock() {
+    // One counting rule everywhere, so a per-acquisition average (Figure 7)
+    // has the same denominator whichever variant ran `try_` or two-phase
+    // paths: a granted `try_` is one uncontended acquisition, a failed one
+    // is none.
+    const K: u64 = 8;
+    let config = RegistryConfig {
+        span: 1 << 10,
+        segments: 16,
+    };
+    let wait = WaitPolicyKind::SpinThenYield;
+    let mut cases: Vec<(&str, Arc<WaitStats>, Box<dyn TwoPhaseRwRangeLock>)> = registry::all()
+        .iter()
+        .map(|spec| {
+            let stats = Arc::new(WaitStats::new(spec.name));
+            let lock = spec.build_with_stats(wait, &config, Arc::clone(&stats), None);
+            (spec.name, stats, lock)
+        })
+        .collect();
+    let stats = Arc::new(WaitStats::new("stock"));
+    cases.push((
+        "stock",
+        Arc::clone(&stats),
+        registry::build_stock(wait, Some(stats)),
+    ));
+    for (name, stats, lock) in &cases {
+        // Disjoint segment-aligned ranges, held together where the lock has
+        // ranges (so the list locks take their fast path once and their
+        // walk after), one at a time under `stock`, which has none.
+        let mut held = Vec::new();
+        for i in 0..K {
+            let range = Range::new(i * 64, (i + 1) * 64);
+            let guard = lock
+                .try_write(range)
+                .unwrap_or_else(|| panic!("{name}: disjoint try_write {i} must succeed"));
+            if *name != "stock" {
+                held.push(guard);
+            }
+        }
+        drop(held);
+        assert_eq!(stats.snapshot().acquisitions, K, "{name}: granted tries");
+
+        let blocker = lock.write(Range::new(0, 64));
+        let before = stats.snapshot().acquisitions;
+        for _ in 0..K {
+            assert!(lock.try_write(Range::new(0, 64)).is_none());
+        }
+        assert_eq!(
+            stats.snapshot().acquisitions,
+            before,
+            "{name}: failed tries must count nothing"
+        );
+        drop(blocker);
     }
 }
 
