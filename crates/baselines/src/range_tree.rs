@@ -393,32 +393,4 @@ mod tests {
         tree.check_invariants().unwrap();
         assert_eq!(tree.len(), 500);
     }
-
-    #[test]
-    fn overlap_matches_naive_oracle() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let mut tree = RangeTree::new();
-        let mut oracle: Vec<Interval> = Vec::new();
-        for id in 0..500u64 {
-            if !oracle.is_empty() && rng.gen_bool(0.3) {
-                let idx = rng.gen_range(0..oracle.len());
-                let victim = oracle.swap_remove(idx);
-                assert!(tree.remove(&victim));
-            } else {
-                let start = rng.gen_range(0..10_000u64);
-                let len = rng.gen_range(1..500u64);
-                let entry = iv(start, start + len, id);
-                tree.insert(entry);
-                oracle.push(entry);
-            }
-            if id % 50 == 0 {
-                tree.check_invariants().unwrap();
-                let q_start = rng.gen_range(0..10_000u64);
-                let q = Range::new(q_start, q_start + rng.gen_range(1..800u64));
-                let expected = oracle.iter().filter(|i| i.range.overlaps(&q)).count();
-                assert_eq!(tree.count_overlaps(&q), expected);
-            }
-        }
-    }
 }

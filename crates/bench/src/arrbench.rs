@@ -25,16 +25,17 @@
 //! constant below what the pre-registry static-enum harness measured, so
 //! don't compare absolute numbers across that boundary.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-use range_lock::{LockMode, Range, RangeGuard, RwRangeLock, TwoPhaseRwRangeLock};
+use range_lock::LockMode::{Exclusive, Shared};
+use range_lock::{Range, RangeGuard, RwRangeLock};
 use rl_baselines::registry::{RegistryConfig, VariantSpec};
+use rl_sync::padded::padded_vec;
 use rl_sync::wait::WaitPolicyKind;
-use rl_sync::{padded::padded_vec, CachePadded};
 
 use crate::rng::{seed, xorshift};
+use crate::runner::{self, Run, Stop};
 
 /// Number of array slots (the paper uses 256).
 pub const ARRAY_SLOTS: u64 = 256;
@@ -88,107 +89,61 @@ pub struct ArrBenchConfig {
     pub duration: Duration,
 }
 
-/// Result of one ArrBench run.
-#[derive(Debug, Clone, Copy)]
-pub struct ArrBenchResult {
-    /// Total completed operations across all threads.
-    pub operations: u64,
-    /// Measured wall-clock time.
-    pub elapsed: Duration,
-}
-
-impl ArrBenchResult {
-    /// Throughput in operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.operations as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// Acquires through the dynamic interface in the requested mode.
-#[inline]
-fn acquire<L: RwRangeLock + ?Sized>(lock: &L, range: Range, read: bool) -> RangeGuard<'_, L> {
-    let mode = if read {
-        LockMode::Shared
-    } else {
-        LockMode::Exclusive
-    };
-    RangeGuard::new(lock, lock.acquire(range, mode))
-}
-
-/// Runs one ArrBench configuration and reports its throughput.
-pub fn run(config: &ArrBenchConfig) -> ArrBenchResult {
-    assert!(config.threads > 0);
+/// Runs one ArrBench configuration for its duration.
+pub fn run(config: &ArrBenchConfig) -> Run {
     assert!(config.read_pct <= 100);
-    let lock: Arc<Box<dyn TwoPhaseRwRangeLock>> =
-        Arc::new(config.lock.build(config.wait, &ARRAY_REGISTRY_CONFIG));
-    let slots: Arc<Vec<CachePadded<AtomicU64>>> = Arc::new(padded_vec(ARRAY_SLOTS as usize));
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_ops = Arc::new(AtomicU64::new(0));
+    let lock = config.lock.build(config.wait, &ARRAY_REGISTRY_CONFIG);
+    let slots = padded_vec::<AtomicU64>(ARRAY_SLOTS as usize);
+    let threads = config.threads as u64;
+    // The non-overlapping slices: 1/threads of the array each, or one slot
+    // each once there are more threads than slots (and then thread i
+    // shares slot i % 256).
+    let slice_len = (ARRAY_SLOTS / threads.max(1)).max(1);
+    let (lock_name, policy) = (config.lock.name, config.policy.name());
+    let name = format!(
+        "ArrBench {lock_name} / {policy} / {} x{threads}",
+        config.wait.name()
+    );
+    runner::run(&name, config.threads, Stop::After(config.duration), |i| {
+        let mut rng_state = seed(i);
+        let slice = i as u64 % (ARRAY_SLOTS / slice_len);
+        let my_slice = Range::new(slice * slice_len, (slice + 1) * slice_len);
+        let (lock, slots) = (&lock, &slots);
+        move |_: &_| {
+            let read = (xorshift(&mut rng_state) % 100) < config.read_pct as u64;
+            let (range, passes) = match config.policy {
+                RangePolicy::FullRange => (Range::new(0, ARRAY_SLOTS), 1),
+                RangePolicy::NonOverlapping => (my_slice, threads),
+                RangePolicy::Random => {
+                    let a = xorshift(&mut rng_state) % ARRAY_SLOTS;
+                    let b = xorshift(&mut rng_state) % ARRAY_SLOTS;
+                    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+                    (Range::new(lo, hi + 1), 1)
+                }
+            };
 
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(config.threads);
-    for thread_id in 0..config.threads {
-        let lock = Arc::clone(&lock);
-        let slots = Arc::clone(&slots);
-        let stop = Arc::clone(&stop);
-        let total_ops = Arc::clone(&total_ops);
-        let config = *config;
-        handles.push(std::thread::spawn(move || {
-            let mut rng_state = seed(thread_id);
-            let mut ops = 0u64;
-            let slice_len = (ARRAY_SLOTS / config.threads as u64).max(1);
-            let my_slice = Range::new(
-                (thread_id as u64 * slice_len).min(ARRAY_SLOTS - 1),
-                ((thread_id as u64 + 1) * slice_len)
-                    .min(ARRAY_SLOTS)
-                    .max(thread_id as u64 * slice_len + 1),
-            );
-            while !stop.load(Ordering::Relaxed) {
-                let read = (xorshift(&mut rng_state) % 100) < config.read_pct as u64;
-                let (range, passes) = match config.policy {
-                    RangePolicy::FullRange => (Range::new(0, ARRAY_SLOTS), 1),
-                    RangePolicy::NonOverlapping => (my_slice, config.threads as u64),
-                    RangePolicy::Random => {
-                        let a = xorshift(&mut rng_state) % ARRAY_SLOTS;
-                        let b = xorshift(&mut rng_state) % ARRAY_SLOTS;
-                        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                        (Range::new(lo, hi + 1), 1)
-                    }
-                };
-
-                {
-                    let _guard = acquire(&**lock, range, read);
-                    for _ in 0..passes {
-                        for slot in slots[range.start as usize..range.end as usize].iter() {
-                            if read {
-                                std::hint::black_box(slot.load(Ordering::Relaxed));
-                            } else {
-                                slot.fetch_add(1, Ordering::Relaxed);
-                            }
+            {
+                let mode = if read { Shared } else { Exclusive };
+                let _guard = RangeGuard::new(&**lock, lock.acquire(range, mode));
+                for _ in 0..passes {
+                    for slot in slots[range.start as usize..range.end as usize].iter() {
+                        if read {
+                            std::hint::black_box(slot.load(Ordering::Relaxed));
+                        } else {
+                            slot.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
-
-                // Non-critical work between operations.
-                let work = xorshift(&mut rng_state) % NON_CRITICAL_WORK;
-                for _ in 0..work {
-                    std::hint::spin_loop();
-                }
-                ops += 1;
             }
-            total_ops.fetch_add(ops, Ordering::Relaxed);
-        }));
-    }
 
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::Relaxed);
-    for handle in handles {
-        handle.join().expect("ArrBench worker panicked");
-    }
-    ArrBenchResult {
-        operations: total_ops.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-    }
+            // Non-critical work between operations.
+            let work = xorshift(&mut rng_state) % NON_CRITICAL_WORK;
+            for _ in 0..work {
+                std::hint::spin_loop();
+            }
+            true
+        }
+    })
 }
 
 #[cfg(test)]
@@ -212,10 +167,23 @@ mod tests {
                     read_pct: 60,
                     duration: Duration::from_millis(30),
                 });
-                assert!(result.operations > 0, "{} / {}", lock.name, policy.name());
-                assert!(result.ops_per_sec() > 0.0);
+                assert!(result.ops > 0, "{} / {}", lock.name, policy.name());
+                assert!(result.per_sec() > 0.0);
             }
         }
+    }
+
+    #[test]
+    fn more_threads_than_slots_share_non_overlapping_slices() {
+        let result = run(&ArrBenchConfig {
+            lock: registry::by_name("list-ex").expect("paper variant"),
+            policy: RangePolicy::NonOverlapping,
+            wait: WaitPolicyKind::Block,
+            threads: 300,
+            read_pct: 60,
+            duration: Duration::from_millis(20),
+        });
+        assert!(result.ops > 0);
     }
 
     #[test]
@@ -239,7 +207,7 @@ mod tests {
                     read_pct: 60,
                     duration: Duration::from_millis(25),
                 });
-                assert!(result.operations > 0, "{} / {}", lock.name, wait.name());
+                assert!(result.ops > 0, "{} / {}", lock.name, wait.name());
             }
         }
     }

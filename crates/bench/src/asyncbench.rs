@@ -26,17 +26,18 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use range_lock::{Range, RwRangeLock, TwoPhaseRwRangeLock};
 use rl_baselines::registry::VariantSpec;
 use rl_exec::TaskPool;
-use rl_obs::{HistogramSnapshot, LatencyHistogram};
+use rl_obs::LatencyHistogram;
 use rl_sync::wait::WaitPolicyKind;
 use rl_sync::{padded::padded_vec, CachePadded};
 
 use crate::arrbench::{ARRAY_REGISTRY_CONFIG, ARRAY_SLOTS};
 use crate::rng::{seed, xorshift};
+use crate::runner::{self, Run, Stop};
 
 /// How the M owners are scheduled onto the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,39 +86,6 @@ pub struct AsyncBenchConfig {
     pub read_pct: u32,
 }
 
-/// Result of one AsyncBench run.
-#[derive(Debug, Clone)]
-pub struct AsyncBenchResult {
-    /// Total completed operations (owners × ops each).
-    pub operations: u64,
-    /// Wall-clock time to drain the whole backlog.
-    pub elapsed: Duration,
-    /// Distribution of per-operation acquisition latencies (request to
-    /// guard, nanoseconds), recorded by the harness around every
-    /// acquisition. The registry builds locks without attached `WaitStats`,
-    /// so this is where the p50/p99 columns of the AsyncBench report tables
-    /// come from.
-    pub wait_hist: HistogramSnapshot,
-}
-
-impl AsyncBenchResult {
-    /// Throughput in operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.operations as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Median acquisition latency in microseconds (0 if nothing recorded).
-    pub fn p50_wait_us(&self) -> f64 {
-        self.wait_hist.p50().unwrap_or(0) as f64 / 1_000.0
-    }
-
-    /// 99th-percentile acquisition latency in microseconds (0 if nothing
-    /// recorded).
-    pub fn p99_wait_us(&self) -> f64 {
-        self.wait_hist.p99().unwrap_or(0) as f64 / 1_000.0
-    }
-}
-
 /// Picks one operation: a random sub-range (as in ArrBench's random policy)
 /// and a read/write decision.
 #[inline]
@@ -154,7 +122,7 @@ fn critical_section(slots: &[CachePadded<AtomicU64>], range: Range, read: bool) 
     }
 }
 
-fn run_async_tasks(config: &AsyncBenchConfig) -> AsyncBenchResult {
+fn run_async_tasks(config: &AsyncBenchConfig) -> Run {
     let lock: Arc<Box<dyn TwoPhaseRwRangeLock>> = Arc::new(
         config
             .lock
@@ -193,54 +161,46 @@ fn run_async_tasks(config: &AsyncBenchConfig) -> AsyncBenchResult {
     for handle in handles {
         handle.join();
     }
-    AsyncBenchResult {
-        operations: config.owners as u64 * config.ops_per_owner,
+    Run {
+        ops: config.owners as u64 * config.ops_per_owner,
         elapsed: started.elapsed(),
-        wait_hist: waits.snapshot(),
+        hist: waits.snapshot(),
     }
 }
 
-fn run_thread_per_owner(config: &AsyncBenchConfig, wait: WaitPolicyKind) -> AsyncBenchResult {
-    let lock: Arc<Box<dyn TwoPhaseRwRangeLock>> =
-        Arc::new(config.lock.build(wait, &ARRAY_REGISTRY_CONFIG));
-    let slots: Arc<Vec<CachePadded<AtomicU64>>> = Arc::new(padded_vec(ARRAY_SLOTS as usize));
-    let waits = Arc::new(LatencyHistogram::new());
-    let started = Instant::now();
-    let handles: Vec<_> = (0..config.owners)
-        .map(|owner| {
-            let lock = Arc::clone(&lock);
-            let slots = Arc::clone(&slots);
-            let waits = Arc::clone(&waits);
-            let config = *config;
-            std::thread::spawn(move || {
-                let mut rng_state = seed(owner);
-                for _ in 0..config.ops_per_owner {
-                    let (range, read) = next_op(&mut rng_state, config.read_pct);
-                    let requested = Instant::now();
-                    let guard = if read {
-                        lock.read(range)
-                    } else {
-                        lock.write(range)
-                    };
-                    waits.record(requested.elapsed().as_nanos() as u64);
-                    critical_section(&slots, range, read);
-                    drop(guard);
-                }
-            })
-        })
-        .collect();
-    for handle in handles {
-        handle.join().expect("AsyncBench owner thread panicked");
-    }
-    AsyncBenchResult {
-        operations: config.owners as u64 * config.ops_per_owner,
-        elapsed: started.elapsed(),
-        wait_hist: waits.snapshot(),
-    }
+fn run_thread_per_owner(config: &AsyncBenchConfig, wait: WaitPolicyKind) -> Run {
+    let lock = config.lock.build(wait, &ARRAY_REGISTRY_CONFIG);
+    let slots = padded_vec::<AtomicU64>(ARRAY_SLOTS as usize);
+    let name = format!("AsyncBench {} / {}", config.lock.name, config.driver.name());
+    runner::run(
+        &name,
+        config.owners,
+        Stop::Quota(config.ops_per_owner),
+        |owner| {
+            let mut rng_state = seed(owner);
+            let (lock, slots) = (&lock, &slots);
+            move |waits: &LatencyHistogram| {
+                let (range, read) = next_op(&mut rng_state, config.read_pct);
+                let requested = Instant::now();
+                let guard = if read {
+                    lock.read(range)
+                } else {
+                    lock.write(range)
+                };
+                waits.record(requested.elapsed().as_nanos() as u64);
+                critical_section(slots, range, read);
+                drop(guard);
+                true
+            }
+        },
+    )
 }
 
-/// Runs one AsyncBench configuration and reports its throughput.
-pub fn run(config: &AsyncBenchConfig) -> AsyncBenchResult {
+/// Runs one AsyncBench configuration: every owner drains its backlog, and
+/// the cell's histogram holds every acquisition's latency (request to
+/// guard, ns). The registry builds locks without attached `WaitStats`, so
+/// this is where the p50/p99 columns of the AsyncBench tables come from.
+pub fn run(config: &AsyncBenchConfig) -> Run {
     assert!(config.owners > 0);
     assert!(config.ops_per_owner > 0);
     assert!(config.read_pct <= 100);
@@ -270,16 +230,16 @@ mod tests {
                     ops_per_owner: 50,
                     read_pct: 60,
                 });
-                assert_eq!(result.operations, 200, "{} / {}", lock.name, driver.name());
-                assert!(result.ops_per_sec() > 0.0);
+                assert_eq!(result.ops, 200, "{} / {}", lock.name, driver.name());
+                assert!(result.per_sec() > 0.0);
                 assert_eq!(
-                    result.wait_hist.count(),
+                    result.hist.count(),
                     200,
                     "{} / {}: every acquisition must be recorded",
                     lock.name,
                     driver.name()
                 );
-                assert!(result.p99_wait_us() >= result.p50_wait_us());
+                assert!(result.p99_us() >= result.p50_us());
             }
         }
     }

@@ -15,23 +15,24 @@
 //!   prices the detection machinery, not just the list operations;
 //! * `EDEADLK` outcomes (spurious ones are possible by design — detection is
 //!   best-effort, stale edges may conservatively close a cycle) abort the
-//!   iteration, roll back, and are reported separately in
-//!   [`BatchBenchResult::deadlocks`] rather than counted as progress.
+//!   iteration, roll back, and are counted beside the [`run`]'s result
+//!   rather than as progress.
 //!
 //! The full lock-variant matrix comes from the dynamic registry via
 //! [`VariantSpec::build`], the same way FileBench gets its locks.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use range_lock::Range;
 use rl_baselines::registry::{RegistryConfig, VariantSpec};
 use rl_file::{LockMode, LockTable};
-use rl_obs::{HistogramSnapshot, LatencyHistogram};
+use rl_obs::LatencyHistogram;
 use rl_sync::wait::WaitPolicyKind;
 
 use crate::rng::{seed, xorshift};
+use crate::runner::{self, Run, Stop};
 
 /// Span the lock table's lock covers (bytes).
 pub const BATCH_SPAN: u64 = 1 << 20;
@@ -92,42 +93,6 @@ pub struct BatchBenchConfig {
     pub duration: Duration,
 }
 
-/// Result of one BatchBench run.
-#[derive(Debug, Clone)]
-pub struct BatchBenchResult {
-    /// Fully-acquired-and-released batches across all threads.
-    pub batches: u64,
-    /// Measured wall-clock time.
-    pub elapsed: Duration,
-    /// `EDEADLK` outcomes (aborted + rolled-back iterations).
-    pub deadlocks: u64,
-    /// Distribution of whole-batch acquisition latencies (first lock call
-    /// to all ranges held, nanoseconds) over the *successful* batches,
-    /// recorded by the harness. The registry builds locks without attached
-    /// `WaitStats`, so this is where the p50/p99 columns of the BatchBench
-    /// report tables come from.
-    pub wait_hist: HistogramSnapshot,
-}
-
-impl BatchBenchResult {
-    /// Throughput in completed batches per second.
-    pub fn batches_per_sec(&self) -> f64 {
-        self.batches as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Median batch-acquisition latency in microseconds (0 if nothing
-    /// recorded).
-    pub fn p50_wait_us(&self) -> f64 {
-        self.wait_hist.p50().unwrap_or(0) as f64 / 1_000.0
-    }
-
-    /// 99th-percentile batch-acquisition latency in microseconds (0 if
-    /// nothing recorded).
-    pub fn p99_wait_us(&self) -> f64 {
-        self.wait_hist.p99().unwrap_or(0) as f64 / 1_000.0
-    }
-}
-
 /// Picks `batch_size` distinct hot slots and returns them as `(range, mode)`
 /// items in ascending range order.
 fn pick_batch(rng: &mut u64, batch_size: usize) -> Vec<(Range, LockMode)> {
@@ -152,64 +117,44 @@ fn pick_batch(rng: &mut u64, batch_size: usize) -> Vec<(Range, LockMode)> {
         .collect()
 }
 
-/// Runs one BatchBench configuration.
-pub fn run(config: &BatchBenchConfig) -> BatchBenchResult {
-    assert!(config.threads > 0);
+/// Runs one BatchBench configuration for its duration. An operation is a
+/// fully acquired and released batch, and the cell's histogram holds each
+/// one's acquisition latency (first lock call to all ranges held, ns). The
+/// registry builds locks without attached `WaitStats`, so this is where the
+/// p50/p99 columns of the BatchBench tables come from. Beside the run: the
+/// number of `EDEADLK` outcomes (aborted and rolled-back iterations).
+pub fn run(config: &BatchBenchConfig) -> (Run, u64) {
     assert!(config.batch_size > 0 && config.batch_size as u64 <= HOT_SLOTS);
     let table = Arc::new(LockTable::new(
         config.lock.build(config.wait, &BATCH_REGISTRY_CONFIG),
     ));
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_batches = Arc::new(AtomicU64::new(0));
-    let total_deadlocks = Arc::new(AtomicU64::new(0));
-    let waits = Arc::new(LatencyHistogram::new());
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(config.threads);
-    for thread_id in 0..config.threads {
-        let table = Arc::clone(&table);
-        let stop = Arc::clone(&stop);
-        let total_batches = Arc::clone(&total_batches);
-        let total_deadlocks = Arc::clone(&total_deadlocks);
-        let waits = Arc::clone(&waits);
-        let config = *config;
-        handles.push(std::thread::spawn(move || {
-            let mut owner = table.owner(format!("worker-{thread_id}"));
-            let mut rng = seed(thread_id);
-            let mut batches = 0u64;
-            let mut deadlocks = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let items = pick_batch(&mut rng, config.batch_size);
-                let requested = Instant::now();
-                let acquired = match config.driver {
-                    BatchDriver::Batched => owner.lock_many(&items).is_ok(),
-                    BatchDriver::Sequential => items
-                        .iter()
-                        .all(|&(range, mode)| owner.lock(range, mode).is_ok()),
-                };
-                if acquired {
-                    waits.record(requested.elapsed().as_nanos() as u64);
-                    batches += 1;
-                } else {
-                    deadlocks += 1;
-                }
-                owner.unlock_all();
+    let deadlocks = AtomicU64::new(0);
+    let (lock, driver) = (config.lock.name, config.driver.name());
+    let name = format!("BatchBench {lock} / {driver} x{}", config.threads);
+    let run = runner::run(&name, config.threads, Stop::After(config.duration), |i| {
+        let mut owner = table.owner(format!("worker-{i}"));
+        let mut rng = seed(i);
+        let deadlocks = &deadlocks;
+        move |waits: &LatencyHistogram| {
+            let items = pick_batch(&mut rng, config.batch_size);
+            let requested = Instant::now();
+            let acquired = match config.driver {
+                BatchDriver::Batched => owner.lock_many(&items).is_ok(),
+                BatchDriver::Sequential => items
+                    .iter()
+                    .all(|&(range, mode)| owner.lock(range, mode).is_ok()),
+            };
+            if acquired {
+                waits.record(requested.elapsed().as_nanos() as u64);
+            } else {
+                deadlocks.fetch_add(1, Ordering::Relaxed);
             }
-            total_batches.fetch_add(batches, Ordering::Relaxed);
-            total_deadlocks.fetch_add(deadlocks, Ordering::Relaxed);
-        }));
-    }
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::Relaxed);
-    for handle in handles {
-        handle.join().expect("BatchBench worker panicked");
-    }
+            owner.unlock_all();
+            acquired
+        }
+    });
     assert_eq!(table.held_records(), 0, "BatchBench left lock residue");
-    BatchBenchResult {
-        batches: total_batches.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-        deadlocks: total_deadlocks.load(Ordering::Relaxed),
-        wait_hist: waits.snapshot(),
-    }
+    (run, deadlocks.into_inner())
 }
 
 #[cfg(test)]
@@ -221,7 +166,7 @@ mod tests {
     fn every_variant_completes_under_both_drivers() {
         for lock in registry::all() {
             for driver in BatchDriver::ALL {
-                let result = run(&BatchBenchConfig {
+                let (result, _) = run(&BatchBenchConfig {
                     lock,
                     wait: WaitPolicyKind::SpinThenYield,
                     threads: 2,
@@ -229,20 +174,14 @@ mod tests {
                     driver,
                     duration: Duration::from_millis(30),
                 });
-                assert!(
-                    result.batches > 0,
-                    "{} / {} made no progress",
-                    lock.name,
-                    driver.name()
-                );
                 assert_eq!(
-                    result.wait_hist.count(),
-                    result.batches,
+                    result.hist.count(),
+                    result.ops,
                     "{} / {}: one latency sample per successful batch",
                     lock.name,
                     driver.name()
                 );
-                assert!(result.p99_wait_us() >= result.p50_wait_us());
+                assert!(result.p99_us() >= result.p50_us());
             }
         }
     }

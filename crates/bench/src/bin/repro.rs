@@ -37,13 +37,15 @@ use rl_baselines::{RwTreeRangeLock, SegmentRangeLock, TreeRangeLock};
 use rl_bench::arrbench::{self, ArrBenchConfig, RangePolicy};
 use rl_bench::asyncbench::{self, AsyncBenchConfig, AsyncDriver};
 use rl_bench::batchbench::{self, BatchBenchConfig, BatchDriver};
-use rl_bench::filebench::{self, FileBenchConfig, FileBenchResult, OffsetDist};
+use rl_bench::filebench::{self, FileBenchConfig, OffsetDist};
 use rl_bench::metisbench::{self, MetisMeasurement, MetisScale};
 use rl_bench::report::Table;
+use rl_bench::runner::Run;
 use rl_bench::serverbench::{self, ServerBenchConfig};
 use rl_bench::skipbench::{self, SkipBenchConfig, SkipListVariant};
 use rl_bench::{obsbench, parkbench, perfdiff};
 use rl_metis::Workload;
+use rl_sync::stats::LockStatSnapshot;
 use rl_sync::wait::Block;
 use rl_sync::WaitPolicyKind::{self, SpinThenYield};
 use rl_vm::Strategy;
@@ -320,16 +322,14 @@ impl<R> Sweep<R> {
     }
 }
 
-impl Sweep<[f64; 3]> {
+impl Sweep<Run> {
     /// A throughput table and its p50/p99 latency companion, from one sweep
-    /// of `[rate, p50, p99]` cells: `titles` and `[x label, rate metric,
-    /// latency metric]`.
+    /// of runs: `titles` and `[x label, rate metric, latency metric]`.
     fn with_latency(&self, titles: [String; 2], axes: [&str; 3], cols: &[String]) -> [Table; 2] {
         let [x, rate, latency] = axes;
-        let rates = |row: &[[f64; 3]]| row.iter().map(|c| c[0]).collect();
-        let ps = |row: &[[f64; 3]]| row.iter().flat_map(|c| [c[1], c[2]]).collect();
+        let ps = |row: &[Run]| row.iter().flat_map(|r| [r.p50_us(), r.p99_us()]).collect();
         [
-            self.table([&titles[0], x, rate], cols.to_vec(), rates),
+            self.table([&titles[0], x, rate], cols.to_vec(), each(Run::per_sec)),
             self.table([&titles[1], x, latency], p50_p99(cols), ps),
         ]
     }
@@ -445,10 +445,7 @@ fn arr(
         read_pct: pct,
         duration: d,
     };
-    let result = arrbench::run(&config);
-    let name = lock.name;
-    assert!(result.operations > 0, "ArrBench: {name} made no progress");
-    result.ops_per_sec()
+    arrbench::run(&config).per_sec()
 }
 
 fn fig3_quick(_: &Ctx) -> Vec<Table> {
@@ -485,7 +482,7 @@ fn fig4(c: &Ctx) -> Vec<Table> {
         let mut config = SkipBenchConfig::paper(variant, threads);
         config.duration = Duration::from_secs(3);
         let config = c.pick(SkipBenchConfig::quick(variant, threads), config);
-        skipbench::run(&config).ops_per_sec()
+        skipbench::run(&config).per_sec()
     });
     let title = "Figure 4: skip-list throughput (80% find / 20% update)";
     let cols = names(&variants, |v| v.name());
@@ -508,10 +505,7 @@ fn skip_sweep(threads: &[usize], quick: bool) -> Vec<Table> {
                 config.initial_keys = 1 << 13;
                 config.duration = ms(100);
             }
-            let result = skipbench::run(&config);
-            let name = variant.name();
-            assert!(result.operations > 0, "skip-sweep: {name} made no progress");
-            result.ops_per_sec()
+            skipbench::run(&config).per_sec()
         })
     };
     WaitPolicyKind::ALL.map(grid).into()
@@ -669,7 +663,8 @@ fn fig8_tables(sweeps: &MetisSweeps) -> Vec<Table> {
     })
 }
 
-/// One FileBench run; its stamped I/O must have torn nothing.
+/// One FileBench run and its per-operation waits; its stamped I/O must
+/// have torn nothing.
 fn file_run(
     c: &Ctx,
     lock: Variant,
@@ -677,7 +672,7 @@ fn file_run(
     pct: u32,
     t: usize,
     dist: OffsetDist,
-) -> FileBenchResult {
+) -> (Run, Vec<LockStatSnapshot>) {
     let config = FileBenchConfig {
         lock,
         wait,
@@ -686,28 +681,25 @@ fn file_run(
         dist,
         duration: c.pick(ms(200), ms(2_000)),
     };
-    let result = filebench::run(&config);
+    let (run, violations, op_waits) = filebench::run(&config);
     let (name, dist) = (lock.name, dist.name());
-    assert_eq!(result.violations, 0, "torn I/O under {name}, {dist}");
-    result
+    assert_eq!(violations, 0, "torn I/O under {name}, {dist}");
+    (run, op_waits)
 }
 
-/// The FileBench operations whose waits are labeled.
-const FILE_OPS: [&str; 4] = ["pread", "pwrite", "append", "truncate"];
-
-/// One run's wait row: each labeled operation's mean wait, then the p50/p99
-/// of all of them.
-fn file_waits(run: &FileBenchResult) -> Vec<f64> {
-    let hist = run.wait_hist();
-    let mut waits: Vec<f64> = FILE_OPS.iter().map(|op| run.avg_wait_us(op)).collect();
-    waits.extend([hist.p50(), hist.p99()].map(|ns| ns.unwrap_or(0) as f64 / 1e3));
+/// One run's wait row: each labeled operation's mean wait (0 if it never
+/// ran), then the p50/p99 of all of them.
+fn file_waits((run, op_waits): &(Run, Vec<LockStatSnapshot>)) -> Vec<f64> {
+    let avg = |s: &LockStatSnapshot| s.avg_wait_per_acquisition_ns().unwrap_or(0.0) / 1e3;
+    let mut waits: Vec<f64> = op_waits.iter().map(avg).collect();
+    waits.extend([run.p50_us(), run.p99_us()]);
     waits
 }
 
 /// Per offset distribution and read mix, a throughput table; for the
 /// write-heavy mix also one wait table per reader-writer variant.
 fn filebench(c: &Ctx) -> Vec<Table> {
-    let mut wait_cols = names(&FILE_OPS, |op| *op);
+    let mut wait_cols = names(&filebench::OPS, |op| *op);
     wait_cols.extend(["p50 (all ops)", "p99 (all ops)"].map(String::from));
     let mut tables = Vec::new();
     for dist in [OffsetDist::Uniform, OffsetDist::Skewed] {
@@ -715,7 +707,7 @@ fn filebench(c: &Ctx) -> Vec<Table> {
             let cell = |lock, t| file_run(c, lock, SpinThenYield, pct, t, dist);
             let sweep = Sweep::measure(&c.threads(), registry::all(), cell);
             let title = format!("FileBench: {} offsets — {pct}% reads", dist.name());
-            let rates = each(FileBenchResult::ops_per_sec);
+            let rates = each(|(run, _): &(Run, _)| run.per_sec());
             tables.push(sweep.table([&title, "threads", "ops/sec"], variant_names(), rates));
             let variants = registry::all().iter().enumerate();
             for (i, lock) in variants.filter(|(_, l)| l.readers_share && pct == 50) {
@@ -723,7 +715,7 @@ fn filebench(c: &Ctx) -> Vec<Table> {
                 let title =
                     format!("FileBench wait per acquisition: {dist} offsets — 50% reads — {name}");
                 let head = [title.as_str(), "threads", "wait (us)"];
-                let waits = |row: &[FileBenchResult]| file_waits(&row[i]);
+                let waits = |row: &[(Run, _)]| file_waits(&row[i]);
                 tables.push(sweep.table(head, wait_cols.clone(), waits));
             }
         }
@@ -733,7 +725,11 @@ fn filebench(c: &Ctx) -> Vec<Table> {
 
 fn filebench_oversub(c: &Ctx) -> Vec<Table> {
     let title = "FileBench oversubscribed: uniform offsets — 50% reads";
-    let cell = |lock, wait, t| file_run(c, lock, wait, 50, t, OffsetDist::Uniform).ops_per_sec();
+    let cell = |lock, wait, t| {
+        file_run(c, lock, wait, 50, t, OffsetDist::Uniform)
+            .0
+            .per_sec()
+    };
     oversub(c, title, cell)
 }
 
@@ -764,18 +760,9 @@ fn asyncbench_tables(owner_counts: &[usize], ops_per_owner: u64) -> Vec<Table> {
             // Best of three: backlog-drain time on an oversubscribed box is
             // at the mercy of scheduler phase; the best run is the
             // least-perturbed measurement of each driver.
-            let runs = (0..3).map(|_| {
-                let result = asyncbench::run(&config);
-                let (name, driver) = (lock.name, driver.name());
-                assert!(
-                    result.operations > 0,
-                    "asyncbench: {name} / {driver} made no progress"
-                );
-                result
-            });
-            let best = runs.max_by(|a, b| a.ops_per_sec().total_cmp(&b.ops_per_sec()));
-            let best = best.expect("three runs measured");
-            [best.ops_per_sec(), best.p50_wait_us(), best.p99_wait_us()]
+            let runs = (0..3).map(|_| asyncbench::run(&config));
+            let best = runs.max_by(|a, b| a.per_sec().total_cmp(&b.per_sec()));
+            best.expect("three runs measured")
         });
         let tail = format!("{} — 60% reads — {workers} pool workers", lock.name);
         let titles = [
@@ -825,10 +812,10 @@ fn serverbench_tables(connection_counts: &[usize], ops_per_conn: u64) -> Vec<Tab
     let mixes = [95, 50];
     let tables = |lock: Variant| {
         let sweep = Sweep::measure(connection_counts, &mixes, |&read_pct, connections| {
-            let result = run(lock, read_pct, connections, false);
+            let (run, stats) = run(lock, read_pct, connections, false);
             let name = lock.name;
-            assert_eq!(result.stats.deadlocks, 0, "serverbench: {name} deadlocked");
-            [result.ops_per_sec(), result.p50_op_us(), result.p99_op_us()]
+            assert_eq!(stats.deadlocks, 0, "serverbench: {name} deadlocked");
+            run
         });
         let tail = format!("{} — in-process — 2 pool workers", lock.name);
         let titles = [
@@ -842,7 +829,7 @@ fn serverbench_tables(connection_counts: &[usize], ops_per_conn: u64) -> Vec<Tab
     // The transport tax, isolated: same workload, same lock, real sockets.
     let lock = registry::by_name("list-rw").expect("list-rw is registered");
     let transport = Sweep::measure(connection_counts, &[false, true], |&tcp, connections| {
-        run(lock, 50, connections, tcp).ops_per_sec()
+        run(lock, 50, connections, tcp).0.per_sec()
     });
     let title = "ServerBench transport: list-rw — 50% reads — 2 pool workers";
     let cols = names(&["in-process", "tcp-loopback"], |s| *s);
@@ -872,17 +859,7 @@ fn batch_tables(thread_counts: &[usize], batch_size: usize, duration: Duration) 
                 driver,
                 duration,
             };
-            let result = batchbench::run(&config);
-            let (name, driver) = (lock.name, driver.name());
-            assert!(
-                result.batches > 0,
-                "batch: {name} / {driver} made no progress"
-            );
-            [
-                result.batches_per_sec(),
-                result.p50_wait_us(),
-                result.p99_wait_us(),
-            ]
+            batchbench::run(&config).0
         });
         let (shared, hot) = (batchbench::SHARED_PCT, batchbench::HOT_SLOTS);
         let tail = format!("{} — {batch_size} ranges/batch", lock.name);
@@ -901,11 +878,11 @@ fn obsbench(quick: bool) -> Vec<Table> {
     let (iters, reps) = if quick { (300_000, 3) } else { (3_000_000, 5) };
     let results = obsbench::run(iters, reps);
     let title = "ObsBench: uncontended acquire+release, list-ex fast path";
-    let mut table = Table::new(title, "threads", "ns/op", names(&results, |r| r.mode));
-    table.push_row(1, results.iter().map(|r| r.ns_per_op).collect());
-    let base = results[0].ns_per_op;
-    for r in &results[1..] {
-        let (mode, ns, pct) = (r.mode, r.ns_per_op, (r.ns_per_op / base - 1.0) * 100.0);
+    let mut table = Table::new(title, "threads", "ns/op", names(&obsbench::MODES, |m| *m));
+    table.push_row(1, results.to_vec());
+    let base = results[0];
+    for (mode, ns) in obsbench::MODES.into_iter().zip(results).skip(1) {
+        let pct = (ns / base - 1.0) * 100.0;
         let line = format!("  {mode}: {pct:+.1}% vs baseline ({ns:.1} ns/op vs {base:.1} ns/op)\n");
         table.note += &line;
     }

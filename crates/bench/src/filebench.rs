@@ -21,14 +21,13 @@
 //! Every write is a *stamped* region write and every read a *stamped* region
 //! read (see `rl_file::RangeFile::write_stamped`), so the benchmark doubles
 //! as a data-integrity checker: any exclusion violation by the lock under
-//! test is counted in [`FileBenchResult::violations`], and the sweep driver
+//! test is counted beside the [`run`]'s result, and the sweep driver
 //! treats a non-zero count as a hard failure. Per-operation lock wait times
 //! are recorded through `rl-sync`'s labeled stats (the Figures 7–8 analogue
 //! for this workload).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use range_lock::RwRangeLock;
 use rl_baselines::registry::{RegistryConfig, VariantSpec};
@@ -37,6 +36,7 @@ use rl_sync::stats::{LabeledStats, LockStatSnapshot};
 use rl_sync::wait::WaitPolicyKind;
 
 use crate::rng::{seed, xorshift};
+use crate::runner::{self, Run, Stop};
 
 /// Logical file size the workload cycles over (bytes).
 pub const FILE_SIZE: u64 = 1 << 20;
@@ -101,50 +101,8 @@ pub struct FileBenchConfig {
     pub duration: Duration,
 }
 
-/// Result of one FileBench run.
-#[derive(Debug, Clone)]
-pub struct FileBenchResult {
-    /// Total completed operations across all threads.
-    pub operations: u64,
-    /// Measured wall-clock time.
-    pub elapsed: Duration,
-    /// Stamped-read/-write integrity violations observed (must be zero for a
-    /// correct lock).
-    pub violations: u64,
-    /// Per-operation wait snapshots, labeled `pread` / `pwrite` / `append` /
-    /// `truncate`, in that order.
-    pub op_waits: Vec<LockStatSnapshot>,
-}
-
-impl FileBenchResult {
-    /// Throughput in operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.operations as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Mean lock-acquisition latency of the labeled operation, in
-    /// microseconds (0 if the label saw no operations — explicit here, so
-    /// the sweep tables can print a zero row for idle operations).
-    pub fn avg_wait_us(&self, label: &str) -> f64 {
-        self.op_waits
-            .iter()
-            .find(|s| s.name == label)
-            .and_then(|s| s.avg_wait_per_acquisition_ns())
-            .unwrap_or(0.0)
-            / 1_000.0
-    }
-
-    /// The combined wait-time distribution across every labeled operation
-    /// (`pread` + `pwrite` + `append` + `truncate`): the p50/p99 columns of
-    /// the FileBench report tables come from here.
-    pub fn wait_hist(&self) -> rl_obs::HistogramSnapshot {
-        let mut merged = rl_obs::HistogramSnapshot::empty();
-        for snap in &self.op_waits {
-            merged.merge(&snap.wait_hist());
-        }
-        merged
-    }
-}
+/// The labeled operations, in the order [`run`] reports their waits.
+pub const OPS: [&str; 4] = ["pread", "pwrite", "append", "truncate"];
 
 /// Picks a region-aligned offset in `[0, FILE_SIZE - REGION]`.
 fn pick_offset(rng: &mut u64, dist: OffsetDist) -> u64 {
@@ -190,73 +148,49 @@ fn one_op<L: RwRangeLock>(
     }
 }
 
-fn run_generic<L: RwRangeLock + 'static>(lock: L, config: &FileBenchConfig) -> FileBenchResult {
-    assert!(config.threads > 0);
+/// Runs one FileBench configuration for its duration. The cell's histogram
+/// is the lock-wait distribution of every labeled operation together (the
+/// p50/p99 columns of the FileBench tables); beside it come the number of
+/// stamped-I/O integrity violations (zero for a correct lock) and each
+/// operation's own wait snapshot, in [`OPS`] order.
+///
+/// The lock is built from the registry and driven through dynamic dispatch
+/// (`Box<dyn TwoPhaseRwRangeLock>` implements [`RwRangeLock`]), so one code
+/// path covers every variant under every wait policy.
+pub fn run(config: &FileBenchConfig) -> (Run, u64, Vec<LockStatSnapshot>) {
     assert!(config.read_pct <= 100);
     let labels = LabeledStats::new();
-    for label in ["pread", "pwrite", "append", "truncate"] {
+    for label in OPS {
         labels.handle(label);
     }
-    let file = Arc::new(RangeFile::new(lock).with_op_stats(&labels));
+    let lock = config.lock.build(config.wait, &FILE_REGISTRY_CONFIG);
+    let file = RangeFile::new(lock).with_op_stats(&labels);
     // Establish the logical length so reads inside the file see data.
     file.truncate(FILE_SIZE);
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_ops = Arc::new(AtomicU64::new(0));
-    let violations = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(config.threads);
-    for thread_id in 0..config.threads {
-        let file = Arc::clone(&file);
-        let stop = Arc::clone(&stop);
-        let total_ops = Arc::clone(&total_ops);
-        let violations = Arc::clone(&violations);
-        let config = *config;
-        handles.push(std::thread::spawn(move || {
-            let mut rng = seed(thread_id);
-            let mut ops = 0u64;
-            let mut torn = 0u64;
-            let mut writes = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                if one_op(
-                    &file,
-                    &mut rng,
-                    &mut writes,
-                    thread_id,
-                    config.read_pct,
-                    config.dist,
-                ) {
-                    torn += 1;
-                }
-                ops += 1;
+    let violations = AtomicU64::new(0);
+    let (lock, dist) = (config.lock.name, config.dist.name());
+    let name = format!(
+        "FileBench {lock} / {dist} / {} x{}",
+        config.wait.name(),
+        config.threads
+    );
+    let mut run = runner::run(&name, config.threads, Stop::After(config.duration), |i| {
+        let mut rng = seed(i);
+        let mut writes = 0u64;
+        let (file, violations) = (&file, &violations);
+        move |_: &_| {
+            if one_op(file, &mut rng, &mut writes, i, config.read_pct, config.dist) {
+                violations.fetch_add(1, Ordering::Relaxed);
             }
-            total_ops.fetch_add(ops, Ordering::Relaxed);
-            violations.fetch_add(torn, Ordering::Relaxed);
-        }));
+            true
+        }
+    });
+    let op_waits = labels.snapshots();
+    for snap in &op_waits {
+        run.hist.merge(&snap.wait_hist());
     }
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::Relaxed);
-    for handle in handles {
-        handle.join().expect("FileBench worker panicked");
-    }
-    FileBenchResult {
-        operations: total_ops.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-        violations: violations.load(Ordering::Relaxed),
-        op_waits: labels.snapshots(),
-    }
-}
-
-/// Runs one FileBench configuration.
-///
-/// The lock is built from the registry and driven through dynamic dispatch
-/// (`Box<dyn TwoPhaseRwRangeLock>` implements [`RwRangeLock`]), so one code path
-/// covers every variant under every wait policy.
-pub fn run(config: &FileBenchConfig) -> FileBenchResult {
-    run_generic(
-        config.lock.build(config.wait, &FILE_REGISTRY_CONFIG),
-        config,
-    )
+    (run, violations.into_inner(), op_waits)
 }
 
 #[cfg(test)]
@@ -268,7 +202,7 @@ mod tests {
     fn every_variant_and_distribution_completes_cleanly() {
         for lock in registry::all() {
             for dist in [OffsetDist::Uniform, OffsetDist::Skewed] {
-                let result = run(&FileBenchConfig {
+                let (_, violations, op_waits) = run(&FileBenchConfig {
                     lock,
                     wait: WaitPolicyKind::SpinThenYield,
                     threads: 2,
@@ -276,16 +210,15 @@ mod tests {
                     dist,
                     duration: Duration::from_millis(30),
                 });
-                assert!(result.operations > 0, "{} / {}", lock.name, dist.name());
                 assert_eq!(
-                    result.violations,
+                    violations,
                     0,
                     "integrity violation under {} / {}",
                     lock.name,
                     dist.name()
                 );
-                assert_eq!(result.op_waits.len(), 4);
-                assert_eq!(result.op_waits[0].name, "pread");
+                let names: Vec<&str> = op_waits.iter().map(|s| s.name.as_str()).collect();
+                assert_eq!(names, OPS);
             }
         }
     }
@@ -306,7 +239,7 @@ mod tests {
         for wait in WaitPolicyKind::ALL {
             for name in ["list-rw", "lustre-ex"] {
                 let lock = registry::by_name(name).expect("paper variant");
-                let result = run(&FileBenchConfig {
+                let (_, violations, _) = run(&FileBenchConfig {
                     lock,
                     wait,
                     threads: 4,
@@ -314,9 +247,8 @@ mod tests {
                     dist: OffsetDist::Skewed,
                     duration: Duration::from_millis(30),
                 });
-                assert!(result.operations > 0, "{} / {}", lock.name, wait.name());
                 assert_eq!(
-                    result.violations,
+                    violations,
                     0,
                     "integrity violation under {} / {}",
                     lock.name,
@@ -328,7 +260,7 @@ mod tests {
 
     #[test]
     fn wait_accounting_reaches_the_labels() {
-        let result = run(&FileBenchConfig {
+        let (run, _, op_waits) = run(&FileBenchConfig {
             lock: registry::by_name("list-rw").expect("paper variant"),
             wait: WaitPolicyKind::SpinThenYield,
             threads: 2,
@@ -336,8 +268,13 @@ mod tests {
             dist: OffsetDist::Uniform,
             duration: Duration::from_millis(40),
         });
-        let total: u64 = result.op_waits.iter().map(|s| s.acquisitions).sum();
+        let total: u64 = op_waits.iter().map(|s| s.acquisitions).sum();
         assert!(total > 0, "labeled op stats must be fed");
-        assert!(result.avg_wait_us("pwrite") >= 0.0);
+        let waits: u64 = op_waits.iter().map(|s| s.wait_hist().count()).sum();
+        assert_eq!(
+            run.hist.count(),
+            waits,
+            "the cell's histogram merges every label"
+        );
     }
 }

@@ -32,7 +32,21 @@
 //! * [`perfdiff`] — the regression gate: parses the committed
 //!   `BENCH_*.json` baselines and compares a fresh quick run cell-by-cell,
 //!   direction-aware (throughput down, p50/p99 latency up);
-//! * [`report`] — table rendering shared by the `repro` binary.
+//! * [`report`] — table rendering shared by the `repro` binary;
+//! * [`runner`] — the one worker runner every worker-loop bench above is
+//!   measured by, and its one result type, [`runner::Run`];
+//! * [`rng`] — the xorshift generator every workload draws from.
+//!
+//! Every worker-loop cell is timed by one clock rule: the clock starts once
+//! every worker has finished its setup, before the start barrier releases
+//! them, and stops at the last worker's last operation — at a deadline for
+//! fixed-time cells, once every worker has done its quota for fixed-work
+//! ones. Spawning, setup and joining never land inside a cell, and a cell
+//! that completes no operation panics and names itself. The two storms that
+//! are not worker loops (asyncbench's task pool and parkbench's
+//! targeted-wake releaser) time their own loop and return the same
+//! [`runner::Run`]; Metis runs and `obsbench`'s single-thread loop keep
+//! their own timing.
 //!
 //! The `repro` binary is one table of experiments over these modules: it
 //! drives the thread sweeps and prints one table per figure.
@@ -49,17 +63,6 @@ pub mod parkbench;
 pub mod perfdiff;
 pub mod report;
 pub mod rng;
+pub mod runner;
 pub mod serverbench;
 pub mod skipbench;
-
-pub use arrbench::{ArrBenchConfig, ArrBenchResult, RangePolicy};
-pub use asyncbench::{AsyncBenchConfig, AsyncBenchResult, AsyncDriver};
-pub use batchbench::{BatchBenchConfig, BatchBenchResult, BatchDriver};
-pub use filebench::{FileBenchConfig, FileBenchResult, OffsetDist};
-pub use metisbench::{figure5, figure6, measure, MetisMeasurement, MetisScale};
-pub use obsbench::ObsBenchResult;
-pub use parkbench::{PairStormResult, ParkBenchResult, ParkMode};
-pub use perfdiff::{DiffReport, ParsedTable, Regression};
-pub use report::{Table, TableRow};
-pub use serverbench::{ServerBenchConfig, ServerBenchResult};
-pub use skipbench::{SkipBenchConfig, SkipBenchResult, SkipListVariant};

@@ -211,36 +211,6 @@ pub fn vmacache_bench(iters: u64) -> VmaCacheBench {
     }
 }
 
-/// Runs a workload across every strategy of Figure 5 for each thread count.
-pub fn figure5(
-    workload: Workload,
-    thread_counts: &[usize],
-    scale: MetisScale,
-) -> Vec<MetisMeasurement> {
-    let mut out = Vec::new();
-    for &threads in thread_counts {
-        for strategy in Strategy::FIGURE5 {
-            out.push(measure(workload, strategy, threads, scale));
-        }
-    }
-    out
-}
-
-/// Runs a workload across the refinement-breakdown variants of Figure 6.
-pub fn figure6(
-    workload: Workload,
-    thread_counts: &[usize],
-    scale: MetisScale,
-) -> Vec<MetisMeasurement> {
-    let mut out = Vec::new();
-    for &threads in thread_counts {
-        for strategy in Strategy::FIGURE6 {
-            out.push(measure(workload, strategy, threads, scale));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,8 +230,7 @@ mod tests {
 
     #[test]
     fn figure5_covers_all_strategies() {
-        let rows = figure5(Workload::Wrmem, &[2], MetisScale::Quick);
-        assert_eq!(rows.len(), Strategy::FIGURE5.len());
+        let rows = Strategy::FIGURE5.map(|s| measure(Workload::Wrmem, s, 2, MetisScale::Quick));
         let names: Vec<&str> = rows.iter().map(|r| r.strategy.name).collect();
         assert!(names.contains(&"stock"));
         assert!(names.contains(&"list-refined"));
@@ -292,7 +261,7 @@ mod tests {
 
     #[test]
     fn figure6_covers_all_refinements() {
-        let rows = figure6(Workload::Wc, &[2], MetisScale::Quick);
+        let rows = Strategy::FIGURE6.map(|s| measure(Workload::Wc, s, 2, MetisScale::Quick));
         let names: Vec<&str> = rows.iter().map(|r| r.strategy.name).collect();
         assert_eq!(
             names,

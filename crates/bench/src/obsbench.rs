@@ -40,15 +40,6 @@ const RANGE: Range = Range { start: 10, end: 20 };
 /// The four recording regimes, in measurement order.
 pub const MODES: [&str; 4] = ["baseline", "disabled", "enabled-sampled", "enabled-full"];
 
-/// One mode's measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct ObsBenchResult {
-    /// Which regime (one of [`MODES`]).
-    pub mode: &'static str,
-    /// Best-of-reps single-thread acquire+release latency.
-    pub ns_per_op: f64,
-}
-
 /// Times `iters` calls of `op`, best of `reps` runs (the least-perturbed
 /// run is the honest measurement on a shared machine), after a warm-up of
 /// up to 10 000 calls that faults in whatever `op` touches.
@@ -73,10 +64,10 @@ fn measure(iters: u64, reps: u32) -> f64 {
     ns_per_op(iters, reps, || drop(lock.write(RANGE)))
 }
 
-/// Runs all four regimes and returns one result per [`MODES`] entry, in
-/// order. Leaves recording **disabled** (but installed) so later
-/// experiments in the same process are unaffected.
-pub fn run(iters: u64, reps: u32) -> Vec<ObsBenchResult> {
+/// Runs all four regimes and returns each one's best-of-reps ns per
+/// acquire+release, in [`MODES`] order. Leaves recording **disabled** (but
+/// installed) so later experiments in the same process are unaffected.
+pub fn run(iters: u64, reps: u32) -> [f64; 4] {
     assert!(iters > 0);
     // Leg 1: before any install (or with whatever state an earlier run left:
     // installed-but-disabled, which the disabled leg shows is equivalent).
@@ -100,25 +91,7 @@ pub fn run(iters: u64, reps: u32) -> Vec<ObsBenchResult> {
     }));
     let full = measure(iters, reps);
     trace::set_enabled(false);
-
-    vec![
-        ObsBenchResult {
-            mode: "baseline",
-            ns_per_op: baseline,
-        },
-        ObsBenchResult {
-            mode: "disabled",
-            ns_per_op: disabled,
-        },
-        ObsBenchResult {
-            mode: "enabled-sampled",
-            ns_per_op: sampled,
-        },
-        ObsBenchResult {
-            mode: "enabled-full",
-            ns_per_op: full,
-        },
-    ]
+    [baseline, disabled, sampled, full]
 }
 
 #[cfg(test)]
@@ -127,14 +100,10 @@ mod tests {
 
     #[test]
     fn all_modes_measure_and_stay_ordered() {
-        let results = run(20_000, 2);
-        assert_eq!(results.len(), MODES.len());
-        for (result, mode) in results.iter().zip(MODES) {
-            assert_eq!(result.mode, mode);
+        for (ns_per_op, mode) in run(20_000, 2).into_iter().zip(MODES) {
             assert!(
-                result.ns_per_op.is_finite() && result.ns_per_op > 0.0,
-                "{mode}: {0}",
-                result.ns_per_op
+                ns_per_op.is_finite() && ns_per_op > 0.0,
+                "{mode}: {ns_per_op}"
             );
         }
         // Recording must end up switched off for the rest of the test

@@ -25,7 +25,7 @@
 //!   asleep; the attached [`WaitStats`] report the measured spurious-
 //!   wakeups-per-release, which the committed baseline pins near zero.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,6 +36,7 @@ use rl_sync::wait::Block;
 use rl_sync::{WaitQueue, KEY_ANY};
 
 use crate::report::Table;
+use crate::runner::{self, Run, Stop};
 
 /// The two parking disciplines the targeted-wake storm compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,40 +70,10 @@ impl ParkMode {
     }
 }
 
-/// Result of one targeted-wake storm cell.
-#[derive(Debug, Clone)]
-pub struct ParkBenchResult {
-    /// Number of targeted releases performed.
-    pub releases: u64,
-    /// Wall-clock time for the whole storm.
-    pub elapsed: Duration,
-    /// Spurious wakeups accumulated across all releases.
-    pub spurious: u64,
-    /// Wake-to-run latency distribution (nanoseconds).
-    pub latency: rl_obs::HistogramSnapshot,
-}
-
-impl ParkBenchResult {
-    /// Targeted releases per second.
-    pub fn releases_per_sec(&self) -> f64 {
-        self.releases as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Spurious wakeups per release — the herd cost of one wake.
-    pub fn spurious_per_release(&self) -> f64 {
-        self.spurious as f64 / (self.releases as f64).max(1.0)
-    }
-
-    /// p50 wake-to-run latency in microseconds.
-    pub fn p50_us(&self) -> f64 {
-        self.latency.p50().unwrap_or(0) as f64 / 1_000.0
-    }
-
-    /// p99 wake-to-run latency in microseconds.
-    pub fn p99_us(&self) -> f64 {
-        self.latency.p99().unwrap_or(0) as f64 / 1_000.0
-    }
-}
+/// How long the targeted-wake storm waits for its waiters to park, and
+/// for each round's woken waiter to answer, before it declares a lost
+/// wakeup.
+const LOST_WAKE: Duration = Duration::from_secs(10);
 
 /// Per-waiter mailbox for the targeted-wake storm.
 struct Mailbox {
@@ -114,8 +85,13 @@ struct Mailbox {
 }
 
 /// Runs one targeted-wake storm: `waiters` parked threads, `releases`
-/// rounds of wake-exactly-one.
-pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchResult {
+/// rounds of wake-exactly-one. An operation is a release, and the cell's
+/// histogram holds each woken waiter's wake-to-run latency (ns); beside it
+/// come the spurious wakeups of the whole storm. A waiter that does not
+/// park, or does not answer its round, within 10 s is a lost wakeup: the
+/// storm panics, naming the mode, waiter count and round, instead of
+/// hanging.
+pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> (Run, u64) {
     let stats = Arc::new(WaitStats::new("parkbench-targeted"));
     let mut queue = WaitQueue::new();
     queue.attach_stats(Arc::clone(&stats));
@@ -157,11 +133,19 @@ pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchR
             })
         })
         .collect();
-
-    // Give every waiter a chance to genuinely park before measuring.
-    while stats.snapshot().parks < waiters as u64 {
-        std::thread::yield_now();
-    }
+    // Round 0 waits for every waiter to park before measuring.
+    let wait_for = |round: u64, done: &dyn Fn() -> bool| {
+        let since = Instant::now();
+        while !done() {
+            let (mode, stuck) = (mode.name(), since.elapsed() > LOST_WAKE);
+            assert!(
+                !stuck,
+                "parkbench {mode}: {waiters} waiters, round {round}: lost wakeup"
+            );
+            std::thread::yield_now();
+        }
+    };
+    wait_for(0, &|| stats.snapshot().parks >= waiters as u64);
 
     let t0 = Instant::now();
     for r in 1..=releases {
@@ -172,9 +156,7 @@ pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchR
             ParkMode::Broadcast => queue.wake_all(),
             ParkMode::Keyed => queue.wake_key(mode.key(target)),
         }
-        while boxes[target].ack.load(Ordering::Acquire) != r {
-            std::thread::yield_now();
-        }
+        wait_for(r, &|| boxes[target].ack.load(Ordering::Acquire) == r);
     }
     let elapsed = t0.elapsed();
 
@@ -185,99 +167,46 @@ pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> ParkBenchR
     for t in threads {
         t.join().expect("parkbench waiter panicked");
     }
-
-    ParkBenchResult {
-        releases,
+    let hist = hist.snapshot();
+    let run = Run {
+        ops: releases,
         elapsed,
-        spurious: stats.snapshot().spurious_wakeups,
-        latency: hist.snapshot(),
-    }
-}
-
-/// Result of one disjoint-pair lock storm.
-#[derive(Debug, Clone)]
-pub struct PairStormResult {
-    /// Total write acquisitions across all threads.
-    pub operations: u64,
-    /// Wall-clock storm time.
-    pub elapsed: Duration,
-    /// Wait-queue counters (parks, wakes, spurious) from the storm.
-    pub parks: u64,
-    /// Spurious wakeups observed by the lock's waiters.
-    pub spurious: u64,
-}
-
-impl PairStormResult {
-    /// Write acquisitions per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.operations as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-
-    /// Spurious wakeups per release (every acquisition releases once).
-    pub fn spurious_per_release(&self) -> f64 {
-        self.spurious as f64 / (self.operations as f64).max(1.0)
-    }
+        hist,
+    };
+    (run, stats.snapshot().spurious_wakeups)
 }
 
 /// Runs the disjoint-pair storm: `pairs` thread pairs, each fighting over
-/// its own 64-slot region of one `Block`-policy list lock.
-pub fn run_pairs(pairs: usize, duration: Duration) -> PairStormResult {
+/// its own 64-slot region of one `Block`-policy list lock. An operation is a
+/// write acquisition (and its release); beside the run come the spurious
+/// wakeups the lock's waiters saw.
+pub fn run_pairs(pairs: usize, duration: Duration) -> (Run, u64) {
     let stats = Arc::new(WaitStats::new("parkbench-pairs"));
-    let lock = Arc::new(RwListRangeLock::<Block>::with_policy().with_stats(Arc::clone(&stats)));
-    let stop = Arc::new(AtomicBool::new(false));
-    let ops = Arc::new(AtomicU64::new(0));
-
-    let threads: Vec<_> = (0..pairs * 2)
-        .map(|t| {
-            let lock = Arc::clone(&lock);
-            let stop = Arc::clone(&stop);
-            let ops = Arc::clone(&ops);
-            std::thread::spawn(move || {
-                let region = (t / 2) as u64 * 128;
-                let range = Range::new(region, region + 64);
-                let mut local = 0u64;
-                while !stop.load(Ordering::Acquire) {
-                    let g = lock.write(range);
-                    std::hint::black_box(&g);
-                    drop(g);
-                    local += 1;
-                }
-                ops.fetch_add(local, Ordering::Relaxed);
-            })
-        })
-        .collect();
-
-    let t0 = Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Release);
-    for t in threads {
-        t.join().expect("parkbench pair worker panicked");
-    }
-    let elapsed = t0.elapsed();
-    let snap = stats.snapshot();
-
-    PairStormResult {
-        operations: ops.load(Ordering::Relaxed),
-        elapsed,
-        parks: snap.parks,
-        spurious: snap.spurious_wakeups,
-    }
+    let lock = RwListRangeLock::<Block>::with_policy().with_stats(Arc::clone(&stats));
+    let name = format!("ParkBench pair storm x{pairs}");
+    let run = runner::run(&name, pairs * 2, Stop::After(duration), |t| {
+        let region = (t / 2) as u64 * 128;
+        let range = Range::new(region, region + 64);
+        let lock = &lock;
+        move |_: &_| {
+            drop(std::hint::black_box(lock.write(range)));
+            true
+        }
+    });
+    (run, stats.snapshot().spurious_wakeups)
 }
 
-/// Waiter counts the targeted-wake storm sweeps.
-fn waiter_counts(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![4, 16]
-    } else {
-        vec![4, 16, 64]
-    }
+/// A storm's spurious wakeups per release (every operation releases once):
+/// the herd cost of one wake.
+fn spurious_per_release((run, spurious): &(Run, u64)) -> f64 {
+    *spurious as f64 / run.ops as f64
 }
 
 /// The full ParkBench table set (what `repro -- parkbench` emits and what
 /// `BENCH_park.json` pins).
 pub fn tables(quick: bool) -> Vec<Table> {
     let releases: u64 = if quick { 2_000 } else { 20_000 };
-    let counts = waiter_counts(quick);
+    let counts: Vec<usize> = if quick { vec![4, 16] } else { vec![4, 16, 64] };
 
     let mode_columns: Vec<String> = ParkMode::ALL.iter().map(|m| m.name().to_string()).collect();
     let mut throughput = Table::new(
@@ -308,17 +237,10 @@ pub fn tables(quick: bool) -> Vec<Table> {
         let mut herd_row = Vec::new();
         let mut lat_row = Vec::new();
         for mode in ParkMode::ALL {
-            let result = run_targeted(mode, w, releases);
-            assert_eq!(
-                result.releases,
-                releases,
-                "parkbench: {} lost a release",
-                mode.name()
-            );
-            tp_row.push(result.releases_per_sec());
-            herd_row.push(result.spurious_per_release());
-            lat_row.push(result.p50_us());
-            lat_row.push(result.p99_us());
+            let storm = run_targeted(mode, w, releases);
+            tp_row.push(storm.0.per_sec());
+            herd_row.push(spurious_per_release(&storm));
+            lat_row.extend([storm.0.p50_us(), storm.0.p99_us()]);
         }
         throughput.push_row(w as u64, tp_row);
         herd.push_row(w as u64, herd_row);
@@ -344,13 +266,9 @@ pub fn tables(quick: bool) -> Vec<Table> {
         vec!["list-rw".to_string()],
     );
     for &pairs in &pair_counts {
-        let result = run_pairs(pairs, pair_duration);
-        assert!(
-            result.operations > 0,
-            "parkbench pair storm made no progress"
-        );
-        pair_tp.push_row(pairs as u64, vec![result.ops_per_sec()]);
-        pair_herd.push_row(pairs as u64, vec![result.spurious_per_release()]);
+        let storm = run_pairs(pairs, pair_duration);
+        pair_tp.push_row(pairs as u64, vec![storm.0.per_sec()]);
+        pair_herd.push_row(pairs as u64, vec![spurious_per_release(&storm)]);
     }
 
     vec![throughput, herd, latency, pair_tp, pair_herd]
@@ -367,35 +285,31 @@ mod tests {
         // leg, which wakes exactly the eligible waiter.
         let herd = run_targeted(ParkMode::Broadcast, 8, 200);
         let keyed = run_targeted(ParkMode::Keyed, 8, 200);
-        assert_eq!(herd.releases, 200);
-        assert_eq!(keyed.releases, 200);
-        assert_eq!(
-            keyed.spurious, 0,
-            "keyed wakes must not herd other keys' parkers"
-        );
+        assert_eq!(herd.0.ops, 200);
+        assert_eq!(keyed.0.ops, 200);
+        assert_eq!(keyed.1, 0, "keyed wakes must not herd other keys' parkers");
         assert!(
-            herd.spurious_per_release() >= 1.0,
+            spurious_per_release(&herd) >= 1.0,
             "the broadcast stopped herding (got {:.2}/release) — \
              did the baseline leg accidentally go keyed?",
-            herd.spurious_per_release()
+            spurious_per_release(&herd)
         );
-        assert!(keyed.latency.count() > 0);
+        assert!(keyed.0.hist.count() > 0);
     }
 
     #[test]
     fn pair_storm_releases_wake_only_their_own_pair() {
-        let result = run_pairs(2, Duration::from_millis(100));
-        assert!(result.operations > 0);
+        let storm = run_pairs(2, Duration::from_millis(100));
         // Disjoint pairs: a release resolves exactly one waiter's conflict,
         // and that waiter's predicate is true by the time it runs. A small
         // residue is tolerated (any-key nudges and barging races), but
         // the herd behaviour — one spurious wake per parked waiter per
         // release — must be gone.
         assert!(
-            result.spurious_per_release() < 0.5,
-            "disjoint-pair storm herded: {:.3} spurious wakes/release over {} parks",
-            result.spurious_per_release(),
-            result.parks
+            spurious_per_release(&storm) < 0.5,
+            "disjoint-pair storm herded: {} spurious wakes over {} releases",
+            storm.1,
+            storm.0.ops
         );
     }
 }

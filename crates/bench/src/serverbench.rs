@@ -20,17 +20,17 @@
 //! Slots are segment-aligned so the `pnova-rw` variant sweeps through the
 //! same driver unmodified.
 
-use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use range_lock::Range;
 use rl_baselines::registry::{RegistryConfig, VariantSpec};
 use rl_file::LockMode;
-use rl_obs::{HistogramSnapshot, LatencyHistogram};
+use rl_obs::LatencyHistogram;
 use rl_server::{Client, Server, ServerConfig, StatsSnapshot};
 use rl_sync::wait::WaitPolicyKind;
 
 use crate::rng::{seed, xorshift};
+use crate::runner::{self, Run, Stop};
 
 /// Lockable slots in the shared file.
 pub const SLOTS: u64 = 64;
@@ -68,83 +68,57 @@ pub struct ServerBenchConfig {
     pub tcp: bool,
 }
 
-/// Result of one ServerBench run.
-#[derive(Debug, Clone)]
-pub struct ServerBenchResult {
-    /// Total completed operations (connections × ops each; one operation
-    /// is a full lock → I/O → unlock triple, i.e. three RPCs).
-    pub operations: u64,
-    /// Wall-clock time to drain the whole backlog.
-    pub elapsed: Duration,
-    /// Client-observed latency distribution of full operation triples
-    /// (nanoseconds, request sent to unlock acknowledged).
-    pub op_hist: HistogramSnapshot,
-    /// The server's own counters at shutdown.
-    pub stats: StatsSnapshot,
-}
-
-impl ServerBenchResult {
-    /// Throughput in operation triples per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.operations as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Median operation latency in microseconds (0 if nothing recorded).
-    pub fn p50_op_us(&self) -> f64 {
-        self.op_hist.p50().unwrap_or(0) as f64 / 1_000.0
-    }
-
-    /// 99th-percentile operation latency in microseconds (0 if nothing
-    /// recorded).
-    pub fn p99_op_us(&self) -> f64 {
-        self.op_hist.p99().unwrap_or(0) as f64 / 1_000.0
-    }
-}
-
-/// One client's whole run: `ops` random slot triples against the server.
-fn client_loop(mut client: Client, who: usize, config: ServerBenchConfig, hist: &LatencyHistogram) {
+/// One client's session: `hello` now, then one random slot triple (lock →
+/// I/O → unlock, timed from request to unlock acknowledged) per call, and
+/// `bye` after the last of `ops_per_conn`.
+fn session(
+    mut client: Client,
+    who: usize,
+    config: &ServerBenchConfig,
+) -> impl FnMut(&LatencyHistogram) -> bool {
     client
         .hello(&format!("bench-{who}"))
         .expect("hello must succeed");
+    let (mut client, mut left) = (Some(client), config.ops_per_conn);
     let mut rng_state = seed(who);
     let payload = [who as u8; IO_BYTES];
-    let mut buf_offset;
-    for _ in 0..config.ops_per_conn {
+    let read_pct = config.read_pct as u64;
+    move |hist| {
+        let live = client.as_mut().expect("a session ends after its last op");
         let slot = xorshift(&mut rng_state) % SLOTS;
-        let read = (xorshift(&mut rng_state) % 100) < config.read_pct as u64;
+        let read = (xorshift(&mut rng_state) % 100) < read_pct;
         let range = Range::new(slot * SLOT_BYTES, (slot + 1) * SLOT_BYTES);
-        buf_offset = range.start;
         let started = Instant::now();
         if read {
-            client
-                .lock(BENCH_PATH, range, LockMode::Shared)
+            live.lock(BENCH_PATH, range, LockMode::Shared)
                 .expect("shared lock must succeed");
-            let data = client
-                .read(BENCH_PATH, buf_offset, IO_BYTES as u32)
+            let data = live
+                .read(BENCH_PATH, range.start, IO_BYTES as u32)
                 .expect("read must succeed");
             std::hint::black_box(data);
         } else {
-            client
-                .lock(BENCH_PATH, range, LockMode::Exclusive)
+            live.lock(BENCH_PATH, range, LockMode::Exclusive)
                 .expect("exclusive lock must succeed");
-            client
-                .write(BENCH_PATH, buf_offset, &payload)
+            live.write(BENCH_PATH, range.start, &payload)
                 .expect("write must succeed");
         }
-        client
-            .unlock(BENCH_PATH, range)
-            .expect("unlock must succeed");
+        live.unlock(BENCH_PATH, range).expect("unlock must succeed");
         hist.record(started.elapsed().as_nanos() as u64);
+        left -= 1;
+        if left == 0 {
+            let done = client.take().expect("one bye per session");
+            done.bye().expect("bye must succeed");
+        }
+        true
     }
-    client.bye().expect("bye must succeed");
 }
 
-/// Runs one ServerBench configuration: builds a server, saturates it with
-/// `connections` concurrent clients, and returns throughput, latency, and
-/// the server's final counters.
-pub fn run(config: &ServerBenchConfig) -> ServerBenchResult {
-    assert!(config.connections > 0);
-    assert!(config.ops_per_conn > 0);
+/// Runs one ServerBench configuration: builds a server and saturates it
+/// with `connections` concurrent clients, each doing its `ops_per_conn`
+/// triples. An operation is one triple, and the cell's histogram holds
+/// each one's client-observed latency (ns); beside it come the server's
+/// own counters at shutdown.
+pub fn run(config: &ServerBenchConfig) -> (Run, StatsSnapshot) {
     assert!(config.read_pct <= 100);
     let server = Server::new(ServerConfig {
         variant: config.lock,
@@ -153,54 +127,33 @@ pub fn run(config: &ServerBenchConfig) -> ServerBenchResult {
         workers: config.workers.max(1),
         ..ServerConfig::default()
     });
-    let tcp = if config.tcp {
-        Some(
-            server
-                .serve_tcp("127.0.0.1:0")
-                .expect("binding a loopback listener"),
-        )
-    } else {
-        None
-    };
-    let hist = Arc::new(LatencyHistogram::new());
-    let barrier = Arc::new(Barrier::new(config.connections + 1));
-    let handles: Vec<_> = (0..config.connections)
-        .map(|who| {
-            let client = match &tcp {
-                Some(handle) => {
-                    Client::connect_tcp(handle.addr()).expect("connecting over loopback")
-                }
+    let tcp = config.tcp.then(|| {
+        server
+            .serve_tcp("127.0.0.1:0")
+            .expect("binding a loopback listener")
+    });
+    let addr = tcp.as_ref().map(|handle| handle.addr());
+    let transport = if config.tcp { "tcp" } else { "in-process" };
+    let name = format!(
+        "ServerBench {} / {transport} x{}",
+        config.lock.name, config.connections
+    );
+    let run = runner::run(
+        &name,
+        config.connections,
+        Stop::Quota(config.ops_per_conn),
+        |who| {
+            let client = match addr {
+                Some(addr) => Client::connect_tcp(addr).expect("connecting over loopback"),
                 None => server.connect(),
             };
-            let hist = Arc::clone(&hist);
-            let barrier = Arc::clone(&barrier);
-            let config = *config;
-            std::thread::spawn(move || {
-                barrier.wait();
-                client_loop(client, who, config, &hist);
-            })
-        })
-        .collect();
-    // The clock starts before the barrier releases the clients: read after
-    // it, a quick backlog can be half drained (on two CPUs: fully) before
-    // this thread is scheduled again, and the cell reports the throughput
-    // of a run that was never timed.
-    let started = Instant::now();
-    barrier.wait();
-    for handle in handles {
-        handle.join().expect("ServerBench client thread panicked");
-    }
-    let elapsed = started.elapsed();
+            session(client, who, config)
+        },
+    );
     if let Some(handle) = tcp {
         handle.stop();
     }
-    let stats = server.shutdown();
-    ServerBenchResult {
-        operations: config.connections as u64 * config.ops_per_conn,
-        elapsed,
-        op_hist: hist.snapshot(),
-        stats,
-    }
+    (run, server.shutdown())
 }
 
 #[cfg(test)]
@@ -212,7 +165,7 @@ mod tests {
     #[test]
     fn every_variant_completes_in_process() {
         for lock in registry::all() {
-            let result = run(&ServerBenchConfig {
+            let (result, stats) = run(&ServerBenchConfig {
                 lock,
                 wait: WaitPolicyKind::Block,
                 connections: 3,
@@ -221,23 +174,23 @@ mod tests {
                 ops_per_conn: 20,
                 tcp: false,
             });
-            assert_eq!(result.operations, 60, "{}", lock.name);
-            assert_eq!(result.op_hist.count(), 60, "{}", lock.name);
-            assert_eq!(result.stats.sessions_started, 3, "{}", lock.name);
-            assert_eq!(result.stats.sessions_active, 0, "{}", lock.name);
-            assert_eq!(result.stats.deadlocks, 0, "{}", lock.name);
-            assert_eq!(result.stats.disconnects, 0, "{}", lock.name);
-            assert_eq!(result.stats.op_count(OpKind::Lock), 60, "{}", lock.name);
-            assert_eq!(result.stats.op_count(OpKind::Unlock), 60, "{}", lock.name);
-            assert!(result.ops_per_sec() > 0.0);
-            assert!(result.p99_op_us() >= result.p50_op_us());
+            assert_eq!(result.ops, 60, "{}", lock.name);
+            assert_eq!(result.hist.count(), 60, "{}", lock.name);
+            assert_eq!(stats.sessions_started, 3, "{}", lock.name);
+            assert_eq!(stats.sessions_active, 0, "{}", lock.name);
+            assert_eq!(stats.deadlocks, 0, "{}", lock.name);
+            assert_eq!(stats.disconnects, 0, "{}", lock.name);
+            assert_eq!(stats.op_count(OpKind::Lock), 60, "{}", lock.name);
+            assert_eq!(stats.op_count(OpKind::Unlock), 60, "{}", lock.name);
+            assert!(result.per_sec() > 0.0);
+            assert!(result.p99_us() >= result.p50_us());
         }
     }
 
     #[test]
     fn tcp_spot_check_completes() {
         let lock = registry::by_name("list-rw").unwrap();
-        let result = run(&ServerBenchConfig {
+        let (result, stats) = run(&ServerBenchConfig {
             lock,
             wait: WaitPolicyKind::Block,
             connections: 2,
@@ -246,9 +199,9 @@ mod tests {
             ops_per_conn: 15,
             tcp: true,
         });
-        assert_eq!(result.operations, 30);
-        assert_eq!(result.stats.sessions_started, 2);
-        assert_eq!(result.stats.disconnects, 0);
+        assert_eq!(result.ops, 30);
+        assert_eq!(stats.sessions_started, 2);
+        assert_eq!(stats.disconnects, 0);
     }
 
     #[test]

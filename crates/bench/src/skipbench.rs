@@ -7,16 +7,15 @@
 //! skip list over the kernel tree lock (`range-lustre`) and over the
 //! list-based lock of this paper (`range-list`).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use range_lock::{ListRangeLock, RwRangeLock};
 use rl_baselines::TreeRangeLock;
 use rl_skiplist::{DynRangeSkipList, OptimisticSkipList, RangeSkipList};
 use rl_sync::wait::WaitPolicyKind;
 
-use crate::rng::xorshift;
+use crate::rng::{seed, xorshift};
+use crate::runner::{self, Run, Stop};
 
 /// A skip-list implementation under benchmark.
 ///
@@ -147,22 +146,6 @@ impl SkipBenchConfig {
     }
 }
 
-/// Result of one skip-list benchmark point.
-#[derive(Debug, Clone, Copy)]
-pub struct SkipBenchResult {
-    /// Total completed operations across all threads.
-    pub operations: u64,
-    /// Measured wall-clock time.
-    pub elapsed: Duration,
-}
-
-impl SkipBenchResult {
-    /// Throughput in operations per second.
-    pub fn ops_per_sec(&self) -> f64 {
-        self.operations as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
 /// A thin object-safe façade over the three set implementations.
 trait SetUnderTest: Send + Sync {
     fn insert(&self, key: u64) -> bool;
@@ -194,85 +177,49 @@ impl<L: RwRangeLock> SetUnderTest for RangeSkipList<L> {
     }
 }
 
-fn build_set(variant: SkipListVariant) -> Arc<dyn SetUnderTest> {
+fn build_set(variant: SkipListVariant) -> Box<dyn SetUnderTest> {
     match variant {
-        SkipListVariant::Orig => Arc::new(OptimisticSkipList::new()),
-        SkipListVariant::RangeLustre => Arc::new(RangeSkipList::with_lock(TreeRangeLock::new())),
-        SkipListVariant::RangeList => Arc::new(RangeSkipList::with_lock(ListRangeLock::new())),
-        SkipListVariant::Registry { variant, wait, .. } => Arc::new(
+        SkipListVariant::Orig => Box::new(OptimisticSkipList::new()),
+        SkipListVariant::RangeLustre => Box::new(RangeSkipList::with_lock(TreeRangeLock::new())),
+        SkipListVariant::RangeList => Box::new(RangeSkipList::with_lock(ListRangeLock::new())),
+        SkipListVariant::Registry { variant, wait, .. } => Box::new(
             DynRangeSkipList::from_registry(variant, wait)
                 .unwrap_or_else(|| panic!("unknown registry variant `{variant}`")),
         ),
     }
 }
 
-/// Runs one skip-list benchmark point.
-pub fn run(config: &SkipBenchConfig) -> SkipBenchResult {
-    assert!(config.threads > 0);
+/// Runs one skip-list benchmark point for its duration.
+pub fn run(config: &SkipBenchConfig) -> Run {
     assert!(config.initial_keys < config.key_range);
-    let set = build_set(config.variant);
+    let set = &*build_set(config.variant);
+    let key = |state: &mut u64| xorshift(state) % config.key_range + 1;
+    let name = format!("skip list {} x{}", config.variant.name(), config.threads);
 
     // Pre-fill with `initial_keys` distinct pseudo-random keys, in parallel
     // (the fill is not part of the measurement).
-    {
-        let fill_threads = config.threads.clamp(1, 8);
-        let per_thread = config.initial_keys / fill_threads as u64;
-        let mut handles = Vec::new();
-        for t in 0..fill_threads {
-            let set = Arc::clone(&set);
-            let key_range = config.key_range;
-            handles.push(std::thread::spawn(move || {
-                let mut state = (t as u64 + 1).wrapping_mul(0x853C_49E6_748F_EA9B);
-                let mut inserted = 0u64;
-                while inserted < per_thread {
-                    let key = xorshift(&mut state) % key_range + 1;
-                    if set.insert(key) {
-                        inserted += 1;
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
+    let fill_threads = config.threads.clamp(1, 8);
+    let per_thread = Stop::Quota(config.initial_keys / fill_threads as u64);
+    runner::run(&format!("{name} prefill"), fill_threads, per_thread, |t| {
+        let mut state = (t as u64 + 1).wrapping_mul(0x853C_49E6_748F_EA9B);
+        move |_: &_| set.insert(key(&mut state))
+    });
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let total_ops = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(config.threads);
-    for thread_id in 0..config.threads {
-        let set = Arc::clone(&set);
-        let stop = Arc::clone(&stop);
-        let total_ops = Arc::clone(&total_ops);
-        let config = *config;
-        handles.push(std::thread::spawn(move || {
-            let mut state = (thread_id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut ops = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                let key = xorshift(&mut state) % config.key_range + 1;
-                let dice = xorshift(&mut state) % 100;
-                if dice < config.read_pct as u64 {
-                    std::hint::black_box(set.contains(key));
-                } else if dice.is_multiple_of(2) {
-                    std::hint::black_box(set.insert(key));
-                } else {
-                    std::hint::black_box(set.remove(key));
-                }
-                ops += 1;
+    runner::run(&name, config.threads, Stop::After(config.duration), |t| {
+        let mut state = seed(t);
+        move |_: &_| {
+            let key = key(&mut state);
+            let dice = xorshift(&mut state) % 100;
+            if dice < config.read_pct as u64 {
+                std::hint::black_box(set.contains(key));
+            } else if dice.is_multiple_of(2) {
+                std::hint::black_box(set.insert(key));
+            } else {
+                std::hint::black_box(set.remove(key));
             }
-            total_ops.fetch_add(ops, Ordering::Relaxed);
-        }));
-    }
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().unwrap();
-    }
-    SkipBenchResult {
-        operations: total_ops.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
-    }
+            true
+        }
+    })
 }
 
 #[cfg(test)]
@@ -286,8 +233,7 @@ mod tests {
             config.key_range = 1 << 12;
             config.initial_keys = 1 << 11;
             config.duration = Duration::from_millis(30);
-            let result = run(&config);
-            assert!(result.operations > 0, "{}", variant.name());
+            assert!(run(&config).ops > 0, "{}", variant.name());
         }
     }
 
@@ -338,8 +284,7 @@ mod tests {
             config.key_range = 1 << 12;
             config.initial_keys = 1 << 11;
             config.duration = Duration::from_millis(30);
-            let result = run(&config);
-            assert!(result.operations > 0, "{}", row.name());
+            assert!(run(&config).ops > 0, "{}", row.name());
         }
     }
 

@@ -328,13 +328,19 @@ mod tests {
 
     #[test]
     fn matches_btreeset_oracle_sequentially() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        // A seeded xorshift64: a value below `bound`.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
         let set = OptimisticSkipList::new();
         let mut oracle = BTreeSet::new();
         for _ in 0..5_000 {
-            let key = rng.gen_range(1..500u64);
-            match rng.gen_range(0..3) {
+            let key = below(500 - 1) + 1;
+            match below(3) {
                 0 => assert_eq!(set.insert(key), oracle.insert(key)),
                 1 => assert_eq!(set.remove(key), oracle.remove(&key)),
                 _ => assert_eq!(set.contains(key), oracle.contains(&key)),

@@ -409,13 +409,19 @@ mod tests {
 
     #[test]
     fn matches_btreeset_oracle_sequentially() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        // A seeded xorshift64: a value below `bound`.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
         let set: RangeSkipList<RwListRangeLock> = RangeSkipList::default();
         let mut oracle = BTreeSet::new();
         for _ in 0..5_000 {
-            let key = rng.gen_range(1..400u64);
-            match rng.gen_range(0..3) {
+            let key = below(400 - 1) + 1;
+            match below(3) {
                 0 => assert_eq!(set.insert(key), oracle.insert(key)),
                 1 => assert_eq!(set.remove(key), oracle.remove(&key)),
                 _ => assert_eq!(set.contains(key), oracle.contains(&key)),
@@ -502,8 +508,12 @@ mod tests {
         }
         // Even keys were inserted before the writers started and are never
         // touched by them, so every lookup must succeed.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
         for _ in 0..20_000 {
-            let key = (rand::random::<u64>() % 999 + 1) * 2;
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let key = (state % 999 + 1) * 2;
             assert!(set.contains(key), "key {key} must be present");
         }
         stop.store(true, Ordering::Relaxed);

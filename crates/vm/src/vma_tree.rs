@@ -396,20 +396,26 @@ mod tests {
 
     #[test]
     fn randomized_against_btreemap_oracle() {
-        use rand::{Rng, SeedableRng};
         use std::collections::BTreeMap;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        // A seeded xorshift64: a value below `bound`.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut below = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
         let mut tree = VmaTree::new();
         let mut oracle: BTreeMap<u64, u64> = BTreeMap::new(); // start -> end
         for _ in 0..2_000 {
-            if !oracle.is_empty() && rng.gen_bool(0.4) {
-                let idx = rng.gen_range(0..oracle.len());
+            if !oracle.is_empty() && below(10) < 4 {
+                let idx = below(oracle.len() as u64) as usize;
                 let (&start, _) = oracle.iter().nth(idx).unwrap();
                 oracle.remove(&start);
                 assert!(tree.remove(start).is_some());
             } else {
                 // Pick a non-overlapping page-aligned slot.
-                let slot = rng.gen_range(0..4_000u64) * 0x1000;
+                let slot = below(4_000) * 0x1000;
                 let end = slot + 0x1000;
                 let overlaps = oracle
                     .range(..end)
@@ -426,7 +432,7 @@ mod tests {
         assert_eq!(tree.len(), oracle.len());
         // find_vma agrees with a linear scan of the oracle.
         for _ in 0..200 {
-            let addr = rng.gen_range(0..4_100u64) * 0x1000;
+            let addr = below(4_100) * 0x1000;
             let expected = oracle
                 .iter()
                 .find(|(_, &end)| end > addr)
