@@ -85,9 +85,13 @@ impl Domain {
 
     /// Waits (bounded) for every other thread to leave its current critical
     /// section. Returns `true` if the barrier completed for all threads.
-    fn barrier(&self, own: &ThreadSlot) -> bool {
-        let slots: Vec<Arc<ThreadSlot>> = self.slots.lock().unwrap().clone();
-        for slot in slots {
+    /// `peers` is the caller's reusable copy of the registry (the wait
+    /// happens outside the registry's mutex); a refill allocates nothing
+    /// once it has grown to the thread count.
+    fn barrier(&self, own: &ThreadSlot, peers: &mut Vec<Arc<ThreadSlot>>) -> bool {
+        peers.extend(self.slots.lock().unwrap().iter().cloned());
+        // Drained, so no stale reference keeps a retired slot from `prune`.
+        for slot in peers.drain(..) {
             if std::ptr::eq(&*slot, own) || slot.retired.load(Ordering::Acquire) {
                 continue;
             }
@@ -130,6 +134,8 @@ impl Domain {
 /// Thread-local reclamation context: the epoch slot plus the two node pools.
 struct ThreadCtx {
     slot: Arc<ThreadSlot>,
+    /// Scratch for [`Domain::barrier`].
+    peers: Vec<Arc<ThreadSlot>>,
     /// Nesting depth of [`Pin`] guards; the epoch only moves at depth 0 <-> 1.
     pin_depth: usize,
     /// Nodes ready to be handed out by [`alloc_node`].
@@ -166,6 +172,7 @@ impl ThreadCtx {
         }
         ThreadCtx {
             slot,
+            peers: Vec::new(),
             pin_depth: 0,
             active,
             reclaimed: Vec::with_capacity(POOL_TARGET),
@@ -208,7 +215,7 @@ impl ThreadCtx {
 
     fn refill(&mut self) {
         let domain = Domain::global();
-        if domain.barrier(&self.slot) {
+        if domain.barrier(&self.slot, &mut self.peers) {
             self.stats.pool_swaps += 1;
             // The barrier proved no thread still references reclaimed nodes;
             // they become the new active pool.

@@ -95,11 +95,29 @@ impl std::error::Error for Deadlock {}
 /// construction of the table, so no global registry is needed.
 #[derive(Debug, Default)]
 pub struct WaitGraph {
-    /// `waiter → holders` edge sets. An owner has at most one entry (one
-    /// in-flight acquisition); registration replaces the set wholesale.
-    edges: Mutex<HashMap<u64, Vec<u64>>>,
+    edges: Mutex<Edges>,
     /// Number of registrations refused with [`Deadlock`].
     detected: AtomicU64,
+}
+
+/// The graph proper, behind [`WaitGraph`]'s mutex.
+#[derive(Debug, Default)]
+struct Edges {
+    /// `waiter → holders` edge sets. An owner has at most one entry (one
+    /// in-flight acquisition); registration replaces the set wholesale.
+    sets: HashMap<u64, Vec<u64>>,
+    /// Emptied edge sets of resolved waiters, reused by the next
+    /// registration: a steady stream of waits allocates no set.
+    spare: Vec<Vec<u64>>,
+}
+
+impl Edges {
+    fn remove(&mut self, waiter: u64) {
+        if let Some(mut set) = self.sets.remove(&waiter) {
+            set.clear();
+            self.spare.push(set);
+        }
+    }
 }
 
 impl WaitGraph {
@@ -123,7 +141,7 @@ impl WaitGraph {
         // Replace rather than merge: the caller re-derives its full edge set
         // from the current published state on every registration, so stale
         // edges from an earlier derivation must not linger.
-        edges.remove(&waiter);
+        edges.remove(waiter);
         if holders.is_empty() {
             return Ok(());
         }
@@ -133,11 +151,18 @@ impl WaitGraph {
                 cycle: vec![waiter, waiter],
             });
         }
-        edges.insert(waiter, holders.to_vec());
+        let mut set = edges.spare.pop().unwrap_or_default();
+        set.extend_from_slice(holders);
+        edges.sets.insert(waiter, set);
+        // A cycle through `waiter` leaves it through a holder that is
+        // itself waiting; when no holder is, there is nothing to search.
+        if !holders.iter().any(|h| edges.sets.contains_key(h)) {
+            return Ok(());
+        }
         let mut visited = HashSet::new();
         let mut path = vec![waiter];
-        if dfs_back_to(&edges, waiter, waiter, &mut visited, &mut path) {
-            edges.remove(&waiter);
+        if dfs_back_to(&edges.sets, waiter, waiter, &mut visited, &mut path) {
+            edges.remove(waiter);
             self.detected.fetch_add(1, Ordering::Relaxed);
             return Err(Deadlock { cycle: path });
         }
@@ -147,7 +172,7 @@ impl WaitGraph {
     /// Removes `waiter`'s edges: its acquisition resolved (granted, timed
     /// out, cancelled, or refused). Idempotent.
     pub fn deregister(&self, waiter: u64) {
-        self.edges.lock().unwrap().remove(&waiter);
+        self.edges.lock().unwrap().remove(waiter);
     }
 
     /// Number of registrations refused with [`Deadlock`] so far.
@@ -157,7 +182,7 @@ impl WaitGraph {
 
     /// Number of owners currently registered as waiting.
     pub fn waiting_owners(&self) -> usize {
-        self.edges.lock().unwrap().len()
+        self.edges.lock().unwrap().sets.len()
     }
 
     /// A consistent copy of the current `waiter → holders` edge sets,
@@ -166,7 +191,8 @@ impl WaitGraph {
     /// graph may already have moved on.
     pub fn snapshot_edges(&self) -> Vec<(u64, Vec<u64>)> {
         let edges = self.edges.lock().unwrap();
-        let mut out: Vec<(u64, Vec<u64>)> = edges.iter().map(|(w, h)| (*w, h.clone())).collect();
+        let mut out: Vec<(u64, Vec<u64>)> =
+            edges.sets.iter().map(|(w, h)| (*w, h.clone())).collect();
         out.sort_by_key(|(w, _)| *w);
         out
     }

@@ -164,6 +164,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -375,6 +376,108 @@ fn runs<L: RwRangeLock + 'static>(
     })
 }
 
+/// Items a transaction keeps inline before it spills to the heap: one
+/// re-lock touches one to four tiles in the common case (the target, its
+/// two split edges, a neighbour it merges with).
+const INLINE: usize = 4;
+
+/// A list that keeps its first [`INLINE`] items inline and only the rest in
+/// a `Vec`, so a transaction's tiles and missing guards allocate nothing in
+/// the common case. Items are kept in push order.
+struct Few<T> {
+    inline: [Option<T>; INLINE],
+    len: usize,
+    spill: Vec<T>,
+}
+
+impl<T> Default for Few<T> {
+    fn default() -> Self {
+        Few {
+            inline: std::array::from_fn(|_| None),
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+}
+
+impl<T> Few<T> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn push(&mut self, item: T) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = Some(item),
+            None => self.spill.push(item),
+        }
+        self.len += 1;
+    }
+
+    fn get(&self, at: usize) -> Option<&T> {
+        match self.inline.get(at) {
+            Some(slot) => slot.as_ref(),
+            None => self.spill.get(at - INLINE),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.inline.iter().flatten().chain(&self.spill)
+    }
+}
+
+impl<T> IntoIterator for Few<T> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<
+        std::iter::Flatten<std::array::IntoIter<Option<T>, INLINE>>,
+        std::vec::IntoIter<T>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.inline.into_iter().flatten().chain(self.spill)
+    }
+}
+
+/// The owner ids a blocked acquisition waits for, inline up to
+/// [`INLINE`]: deriving them allocates nothing in the common case.
+enum OwnerIds {
+    Inline([u64; INLINE], usize),
+    Spilled(Vec<u64>),
+}
+
+impl Default for OwnerIds {
+    fn default() -> Self {
+        OwnerIds::Inline([0; INLINE], 0)
+    }
+}
+
+impl OwnerIds {
+    fn push(&mut self, id: u64) {
+        match self {
+            OwnerIds::Inline(ids, len) if *len < INLINE => {
+                ids[*len] = id;
+                *len += 1;
+            }
+            OwnerIds::Inline(ids, _) => {
+                let mut spilled = ids.to_vec();
+                spilled.push(id);
+                *self = OwnerIds::Spilled(spilled);
+            }
+            OwnerIds::Spilled(ids) => ids.push(id),
+        }
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        match self {
+            OwnerIds::Inline(ids, len) => &ids[..*len],
+            OwnerIds::Spilled(ids) => ids,
+        }
+    }
+}
+
 struct OwnerState<L: RwRangeLock + 'static> {
     name: String,
     /// `rl-obs` actor id this owner's lock events are stamped with.
@@ -383,8 +486,28 @@ struct OwnerState<L: RwRangeLock + 'static> {
     tiles: Vec<Tile<L>>,
 }
 
+/// Hashes an owner id. The table issues ids in sequence, so no client can
+/// pick them to collide and SipHash's protection buys nothing; a Fibonacci
+/// multiply spreads them over the whole word, top bits included.
+#[derive(Default)]
+struct OwnerIdHasher(u64);
+
+impl Hasher for OwnerIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("owner ids hash as a u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 struct TableState<L: RwRangeLock + 'static> {
-    owners: HashMap<u64, OwnerState<L>>,
+    owners: HashMap<u64, OwnerState<L>, BuildHasherDefault<OwnerIdHasher>>,
 }
 
 /// One guard a transaction still has to acquire.
@@ -425,14 +548,14 @@ struct Transaction<'t, L: TwoPhaseRwRangeLock + 'static> {
     touched: bool,
     /// Tiles this transaction holds and will commit: kept across the mode
     /// change (in-place downgrade) or acquired so far.
-    held: Vec<Tile<L>>,
+    held: Few<Tile<L>>,
     /// Guards to acquire, ascending; `missing[next..]` are still missing.
-    missing: Vec<Missing>,
+    missing: Few<Missing>,
     next: usize,
     /// The in-flight request for `missing[next]`, once enqueued.
     pending: Option<Pending>,
     /// What `begin` detached, as the missing list of a rollback.
-    originals: Vec<Missing>,
+    originals: Few<Missing>,
     /// Set once the transaction has failed and is restoring `originals`.
     failure: Option<SetLockError>,
     edges: WaitEdges<'t>,
@@ -453,7 +576,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> Transaction<'_, L> {
     /// unchecked (the spans were held by this owner moments ago) — to be
     /// committed in place of the plan before `err` is reported.
     fn fail(&mut self, err: SetLockError) {
-        self.held.clear();
+        self.held = Few::default();
         self.missing = mem::take(&mut self.originals);
         self.next = 0;
         self.failure = Some(err);
@@ -487,7 +610,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Transaction<'_, L> {
                 // waits and re-polls, so a cycle committed behind this
                 // waiter's back is still noticed.
                 let holders = table.conflicting_owner_ids(self.owner_id, want.range, want.mode);
-                let Err(cycle) = self.edges.register(&holders) else {
+                let Err(cycle) = self.edges.register(holders.as_slice()) else {
                     return Poll::Pending;
                 };
                 self.cancel_pending();
@@ -673,7 +796,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     pub fn new(lock: L) -> Self {
         LockTable {
             state: Mutex::new(TableState {
-                owners: HashMap::new(),
+                owners: HashMap::default(),
             }),
             waits: WaitGraph::new(),
             next_owner: AtomicU64::new(1),
@@ -825,19 +948,30 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
 
     /// Publishes a finished transaction's tiles into the owner's list. They
     /// lie in the hole `begin` detached them (or their originals) from, so
-    /// they go in as one block.
-    fn commit(&self, owner_id: u64, mut tiles: Vec<Tile<L>>) {
+    /// each goes in where it sorts: a lone tile is one in-place insert, and
+    /// only a transaction that spilled pays for a sort and a splice.
+    fn commit(&self, owner_id: u64, tiles: Few<Tile<L>>) {
         if !tiles.is_empty() {
-            tiles.sort_by_key(|t| t.range.start);
             let mut st = self.state.lock().unwrap();
             let owner = st
                 .owners
                 .get_mut(&owner_id)
                 .expect("commit for an unregistered owner");
-            let at = owner
-                .tiles
-                .partition_point(|t| t.range.start < tiles[0].range.start);
-            owner.tiles.splice(at..at, tiles);
+            if tiles.len() <= INLINE {
+                for tile in tiles {
+                    let at = owner
+                        .tiles
+                        .partition_point(|t| t.range.start < tile.range.start);
+                    owner.tiles.insert(at, tile);
+                }
+            } else {
+                let mut tiles: Vec<Tile<L>> = tiles.into_iter().collect();
+                tiles.sort_by_key(|t| t.range.start);
+                let at = owner
+                    .tiles
+                    .partition_point(|t| t.range.start < tiles[0].range.start);
+                owner.tiles.splice(at..at, tiles);
+            }
         }
         // A commit changes the waits-for edges other blocked owners must
         // derive: the new tiles are new potential holders. Sync waiters
@@ -856,10 +990,10 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     /// returned id. Over a lock whose "readers" serialize
     /// ([`RwRangeLock::readers_share`] is `false`), overlap alone conflicts,
     /// whatever the modes.
-    fn conflicting_owner_ids(&self, owner_id: u64, range: Range, mode: LockMode) -> Vec<u64> {
+    fn conflicting_owner_ids(&self, owner_id: u64, range: Range, mode: LockMode) -> OwnerIds {
         let readers_share = self.lock_ref().readers_share();
         let st = self.state.lock().unwrap();
-        let mut holders = Vec::new();
+        let mut holders = OwnerIds::default();
         for (&id, owner) in &st.owners {
             if id == owner_id {
                 continue;
@@ -924,11 +1058,11 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
             owner_id,
             blocking,
             touched: false,
-            held: Vec::new(),
-            missing: Vec::new(),
+            held: Few::default(),
+            missing: Few::default(),
             next: 0,
             pending: None,
-            originals: Vec::new(),
+            originals: Few::default(),
             failure: None,
             edges: WaitEdges {
                 graph: &self.waits,
@@ -939,7 +1073,8 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         if target.is_empty() {
             return txn;
         }
-        let detached: Vec<Tile<L>> = {
+        let mut detached = Few::default();
+        {
             let mut st = self.state.lock().unwrap();
             if let (Some(mode), false) = (op, blocking) {
                 if let Some(conflict) = Self::conflicting_record(&st, owner_id, target, mode) {
@@ -966,13 +1101,20 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
             if noop {
                 return txn;
             }
-            owner.tiles.drain(lo..hi).collect()
-        };
+            for tile in owner.tiles.drain(lo..hi) {
+                detached.push(tile);
+            }
+        }
         // The detached tiles belong to the transaction now, so the guards
         // that have to go are released here, after the mutex: a release
         // wakes waiters, and every other owner's `begin` and `commit` would
         // queue behind it.
+        // `missing` is built in ascending order: the left split edge (only
+        // the first detached tile can start before the target), the
+        // target's pieces, then the right split edge (only the last can end
+        // after it).
         txn.touched = true;
+        let mut right_edge = None;
         for tile in detached {
             let (range, mode) = (tile.range, tile.mode);
             let unchecked = |range| Missing {
@@ -986,8 +1128,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                     .push(unchecked(Range::new(range.start, target.start)));
             }
             if range.end > target.end {
-                txn.missing
-                    .push(unchecked(Range::new(target.end, range.end)));
+                right_edge = Some(unchecked(Range::new(target.end, range.end)));
             }
             if blocking
                 && op == Some(LockMode::Shared)
@@ -1022,7 +1163,9 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                 cursor = end;
             }
         }
-        txn.missing.sort_by_key(|m| m.range.start);
+        if let Some(edge) = right_edge {
+            txn.missing.push(edge);
+        }
         txn
     }
 

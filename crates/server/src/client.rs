@@ -12,7 +12,10 @@
 //! request is encoded from the borrowed arguments straight into the
 //! connection's send buffer and the reply is decoded where it lies in the
 //! receive buffer, so a call allocates only what it returns (`read`'s
-//! bytes, an error's message).
+//! bytes, an error's message). In-process, the request is encoded into the
+//! frame the last reply arrived in, and the session encodes its reply into
+//! the request: one frame goes back and forth, and a steady-state call
+//! allocates nothing else either.
 
 use std::fmt;
 use std::io;
@@ -113,13 +116,18 @@ fn check_strings(req: &RequestView<'_>) -> Result<(), ClientError> {
 #[derive(Debug)]
 pub struct Client {
     conn: Conn,
+    /// The last in-process reply frame, emptied: the next request's frame.
+    frame: Vec<u8>,
 }
 
 impl Client {
     /// Wraps an existing connection end (the in-process path;
     /// [`crate::Server::connect`] calls this for you).
     pub fn over(conn: Conn) -> Client {
-        Client { conn }
+        Client {
+            conn,
+            frame: Vec::new(),
+        }
     }
 
     /// Connects over TCP to a server started with
@@ -131,10 +139,11 @@ impl Client {
     /// One RPC; see the [module docs](self) for what it costs.
     fn call(&mut self, req: &RequestView<'_>) -> Result<Reply, ClientError> {
         check_strings(req)?;
-        self.conn.send_with(|out| req.encode_into(out))?;
+        self.conn
+            .send_in(&mut self.frame, |out| req.encode_into(out))?;
         let reply = self
             .conn
-            .recv_with(decode_reply)
+            .recv_with(&mut self.frame, decode_reply)
             .ok_or(ClientError::Disconnected)?;
         Ok(reply?)
     }
@@ -254,5 +263,39 @@ impl Client {
     /// range — the tests use this to exercise release-on-disconnect.
     pub fn kill(self) {
         drop(self);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::wire::RETAIN;
+    use crate::{LockMode, Server, ServerConfig};
+    use range_lock::Range;
+
+    /// A session that alternates 1 MiB `Write`s and `Read`s with 256-byte
+    /// lock-plane and I/O requests keeps no frame above 64 KiB on the client
+    /// side, and still reuses the one it keeps for the small requests.
+    #[test]
+    fn large_requests_leave_no_large_frame_behind() {
+        let server = Server::new(ServerConfig::default());
+        let mut client = server.connect();
+        let big = vec![3u8; 1 << 20];
+        let small = [5u8; 256];
+        for _ in 0..4 {
+            client.write("/r", 0, &big).unwrap();
+            assert!(client.frame.capacity() <= RETAIN);
+            client
+                .lock("/r", Range::new(0, 256), LockMode::Shared)
+                .unwrap();
+            client.write("/s", 0, &small).unwrap();
+            assert!(client.frame.capacity() >= small.len());
+            assert_eq!(client.read("/r", 0, 1 << 20).unwrap(), big);
+            assert!(client.frame.capacity() <= RETAIN);
+            assert_eq!(client.read("/s", 0, 256).unwrap(), small);
+            client.unlock("/r", Range::new(0, 256)).unwrap();
+            assert!(client.frame.capacity() <= RETAIN);
+        }
+        client.bye().unwrap();
+        server.shutdown();
     }
 }

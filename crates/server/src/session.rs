@@ -1,6 +1,22 @@
 //! One connection = one session: a named `LockOwner` per touched file,
 //! driven as a single task on the `rl-exec` pool.
 //!
+//! A session resolves each path it is sent once, to a *path handle* that
+//! caches the path's `LockOwner` (created by the first lock-plane request on
+//! it) and its `RangeFile` (opened by the first data-plane request). Every
+//! later request on the path costs one hash-map lookup instead of the
+//! table map's and the store's hash, shard mutex and `Arc` clone. A cached
+//! file handle behaves like any open handle: were the path unlinked from
+//! the `FileStore` — which no wire op can do — the session would keep
+//! reading and writing the orphaned file, as a POSIX process keeps an
+//! unlinked file it has open.
+//!
+//! The reply to a request is encoded into the request's own frame, which
+//! then travels back to the peer (in-process) or, over TCP, is handed to the
+//! socket's pump to read the next request into; `Read` fills a scratch
+//! buffer the session keeps. Both are given up rather than kept once one
+//! large request grew them past 64 KiB.
+//!
 //! The session loop is a plain request/reply automaton — receive a frame,
 //! decode, execute, reply — with one twist: every *waiting* step (the
 //! async lock acquisitions, and receive itself) is raced against the
@@ -30,12 +46,12 @@ use std::task::{Context, Poll};
 use std::time::Instant;
 
 use range_lock::Range;
-use rl_file::{LockMode, LockOwner};
+use rl_file::{LockMode, LockOwner, RangeFile};
 use rl_obs::trace;
 
 use crate::server::{DynLock, ServerState};
 use crate::stats::OpKind;
-use crate::transport::{Conn, FrameQueue};
+use crate::transport::{recycle, Conn, FrameQueue};
 use crate::wire::{encode_reply_into, ErrCode, Reply, RequestView};
 
 /// Outcome of racing a future against connection close.
@@ -55,13 +71,18 @@ struct UnlessClosed<'a, F> {
 impl<F: Future> Future for UnlessClosed<'_, F> {
     type Output = Raced<F::Output>;
 
+    /// A connection already closed wins without a poll of the future. A
+    /// future that then completes needs no close notification; only one
+    /// that has to wait registers for it, so an uncontended lock costs one
+    /// atomic load here rather than a trip through the inbox's mutex.
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        if this.rx.poll_closed(cx).is_ready() {
+        if this.rx.is_closed() {
             return Poll::Ready(Raced::Disconnected);
         }
         match this.fut.as_mut().poll(cx) {
             Poll::Ready(out) => Poll::Ready(Raced::Done(out)),
+            Poll::Pending if this.rx.poll_closed(cx).is_ready() => Poll::Ready(Raced::Disconnected),
             Poll::Pending => Poll::Pending,
         }
     }
@@ -76,10 +97,12 @@ async fn recv(rx: &FrameQueue) -> Option<Vec<u8>> {
     std::future::poll_fn(|cx| rx.poll_recv(cx)).await
 }
 
-/// Sends a reply; `false` means the peer is gone and the session should
-/// end.
-fn send(conn: &Conn, reply: &Reply) -> bool {
-    conn.send_with(|out| encode_reply_into(reply, out)).is_ok()
+/// Sends a reply, encoded into `frame` (the request it answers; see
+/// [`Conn::send_in`]); `false` means the peer is gone and the session
+/// should end.
+fn send(conn: &Conn, frame: &mut Vec<u8>, reply: &Reply) -> bool {
+    conn.send_in(frame, |out| encode_reply_into(reply, out))
+        .is_ok()
 }
 
 fn elapsed_ns(since: Instant) -> u64 {
@@ -125,18 +148,53 @@ fn checked_file_span(state: &ServerState, offset: u64, len: u64) -> Result<(), S
     }
 }
 
-/// Lazily creates the session's `LockOwner` for `path`.
-fn owner_for<'a>(
-    state: &Arc<ServerState>,
-    owners: &'a mut HashMap<String, LockOwner<DynLock>>,
-    path: &str,
-    session: &str,
-) -> &'a mut LockOwner<DynLock> {
-    if !owners.contains_key(path) {
-        let table = state.table_for(path);
-        owners.insert(path.to_string(), table.owner(session.to_string()));
+/// One path as this session knows it; see the [module docs](self).
+#[derive(Default)]
+struct PathHandle {
+    owner: Option<LockOwner<DynLock>>,
+    file: Option<Arc<RangeFile<DynLock>>>,
+}
+
+/// The session's path handles. The map holds indices rather than the
+/// handles themselves so that a hit is one probe and the handle can still
+/// be borrowed mutably afterwards.
+#[derive(Default)]
+struct Paths {
+    index: HashMap<String, usize>,
+    handles: Vec<PathHandle>,
+}
+
+impl Paths {
+    fn handle(&mut self, path: &str) -> &mut PathHandle {
+        let at = match self.index.get(path) {
+            Some(&at) => at,
+            None => {
+                self.index.insert(path.to_string(), self.handles.len());
+                self.handles.push(PathHandle::default());
+                self.handles.len() - 1
+            }
+        };
+        &mut self.handles[at]
     }
-    owners.get_mut(path).expect("just inserted")
+
+    /// The session's `LockOwner` for `path`, created on first use.
+    fn owner(&mut self, state: &ServerState, path: &str, session: &str) -> &mut LockOwner<DynLock> {
+        self.handle(path)
+            .owner
+            .get_or_insert_with(|| state.table_for(path).owner(session))
+    }
+
+    /// The store's file at `path`, opened on first use.
+    fn file(&mut self, state: &ServerState, path: &str) -> &RangeFile<DynLock> {
+        self.handle(path)
+            .file
+            .get_or_insert_with(|| state.store.open(path))
+    }
+
+    /// Whether a lock-plane request has created an owner yet.
+    fn has_owner(&self) -> bool {
+        self.handles.iter().any(|h| h.owner.is_some())
+    }
 }
 
 /// Runs one session to completion. Spawned by `Server::attach`.
@@ -148,7 +206,8 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
     let mut name = format!("session-{actor}");
     trace::label_actor(actor, &name);
 
-    let mut owners: HashMap<String, LockOwner<DynLock>> = HashMap::new();
+    let mut paths = Paths::default();
+    let mut scratch = Vec::new();
     // Pessimistic: anything but a clean `Bye` is a disconnect.
     let mut disconnected = true;
 
@@ -156,7 +215,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
     let inbox = conn.inbox();
 
     'session: loop {
-        let Some(frame) = recv(inbox).await else {
+        let Some(mut frame) = recv(inbox).await else {
             break; // peer hung up between requests
         };
         // Borrowed from `frame`: the path and the data are used in place.
@@ -166,6 +225,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let _ = send(
                     &conn,
+                    &mut frame,
                     &Reply::Err {
                         code: ErrCode::Protocol,
                         message: err.to_string(),
@@ -176,7 +236,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
         };
         let reply = match req {
             RequestView::Hello { name: n } => {
-                if owners.is_empty() {
+                if !paths.has_owner() {
                     name = n.to_string();
                     trace::label_actor(actor, &name);
                     Reply::Ok
@@ -189,7 +249,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
             }
             RequestView::Bye => {
                 disconnected = false;
-                let _ = send(&conn, &Reply::Ok);
+                let _ = send(&conn, &mut frame, &Reply::Ok);
                 break;
             }
             RequestView::Lock {
@@ -204,7 +264,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     Ok(range) => {
                         let started = Instant::now();
                         let outcome = {
-                            let owner = owner_for(&state, &mut owners, path, &name);
+                            let owner = paths.owner(&state, path, &name);
                             let mut fut = pin!(owner.lock_async(range, mode));
                             unless_closed(inbox, fut.as_mut()).await
                         };
@@ -239,7 +299,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                         // split edges (or rolling back a lost race) can: it
                         // suspends the task, and a dead socket cancels it.
                         let outcome = {
-                            let owner = owner_for(&state, &mut owners, path, &name);
+                            let owner = paths.owner(&state, path, &name);
                             let mut fut = pin!(owner.try_lock_async(range, mode));
                             unless_closed(inbox, fut.as_mut()).await
                         };
@@ -264,7 +324,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     Ok(batch) => {
                         let started = Instant::now();
                         let outcome = {
-                            let owner = owner_for(&state, &mut owners, path, &name);
+                            let owner = paths.owner(&state, path, &name);
                             let mut fut = pin!(owner.lock_many_async(&batch));
                             unless_closed(inbox, fut.as_mut()).await
                         };
@@ -293,7 +353,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                         // Unlocking can wait too (re-securing the retained
                         // edges of a split), so it is raced like a lock.
                         let outcome = {
-                            let owner = owner_for(&state, &mut owners, path, &name);
+                            let owner = paths.owner(&state, path, &name);
                             let mut fut = pin!(owner.unlock_async(range));
                             unless_closed(inbox, fut.as_mut()).await
                         };
@@ -310,12 +370,16 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     protocol_err(&stats, format!("read of {len} bytes exceeds {MAX_READ}"))
                 } else {
                     let started = Instant::now();
-                    let file = state.store.open(path);
-                    let mut buf = vec![0u8; len as usize];
-                    let n = file.pread(offset, &mut buf);
-                    buf.truncate(n);
+                    let file = paths.file(&state, path);
+                    // Sized by what the file holds, not by what was asked:
+                    // a 20-byte request for `MAX_READ` bytes of a 1-byte
+                    // file must not zero-fill 16 MiB.
+                    let held = file.len().saturating_sub(offset);
+                    scratch.resize(held.min(u64::from(len)) as usize, 0);
+                    let n = file.pread(offset, &mut scratch);
+                    scratch.truncate(n);
                     stats.io_wait.record(elapsed_ns(started));
-                    Reply::Data(buf)
+                    Reply::Data(std::mem::take(&mut scratch))
                 }
             }
             RequestView::Write { path, offset, data } => {
@@ -324,8 +388,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     Err(message) => protocol_err(&stats, message),
                     Ok(()) => {
                         let started = Instant::now();
-                        let file = state.store.open(path);
-                        file.pwrite(offset, data);
+                        paths.file(&state, path).pwrite(offset, data);
                         stats.io_wait.record(elapsed_ns(started));
                         Reply::Ok
                     }
@@ -333,7 +396,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
             }
             RequestView::Append { path, data } => {
                 stats.count_op(OpKind::Append);
-                let file = state.store.open(path);
+                let file = paths.file(&state, path);
                 // The length check races concurrent appenders, but each
                 // passing request adds at most one frame of data, so the
                 // overshoot stays bounded by sessions × MAX_FRAME — the
@@ -354,8 +417,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                     Err(message) => protocol_err(&stats, message),
                     Ok(()) => {
                         let started = Instant::now();
-                        let file = state.store.open(path);
-                        file.truncate(len);
+                        paths.file(&state, path).truncate(len);
                         stats.io_wait.record(elapsed_ns(started));
                         Reply::Ok
                     }
@@ -369,7 +431,15 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
                 ..
             }
         );
-        if !send(&conn, &reply) || hang_up {
+        let sent = send(&conn, &mut frame, &reply);
+        // Over TCP the frame is left here: the pump reads the next request
+        // into it. In-process it is already on its way back to the peer.
+        inbox.recycle(frame);
+        if let Reply::Data(buf) = reply {
+            scratch = buf;
+            recycle(&mut scratch);
+        }
+        if !sent || hang_up {
             break;
         }
     }
@@ -379,8 +449,10 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
     // clients may Bye while holding), protocol hang-up, and disconnect —
     // and it is what unblocks waiters queued behind a dead session.
     let mut freed = 0usize;
-    for (_, mut owner) in owners.drain() {
-        freed += owner.release_all();
+    for handle in paths.handles.drain(..) {
+        if let Some(mut owner) = handle.owner {
+            freed += owner.release_all();
+        }
     }
     if disconnected {
         stats.disconnects.fetch_add(1, Ordering::Relaxed);

@@ -6,6 +6,9 @@
 //! * **in-process duplex** ([`Conn::pair`]) — two cross-wired frame
 //!   queues. A sent frame is one `Vec` that moves into the peer's inbox;
 //!   deterministic, no syscalls. What the tests, benches and examples use.
+//!   The `Vec` ping-pongs: the session encodes its reply into the request
+//!   frame it just executed and the [`crate::Client`] its next request into
+//!   the last reply, so a steady-state RPC allocates no frame at all.
 //! * **TCP** ([`Conn::tcp`]) — one [`FrameWriter`]/[`FrameReader`] pair per
 //!   socket. A frame is assembled behind its length prefix in the reusable
 //!   send buffer and leaves in **one** `write`; it arrives through a
@@ -91,11 +94,24 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 
-use crate::wire::{oversize, FrameReader, FrameWriter, LOCK_PLANE_FRAME, MAX_FRAME};
+use crate::wire::{oversize, FrameReader, FrameWriter, LOCK_PLANE_FRAME, MAX_FRAME, RETAIN};
+
+/// Empties `buf` for reuse, or drops it when one large frame grew it past
+/// the 64 KiB every framing buffer keeps between frames: a session that
+/// served one 16 MiB `Read` must not pin 16 MiB for the rest of its life.
+/// Every recycled frame and scratch buffer passes through here.
+pub(crate) fn recycle(buf: &mut Vec<u8>) {
+    if buf.capacity() > RETAIN {
+        *buf = Vec::new();
+    } else {
+        buf.clear();
+    }
+}
 
 /// A closeable queue of frames with blocking *and* waker-based receive.
 ///
@@ -105,12 +121,19 @@ use crate::wire::{oversize, FrameReader, FrameWriter, LOCK_PLANE_FRAME, MAX_FRAM
 pub struct FrameQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
+    /// `QueueState::closed`, mirrored for [`FrameQueue::is_closed`]: a
+    /// session checks it before every poll of a raced lock, and an
+    /// uncontended lock should not cost a trip through the mutex.
+    closed: AtomicBool,
 }
 
 struct QueueState {
     frames: VecDeque<Vec<u8>>,
     closed: bool,
     waker: Option<Waker>,
+    /// A consumed frame handed back by the consumer ([`FrameQueue::recycle`])
+    /// for the TCP pump to read the next one into.
+    spare: Vec<u8>,
     /// Receivers inside `ready.wait` right now. std's futex condvar makes a
     /// syscall per notify whether or not anyone waits; a queue whose
     /// consumer is a waker, or whose receiver has not started waiting yet,
@@ -126,9 +149,11 @@ impl FrameQueue {
                 frames: VecDeque::new(),
                 closed: false,
                 waker: None,
+                spare: Vec::new(),
                 blocked: 0,
             }),
             ready: Condvar::new(),
+            closed: AtomicBool::new(false),
         }
     }
 
@@ -170,6 +195,7 @@ impl FrameQueue {
         let (waker, blocked) = {
             let mut st = self.state.lock().unwrap();
             st.closed = true;
+            self.closed.store(true, Ordering::Release);
             (st.waker.take(), st.blocked)
         };
         if blocked > 0 {
@@ -182,7 +208,7 @@ impl FrameQueue {
 
     /// Whether [`FrameQueue::close`] has been called.
     pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap().closed
+        self.closed.load(Ordering::Acquire)
     }
 
     /// Blocks until a frame arrives or the queue closes; `None` once the
@@ -212,7 +238,7 @@ impl FrameQueue {
         if st.closed {
             return Poll::Ready(None);
         }
-        st.waker = Some(cx.waker().clone());
+        register(&mut st.waker, cx);
         Poll::Pending
     }
 
@@ -224,8 +250,32 @@ impl FrameQueue {
         if st.closed {
             return Poll::Ready(());
         }
-        st.waker = Some(cx.waker().clone());
+        register(&mut st.waker, cx);
         Poll::Pending
+    }
+
+    /// Hands a consumed frame back for [`FrameQueue::take_spare`]; one
+    /// past the retention cap is dropped instead (see [`recycle`]).
+    pub(crate) fn recycle(&self, mut frame: Vec<u8>) {
+        recycle(&mut frame);
+        if frame.capacity() > 0 {
+            self.state.lock().unwrap().spare = frame;
+        }
+    }
+
+    /// The last recycled frame (empty), or a new empty `Vec`.
+    fn take_spare(&self) -> Vec<u8> {
+        std::mem::take(&mut self.state.lock().unwrap().spare)
+    }
+}
+
+/// Registers `cx`'s waker in `slot`, keeping the one already there when it
+/// would wake the same task: a session re-polled while suspended (every
+/// poll of a raced lock re-registers) then clones no waker.
+fn register(slot: &mut Option<Waker>, cx: &Context<'_>) {
+    match slot {
+        Some(waker) if waker.will_wake(cx.waker()) => {}
+        _ => *slot = Some(cx.waker().clone()),
     }
 }
 
@@ -307,9 +357,13 @@ impl TcpEnd {
                 loop {
                     match reader.read_frame(&mut &*stream) {
                         // `push` polls the session on this thread; when it
-                        // returns the reply is usually on the wire already.
+                        // returns the reply is usually on the wire already,
+                        // and the session has recycled the frame into the
+                        // inbox for the next copy.
                         Ok(Some(frame)) => {
-                            if !inbox.push(frame.to_vec()) {
+                            let mut copy = inbox.take_spare();
+                            copy.extend_from_slice(frame);
+                            if !inbox.push(copy) {
                                 // Consumer hung up; stop reading.
                                 let _ = stream.shutdown(Shutdown::Both);
                                 break;
@@ -394,18 +448,28 @@ impl Conn {
         }
         match &self.tx {
             FrameTx::Queue(peer) => push_to(peer, payload.to_vec()),
-            FrameTx::Tcp(_) => self.send_with(|out| out.extend_from_slice(payload)),
+            FrameTx::Tcp(_) => self.send_in(&mut Vec::new(), |out| out.extend_from_slice(payload)),
         }
     }
 
     /// [`Conn::send`] for a payload that does not exist yet: `encode`
-    /// appends it to the buffer it is handed, which is the frame itself —
-    /// the `Vec` that moves into the peer's inbox (in-process) or the
-    /// socket's send buffer, already behind its length prefix (TCP).
-    pub(crate) fn send_with(&self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    /// appends it to the buffer it is handed. In-process that buffer is
+    /// `frame` — emptied first, then moved into the peer's inbox, leaving
+    /// an empty `Vec` behind — so a caller that passes back the frame it
+    /// last received sends without allocating. Over TCP it is the socket's
+    /// send buffer, behind its length prefix, and `frame` is untouched.
+    pub(crate) fn send_in(
+        &self,
+        frame: &mut Vec<u8>,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<()> {
         match &self.tx {
             FrameTx::Queue(peer) => {
-                let mut frame = Vec::with_capacity(LOCK_PLANE_FRAME);
+                let mut frame = std::mem::take(frame);
+                recycle(&mut frame);
+                if frame.capacity() == 0 {
+                    frame.reserve_exact(LOCK_PLANE_FRAME);
+                }
                 encode(&mut frame);
                 if frame.len() > MAX_FRAME {
                     return Err(oversize(frame.len()));
@@ -450,9 +514,20 @@ impl Conn {
 
     /// [`Conn::recv_blocking`] for a consumer that only looks at the
     /// frame: `f` runs on it where it lies (in the receive buffer, on TCP).
-    pub(crate) fn recv_with<T>(&self, f: impl FnOnce(&[u8]) -> T) -> Option<T> {
-        self.recv_direct(f)
-            .unwrap_or_else(|f| self.rx.recv_blocking().map(|frame| f(&frame)))
+    /// An in-process frame is kept in `spare` afterwards, for the next
+    /// [`Conn::send_in`].
+    pub(crate) fn recv_with<T>(
+        &self,
+        spare: &mut Vec<u8>,
+        f: impl FnOnce(&[u8]) -> T,
+    ) -> Option<T> {
+        self.recv_direct(f).unwrap_or_else(|f| {
+            let frame = self.rx.recv_blocking()?;
+            let out = f(&frame);
+            *spare = frame;
+            recycle(spare);
+            Some(out)
+        })
     }
 
     /// The inbox, for waker-based consumers (the session loop). On a TCP
@@ -514,5 +589,57 @@ impl std::fmt::Debug for Conn {
             )
             .field("inbox", &self.rx)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MIB: usize = 1 << 20;
+
+    /// A buffer keeps its capacity across frames up to the retention cap,
+    /// and is given up past it: a 1 MiB frame between 256-byte ones leaves
+    /// nothing above 64 KiB behind.
+    #[test]
+    fn recycle_keeps_small_buffers_and_drops_large_ones() {
+        let mut buf = Vec::new();
+        for (round, size) in [256, MIB, 256, MIB, RETAIN, 256].into_iter().enumerate() {
+            buf.resize(size, round as u8);
+            recycle(&mut buf);
+            assert!(buf.is_empty());
+            assert!(buf.capacity() <= RETAIN, "kept {} bytes", buf.capacity());
+            if size <= RETAIN {
+                assert!(buf.capacity() >= size, "a small buffer was given up");
+            }
+        }
+    }
+
+    /// The inbox's spare — what the TCP pump reads the next frame into —
+    /// goes through the same cap.
+    #[test]
+    fn an_inbox_keeps_no_spare_frame_above_the_cap() {
+        let inbox = FrameQueue::new();
+        inbox.recycle(vec![0; 256]);
+        let spare = inbox.take_spare();
+        assert!(spare.is_empty() && spare.capacity() >= 256);
+        inbox.recycle(vec![0; MIB]);
+        assert_eq!(inbox.take_spare().capacity(), 0);
+    }
+
+    /// An in-process frame sent through `send_in` is the caller's buffer,
+    /// moved: the sender is left with an empty `Vec` and the peer receives
+    /// the very allocation the sender filled.
+    #[test]
+    fn send_in_moves_the_callers_frame_to_the_peer() {
+        let (a, b) = Conn::pair();
+        let mut frame = Vec::with_capacity(128);
+        let ptr = frame.as_ptr();
+        a.send_in(&mut frame, |out| out.extend_from_slice(b"ping"))
+            .unwrap();
+        assert_eq!(frame.capacity(), 0);
+        let got = b.recv_blocking().unwrap();
+        assert_eq!(got, b"ping");
+        assert_eq!(got.as_ptr(), ptr);
     }
 }

@@ -201,9 +201,10 @@ impl std::error::Error for WireError {}
 /// Bytes of the little-endian `u32` length prefix in front of every frame.
 const PREFIX: usize = 4;
 
-/// Buffer capacity an idle [`FrameReader`] or [`FrameWriter`] keeps between
+/// Buffer capacity an idle [`FrameReader`] or [`FrameWriter`] — or a
+/// recycled in-process frame or session scratch buffer — keeps between
 /// frames; what one large frame grew beyond it is given back.
-const RETAIN: usize = 64 * 1024;
+pub(crate) const RETAIN: usize = 64 * 1024;
 
 /// How far ahead of the bytes it has actually received a [`FrameReader`]
 /// commits memory — [`RETAIN`] with the prefix counted in: a peer that

@@ -623,6 +623,31 @@ fn hello_after_lock_is_rejected() {
     assert_eq!(stats.protocol_errors, 1);
 }
 
+/// A session's path handle is made by whichever request names the path
+/// first, but only a lock-plane request creates the owner that captures the
+/// session name: `Hello` after a `Write` or `Read` of a path is still a
+/// rename, and `Hello` after a `Lock` on that same path is still refused.
+#[test]
+fn hello_after_data_plane_requests_is_accepted_until_a_lock() {
+    let server = server_for(registry::by_name("list-rw").unwrap());
+    let mut c = server.connect();
+    c.hello("first").unwrap();
+    c.write("/h", 0, b"data").unwrap();
+    c.hello("after-write").unwrap();
+    assert_eq!(c.read("/h", 0, 4).unwrap(), b"data");
+    c.hello("after-read").unwrap();
+    c.lock("/h", slot_range(0), LockMode::Shared).unwrap();
+    assert!(matches!(
+        c.hello("after-lock").unwrap_err(),
+        ClientError::Remote {
+            code: ErrCode::Protocol,
+            ..
+        }
+    ));
+    let stats = server.shutdown();
+    assert_eq!(stats.protocol_errors, 1);
+}
+
 /// Paths and names longer than the wire's `u16` length prefix are refused
 /// client-side before encoding — silent truncation would make the request
 /// target a *different* path.
