@@ -43,8 +43,8 @@
 //! use range_lock::WaitGraph;
 //!
 //! let graph = WaitGraph::new();
-//! graph.register(1, &[2]).unwrap(); // owner 1 waits on owner 2
-//! let err = graph.register(2, &[1]).unwrap_err(); // 2 → 1 closes the cycle
+//! graph.register(1, [2]).unwrap(); // owner 1 waits on owner 2
+//! let err = graph.register(2, [1]).unwrap_err(); // 2 → 1 closes the cycle
 //! assert_eq!(err.cycle(), &[2, 1, 2]);
 //! graph.deregister(1); // owner 1 got its range after 2 backed off
 //! ```
@@ -135,28 +135,38 @@ impl WaitGraph {
     /// appearing in its own `holders` (a self-edge, e.g. derived from a
     /// split re-lock misaccounted as a conflict) is an immediate cycle.
     ///
-    /// An empty `holders` set simply clears the waiter's edges.
-    pub fn register(&self, waiter: u64, holders: &[u64]) -> Result<(), Deadlock> {
+    /// An empty `holders` set simply clears the waiter's edges. The set is
+    /// collected into an emptied set of an earlier waiter, so a steady
+    /// stream of waits allocates nothing.
+    pub fn register(
+        &self,
+        waiter: u64,
+        holders: impl IntoIterator<Item = u64>,
+    ) -> Result<(), Deadlock> {
         let mut edges = self.edges.lock().unwrap();
         // Replace rather than merge: the caller re-derives its full edge set
         // from the current published state on every registration, so stale
         // edges from an earlier derivation must not linger.
         edges.remove(waiter);
-        if holders.is_empty() {
+        let mut set = edges.spare.pop().unwrap_or_default();
+        set.extend(holders);
+        if set.is_empty() {
+            edges.spare.push(set);
             return Ok(());
         }
-        if holders.contains(&waiter) {
+        if set.contains(&waiter) {
+            set.clear();
+            edges.spare.push(set);
             self.detected.fetch_add(1, Ordering::Relaxed);
             return Err(Deadlock {
                 cycle: vec![waiter, waiter],
             });
         }
-        let mut set = edges.spare.pop().unwrap_or_default();
-        set.extend_from_slice(holders);
-        edges.sets.insert(waiter, set);
         // A cycle through `waiter` leaves it through a holder that is
         // itself waiting; when no holder is, there is nothing to search.
-        if !holders.iter().any(|h| edges.sets.contains_key(h)) {
+        let search = set.iter().any(|h| edges.sets.contains_key(h));
+        edges.sets.insert(waiter, set);
+        if !search {
             return Ok(());
         }
         let mut visited = HashSet::new();
@@ -234,11 +244,11 @@ mod tests {
     #[test]
     fn empty_and_acyclic_registrations_succeed() {
         let g = WaitGraph::new();
-        assert!(g.register(1, &[]).is_ok());
+        assert!(g.register(1, []).is_ok());
         assert_eq!(g.waiting_owners(), 0);
-        assert!(g.register(1, &[2, 3]).is_ok());
-        assert!(g.register(2, &[3]).is_ok());
-        assert!(g.register(3, &[4]).is_ok());
+        assert!(g.register(1, [2, 3]).is_ok());
+        assert!(g.register(2, [3]).is_ok());
+        assert!(g.register(3, [4]).is_ok());
         assert_eq!(g.waiting_owners(), 3);
         assert_eq!(g.deadlocks_detected(), 0);
     }
@@ -246,13 +256,13 @@ mod tests {
     #[test]
     fn two_owner_cycle_is_refused_with_the_cycle_path() {
         let g = WaitGraph::new();
-        g.register(1, &[2]).unwrap();
-        let err = g.register(2, &[1]).unwrap_err();
+        g.register(1, [2]).unwrap();
+        let err = g.register(2, [1]).unwrap_err();
         assert_eq!(err.cycle(), &[2, 1, 2]);
         assert_eq!(g.deadlocks_detected(), 1);
         // The refused registration installed nothing: owner 2 can re-derive
         // and wait on someone else.
-        assert!(g.register(2, &[3]).is_ok());
+        assert!(g.register(2, [3]).is_ok());
         let msg = err.to_string();
         assert!(msg.contains("EDEADLK"), "{msg}");
         assert!(msg.contains("2 -> 1 -> 2"), "{msg}");
@@ -264,7 +274,7 @@ mod tests {
         // misattributes the owner's *own* published range as a conflicting
         // holder must be refused, not installed as a permanent self-loop.
         let g = WaitGraph::new();
-        let err = g.register(7, &[7]).unwrap_err();
+        let err = g.register(7, [7]).unwrap_err();
         assert_eq!(err.cycle(), &[7, 7]);
         assert_eq!(g.waiting_owners(), 0);
     }
@@ -272,28 +282,28 @@ mod tests {
     #[test]
     fn three_owner_cycle_is_found_through_intermediates() {
         let g = WaitGraph::new();
-        g.register(1, &[2]).unwrap();
-        g.register(2, &[3]).unwrap();
-        let err = g.register(3, &[1]).unwrap_err();
+        g.register(1, [2]).unwrap();
+        g.register(2, [3]).unwrap();
+        let err = g.register(3, [1]).unwrap_err();
         assert_eq!(err.cycle(), &[3, 1, 2, 3]);
     }
 
     #[test]
     fn reregistration_replaces_the_edge_set() {
         let g = WaitGraph::new();
-        g.register(1, &[2]).unwrap();
+        g.register(1, [2]).unwrap();
         // 1 re-derives: now it only waits on 3. The stale 1→2 edge must be
         // gone, so 2→1 no longer closes a cycle.
-        g.register(1, &[3]).unwrap();
-        assert!(g.register(2, &[1]).is_ok());
+        g.register(1, [3]).unwrap();
+        assert!(g.register(2, [1]).is_ok());
     }
 
     #[test]
     fn deregister_unblocks_the_cycle() {
         let g = WaitGraph::new();
-        g.register(1, &[2]).unwrap();
+        g.register(1, [2]).unwrap();
         g.deregister(1);
-        assert!(g.register(2, &[1]).is_ok());
+        assert!(g.register(2, [1]).is_ok());
         g.deregister(2);
         g.deregister(2); // idempotent
         assert_eq!(g.waiting_owners(), 0);
@@ -302,8 +312,8 @@ mod tests {
     #[test]
     fn snapshot_reports_current_edges_sorted() {
         let g = WaitGraph::new();
-        g.register(3, &[1]).unwrap();
-        g.register(1, &[2, 4]).unwrap();
+        g.register(3, [1]).unwrap();
+        g.register(1, [2, 4]).unwrap();
         assert_eq!(g.snapshot_edges(), vec![(1, vec![2, 4]), (3, vec![1])]);
         g.deregister(3);
         assert_eq!(g.snapshot_edges(), vec![(1, vec![2, 4])]);
@@ -313,10 +323,10 @@ mod tests {
     fn diamond_without_cycle_is_not_a_false_positive() {
         // 1 → {2, 3}, 2 → 4, 3 → 4: shared sink, no cycle.
         let g = WaitGraph::new();
-        g.register(1, &[2, 3]).unwrap();
-        g.register(2, &[4]).unwrap();
-        g.register(3, &[4]).unwrap();
-        assert!(g.register(4, &[5]).is_ok());
+        g.register(1, [2, 3]).unwrap();
+        g.register(2, [4]).unwrap();
+        g.register(3, [4]).unwrap();
+        assert!(g.register(4, [5]).is_ok());
         assert_eq!(g.deadlocks_detected(), 0);
     }
 }

@@ -312,9 +312,12 @@ struct WaitEdges<'a> {
 impl WaitEdges<'_> {
     /// Replaces the owner's edge set with `holders`. A refused registration
     /// leaves no edges behind (see [`WaitGraph::register`]).
-    fn register(&mut self, holders: &[u64]) -> Result<(), range_lock::Deadlock> {
+    fn register(
+        &mut self,
+        holders: impl IntoIterator<Item = u64>,
+    ) -> Result<(), range_lock::Deadlock> {
         let outcome = self.graph.register(self.owner_id, holders);
-        self.registered = outcome.is_ok() && !holders.is_empty();
+        self.registered = outcome.is_ok();
         outcome
     }
 
@@ -401,10 +404,6 @@ impl<T> Default for Few<T> {
 }
 
 impl<T> Few<T> {
-    fn len(&self) -> usize {
-        self.len
-    }
-
     fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -438,43 +437,6 @@ impl<T> IntoIterator for Few<T> {
 
     fn into_iter(self) -> Self::IntoIter {
         self.inline.into_iter().flatten().chain(self.spill)
-    }
-}
-
-/// The owner ids a blocked acquisition waits for, inline up to
-/// [`INLINE`]: deriving them allocates nothing in the common case.
-enum OwnerIds {
-    Inline([u64; INLINE], usize),
-    Spilled(Vec<u64>),
-}
-
-impl Default for OwnerIds {
-    fn default() -> Self {
-        OwnerIds::Inline([0; INLINE], 0)
-    }
-}
-
-impl OwnerIds {
-    fn push(&mut self, id: u64) {
-        match self {
-            OwnerIds::Inline(ids, len) if *len < INLINE => {
-                ids[*len] = id;
-                *len += 1;
-            }
-            OwnerIds::Inline(ids, _) => {
-                let mut spilled = ids.to_vec();
-                spilled.push(id);
-                *self = OwnerIds::Spilled(spilled);
-            }
-            OwnerIds::Spilled(ids) => ids.push(id),
-        }
-    }
-
-    fn as_slice(&self) -> &[u64] {
-        match self {
-            OwnerIds::Inline(ids, len) => &ids[..*len],
-            OwnerIds::Spilled(ids) => ids,
-        }
     }
 }
 
@@ -608,9 +570,16 @@ impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Transaction<'_, L> {
                 // committed table. An edge set that closes a cycle cancels
                 // the request and fails with `EDEADLK`; otherwise the driver
                 // waits and re-polls, so a cycle committed behind this
-                // waiter's back is still noticed.
-                let holders = table.conflicting_owner_ids(self.owner_id, want.range, want.mode);
-                let Err(cycle) = self.edges.register(holders.as_slice()) else {
+                // waiter's back is still noticed. The graph collects the
+                // holders straight from the table state, so the table mutex
+                // is held across the registration (table, then graph; the
+                // graph never takes the table's).
+                let st = table.state.lock().unwrap();
+                let holders =
+                    table.conflicting_owner_ids(&st, self.owner_id, want.range, want.mode);
+                let outcome = self.edges.register(holders);
+                drop(st);
+                let Err(cycle) = outcome else {
                     return Poll::Pending;
                 };
                 self.cancel_pending();
@@ -948,8 +917,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
 
     /// Publishes a finished transaction's tiles into the owner's list. They
     /// lie in the hole `begin` detached them (or their originals) from, so
-    /// each goes in where it sorts: a lone tile is one in-place insert, and
-    /// only a transaction that spilled pays for a sort and a splice.
+    /// each goes in where it sorts with one in-place insert.
     fn commit(&self, owner_id: u64, tiles: Few<Tile<L>>) {
         if !tiles.is_empty() {
             let mut st = self.state.lock().unwrap();
@@ -957,20 +925,11 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                 .owners
                 .get_mut(&owner_id)
                 .expect("commit for an unregistered owner");
-            if tiles.len() <= INLINE {
-                for tile in tiles {
-                    let at = owner
-                        .tiles
-                        .partition_point(|t| t.range.start < tile.range.start);
-                    owner.tiles.insert(at, tile);
-                }
-            } else {
-                let mut tiles: Vec<Tile<L>> = tiles.into_iter().collect();
-                tiles.sort_by_key(|t| t.range.start);
+            for tile in tiles {
                 let at = owner
                     .tiles
-                    .partition_point(|t| t.range.start < tiles[0].range.start);
-                owner.tiles.splice(at..at, tiles);
+                    .partition_point(|t| t.range.start < tile.range.start);
+                owner.tiles.insert(at, tile);
             }
         }
         // A commit changes the waits-for edges other blocked owners must
@@ -987,24 +946,25 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
 
     /// Ids of the *other* owners whose committed tiles block `owner_id`
     /// from acquiring `range` in `mode` right now — one waits-for edge per
-    /// returned id. Over a lock whose "readers" serialize
-    /// ([`RwRangeLock::readers_share`] is `false`), overlap alone conflicts,
-    /// whatever the modes.
-    fn conflicting_owner_ids(&self, owner_id: u64, range: Range, mode: LockMode) -> OwnerIds {
+    /// yielded id — read from the table state `st`. Over a lock whose
+    /// "readers" serialize ([`RwRangeLock::readers_share`] is `false`),
+    /// overlap alone conflicts, whatever the modes.
+    fn conflicting_owner_ids<'s>(
+        &self,
+        st: &'s TableState<L>,
+        owner_id: u64,
+        range: Range,
+        mode: LockMode,
+    ) -> impl Iterator<Item = u64> + 's {
         let readers_share = self.lock_ref().readers_share();
-        let st = self.state.lock().unwrap();
-        let mut holders = OwnerIds::default();
-        for (&id, owner) in &st.owners {
-            if id == owner_id {
-                continue;
-            }
-            if owner.tiles.iter().any(|tile| {
-                tile.range.overlaps(&range) && (mode.conflicts_with(tile.mode) || !readers_share)
-            }) {
-                holders.push(id);
-            }
-        }
-        holders
+        st.owners.iter().filter_map(move |(&id, owner)| {
+            let blocks = id != owner_id
+                && owner.tiles.iter().any(|tile| {
+                    tile.range.overlaps(&range)
+                        && (mode.conflicts_with(tile.mode) || !readers_share)
+                });
+            blocks.then_some(id)
+        })
     }
 
     /// Maps a cycle of owner ids to the named error surfaced to callers,

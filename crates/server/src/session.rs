@@ -9,7 +9,10 @@
 //! file handle behaves like any open handle: were the path unlinked from
 //! the `FileStore` — which no wire op can do — the session would keep
 //! reading and writing the orphaned file, as a POSIX process keeps an
-//! unlinked file it has open.
+//! unlinked file it has open. Handles live as long as the session: its
+//! memory grows by one handle (the path string, a map entry, an owner
+//! and an `Arc`) per distinct path it has touched, on top of what the
+//! table and the store already keep for that path.
 //!
 //! The reply to a request is encoded into the request's own frame, which
 //! then travels back to the peer (in-process) or, over TCP, is handed to the
@@ -162,6 +165,8 @@ struct PathHandle {
 struct Paths {
     index: HashMap<String, usize>,
     handles: Vec<PathHandle>,
+    /// Whether a lock-plane request has created an owner yet.
+    has_owner: bool,
 }
 
 impl Paths {
@@ -179,6 +184,7 @@ impl Paths {
 
     /// The session's `LockOwner` for `path`, created on first use.
     fn owner(&mut self, state: &ServerState, path: &str, session: &str) -> &mut LockOwner<DynLock> {
+        self.has_owner = true;
         self.handle(path)
             .owner
             .get_or_insert_with(|| state.table_for(path).owner(session))
@@ -189,11 +195,6 @@ impl Paths {
         self.handle(path)
             .file
             .get_or_insert_with(|| state.store.open(path))
-    }
-
-    /// Whether a lock-plane request has created an owner yet.
-    fn has_owner(&self) -> bool {
-        self.handles.iter().any(|h| h.owner.is_some())
     }
 }
 
@@ -236,7 +237,7 @@ pub(crate) async fn run(state: Arc<ServerState>, conn: Conn) {
         };
         let reply = match req {
             RequestView::Hello { name: n } => {
-                if !paths.has_owner() {
+                if !paths.has_owner {
                     name = n.to_string();
                     trace::label_actor(actor, &name);
                     Reply::Ok

@@ -121,15 +121,15 @@ pub(crate) fn recycle(buf: &mut Vec<u8>) {
 pub struct FrameQueue {
     state: Mutex<QueueState>,
     ready: Condvar,
-    /// `QueueState::closed`, mirrored for [`FrameQueue::is_closed`]: a
-    /// session checks it before every poll of a raced lock, and an
-    /// uncontended lock should not cost a trip through the mutex.
+    /// Set by [`FrameQueue::close`], always under the `state` mutex, so a
+    /// consumer that reads it under the mutex and then registers its waker
+    /// cannot miss the close. [`FrameQueue::is_closed`] reads it without the
+    /// mutex: a session checks it before every poll of a raced lock.
     closed: AtomicBool,
 }
 
 struct QueueState {
     frames: VecDeque<Vec<u8>>,
-    closed: bool,
     waker: Option<Waker>,
     /// A consumed frame handed back by the consumer ([`FrameQueue::recycle`])
     /// for the TCP pump to read the next one into.
@@ -147,7 +147,6 @@ impl FrameQueue {
         FrameQueue {
             state: Mutex::new(QueueState {
                 frames: VecDeque::new(),
-                closed: false,
                 waker: None,
                 spare: Vec::new(),
                 blocked: 0,
@@ -168,7 +167,7 @@ impl FrameQueue {
     pub fn push(&self, frame: Vec<u8>) -> bool {
         let (waker, blocked) = {
             let mut st = self.state.lock().unwrap();
-            if st.closed {
+            if self.is_closed() {
                 return false;
             }
             st.frames.push_back(frame);
@@ -194,7 +193,6 @@ impl FrameQueue {
     pub fn close(&self) {
         let (waker, blocked) = {
             let mut st = self.state.lock().unwrap();
-            st.closed = true;
             self.closed.store(true, Ordering::Release);
             (st.waker.take(), st.blocked)
         };
@@ -219,7 +217,7 @@ impl FrameQueue {
             if let Some(frame) = st.frames.pop_front() {
                 return Some(frame);
             }
-            if st.closed {
+            if self.is_closed() {
                 return None;
             }
             st.blocked += 1;
@@ -235,7 +233,7 @@ impl FrameQueue {
         if let Some(frame) = st.frames.pop_front() {
             return Poll::Ready(Some(frame));
         }
-        if st.closed {
+        if self.is_closed() {
             return Poll::Ready(None);
         }
         register(&mut st.waker, cx);
@@ -247,7 +245,7 @@ impl FrameQueue {
     /// in-flight lock acquisition.
     pub fn poll_closed(&self, cx: &mut Context<'_>) -> Poll<()> {
         let mut st = self.state.lock().unwrap();
-        if st.closed {
+        if self.is_closed() {
             return Poll::Ready(());
         }
         register(&mut st.waker, cx);
@@ -290,7 +288,7 @@ impl std::fmt::Debug for FrameQueue {
         let st = self.state.lock().unwrap();
         f.debug_struct("FrameQueue")
             .field("queued", &st.frames.len())
-            .field("closed", &st.closed)
+            .field("closed", &self.is_closed())
             .finish()
     }
 }
