@@ -38,16 +38,29 @@
 //! into maximal runs only where somebody looks ([`LockTable::records`],
 //! [`LockOwner::held`], the `F_GETLK` answer, the "already held" check).
 //!
-//! A re-lock is one **transaction**, written once for every entry point:
+//! Every entry point runs one operation through the same steps:
 //!
 //! 1. **begin** (table mutex held, no waiting): fail-fast conflict check for
-//!    the non-blocking form, no-op check, then *detach* the owner's tiles
-//!    that overlap the span. After the mutex is dropped the detached tiles
-//!    are sorted into those that stay held (in-place downgrade, below) and
-//!    those released, and the list of missing guards is computed: the
-//!    re-locked span itself (the **target**) plus the **gaps** — the parts
-//!    of a split tile outside the span, which must be re-taken.
-//! 2. **poll** drives the transaction as far as it can get without waiting:
+//!    the non-blocking form, no-op check, then the plan. Two plans have
+//!    nothing to roll back and finish inside *begin*, at what the lock
+//!    itself costs:
+//!    * a **lock of a span the owner holds none of** drops the mutex, makes
+//!      one enqueue + poll, and commits the granted tile in place. A blocked
+//!      `try_` cancels the request and fails; a blocked blocking lock
+//!      becomes a transaction that carries the request already enqueued
+//!      (cancelling and re-enqueueing would unlink a published reader node
+//!      and send it behind later arrivals);
+//!    * an **unlock that splits no tile** detaches the tiles under the mutex
+//!      and drops them after it.
+//!
+//!    Every other plan — a split, a merge, an upgrade or downgrade — detaches
+//!    the owner's tiles that overlap the span and becomes a
+//!    **transaction**. After the mutex is dropped the detached tiles are
+//!    sorted into those that stay held (in-place downgrade, below) and those
+//!    released, and the list of missing guards is computed: the re-locked
+//!    span itself (the **target**) plus the **gaps** — the parts of a split
+//!    tile outside the span, which must be re-taken.
+//! 2. **poll** drives a transaction as far as it can get without waiting:
 //!    for each missing guard in ascending range order — which keeps
 //!    concurrent multi-piece transactions from deadlocking against each
 //!    other — enqueue on the underlying lock on the first visit, then poll.
@@ -55,18 +68,22 @@
 //!    poll + cancel), or registers the owner's waits-for edges and fails on
 //!    a cycle (`EDEADLK`), or reports "pending"; a conflict on a gap just
 //!    reports "pending". A failed transaction releases what it holds and
-//!    keeps going with its detached originals as the missing list. When
-//!    nothing is missing the tiles are committed back into the owner's list.
-//! 3. Dropping an unfinished transaction cancels the in-flight request,
+//!    keeps going with its detached originals as the missing list.
+//! 3. **commit**: when nothing is missing the tiles go back into the owner's
+//!    list, and the lock's waiters are woken so a blocked owner re-derives
+//!    its waits-for edges. The two plans that finish inside *begin* commit
+//!    — and wake — the same way.
+//! 4. Dropping an unfinished transaction cancels the in-flight request,
 //!    removes the waits-for edges and releases its tiles.
 //!
-//! Two small **drivers** are the only code that waits. The blocking one
+//! Two small **drivers** are the only code that waits, and only a
+//! transaction reaches them. The blocking one
 //! (`lock`, `try_lock`, `unlock`, `lock_many`, `try_lock_many`) is
 //! `loop { poll; wait }` through the lock's own wait policy; the async one
 //! (`lock_async`, `try_lock_async`, `unlock_async`, `lock_many_async`)
 //! registers the task's waker on the lock's queue under the in-flight
 //! request's wait key. A batch is the same machine one level up: a list of
-//! transactions, and on failure an undo list.
+//! steps, each begun like a single operation, and on failure an undo list.
 //!
 //! # Fidelity caveats (vs. an in-kernel `fcntl`)
 //!
@@ -104,10 +121,11 @@
 //!   owner's retained coverage (split edges, rollback of the originals),
 //!   exactly as in the first bullet. (`try_lock_async` suspends instead.)
 //! * **`try_lock` conflict checks are table-level.** A conflicting guard held
-//!   by a transaction that has not committed yet is detected by the single
+//!   by an operation that has not committed yet is detected by the single
 //!   poll of the underlying lock instead, and reported without a
-//!   conflicting-owner name (`conflict: None`). That includes the guards of
-//!   tiles a concurrent transaction has *detached but not yet released*:
+//!   conflicting-owner name (`conflict: None`). That includes a fresh-span
+//!   lock between its granting poll and its commit, and the guards of
+//!   tiles a concurrent operation has *detached but not yet released*:
 //!   they leave the table under the mutex and are dropped after it, so for
 //!   that instant the table shows no conflict while the lock still has one.
 //! * **`EDEADLK` detection is best-effort, exactly as POSIX specifies.**
@@ -166,6 +184,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::task::{ready, Poll};
@@ -404,10 +423,6 @@ impl<T> Default for Few<T> {
 }
 
 impl<T> Few<T> {
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     fn push(&mut self, item: T) {
         match self.inline.get_mut(self.len) {
             Some(slot) => *slot = Some(item),
@@ -495,8 +510,9 @@ trait Resumable {
 }
 
 /// One re-lock transaction in flight: replaces whatever the owner holds over
-/// one span with one mode (or nothing). Built by [`LockTable::begin`]; a
-/// plain value between polls. Dropping it unfinished abandons the operation:
+/// one span with one mode (or nothing). Built by [`LockTable::begin`] for a
+/// plan that has to wait or holds rollback state; a plain value between
+/// polls. Dropping it unfinished abandons the operation:
 /// the in-flight request is cancelled (and the cancel recorded), the owner's
 /// waits-for edges are removed, and the tiles it holds are released.
 struct Transaction<'t, L: TwoPhaseRwRangeLock + 'static> {
@@ -505,9 +521,6 @@ struct Transaction<'t, L: TwoPhaseRwRangeLock + 'static> {
     /// Whether a conflict on the target waits (`EDEADLK`-checked) or fails
     /// the transaction with `EAGAIN`.
     blocking: bool,
-    /// Whether `begin` detached or planned anything: a no-op, an empty span
-    /// or a fail-fast refusal has nothing to commit and nobody to wake.
-    touched: bool,
     /// Tiles this transaction holds and will commit: kept across the mode
     /// change (in-place downgrade) or acquired so far.
     held: Few<Tile<L>>,
@@ -550,9 +563,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Transaction<'_, L> {
         let table = self.table;
         loop {
             let Some(&want) = self.missing.get(self.next) else {
-                if self.touched {
-                    table.commit(self.owner_id, mem::take(&mut self.held));
-                }
+                table.commit(self.owner_id, mem::take(&mut self.held));
                 return Poll::Ready(self.failure.take().map_or(Ok(()), Err));
             };
             if let Some(tile) = table.poll_tile(&mut self.pending, want.range, want.mode) {
@@ -639,10 +650,10 @@ impl<L: TwoPhaseRwRangeLock + 'static> Batch<'_, L> {
     /// every step under one mutex hold.
     fn precheck(&self) -> Result<(), WouldBlock> {
         let st = self.table.state.lock().unwrap();
-        let conflict = self
-            .steps
-            .iter()
-            .find_map(|&(range, op)| LockTable::conflicting_record(&st, self.owner_id, range, op?));
+        let conflict = self.steps.iter().find_map(|&(range, op)| {
+            self.table
+                .conflicting_record(&st, self.owner_id, range, op?)
+        });
         match conflict {
             None => Ok(()),
             Some(_) => Err(WouldBlock { conflict }),
@@ -653,8 +664,12 @@ impl<L: TwoPhaseRwRangeLock + 'static> Batch<'_, L> {
 impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Batch<'_, L> {
     fn poll(&mut self) -> Poll<Result<(), SetLockError>> {
         loop {
-            let step = match &mut self.current {
-                Some(step) => step,
+            let outcome = match &mut self.current {
+                Some(step) => {
+                    let outcome = ready!(step.poll());
+                    self.current = None;
+                    outcome
+                }
                 None => {
                     let Some(&(range, op)) = self.steps.get(self.next) else {
                         let Some((err, span)) = self.failure.take() else {
@@ -673,12 +688,15 @@ impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Batch<'_, L> {
                     };
                     // Undo steps restore what the owner held: they wait.
                     let blocking = self.blocking || self.failure.is_some();
-                    self.current
-                        .insert(self.table.begin(self.owner_id, range, op, blocking))
+                    match self.table.begin(self.owner_id, range, op, blocking) {
+                        ControlFlow::Break(outcome) => outcome,
+                        ControlFlow::Continue(step) => {
+                            self.current = Some(step);
+                            continue;
+                        }
+                    }
                 }
             };
-            let outcome = ready!(step.poll());
-            self.current = None;
             self.next += 1;
             match outcome {
                 Ok(()) => {}
@@ -862,20 +880,24 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
 
     /// Returns the first committed record of *another* owner that conflicts
     /// with locking `range` in `mode` — the `F_GETLK` answer — or `None` if
-    /// the request would succeed against the committed table.
+    /// the request would succeed against the committed table. Over a lock
+    /// whose "readers" serialize ([`RwRangeLock::readers_share`] is `false`),
+    /// overlap alone conflicts, whatever the modes.
     fn conflicting_record(
+        &self,
         st: &TableState<L>,
         owner_id: u64,
         range: Range,
         mode: LockMode,
     ) -> Option<LockRecord> {
+        let readers_share = self.lock_ref().readers_share();
         st.owners
             .iter()
             .filter(|(&id, _)| id != owner_id)
             .find_map(|(_, owner)| {
                 runs(&owner.tiles)
                     .find(|(held, held_mode)| {
-                        held.overlaps(&range) && mode.conflicts_with(*held_mode)
+                        held.overlaps(&range) && (mode.conflicts_with(*held_mode) || !readers_share)
                     })
                     .map(|(range, mode)| LockRecord {
                         owner: owner.name.clone(),
@@ -915,11 +937,13 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         }
     }
 
-    /// Publishes a finished transaction's tiles into the owner's list. They
-    /// lie in the hole `begin` detached them (or their originals) from, so
-    /// each goes in where it sorts with one in-place insert.
-    fn commit(&self, owner_id: u64, tiles: Few<Tile<L>>) {
-        if !tiles.is_empty() {
+    /// Publishes a finished operation's tiles into the owner's list. They
+    /// lie in the hole `begin` detached them (or their originals) from, or
+    /// in a span the owner held none of, so each goes in where it sorts with
+    /// one in-place insert.
+    fn commit(&self, owner_id: u64, tiles: impl IntoIterator<Item = Tile<L>>) {
+        let mut tiles = tiles.into_iter().peekable();
+        if tiles.peek().is_some() {
             let mut st = self.state.lock().unwrap();
             let owner = st
                 .owners
@@ -998,50 +1022,39 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
             .unwrap_or_default()
     }
 
-    /// The heart of the table: begins the transaction that replaces whatever
+    /// The heart of the table: begins the operation that replaces whatever
     /// `owner_id` holds over `target` with `op` (`Some(mode)` to lock, `None`
-    /// to unlock). Takes the table mutex once and never waits.
+    /// to unlock). Plans under the table mutex, taken once, and never waits:
+    /// `Break` carries the outcome of an operation that finished here,
+    /// `Continue` the transaction that has to wait or holds rollback state.
+    ///
+    /// Two plans have nothing to roll back and finish right here: a lock of
+    /// a span the owner holds none of ([`LockTable::lock_fresh`]), and an
+    /// unlock that releases whole tiles. Every other plan — a split, a
+    /// merge, a mode change — becomes a [`Transaction`].
     ///
     /// A non-blocking request fails with `EAGAIN` when it would have to
     /// wait; a blocking one fails with `EDEADLK` when waiting would close an
-    /// owner cycle. Either way the transaction restores the owner's prior
-    /// tiles before it reports the error.
+    /// owner cycle. Either way the owner's prior tiles are restored before
+    /// the error is reported.
     fn begin(
         &self,
         owner_id: u64,
         target: Range,
         op: Option<LockMode>,
         blocking: bool,
-    ) -> Transaction<'_, L> {
-        let mut txn = Transaction {
-            table: self,
-            owner_id,
-            blocking,
-            touched: false,
-            held: Few::default(),
-            missing: Few::default(),
-            next: 0,
-            pending: None,
-            originals: Few::default(),
-            failure: None,
-            edges: WaitEdges {
-                graph: &self.waits,
-                owner_id,
-                registered: false,
-            },
-        };
+    ) -> ControlFlow<Result<(), SetLockError>, Transaction<'_, L>> {
         if target.is_empty() {
-            return txn;
+            return ControlFlow::Break(Ok(()));
         }
         let mut detached = Few::default();
         {
             let mut st = self.state.lock().unwrap();
             if let (Some(mode), false) = (op, blocking) {
-                if let Some(conflict) = Self::conflicting_record(&st, owner_id, target, mode) {
-                    txn.failure = Some(SetLockError::WouldBlock(WouldBlock {
+                if let Some(conflict) = self.conflicting_record(&st, owner_id, target, mode) {
+                    return ControlFlow::Break(Err(SetLockError::WouldBlock(WouldBlock {
                         conflict: Some(conflict),
-                    }));
-                    return txn;
+                    })));
                 }
             }
             let owner = st
@@ -1059,10 +1072,26 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                 None => lo == hi,
             };
             if noop {
-                return txn;
+                return ControlFlow::Break(Ok(()));
             }
+            if let (Some(mode), true) = (op, lo == hi) {
+                // A lock of a span the owner holds none of.
+                drop(st);
+                return self.lock_fresh(owner_id, target, mode, blocking);
+            }
+            let whole_tiles = op.is_none()
+                && owner.tiles[lo].range.start >= target.start
+                && owner.tiles[hi - 1].range.end <= target.end;
             for tile in owner.tiles.drain(lo..hi) {
                 detached.push(tile);
+            }
+            if whole_tiles {
+                // An unlock that splits no tile: dropping the detached tiles
+                // after the mutex is all of it, and the commit's wake.
+                drop(st);
+                drop(detached);
+                self.commit(owner_id, None);
+                return ControlFlow::Break(Ok(()));
             }
         }
         // The detached tiles belong to the transaction now, so the guards
@@ -1073,7 +1102,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         // the first detached tile can start before the target), the
         // target's pieces, then the right split edge (only the last can end
         // after it).
-        txn.touched = true;
+        let mut txn = self.transaction(owner_id, blocking);
         let mut right_edge = None;
         for tile in detached {
             let (range, mode) = (tile.range, tile.mode);
@@ -1126,7 +1155,94 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         if let Some(edge) = right_edge {
             txn.missing.push(edge);
         }
-        txn
+        ControlFlow::Continue(txn)
+    }
+
+    /// Locks `target`, a span `owner_id` holds none of. Nothing was
+    /// detached, so nothing can need rolling back: one poll, and a granted
+    /// tile is committed on the spot. A blocked `try_` is cancelled and
+    /// refused. A blocked blocking request becomes a transaction that
+    /// carries the request already enqueued: cancelling and re-enqueueing
+    /// would unlink a published reader node and send it behind later
+    /// arrivals.
+    fn lock_fresh(
+        &self,
+        owner_id: u64,
+        target: Range,
+        mode: LockMode,
+        blocking: bool,
+    ) -> ControlFlow<Result<(), SetLockError>, Transaction<'_, L>> {
+        let mut pending = None;
+        if let Some(tile) = self.poll_tile(&mut pending, target, mode) {
+            self.commit(owner_id, Some(tile));
+            return ControlFlow::Break(Ok(()));
+        }
+        if !blocking {
+            // `try_`: one poll + cancel.
+            if let Some(request) = &mut pending {
+                self.lock_ref().cancel(request);
+            }
+            return ControlFlow::Break(Err(SetLockError::WouldBlock(WouldBlock {
+                conflict: None,
+            })));
+        }
+        let mut txn = self.transaction(owner_id, blocking);
+        txn.missing.push(Missing {
+            range: target,
+            mode,
+            is_target: true,
+        });
+        txn.pending = pending;
+        ControlFlow::Continue(txn)
+    }
+
+    /// An empty transaction for `owner_id`, for `begin` to fill in.
+    fn transaction(&self, owner_id: u64, blocking: bool) -> Transaction<'_, L> {
+        Transaction {
+            table: self,
+            owner_id,
+            blocking,
+            held: Few::default(),
+            missing: Few::default(),
+            next: 0,
+            pending: None,
+            originals: Few::default(),
+            failure: None,
+            edges: WaitEdges {
+                graph: &self.waits,
+                owner_id,
+                registered: false,
+            },
+        }
+    }
+
+    /// Runs one operation to completion on this thread: the blocking driver
+    /// runs only when `begin` could not finish it.
+    fn apply(
+        &self,
+        owner_id: u64,
+        target: Range,
+        op: Option<LockMode>,
+        blocking: bool,
+    ) -> Result<(), SetLockError> {
+        match self.begin(owner_id, target, op, blocking) {
+            ControlFlow::Break(outcome) => outcome,
+            ControlFlow::Continue(txn) => self.drive_blocking(txn),
+        }
+    }
+
+    /// [`LockTable::apply`], suspending the task where that blocks.
+    async fn apply_async(
+        &self,
+        owner_id: u64,
+        target: Range,
+        op: Option<LockMode>,
+        blocking: bool,
+    ) -> Result<(), SetLockError> {
+        match self.begin(owner_id, target, op, blocking) {
+            ControlFlow::Break(outcome) => outcome,
+            ControlFlow::Continue(txn) => self.drive_async(txn).await,
+        }
     }
 
     /// The blocking driver: poll, and between polls wait through the lock's
@@ -1290,9 +1406,8 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     /// not been made. Detection is best-effort, exactly as POSIX allows;
     /// see the fidelity caveats in the [module documentation](self).
     pub fn lock(&mut self, range: Range, mode: LockMode) -> Result<(), DeadlockError> {
-        let txn = self.table.begin(self.id, range, Some(mode), true);
         self.table
-            .drive_blocking(txn)
+            .apply(self.id, range, Some(mode), true)
             .map_err(SetLockError::deadlock)
     }
 
@@ -1304,9 +1419,8 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     /// rollback after losing a bounded-acquisition race) may still wait —
     /// see the fidelity caveats in the [module documentation](self).
     pub fn try_lock(&mut self, range: Range, mode: LockMode) -> Result<(), WouldBlock> {
-        let txn = self.table.begin(self.id, range, Some(mode), false);
         self.table
-            .drive_blocking(txn)
+            .apply(self.id, range, Some(mode), false)
             .map_err(SetLockError::would_block)
     }
 
@@ -1315,9 +1429,8 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     /// thread — re-taking split edges, or rolling back after a lost race —
     /// this suspends the task, and dropping the future abandons the wait.
     pub async fn try_lock_async(&mut self, range: Range, mode: LockMode) -> Result<(), WouldBlock> {
-        let txn = self.table.begin(self.id, range, Some(mode), false);
-        let outcome = self.table.drive_async(txn).await;
-        outcome.map_err(SetLockError::would_block)
+        let outcome = self.table.apply_async(self.id, range, Some(mode), false);
+        outcome.await.map_err(SetLockError::would_block)
     }
 
     /// Atomically locks every `(range, mode)` item of a batch, waiting for
@@ -1380,8 +1493,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     /// only the deadlock-checked *target* acquisitions of a `lock` can
     /// return `EDEADLK`, and an unlock has none.
     pub fn unlock(&mut self, range: Range) {
-        let txn = self.table.begin(self.id, range, None, true);
-        unlock_cannot_fail(self.table.drive_blocking(txn));
+        unlock_cannot_fail(self.table.apply(self.id, range, None, true));
     }
 
     /// Releases every range this owner holds.
@@ -1421,23 +1533,21 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     /// owner held over `range` going in is gone, as if it had been unlocked
     /// (see the fidelity caveats in the [module documentation](self)).
     pub async fn lock_async(&mut self, range: Range, mode: LockMode) -> Result<(), DeadlockError> {
-        let txn = self.table.begin(self.id, range, Some(mode), true);
-        let outcome = self.table.drive_async(txn).await;
-        outcome.map_err(SetLockError::deadlock)
+        let outcome = self.table.apply_async(self.id, range, Some(mode), true);
+        outcome.await.map_err(SetLockError::deadlock)
     }
 
     /// Asynchronous [`LockOwner::unlock`]: re-securing the retained edges of
     /// a split suspends instead of blocking.
     pub async fn unlock_async(&mut self, range: Range) {
-        let txn = self.table.begin(self.id, range, None, true);
-        unlock_cannot_fail(self.table.drive_async(txn).await);
+        unlock_cannot_fail(self.table.apply_async(self.id, range, None, true).await);
     }
 
     /// The `F_GETLK` probe: the first committed record of another owner that
     /// would make `lock(range, mode)` wait, if any.
     pub fn would_block(&self, range: Range, mode: LockMode) -> Option<LockRecord> {
         let st = self.table.state.lock().unwrap();
-        LockTable::conflicting_record(&st, self.id, range, mode)
+        self.table.conflicting_record(&st, self.id, range, mode)
     }
 
     /// Snapshot of this owner's committed records, sorted by start.
@@ -2205,5 +2315,239 @@ mod tests {
         a.unlock(Range::new(5, 5));
         a.try_lock(Range::new(7, 7), LockMode::Shared).unwrap();
         assert_eq!(t.held_records(), 0);
+    }
+
+    #[test]
+    fn exclusive_only_locks_report_overlapping_shared_records() {
+        // Over `list-ex` and `lustre-ex` a "shared" tile is exclusive
+        // underneath, so an overlapping shared request of another owner
+        // waits: F_GETLK, `try_lock` and the `try_lock_many` precheck must
+        // all name the record it waits for.
+        for name in ["list-ex", "lustre-ex"] {
+            let spec = rl_baselines::registry::by_name(name).expect("registered variant");
+            let t = Arc::new(LockTable::new(
+                spec.build(rl_sync::WaitPolicyKind::SpinThenYield, &Default::default()),
+            ));
+            let mut a = t.owner("a");
+            let mut b = t.owner("b");
+            a.lock(Range::new(0, 10), LockMode::Shared).unwrap();
+
+            let probe = b.would_block(Range::new(0, 10), LockMode::Shared);
+            assert_eq!(probe.expect("{name}: F_GETLK missed a conflict").owner, "a");
+            let err = b.try_lock(Range::new(5, 15), LockMode::Shared).unwrap_err();
+            assert_eq!(err.conflict.expect("{name}: conflict unnamed").owner, "a");
+            let err = b
+                .try_lock_many(&[
+                    (Range::new(20, 30), LockMode::Shared),
+                    (Range::new(5, 15), LockMode::Shared),
+                ])
+                .unwrap_err();
+            assert_eq!(err.conflict.expect("{name}: precheck missed").owner, "a");
+            assert!(
+                b.held().is_empty(),
+                "{name}: the refused batch left residue"
+            );
+            t.check_invariants();
+        }
+    }
+
+    /// A forwarding lock that counts the two-phase steps the table takes.
+    #[derive(Default)]
+    struct Counting<L> {
+        inner: L,
+        enqueues: AtomicU64,
+        polls: AtomicU64,
+        cancels: AtomicU64,
+    }
+
+    impl<L> Counting<L> {
+        /// `[enqueues, polls, cancels]` so far.
+        fn counts(&self) -> [u64; 3] {
+            [&self.enqueues, &self.polls, &self.cancels].map(|c| c.load(Ordering::SeqCst))
+        }
+    }
+
+    impl<L: TwoPhaseRwRangeLock> RwRangeLock for Counting<L> {
+        fn acquire(&self, range: Range, mode: LockMode) -> Held {
+            self.inner.acquire(range, mode)
+        }
+
+        fn try_acquire(&self, range: Range, mode: LockMode) -> Option<Held> {
+            self.inner.try_acquire(range, mode)
+        }
+
+        fn release(&self, held: Held) {
+            self.inner.release(held);
+        }
+
+        fn downgrade(&self, held: &mut Held) -> bool {
+            self.inner.downgrade(held)
+        }
+
+        fn readers_share(&self) -> bool {
+            self.inner.readers_share()
+        }
+
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+    }
+
+    impl<L: TwoPhaseRwRangeLock> TwoPhaseRwRangeLock for Counting<L> {
+        fn enqueue(&self, range: Range, mode: LockMode) -> Pending {
+            self.enqueues.fetch_add(1, Ordering::SeqCst);
+            self.inner.enqueue(range, mode)
+        }
+
+        fn poll(&self, pending: &mut Pending) -> Option<Held> {
+            self.polls.fetch_add(1, Ordering::SeqCst);
+            self.inner.poll(pending)
+        }
+
+        fn cancel(&self, pending: &mut Pending) {
+            self.cancels.fetch_add(1, Ordering::SeqCst);
+            self.inner.cancel(pending);
+        }
+
+        fn wait_queue(&self) -> &rl_sync::WaitQueue {
+            self.inner.wait_queue()
+        }
+
+        fn wait_deadline_keyed(
+            &self,
+            key: u64,
+            cond: &mut dyn FnMut() -> bool,
+            deadline: Instant,
+        ) -> bool {
+            self.inner.wait_deadline_keyed(key, cond, deadline)
+        }
+    }
+
+    type CountingTable = Arc<LockTable<Counting<RwListRangeLock>>>;
+
+    fn counting_table() -> CountingTable {
+        Arc::new(LockTable::new(Counting::default()))
+    }
+
+    /// The `[enqueues, polls, cancels]` that `op` cost the table's lock.
+    fn steps_of(t: &CountingTable, op: impl FnOnce()) -> [u64; 3] {
+        let before = t.lock_ref().counts();
+        op();
+        let after = t.lock_ref().counts();
+        [0, 1, 2].map(|i| after[i] - before[i])
+    }
+
+    #[test]
+    fn plans_that_wait_for_nothing_cost_what_the_lock_costs() {
+        let t = counting_table();
+        let mut a = t.owner("a");
+        let span = Range::new(0, 10);
+        // A fresh-span lock is one enqueue and one poll; a whole-tile unlock
+        // touches no request at all.
+        assert_eq!(
+            steps_of(&t, || a.lock(span, LockMode::Exclusive).unwrap()),
+            [1, 1, 0]
+        );
+        assert_eq!(steps_of(&t, || a.unlock(span)), [0, 0, 0]);
+        assert_eq!(
+            steps_of(&t, || rl_exec::block_on(
+                a.lock_async(span, LockMode::Shared)
+            )
+            .unwrap()),
+            [1, 1, 0]
+        );
+        assert_eq!(
+            steps_of(&t, || rl_exec::block_on(a.unlock_async(span))),
+            [0, 0, 0]
+        );
+        // A split unlock is a transaction: it re-takes both edges.
+        a.lock(Range::new(0, 30), LockMode::Exclusive).unwrap();
+        assert_eq!(steps_of(&t, || a.unlock(Range::new(10, 20)))[0], 2);
+        a.lock(Range::new(0, 30), LockMode::Exclusive).unwrap();
+        assert_eq!(
+            steps_of(&t, || rl_exec::block_on(a.unlock_async(Range::new(10, 20))))[0],
+            2
+        );
+        assert_eq!(
+            held_of(&a),
+            vec![(0, 10, LockMode::Exclusive), (20, 30, LockMode::Exclusive)]
+        );
+        t.check_invariants();
+    }
+
+    #[test]
+    fn a_fresh_span_lock_that_waits_keeps_its_first_request() {
+        use std::future::Future;
+        use std::task::{Context, Waker};
+
+        let t = counting_table();
+        let mut a = t.owner("a");
+        let span = Range::new(0, 10);
+
+        // Sync: B's first poll blocks behind A, and the transaction it waits
+        // in carries that request until A's unlock grants it.
+        a.lock(span, LockMode::Exclusive).unwrap();
+        let steps = steps_of(&t, || {
+            let t2 = Arc::clone(&t);
+            let b = std::thread::spawn(move || {
+                let mut b = t2.owner("b");
+                b.lock(span, LockMode::Exclusive).unwrap();
+                b.unlock(span);
+            });
+            while t.waiting_owners() == 0 {
+                std::thread::yield_now();
+            }
+            a.unlock(span);
+            b.join().unwrap();
+        });
+        assert_eq!([steps[0], steps[2]], [1, 0], "enqueues, cancels: {steps:?}");
+        assert!(steps[1] >= 2, "the blocked request was polled again");
+
+        // Async, on one thread: the same request is pending across the
+        // suspension.
+        a.lock(span, LockMode::Exclusive).unwrap();
+        let mut b = t.owner("b");
+        let steps = steps_of(&t, || {
+            let mut cx = Context::from_waker(Waker::noop());
+            let mut fut = Box::pin(b.lock_async(span, LockMode::Shared));
+            assert!(fut.as_mut().poll(&mut cx).is_pending());
+            a.unlock(span);
+            assert!(matches!(fut.as_mut().poll(&mut cx), Poll::Ready(Ok(()))));
+        });
+        assert_eq!([steps[0], steps[2]], [1, 0], "enqueues, cancels: {steps:?}");
+        assert_eq!(held_of(&b), vec![(0, 10, LockMode::Shared)]);
+        assert_eq!(t.waiting_owners(), 0);
+        t.check_invariants();
+    }
+
+    #[test]
+    fn abandoned_fresh_span_lock_async_cancels_its_one_request() {
+        use std::future::Future;
+        use std::task::Context;
+
+        // B's lock of a span it holds none of blocks on its first poll
+        // behind A, suspends, and is dropped.
+        let (t, stats, wakes, waker) = abandonment_fixture();
+        let mut a = t.owner("a");
+        let mut b = t.owner("b");
+        a.lock(Range::new(0, 10), LockMode::Exclusive).unwrap();
+        let cancels = stats.snapshot().cancels;
+        {
+            let mut cx = Context::from_waker(&waker);
+            let mut fut = Box::pin(b.lock_async(Range::new(0, 10), LockMode::Shared));
+            assert!(fut.as_mut().poll(&mut cx).is_pending());
+            assert_eq!(t.waiting_owners(), 1);
+        }
+        // One request was enqueued, so one was cancelled — not a first one
+        // by `begin` and a second by the transaction.
+        assert_eq!(stats.snapshot().cancels, cancels + 1);
+        assert_eq!(t.waiting_owners(), 0);
+        assert!(b.held().is_empty());
+        a.unlock_all();
+        assert_eq!(wakes.load(Ordering::SeqCst), 0);
+        t.owner("c")
+            .try_lock(Range::FULL, LockMode::Exclusive)
+            .unwrap();
+        t.check_invariants();
     }
 }

@@ -8,7 +8,9 @@
 //! test — a torn write or a torn read — is therefore counted, and the test
 //! asserts the count is zero for all five variants (the exclusive locks
 //! serialize their readers). A second storm drives the
-//! [`LockTable`] from many concurrently dropping owners. A negative control
+//! [`LockTable`] from many concurrently dropping owners, once with
+//! single-slot lock/unlock pairs and once with owners that also split,
+//! upgrade and downgrade what they hold. A negative control
 //! runs the stamped protocol over a lock that excludes nothing and requires
 //! the violations to be *reported* — the zero counts above mean something
 //! only while the checker still bites.
@@ -167,70 +169,159 @@ fn stamped_io_reports_a_lock_that_excludes_nothing() {
     );
 }
 
+/// How one owner of [`table_storm`] picks its operations.
+#[derive(Clone, Copy, Debug)]
+enum TableInput {
+    /// Lock one slot, stamp or check it, unlock it: every operation is one
+    /// of the table's plans that wait for nothing but the lock.
+    OneSlot,
+    /// Lock 1–3 slots, then sometimes unlock the first or last slot (a
+    /// split: the kept edge is re-taken) and re-lock what is left in the
+    /// other mode (an upgrade or an in-place downgrade), checking the
+    /// stamps after every step. Owners on the no-wait plans and owners in
+    /// full transactions interleave over the same slots.
+    Reshaping,
+}
+
+const SLOTS: u64 = 16;
+const SLOT: u64 = 256;
+
+/// Stamps every byte of `range` with `tag` one `pwrite` at a time and reads
+/// it back: only the table's exclusion keeps another owner out in between.
+fn stamp_holds(file: &RangeFile<RwListRangeLock>, range: Range, tag: u8) -> bool {
+    for b in range.start..range.end {
+        file.pwrite(b, &[tag]);
+    }
+    let mut buf = vec![0u8; (range.end - range.start) as usize];
+    file.pread(range.start, &mut buf);
+    buf.iter().all(|&b| b == tag)
+}
+
+/// Whether every slot of `range` reads as one writer's stamp (each writer
+/// stamps whole slots, so a mixed slot is a torn one).
+fn slots_uniform(file: &RangeFile<RwListRangeLock>, range: Range) -> bool {
+    let mut buf = vec![0u8; (range.end - range.start) as usize];
+    file.pread(range.start, &mut buf);
+    buf.chunks(SLOT as usize)
+        .all(|slot| slot.iter().all(|&b| b == slot[0]))
+}
+
 /// Concurrent owners on one lock table: writers hold exclusive table locks
 /// while stamping their span through a plain (unlocked) side buffer of the
 /// file, so any failure of the table's cross-owner exclusion shows up as a
-/// torn span.
-#[test]
-fn lock_table_excludes_concurrent_owners() {
-    const SPANS: u64 = 16;
-    const SPAN: u64 = 256;
+/// torn span. Returns the `EDEADLK`s surfaced, which are legitimate: POSIX
+/// lets a blocking lock refuse when waiting could close a cycle.
+fn table_storm(input: TableInput) -> u64 {
+    const OWNERS: u64 = 4;
     let table = Arc::new(LockTable::new(RwListRangeLock::new()));
     let file = Arc::new(RangeFile::new(RwListRangeLock::new()));
-    file.truncate(SPANS * SPAN);
+    file.truncate(SLOTS * SLOT);
     let violations = Arc::new(AtomicU64::new(0));
-    std::thread::scope(|scope| {
-        for t in 0..4usize {
+    let deadlocks = Arc::new(AtomicU64::new(0));
+    let handles: Vec<_> = (0..OWNERS)
+        .map(|t| {
             let table = Arc::clone(&table);
             let file = Arc::clone(&file);
             let violations = Arc::clone(&violations);
-            scope.spawn(move || {
+            let deadlocks = Arc::clone(&deadlocks);
+            std::thread::spawn(move || {
                 let mut owner = table.owner(format!("owner-{t}"));
-                let mut rng = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let mut rng = (t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let tag = t as u8 + 1;
+                // Whether `range` holds up under `mode`.
+                let check = |range: Range, mode: LockMode| match mode {
+                    LockMode::Exclusive => stamp_holds(&file, range, tag),
+                    LockMode::Shared => slots_uniform(&file, range),
+                };
                 for _ in 0..300 {
-                    let span = xorshift(&mut rng) % SPANS;
-                    let range = Range::new(span * SPAN, (span + 1) * SPAN);
-                    if xorshift(&mut rng).is_multiple_of(2) {
-                        owner.lock(range, LockMode::Exclusive).unwrap();
-                        // The table lock — not the file's internal lock — is
-                        // what makes this stamped write exclusive: the write
-                        // itself only locks one byte at a time underneath.
-                        let mut ok = true;
-                        for b in 0..SPAN {
-                            file.pwrite(range.start + b, &[t as u8 + 1]);
-                        }
-                        let mut buf = vec![0u8; SPAN as usize];
-                        file.pread(range.start, &mut buf);
-                        if buf.iter().any(|&b| b != t as u8 + 1) {
-                            ok = false;
-                        }
-                        if !ok {
-                            violations.fetch_add(1, Ordering::Relaxed);
-                        }
-                        owner.unlock(range);
+                    let slots = match input {
+                        TableInput::OneSlot => 1,
+                        TableInput::Reshaping => 1 + xorshift(&mut rng) % 3,
+                    };
+                    let first = xorshift(&mut rng) % (SLOTS - slots + 1);
+                    let mut range = Range::new(first * SLOT, (first + slots) * SLOT);
+                    let mut mode = if xorshift(&mut rng).is_multiple_of(2) {
+                        LockMode::Exclusive
                     } else {
-                        owner.lock(range, LockMode::Shared).unwrap();
-                        let mut buf = vec![0u8; SPAN as usize];
-                        file.pread(range.start, &mut buf);
-                        if buf.iter().any(|&b| b != buf[0]) {
-                            violations.fetch_add(1, Ordering::Relaxed);
-                        }
-                        owner.unlock(range);
+                        LockMode::Shared
+                    };
+                    let mut ok = owner.lock(range, mode).is_ok();
+                    if ok && !check(range, mode) {
+                        violations.fetch_add(1, Ordering::Relaxed);
                     }
+                    if ok && matches!(input, TableInput::Reshaping) {
+                        let coin = xorshift(&mut rng);
+                        if slots > 1 && coin.is_multiple_of(2) {
+                            // Unlock the first or the last slot: a split,
+                            // whose kept edge is re-taken.
+                            let (cut, kept) = if coin.is_multiple_of(4) {
+                                let at = range.start + SLOT;
+                                (Range::new(range.start, at), Range::new(at, range.end))
+                            } else {
+                                let at = range.end - SLOT;
+                                (Range::new(at, range.end), Range::new(range.start, at))
+                            };
+                            owner.unlock(cut);
+                            range = kept;
+                            if !check(range, mode) {
+                                violations.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        if !coin.is_multiple_of(3) {
+                            mode = match mode {
+                                LockMode::Exclusive => LockMode::Shared,
+                                LockMode::Shared => LockMode::Exclusive,
+                            };
+                            ok = owner.lock(range, mode).is_ok();
+                            if ok && !check(range, mode) {
+                                violations.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                    if !ok {
+                        deadlocks.fetch_add(1, Ordering::Relaxed);
+                    }
+                    owner.unlock_all();
                 }
                 // Leave some locks held so the drop path gets exercised.
+                let parked = 100_000 + t * 10_000;
                 owner
-                    .lock(
-                        Range::new(t as u64 * 10_000 + 100_000, t as u64 * 10_000 + 100_100),
-                        LockMode::Exclusive,
-                    )
+                    .lock(Range::new(parked, parked + 100), LockMode::Exclusive)
                     .unwrap();
-            });
+            })
+        })
+        .collect();
+    // Bounded join: a storm that outlives the deadline is a wedged one.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    for handle in handles {
+        while !handle.is_finished() {
+            assert!(Instant::now() < deadline, "{input:?}: table storm wedged");
+            std::thread::sleep(Duration::from_millis(1));
         }
-    });
-    assert_eq!(violations.load(Ordering::Relaxed), 0);
+        handle.join().unwrap();
+    }
+    assert_eq!(
+        violations.load(Ordering::Relaxed),
+        0,
+        "{input:?}: torn span"
+    );
     // Every owner has been dropped; the table must be empty again.
-    assert_eq!(table.held_records(), 0);
+    assert_eq!(table.held_records(), 0, "{input:?}: residue");
+    assert_eq!(
+        table.waiting_owners(),
+        0,
+        "{input:?}: stale waits-for edges"
+    );
+    let surfaced = deadlocks.load(Ordering::Relaxed);
+    assert_eq!(table.deadlocks_detected(), surfaced, "{input:?}");
+    surfaced
+}
+
+#[test]
+fn lock_table_excludes_concurrent_owners() {
+    assert_eq!(table_storm(TableInput::OneSlot), 0);
+    let deadlocks = table_storm(TableInput::Reshaping);
+    eprintln!("reshaping owners surfaced {deadlocks} EDEADLK");
 }
 
 /// The sharded store hands out one file per path under concurrent opens.
