@@ -942,14 +942,14 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     /// in a span the owner held none of, so each goes in where it sorts with
     /// one in-place insert.
     fn commit(&self, owner_id: u64, tiles: impl IntoIterator<Item = Tile<L>>) {
-        let mut tiles = tiles.into_iter().peekable();
-        if tiles.peek().is_some() {
+        let mut tiles = tiles.into_iter();
+        if let Some(first) = tiles.next() {
             let mut st = self.state.lock().unwrap();
             let owner = st
                 .owners
                 .get_mut(&owner_id)
                 .expect("commit for an unregistered owner");
-            for tile in tiles {
+            for tile in std::iter::once(first).chain(tiles) {
                 let at = owner
                     .tiles
                     .partition_point(|t| t.range.start < tile.range.start);
@@ -1047,8 +1047,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         if target.is_empty() {
             return ControlFlow::Break(Ok(()));
         }
-        let mut detached = Few::default();
-        {
+        let detached = {
             let mut st = self.state.lock().unwrap();
             if let (Some(mode), false) = (op, blocking) {
                 if let Some(conflict) = self.conflicting_record(&st, owner_id, target, mode) {
@@ -1082,6 +1081,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
             let whole_tiles = op.is_none()
                 && owner.tiles[lo].range.start >= target.start
                 && owner.tiles[hi - 1].range.end <= target.end;
+            let mut detached = Few::default();
             for tile in owner.tiles.drain(lo..hi) {
                 detached.push(tile);
             }
@@ -1093,7 +1093,8 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                 self.commit(owner_id, None);
                 return ControlFlow::Break(Ok(()));
             }
-        }
+            detached
+        };
         // The detached tiles belong to the transaction now, so the guards
         // that have to go are released here, after the mutex: a release
         // wakes waiters, and every other owner's `begin` and `commit` would
