@@ -1024,7 +1024,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
 
     /// The heart of the table: begins the operation that replaces whatever
     /// `owner_id` holds over `target` with `op` (`Some(mode)` to lock, `None`
-    /// to unlock). Plans under the table mutex, taken once, and never waits:
+    /// to unlock). Plans under the table mutex and never waits:
     /// `Break` carries the outcome of an operation that finished here,
     /// `Continue` the transaction that has to wait or holds rollback state.
     ///
@@ -1086,8 +1086,9 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                 detached.push(tile);
             }
             if whole_tiles {
-                // An unlock that splits no tile: dropping the detached tiles
-                // after the mutex is all of it, and the commit's wake.
+                // An unlock that splits no tile is done once the detached
+                // tiles are dropped, after the mutex; the commit's wake is
+                // all that is left.
                 drop(st);
                 drop(detached);
                 self.commit(owner_id, None);
