@@ -1746,34 +1746,42 @@ mod tests {
         use std::future::Future;
         use std::task::Context;
 
-        // A holds [5, 10) exclusive, B holds [0, 5) shared. B's upgrade of
-        // [0, 10) detaches its shared tile, pends behind A, and is dropped.
-        let (t, stats, wakes, waker) = abandonment_fixture();
-        let mut a = t.owner("a");
-        let mut b = t.owner("b");
-        a.lock(Range::new(5, 10), LockMode::Exclusive).unwrap();
-        b.lock(Range::new(0, 5), LockMode::Shared).unwrap();
-        let cancels = stats.snapshot().cancels;
-        {
-            let mut cx = Context::from_waker(&waker);
-            let mut fut = Box::pin(b.lock_async(Range::new(0, 10), LockMode::Exclusive));
-            assert!(fut.as_mut().poll(&mut cx).is_pending());
-            assert_eq!(t.waiting_owners(), 1);
+        // A holds [5, 10) exclusive. B's exclusive lock of [0, 10) pends
+        // behind A and is dropped, in two shapes: an upgrade that detached
+        // B's shared [0, 5) tile (a transaction from `begin` on), and a
+        // lock of a span B holds none of (a transaction only once its first
+        // poll blocked, carrying that poll's request).
+        for b_held in [Some(Range::new(0, 5)), None] {
+            let (t, stats, wakes, waker) = abandonment_fixture();
+            let mut a = t.owner("a");
+            let mut b = t.owner("b");
+            a.lock(Range::new(5, 10), LockMode::Exclusive).unwrap();
+            if let Some(range) = b_held {
+                b.lock(range, LockMode::Shared).unwrap();
+            }
+            let cancels = stats.snapshot().cancels;
+            {
+                let mut cx = Context::from_waker(&waker);
+                let mut fut = Box::pin(b.lock_async(Range::new(0, 10), LockMode::Exclusive));
+                assert!(fut.as_mut().poll(&mut cx).is_pending());
+                assert_eq!(t.waiting_owners(), 1);
+            }
+            // The drop cancelled the one request in flight — once, not once
+            // by `begin` and again by the transaction — and removed the
+            // waits-for edge; what B held over the span going in is gone.
+            assert_eq!(t.waiting_owners(), 0);
+            assert_eq!(stats.snapshot().cancels, cancels + 1, "{b_held:?}");
+            assert!(b.held().is_empty());
+            assert_eq!(a.held(), vec![(Range::new(5, 10), LockMode::Exclusive)]);
+            // No residue: the waker went with the future, and once A unlocks
+            // the whole space is free — no node of B's was left in the lock.
+            a.unlock_all();
+            assert_eq!(wakes.load(Ordering::SeqCst), 0, "{b_held:?}");
+            t.owner("c")
+                .try_lock(Range::FULL, LockMode::Exclusive)
+                .unwrap();
+            t.check_invariants();
         }
-        // The drop cancelled the one request in flight and removed the
-        // waits-for edge; what B held over the span going in is gone.
-        assert_eq!(t.waiting_owners(), 0);
-        assert_eq!(stats.snapshot().cancels, cancels + 1);
-        assert!(b.held().is_empty());
-        assert_eq!(a.held(), vec![(Range::new(5, 10), LockMode::Exclusive)]);
-        // No residue: the waker went with the future, and once A unlocks the
-        // whole space is free — no node of B's was left in the lock.
-        a.unlock_all();
-        assert_eq!(wakes.load(Ordering::SeqCst), 0);
-        t.owner("c")
-            .try_lock(Range::FULL, LockMode::Exclusive)
-            .unwrap();
-        t.check_invariants();
     }
 
     #[test]
@@ -2519,37 +2527,6 @@ mod tests {
         assert_eq!([steps[0], steps[2]], [1, 0], "enqueues, cancels: {steps:?}");
         assert_eq!(held_of(&b), vec![(0, 10, LockMode::Shared)]);
         assert_eq!(t.waiting_owners(), 0);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn abandoned_fresh_span_lock_async_cancels_its_one_request() {
-        use std::future::Future;
-        use std::task::Context;
-
-        // B's lock of a span it holds none of blocks on its first poll
-        // behind A, suspends, and is dropped.
-        let (t, stats, wakes, waker) = abandonment_fixture();
-        let mut a = t.owner("a");
-        let mut b = t.owner("b");
-        a.lock(Range::new(0, 10), LockMode::Exclusive).unwrap();
-        let cancels = stats.snapshot().cancels;
-        {
-            let mut cx = Context::from_waker(&waker);
-            let mut fut = Box::pin(b.lock_async(Range::new(0, 10), LockMode::Shared));
-            assert!(fut.as_mut().poll(&mut cx).is_pending());
-            assert_eq!(t.waiting_owners(), 1);
-        }
-        // One request was enqueued, so one was cancelled — not a first one
-        // by `begin` and a second by the transaction.
-        assert_eq!(stats.snapshot().cancels, cancels + 1);
-        assert_eq!(t.waiting_owners(), 0);
-        assert!(b.held().is_empty());
-        a.unlock_all();
-        assert_eq!(wakes.load(Ordering::SeqCst), 0);
-        t.owner("c")
-            .try_lock(Range::FULL, LockMode::Exclusive)
-            .unwrap();
         t.check_invariants();
     }
 }
