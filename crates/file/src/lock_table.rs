@@ -1713,6 +1713,19 @@ mod tests {
         t.check_invariants();
     }
 
+    /// A waker that counts its deliveries.
+    fn counting_waker() -> (Arc<AtomicU64>, std::task::Waker) {
+        struct CountingWaker(Arc<AtomicU64>);
+        impl std::task::Wake for CountingWaker {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let wakes = Arc::new(AtomicU64::new(0));
+        let waker = std::task::Waker::from(Arc::new(CountingWaker(Arc::clone(&wakes))));
+        (wakes, waker)
+    }
+
     /// A table over a registry-built `list-rw` with wait statistics
     /// attached, and a waker that counts its deliveries.
     #[allow(clippy::type_complexity)]
@@ -1722,12 +1735,6 @@ mod tests {
         Arc<AtomicU64>,
         std::task::Waker,
     ) {
-        struct CountingWaker(Arc<AtomicU64>);
-        impl std::task::Wake for CountingWaker {
-            fn wake(self: Arc<Self>) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
         let stats = Arc::new(rl_sync::stats::WaitStats::new("abandon"));
         let spec = rl_baselines::registry::by_name("list-rw").expect("paper variant");
         let lock = spec.build_with_stats(
@@ -1736,8 +1743,7 @@ mod tests {
             Arc::clone(&stats),
             None,
         );
-        let wakes = Arc::new(AtomicU64::new(0));
-        let waker = std::task::Waker::from(Arc::new(CountingWaker(Arc::clone(&wakes))));
+        let (wakes, waker) = counting_waker();
         (Arc::new(LockTable::new(lock)), stats, wakes, waker)
     }
 
@@ -2106,12 +2112,19 @@ mod tests {
 
     #[test]
     fn block_policy_waiter_parks_and_owner_drop_wakes_it() {
+        use std::future::Future;
+        use std::task::Context;
+
         use rl_sync::stats::WaitStats;
         use rl_sync::wait::Block;
 
         // The whole fcntl stack over the parking policy: a blocked lock()
         // must actually park (not spin), and dropping the conflicting owner
-        // must wake it via the underlying lock's release hooks.
+        // must wake the queue via the underlying lock's release hooks. The
+        // wake is asserted on a suspended `lock_async` of C: B's blocking
+        // lock sleeps in bounded rounds, and the drop can fall between two
+        // of them and find B registered nowhere, while C's waker stays
+        // filed until a release claims it.
         let stats = Arc::new(WaitStats::new("locktable-block"));
         let t = Arc::new(LockTable::new(
             RwListRangeLock::<Block>::with_policy().with_stats(Arc::clone(&stats)),
@@ -2121,19 +2134,31 @@ mod tests {
             a.lock(Range::new(0, 100), LockMode::Exclusive).unwrap();
             a
         };
+        let (delivered, waker) = counting_waker();
+        let mut c = t.owner("c");
+        let mut cx = Context::from_waker(&waker);
+        let mut c_fut = Box::pin(c.lock_async(Range::new(0, 10), LockMode::Exclusive));
+        assert!(c_fut.as_mut().poll(&mut cx).is_pending());
+
         let t2 = Arc::clone(&t);
         let handle = std::thread::spawn(move || {
             let mut b = t2.owner("b");
             b.lock(Range::new(50, 150), LockMode::Exclusive).unwrap();
         });
+        // Sleep, not yield: B parks only once its backoff's yields finish
+        // inside one bounded round, and a yielding watcher is one more
+        // thread for those yields to lose the CPU to.
         while stats.snapshot().parks == 0 {
-            std::thread::yield_now();
+            std::thread::sleep(std::time::Duration::from_micros(100));
         }
         drop(a); // owner drop releases everything and wakes the queue
+        assert_eq!(delivered.load(Ordering::SeqCst), 1);
+        assert!(stats.snapshot().wakes >= 1);
+        assert!(matches!(c_fut.as_mut().poll(&mut cx), Poll::Ready(Ok(()))));
+        drop(c_fut);
+        drop(c);
         handle.join().unwrap();
-        let snap = stats.snapshot();
-        assert!(snap.parks >= 1);
-        assert!(snap.wakes >= 1);
+        assert!(stats.snapshot().parks >= 1);
         assert_eq!(t.held_records(), 0);
         t.check_invariants();
     }

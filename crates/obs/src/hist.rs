@@ -8,8 +8,10 @@
 //! [`SATURATION_NS`] land in a final **saturation bucket**; the exact
 //! maximum is always tracked separately, so `max()` is never clipped.
 //!
-//! Recording is three relaxed `fetch_add`s and a relaxed `fetch_max` — no
+//! Recording is two relaxed `fetch_add`s and a relaxed `fetch_max` — no
 //! locks, no allocation — so a histogram can sit on a lock's wait path.
+//! The number of recorded values is not a counter of its own: it is the
+//! sum of the buckets.
 //! Reading ([`LatencyHistogram::snapshot`]) is racy-by-design: concurrent
 //! recordings may or may not be included, like every counter in
 //! `rl_sync::stats`.
@@ -82,7 +84,6 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -98,31 +99,29 @@ impl LatencyHistogram {
     pub fn new() -> Self {
         LatencyHistogram {
             buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
 
-    /// Records one value. Wait-free: three relaxed `fetch_add`s and a
+    /// Records one value. Wait-free: two relaxed `fetch_add`s and a
     /// relaxed `fetch_max`.
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Number of recorded values.
+    /// Number of recorded values: the sum of the buckets, so an O(buckets)
+    /// read, not one load.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Takes a point-in-time copy of the bucket counts. Concurrent
-    /// recordings may be partially included (the snapshot repairs its own
-    /// `count` to match the buckets it actually saw, so percentiles stay
-    /// consistent).
+    /// recordings may be partially included (the snapshot's `count` is the
+    /// sum of the buckets it actually saw, so percentiles stay consistent).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let counts: Vec<u64> = self
             .buckets
@@ -144,7 +143,6 @@ impl LatencyHistogram {
         for b in self.buckets.iter() {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
     }

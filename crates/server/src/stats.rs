@@ -1,7 +1,9 @@
 //! Per-server operation accounting: sessions, ops by kind, deadlocks,
 //! disconnect-releases, and per-op wait histograms. The counters are plain
-//! relaxed atomics bumped on the session hot path; a [`StatsSnapshot`] is
-//! what feeds report tables (`serverbench`) and test assertions.
+//! relaxed atomics bumped on the session hot path and are exact; the
+//! histograms are sampled, one op in 16 per session (see the session
+//! module). A [`StatsSnapshot`] is what feeds report tables
+//! (`serverbench`) and test assertions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,10 +69,12 @@ pub(crate) struct ServerStats {
     pub(crate) disconnects: AtomicU64,
     pub(crate) disconnect_releases: AtomicU64,
     pub(crate) ranges_freed_on_disconnect: AtomicU64,
-    /// Nanoseconds a granted blocking `Lock`/`LockMany` waited.
+    /// Nanoseconds a granted blocking `Lock`/`LockMany` waited, for the
+    /// one grant in 16 per session that is timed.
     pub(crate) lock_wait: LatencyHistogram,
     /// Nanoseconds a data-plane op (`Read`/`Write`/`Append`/`Truncate`)
-    /// took, including its mandatory internal range lock.
+    /// took, including its mandatory internal range lock, for the one op
+    /// in 16 per session that is timed.
     pub(crate) io_wait: LatencyHistogram,
 }
 
@@ -135,9 +139,14 @@ pub struct StatsSnapshot {
     pub disconnect_releases: u64,
     /// Total committed records those disconnects released.
     pub ranges_freed_on_disconnect: u64,
-    /// Wait-time distribution of granted blocking acquisitions (ns).
+    /// Wait-time distribution of granted blocking acquisitions (ns),
+    /// sampled: each session times its first `Lock`/`LockMany` and one in
+    /// 16 after it, so `count()` is a sample count. The number of
+    /// acquisitions is in [`ops`](Self::ops).
     pub lock_wait: HistogramSnapshot,
-    /// Duration distribution of data-plane operations (ns).
+    /// Duration distribution of data-plane operations (ns), sampled like
+    /// [`lock_wait`](Self::lock_wait): one `Read`/`Write`/`Append`/
+    /// `Truncate` in 16 per session, the first included.
     pub io_wait: HistogramSnapshot,
 }
 

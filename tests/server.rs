@@ -185,6 +185,51 @@ fn shared_and_exclusive_sessions_coexist() {
     assert!(stats.io_wait.count() > 0);
 }
 
+/// The wait histograms are sampled per session: one lock grant and one
+/// data-plane op in 16, each kind on its own countdown that times the
+/// session's first op of that kind. The op counters beside them stay exact.
+#[test]
+fn wait_histograms_time_one_op_in_sixteen_per_session() {
+    let server = server_for(registry::by_name("list-rw").unwrap());
+    let mut a = server.connect();
+    a.hello("sampled").unwrap();
+    for i in 0..40u64 {
+        let range = slot_range(i % SLOTS);
+        a.lock("/sampled", range, LockMode::Exclusive).unwrap();
+        if i.is_multiple_of(2) {
+            a.write("/sampled", range.start, b"x").unwrap();
+        } else {
+            a.read("/sampled", range.start, 1).unwrap();
+        }
+        a.unlock("/sampled", range).unwrap();
+    }
+    let stats = server.stats();
+    // ⌈40 / 16⌉: the 1st, 17th and 33rd op of each kind are timed.
+    assert_eq!(stats.lock_wait.count(), 3);
+    assert_eq!(stats.io_wait.count(), 3);
+    for (kind, want) in [
+        (OpKind::Lock, 40),
+        (OpKind::Write, 20),
+        (OpKind::Read, 20),
+        (OpKind::Unlock, 40),
+    ] {
+        assert_eq!(stats.op_count(kind), want, "{}", kind.name());
+    }
+    assert_eq!(stats.total_ops(), 120);
+
+    // The countdown is the session's, not the server's: a second session's
+    // first lock is timed although `a`'s countdown is mid-way.
+    let mut b = server.connect();
+    b.lock("/sampled", slot_range(0), LockMode::Shared).unwrap();
+    let stats = server.stats();
+    assert_eq!(stats.lock_wait.count(), 4);
+    assert_eq!(stats.io_wait.count(), 3);
+    assert_eq!(stats.op_count(OpKind::Lock), 41);
+    a.bye().unwrap();
+    b.bye().unwrap();
+    server.shutdown();
+}
+
 /// The headline guarantee, per variant: a client killed while *holding* a
 /// range frees it, and a client killed while *waiting* for that same range
 /// cancels its pending acquisition — the surviving waiter must be granted
