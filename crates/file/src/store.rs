@@ -603,11 +603,6 @@ impl<L: RwRangeLock> FileStore<L> {
     pub fn file_count(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }
-
-    /// Number of namespace shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
 }
 
 impl<L: RwRangeLock> std::fmt::Debug for FileStore<L> {

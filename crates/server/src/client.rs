@@ -25,7 +25,7 @@ use range_lock::Range;
 use rl_file::LockMode;
 
 use crate::transport::Conn;
-use crate::wire::{decode_reply, ErrCode, Reply, RequestView, WireError};
+use crate::wire::{decode_reply, ErrCode, Reply, Request, WireError};
 
 /// What a client call can fail with.
 #[derive(Debug)]
@@ -93,18 +93,18 @@ impl From<WireError> for ClientError {
 /// Rejects request strings the wire encoding would truncate: `put_str`
 /// carries a `u16` length prefix, and a silently shortened path would make
 /// the operation target a *different* file.
-fn check_strings(req: &RequestView<'_>) -> Result<(), ClientError> {
+fn check_strings(req: &Request<&str, &[u8]>) -> Result<(), ClientError> {
     let (field, s) = match req {
-        RequestView::Hello { name } => ("name", *name),
-        RequestView::Lock { path, .. }
-        | RequestView::TryLock { path, .. }
-        | RequestView::LockMany { path, .. }
-        | RequestView::Unlock { path, .. }
-        | RequestView::Read { path, .. }
-        | RequestView::Write { path, .. }
-        | RequestView::Append { path, .. }
-        | RequestView::Truncate { path, .. } => ("path", *path),
-        RequestView::Bye => return Ok(()),
+        Request::Hello { name } => ("name", *name),
+        Request::Lock { path, .. }
+        | Request::TryLock { path, .. }
+        | Request::LockMany { path, .. }
+        | Request::Unlock { path, .. }
+        | Request::Read { path, .. }
+        | Request::Write { path, .. }
+        | Request::Append { path, .. }
+        | Request::Truncate { path, .. } => ("path", *path),
+        Request::Bye => return Ok(()),
     };
     if s.len() > u16::MAX as usize {
         return Err(ClientError::TooLong(field));
@@ -137,7 +137,7 @@ impl Client {
     }
 
     /// One RPC; see the [module docs](self) for what it costs.
-    fn call(&mut self, req: &RequestView<'_>) -> Result<Reply, ClientError> {
+    fn call(&mut self, req: &Request<&str, &[u8]>) -> Result<Reply, ClientError> {
         check_strings(req)?;
         self.conn
             .send_in(&mut self.frame, |out| req.encode_into(out))?;
@@ -148,7 +148,7 @@ impl Client {
         Ok(reply?)
     }
 
-    fn expect_ok(&mut self, req: &RequestView<'_>) -> Result<(), ClientError> {
+    fn expect_ok(&mut self, req: &Request<&str, &[u8]>) -> Result<(), ClientError> {
         match self.call(req)? {
             Reply::Ok => Ok(()),
             Reply::Err { code, message } => Err(ClientError::Remote { code, message }),
@@ -160,7 +160,7 @@ impl Client {
     /// Must be called before the first lock request — the server rejects a
     /// rename once lock owners exist (they capture the name at creation).
     pub fn hello(&mut self, name: &str) -> Result<(), ClientError> {
-        self.expect_ok(&RequestView::Hello { name })
+        self.expect_ok(&Request::Hello { name })
     }
 
     /// Blocking acquisition of `range` on `path` in `mode`. Waits
@@ -168,7 +168,7 @@ impl Client {
     /// fails with a [`ErrCode::Deadlock`] remote error if granting it
     /// would create a wait cycle.
     pub fn lock(&mut self, path: &str, range: Range, mode: LockMode) -> Result<(), ClientError> {
-        self.expect_ok(&RequestView::Lock {
+        self.expect_ok(&Request::Lock {
             path,
             start: range.start,
             end: range.end,
@@ -184,7 +184,7 @@ impl Client {
         range: Range,
         mode: LockMode,
     ) -> Result<bool, ClientError> {
-        let req = RequestView::TryLock {
+        let req = Request::TryLock {
             path,
             start: range.start,
             end: range.end,
@@ -207,7 +207,7 @@ impl Client {
         path: &str,
         items: &[(Range, LockMode)],
     ) -> Result<(), ClientError> {
-        self.expect_ok(&RequestView::LockMany {
+        self.expect_ok(&Request::LockMany {
             path,
             items: items.iter().map(|(r, m)| (r.start, r.end, *m)).collect(),
         })
@@ -215,7 +215,7 @@ impl Client {
 
     /// Releases a previously acquired `range` on `path`.
     pub fn unlock(&mut self, path: &str, range: Range) -> Result<(), ClientError> {
-        self.expect_ok(&RequestView::Unlock {
+        self.expect_ok(&Request::Unlock {
             path,
             start: range.start,
             end: range.end,
@@ -224,7 +224,7 @@ impl Client {
 
     /// Reads up to `len` bytes of `path` at `offset`; short at EOF.
     pub fn read(&mut self, path: &str, offset: u64, len: u32) -> Result<Vec<u8>, ClientError> {
-        let req = RequestView::Read { path, offset, len };
+        let req = Request::Read { path, offset, len };
         match self.call(&req)? {
             Reply::Data(data) => Ok(data),
             Reply::Err { code, message } => Err(ClientError::Remote { code, message }),
@@ -234,12 +234,12 @@ impl Client {
 
     /// Writes `data` to `path` at `offset`, extending the file if needed.
     pub fn write(&mut self, path: &str, offset: u64, data: &[u8]) -> Result<(), ClientError> {
-        self.expect_ok(&RequestView::Write { path, offset, data })
+        self.expect_ok(&Request::Write { path, offset, data })
     }
 
     /// Appends `data` to `path`; returns the offset it landed at.
     pub fn append(&mut self, path: &str, data: &[u8]) -> Result<u64, ClientError> {
-        let req = RequestView::Append { path, data };
+        let req = Request::Append { path, data };
         match self.call(&req)? {
             Reply::Offset(off) => Ok(off),
             Reply::Err { code, message } => Err(ClientError::Remote { code, message }),
@@ -249,13 +249,13 @@ impl Client {
 
     /// Truncates (or zero-extends) `path` to `len` bytes.
     pub fn truncate(&mut self, path: &str, len: u64) -> Result<(), ClientError> {
-        self.expect_ok(&RequestView::Truncate { path, len })
+        self.expect_ok(&Request::Truncate { path, len })
     }
 
     /// Clean goodbye: the session releases everything and ends without
     /// counting as a disconnect.
     pub fn bye(mut self) -> Result<(), ClientError> {
-        self.expect_ok(&RequestView::Bye)
+        self.expect_ok(&Request::Bye)
     }
 
     /// Abrupt death: drops the connection with no goodbye, exactly like a

@@ -137,6 +137,21 @@ pub(crate) struct ServerState {
 }
 
 impl ServerState {
+    /// A server's shared state, with no pool and no session yet.
+    pub(crate) fn new(config: &ServerConfig) -> ServerState {
+        let (spec, wait, registry) = (config.variant, config.wait, config.registry);
+        ServerState {
+            spec,
+            wait,
+            registry,
+            tables: Mutex::new(HashMap::new()),
+            store: FileStore::new(move || RangeFile::new(DynLock(spec.build(wait, &registry)))),
+            max_file_size: config.max_file_size,
+            stats: Arc::new(ServerStats::new()),
+            inboxes: Mutex::new(Vec::new()),
+        }
+    }
+
     /// The advisory lock table for `path`, created on demand.
     pub(crate) fn table_for(&self, path: &str) -> Arc<LockTable<DynLock>> {
         let mut tables = self.tables.lock().unwrap();
@@ -170,23 +185,9 @@ pub struct Server {
 impl Server {
     /// Builds the service and starts its worker pool.
     pub fn new(config: ServerConfig) -> Server {
-        let spec = config.variant;
-        let wait = config.wait;
-        let reg = config.registry;
-        let store_reg = reg;
-        let state = Arc::new(ServerState {
-            spec,
-            wait,
-            registry: reg,
-            tables: Mutex::new(HashMap::new()),
-            store: FileStore::new(move || RangeFile::new(DynLock(spec.build(wait, &store_reg)))),
-            max_file_size: config.max_file_size,
-            stats: Arc::new(ServerStats::new()),
-            inboxes: Mutex::new(Vec::new()),
-        });
         Server {
             pool: TaskPool::new(config.workers.max(1)),
-            state,
+            state: Arc::new(ServerState::new(&config)),
         }
     }
 

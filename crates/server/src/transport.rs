@@ -528,7 +528,7 @@ impl Conn {
         })
     }
 
-    /// The inbox, for waker-based consumers (the session loop). On a TCP
+    /// The inbox, for waker-based consumers (the session shell). On a TCP
     /// end the first call starts the pump thread that fills it; from then
     /// on blocking receives drain the inbox too.
     pub fn inbox(&self) -> &Arc<FrameQueue> {

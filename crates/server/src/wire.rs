@@ -12,8 +12,12 @@
 //! [`decode_reply`] reject truncated, trailing, or out-of-range bytes with
 //! a typed [`WireError`] rather than panicking, which the round-trip fuzz
 //! in `tests/server.rs` leans on.
+//!
+//! There is one request type: [`Request`] is generic over how it holds its
+//! strings and buffers, so there is one encoder and one decoder, and the
+//! session and the client work on borrowed requests while the public
+//! functions speak the owned default.
 
-use std::borrow::Cow;
 use std::io::{self, Read, Write};
 
 use rl_file::LockMode;
@@ -27,8 +31,19 @@ pub const MAX_FRAME: usize = 1 << 24;
 /// One client → server message. `path`s name files in the server's
 /// `FileStore`; byte ranges are half-open `[start, end)` like everywhere
 /// else in the workspace.
+///
+/// `S` is how the request holds its strings (`path`, the `Hello` name) and
+/// `B` how it holds its byte buffers (`Write`/`Append` data). Inside the
+/// crate both are borrowed: the session decodes into `Request<&str,
+/// &[u8]>`, pointing into the frame the request arrived in, and the client
+/// encodes one pointing at its caller's arguments, so neither copies a path
+/// or a payload. The owned default, `Request<String, Vec<u8>>`, is what
+/// [`decode_request`] returns and [`encode_request`] takes, and what a
+/// caller that builds, stores or compares requests writes as plain
+/// `Request`: such a request outlives the buffer it was decoded from. A
+/// `LockMany`'s `items` are a `Vec` in every form.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+pub enum Request<S = String, B = Vec<u8>> {
     /// Names the session; the name becomes the `LockOwner` name (what a
     /// `DeadlockError` cycle prints) and the rl-obs actor label. Must
     /// precede any lock request: owners capture the session name at
@@ -36,12 +51,12 @@ pub enum Request {
     /// (stale names would mis-attribute `EDEADLK` cycles and traces).
     Hello {
         /// Session name, e.g. `"client-3"`.
-        name: String,
+        name: S,
     },
     /// Blocking shared/exclusive acquisition of one byte range (`F_SETLKW`).
     Lock {
         /// File the range belongs to.
-        path: String,
+        path: S,
         /// Range start (inclusive).
         start: u64,
         /// Range end (exclusive).
@@ -53,7 +68,7 @@ pub enum Request {
     /// of waiting.
     TryLock {
         /// File the range belongs to.
-        path: String,
+        path: S,
         /// Range start (inclusive).
         start: u64,
         /// Range end (exclusive).
@@ -64,14 +79,14 @@ pub enum Request {
     /// All-or-nothing batched acquisition of several ranges of one file.
     LockMany {
         /// File the ranges belong to.
-        path: String,
+        path: S,
         /// `(start, end, mode)` per range; must be pairwise disjoint.
         items: Vec<(u64, u64, LockMode)>,
     },
     /// Releases whatever the session holds inside the range (`F_UNLCK`).
     Unlock {
         /// File the range belongs to.
-        path: String,
+        path: S,
         /// Range start (inclusive).
         start: u64,
         /// Range end (exclusive).
@@ -80,7 +95,7 @@ pub enum Request {
     /// Reads up to `len` bytes at `offset`; replies [`Reply::Data`].
     Read {
         /// File to read.
-        path: String,
+        path: S,
         /// Byte offset of the first byte.
         offset: u64,
         /// Number of bytes requested.
@@ -89,24 +104,24 @@ pub enum Request {
     /// Writes `data` at `offset`; replies [`Reply::Ok`].
     Write {
         /// File to write.
-        path: String,
+        path: S,
         /// Byte offset of the first byte.
         offset: u64,
         /// Bytes to write.
-        data: Vec<u8>,
+        data: B,
     },
     /// Appends `data` at end-of-file; replies [`Reply::Offset`] with the
     /// offset the data landed at.
     Append {
         /// File to append to.
-        path: String,
+        path: S,
         /// Bytes to append.
-        data: Vec<u8>,
+        data: B,
     },
     /// Truncates (or zero-extends) the file to `len` bytes.
     Truncate {
         /// File to truncate.
-        path: String,
+        path: S,
         /// New length.
         len: u64,
     },
@@ -492,300 +507,78 @@ const RE_OFFSET: u8 = 2;
 const RE_DATA: u8 = 3;
 const RE_ERR: u8 = 4;
 
-/// A [`Request`] whose strings and buffers are borrowed: from the frame it
-/// was decoded out of (the session executes requests without copying the
-/// path or the data out of the receive buffer) or from the caller's
-/// arguments (the client encodes without first building an owned
-/// `Request`). The one encoder and the one decoder work on this type;
-/// the owned functions below convert at the edge.
-#[derive(Debug)]
-pub(crate) enum RequestView<'a> {
-    Hello {
-        name: &'a str,
-    },
-    Lock {
-        path: &'a str,
-        start: u64,
-        end: u64,
-        mode: LockMode,
-    },
-    TryLock {
-        path: &'a str,
-        start: u64,
-        end: u64,
-        mode: LockMode,
-    },
-    LockMany {
-        path: &'a str,
-        items: Cow<'a, [(u64, u64, LockMode)]>,
-    },
-    Unlock {
-        path: &'a str,
-        start: u64,
-        end: u64,
-    },
-    Read {
-        path: &'a str,
-        offset: u64,
-        len: u32,
-    },
-    Write {
-        path: &'a str,
-        offset: u64,
-        data: &'a [u8],
-    },
-    Append {
-        path: &'a str,
-        data: &'a [u8],
-    },
-    Truncate {
-        path: &'a str,
-        len: u64,
-    },
-    Bye,
-}
-
-impl<'a> RequestView<'a> {
-    /// Appends the request's payload encoding to `out`.
+impl<S: AsRef<str>, B: AsRef<[u8]>> Request<S, B> {
+    /// Appends the request's payload encoding to `out`: the one request
+    /// encoder, for every storage.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            RequestView::Hello { name } => {
+            Request::Hello { name } => {
                 put_u8(out, OP_HELLO);
-                put_str(out, name);
+                put_str(out, name.as_ref());
             }
-            RequestView::Lock {
+            Request::Lock {
                 path,
                 start,
                 end,
                 mode,
             } => {
                 put_u8(out, OP_LOCK);
-                put_str(out, path);
+                put_str(out, path.as_ref());
                 put_u64(out, *start);
                 put_u64(out, *end);
                 put_mode(out, *mode);
             }
-            RequestView::TryLock {
+            Request::TryLock {
                 path,
                 start,
                 end,
                 mode,
             } => {
                 put_u8(out, OP_TRY_LOCK);
-                put_str(out, path);
+                put_str(out, path.as_ref());
                 put_u64(out, *start);
                 put_u64(out, *end);
                 put_mode(out, *mode);
             }
-            RequestView::LockMany { path, items } => {
+            Request::LockMany { path, items } => {
                 put_u8(out, OP_LOCK_MANY);
-                put_str(out, path);
+                put_str(out, path.as_ref());
                 put_u32(out, items.len() as u32);
-                for (start, end, mode) in items.iter() {
+                for (start, end, mode) in items {
                     put_u64(out, *start);
                     put_u64(out, *end);
                     put_mode(out, *mode);
                 }
             }
-            RequestView::Unlock { path, start, end } => {
+            Request::Unlock { path, start, end } => {
                 put_u8(out, OP_UNLOCK);
-                put_str(out, path);
+                put_str(out, path.as_ref());
                 put_u64(out, *start);
                 put_u64(out, *end);
             }
-            RequestView::Read { path, offset, len } => {
+            Request::Read { path, offset, len } => {
                 put_u8(out, OP_READ);
-                put_str(out, path);
+                put_str(out, path.as_ref());
                 put_u64(out, *offset);
                 put_u32(out, *len);
             }
-            RequestView::Write { path, offset, data } => {
+            Request::Write { path, offset, data } => {
                 put_u8(out, OP_WRITE);
-                put_str(out, path);
+                put_str(out, path.as_ref());
                 put_u64(out, *offset);
-                put_bytes(out, data);
+                put_bytes(out, data.as_ref());
             }
-            RequestView::Append { path, data } => {
+            Request::Append { path, data } => {
                 put_u8(out, OP_APPEND);
-                put_str(out, path);
-                put_bytes(out, data);
+                put_str(out, path.as_ref());
+                put_bytes(out, data.as_ref());
             }
-            RequestView::Truncate { path, len } => {
+            Request::Truncate { path, len } => {
                 put_u8(out, OP_TRUNCATE);
-                put_str(out, path);
+                put_str(out, path.as_ref());
                 put_u64(out, *len);
             }
-            RequestView::Bye => put_u8(out, OP_BYE),
-        }
-    }
-
-    /// Decodes a request payload without copying its strings or buffers.
-    /// Every byte must be consumed.
-    pub(crate) fn decode(buf: &'a [u8]) -> Result<Self, WireError> {
-        let mut c = Cursor::new(buf);
-        let req = match c.u8()? {
-            OP_HELLO => RequestView::Hello { name: c.str()? },
-            OP_LOCK => RequestView::Lock {
-                path: c.str()?,
-                start: c.u64()?,
-                end: c.u64()?,
-                mode: c.mode()?,
-            },
-            OP_TRY_LOCK => RequestView::TryLock {
-                path: c.str()?,
-                start: c.u64()?,
-                end: c.u64()?,
-                mode: c.mode()?,
-            },
-            OP_LOCK_MANY => {
-                let path = c.str()?;
-                let count = c.u32()? as usize;
-                // Bound up-front allocation by what the payload can actually
-                // hold (17 bytes per item), so a hostile count can't balloon.
-                let mut items = Vec::with_capacity(count.min(buf.len() / 17 + 1));
-                for _ in 0..count {
-                    items.push((c.u64()?, c.u64()?, c.mode()?));
-                }
-                RequestView::LockMany {
-                    path,
-                    items: Cow::Owned(items),
-                }
-            }
-            OP_UNLOCK => RequestView::Unlock {
-                path: c.str()?,
-                start: c.u64()?,
-                end: c.u64()?,
-            },
-            OP_READ => RequestView::Read {
-                path: c.str()?,
-                offset: c.u64()?,
-                len: c.u32()?,
-            },
-            OP_WRITE => RequestView::Write {
-                path: c.str()?,
-                offset: c.u64()?,
-                data: c.bytes()?,
-            },
-            OP_APPEND => RequestView::Append {
-                path: c.str()?,
-                data: c.bytes()?,
-            },
-            OP_TRUNCATE => RequestView::Truncate {
-                path: c.str()?,
-                len: c.u64()?,
-            },
-            OP_BYE => RequestView::Bye,
-            other => return Err(WireError::BadOpcode(other)),
-        };
-        c.finish()?;
-        Ok(req)
-    }
-
-    fn into_owned(self) -> Request {
-        match self {
-            RequestView::Hello { name } => Request::Hello { name: name.into() },
-            RequestView::Lock {
-                path,
-                start,
-                end,
-                mode,
-            } => Request::Lock {
-                path: path.into(),
-                start,
-                end,
-                mode,
-            },
-            RequestView::TryLock {
-                path,
-                start,
-                end,
-                mode,
-            } => Request::TryLock {
-                path: path.into(),
-                start,
-                end,
-                mode,
-            },
-            RequestView::LockMany { path, items } => Request::LockMany {
-                path: path.into(),
-                items: items.into_owned(),
-            },
-            RequestView::Unlock { path, start, end } => Request::Unlock {
-                path: path.into(),
-                start,
-                end,
-            },
-            RequestView::Read { path, offset, len } => Request::Read {
-                path: path.into(),
-                offset,
-                len,
-            },
-            RequestView::Write { path, offset, data } => Request::Write {
-                path: path.into(),
-                offset,
-                data: data.into(),
-            },
-            RequestView::Append { path, data } => Request::Append {
-                path: path.into(),
-                data: data.into(),
-            },
-            RequestView::Truncate { path, len } => Request::Truncate {
-                path: path.into(),
-                len,
-            },
-            RequestView::Bye => Request::Bye,
-        }
-    }
-}
-
-impl Request {
-    fn view(&self) -> RequestView<'_> {
-        match self {
-            Request::Hello { name } => RequestView::Hello { name },
-            Request::Lock {
-                path,
-                start,
-                end,
-                mode,
-            } => RequestView::Lock {
-                path,
-                start: *start,
-                end: *end,
-                mode: *mode,
-            },
-            Request::TryLock {
-                path,
-                start,
-                end,
-                mode,
-            } => RequestView::TryLock {
-                path,
-                start: *start,
-                end: *end,
-                mode: *mode,
-            },
-            Request::LockMany { path, items } => RequestView::LockMany {
-                path,
-                items: Cow::Borrowed(items),
-            },
-            Request::Unlock { path, start, end } => RequestView::Unlock {
-                path,
-                start: *start,
-                end: *end,
-            },
-            Request::Read { path, offset, len } => RequestView::Read {
-                path,
-                offset: *offset,
-                len: *len,
-            },
-            Request::Write { path, offset, data } => RequestView::Write {
-                path,
-                offset: *offset,
-                data,
-            },
-            Request::Append { path, data } => RequestView::Append { path, data },
-            Request::Truncate { path, len } => RequestView::Truncate { path, len: *len },
-            Request::Bye => RequestView::Bye,
+            Request::Bye => put_u8(out, OP_BYE),
         }
     }
 }
@@ -794,7 +587,7 @@ impl Request {
 /// allocation-free form, for a caller that reuses its buffer or frames
 /// through a [`FrameWriter`].
 pub fn encode_request_into(req: &Request, out: &mut Vec<u8>) {
-    req.view().encode_into(out);
+    req.encode_into(out);
 }
 
 /// Encodes a request into a fresh frame payload (no length prefix).
@@ -807,7 +600,74 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Decodes a request payload; the inverse of [`encode_request`]. Every
 /// byte must be consumed.
 pub fn decode_request(buf: &[u8]) -> Result<Request, WireError> {
-    RequestView::decode(buf).map(RequestView::into_owned)
+    decode_with(buf, str::to_owned, <[u8]>::to_vec)
+}
+
+/// The one request decoder: `str` and `bytes` turn each string and buffer,
+/// borrowed from `buf`, into the storage of the request returned — the
+/// identity for a `Request<&str, &[u8]>` that copies nothing out of `buf`.
+/// Every byte must be consumed.
+pub(crate) fn decode_with<'a, S, B>(
+    buf: &'a [u8],
+    str: impl Fn(&'a str) -> S,
+    bytes: impl FnOnce(&'a [u8]) -> B,
+) -> Result<Request<S, B>, WireError> {
+    let mut c = Cursor::new(buf);
+    let req = match c.u8()? {
+        OP_HELLO => Request::Hello {
+            name: str(c.str()?),
+        },
+        OP_LOCK => Request::Lock {
+            path: str(c.str()?),
+            start: c.u64()?,
+            end: c.u64()?,
+            mode: c.mode()?,
+        },
+        OP_TRY_LOCK => Request::TryLock {
+            path: str(c.str()?),
+            start: c.u64()?,
+            end: c.u64()?,
+            mode: c.mode()?,
+        },
+        OP_LOCK_MANY => {
+            let path = str(c.str()?);
+            let count = c.u32()? as usize;
+            // Bound up-front allocation by what the payload can actually
+            // hold (17 bytes per item), so a hostile count can't balloon.
+            let mut items = Vec::with_capacity(count.min(buf.len() / 17 + 1));
+            for _ in 0..count {
+                items.push((c.u64()?, c.u64()?, c.mode()?));
+            }
+            Request::LockMany { path, items }
+        }
+        OP_UNLOCK => Request::Unlock {
+            path: str(c.str()?),
+            start: c.u64()?,
+            end: c.u64()?,
+        },
+        OP_READ => Request::Read {
+            path: str(c.str()?),
+            offset: c.u64()?,
+            len: c.u32()?,
+        },
+        OP_WRITE => Request::Write {
+            path: str(c.str()?),
+            offset: c.u64()?,
+            data: bytes(c.bytes()?),
+        },
+        OP_APPEND => Request::Append {
+            path: str(c.str()?),
+            data: bytes(c.bytes()?),
+        },
+        OP_TRUNCATE => Request::Truncate {
+            path: str(c.str()?),
+            len: c.u64()?,
+        },
+        OP_BYE => Request::Bye,
+        other => return Err(WireError::BadOpcode(other)),
+    };
+    c.finish()?;
+    Ok(req)
 }
 
 /// Appends a reply's payload encoding (no length prefix) to `out`; see

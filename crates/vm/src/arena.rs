@@ -42,9 +42,6 @@ pub struct Arena {
 }
 
 impl Arena {
-    /// Default arena size: 64 MiB, like GLIBC's per-thread heaps.
-    pub const DEFAULT_SIZE: u64 = 64 << 20;
-
     /// Default trim threshold (128 KiB, GLIBC's default).
     pub const DEFAULT_TRIM_THRESHOLD: u64 = 128 << 10;
 
@@ -62,11 +59,6 @@ impl Arena {
             allocs: 0,
             trim_threshold: Self::DEFAULT_TRIM_THRESHOLD,
         })
-    }
-
-    /// Creates an arena with the default size.
-    pub fn with_default_size(mm: Arc<Mm>) -> Result<Self, VmError> {
-        Self::new(mm, Self::DEFAULT_SIZE)
     }
 
     /// Base address of the arena mapping.

@@ -5,10 +5,26 @@
 # unit-test module is left out. Prints one `count path` line per file and
 # a total.
 #
-# usage: scripts/code-lines.sh [FILE|DIR]...   (default: crates)
+# usage: scripts/code-lines.sh [--rev REV] [FILE|DIR]...   (default: crates)
 # Directories are searched for `*.rs` files; `tests/`, `benches/` and
-# `examples/` directories inside them are skipped.
+# `examples/` directories inside them are skipped. With `--rev`, the tree
+# of git revision REV is counted instead of the working tree: it is
+# unpacked with `git archive` into a temporary directory, and the paths
+# are taken relative to the repository root (`--rev HEAD~1 crates/server`
+# is the before of a before/after report).
 set -eu
+
+if [ "${1-}" = --rev ]; then
+    [ "$#" -ge 2 ] || { echo "usage: $0 [--rev REV] [FILE|DIR]..." >&2; exit 2; }
+    rev=$2
+    shift 2
+    tree=$(mktemp -d)
+    trap 'rm -rf "$tree"' EXIT
+    git -C "$(git rev-parse --show-toplevel)" archive -o "$tree/tree.tar" "$rev"
+    tar -xf "$tree/tree.tar" -C "$tree"
+    rm "$tree/tree.tar"
+    cd "$tree"
+fi
 
 [ "$#" -gt 0 ] || set -- crates
 
