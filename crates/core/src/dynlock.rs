@@ -91,6 +91,10 @@ impl<T: Deref<Target = dyn TwoPhaseRwRangeLock> + Send + Sync> TwoPhaseRwRangeLo
     fn wait_deadline_keyed(&self, key: u64, cond: &mut dyn FnMut() -> bool, at: Instant) -> bool {
         (**self).wait_deadline_keyed(key, cond, at)
     }
+
+    fn pause_until(&self, deadline: Instant) {
+        (**self).pause_until(deadline);
+    }
 }
 
 #[cfg(test)]

@@ -1077,6 +1077,10 @@ impl<M: CompatMode, P: WaitPolicy> TwoPhaseRwRangeLock for ListLock<M, P> {
     ) -> bool {
         P::wait(&self.queue, key, cond, Some(deadline))
     }
+
+    fn pause_until(&self, deadline: Instant) {
+        P::pause_until(&self.queue, deadline);
+    }
 }
 
 #[cfg(test)]
@@ -1092,7 +1096,7 @@ pub(crate) mod tests {
 
     /// How long any test waiter may take before the test fails instead of
     /// hanging — this stack's failure mode.
-    const BOUND: Duration = Duration::from_secs(60);
+    pub(crate) const BOUND: Duration = Duration::from_secs(60);
 
     /// Joins `handles`, failing if any is still running after [`BOUND`].
     pub(crate) fn join_within(handles: Vec<JoinHandle<()>>) {

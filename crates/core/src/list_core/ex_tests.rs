@@ -5,12 +5,13 @@
 mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+    use std::time::Instant;
 
     use rl_sync::stats::WaitStats;
     use rl_sync::wait::{Block, Spin};
 
     use crate::list_core::tests::{
-        exclusion_storm, fairness_smoke, join_within, trait_round_trip, BLOCKING,
+        exclusion_storm, fairness_smoke, join_within, trait_round_trip, BLOCKING, BOUND,
     };
     use crate::{Exclusive, ListLockConfig, ListRangeLock, Range, RwRangeLock};
 
@@ -162,7 +163,12 @@ mod tests {
                 drop(lock.write(Range::new(50, 150)));
             })
         };
+        let parked_by = Instant::now() + BOUND;
         while stats.snapshot().parks == 0 {
+            assert!(
+                Instant::now() < parked_by,
+                "the blocked writer never parked"
+            );
             std::thread::yield_now();
         }
         drop(held);

@@ -20,8 +20,9 @@
 //!    owning the range first (or leaking its node).
 //!
 //! Those three steps, the lock's wait queue and its policy-aware deadline
-//! wait are all a lock implements; the mode is an argument of enqueue, and
-//! the state between polls lives in one concrete token type, [`Pending`].
+//! wait and pause are all a lock implements; the mode is an argument of
+//! enqueue, and the state between polls lives in one concrete token type,
+//! [`Pending`].
 //! Both other ways of acquiring are provided methods written once here, over
 //! one value, [`Acquire`]:
 //!
@@ -96,7 +97,7 @@ use crate::traits::{Held, LockMode, RangeGuard, RwRangeLock};
 ///   idempotent;
 /// * a token is only ever passed back to the lock that issued it.
 ///
-/// The five required methods have no defaults on purpose: a wrapper that
+/// The six required methods have no defaults on purpose: a wrapper that
 /// forgets to forward one must fail to compile, not silently degrade the
 /// list lock's published-reader protocol to try-based barging. Like
 /// [`RwRangeLock`], the trait is object-safe: `dyn TwoPhaseRwRangeLock` is
@@ -130,6 +131,16 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
         cond: &mut dyn FnMut() -> bool,
         deadline: Instant,
     ) -> bool;
+
+    /// Passes the time until `deadline` through this lock's wait policy
+    /// with nothing to wait for ([`WaitPolicy::pause_until`]): a fixed
+    /// round, not a wait for a release. Under a blocking policy the caller
+    /// parks where no wake of the queue reaches it, so the round costs the
+    /// lock's releasers nothing; the `rl-file` lock table's blocking driver
+    /// waits out its deadlock re-check rounds here.
+    ///
+    /// [`WaitPolicy::pause_until`]: rl_sync::wait::WaitPolicy::pause_until
+    fn pause_until(&self, deadline: Instant);
 
     /// Acquires `range` in shared mode like [`RwRangeLock::read`], but gives
     /// up — leaving no residue — once `timeout` elapses. An expired attempt
@@ -247,6 +258,10 @@ macro_rules! try_based_two_phase {
                     cond,
                     Some(deadline),
                 )
+            }
+
+            fn pause_until(&self, deadline: std::time::Instant) {
+                $p::pause_until($crate::TwoPhaseRwRangeLock::wait_queue(self), deadline);
             }
         }
     };

@@ -20,13 +20,17 @@
 //! interchangeably — the underlying lock remains the one and only exclusion
 //! mechanism between owners.
 //!
-//! The table also inherits the underlying lock's **wait policy**: over
-//! `RwListRangeLock<Block>` a blocked `lock()` call parks on the lock's wait
-//! queue (instead of spinning), and every release that can unblock it —
-//! including the release-everything of an [`LockOwner`] drop — wakes that
-//! queue through the lock's release hooks. That is what makes the in-kernel
-//! `fcntl` behaviour (sleeping waiters, wake on unlock or owner exit)
-//! faithful here on oversubscribed machines.
+//! The table also inherits the underlying lock's **wait policy**, but a
+//! blocked `lock()` call does not wait *for a release*: it re-polls once
+//! per 1 ms recheck round and sits each round out through the policy. Over
+//! `RwListRangeLock<Block>` it sleeps the round away — one park, no CPU —
+//! filed where no release or commit can wake it, so the owners that keep
+//! running pay no wake on its account; under the spinning policies it backs
+//! off to the round's end. A blocked `lock()` is therefore granted up to one
+//! round after the release (or [`LockOwner`] drop) that unblocks it, not at
+//! it as an in-kernel `F_SETLKW` sleeper is. The async forms are woken by
+//! that release itself: they suspend under the blocking request's wait key,
+//! and every commit broadcasts to them.
 //!
 //! # How records map onto the underlying lock
 //!
@@ -70,20 +74,22 @@
 //!    reports "pending". A failed transaction releases what it holds and
 //!    keeps going with its detached originals as the missing list.
 //! 3. **commit**: when nothing is missing the tiles go back into the owner's
-//!    list, and the lock's waiters are woken so a blocked owner re-derives
-//!    its waits-for edges. The two plans that finish inside *begin* commit
-//!    — and wake — the same way.
+//!    list, and the lock's queue is broadcast so a suspended async owner
+//!    re-derives its waits-for edges (a blocked sync owner re-derives them
+//!    at its next recheck round). The two plans that finish inside *begin*
+//!    commit — and wake — the same way.
 //! 4. Dropping an unfinished transaction cancels the in-flight request,
 //!    removes the waits-for edges and releases its tiles.
 //!
 //! Two small **drivers** are the only code that waits, and only a
-//! transaction reaches them. The blocking one
-//! (`lock`, `try_lock`, `unlock`, `lock_many`, `try_lock_many`) is
-//! `loop { poll; wait }` through the lock's own wait policy; the async one
-//! (`lock_async`, `try_lock_async`, `unlock_async`, `lock_many_async`)
-//! registers the task's waker on the lock's queue under the in-flight
-//! request's wait key. A batch is the same machine one level up: a list of
-//! steps, each begun like a single operation, and on failure an undo list.
+//! transaction reaches them. The blocking one (`lock`, `try_lock`,
+//! `unlock`, `lock_many`, `try_lock_many`) is
+//! `loop { poll; pause one recheck round }` through the lock's own wait
+//! policy; the async one (`lock_async`, `try_lock_async`, `unlock_async`,
+//! `lock_many_async`) registers the task's waker on the lock's queue under
+//! the in-flight request's wait key. A batch is the same machine one level
+//! up: a list of steps, each begun like a single operation, and on failure
+//! an undo list.
 //!
 //! # Fidelity caveats (vs. an in-kernel `fcntl`)
 //!
@@ -137,10 +143,10 @@
 //!   "as far as the implementation can determine", and that is the contract
 //!   here: a wait that blocks on an *uncommitted* transaction's guard has no
 //!   visible holder and contributes no edge, so such a cycle is detected
-//!   only once the transaction commits (every commit wakes the lock's
-//!   waiters, which re-derive their edges on wake — async — or on a short
-//!   recheck interval — sync), and a conservatively derived edge can flag a
-//!   cycle that a lucky scheduling would have dissolved. The gap and
+//!   only once the transaction commits (every commit wakes the lock's async
+//!   waiters, which re-derive their edges on wake; sync waiters re-derive
+//!   theirs every recheck round), and a conservatively derived edge can
+//!   flag a cycle that a lucky scheduling would have dissolved. The gap and
 //!   rollback acquisitions that restore coverage an owner already held are
 //!   *not* checked — they re-take spans the owner released moments earlier —
 //!   but they go through the same enqueue → poll → wait steps as the target
@@ -958,13 +964,14 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         }
         // A commit changes the waits-for edges other blocked owners must
         // derive: the new tiles are new potential holders. Sync waiters
-        // re-derive on a short timeout anyway; async waiters re-derive only
-        // when polled, so wake the lock's queue (a spurious wake costs one
-        // re-poll). This is deliberately the keyed-table *broadcast*, not a
-        // per-conflict wake: a cycle formed by this commit can pass through
-        // any suspended waiter, including ones keyed on nodes this commit
-        // never touches, and a keyed waiter left parked would never re-poll
-        // to notice the EDEADLK it is part of.
+        // re-derive every recheck round, and no wake reaches them; async
+        // waiters re-derive only when polled, so wake the lock's queue (a
+        // spurious wake costs one re-poll). This is deliberately the
+        // keyed-table *broadcast*, not a per-conflict wake: a cycle formed
+        // by this commit can pass through any suspended waiter, including
+        // ones keyed on nodes this commit never touches, and a keyed waiter
+        // left parked would never re-poll to notice the EDEADLK it is part
+        // of.
         self.lock_ref().wait_queue().wake_all();
     }
 
@@ -1247,18 +1254,20 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         }
     }
 
-    /// The blocking driver: poll, and between polls wait through the lock's
-    /// own wait policy. The wait is bounded by [`DEADLOCK_RECHECK`] and its
-    /// predicate never holds, so every poll — and with it the re-derivation
-    /// of the owner's waits-for edges — happens on that fixed interval.
+    /// The blocking driver: poll, and between polls sit out one
+    /// [`DEADLOCK_RECHECK`] round through the lock's own wait policy
+    /// ([`TwoPhaseRwRangeLock::pause_until`]), so every poll — and with it
+    /// the re-derivation of the owner's waits-for edges — happens on that
+    /// fixed interval. No release or commit ends a round early: under
+    /// `Block` the round is a park filed where no wake of the queue reaches
+    /// it, so the owners that keep running pay no wake on its account.
     fn drive_blocking(&self, mut op: impl Resumable) -> Result<(), SetLockError> {
         loop {
             if let Poll::Ready(outcome) = op.poll() {
                 return outcome;
             }
-            let deadline = Instant::now() + DEADLOCK_RECHECK;
             self.lock_ref()
-                .wait_deadline_keyed(KEY_ANY, &mut || false, deadline);
+                .pause_until(Instant::now() + DEADLOCK_RECHECK);
         }
     }
 
@@ -2145,10 +2154,11 @@ mod tests {
             let mut b = t2.owner("b");
             b.lock(Range::new(50, 150), LockMode::Exclusive).unwrap();
         });
-        // Sleep, not yield: B parks only once its backoff's yields finish
-        // inside one bounded round, and a yielding watcher is one more
-        // thread for those yields to lose the CPU to.
+        // B parks at once in its first recheck round. Sleep, not yield,
+        // while waiting for it: a yielding watcher only competes with B.
+        let parked_by = Instant::now() + std::time::Duration::from_secs(60);
         while stats.snapshot().parks == 0 {
+            assert!(Instant::now() < parked_by, "blocked owner B never parked");
             std::thread::sleep(std::time::Duration::from_micros(100));
         }
         drop(a); // owner drop releases everything and wakes the queue
@@ -2455,6 +2465,10 @@ mod tests {
             deadline: Instant,
         ) -> bool {
             self.inner.wait_deadline_keyed(key, cond, deadline)
+        }
+
+        fn pause_until(&self, deadline: Instant) {
+            self.inner.pause_until(deadline);
         }
     }
 

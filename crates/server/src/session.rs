@@ -205,8 +205,9 @@ fn checked_range(state: &ServerState, start: u64, end: u64) -> Result<Range, Str
 }
 
 /// Validates a `LockMany` batch: every range well-formed and aligned, and
-/// pairwise disjoint (the lock table treats overlapping batch items as a
-/// caller bug, so the server screens them at the trust boundary).
+/// the non-empty ones pairwise disjoint (the lock table drops empty items
+/// and treats overlapping ones as a caller bug, so the server screens them
+/// at the trust boundary by the same rule).
 fn checked_batch(
     state: &ServerState,
     items: &[(u64, u64, LockMode)],
@@ -215,7 +216,11 @@ fn checked_batch(
     for &(start, end, mode) in items {
         batch.push((checked_range(state, start, end)?, mode));
     }
-    let mut sorted: Vec<Range> = batch.iter().map(|(r, _)| *r).collect();
+    let mut sorted: Vec<Range> = batch
+        .iter()
+        .map(|(r, _)| *r)
+        .filter(|r| !r.is_empty())
+        .collect();
     sorted.sort_by_key(|r| r.start);
     for pair in sorted.windows(2) {
         if pair[0].end > pair[1].start {
@@ -828,6 +833,23 @@ mod tests {
         assert_eq!(small.sessions_active + pnova.sessions_active, 0);
     }
 
+    #[test]
+    fn batch_overlap_check_leaves_empty_items_out() {
+        use LockMode::{Exclusive, Shared};
+        let state = state(ServerConfig::default());
+        let batch = |a: (u64, u64), b: (u64, u64)| {
+            checked_batch(&state, &[(a.0, a.1, Shared), (b.0, b.1, Exclusive)])
+        };
+        // An empty item inside another's span, at its start, in either
+        // order: it locks nothing, so it overlaps nothing.
+        for (a, b) in [((0, 10), (5, 5)), ((5, 10), (5, 5)), ((5, 5), (5, 10))] {
+            let items = batch(a, b).unwrap_or_else(|e| panic!("{a:?}+{b:?}: {e}"));
+            assert_eq!(items.len(), 2, "the table drops the empty item itself");
+        }
+        let refused = batch((0, 10), (5, 15)).unwrap_err();
+        assert!(refused.contains("overlap"), "{refused}");
+    }
+
     /// xorshift64*: the fuzz's one source of choices.
     struct Rng(u64);
 
@@ -891,6 +913,12 @@ mod tests {
                 if rng.one_in(40) {
                     items.push(items[0]);
                 }
+                // An empty item anywhere, often inside another's span.
+                if rng.one_in(8) {
+                    let at = rng.below(257);
+                    let pos = rng.below(items.len() as u64 + 1) as usize;
+                    items.insert(pos, (at, at, mode));
+                }
                 Request::LockMany { path, items }
             }
             25..=37 => Request::Unlock { path, start, end },
@@ -951,10 +979,13 @@ mod tests {
             | Request::TryLock { start, end, .. }
             | Request::Unlock { start, end, .. } => start > end,
             Request::LockMany { items, .. } => {
-                let mut sorted = items.clone();
-                sorted.sort_by_key(|&(start, ..)| start);
+                // Some byte lies inside two of the items.
+                let share_a_byte = |i: usize, j: usize| {
+                    let ((s0, e0, _), (s1, e1, _)) = (items[i], items[j]);
+                    s0.max(s1) < e0.min(e1)
+                };
                 items.iter().any(|(start, end, _)| start > end)
-                    || sorted.windows(2).any(|pair| pair[0].1 > pair[1].0)
+                    || (0..items.len()).any(|i| (0..i).any(|j| share_a_byte(i, j)))
             }
             Request::Read { len, .. } => *len > MAX_READ,
             Request::Write { offset, data, .. } => over_cap(*offset, data.len()),

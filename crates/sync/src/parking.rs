@@ -26,10 +26,10 @@
 //! slots and wake together.
 //!
 //! Key 0 is reserved as [`KEY_ANY`], for waiters that cannot name the
-//! conflict blocking them (barging two-phase pollers, deadlock re-checks).
-//! It is an ordinary key with one extra rule: **every** wake also claims
-//! the `KEY_ANY` entries, so an any-key waiter is woken by any release,
-//! while waiters under real keys are woken only by theirs.
+//! conflict blocking them (barging two-phase pollers). It is an ordinary
+//! key with one extra rule: **every** wake also claims the `KEY_ANY`
+//! entries, so an any-key waiter is woken by any release, while waiters
+//! under real keys are woken only by theirs.
 //!
 //! The table performs no predicate logic and no generation arithmetic: the
 //! lost-wakeup protocol (register *then* re-check, paired with the

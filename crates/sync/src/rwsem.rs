@@ -340,6 +340,7 @@ mod tests {
     use crate::wait::{Spin, SpinThenYield};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn readers_share() {
@@ -471,7 +472,12 @@ mod tests {
                 let _w = sem.write();
             })
         };
+        let parked_by = Instant::now() + Duration::from_secs(60);
         while stats.snapshot().parks == 0 {
+            assert!(
+                Instant::now() < parked_by,
+                "the blocked writer never parked"
+            );
             std::thread::yield_now();
         }
         drop(r);

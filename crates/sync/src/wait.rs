@@ -40,14 +40,19 @@
 //! on other conflicts.
 //!
 //! A waiter that cannot name its conflict (a barging two-phase poller of a
-//! try-based lock, a deadlock re-check) files under the reserved key
-//! [`KEY_ANY`], whose entries **every** wake also claims;
-//! `wake_key(KEY_ANY)` wakes that population alone. [`WaitQueue::wake_all`]
-//! is the one broadcast, for releases that cannot name what they resolved
-//! (guard-drop fallbacks, deadlock re-derivation). Spurious wakeups — woken,
-//! predicate still false, re-parked — are counted in the owning lock's
-//! attached [`WaitStats`], so the `spurious_wakeups` column in benchmark
-//! reports measures whatever herd remains directly.
+//! try-based lock) files under the reserved key [`KEY_ANY`], whose entries
+//! **every** wake also claims; `wake_key(KEY_ANY)` wakes that population
+//! alone. [`WaitQueue::wake_all`] is the one broadcast, for releases that
+//! cannot name what they resolved (guard-drop fallbacks, deadlock
+//! re-derivation). Spurious wakeups — woken, predicate still false,
+//! re-parked — are counted in the owning lock's attached [`WaitStats`], so
+//! the `spurious_wakeups` column in benchmark reports measures whatever herd
+//! remains directly.
+//!
+//! A wait with nothing to wait *for* — a fixed re-check round whose
+//! predicate never holds — files nowhere: [`WaitPolicy::pause_until`]
+//! parks out its deadline where no wake can claim it, so it costs the
+//! lock's releasers nothing.
 //!
 //! # Lost wakeups
 //!
@@ -326,6 +331,25 @@ impl WaitQueue {
         }
     }
 
+    /// Parks the calling thread until `deadline`, filed under no key: no
+    /// wake of this queue can claim it, so a release or a broadcast costs
+    /// its caller nothing on its account. Records one park (and the
+    /// `Parked`/`Woken` trace events) unless `deadline` has already passed.
+    ///
+    /// For waits with nothing to wait *for* — a fixed re-check round, such
+    /// as the `rl-file` lock table's deadlock re-derivation, whose predicate
+    /// never holds — where a keyed park would only be woken to re-park.
+    pub(crate) fn park_until(&self, deadline: Instant) {
+        if Instant::now() >= deadline {
+            return;
+        }
+        self.record_park();
+        // Never signalled: the parker only absorbs stray unpark tokens
+        // until the deadline.
+        ThreadParker::new().park(Some(deadline));
+        self.record_woken();
+    }
+
     /// One wake operation: bump, fence, then let `claim` pick the entries.
     fn wake_with(&self, claim: impl FnOnce(&ShardTable) -> usize) {
         // Bump first so a concurrently registering waiter (parking thread
@@ -531,6 +555,22 @@ pub trait WaitPolicy: Send + Sync + Default + Copy + std::fmt::Debug + 'static {
             }
         }
         queue.park(key, cond, deadline)
+    }
+
+    /// Passes the time until `deadline` with nothing to wait for: a fixed
+    /// round, not a wait for a release. A blocking policy parks at once —
+    /// no backoff ramp, and filed in no parking table, where no wake of
+    /// `queue` reaches it — so the round costs the lock's releasers nothing,
+    /// and records one park in the queue's stats; the others back off to
+    /// the deadline exactly as [`WaitPolicy::wait`] does with a predicate
+    /// that never holds.
+    #[inline]
+    fn pause_until(queue: &WaitQueue, deadline: Instant) {
+        if Self::BLOCKS {
+            queue.park_until(deadline);
+        } else {
+            Self::wait(queue, crate::parking::KEY_ANY, || false, Some(deadline));
+        }
     }
 }
 
@@ -865,6 +905,51 @@ mod tests {
             snap.parks
         );
         assert_eq!(queue.waiters(), 0);
+    }
+
+    #[test]
+    fn pause_until_sleeps_out_its_round_where_no_wake_reaches() {
+        // A round with nothing to wait for: under `Block` one park that no
+        // release or broadcast can claim, however many land meanwhile, and
+        // that ends at its deadline, not earlier; the spinning policies
+        // back off to the deadline and never park.
+        fn round<P: WaitPolicy>() -> crate::stats::LockStatSnapshot {
+            let (queue, stats) = counted_queue();
+            let stop = Arc::new(AtomicBool::new(false));
+            let hammer = {
+                let (queue, stop) = (Arc::clone(&queue), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        queue.wake_all();
+                        queue.wake_key(KEY_ANY);
+                    }
+                })
+            };
+            sleep_until(|| queue.generation() != 0);
+            let deadline = Instant::now() + Duration::from_millis(20);
+            P::pause_until(&queue, deadline);
+            assert!(
+                Instant::now() >= deadline,
+                "{} left its round early",
+                P::NAME
+            );
+            stop.store(true, Ordering::Relaxed);
+            hammer.join().unwrap();
+            assert_eq!(queue.waiters(), 0, "{} left an entry behind", P::NAME);
+            stats.snapshot()
+        }
+        let block = round::<Block>();
+        assert_eq!(
+            (block.parks, block.wakes, block.spurious_wakeups),
+            (1, 0, 0)
+        );
+        for snap in [round::<Spin>(), round::<SpinThenYield>()] {
+            assert_eq!((snap.parks, snap.wakes), (0, 0));
+        }
+        // A round whose deadline has passed returns at once, uncounted.
+        let (queue, stats) = counted_queue();
+        Block::pause_until(&queue, Instant::now());
+        assert_eq!(stats.snapshot().parks, 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use range_locks_repro::range_lock::{Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock};
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
@@ -162,7 +162,12 @@ fn releases_of_disjoint_conflicts_leave_a_keyed_parker_parked() {
         std::thread::spawn(move || drop(lock.write(Range::new(0, 64))))
     };
     // Wait until the waiter has genuinely parked (keyed on the held node).
+    let parked_by = Instant::now() + DEADLINE;
     while stats.snapshot().parks == 0 {
+        assert!(
+            Instant::now() < parked_by,
+            "the blocked writer never parked"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
 

@@ -273,13 +273,13 @@ fn lock_table_block_policy_never_loses_a_wakeup() {
 
 #[test]
 fn blocked_table_owner_does_not_tax_the_running_owners_commits() {
-    // Owner B blocks in `lock()` behind A's exclusive record and re-derives
-    // its waits-for edges every millisecond from an any-key deadline wait
-    // with an always-false predicate. Every `commit` of A broadcasts on the
-    // lock's queue. A broadcast may cost A a real wake only when it claims
-    // B's entry — a queue that counts B as a waiter for its whole residency
-    // makes *every* commit that finds it there an effective wake (a mutex
-    // and a syscall each: thousands here, against a handful of parks).
+    // Owner B blocks in `lock()` behind A's exclusive record and re-polls
+    // (re-deriving its waits-for edges) once per 1 ms recheck round. Every
+    // `commit` of A broadcasts on the lock's queue, and every release wakes
+    // it. Nothing can end B's round early, so no such wake may claim B:
+    // B parks once per round, and A pays no effective wake (a mutex and a
+    // syscall each) for sharing the lock with it. A round filed where the
+    // wakes reach it turns nearly every commit into a wake and a re-park.
     const PAIRS: usize = 10_000;
     let stats = Arc::new(WaitStats::new("table"));
     let spec = registry::by_name("list-rw").expect("list-rw is registered");
@@ -304,26 +304,33 @@ fn blocked_table_owner_does_not_tax_the_running_owners_commits() {
             b.unlock(contested);
         })
     };
+    let parked_by = Instant::now() + DEADLINE;
     while table.waiting_owners() == 0 || stats.snapshot().parks == 0 {
+        assert!(Instant::now() < parked_by, "blocked owner B never parked");
         std::thread::sleep(Duration::from_millis(1));
     }
 
+    let before = stats.snapshot();
     let started = Instant::now();
     for _ in 0..PAIRS {
         a.lock(disjoint, LockMode::Exclusive).unwrap();
         a.unlock(disjoint);
     }
-    // One slack unit per 1 ms recheck round of B: a round's last
-    // registration can be claimed by a commit in the instant before the
-    // expired deadline withdraws it, a wake with no park to show for it.
-    let slack = 16 + started.elapsed().as_millis() as u64;
+    let elapsed_ms = started.elapsed().as_millis() as u64;
     let snap = stats.snapshot();
+    // B's rounds: the one in progress, one per elapsed millisecond, and
+    // slack for clock granularity; A never waits on a disjoint range.
+    const SLACK: u64 = 16;
+    let parks = snap.parks - before.parks;
     assert!(
-        snap.wakes <= snap.parks + slack,
-        "{PAIRS} lock/unlock pairs beside one parked owner cost {} effective wakes \
-         for {} parks (slack {slack})",
-        snap.wakes,
-        snap.parks
+        parks <= 1 + elapsed_ms + SLACK,
+        "{PAIRS} lock/unlock pairs in {elapsed_ms} ms beside one blocked owner \
+         cost it {parks} parks (one per round expected)"
+    );
+    assert!(
+        snap.wakes <= SLACK,
+        "{PAIRS} lock/unlock pairs beside one blocked owner cost {} effective wakes",
+        snap.wakes
     );
 
     a.unlock(contested);
