@@ -22,8 +22,8 @@
 //!   the same `RangeGuard` a static lock returns. There is one kind of
 //!   registry lock, so there is one constructor per variant;
 //! * construction is **wait-policy aware**: [`VariantSpec::build`] takes a
-//!   [`WaitPolicyKind`] and instantiates the lock with the corresponding
-//!   compile-time policy (`Spin` / `SpinThenYield` / `Block`);
+//!   [`WaitPolicyKind`] and passes it to the lock's constructor, whose wait
+//!   queue carries it;
 //! * the segment lock's static partitioning is supplied through
 //!   [`RegistryConfig`] (span + segment count); the list and tree locks
 //!   ignore it.
@@ -50,9 +50,11 @@
 
 use std::sync::Arc;
 
-use range_lock::{CompatMode, Exclusive, ListLock, ReaderWriter, TwoPhaseRwRangeLock};
+use range_lock::{
+    CompatMode, Exclusive, ListLock, ListLockConfig, ReaderWriter, TwoPhaseRwRangeLock,
+};
 use rl_sync::stats::WaitStats;
-use rl_sync::wait::{Block, Spin, SpinThenYield, WaitPolicyKind};
+use rl_sync::wait::WaitPolicyKind;
 
 use crate::segment_lock::SegmentRangeLock;
 use crate::sem_lock::WholeSpaceSem;
@@ -77,26 +79,6 @@ impl Default for RegistryConfig {
             segments: 1 << 8,
         }
     }
-}
-
-/// Instantiates a lock for each of the three wait policies.
-macro_rules! per_policy {
-    ($wait:expr, $p:ident => $make:expr) => {
-        match $wait {
-            WaitPolicyKind::Spin => {
-                type $p = Spin;
-                Box::new($make)
-            }
-            WaitPolicyKind::SpinThenYield => {
-                type $p = SpinThenYield;
-                Box::new($make)
-            }
-            WaitPolicyKind::Block => {
-                type $p = Block;
-                Box::new($make)
-            }
-        }
-    };
 }
 
 /// Constructor shape of a registry row: wait policy, config, optional
@@ -174,12 +156,13 @@ impl std::fmt::Debug for VariantSpec {
     }
 }
 
-/// Attaches `stats` through the lock's `with_stats` builder when present.
+/// Attaches `stats` through the lock's `with_stats` builder when present,
+/// and boxes the lock.
 macro_rules! with_stats {
     ($lock:expr, $stats:expr) => {
         match $stats {
-            Some(s) => $lock.with_stats(s),
-            None => $lock,
+            Some(s) => Box::new($lock.with_stats(s)),
+            None => Box::new($lock),
         }
     };
 }
@@ -190,7 +173,11 @@ fn build_list<M: CompatMode>(
     stats: Option<Arc<WaitStats>>,
     _spin: Option<Arc<WaitStats>>,
 ) -> Box<dyn TwoPhaseRwRangeLock> {
-    per_policy!(wait, P => with_stats!(ListLock::<M, P>::with_policy(), stats))
+    let config = ListLockConfig {
+        wait,
+        ..ListLockConfig::default()
+    };
+    with_stats!(ListLock::<M>::with_config(config), stats)
 }
 
 fn build_tree<M: CompatMode>(
@@ -199,13 +186,7 @@ fn build_tree<M: CompatMode>(
     stats: Option<Arc<WaitStats>>,
     spin: Option<Arc<WaitStats>>,
 ) -> Box<dyn TwoPhaseRwRangeLock> {
-    per_policy!(wait, P => {
-        let lock = match spin {
-            Some(s) => TreeLock::<M, P>::with_policy_spin_stats(s),
-            None => TreeLock::<M, P>::with_policy(),
-        };
-        with_stats!(lock, stats)
-    })
+    with_stats!(TreeLock::<M>::with_wait(wait, spin), stats)
 }
 
 fn build_pnova_rw(
@@ -214,10 +195,10 @@ fn build_pnova_rw(
     stats: Option<Arc<WaitStats>>,
     _spin: Option<Arc<WaitStats>>,
 ) -> Box<dyn TwoPhaseRwRangeLock> {
-    per_policy!(wait, P => with_stats!(
-        SegmentRangeLock::<P>::with_policy(config.span, config.segments),
+    with_stats!(
+        SegmentRangeLock::with_wait(config.span, config.segments, wait),
         stats
-    ))
+    )
 }
 
 /// The five paper variants, baselines first, in the order the paper's figure
@@ -283,10 +264,7 @@ pub fn build_stock(
     wait: WaitPolicyKind,
     stats: Option<Arc<WaitStats>>,
 ) -> Box<dyn TwoPhaseRwRangeLock> {
-    per_policy!(wait, P => match stats {
-        Some(s) => WholeSpaceSem::<P>::with_policy_stats(s),
-        None => WholeSpaceSem::<P>::with_policy(),
-    })
+    with_stats!(WholeSpaceSem::with_wait(wait), stats)
 }
 
 #[cfg(test)]

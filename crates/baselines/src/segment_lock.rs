@@ -16,20 +16,18 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use range_lock::{Held, LockId, LockMode, Range, RwRangeLock};
-use rl_sync::stats::{WaitKind, WaitStats};
-use rl_sync::wait::{Block, WaitPolicy, WaitQueue};
+use rl_sync::stats::WaitStats;
+use rl_sync::wait::{WaitPolicyKind, WaitQueue};
 use rl_sync::{CachePadded, RwSemaphore};
-
-use crate::sem_lock::{give_back, take};
 
 /// A reader-writer range lock built from per-segment reader-writer locks.
 ///
-/// Each segment is an [`RwSemaphore`] waiting through the pluggable
-/// [`WaitPolicy`] `P`. The default is [`Block`] — waiters on a contended
-/// segment park and the segment's release wakes them — because pNOVA's
-/// in-kernel per-segment locks (and the `parking_lot::RwLock` this lock
-/// used before the policy layer existed) block their waiters; the bare
-/// `SegmentRangeLock` name therefore keeps its pre-refactor behaviour.
+/// Each segment is an [`RwSemaphore`] waiting through the lock's
+/// [`WaitPolicyKind`]. [`SegmentRangeLock::new`] picks
+/// [`WaitPolicyKind::Block`] — waiters on a contended segment park and the
+/// segment's release wakes them — because pNOVA's in-kernel per-segment
+/// locks (and the `parking_lot::RwLock` this lock used before the policy
+/// layer existed) block their waiters.
 ///
 /// # Examples
 ///
@@ -44,9 +42,9 @@ use crate::sem_lock::{give_back, take};
 /// drop(r);
 /// drop(w);
 /// ```
-pub struct SegmentRangeLock<P: WaitPolicy = Block> {
+pub struct SegmentRangeLock {
     /// Segment `i` covers `[i * segment_size, (i + 1) * segment_size)`.
-    segments: Vec<CachePadded<RwSemaphore<P>>>,
+    segments: Vec<CachePadded<RwSemaphore>>,
     segment_size: u64,
     /// Total span covered by the segments; addresses past the span clamp to
     /// the last segment.
@@ -63,34 +61,32 @@ pub struct SegmentRangeLock<P: WaitPolicy = Block> {
 
 impl SegmentRangeLock {
     /// Creates a lock covering `[0, span)` split into `num_segments` segments
-    /// with the default [`Block`] wait policy (parked waiters, as in pNOVA).
+    /// whose waiters park ([`WaitPolicyKind::Block`], as in pNOVA).
     ///
     /// # Panics
     ///
     /// Panics if `num_segments` is zero or `span` is zero.
     pub fn new(span: u64, num_segments: usize) -> Self {
-        Self::with_policy(span, num_segments)
+        Self::with_wait(span, num_segments, WaitPolicyKind::Block)
     }
-}
 
-impl<P: WaitPolicy> SegmentRangeLock<P> {
     /// Creates a lock covering `[0, span)` split into `num_segments`
-    /// segments whose waiters wait through policy `P`.
+    /// segments whose waiters wait through `wait`.
     ///
     /// # Panics
     ///
     /// Panics if `num_segments` is zero or `span` is zero.
-    pub fn with_policy(span: u64, num_segments: usize) -> Self {
+    pub fn with_wait(span: u64, num_segments: usize, wait: WaitPolicyKind) -> Self {
         assert!(num_segments > 0, "segment count must be positive");
         assert!(span > 0, "span must be positive");
         SegmentRangeLock {
             segments: (0..num_segments)
-                .map(|_| CachePadded::new(RwSemaphore::with_policy()))
+                .map(|_| CachePadded::new(RwSemaphore::with_wait(wait)))
                 .collect(),
             segment_size: span.div_ceil(num_segments as u64).max(1),
             span,
             stats: None,
-            queue: WaitQueue::new(),
+            queue: WaitQueue::new(wait),
             id: LockId::default(),
         }
     }
@@ -126,7 +122,7 @@ impl<P: WaitPolicy> SegmentRangeLock<P> {
     }
 
     /// The segments `range` covers, in ascending (acquisition) order.
-    fn covered(&self, range: &Range) -> &[CachePadded<RwSemaphore<P>>] {
+    fn covered(&self, range: &Range) -> &[CachePadded<RwSemaphore>] {
         let (first, last) = self.segment_span(range);
         &self.segments[first..=last]
     }
@@ -138,18 +134,14 @@ impl<P: WaitPolicy> SegmentRangeLock<P> {
         let started = self.stats.as_ref().map(|_| Instant::now());
         let mut contended = false;
         for seg in self.covered(range) {
-            if !take(seg, mode, false) {
+            if !seg.try_acquire(mode) {
                 contended = true;
-                take(seg, mode, true);
+                seg.acquire(mode);
             }
         }
         if let (Some(s), Some(started)) = (&self.stats, started) {
             if contended {
-                let kind = match mode {
-                    LockMode::Shared => WaitKind::Read,
-                    LockMode::Exclusive => WaitKind::Write,
-                };
-                s.record_wait_ns(kind, started.elapsed().as_nanos() as u64);
+                s.record_wait_ns(mode.into(), started.elapsed().as_nanos() as u64);
             } else {
                 s.record_uncontended();
             }
@@ -164,10 +156,10 @@ impl<P: WaitPolicy> SegmentRangeLock<P> {
     fn try_all(&self, range: &Range, mode: LockMode) -> bool {
         let covered = self.covered(range);
         for (taken, seg) in covered.iter().enumerate() {
-            if !take(seg, mode, false) {
+            if !seg.try_acquire(mode) {
                 for seg in &covered[..taken] {
                     // SAFETY: Taken in `mode` by this loop, given back once.
-                    unsafe { give_back(seg, mode) };
+                    unsafe { seg.release(mode) };
                 }
                 if taken > 0 {
                     self.queue.wake_all();
@@ -182,7 +174,7 @@ impl<P: WaitPolicy> SegmentRangeLock<P> {
     }
 }
 
-impl<P: WaitPolicy> std::fmt::Debug for SegmentRangeLock<P> {
+impl std::fmt::Debug for SegmentRangeLock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegmentRangeLock")
             .field("segments", &self.num_segments())
@@ -202,9 +194,9 @@ impl<P: WaitPolicy> std::fmt::Debug for SegmentRangeLock<P> {
 // anti-starvation preference of `RwSemaphore` does not protect it. Every
 // release wakes the lock-level queue, so a suspended poller re-runs whenever
 // any segment frees.
-range_lock::try_based_two_phase!(SegmentRangeLock<P>, lock => &lock.queue);
+range_lock::try_based_two_phase!(SegmentRangeLock, lock => &lock.queue);
 
-impl<P: WaitPolicy> RwRangeLock for SegmentRangeLock<P> {
+impl RwRangeLock for SegmentRangeLock {
     fn acquire(&self, range: Range, mode: LockMode) -> Held {
         self.lock_all(&range, mode);
         self.id.issue(range, mode, 0)
@@ -227,7 +219,7 @@ impl<P: WaitPolicy> RwRangeLock for SegmentRangeLock<P> {
             // token only once `lock_all` or `try_all` took every covered
             // segment in its mode; the token is consumed here, so each hold
             // is given back once.
-            unsafe { give_back(seg, held.mode()) };
+            unsafe { seg.release(held.mode()) };
         }
         self.queue.wake_all();
     }

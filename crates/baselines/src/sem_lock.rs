@@ -11,12 +11,11 @@
 //! it is a try-based two-phase lock: suspended acquisitions wait on the
 //! semaphore's own queue and barge on every release.
 
-use std::mem;
 use std::sync::Arc;
 
 use range_lock::{Held, LockId, LockMode, Range, RwRangeLock};
 use rl_sync::stats::WaitStats;
-use rl_sync::wait::{Block, WaitPolicy};
+use rl_sync::wait::WaitPolicyKind;
 use rl_sync::RwSemaphore;
 
 /// An `mmap_sem`-style reader-writer semaphore exposed as a (range-ignoring)
@@ -35,79 +34,53 @@ use rl_sync::RwSemaphore;
 /// drop(r);
 /// ```
 #[derive(Debug, Default)]
-pub struct WholeSpaceSem<P: WaitPolicy = Block> {
-    sem: RwSemaphore<P>,
+pub struct WholeSpaceSem {
+    sem: RwSemaphore,
     /// Stamped on every token this lock issues.
     id: LockId,
 }
 
-impl WholeSpaceSem<Block> {
+impl WholeSpaceSem {
     /// Creates a semaphore blocking its waiters, like the kernel's.
     pub fn new() -> Self {
-        Self::with_policy()
-    }
-}
-
-impl<P: WaitPolicy> WholeSpaceSem<P> {
-    /// Creates a semaphore whose waiters wait through policy `P`.
-    pub fn with_policy() -> Self {
         Self::default()
     }
 
-    /// Creates a semaphore reporting wait times into `stats`.
-    pub fn with_policy_stats(stats: Arc<WaitStats>) -> Self {
+    /// Creates a semaphore whose waiters wait through `wait`.
+    pub fn with_wait(wait: WaitPolicyKind) -> Self {
         WholeSpaceSem {
-            sem: RwSemaphore::with_policy_stats(stats),
+            sem: RwSemaphore::with_wait(wait),
             id: LockId::default(),
         }
     }
-}
 
-/// Takes `sem` in `mode` — waiting if `wait`, else only if it is free now —
-/// and forgets the guard: the hold travels in a [`Held`] token instead, and
-/// goes back through [`give_back`].
-pub(crate) fn take<P: WaitPolicy>(sem: &RwSemaphore<P>, mode: LockMode, wait: bool) -> bool {
-    match (mode, wait) {
-        (LockMode::Shared, true) => mem::forget(sem.read()),
-        (LockMode::Exclusive, true) => mem::forget(sem.write()),
-        (LockMode::Shared, false) => return sem.try_read().map(mem::forget).is_some(),
-        (LockMode::Exclusive, false) => return sem.try_write().map(mem::forget).is_some(),
-    }
-    true
-}
-
-/// Gives back one hold [`take`] took.
-///
-/// # Safety
-///
-/// The caller holds `sem` in `mode`, taken through [`take`], and gives that
-/// hold back exactly once.
-pub(crate) unsafe fn give_back<P: WaitPolicy>(sem: &RwSemaphore<P>, mode: LockMode) {
-    // SAFETY: The caller's contract is the raw releases' contract.
-    unsafe {
-        match mode {
-            LockMode::Shared => sem.release_read(),
-            LockMode::Exclusive => sem.release_write(),
+    /// Reports wait times (and park/wake counts) into `stats`.
+    pub fn with_stats(self, stats: Arc<WaitStats>) -> Self {
+        WholeSpaceSem {
+            sem: self.sem.with_stats(stats),
+            id: self.id,
         }
     }
 }
 
-impl<P: WaitPolicy> RwRangeLock for WholeSpaceSem<P> {
+impl RwRangeLock for WholeSpaceSem {
     fn acquire(&self, range: Range, mode: LockMode) -> Held {
-        take(&self.sem, mode, true);
+        self.sem.acquire(mode);
         self.id.issue(range, mode, 0)
     }
 
     fn try_acquire(&self, range: Range, mode: LockMode) -> Option<Held> {
-        take(&self.sem, mode, false).then(|| self.id.issue(range, mode, 0))
+        self.sem
+            .try_acquire(mode)
+            .then(|| self.id.issue(range, mode, 0))
     }
 
     fn release(&self, held: Held) {
         self.id.verify(&held);
         // SAFETY: This lock issued `held` (verified above), and issues a
-        // token only once `take` holds the semaphore in its mode; the token
-        // is consumed here, so the hold is given back once.
-        unsafe { give_back(&self.sem, held.mode()) };
+        // token only once the semaphore is held in its mode; the token is
+        // consumed here, so the hold is given back once.
+        unsafe { self.sem.release(held.mode()) };
     }
 
     fn name(&self) -> &'static str {
@@ -115,7 +88,7 @@ impl<P: WaitPolicy> RwRangeLock for WholeSpaceSem<P> {
     }
 }
 
-range_lock::try_based_two_phase!(WholeSpaceSem<P>, lock => lock.sem.wait_queue());
+range_lock::try_based_two_phase!(WholeSpaceSem, lock => lock.sem.wait_queue());
 
 #[cfg(test)]
 mod tests {

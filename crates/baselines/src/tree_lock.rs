@@ -31,8 +31,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use range_lock::{CompatMode, Exclusive, Held, LockId, LockMode, Range, ReaderWriter, RwRangeLock};
-use rl_sync::stats::{WaitKind, WaitStats};
-use rl_sync::wait::{SpinThenYield, WaitPolicy, WaitQueue};
+use rl_sync::stats::WaitStats;
+use rl_sync::wait::{WaitPolicyKind, WaitQueue};
 use rl_sync::{SpinLock, KEY_ANY};
 
 use crate::range_tree::{Interval, RangeTree};
@@ -68,20 +68,21 @@ impl TreeState {
 }
 
 /// A tree-based range lock in compatibility mode `M` (which decides whether
-/// readers share), waiting through `P`. Usually spelled through its
-/// aliases, [`TreeRangeLock`] and [`RwTreeRangeLock`].
+/// readers share). Usually spelled through its aliases, [`TreeRangeLock`]
+/// and [`RwTreeRangeLock`].
 #[derive(Debug)]
-pub struct TreeLock<M: CompatMode, P: WaitPolicy = SpinThenYield> {
+pub struct TreeLock<M: CompatMode> {
     state: SpinLock<TreeState>,
     next_id: AtomicU64,
     /// Range-acquisition wait times (Figure 7).
     stats: Option<Arc<WaitStats>>,
-    /// Wake channel for the `Block` policy and suspended two-phase polls.
+    /// Where blocked acquisitions wait, through the lock's policy, and the
+    /// wake channel of suspended two-phase polls.
     queue: WaitQueue,
     /// Stamped on every token this lock issues; a token's word is its entry
     /// id.
     id: LockId,
-    _mode: PhantomData<(M, P)>,
+    _mode: PhantomData<M>,
 }
 
 /// The exclusive tree-based range lock (`lustre-ex`); its `read` is as
@@ -100,7 +101,7 @@ pub struct TreeLock<M: CompatMode, P: WaitPolicy = SpinThenYield> {
 /// drop(a);
 /// drop(b);
 /// ```
-pub type TreeRangeLock<P = SpinThenYield> = TreeLock<Exclusive, P>;
+pub type TreeRangeLock = TreeLock<Exclusive>;
 
 /// The reader-writer tree-based range lock (`kernel-rw`).
 ///
@@ -117,39 +118,28 @@ pub type TreeRangeLock<P = SpinThenYield> = TreeLock<Exclusive, P>;
 /// drop(r2);
 /// let _w = lock.write(Range::new(0, 100));
 /// ```
-pub type RwTreeRangeLock<P = SpinThenYield> = TreeLock<ReaderWriter, P>;
+pub type RwTreeRangeLock = TreeLock<ReaderWriter>;
 
 impl<M: CompatMode> TreeLock<M> {
-    /// Creates a new lock with the default [`SpinThenYield`] wait policy.
+    /// Creates a new lock whose waiters spin, then yield
+    /// ([`WaitPolicyKind::SpinThenYield`]).
     pub fn new() -> Self {
-        Self::with_policy()
+        Self::with_wait(WaitPolicyKind::SpinThenYield, None)
     }
 
-    /// Creates a default-policy lock whose *internal spin lock* reports wait
-    /// times to `spin_stats` (used to reproduce Figure 8).
-    pub fn with_spin_stats(spin_stats: Arc<WaitStats>) -> Self {
-        Self::with_policy_spin_stats(spin_stats)
-    }
-}
-
-impl<M: CompatMode, P: WaitPolicy> TreeLock<M, P> {
-    /// Creates a lock whose waiters wait through policy `P`.
-    pub fn with_policy() -> Self {
-        Self::with_state(SpinLock::new(TreeState::default()))
-    }
-
-    /// Creates a policy-`P` lock whose *internal spin lock* reports wait
-    /// times to `spin_stats`.
-    pub fn with_policy_spin_stats(spin_stats: Arc<WaitStats>) -> Self {
-        Self::with_state(SpinLock::with_stats(TreeState::default(), spin_stats))
-    }
-
-    fn with_state(state: SpinLock<TreeState>) -> Self {
+    /// Creates a lock whose waiters wait through `wait` and whose *internal
+    /// spin lock* reports its wait times to `spin_stats`, if given (used to
+    /// reproduce Figure 8).
+    pub fn with_wait(wait: WaitPolicyKind, spin_stats: Option<Arc<WaitStats>>) -> Self {
+        let state = match spin_stats {
+            Some(s) => SpinLock::with_stats(TreeState::default(), s),
+            None => SpinLock::new(TreeState::default()),
+        };
         TreeLock {
             state,
             next_id: AtomicU64::new(1),
             stats: None,
-            queue: WaitQueue::new(),
+            queue: WaitQueue::new(wait),
             id: LockId::default(),
             _mode: PhantomData,
         }
@@ -206,14 +196,10 @@ impl<M: CompatMode, P: WaitPolicy> TreeLock<M, P> {
         // key, so an unrelated release leaves it parked.
         if waiter.blocked.load(Ordering::Acquire) != 0 {
             let unblocked = || waiter.blocked.load(Ordering::Acquire) == 0;
-            P::wait(&self.queue, Arc::as_ptr(&waiter) as u64, unblocked, None);
+            self.queue
+                .wait(Arc::as_ptr(&waiter) as u64, unblocked, None);
             if let (Some(s), Some(started)) = (&self.stats, started) {
-                let kind = if reader {
-                    WaitKind::Read
-                } else {
-                    WaitKind::Write
-                };
-                s.record_wait_ns(kind, started.elapsed().as_nanos() as u64);
+                s.record_wait_ns(mode.into(), started.elapsed().as_nanos() as u64);
             }
         } else if let Some(s) = &self.stats {
             s.record_uncontended();
@@ -253,13 +239,13 @@ impl<M: CompatMode, P: WaitPolicy> TreeLock<M, P> {
     }
 }
 
-impl<M: CompatMode, P: WaitPolicy> Default for TreeLock<M, P> {
+impl<M: CompatMode> Default for TreeLock<M> {
     fn default() -> Self {
-        Self::with_policy()
+        Self::new()
     }
 }
 
-impl<M: CompatMode, P: WaitPolicy> RwRangeLock for TreeLock<M, P> {
+impl<M: CompatMode> RwRangeLock for TreeLock<M> {
     fn acquire(&self, range: Range, mode: LockMode) -> Held {
         self.insert(range, mode, true)
             .expect("a blocking acquisition")
@@ -300,7 +286,7 @@ impl<M: CompatMode, P: WaitPolicy> RwRangeLock for TreeLock<M, P> {
 // two-phase acquisition holds no tree node and therefore *barges*. Every
 // release wakes the queue (see `TreeLock::release`), so a suspended poller
 // cannot miss the removal it was blocked on.
-range_lock::try_based_two_phase!(TreeLock<M: CompatMode, P>, lock => &lock.queue);
+range_lock::try_based_two_phase!(TreeLock<M: CompatMode>, lock => &lock.queue);
 
 #[cfg(test)]
 mod tests {
@@ -465,8 +451,11 @@ mod tests {
         let spin_stats = Arc::new(WaitStats::new("tree-spin"));
         let wait_stats = Arc::new(WaitStats::new("tree-wait"));
         let lock = Arc::new(
-            RwTreeRangeLock::with_spin_stats(Arc::clone(&spin_stats))
-                .with_stats(Arc::clone(&wait_stats)),
+            RwTreeRangeLock::with_wait(
+                WaitPolicyKind::SpinThenYield,
+                Some(Arc::clone(&spin_stats)),
+            )
+            .with_stats(Arc::clone(&wait_stats)),
         );
         let mut handles = Vec::new();
         for _ in 0..4 {

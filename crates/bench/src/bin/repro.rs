@@ -46,8 +46,7 @@ use rl_bench::skipbench::{self, SkipBenchConfig, SkipListVariant};
 use rl_bench::{obsbench, parkbench, perfdiff};
 use rl_metis::Workload;
 use rl_sync::stats::LockStatSnapshot;
-use rl_sync::wait::Block;
-use rl_sync::WaitPolicyKind::{self, SpinThenYield};
+use rl_sync::WaitPolicyKind::{self, Block, SpinThenYield};
 use rl_vm::Strategy;
 
 /// One experiment: a row of the table the subcommands, `all`, `--help` and
@@ -409,12 +408,16 @@ fn uncontended(c: &Ctx) -> Vec<Table> {
             ..ListLockConfig::default()
         })
     };
+    let block = ListLockConfig {
+        wait: Block,
+        ..ListLockConfig::default()
+    };
     let row = vec![
         ns(ListRangeLock::new(), w, x, q),
         ns(list(false, false), w, x, q),
         ns(list(true, true), w, x, q),
-        ns(ListRangeLock::<Block>::with_policy(), w, x, q),
-        ns(RwListRangeLock::<Block>::with_policy(), w, x, q),
+        ns(ListRangeLock::with_config(block.clone()), w, x, q),
+        ns(RwListRangeLock::with_config(block), w, x, q),
         ns(RwListRangeLock::new(), w, x, q),
         ns(RwListRangeLock::new(), r, x, q),
         ns(TreeRangeLock::new(), w, x, q),

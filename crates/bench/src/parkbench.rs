@@ -29,11 +29,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use range_lock::{Range, RwListRangeLock};
+use range_lock::{ListLockConfig, Range, RwListRangeLock};
 use rl_obs::LatencyHistogram;
 use rl_sync::stats::WaitStats;
-use rl_sync::wait::Block;
-use rl_sync::{WaitQueue, KEY_ANY};
+use rl_sync::{WaitPolicyKind, WaitQueue, KEY_ANY};
 
 use crate::report::Table;
 use crate::runner::{self, Run, Stop};
@@ -93,7 +92,7 @@ struct Mailbox {
 /// hanging.
 pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> (Run, u64) {
     let stats = Arc::new(WaitStats::new("parkbench-targeted"));
-    let mut queue = WaitQueue::new();
+    let mut queue = WaitQueue::new(WaitPolicyKind::Block);
     queue.attach_stats(Arc::clone(&stats));
     let queue = Arc::new(queue);
     let hist = Arc::new(LatencyHistogram::new());
@@ -182,7 +181,11 @@ pub fn run_targeted(mode: ParkMode, waiters: usize, releases: u64) -> (Run, u64)
 /// wakeups the lock's waiters saw.
 pub fn run_pairs(pairs: usize, duration: Duration) -> (Run, u64) {
     let stats = Arc::new(WaitStats::new("parkbench-pairs"));
-    let lock = RwListRangeLock::<Block>::with_policy().with_stats(Arc::clone(&stats));
+    let lock = RwListRangeLock::with_config(ListLockConfig {
+        wait: WaitPolicyKind::Block,
+        ..ListLockConfig::default()
+    })
+    .with_stats(Arc::clone(&stats));
     let name = format!("ParkBench pair storm x{pairs}");
     let run = runner::run(&name, pairs * 2, Stop::After(duration), |t| {
         let region = (t / 2) as u64 * 128;

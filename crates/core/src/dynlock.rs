@@ -27,7 +27,6 @@
 //! ```
 
 use std::ops::Deref;
-use std::time::Instant;
 
 use rl_sync::wait::WaitQueue;
 
@@ -87,14 +86,6 @@ impl<T: Deref<Target = dyn TwoPhaseRwRangeLock> + Send + Sync> TwoPhaseRwRangeLo
     fn wait_queue(&self) -> &WaitQueue {
         (**self).wait_queue()
     }
-
-    fn wait_deadline_keyed(&self, key: u64, cond: &mut dyn FnMut() -> bool, at: Instant) -> bool {
-        (**self).wait_deadline_keyed(key, cond, at)
-    }
-
-    fn pause_until(&self, deadline: Instant) {
-        (**self).pause_until(deadline);
-    }
 }
 
 #[cfg(test)]
@@ -152,8 +143,8 @@ mod tests {
         drop(w);
 
         // A lock without downgrade support leaves the guard unchanged.
-        struct NoDowngrade<P: rl_sync::wait::WaitPolicy>(RwListRangeLock<P>);
-        impl<P: rl_sync::wait::WaitPolicy> RwRangeLock for NoDowngrade<P> {
+        struct NoDowngrade(RwListRangeLock);
+        impl RwRangeLock for NoDowngrade {
             fn acquire(&self, range: Range, mode: LockMode) -> Held {
                 self.0.acquire(range, mode)
             }
@@ -167,10 +158,10 @@ mod tests {
                 "no-downgrade"
             }
         }
-        crate::try_based_two_phase!(NoDowngrade<P>, lock => lock.0.wait_queue());
-        let nd: Box<dyn TwoPhaseRwRangeLock> = Box::new(NoDowngrade(RwListRangeLock::<
-            rl_sync::wait::Block,
-        >::with_policy()));
+        crate::try_based_two_phase!(NoDowngrade, lock => lock.0.wait_queue());
+        let nd: Box<dyn TwoPhaseRwRangeLock> = Box::new(NoDowngrade(
+            crate::list_core::tests::waiting(rl_sync::wait::WaitPolicyKind::Block),
+        ));
         let mut w = nd.write(Range::new(0, 10));
         assert!(!w.downgrade(), "default declines");
         assert!(!w.is_reader());

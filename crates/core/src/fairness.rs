@@ -22,33 +22,27 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rl_sync::wait::{SpinThenYield, WaitPolicy};
-use rl_sync::{RwSemReadGuard, RwSemWriteGuard, RwSemaphore};
+use rl_sync::wait::WaitPolicyKind;
+use rl_sync::{LockMode, RwSemGuard, RwSemaphore};
 
 /// The impatient counter plus the auxiliary reader-writer lock.
 ///
-/// The auxiliary lock waits through the same [`WaitPolicy`] as the range
-/// lock that owns the gate, so an impatient thread parks (or spins) exactly
-/// the way ordinary waiters of that lock do.
-#[derive(Debug, Default)]
-pub struct FairnessGate<P: WaitPolicy = SpinThenYield> {
+/// The auxiliary lock waits through the same [`WaitPolicyKind`] as the
+/// range lock that owns the gate, so an impatient thread parks (or spins)
+/// exactly the way ordinary waiters of that lock do.
+#[derive(Debug)]
+pub struct FairnessGate {
     impatient: AtomicU64,
-    aux: RwSemaphore<P>,
+    aux: RwSemaphore,
 }
 
 impl FairnessGate {
-    /// Creates a gate with a zero impatient counter (default wait policy).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl<P: WaitPolicy> FairnessGate<P> {
-    /// Creates a gate whose auxiliary lock waits through policy `P`.
-    pub fn with_policy() -> Self {
+    /// Creates a gate with a zero impatient counter whose auxiliary lock
+    /// waits through `wait`.
+    pub fn new(wait: WaitPolicyKind) -> Self {
         FairnessGate {
             impatient: AtomicU64::new(0),
-            aux: RwSemaphore::with_policy(),
+            aux: RwSemaphore::with_wait(wait),
         }
     }
 
@@ -59,38 +53,38 @@ impl<P: WaitPolicy> FairnessGate<P> {
 
     /// Called at the start of a range acquisition: returns the permit the
     /// caller must hold while it attempts to insert its node.
-    pub fn enter(&self) -> FairnessPermit<'_, P> {
+    pub fn enter(&self) -> FairnessPermit<'_> {
         if self.impatient.load(Ordering::Relaxed) == 0 {
             FairnessPermit::Normal
         } else {
-            FairnessPermit::Reader(self.aux.read())
+            FairnessPermit::Reader(RwSemGuard::new(&self.aux, LockMode::Shared))
         }
     }
 
     /// Escalates a starving thread to impatient mode: bumps the counter and
     /// acquires the auxiliary lock for write. The previous permit is released
     /// first so the escalating thread cannot deadlock with itself.
-    pub fn escalate<'a>(&'a self, previous: FairnessPermit<'a, P>) -> FairnessPermit<'a, P> {
+    pub fn escalate<'a>(&'a self, previous: FairnessPermit<'a>) -> FairnessPermit<'a> {
         drop(previous);
         self.impatient.fetch_add(1, Ordering::AcqRel);
-        let guard = self.aux.write();
+        let guard = RwSemGuard::new(&self.aux, LockMode::Exclusive);
         FairnessPermit::Impatient(ImpatientGuard { gate: self, guard })
     }
 }
 
 /// What a thread holds (if anything) while acquiring a range.
-pub enum FairnessPermit<'a, P: WaitPolicy = SpinThenYield> {
+pub enum FairnessPermit<'a> {
     /// Fairness is disabled for this lock instance.
     Disabled,
     /// Counter was zero: proceed without the auxiliary lock.
     Normal,
     /// Counter was non-zero: shared hold of the auxiliary lock.
-    Reader(RwSemReadGuard<'a, P>),
+    Reader(RwSemGuard<'a>),
     /// This thread escalated: exclusive hold of the auxiliary lock.
-    Impatient(ImpatientGuard<'a, P>),
+    Impatient(ImpatientGuard<'a>),
 }
 
-impl<P: WaitPolicy> FairnessPermit<'_, P> {
+impl FairnessPermit<'_> {
     /// Returns `true` if, after `attempts` failed insertion attempts with the
     /// given threshold, the caller should escalate to impatient mode.
     pub fn should_escalate(&self, attempts: u32, threshold: u32) -> bool {
@@ -106,7 +100,7 @@ impl<P: WaitPolicy> FairnessPermit<'_, P> {
     }
 }
 
-impl<P: WaitPolicy> std::fmt::Debug for FairnessPermit<'_, P> {
+impl std::fmt::Debug for FairnessPermit<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let label = match self {
             FairnessPermit::Disabled => "Disabled",
@@ -120,13 +114,13 @@ impl<P: WaitPolicy> std::fmt::Debug for FairnessPermit<'_, P> {
 
 /// Exclusive hold of the auxiliary lock; decrements the impatient counter on
 /// release, as prescribed by Section 4.3.
-pub struct ImpatientGuard<'a, P: WaitPolicy = SpinThenYield> {
-    gate: &'a FairnessGate<P>,
+pub struct ImpatientGuard<'a> {
+    gate: &'a FairnessGate,
     #[allow(dead_code)]
-    guard: RwSemWriteGuard<'a, P>,
+    guard: RwSemGuard<'a>,
 }
 
-impl<P: WaitPolicy> Drop for ImpatientGuard<'_, P> {
+impl Drop for ImpatientGuard<'_> {
     fn drop(&mut self) {
         self.gate.impatient.fetch_sub(1, Ordering::AcqRel);
     }
@@ -139,7 +133,7 @@ mod tests {
 
     #[test]
     fn normal_path_when_counter_zero() {
-        let gate = FairnessGate::new();
+        let gate = FairnessGate::new(WaitPolicyKind::SpinThenYield);
         let permit = gate.enter();
         assert!(matches!(permit, FairnessPermit::Normal));
         assert_eq!(gate.impatient_count(), 0);
@@ -147,7 +141,7 @@ mod tests {
 
     #[test]
     fn escalation_bumps_and_releases_counter() {
-        let gate = FairnessGate::new();
+        let gate = FairnessGate::new(WaitPolicyKind::SpinThenYield);
         let permit = gate.enter();
         let permit = gate.escalate(permit);
         assert!(permit.is_impatient());
@@ -158,7 +152,7 @@ mod tests {
 
     #[test]
     fn readers_take_aux_lock_when_impatient_present() {
-        let gate = Arc::new(FairnessGate::new());
+        let gate = Arc::new(FairnessGate::new(WaitPolicyKind::SpinThenYield));
         let permit = gate.enter();
         let impatient = gate.escalate(permit);
         assert_eq!(gate.impatient_count(), 1);
@@ -178,7 +172,7 @@ mod tests {
 
     #[test]
     fn should_escalate_thresholds() {
-        let gate = FairnessGate::new();
+        let gate = FairnessGate::new(WaitPolicyKind::SpinThenYield);
         let permit = gate.enter();
         assert!(!permit.should_escalate(3, 16));
         assert!(permit.should_escalate(16, 16));
@@ -190,8 +184,7 @@ mod tests {
 
     #[test]
     fn escalation_works_under_the_block_policy() {
-        use rl_sync::wait::Block;
-        let gate = FairnessGate::<Block>::with_policy();
+        let gate = FairnessGate::new(WaitPolicyKind::Block);
         let permit = gate.enter();
         let permit = gate.escalate(permit);
         assert!(permit.is_impatient());

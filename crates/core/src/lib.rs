@@ -25,15 +25,15 @@
 //! * node memory is recycled through **epoch-based reclamation with
 //!   per-thread pools** (Section 4.4), so the system allocator is not on the
 //!   acquisition path in steady state;
-//! * waiting is a pluggable **wait policy** (`rl_sync::wait`): both locks
-//!   take a defaulted type parameter selecting `Spin`, `SpinThenYield`
-//!   (default — the paper's `Pause()` loop) or `Block` (park on a
-//!   futex-analogue queue, woken by the release paths — the behaviour of the
-//!   kernel locks the paper replaces). The empty-list fast path is the same
-//!   atomic sequence under every policy.
+//! * waiting follows a **wait policy** (`rl_sync::wait`), a value the
+//!   lock's [`ListLockConfig::wait`] names and its wait queue carries:
+//!   `Spin`, `SpinThenYield` (default — the paper's `Pause()` loop) or
+//!   `Block` (park on a futex-analogue queue, woken by the release paths —
+//!   the behaviour of the kernel locks the paper replaces). The empty-list
+//!   fast path is the same atomic sequence under every policy.
 //!
 //! One lock type implements the list protocol once: [`ListLock`], generic
-//! over a compile-time [`CompatMode`] and a wait policy. An acquisition
+//! over a compile-time [`CompatMode`]. An acquisition
 //! returns the node as a [`Held`] token and [`ListLock::release`] marks it
 //! with one FAA, as in the paper; the RAII [`RangeGuard`] around the token is
 //! the workspace's one guard type. Two aliases name the paper's variants:

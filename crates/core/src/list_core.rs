@@ -11,7 +11,8 @@
 //! when overlapping nodes are allowed to coexist).
 //!
 //! [`ListLock`] is the one lock type, parameterized by a compile-time
-//! [`CompatMode`] and a [`WaitPolicy`]:
+//! [`CompatMode`]; how its waiters wait is the [`WaitPolicyKind`] its
+//! [`ListLockConfig`] names:
 //!
 //! * [`Exclusive`] — every overlap conflicts; insertion needs no validation
 //!   because two overlapping nodes always compete for the same insertion
@@ -35,10 +36,10 @@
 //! Occlum's `set_lock`), and each way of acquiring is a short driver over the
 //! same body:
 //!
-//! * **blocking** `read` / `write` — wait in place through `P`, keyed on the
-//!   conflicting node while pinned, then resume the walk at the node waited
-//!   on; lost races restart. Only this driver enters the §4.3 fairness gate
-//!   and escalates after `impatience_threshold` attempts.
+//! * **blocking** `read` / `write` — wait in place on the lock's queue,
+//!   keyed on the conflicting node while pinned, then resume the walk at the
+//!   node waited on; lost races restart. Only this driver enters the §4.3
+//!   fairness gate and escalates after `impatience_threshold` attempts.
 //! * **two-phase poll** ([`TwoPhaseRwRangeLock::poll`]) — stop at a conflict
 //!   and report the blocker's address as the [`Pending::wait_key`]; lost
 //!   races are retried, and a reader blocked in validation stays published
@@ -56,8 +57,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use rl_sync::stats::{WaitKind, WaitStats};
-use rl_sync::wait::{SpinThenYield, WaitPolicy, WaitQueue};
+use rl_sync::stats::WaitStats;
+use rl_sync::wait::{SpinThenYield, WaitPolicy, WaitPolicyKind, WaitQueue};
 use rl_sync::{CachePadded, KEY_ANY};
 
 use crate::fairness::{FairnessGate, FairnessPermit};
@@ -77,6 +78,9 @@ pub struct ListLockConfig {
     /// Number of failed insertion attempts before a thread becomes impatient
     /// (only meaningful when `fairness` is enabled).
     pub impatience_threshold: u32,
+    /// How blocked acquisitions wait (and the fairness gate's auxiliary
+    /// lock with them); the paper's `Pause()` loop by default.
+    pub wait: WaitPolicyKind,
 }
 
 impl Default for ListLockConfig {
@@ -85,6 +89,7 @@ impl Default for ListLockConfig {
             fast_path: true,
             fairness: false,
             impatience_threshold: 16,
+            wait: WaitPolicyKind::SpinThenYield,
         }
     }
 }
@@ -318,15 +323,20 @@ enum Step {
     Retry,
 }
 
-/// A list-based range lock in compatibility mode `M`, waiting through `P`.
+/// A list-based range lock in compatibility mode `M`.
 ///
 /// Disjoint ranges can be held simultaneously by different threads;
 /// overlapping ranges are serialized (overlapping readers share under
 /// [`ReaderWriter`]). The lock itself uses no internal lock in the common
-/// case. Waiters wait through the pluggable [`WaitPolicy`] `P` (spin,
-/// spin-yield, or park-and-wake); the default is [`SpinThenYield`], the
-/// paper's `Pause()` loop. The empty-list fast path is identical under every
-/// policy.
+/// case. Waiters wait through the [`ListLockConfig::wait`] policy (spin,
+/// spin-yield, or park-and-wake); the default is
+/// [`WaitPolicyKind::SpinThenYield`], the paper's `Pause()` loop. The
+/// empty-list fast path is identical under every policy.
+///
+/// `P` names a policy as a type for the frozen `benchmark/` harness alone,
+/// whose [`ListLock::with_policy`] is its only use; every other constructor
+/// lives on the default instantiation. Both go when the harness is
+/// re-based.
 ///
 /// Usually spelled through its aliases, [`ListRangeLock`] and
 /// [`RwListRangeLock`].
@@ -336,14 +346,14 @@ pub struct ListLock<M: CompatMode, P: WaitPolicy = SpinThenYield> {
     /// or with the queue's counters.
     head: CachePadded<AtomicU64>,
     config: ListLockConfig,
-    fairness: Option<FairnessGate<P>>,
+    fairness: Option<FairnessGate>,
     stats: Option<Arc<WaitStats>>,
-    /// Wake channel for the `Block` policy and for suspended two-phase
-    /// acquisitions; idle under spinning policies with no suspended waiter.
+    /// Where blocked acquisitions wait, through `config.wait`, and the wake
+    /// channel of suspended two-phase acquisitions.
     queue: WaitQueue,
     /// Stamped on every token this lock issues.
     id: LockId,
-    _mode: PhantomData<M>,
+    _mode: PhantomData<(M, P)>,
 }
 
 /// The exclusive list-based range lock (`list-ex`, Section 4.1, Listing 1).
@@ -364,10 +374,13 @@ pub struct ListLock<M: CompatMode, P: WaitPolicy = SpinThenYield> {
 /// Selecting the blocking policy (waiters park instead of spinning):
 ///
 /// ```
-/// use range_lock::{ListRangeLock, Range};
-/// use rl_sync::wait::Block;
+/// use range_lock::{ListLockConfig, ListRangeLock, Range, RwRangeLock};
+/// use rl_sync::wait::WaitPolicyKind;
 ///
-/// let lock = ListRangeLock::<Block>::with_policy();
+/// let lock = ListRangeLock::with_config(ListLockConfig {
+///     wait: WaitPolicyKind::Block,
+///     ..ListLockConfig::default()
+/// });
 /// drop(lock.write(Range::new(0, 100)));
 /// ```
 pub type ListRangeLock<P = SpinThenYield> = ListLock<Exclusive, P>;
@@ -391,41 +404,44 @@ pub type RwListRangeLock<P = SpinThenYield> = ListLock<ReaderWriter, P>;
 
 impl<M: CompatMode> ListLock<M> {
     /// Creates a lock with the default configuration (fast path on, fairness
-    /// off — the configuration evaluated in Section 7.1) and the default
-    /// [`SpinThenYield`] wait policy.
+    /// off — the configuration evaluated in Section 7.1 — waiting through
+    /// [`WaitPolicyKind::SpinThenYield`]).
     pub fn new() -> Self {
-        Self::with_policy()
+        Self::with_config(ListLockConfig::default())
     }
 
-    /// Creates a default-policy lock with an explicit configuration.
+    /// Creates a lock with an explicit configuration, wait policy included.
     pub fn with_config(config: ListLockConfig) -> Self {
-        Self::with_policy_config(config)
+        ListLock::build(config)
     }
 }
 
 impl<M: CompatMode, P: WaitPolicy> ListLock<M, P> {
-    /// Creates a lock waiting through policy `P` with the default
-    /// configuration.
+    /// Creates a lock with the default configuration waiting through `P`'s
+    /// [`WaitPolicy::KIND`]. Kept only for the frozen `benchmark/` harness,
+    /// which names its policy as a type; new code calls
+    /// [`ListLock::with_config`].
     pub fn with_policy() -> Self {
-        Self::with_policy_config(ListLockConfig::default())
+        Self::build(ListLockConfig {
+            wait: P::KIND,
+            ..ListLockConfig::default()
+        })
     }
 
-    /// Creates a lock waiting through policy `P` with an explicit
-    /// configuration.
-    pub fn with_policy_config(config: ListLockConfig) -> Self {
+    fn build(config: ListLockConfig) -> Self {
         ListLock {
             head: CachePadded::new(AtomicU64::new(0)),
-            fairness: config.fairness.then(FairnessGate::with_policy),
+            fairness: config.fairness.then(|| FairnessGate::new(config.wait)),
+            queue: WaitQueue::new(config.wait),
             config,
             stats: None,
-            queue: WaitQueue::new(),
             id: LockId::default(),
             _mode: PhantomData,
         }
     }
 
     /// Attaches a [`WaitStats`] sink recording contended acquisition times
-    /// (and, under the `Block` policy, park/wake counts).
+    /// (and, under [`WaitPolicyKind::Block`], park/wake counts).
     ///
     /// Also registers the stats label as this lock's trace label, so
     /// `rl-obs` events from this lock show up under the same name as its
@@ -568,12 +584,7 @@ impl<M: CompatMode, P: WaitPolicy> ListLock<M, P> {
         if let Some(s) = &self.stats {
             match pending.started {
                 Some(started) if pending.contended => {
-                    let kind = if pending.reader() {
-                        WaitKind::Read
-                    } else {
-                        WaitKind::Write
-                    };
-                    s.record_wait_ns(kind, started.elapsed().as_nanos() as u64);
+                    s.record_wait_ns(pending.mode.into(), started.elapsed().as_nanos() as u64);
                 }
                 _ => s.record_uncontended(),
             }
@@ -806,7 +817,7 @@ impl<M: CompatMode, P: WaitPolicy> ListLock<M, P> {
         }
     }
 
-    /// What a conflict does. Under `C::WAIT`: wait through `P` — keyed on
+    /// What a conflict does. Under `C::WAIT`: wait on the queue — keyed on
     /// the conflicting node, so only *its* release (or downgrade) wakes us —
     /// until `cn` is deleted or, if `sharable`, downgraded to a reader, and
     /// return `true` to resume the walk. Otherwise return `false` at once.
@@ -816,7 +827,7 @@ impl<M: CompatMode, P: WaitPolicy> ListLock<M, P> {
             *contended = true;
             let cleared =
                 || is_marked(cn.next.load(Ordering::Acquire)) || (sharable && cn.is_reader());
-            P::wait(&self.queue, to_ptr(cn), cleared, None);
+            self.queue.wait(to_ptr(cn), cleared, None);
         }
         C::WAIT
     }
@@ -847,9 +858,9 @@ fn compare_step<M: CompatMode>(cur: Option<&LNode>, lock: &LNode) -> Cmp {
     }
 }
 
-impl<M: CompatMode, P: WaitPolicy> Default for ListLock<M, P> {
+impl<M: CompatMode> Default for ListLock<M> {
     fn default() -> Self {
-        Self::with_policy()
+        Self::new()
     }
 }
 
@@ -1068,19 +1079,6 @@ impl<M: CompatMode, P: WaitPolicy> TwoPhaseRwRangeLock for ListLock<M, P> {
     fn wait_queue(&self) -> &WaitQueue {
         &self.queue
     }
-
-    fn wait_deadline_keyed(
-        &self,
-        key: u64,
-        cond: &mut dyn FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool {
-        P::wait(&self.queue, key, cond, Some(deadline))
-    }
-
-    fn pause_until(&self, deadline: Instant) {
-        P::pause_until(&self.queue, deadline);
-    }
 }
 
 #[cfg(test)]
@@ -1092,7 +1090,15 @@ pub(crate) mod tests {
     use std::thread::JoinHandle;
     use std::time::Duration;
 
-    use rl_sync::wait::{Block, Spin};
+    use WaitPolicyKind::{Block, Spin, SpinThenYield};
+
+    /// A default-configured lock waiting through `wait`.
+    pub(crate) fn waiting<M: CompatMode>(wait: WaitPolicyKind) -> ListLock<M> {
+        ListLock::with_config(ListLockConfig {
+            wait,
+            ..ListLockConfig::default()
+        })
+    }
 
     /// How long any test waiter may take before the test fails instead of
     /// hanging — this stack's failure mode.
@@ -1142,8 +1148,8 @@ pub(crate) mod tests {
     /// critical section: a writer is alone, a reader sees no writer — and
     /// under [`Exclusive`], where reads are exclusive too, every acquisition
     /// is alone. Ends quiescent, with the full range free.
-    pub(crate) fn exclusion_storm<M: CompatMode, P: WaitPolicy>(
-        lock: ListLock<M, P>,
+    pub(crate) fn exclusion_storm<M: CompatMode>(
+        lock: ListLock<M>,
         threads: usize,
         iters: usize,
         drivers: &'static [Driver],
@@ -1397,7 +1403,7 @@ pub(crate) mod tests {
     /// still-waiting thread is returned for the caller to join (bounded)
     /// after releasing what it holds.
     fn ask<M: CompatMode>(
-        lock: &Arc<ListLock<M, Block>>,
+        lock: &Arc<ListLock<M>>,
         driver: Driver,
         range: Range,
         read: bool,
@@ -1472,7 +1478,7 @@ pub(crate) mod tests {
 
     /// Every driver × both modes on the cases the protocol is argued on.
     fn every_driver_on<M: CompatMode>() {
-        let lock = Arc::new(ListLock::<M, Block>::with_policy());
+        let lock = Arc::new(waiting::<M>(Block));
         let share = M::READERS_SHARE;
         for &driver in EVERY_DRIVER {
             let mut waiting = Vec::new();
@@ -1526,21 +1532,9 @@ pub(crate) mod tests {
 
     #[test]
     fn every_driver_storm_under_every_policy_leaves_no_residue() {
-        exclusion_storm(ListRangeLock::<Spin>::with_policy(), 4, 200, EVERY_DRIVER);
-        exclusion_storm(ListRangeLock::<SpinThenYield>::new(), 4, 200, EVERY_DRIVER);
-        exclusion_storm(ListRangeLock::<Block>::with_policy(), 4, 200, EVERY_DRIVER);
-        exclusion_storm(RwListRangeLock::<Spin>::with_policy(), 4, 200, EVERY_DRIVER);
-        exclusion_storm(
-            RwListRangeLock::<SpinThenYield>::new(),
-            4,
-            200,
-            EVERY_DRIVER,
-        );
-        exclusion_storm(
-            RwListRangeLock::<Block>::with_policy(),
-            4,
-            200,
-            EVERY_DRIVER,
-        );
+        for wait in [Spin, SpinThenYield, Block] {
+            exclusion_storm(waiting::<Exclusive>(wait), 4, 200, EVERY_DRIVER);
+            exclusion_storm(waiting::<ReaderWriter>(wait), 4, 200, EVERY_DRIVER);
+        }
     }
 }

@@ -8,10 +8,10 @@ mod tests {
     use std::time::Instant;
 
     use rl_sync::stats::WaitStats;
-    use rl_sync::wait::{Block, Spin};
+    use rl_sync::wait::WaitPolicyKind::{Block, Spin};
 
     use crate::list_core::tests::{
-        exclusion_storm, fairness_smoke, join_within, trait_round_trip, BLOCKING, BOUND,
+        exclusion_storm, fairness_smoke, join_within, trait_round_trip, waiting, BLOCKING, BOUND,
     };
     use crate::{Exclusive, ListLockConfig, ListRangeLock, Range, RwRangeLock};
 
@@ -145,8 +145,8 @@ mod tests {
 
     #[test]
     fn every_wait_policy_provides_exclusion() {
-        exclusion_storm(ListRangeLock::<Spin>::with_policy(), 4, 300, BLOCKING);
-        exclusion_storm(ListRangeLock::<Block>::with_policy(), 4, 300, BLOCKING);
+        exclusion_storm(waiting::<Exclusive>(Spin), 4, 300, BLOCKING);
+        exclusion_storm(waiting::<Exclusive>(Block), 4, 300, BLOCKING);
     }
 
     #[test]
@@ -155,7 +155,7 @@ mod tests {
         // has demonstrably parked (stats mirror the queue counters), then
         // release and expect it to finish.
         let stats = Arc::new(WaitStats::new("list-ex-block"));
-        let lock = Arc::new(ListRangeLock::<Block>::with_policy().with_stats(Arc::clone(&stats)));
+        let lock = Arc::new(waiting::<Exclusive>(Block).with_stats(Arc::clone(&stats)));
         let held = lock.write(Range::new(0, 100));
         let waiter = {
             let lock = Arc::clone(&lock);

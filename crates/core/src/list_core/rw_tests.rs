@@ -7,10 +7,10 @@ mod tests {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    use rl_sync::wait::{Block, Spin};
+    use rl_sync::wait::WaitPolicyKind::{Block, Spin};
 
     use crate::list_core::tests::{
-        exclusion_storm, fairness_smoke, join_within, trait_round_trip, Driver, BLOCKING,
+        exclusion_storm, fairness_smoke, join_within, trait_round_trip, waiting, Driver, BLOCKING,
     };
     use crate::{LockMode, Range, ReaderWriter, RwListRangeLock, RwRangeLock};
 
@@ -102,7 +102,7 @@ mod tests {
         // A reader blocked on a held writer must proceed when the writer
         // downgrades (not only when it releases) — under the parking policy,
         // so a missing wake would park the reader past the deadline.
-        let lock = Arc::new(RwListRangeLock::<Block>::with_policy());
+        let lock = Arc::new(waiting::<ReaderWriter>(Block));
         let mut w = lock.write(Range::new(0, 100));
         let l2 = Arc::clone(&lock);
         let reader = std::thread::spawn(move || {
@@ -310,8 +310,8 @@ mod tests {
 
     #[test]
     fn every_wait_policy_preserves_rw_exclusion() {
-        exclusion_storm(RwListRangeLock::<Spin>::with_policy(), 4, 300, BLOCKING);
-        exclusion_storm(RwListRangeLock::<Block>::with_policy(), 4, 300, BLOCKING);
+        exclusion_storm(waiting::<ReaderWriter>(Spin), 4, 300, BLOCKING);
+        exclusion_storm(waiting::<ReaderWriter>(Block), 4, 300, BLOCKING);
     }
 
     #[test]

@@ -48,29 +48,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::range::Range;
 
-/// The two lock modes (POSIX `F_RDLCK` / `F_WRLCK`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LockMode {
-    /// Shared (read) lock: shared-shared pairs do not conflict.
-    Shared,
-    /// Exclusive (write) lock: conflicts with everything overlapping.
-    Exclusive,
-}
-
-impl LockMode {
-    /// Returns `true` if two overlapping ranges in these modes conflict.
-    pub fn conflicts_with(self, other: LockMode) -> bool {
-        !(self == LockMode::Shared && other == LockMode::Shared)
-    }
-
-    /// Stable short name (`"shared"` / `"exclusive"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            LockMode::Shared => "shared",
-            LockMode::Exclusive => "exclusive",
-        }
-    }
-}
+/// The two lock modes, shared by every lock in the workspace down to the
+/// `rl-sync` semaphore.
+pub use rl_sync::LockMode;
 
 /// One range held in a lock: what `acquire` returns and only `release`
 /// consumes — the concrete token of every lock in the workspace, as

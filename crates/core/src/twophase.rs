@@ -19,17 +19,18 @@
 //!    API fundamentally cannot express: a blocking waiter can only leave by
 //!    owning the range first (or leaking its node).
 //!
-//! Those three steps, the lock's wait queue and its policy-aware deadline
-//! wait and pause are all a lock implements; the mode is an argument of
+//! Those three steps and the lock's wait queue — which carries the lock's
+//! wait policy — are all a lock implements; the mode is an argument of
 //! enqueue, and the state between polls lives in one concrete token type,
 //! [`Pending`].
 //! Both other ways of acquiring are provided methods written once here, over
 //! one value, [`Acquire`]:
 //!
 //! * **Timed acquisition** — [`read_timeout`](TwoPhaseRwRangeLock::read_timeout) /
-//!   [`write_timeout`](TwoPhaseRwRangeLock::write_timeout): poll, wait with a
-//!   deadline (under the `Block` policy a deadline *park*, under the
-//!   spinning policies a clock-checked backoff loop), cancel on expiry.
+//!   [`write_timeout`](TwoPhaseRwRangeLock::write_timeout): poll, wait on
+//!   the queue with a deadline ([`WaitQueue::wait`]: under `Block` a
+//!   deadline *park*, under the spinning policies a clock-checked backoff
+//!   loop), cancel on expiry.
 //! * **Async acquisition** — [`read_async`](TwoPhaseRwRangeLock::read_async) /
 //!   [`write_async`](TwoPhaseRwRangeLock::write_async) return a
 //!   cancellation-safe [`Acquire`] future resolving to the ordinary
@@ -97,7 +98,7 @@ use crate::traits::{Held, LockMode, RangeGuard, RwRangeLock};
 ///   idempotent;
 /// * a token is only ever passed back to the lock that issued it.
 ///
-/// The six required methods have no defaults on purpose: a wrapper that
+/// The four required methods have no defaults on purpose: a wrapper that
 /// forgets to forward one must fail to compile, not silently degrade the
 /// list lock's published-reader protocol to try-based barging. Like
 /// [`RwRangeLock`], the trait is object-safe: `dyn TwoPhaseRwRangeLock` is
@@ -116,31 +117,12 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
     fn cancel(&self, pending: &mut Pending);
 
     /// The queue suspended acquisitions wait on; every release wakes it.
+    /// It carries the lock's wait policy, so a thread that waits for this
+    /// lock outside a blocking acquisition — a timed acquisition, the
+    /// `rl-file` lock table's re-check round — waits through
+    /// [`WaitQueue::wait`] or [`WaitQueue::pause_until`] the way the lock's
+    /// own waiters do.
     fn wait_queue(&self) -> &WaitQueue;
-
-    /// Waits through this lock's wait policy, parked under `key` (see
-    /// `rl_sync::wait`; `KEY_ANY` is the wait every wake ends), until `cond`
-    /// holds or `deadline` passes, returning `cond`'s final value. Backs the
-    /// timed acquisition methods, where `cond` is the queue-generation check
-    /// of the two-phase wait loop and `key` the pending token's
-    /// [`Pending::wait_key`], so the waiter is woken by its blocker's
-    /// release instead of by every release on the lock.
-    fn wait_deadline_keyed(
-        &self,
-        key: u64,
-        cond: &mut dyn FnMut() -> bool,
-        deadline: Instant,
-    ) -> bool;
-
-    /// Passes the time until `deadline` through this lock's wait policy
-    /// with nothing to wait for ([`WaitPolicy::pause_until`]): a fixed
-    /// round, not a wait for a release. Under a blocking policy the caller
-    /// parks where no wake of the queue reaches it, so the round costs the
-    /// lock's releasers nothing; the `rl-file` lock table's blocking driver
-    /// waits out its deadlock re-check rounds here.
-    ///
-    /// [`WaitPolicy::pause_until`]: rl_sync::wait::WaitPolicy::pause_until
-    fn pause_until(&self, deadline: Instant);
 
     /// Acquires `range` in shared mode like [`RwRangeLock::read`], but gives
     /// up — leaving no residue — once `timeout` elapses. An expired attempt
@@ -215,22 +197,12 @@ pub trait TwoPhaseRwRangeLock: RwRangeLock {
 /// release it was blocked on.
 ///
 /// `$lock => $queue` names the lock value and the expression borrowing its
-/// [`WaitQueue`]; the type's last generic parameter must be its
-/// [`WaitPolicy`](rl_sync::wait::WaitPolicy), which supplies the deadline
-/// wait; a mode parameter before it is written with its bound
-/// (`TreeLock<M: CompatMode, P>`).
+/// [`WaitQueue`]; a mode parameter is written with its bound
+/// (`TreeLock<M: CompatMode>`).
 #[macro_export]
 macro_rules! try_based_two_phase {
-    ($ty:ident<$p:ident>, $lock:ident => $queue:expr) => {
-        $crate::try_based_two_phase!(@impl [] $ty<$p>, $lock => $queue);
-    };
-    ($ty:ident<$m:ident: $mb:path, $p:ident>, $lock:ident => $queue:expr) => {
-        $crate::try_based_two_phase!(@impl [$m: $mb] $ty<$p>, $lock => $queue);
-    };
-    (@impl [$($m:ident: $mb:path)?] $ty:ident<$p:ident>, $lock:ident => $queue:expr) => {
-        impl<$($m: $mb,)? $p: rl_sync::wait::WaitPolicy> $crate::TwoPhaseRwRangeLock
-            for $ty<$($m,)? $p>
-        {
+    ($ty:ident $(<$m:ident: $mb:path>)?, $lock:ident => $queue:expr) => {
+        impl$(<$m: $mb>)? $crate::TwoPhaseRwRangeLock for $ty$(<$m>)? {
             fn enqueue(&self, range: $crate::Range, mode: $crate::LockMode) -> $crate::Pending {
                 $crate::Pending::try_based(range, mode)
             }
@@ -244,24 +216,6 @@ macro_rules! try_based_two_phase {
             fn wait_queue(&self) -> &rl_sync::wait::WaitQueue {
                 let $lock = self;
                 $queue
-            }
-
-            fn wait_deadline_keyed(
-                &self,
-                key: u64,
-                cond: &mut dyn FnMut() -> bool,
-                deadline: std::time::Instant,
-            ) -> bool {
-                $p::wait(
-                    $crate::TwoPhaseRwRangeLock::wait_queue(self),
-                    key,
-                    cond,
-                    Some(deadline),
-                )
-            }
-
-            fn pause_until(&self, deadline: std::time::Instant) {
-                $p::pause_until($crate::TwoPhaseRwRangeLock::wait_queue(self), deadline);
             }
         }
     };
@@ -382,7 +336,7 @@ fn timeout_loop<L: TwoPhaseRwRangeLock>(
         // observed — re-read every iteration, because the blocker can be a
         // different node each time — so under the `Block` policy only that
         // conflict's release (or a broadcast) wakes us.
-        lock.wait_deadline_keyed(key, &mut || queue.generation() != gen, deadline);
+        queue.wait(key, || queue.generation() != gen, Some(deadline));
     }
 }
 
@@ -394,8 +348,9 @@ mod tests {
     use std::task::{Wake, Waker};
 
     use rl_sync::stats::WaitStats;
-    use rl_sync::wait::Block;
+    use rl_sync::wait::WaitPolicyKind;
 
+    use crate::list_core::tests::waiting;
     use crate::{ListRangeLock, RwListRangeLock};
 
     struct CountingWaker(AtomicU64);
@@ -435,7 +390,7 @@ mod tests {
     #[test]
     fn first_poll_grants_never_touch_the_queues_slot_allocator() {
         let lock = RwListRangeLock::new();
-        let first_id = WaitQueue::new().alloc_waker_slot();
+        let first_id = WaitQueue::new(WaitPolicyKind::Block).alloc_waker_slot();
         let (_, waker) = counting_waker();
         for _ in 0..100 {
             assert!(poll_once(&mut lock.write_async(Range::new(0, 10)), &waker).is_ready());
@@ -536,7 +491,7 @@ mod tests {
         let range = Range::new(0, 50);
         run(&RwListRangeLock::new(), range, Range::new(25, 75));
         run(
-            &RwListRangeLock::<Block>::with_policy(),
+            &waiting::<crate::ReaderWriter>(WaitPolicyKind::Block),
             range,
             Range::new(25, 75),
         );

@@ -23,7 +23,7 @@
 //! The table also inherits the underlying lock's **wait policy**, but a
 //! blocked `lock()` call does not wait *for a release*: it re-polls once
 //! per 1 ms recheck round and sits each round out through the policy. Over
-//! `RwListRangeLock<Block>` it sleeps the round away — one park, no CPU —
+//! a lock that blocks its waiters it sleeps the round away — one park, no CPU —
 //! filed where no release or commit can wake it, so the owners that keep
 //! running pay no wake on its account; under the spinning policies it backs
 //! off to the round's end. A blocked `lock()` is therefore granted up to one
@@ -1256,9 +1256,9 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
 
     /// The blocking driver: poll, and between polls sit out one
     /// [`DEADLOCK_RECHECK`] round through the lock's own wait policy
-    /// ([`TwoPhaseRwRangeLock::pause_until`]), so every poll — and with it
-    /// the re-derivation of the owner's waits-for edges — happens on that
-    /// fixed interval. No release or commit ends a round early: under
+    /// ([`rl_sync::WaitQueue::pause_until`] on the lock's queue), so every
+    /// poll — and with it the re-derivation of the owner's waits-for edges —
+    /// happens on that fixed interval. No release or commit ends a round early: under
     /// `Block` the round is a park filed where no wake of the queue reaches
     /// it, so the owners that keep running pay no wake on its account.
     fn drive_blocking(&self, mut op: impl Resumable) -> Result<(), SetLockError> {
@@ -1267,6 +1267,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
                 return outcome;
             }
             self.lock_ref()
+                .wait_queue()
                 .pause_until(Instant::now() + DEADLOCK_RECHECK);
         }
     }
@@ -2125,7 +2126,6 @@ mod tests {
         use std::task::Context;
 
         use rl_sync::stats::WaitStats;
-        use rl_sync::wait::Block;
 
         // The whole fcntl stack over the parking policy: a blocked lock()
         // must actually park (not spin), and dropping the conflicting owner
@@ -2136,7 +2136,11 @@ mod tests {
         // filed until a release claims it.
         let stats = Arc::new(WaitStats::new("locktable-block"));
         let t = Arc::new(LockTable::new(
-            RwListRangeLock::<Block>::with_policy().with_stats(Arc::clone(&stats)),
+            RwListRangeLock::with_config(range_lock::ListLockConfig {
+                wait: rl_sync::WaitPolicyKind::Block,
+                ..Default::default()
+            })
+            .with_stats(Arc::clone(&stats)),
         ));
         let a = {
             let mut a = t.owner("a");
@@ -2456,19 +2460,6 @@ mod tests {
 
         fn wait_queue(&self) -> &rl_sync::WaitQueue {
             self.inner.wait_queue()
-        }
-
-        fn wait_deadline_keyed(
-            &self,
-            key: u64,
-            cond: &mut dyn FnMut() -> bool,
-            deadline: Instant,
-        ) -> bool {
-            self.inner.wait_deadline_keyed(key, cond, deadline)
-        }
-
-        fn pause_until(&self, deadline: Instant) {
-            self.inner.pause_until(deadline);
         }
     }
 

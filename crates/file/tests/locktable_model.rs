@@ -23,11 +23,11 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use range_lock::{Range, RwListRangeLock, TwoPhaseRwRangeLock};
+use range_lock::{ListLockConfig, Range, RwListRangeLock, TwoPhaseRwRangeLock};
 use rl_baselines::{RwTreeRangeLock, SegmentRangeLock};
 use rl_exec::block_on;
 use rl_file::{LockMode, LockOwner, LockTable};
-use rl_sync::wait::{Block, Spin};
+use rl_sync::wait::WaitPolicyKind::{Block, Spin};
 
 /// One reference record. Kept intentionally dumb: no tiles, no guards.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -266,7 +266,7 @@ proptest! {
 
 // Policy instantiations: the table semantics must be identical no matter how
 // the underlying lock waits. Sequential model runs never park, so these pin
-// the type-level plumbing (and the `Spin` policy exercises the pure-spin
+// the policy plumbing (and the `Spin` policy exercises the pure-spin
 // waiters through the split/merge re-acquisition paths).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -275,21 +275,25 @@ proptest! {
     fn list_rw_matches_reference_under_block_policy(
         ops in collection::vec((0u64..3, 0u64..240, 1u64..50, any::<u8>()), 1..40),
     ) {
-        run_model(RwListRangeLock::<Block>::with_policy(), &ops, 1, true)?;
+        let lock = RwListRangeLock::with_config(ListLockConfig {
+            wait: Block,
+            ..ListLockConfig::default()
+        });
+        run_model(lock, &ops, 1, true)?;
     }
 
     #[test]
     fn kernel_rw_matches_reference_under_spin_policy(
         ops in collection::vec((0u64..3, 0u64..240, 1u64..50, any::<u8>()), 1..40),
     ) {
-        run_model(RwTreeRangeLock::<Spin>::with_policy(), &ops, 1, true)?;
+        run_model(RwTreeRangeLock::with_wait(Spin, None), &ops, 1, true)?;
     }
 
     #[test]
     fn pnova_rw_matches_reference_under_block_policy(
         ops in collection::vec((0u64..3, 0u64..200, 1u64..50, any::<u8>()), 1..40),
     ) {
-        run_model(SegmentRangeLock::<Block>::with_policy(4096, 256), &ops, 16, false)?;
+        run_model(SegmentRangeLock::with_wait(4096, 256, Block), &ops, 16, false)?;
     }
 }
 

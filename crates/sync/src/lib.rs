@@ -8,16 +8,16 @@
 //!   in the kernel's range-lock implementation (the `lustre-ex` / `kernel-rw`
 //!   baselines), and of the per-node locks of the optimistic skip list.
 //! * [`RwSemaphore`] — a blocking, writer-preference reader-writer semaphore
-//!   with a spin-then-park slow path. It approximates the Linux kernel's
+//!   with a spin-then-park slow path, taken in a [`LockMode`]. It approximates the Linux kernel's
 //!   `mmap_sem` (`rw_semaphore` with optimistic spinning) and is used as the
 //!   *stock* synchronization strategy of the VM simulator.
 //! * [`SeqCount`] — a sequence counter used by the speculative `mprotect`
 //!   validation of Section 5.2 of the paper.
 //! * [`Backoff`] and [`pause`] — polite busy-waiting, the `Pause()` of the
 //!   paper's pseudo-code.
-//! * [`wait`] — the pluggable wait-policy layer ([`Spin`], [`SpinThenYield`],
-//!   [`Block`]) plus the futex-analogue [`WaitQueue`] every lock in the
-//!   workspace parks on under the blocking policy.
+//! * [`wait`] — the futex-analogue [`WaitQueue`] every lock in the
+//!   workspace waits on, through the [`WaitPolicyKind`] it carries (spin,
+//!   spin-then-yield, or park until a release wakes it).
 //! * [`parking`] — the sharded, address-keyed parking table every
 //!   [`WaitQueue`] wait goes through: waiters park under the address of the
 //!   conflict that blocks them, and releases wake only the matching keys
@@ -45,8 +45,8 @@ pub mod wait;
 pub use backoff::{pause, spin_loop_hint, Backoff};
 pub use padded::CachePadded;
 pub use parking::{ShardTable, ThreadParker, KEY_ANY};
-pub use rwsem::{RwSemReadGuard, RwSemWriteGuard, RwSemaphore};
+pub use rwsem::{LockMode, RwSemGuard, RwSemaphore};
 pub use seqcount::SeqCount;
 pub use spinlock::{SpinLock, SpinLockGuard};
 pub use stats::{LabeledStats, LockStatSnapshot, WaitKind, WaitStats};
-pub use wait::{Block, Spin, SpinThenYield, WaitPolicy, WaitPolicyKind, WaitQueue, WakerSlot};
+pub use wait::{WaitPolicyKind, WaitQueue, WakerSlot};

@@ -15,6 +15,7 @@ use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::backoff::Backoff;
 use crate::stats::{WaitKind, WaitStats};
@@ -86,7 +87,7 @@ impl<T: ?Sized> SpinLock<T> {
 
     #[cold]
     fn lock_slow(&self) -> SpinLockGuard<'_, T> {
-        let timer = self.stats.as_ref().map(|s| s.start(WaitKind::Write));
+        let started = self.stats.as_ref().map(|_| Instant::now());
         let backoff = Backoff::new();
         loop {
             // Test: wait until the lock looks free before issuing a CAS.
@@ -98,8 +99,8 @@ impl<T: ?Sized> SpinLock<T> {
                 .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
             {
-                if let (Some(stats), Some(timer)) = (self.stats.as_ref(), timer) {
-                    stats.finish(timer);
+                if let (Some(stats), Some(started)) = (&self.stats, started) {
+                    stats.record_wait_ns(WaitKind::Write, started.elapsed().as_nanos() as u64);
                 }
                 return SpinLockGuard { lock: self };
             }

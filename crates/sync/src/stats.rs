@@ -6,10 +6,10 @@
 //! module provides the same measurement for our user-space reproduction.
 //!
 //! Every instrumented lock owns a [`WaitStats`] (usually shared through an
-//! `Arc`). Slow paths call [`WaitStats::start`] before waiting and
-//! [`WaitStats::finish`] once the lock is acquired; fast paths that never wait
-//! simply record nothing, matching `lock_stat`, which only accounts for
-//! contended acquisitions. [`LabeledStats`] keeps one [`WaitStats`] per
+//! `Arc`). Slow paths time themselves and report through
+//! [`WaitStats::record_wait_ns`] once the lock is acquired; acquisitions
+//! that never waited count through [`WaitStats::record_uncontended`], and
+//! only contended ones add wait time, matching `lock_stat`. [`LabeledStats`] keeps one [`WaitStats`] per
 //! operation label for subsystems that funnel many operations through one
 //! lock.
 //!
@@ -18,11 +18,11 @@
 //! [`WaitKind`], so snapshots can report p50/p90/p99/max wait times — the
 //! tail behaviour that averages hide and the paper's figures are about.
 
+use rl_obs::hist::{HistogramSnapshot, LatencyHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
-use rl_obs::hist::{HistogramSnapshot, LatencyHistogram};
+use crate::rwsem::LockMode;
 
 /// Whether a waiting acquisition was for shared (read) or exclusive (write)
 /// access. Plain mutual-exclusion locks report everything as [`WaitKind::Write`].
@@ -34,11 +34,13 @@ pub enum WaitKind {
     Write,
 }
 
-/// A running wait-time measurement returned by [`WaitStats::start`].
-#[derive(Debug, Clone, Copy)]
-pub struct WaitTimer {
-    kind: WaitKind,
-    started: Instant,
+impl From<LockMode> for WaitKind {
+    fn from(mode: LockMode) -> Self {
+        match mode {
+            LockMode::Shared => WaitKind::Read,
+            LockMode::Exclusive => WaitKind::Write,
+        }
+    }
 }
 
 /// Wait-time counters for one lock instance.
@@ -97,38 +99,8 @@ impl WaitStats {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Starts timing a contended acquisition of kind `kind`.
-    #[inline]
-    pub fn start(&self, kind: WaitKind) -> WaitTimer {
-        WaitTimer {
-            kind,
-            started: Instant::now(),
-        }
-    }
-
-    /// Finishes the measurement started by [`WaitStats::start`].
-    #[inline]
-    pub fn finish(&self, timer: WaitTimer) {
-        let elapsed = timer.started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        match timer.kind {
-            WaitKind::Read => {
-                self.read_waits.fetch_add(1, Ordering::Relaxed);
-                self.read_wait_ns.fetch_add(elapsed, Ordering::Relaxed);
-                self.read_hist.record(elapsed);
-            }
-            WaitKind::Write => {
-                self.write_waits.fetch_add(1, Ordering::Relaxed);
-                self.write_wait_ns.fetch_add(elapsed, Ordering::Relaxed);
-                self.write_hist.record(elapsed);
-            }
-        }
-    }
-
-    /// Adds an externally measured wait of `ns` nanoseconds.
-    ///
-    /// Some locks (e.g. the list-based range lock) measure the whole
-    /// acquisition themselves; they report through this entry point.
+    /// Records one contended acquisition of kind `kind` that waited `ns`
+    /// nanoseconds. Every lock times its own slow path and reports here.
     #[inline]
     pub fn record_wait_ns(&self, kind: WaitKind, ns: u64) {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
@@ -444,7 +416,7 @@ impl LabeledStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn empty_stats_averages_are_explicitly_absent() {
@@ -465,11 +437,11 @@ mod tests {
     }
 
     #[test]
-    fn start_finish_accumulates_wait() {
+    fn timed_wait_accumulates() {
         let s = WaitStats::new("x");
-        let t = s.start(WaitKind::Read);
+        let started = Instant::now();
         std::thread::sleep(Duration::from_millis(2));
-        s.finish(t);
+        s.record_wait_ns(WaitKind::Read, started.elapsed().as_nanos() as u64);
         let snap = s.snapshot();
         assert_eq!(snap.read_waits, 1);
         assert!(snap.read_wait_ns >= 1_000_000);
@@ -510,9 +482,9 @@ mod tests {
         let p50 = snap.wait_p50_ns().unwrap();
         assert!((400..=450).contains(&p50), "p50 = {p50}");
         assert!(snap.wait_p99_ns().unwrap() >= 100_000);
-        // The timed path feeds them too.
+        // A wait timed by its lock feeds them too.
         let timed = WaitStats::new("t");
-        timed.finish(timed.start(WaitKind::Write));
+        timed.record_wait_ns(WaitKind::Write, Instant::now().elapsed().as_nanos() as u64);
         assert_eq!(timed.snapshot().write_wait_hist.count(), 1);
         // Reset clears the distributions with everything else.
         s.reset();

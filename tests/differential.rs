@@ -36,10 +36,10 @@ use std::task::{Context, Poll, Waker};
 use proptest::prelude::*;
 
 use range_locks_repro::range_lock::{
-    ListRangeLock, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock,
+    ListLockConfig, ListRangeLock, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock,
 };
 use range_locks_repro::rl_file::{LockMode, LockTable};
-use range_locks_repro::rl_sync::wait::{Block, Spin, SpinThenYield, WaitPolicy};
+use range_locks_repro::rl_sync::wait::WaitPolicyKind::{self, Block, SpinThenYield};
 
 /// One step of a range program.
 #[derive(Debug, Clone, Copy)]
@@ -65,10 +65,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
-/// Replays `ops` against both locks and the oracle under wait policy `P`.
-fn replay<P: WaitPolicy>(ops: &[Op]) -> Result<(), TestCaseError> {
-    let ex = ListRangeLock::<P>::with_policy();
-    let rw = RwListRangeLock::<P>::with_policy();
+/// Both list locks, default-configured, waiting through `wait`.
+fn locks(wait: WaitPolicyKind) -> (ListRangeLock, RwListRangeLock) {
+    let config = ListLockConfig {
+        wait,
+        ..ListLockConfig::default()
+    };
+    (
+        ListRangeLock::with_config(config.clone()),
+        RwListRangeLock::with_config(config),
+    )
+}
+
+/// Replays `ops` against both locks and the oracle under wait policy `wait`.
+fn replay(wait: WaitPolicyKind, ops: &[Op]) -> Result<(), TestCaseError> {
+    let (ex, rw) = locks(wait);
     let mut ex_held = Vec::new();
     let mut rw_held = Vec::new();
     let mut oracle: Vec<Range> = Vec::new();
@@ -122,9 +133,8 @@ fn poll_once<F: Future + Unpin>(fut: &mut F) -> Poll<F::Output> {
 /// here). A `Pending` future is dropped on the spot — a cancellation — and
 /// must leave no residue; the held-count comparison against the oracle
 /// after every step is the leak detector.
-fn replay_async<P: WaitPolicy>(ops: &[Op]) -> Result<(), TestCaseError> {
-    let ex = ListRangeLock::<P>::with_policy();
-    let rw = RwListRangeLock::<P>::with_policy();
+fn replay_async(wait: WaitPolicyKind, ops: &[Op]) -> Result<(), TestCaseError> {
+    let (ex, rw) = locks(wait);
     let mut ex_held = Vec::new();
     let mut rw_held = Vec::new();
     let mut oracle: Vec<Range> = Vec::new();
@@ -323,9 +333,9 @@ proptest! {
     fn exclusive_and_writer_only_rw_are_indistinguishable(
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
-        replay::<Spin>(&ops)?;
-        replay::<SpinThenYield>(&ops)?;
-        replay::<Block>(&ops)?;
+        for wait in WaitPolicyKind::ALL {
+            replay(wait, &ops)?;
+        }
     }
 
     /// The async driver replays the same programs against the same oracle:
@@ -335,8 +345,8 @@ proptest! {
     fn async_driver_agrees_with_the_sync_oracle(
         ops in proptest::collection::vec(op_strategy(), 1..80),
     ) {
-        replay_async::<SpinThenYield>(&ops)?;
-        replay_async::<Block>(&ops)?;
+        replay_async(SpinThenYield, &ops)?;
+        replay_async(Block, &ops)?;
     }
 
     /// Blocking acquisitions of disjoint batches agree too (covers the

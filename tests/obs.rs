@@ -12,11 +12,11 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use range_locks_repro::range_lock::{
-    ListRangeLock, LockMode, Range, RwListRangeLock, TwoPhaseRwRangeLock,
+    ListLockConfig, ListRangeLock, LockMode, Range, RwListRangeLock, TwoPhaseRwRangeLock,
 };
 use range_locks_repro::rl_file::LockTable;
 use range_locks_repro::rl_obs::{trace, EventKind, Recorder, RecorderConfig};
-use range_locks_repro::rl_sync::wait::Block;
+use range_locks_repro::rl_sync::wait::WaitPolicyKind::Block;
 
 // ---------------------------------------------------------------------------
 // Minimal JSON validity checker (no values retained — parse-or-panic only).
@@ -262,7 +262,10 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
     // parks. The holder releases only after the park event is visible in the
     // recorder, so the wake is deterministic rather than a sleep-based race.
     {
-        let blocking = Arc::new(ListRangeLock::<Block>::with_policy());
+        let blocking = Arc::new(ListRangeLock::with_config(ListLockConfig {
+            wait: Block,
+            ..ListLockConfig::default()
+        }));
         let guard = blocking.write(Range::new(0, 64));
         let waiter = {
             let blocking = Arc::clone(&blocking);
@@ -282,7 +285,7 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
         use std::sync::atomic::{AtomicBool, Ordering};
 
         let stats = Arc::new(WaitStats::new("obs-herd"));
-        let mut queue = WaitQueue::new();
+        let mut queue = WaitQueue::new(Block);
         queue.attach_stats(Arc::clone(&stats));
         let queue = Arc::new(queue);
         let flag = Arc::new(AtomicBool::new(false));

@@ -26,12 +26,22 @@ use std::sync::{mpsc, Arc};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
-use range_locks_repro::range_lock::{Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock};
+use range_locks_repro::range_lock::{
+    ListLockConfig, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock,
+};
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_exec::TaskPool;
 use range_locks_repro::rl_sync::stats::WaitStats;
-use range_locks_repro::rl_sync::wait::{Block, WaitPolicyKind};
+use range_locks_repro::rl_sync::wait::WaitPolicyKind::{self, Block};
 use range_locks_repro::rl_sync::WaitQueue;
+
+/// A default-configured `list-rw` whose waiters park.
+fn parking_list() -> RwListRangeLock {
+    RwListRangeLock::with_config(ListLockConfig {
+        wait: Block,
+        ..ListLockConfig::default()
+    })
+}
 
 /// Generous per-storm deadline: the work takes well under a second; only a
 /// thread parked forever can exceed this.
@@ -154,7 +164,7 @@ fn releases_of_disjoint_conflicts_leave_a_keyed_parker_parked() {
     // wakeup per release, O(parked waiters) in aggregate); under keyed
     // parking the spurious count stays exactly zero.
     let stats = Arc::new(WaitStats::new("selectivity"));
-    let lock = Arc::new(RwListRangeLock::<Block>::with_policy().with_stats(Arc::clone(&stats)));
+    let lock = Arc::new(parking_list().with_stats(Arc::clone(&stats)));
     let held = lock.write(Range::new(0, 64));
 
     let waiter = {
@@ -198,7 +208,7 @@ fn keyed_wakes_stay_exact_across_shard_collisions() {
     // parker whose flag is still false and shows up as a spurious wakeup.
     const KEYS: u64 = 16;
     let stats = Arc::new(WaitStats::new("shard-collision"));
-    let mut queue = WaitQueue::new();
+    let mut queue = WaitQueue::new(Block);
     queue.attach_stats(Arc::clone(&stats));
     let queue = Arc::new(queue);
     let flags: Arc<Vec<AtomicBool>> = Arc::new((0..KEYS).map(|_| AtomicBool::new(false)).collect());
@@ -238,7 +248,7 @@ fn async_waker_slot_migrates_to_the_new_blocking_node() {
     // releases, the future re-polls, and now a *different* node blocks it.
     // The waker slot must move to the new key, or the second release wakes
     // nobody and the future suspends forever.
-    let lock = RwListRangeLock::<Block>::with_policy();
+    let lock = parking_list();
     let held = lock.write(Range::new(0, 64));
 
     let w1 = Arc::new(CountingWaker(AtomicU64::new(0)));

@@ -10,10 +10,21 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use range_locks_repro::range_lock::{ListRangeLock, Range, RangeGuard, RwListRangeLock};
+use range_locks_repro::range_lock::{
+    ListLockConfig, ListRangeLock, Range, RangeGuard, RwListRangeLock,
+};
 use range_locks_repro::rl_baselines::{Interval, RangeTree};
 use range_locks_repro::rl_skiplist::{OptimisticSkipList, RangeSkipList};
+use range_locks_repro::rl_sync::wait::WaitPolicyKind::{self, Block, Spin};
 use range_locks_repro::rl_vm::{MemorySpace, Protection, PAGE_SIZE};
+
+/// The default list-lock configuration, waiting through `wait`.
+fn waiting(wait: WaitPolicyKind) -> ListLockConfig {
+    ListLockConfig {
+        wait,
+        ..ListLockConfig::default()
+    }
+}
 
 fn range_strategy() -> impl Strategy<Value = Range> {
     (0u64..1_000, 1u64..200).prop_map(|(start, len)| Range::new(start, start + len))
@@ -102,9 +113,8 @@ proptest! {
     fn list_lock_sequential_usage_is_policy_independent(
         ranges in proptest::collection::vec(range_strategy(), 1..32),
     ) {
-        use range_locks_repro::rl_sync::wait::{Block, Spin};
-        let spin = ListRangeLock::<Spin>::with_policy();
-        let block = ListRangeLock::<Block>::with_policy();
+        let spin = ListRangeLock::with_config(waiting(Spin));
+        let block = ListRangeLock::with_config(waiting(Block));
         for r in &ranges {
             drop(spin.write(*r));
             drop(block.write(*r));
@@ -118,9 +128,8 @@ proptest! {
     fn rw_list_lock_sequential_usage_is_policy_independent(
         ops in proptest::collection::vec((range_strategy(), any::<bool>()), 1..32),
     ) {
-        use range_locks_repro::rl_sync::wait::{Block, Spin};
-        let spin = RwListRangeLock::<Spin>::with_policy();
-        let block = RwListRangeLock::<Block>::with_policy();
+        let spin = RwListRangeLock::with_config(waiting(Spin));
+        let block = RwListRangeLock::with_config(waiting(Block));
         for (range, reader) in ops {
             let (a, b) = if reader {
                 (spin.read(range), block.read(range))

@@ -10,13 +10,15 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use range_locks_repro::range_lock::{Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock};
+use range_locks_repro::range_lock::{
+    ListLockConfig, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock,
+};
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_server::wire::{decode_reply, encode_request};
 use range_locks_repro::rl_server::{
     Conn, LockMode, Reply, Request, Server, ServerConfig, MAX_FRAME,
 };
-use range_locks_repro::rl_sync::wait::{Block, WaitPolicyKind};
+use range_locks_repro::rl_sync::wait::WaitPolicyKind;
 
 /// Heap allocations (`alloc` and `realloc` calls) since process start.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -308,7 +310,11 @@ fn a_registry_dyn_lock_allocates_no_more_than_a_static_one() {
     let dyn_lock: Box<dyn TwoPhaseRwRangeLock> =
         spec.build(WaitPolicyKind::Block, &RegistryConfig::default());
     let dyn_spent = read_write_pairs(&dyn_lock, PAIRS);
-    let static_spent = read_write_pairs(&RwListRangeLock::<Block>::with_policy(), PAIRS);
+    let static_lock = RwListRangeLock::with_config(ListLockConfig {
+        wait: WaitPolicyKind::Block,
+        ..ListLockConfig::default()
+    });
+    let static_spent = read_write_pairs(&static_lock, PAIRS);
     eprintln!("allocations over {PAIRS} read+write pairs: dyn {dyn_spent}, static {static_spent}");
     assert!(
         dyn_spent <= static_spent,

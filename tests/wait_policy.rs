@@ -9,20 +9,24 @@
 //! Every lock variant of the paper is exercised through the dynamic registry
 //! (`rl_baselines::registry`, built under the `Block` policy), plus a
 //! statically typed list-lock storm, the `RwSemaphore` and the `LockTable`
-//! fcntl composition over a blocking list lock.
+//! fcntl composition over a blocking list lock. One more test checks the
+//! other direction: that every variant, built under each policy, waits the
+//! way that policy says — parks under `Block`, never under the spinning
+//! ones.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use range_locks_repro::range_lock::{
-    ListRangeLock, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock,
+    CompatMode, Exclusive, ListLock, ListLockConfig, Range, ReaderWriter, RwRangeLock,
+    TwoPhaseRwRangeLock,
 };
 use range_locks_repro::rl_baselines::registry::{self, RegistryConfig};
 use range_locks_repro::rl_file::{LockMode, LockTable};
 use range_locks_repro::rl_sync::stats::WaitStats;
-use range_locks_repro::rl_sync::wait::{Block, WaitPolicyKind};
-use range_locks_repro::rl_sync::RwSemaphore;
+use range_locks_repro::rl_sync::wait::WaitPolicyKind::{self, Block};
+use range_locks_repro::rl_sync::{RwSemGuard, RwSemaphore};
 
 /// Generous per-storm deadline: the work itself takes well under a second;
 /// only a thread parked forever can exceed this.
@@ -30,6 +34,14 @@ const DEADLINE: Duration = Duration::from_secs(60);
 
 const THREADS: usize = 4;
 const ITERS: usize = 400;
+
+/// A default-configured list lock in mode `M` whose waiters park.
+fn parking<M: CompatMode>() -> ListLock<M> {
+    ListLock::with_config(ListLockConfig {
+        wait: Block,
+        ..ListLockConfig::default()
+    })
+}
 
 /// Runs `spawn_worker(t)` for every thread id and fails the test if any
 /// worker has not finished by the deadline (i.e. stayed parked).
@@ -106,14 +118,14 @@ where
 #[test]
 fn static_list_ex_block_policy_never_loses_a_wakeup() {
     // Statically typed storm pinning the generic (non-dyn) parking path.
-    storm_exclusive("list-ex/block", ListRangeLock::<Block>::with_policy());
+    storm_exclusive("list-ex/block", parking::<Exclusive>());
 }
 
 #[test]
 fn static_list_rw_block_policy_never_loses_a_wakeup() {
     storm_rw(
         "list-rw/block/static".to_string(),
-        RwListRangeLock::<Block>::with_policy(),
+        parking::<ReaderWriter>(),
     );
 }
 
@@ -128,7 +140,7 @@ fn every_registry_variant_under_block_never_loses_a_wakeup() {
     for spec in registry::all() {
         storm_rw(
             format!("{}/block/registry", spec.name),
-            spec.build(WaitPolicyKind::Block, &config),
+            spec.build(Block, &config),
         );
     }
 }
@@ -142,7 +154,7 @@ fn block_policy_timeouts_park_expire_and_recover() {
     use range_locks_repro::rl_sync::stats::WaitStats;
 
     let stats = Arc::new(WaitStats::new("timeout-block"));
-    let lock = Arc::new(ListRangeLock::<Block>::with_policy().with_stats(Arc::clone(&stats)));
+    let lock = Arc::new(parking::<Exclusive>().with_stats(Arc::clone(&stats)));
     let held = lock.write(Range::new(0, 100));
     let t0 = std::time::Instant::now();
     assert!(lock
@@ -173,7 +185,7 @@ fn block_policy_timeouts_park_expire_and_recover() {
     assert!(waiter.join().unwrap(), "wake before deadline must succeed");
 
     // The reader-writer trait surface under `Block`.
-    let rw = RwListRangeLock::<Block>::with_policy();
+    let rw = parking::<ReaderWriter>();
     let w = rw.write(Range::new(0, 100));
     assert!(rw
         .read_timeout(Range::new(50, 150), Duration::from_millis(20))
@@ -216,27 +228,28 @@ fn baseline_timed_waiters_are_woken_by_releases_not_deadlines() {
     }
 
     woken_early(
-        Arc::new(RwTreeRangeLock::<Block>::with_policy()),
+        Arc::new(RwTreeRangeLock::with_wait(Block, None)),
         "kernel-rw",
     );
     woken_early(
-        Arc::new(SegmentRangeLock::<Block>::with_policy(256, 32)),
+        Arc::new(SegmentRangeLock::with_wait(256, 32, Block)),
         "pnova-rw",
     );
 }
 
 #[test]
 fn rwsem_block_policy_never_loses_a_wakeup() {
-    let sem = Arc::new(RwSemaphore::<Block>::with_policy());
+    let sem = Arc::new(RwSemaphore::with_wait(Block));
     join_bounded("rwsem/block", |t| {
         let sem = Arc::clone(&sem);
         Box::new(move || {
             for i in 0..ITERS {
-                if (t + i) % 3 == 0 {
-                    drop(sem.write());
+                let mode = if (t + i) % 3 == 0 {
+                    LockMode::Exclusive
                 } else {
-                    drop(sem.read());
-                }
+                    LockMode::Shared
+                };
+                drop(RwSemGuard::new(&sem, mode));
             }
         })
     });
@@ -247,7 +260,7 @@ fn lock_table_block_policy_never_loses_a_wakeup() {
     // Each worker is its own fcntl owner; overlapping lock/unlock cycles
     // drive the parking paths through split/merge re-acquisition, and the
     // final owner drop exercises the release-everything wake.
-    let table = Arc::new(LockTable::new(RwListRangeLock::<Block>::with_policy()));
+    let table = Arc::new(LockTable::new(parking::<ReaderWriter>()));
     let completed = Arc::new(AtomicU64::new(0));
     join_bounded("lock-table/block", |t| {
         let table = Arc::clone(&table);
@@ -284,7 +297,7 @@ fn blocked_table_owner_does_not_tax_the_running_owners_commits() {
     let stats = Arc::new(WaitStats::new("table"));
     let spec = registry::by_name("list-rw").expect("list-rw is registered");
     let table = Arc::new(LockTable::new(spec.build_with_stats(
-        WaitPolicyKind::Block,
+        Block,
         &RegistryConfig::default(),
         Arc::clone(&stats),
         None,
@@ -340,4 +353,84 @@ fn blocked_table_owner_does_not_tax_the_running_owners_commits() {
     b.join().unwrap();
     assert_eq!(table.waiting_owners(), 0);
     assert_eq!(table.held_records(), 0);
+}
+
+#[test]
+fn every_variant_waits_the_way_its_kind_says() {
+    // The kind a variant is built with must reach every queue it waits on:
+    // the blocking path's (the list and tree locks' own queue, each segment's
+    // semaphore, the stock semaphore) and the timed path's (the lock-level
+    // queue). Under `Block` a writer blocked behind [0, 100) parks before
+    // the holder lets go; under the spinning policies it never parks, though
+    // the blocking one provably waited.
+    type Build = Box<dyn Fn(WaitPolicyKind, Arc<WaitStats>) -> Box<dyn TwoPhaseRwRangeLock>>;
+    let mut variants: Vec<(&str, Build)> = registry::all()
+        .iter()
+        .map(|spec| {
+            let build: Build = Box::new(|wait, stats| {
+                spec.build_with_stats(wait, &RegistryConfig::default(), stats, None)
+            });
+            (spec.name, build)
+        })
+        .collect();
+    variants.push((
+        "stock",
+        Box::new(|wait, stats| registry::build_stock(wait, Some(stats))),
+    ));
+    for (name, build) in &variants {
+        for wait in WaitPolicyKind::ALL {
+            for timed in [false, true] {
+                let how = if timed { "write_timeout" } else { "write" };
+                let label = format!("{name}/{}/{how}", wait.name());
+                let stats = Arc::new(WaitStats::new(label.clone()));
+                let lock = Arc::new(build(wait, Arc::clone(&stats)));
+                let held = lock.write(Range::new(0, 100));
+                let (started_tx, started_rx) = mpsc::channel();
+                let waiter = {
+                    let lock = Arc::clone(&lock);
+                    std::thread::spawn(move || {
+                        let range = Range::new(50, 150);
+                        started_tx.send(()).expect("main stopped listening");
+                        if timed {
+                            lock.write_timeout(range, DEADLINE).is_some()
+                        } else {
+                            drop(lock.write(range));
+                            true
+                        }
+                    })
+                };
+                started_rx
+                    .recv_timeout(DEADLINE)
+                    .unwrap_or_else(|_| panic!("{label}: the writer never started"));
+                if wait == Block {
+                    let parked_by = Instant::now() + DEADLINE;
+                    while stats.snapshot().parks == 0 {
+                        assert!(
+                            Instant::now() < parked_by,
+                            "{label}: the blocked writer never parked"
+                        );
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                } else {
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                drop(held);
+                let joined_by = Instant::now() + DEADLINE;
+                while !waiter.is_finished() {
+                    assert!(Instant::now() < joined_by, "{label}: the writer hung");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                assert!(waiter.join().unwrap(), "{label}: the writer timed out");
+                let snap = stats.snapshot();
+                if wait == Block {
+                    assert!(snap.parks >= 1, "{label}");
+                } else {
+                    assert_eq!(snap.parks, 0, "{label}: a spinning waiter parked");
+                    if !timed {
+                        assert!(snap.write_waits >= 1, "{label}: the writer never waited");
+                    }
+                }
+            }
+        }
+    }
 }
