@@ -245,7 +245,9 @@ struct VmCounters {
     spec_success: AtomicU64,
     spec_retries: AtomicU64,
     spec_structural_fallback: AtomicU64,
-    vmacache_hits: AtomicU64,
+    /// Faults that walked the tree under a vmacache strategy. Hits have no
+    /// counter of their own: every such fault is exactly one hit or one
+    /// miss, so [`Mm::stats`] derives them from `page_faults`.
     vmacache_misses: AtomicU64,
 }
 
@@ -269,6 +271,11 @@ pub struct VmStats {
     /// change, falling back to the full-range write lock.
     pub spec_structural_fallback: u64,
     /// Page faults served from the per-thread VMA cache (no tree walk).
+    ///
+    /// Derived, not counted: under a vmacache strategy every fault ends as
+    /// exactly one hit or one miss, so this is `page_faults -
+    /// vmacache_misses` (0 when the strategy has no vmacache). A snapshot
+    /// taken while faults are in flight counts those faults as hits.
     pub vmacache_hits: u64,
     /// Page faults that missed the VMA cache and walked the tree.
     pub vmacache_misses: u64,
@@ -344,14 +351,17 @@ pub struct Mm {
 // with the full-range write acquisition). VMA metadata mutated under refined
 // write acquisitions is stored in atomics inside `Vma`. The lockless fault
 // fast path never touches `space` at all: it reads only the sequence counter
-// and the atomic fields of an `Arc<Vma>` it already holds (every `Vma`
-// mutation goes through `&self` atomic setters, so those reads race with
-// nothing non-atomic).
+// and the atomic fields of a `&Vma` borrowed from this thread's vmacache
+// slot (every `Vma` mutation goes through `&self` atomic setters, so those
+// reads race with nothing non-atomic). The slot's `Arc` keeps the VMA alive
+// for the borrow, and the cache's `RefCell` borrow rules out re-entry, so no
+// slot is replaced mid-check.
 unsafe impl Sync for Mm {}
 // SAFETY: Sending an `Mm` between threads transfers the `UnsafeCell` along
 // with the locks protecting it; no thread-affine state exists. (The
-// per-thread VMA cache holds `Arc<Vma>` clones keyed by the `Mm`'s unique
-// id, not by thread-affine pointers.)
+// per-thread VMA cache owns its `Arc<Vma>` slots, keyed by the `Mm`'s
+// unique id, and lends a `&Vma` only for the length of one fault's check on
+// the thread that owns the slot.)
 unsafe impl Send for Mm {}
 
 impl Mm {
@@ -436,19 +446,29 @@ impl Mm {
 
     /// Snapshot of the operation counters.
     pub fn stats(&self) -> VmStats {
+        // Misses first: a fault bumps `page_faults` before it can miss, so
+        // the later `page_faults` load is never the smaller one in practice
+        // (the subtraction saturates all the same).
+        let vmacache_misses = self.counters.vmacache_misses.load(Ordering::Relaxed);
+        let page_faults = self.counters.page_faults.load(Ordering::Relaxed);
+        let vmacache_hits = if self.strategy.vmacache {
+            page_faults.saturating_sub(vmacache_misses)
+        } else {
+            0
+        };
         VmStats {
             mmaps: self.counters.mmaps.load(Ordering::Relaxed),
             munmaps: self.counters.munmaps.load(Ordering::Relaxed),
             mprotects: self.counters.mprotects.load(Ordering::Relaxed),
-            page_faults: self.counters.page_faults.load(Ordering::Relaxed),
+            page_faults,
             spec_success: self.counters.spec_success.load(Ordering::Relaxed),
             spec_retries: self.counters.spec_retries.load(Ordering::Relaxed),
             spec_structural_fallback: self
                 .counters
                 .spec_structural_fallback
                 .load(Ordering::Relaxed),
-            vmacache_hits: self.counters.vmacache_hits.load(Ordering::Relaxed),
-            vmacache_misses: self.counters.vmacache_misses.load(Ordering::Relaxed),
+            vmacache_hits,
+            vmacache_misses,
         }
     }
 
@@ -512,7 +532,10 @@ impl Mm {
     /// handing `addr` to a neighbour followed by a protection change on the
     /// shrunk VMA could be observed as stale bounds with fresh protection, a
     /// state that never existed. Any miss or retry on either counter falls
-    /// back to the locked path below.
+    /// back to the locked path below. The check runs on a VMA borrowed from
+    /// its cache slot, so a hit's one atomic read-modify-write is the fault
+    /// counter: no reference count changes, and hits are not counted (see
+    /// [`VmStats::vmacache_hits`]).
     ///
     /// The locked path is always a read acquisition; refined strategies lock
     /// only the faulting page (Section 5.3). Non-refined strategies run the
@@ -522,22 +545,23 @@ impl Mm {
         self.counters.page_faults.fetch_add(1, Ordering::Relaxed);
         if self.strategy.refine_page_fault && self.strategy.vmacache {
             let begin = self.seq.read();
-            if let Some(vma) = vmacache::lookup(self.id, begin, addr) {
-                // The lookup's `contains` probe only selected the slot;
-                // re-read bounds and protection as one snapshot under the
-                // per-VMA seqcount so serialized metadata updates cannot
-                // interleave between the two reads.
+            let hit = vmacache::probe(self.id, begin, addr, |vma| {
+                // The probe's `contains` only selected the slot; re-read
+                // bounds and protection as one snapshot under the per-VMA
+                // seqcount so serialized metadata updates cannot interleave
+                // between the two reads.
                 let vma_seq = vma.seq_read_begin();
                 let covered = vma.contains(addr);
-                let result = Self::check_access(&vma, write);
-                if covered && !vma.seq_read_retry(vma_seq) && !self.seq.read_retry(begin) {
-                    self.counters.vmacache_hits.fetch_add(1, Ordering::Relaxed);
-                    return result;
-                }
-                // Metadata moved mid-snapshot, a structural operation
-                // overlapped, or the VMA no longer covers `addr`; retake the
-                // answer under the lock.
+                let result = Self::check_access(vma, write);
+                (covered && !vma.seq_read_retry(vma_seq) && !self.seq.read_retry(begin))
+                    .then_some(result)
+            });
+            if let Some(Some(result)) = hit {
+                return result;
             }
+            // Metadata moved mid-snapshot, a structural operation
+            // overlapped, or no cached VMA covers `addr`; retake the answer
+            // under the lock.
         }
         let range = if self.strategy.refine_page_fault {
             let page = page_align_down(addr);
@@ -558,9 +582,9 @@ impl Mm {
         // entry at this generation is still in the tree.
         let generation = self.seq.read();
         if self.strategy.vmacache {
-            if let Some(vma) = vmacache::lookup(self.id, generation, addr) {
-                self.counters.vmacache_hits.fetch_add(1, Ordering::Relaxed);
-                let result = Self::check_access(&vma, write);
+            if let Some(result) = vmacache::probe(self.id, generation, addr, |vma| {
+                Self::check_access(vma, write)
+            }) {
                 drop(guard);
                 return result;
             }

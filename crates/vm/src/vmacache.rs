@@ -31,6 +31,16 @@
 //!
 //! On any mm-id or generation mismatch the whole cache flushes: serving
 //! another address space's (or epoch's) VMAs is never acceptable.
+//!
+//! # Borrowing, not cloning
+//!
+//! A hit is served by `probe`, which runs the caller's check on a `&Vma`
+//! borrowed from the slot instead of handing out an `Arc<Vma>` clone: the
+//! slot's `Arc` keeps the VMA alive for the borrow, so a hit changes no
+//! reference count (a clone and its drop would be two atomic RMWs on every
+//! fault). The check runs inside this thread's `RefCell` borrow, so it cannot
+//! re-enter the cache, and no slot is replaced while it runs. Only a miss
+//! pays for an `Arc` clone, once, in `store`.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -71,10 +81,19 @@ thread_local! {
     static CACHE: RefCell<ThreadCache> = const { RefCell::new(ThreadCache::empty()) };
 }
 
-/// Looks `addr` up in this thread's cache for `(mm_id, generation)`.
+/// Runs `check` on the VMA covering `addr` in this thread's cache for
+/// `(mm_id, generation)`, or returns `None` if no slot covers it.
 ///
-/// A mismatched mm id or generation flushes the cache (and misses).
-pub(crate) fn lookup(mm_id: u64, generation: u64, addr: u64) -> Option<Arc<Vma>> {
+/// The VMA is borrowed from its slot, never cloned. `check` runs while the
+/// cache is borrowed, so it must not call back into this module (the
+/// `RefCell` would panic). A mismatched mm id or generation flushes the
+/// cache (and misses).
+pub(crate) fn probe<R>(
+    mm_id: u64,
+    generation: u64,
+    addr: u64,
+    check: impl FnOnce(&Vma) -> R,
+) -> Option<R> {
     CACHE.with(|cache| {
         let mut cache = cache.borrow_mut();
         if cache.mm_id != mm_id || cache.generation != generation {
@@ -86,7 +105,7 @@ pub(crate) fn lookup(mm_id: u64, generation: u64, addr: u64) -> Option<Arc<Vma>>
             .iter()
             .flatten()
             .find(|vma| vma.contains(addr))
-            .cloned()
+            .map(|vma| check(vma))
     })
 }
 
@@ -120,17 +139,22 @@ mod tests {
         Arc::new(Vma::new(start, end, Protection::READ_WRITE))
     }
 
+    /// Probes `addr` and returns the address of the VMA it hit.
+    fn hit(mm_id: u64, generation: u64, addr: u64) -> Option<*const Vma> {
+        probe(mm_id, generation, addr, |vma| vma as *const Vma)
+    }
+
     #[test]
     fn hit_after_store_miss_after_generation_bump() {
         flush();
         let v = vma(0x1000, 0x5000);
         store(7, 1, &v);
-        let hit = lookup(7, 1, 0x2000).expect("same mm and generation hits");
-        assert!(Arc::ptr_eq(&hit, &v));
+        let hit_vma = hit(7, 1, 0x2000).expect("same mm and generation hits");
+        assert!(std::ptr::eq(hit_vma, Arc::as_ptr(&v)));
         // Bumped generation: the entry must not survive.
-        assert!(lookup(7, 2, 0x2000).is_none());
+        assert!(hit(7, 2, 0x2000).is_none());
         // And the flush is total: the old generation is gone too.
-        assert!(lookup(7, 1, 0x2000).is_none());
+        assert!(hit(7, 1, 0x2000).is_none());
     }
 
     #[test]
@@ -138,7 +162,7 @@ mod tests {
         flush();
         let v = vma(0x1000, 0x5000);
         store(1, 1, &v);
-        assert!(lookup(2, 1, 0x2000).is_none());
+        assert!(hit(2, 1, 0x2000).is_none());
     }
 
     #[test]
@@ -151,9 +175,9 @@ mod tests {
             store(3, 1, v);
         }
         // Slot 0 was overwritten by the fifth store; the rest survive.
-        assert!(lookup(3, 1, vmas[0].start()).is_none());
+        assert!(hit(3, 1, vmas[0].start()).is_none());
         for v in &vmas[1..] {
-            assert!(lookup(3, 1, v.start()).is_some());
+            assert!(hit(3, 1, v.start()).is_some());
         }
     }
 
@@ -164,10 +188,26 @@ mod tests {
         store(9, 4, &v);
         // A metadata boundary move shrinks the VMA in place.
         v.set_end(0x2000);
-        assert!(
-            lookup(9, 4, 0x3000).is_none(),
-            "moved-away address must miss"
-        );
-        assert!(lookup(9, 4, 0x1800).is_some(), "still-covered address hits");
+        assert!(hit(9, 4, 0x3000).is_none(), "moved-away address must miss");
+        assert!(hit(9, 4, 0x1800).is_some(), "still-covered address hits");
+    }
+
+    #[test]
+    fn a_hit_borrows_the_slot_without_touching_the_count() {
+        flush();
+        let v = vma(0x1000, 0x5000);
+        store(5, 2, &v);
+        assert_eq!(Arc::strong_count(&v), 2, "the test and the slot");
+        // A clone handed out by the hit would read 3 here.
+        assert_eq!(probe(5, 2, 0x2000, |_| Arc::strong_count(&v)), Some(2));
+        assert_eq!(Arc::strong_count(&v), 2, "nothing to drop after the hit");
+        // A mismatched id or generation still flushes (dropping the slot's
+        // reference) and misses without running the check.
+        assert_eq!(probe(6, 2, 0x2000, |_| unreachable!()), None::<()>);
+        assert_eq!(Arc::strong_count(&v), 1, "the flush dropped the slot");
+        store(5, 2, &v);
+        assert_eq!(probe(5, 3, 0x2000, |_| unreachable!()), None::<()>);
+        assert_eq!(Arc::strong_count(&v), 1, "the flush dropped the slot");
+        assert_eq!(hit(5, 2, 0x2000), None, "the flush is total");
     }
 }

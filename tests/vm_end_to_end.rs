@@ -228,3 +228,34 @@ fn refined_strategies_speculate_on_metis() {
     let report = run(&config, Strategy::LIST_FULL).unwrap();
     assert_eq!(report.vm_stats.spec_success, 0);
 }
+
+#[test]
+fn every_fault_is_one_vmacache_hit_or_one_miss() {
+    // `vmacache_hits` is derived as `page_faults - vmacache_misses`, which
+    // is right only if every fault ends as exactly one hit or one miss. With
+    // hits counted on their own, this identity held on every row below; with
+    // them derived, it pins what is left to check from outside: misses never
+    // outnumber faults, and a strategy without the cache reports neither.
+    let config = MetisConfig::small(Workload::Wr, 2);
+    for strategy in ALL_STRATEGIES.into_iter().chain(Strategy::SWEEP) {
+        for strategy in [strategy, strategy.without_vmacache()] {
+            let stats = run(&config, strategy).unwrap().vm_stats;
+            assert!(stats.page_faults > 0, "{}: {stats:?}", strategy.name);
+            if strategy.vmacache {
+                assert_eq!(
+                    stats.vmacache_hits + stats.vmacache_misses,
+                    stats.page_faults,
+                    "{}: {stats:?}",
+                    strategy.name
+                );
+            } else {
+                assert_eq!(
+                    (stats.vmacache_hits, stats.vmacache_misses),
+                    (0, 0),
+                    "{} without vmacache: {stats:?}",
+                    strategy.name
+                );
+            }
+        }
+    }
+}
