@@ -29,7 +29,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use range_lock::RwRangeLock;
 use rl_baselines::registry::{RegistryConfig, VariantSpec};
 use rl_file::RangeFile;
 use rl_sync::stats::{LabeledStats, LockStatSnapshot};
@@ -122,8 +121,8 @@ fn pick_offset(rng: &mut u64, dist: OffsetDist) -> u64 {
 
 /// One worker's operation loop body; returns `true` on an integrity
 /// violation.
-fn one_op<L: RwRangeLock>(
-    file: &RangeFile<L>,
+fn one_op(
+    file: &RangeFile,
     rng: &mut u64,
     writes: &mut u64,
     thread_id: usize,
@@ -154,9 +153,9 @@ fn one_op<L: RwRangeLock>(
 /// stamped-I/O integrity violations (zero for a correct lock) and each
 /// operation's own wait snapshot, in [`OPS`] order.
 ///
-/// The lock is built from the registry and driven through dynamic dispatch
-/// (`Box<dyn TwoPhaseRwRangeLock>` implements [`RwRangeLock`]), so one code
-/// path covers every variant under every wait policy.
+/// The lock is built from the registry and the file keeps that box, so one
+/// code path — a dynamic call per acquisition and release — covers every
+/// variant under every wait policy.
 pub fn run(config: &FileBenchConfig) -> (Run, u64, Vec<LockStatSnapshot>) {
     assert!(config.read_pct <= 100);
     let labels = LabeledStats::new();

@@ -10,10 +10,11 @@
 //! to acquire and one to release, and allocates nothing.
 //!
 //! This module closes the loop: any owning pointer to the dyn lock is a
-//! static-trait lock again, so a boxed lock plugs into every generic
-//! subsystem (the file store, the lock table, the benchmark drivers) and
-//! gets the provided surface — `read` / `write`, timed and async
-//! acquisition, the guard's in-place downgrade — unchanged.
+//! static-trait lock again, so a boxed lock plugs into generic code (the VM
+//! simulator's `Mm`, the dynamic skip list, the benchmark drivers) and gets
+//! the provided surface — `read` / `write`, timed and async acquisition,
+//! the guard's in-place downgrade — unchanged. (`rl-file` holds the box
+//! itself and calls through it; it needs none of this.)
 //!
 //! ```
 //! use range_lock::{ListRangeLock, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock};
@@ -40,10 +41,8 @@ use crate::twophase::TwoPhaseRwRangeLock;
 pub use crate::twophase::TwoPhaseRwRangeLock as DynRwRangeLock;
 
 /// Any owning pointer to the dyn lock — `Box<dyn TwoPhaseRwRangeLock>`
-/// first of all, but equally an `Arc`, or a nominal newtype that derefs to
-/// one (`rl-server` needs such a newtype: rustc's auto-trait check on a
-/// spawned `'static` future over-generalizes the object lifetime of a bare
-/// `Box<dyn Trait>` it captures) — is a static-trait lock again.
+/// first of all, but equally an `Arc`, or a newtype that derefs to one — is
+/// a static-trait lock again.
 impl<T: Deref<Target = dyn TwoPhaseRwRangeLock> + Send + Sync> RwRangeLock for T {
     fn acquire(&self, range: Range, mode: LockMode) -> Held {
         (**self).acquire(range, mode)

@@ -272,13 +272,16 @@ thread_local! {
 // once, here, and whether `LocalKey::with` folds into them depends on how
 // this crate happens to be split into codegen units — an edit to an unrelated
 // module moved `core.static_op_ns` by 3 ns that way.
+// For the same reason `CTX.with` only returns the slot's address: that one
+// small `LocalKey::with` always inlines, where a large copy per caller stopped
+// inlining when unrelated code left the benchmark binary (`core-solo` +6 %).
 #[inline]
 fn with_ctx<R>(f: impl FnOnce(&mut ThreadCtx) -> R) -> R {
-    CTX.with(|cell| {
-        let mut borrow = cell.borrow_mut();
-        let ctx = borrow.get_or_insert_with(ThreadCtx::new);
-        f(ctx)
-    })
+    let cell: *const RefCell<Option<ThreadCtx>> = CTX.with(|cell| cell as *const _);
+    // SAFETY: This thread's slot lives until the thread exits, and
+    // `CTX.with` has already panicked if the slot was torn down.
+    let mut borrow = unsafe { &*cell }.borrow_mut();
+    f(borrow.get_or_insert_with(ThreadCtx::new))
 }
 
 /// RAII guard marking an epoch-protected critical section.

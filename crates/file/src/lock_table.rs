@@ -1,5 +1,5 @@
-//! A POSIX `fcntl`-style byte-range lock table layered over any
-//! [`TwoPhaseRwRangeLock`].
+//! A POSIX `fcntl`-style byte-range lock table over the registry's boxed
+//! [`TwoPhaseRwRangeLock`]; tests box a static one.
 //!
 //! The paper's range locks hand out RAII guards: one guard, one range, one
 //! mode, released on drop. File systems expose a different contract —
@@ -14,11 +14,11 @@
 //! * unlocking is just "replace with nothing";
 //! * dropping the owner releases everything it still holds.
 //!
-//! [`LockTable`] implements that contract *on top of* the generic two-phase
-//! lock trait, so the same table runs over the paper's `RwListRangeLock`, the
-//! kernel's `kernel-rw` tree lock, or the `pnova-rw` segment lock
-//! interchangeably — the underlying lock remains the one and only exclusion
-//! mechanism between owners.
+//! [`LockTable`] implements that contract over the registry's boxed lock
+//! (tests box a static one), so the same table runs over the paper's
+//! `RwListRangeLock`, the kernel's `kernel-rw` tree lock, or the `pnova-rw`
+//! segment lock interchangeably — the underlying lock remains the one and
+//! only exclusion mechanism between owners.
 //!
 //! The table also inherits the underlying lock's **wait policy**, but a
 //! blocked `lock()` call does not wait *for a release*: it re-polls once
@@ -105,7 +105,7 @@
 //!   **Exception — blocking downgrades:** a blocking exclusive→shared
 //!   re-lock (`lock`) keeps every exclusive tile that lies entirely inside
 //!   the re-locked span *held*, flipping it in place through
-//!   [`RwRangeLock::downgrade`] when the underlying lock supports it (the
+//!   [`range_lock::RwRangeLock::downgrade`] when the lock supports it (the
 //!   list locks do — `list-ex` trivially; so does `lustre-ex`).
 //!   Those bytes stay continuously protected: no other writer can slip in,
 //!   exactly as in the kernel. Locks without downgrade support (e.g.
@@ -152,10 +152,10 @@
 //!   but they go through the same enqueue → poll → wait steps as the target
 //!   (they do not block inside the lock's own `read`/`write`), so a blocked
 //!   one is re-polled on the same recheck interval and can be abandoned.
-//!   Over an exclusive-only lock (`list-ex`, `lustre-ex`), overlapping *shared* tiles
-//!   conflict too ([`RwRangeLock::readers_share`] is `false`), and the edge
-//!   derivation accounts for it — a reader parked behind a reader is a real
-//!   wait there and can complete a real cycle.
+//!   Over an exclusive-only lock (`list-ex`, `lustre-ex`), overlapping *shared*
+//!   tiles conflict too ([`range_lock::RwRangeLock::readers_share`] is
+//!   `false`), and the edge derivation accounts for it — a reader parked
+//!   behind a reader is a real wait there and can complete a real cycle.
 //!
 //! # Atomic multi-range acquisition
 //!
@@ -196,9 +196,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::task::{ready, Poll};
 use std::time::{Duration, Instant};
 
-use range_lock::{
-    Held, LockMode, Pending, Range, RangeGuard, RwRangeLock, TwoPhaseRwRangeLock, WaitGraph,
-};
+use range_lock::{Held, LockMode, Pending, Range, RangeGuard, TwoPhaseRwRangeLock, WaitGraph};
 use rl_sync::{WakerSlot, KEY_ANY};
 
 /// How long a blocked synchronous acquisition waits before re-deriving its
@@ -362,16 +360,16 @@ impl Drop for WaitEdges<'_> {
 
 /// One held range of the underlying lock, in the table's mode: the unit an
 /// owner's holdings are kept in.
-struct Tile<L: RwRangeLock + 'static> {
+struct Tile {
     range: Range,
     /// The mode the owner asked for (over an exclusive-only lock, a shared
     /// tile's guard is exclusive underneath).
     mode: LockMode,
     /// Held for its Drop impl, which releases the range.
-    guard: RangeGuard<'static, L>,
+    guard: RangeGuard<'static, dyn TwoPhaseRwRangeLock>,
 }
 
-impl<L: RwRangeLock + 'static> Tile<L> {
+impl Tile {
     /// Turns a tile that lies inside a shared-mode target into a shared
     /// tile *without releasing it* when possible: shared tiles pass through
     /// unchanged, exclusive ones are atomically downgraded when the
@@ -390,9 +388,7 @@ impl<L: RwRangeLock + 'static> Tile<L> {
 /// The records `fcntl` would report for a sorted, disjoint tile list:
 /// maximal runs of adjacent same-mode tiles (POSIX merges touching locks of
 /// equal type; guards cannot merge, so the merge happens here, on read).
-fn runs<L: RwRangeLock + 'static>(
-    tiles: &[Tile<L>],
-) -> impl Iterator<Item = (Range, LockMode)> + '_ {
+fn runs(tiles: &[Tile]) -> impl Iterator<Item = (Range, LockMode)> + '_ {
     let mut tiles = tiles.iter().peekable();
     std::iter::from_fn(move || {
         let first = tiles.next()?;
@@ -461,12 +457,12 @@ impl<T> IntoIterator for Few<T> {
     }
 }
 
-struct OwnerState<L: RwRangeLock + 'static> {
+struct OwnerState {
     name: String,
     /// `rl-obs` actor id this owner's lock events are stamped with.
     actor: u64,
     /// Sorted by start; pairwise disjoint.
-    tiles: Vec<Tile<L>>,
+    tiles: Vec<Tile>,
 }
 
 /// Hashes an owner id. The table issues ids in sequence, so no client can
@@ -489,8 +485,8 @@ impl Hasher for OwnerIdHasher {
     }
 }
 
-struct TableState<L: RwRangeLock + 'static> {
-    owners: HashMap<u64, OwnerState<L>, BuildHasherDefault<OwnerIdHasher>>,
+struct TableState {
+    owners: HashMap<u64, OwnerState, BuildHasherDefault<OwnerIdHasher>>,
 }
 
 /// One guard a transaction still has to acquire.
@@ -521,15 +517,15 @@ trait Resumable {
 /// polls. Dropping it unfinished abandons the operation:
 /// the in-flight request is cancelled (and the cancel recorded), the owner's
 /// waits-for edges are removed, and the tiles it holds are released.
-struct Transaction<'t, L: TwoPhaseRwRangeLock + 'static> {
-    table: &'t LockTable<L>,
+struct Transaction<'t> {
+    table: &'t LockTable,
     owner_id: u64,
     /// Whether a conflict on the target waits (`EDEADLK`-checked) or fails
     /// the transaction with `EAGAIN`.
     blocking: bool,
     /// Tiles this transaction holds and will commit: kept across the mode
     /// change (in-place downgrade) or acquired so far.
-    held: Few<Tile<L>>,
+    held: Few<Tile>,
     /// Guards to acquire, ascending; `missing[next..]` are still missing.
     missing: Few<Missing>,
     next: usize,
@@ -542,7 +538,7 @@ struct Transaction<'t, L: TwoPhaseRwRangeLock + 'static> {
     edges: WaitEdges<'t>,
 }
 
-impl<L: TwoPhaseRwRangeLock + 'static> Transaction<'_, L> {
+impl Transaction<'_> {
     /// Cancels the in-flight request, if any; `true` if there was one.
     fn cancel_pending(&mut self) -> bool {
         let Some(mut pending) = self.pending.take() else {
@@ -564,7 +560,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> Transaction<'_, L> {
     }
 }
 
-impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Transaction<'_, L> {
+impl Resumable for Transaction<'_> {
     fn poll(&mut self) -> Poll<Result<(), SetLockError>> {
         let table = self.table;
         loop {
@@ -620,7 +616,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Transaction<'_, L> {
     }
 }
 
-impl<L: TwoPhaseRwRangeLock + 'static> Drop for Transaction<'_, L> {
+impl Drop for Transaction<'_> {
     fn drop(&mut self) {
         if self.cancel_pending() {
             self.table.lock_ref().wait_queue().record_cancel();
@@ -634,8 +630,8 @@ impl<L: TwoPhaseRwRangeLock + 'static> Drop for Transaction<'_, L> {
 /// then re-lock the pre-batch records that overlapped it — and the failure
 /// is reported once that has run. Dropping it unfinished abandons the step
 /// in flight; the steps already committed stay committed.
-struct Batch<'t, L: TwoPhaseRwRangeLock + 'static> {
-    table: &'t LockTable<L>,
+struct Batch<'t> {
+    table: &'t LockTable,
     owner_id: u64,
     blocking: bool,
     /// The owner's records going in: the restore set of a rollback.
@@ -644,13 +640,13 @@ struct Batch<'t, L: TwoPhaseRwRangeLock + 'static> {
     steps: Vec<(Range, Option<LockMode>)>,
     next: usize,
     /// The step in flight.
-    current: Option<Transaction<'t, L>>,
+    current: Option<Transaction<'t>>,
     /// Set once an item has failed (the steps are the undo list from then
     /// on), with the span of the items that had been applied.
     failure: Option<(SetLockError, Range)>,
 }
 
-impl<L: TwoPhaseRwRangeLock + 'static> Batch<'_, L> {
+impl Batch<'_> {
     /// The non-blocking batch's up-front check: the first lock step that
     /// conflicts with a committed record of another owner, looked up for
     /// every step under one mutex hold.
@@ -667,7 +663,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> Batch<'_, L> {
     }
 }
 
-impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Batch<'_, L> {
+impl Resumable for Batch<'_> {
     fn poll(&mut self) -> Poll<Result<(), SetLockError>> {
         loop {
             let outcome = match &mut self.current {
@@ -736,7 +732,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Batch<'_, L> {
     }
 }
 
-/// A per-file POSIX-style byte-range lock table over a
+/// A per-file POSIX-style byte-range lock table over a boxed
 /// [`TwoPhaseRwRangeLock`].
 ///
 /// See the [module documentation](self) for the semantics. Construct one per
@@ -749,7 +745,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Batch<'_, L> {
 /// use range_lock::{Range, RwListRangeLock};
 /// use rl_file::{LockMode, LockTable};
 ///
-/// let table = Arc::new(LockTable::new(RwListRangeLock::new()));
+/// let table = Arc::new(LockTable::new(Box::new(RwListRangeLock::new())));
 /// let mut alice = table.owner("alice");
 /// let mut bob = table.owner("bob");
 ///
@@ -761,43 +757,44 @@ impl<L: TwoPhaseRwRangeLock + 'static> Resumable for Batch<'_, L> {
 /// alice.lock(Range::new(40, 60), LockMode::Exclusive); // split + upgrade
 /// assert_eq!(table.held_records(), 3);
 /// ```
-pub struct LockTable<L: TwoPhaseRwRangeLock + 'static> {
+pub struct LockTable {
     /// Declared (and therefore dropped) before `lock` is freed.
-    state: Mutex<TableState<L>>,
+    state: Mutex<TableState>,
     /// Waits-for edges between blocked owners and the committed-tile
     /// holders blocking them; cycle-checked on every (re-)registration.
     waits: WaitGraph,
     next_owner: AtomicU64,
-    /// Heap allocation with a stable address; the guards stored in `state`
-    /// borrow it as `'static` (see [`LockTable::tile`]). Freed manually in
-    /// `Drop`, strictly after `state` has been cleared.
-    lock: *mut L,
+    /// The box `new` was given, as a stable heap address; the guards stored
+    /// in `state` borrow it as `'static` (see [`LockTable::tile`]). Freed
+    /// manually in `Drop`, strictly after `state` has been cleared.
+    lock: *mut dyn TwoPhaseRwRangeLock,
 }
 
-// SAFETY: The raw pointer is a uniquely owned heap allocation (a leaked Box)
-// that only `Drop` frees; shared access to the lock itself is safe because
-// `RwRangeLock` requires `Send + Sync`, and the guards the table stores are
-// `Send` for the same reason.
-unsafe impl<L: TwoPhaseRwRangeLock + 'static> Send for LockTable<L> {}
+// SAFETY: The raw pointer is the uniquely owned allocation of the box `new`
+// was given (leaked) that only `Drop` frees; shared access to the lock itself
+// is safe because `RwRangeLock` requires `Send + Sync`, and the guards the
+// table stores are `Send` for the same reason.
+unsafe impl Send for LockTable {}
 
 // SAFETY: See the `Send` justification; all interior mutability is behind the
 // `Mutex`.
-unsafe impl<L: TwoPhaseRwRangeLock + 'static> Sync for LockTable<L> {}
+unsafe impl Sync for LockTable {}
 
-impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
+impl LockTable {
     /// Creates a table over `lock`; the table becomes the lock's only user.
-    pub fn new(lock: L) -> Self {
+    /// It keeps the box's own allocation: a lock call chases one pointer.
+    pub fn new(lock: Box<dyn TwoPhaseRwRangeLock>) -> Self {
         LockTable {
             state: Mutex::new(TableState {
                 owners: HashMap::default(),
             }),
             waits: WaitGraph::new(),
             next_owner: AtomicU64::new(1),
-            lock: Box::into_raw(Box::new(lock)),
+            lock: Box::into_raw(lock),
         }
     }
 
-    fn lock_ref(&self) -> &L {
+    fn lock_ref(&self) -> &dyn TwoPhaseRwRangeLock {
         // SAFETY: `self.lock` is a live heap allocation until `Drop`.
         unsafe { &*self.lock }
     }
@@ -809,7 +806,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
 
     /// Registers a new owner. Dropping the handle releases every range the
     /// owner still holds.
-    pub fn owner(self: &Arc<Self>, name: impl Into<String>) -> LockOwner<L> {
+    pub fn owner(self: &Arc<Self>, name: impl Into<String>) -> LockOwner {
         let name = name.into();
         let id = self.next_owner.fetch_add(1, Ordering::Relaxed);
         let actor = rl_obs::trace::next_actor_id();
@@ -887,11 +884,11 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     /// Returns the first committed record of *another* owner that conflicts
     /// with locking `range` in `mode` — the `F_GETLK` answer — or `None` if
     /// the request would succeed against the committed table. Over a lock
-    /// whose "readers" serialize ([`RwRangeLock::readers_share`] is `false`),
-    /// overlap alone conflicts, whatever the modes.
+    /// whose "readers" serialize ([`range_lock::RwRangeLock::readers_share`]
+    /// is `false`), overlap alone conflicts, whatever the modes.
     fn conflicting_record(
         &self,
-        st: &TableState<L>,
+        st: &TableState,
         owner_id: u64,
         range: Range,
         mode: LockMode,
@@ -922,7 +919,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         pending: &mut Option<Pending>,
         range: Range,
         mode: LockMode,
-    ) -> Option<Tile<L>> {
+    ) -> Option<Tile> {
         let lock = self.lock_ref();
         let held = lock.poll(pending.get_or_insert_with(|| lock.enqueue(range, mode)))?;
         *pending = None;
@@ -931,11 +928,11 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
 
     /// Wraps a range held in the underlying lock as a tile, whose guard
     /// borrows the lock for `'static`.
-    fn tile(&self, range: Range, mode: LockMode, held: Held) -> Tile<L> {
+    fn tile(&self, range: Range, mode: LockMode, held: Held) -> Tile {
         // SAFETY: The lock is a stable heap allocation that `Drop` frees only
         // after every tile — and with it every guard borrowing the lock — is
         // gone.
-        let lock: &'static L = unsafe { &*self.lock };
+        let lock: &'static dyn TwoPhaseRwRangeLock = unsafe { &*self.lock };
         Tile {
             range,
             mode,
@@ -947,7 +944,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     /// lie in the hole `begin` detached them (or their originals) from, or
     /// in a span the owner held none of, so each goes in where it sorts with
     /// one in-place insert.
-    fn commit(&self, owner_id: u64, tiles: impl IntoIterator<Item = Tile<L>>) {
+    fn commit(&self, owner_id: u64, tiles: impl IntoIterator<Item = Tile>) {
         let mut tiles = tiles.into_iter();
         if let Some(first) = tiles.next() {
             let mut st = self.state.lock().unwrap();
@@ -978,11 +975,11 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     /// Ids of the *other* owners whose committed tiles block `owner_id`
     /// from acquiring `range` in `mode` right now — one waits-for edge per
     /// yielded id — read from the table state `st`. Over a lock whose
-    /// "readers" serialize ([`RwRangeLock::readers_share`] is `false`),
-    /// overlap alone conflicts, whatever the modes.
+    /// "readers" serialize ([`range_lock::RwRangeLock::readers_share`] is
+    /// `false`), overlap alone conflicts, whatever the modes.
     fn conflicting_owner_ids<'s>(
         &self,
-        st: &'s TableState<L>,
+        st: &'s TableState,
         owner_id: u64,
         range: Range,
         mode: LockMode,
@@ -1050,7 +1047,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         target: Range,
         op: Option<LockMode>,
         blocking: bool,
-    ) -> ControlFlow<Result<(), SetLockError>, Transaction<'_, L>> {
+    ) -> ControlFlow<Result<(), SetLockError>, Transaction<'_>> {
         if target.is_empty() {
             return ControlFlow::Break(Ok(()));
         }
@@ -1180,7 +1177,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
         target: Range,
         mode: LockMode,
         blocking: bool,
-    ) -> ControlFlow<Result<(), SetLockError>, Transaction<'_, L>> {
+    ) -> ControlFlow<Result<(), SetLockError>, Transaction<'_>> {
         let mut pending = None;
         if let Some(tile) = self.poll_tile(&mut pending, target, mode) {
             self.commit(owner_id, Some(tile));
@@ -1206,7 +1203,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     }
 
     /// An empty transaction for `owner_id`, for `begin` to fill in.
-    fn transaction(&self, owner_id: u64, blocking: bool) -> Transaction<'_, L> {
+    fn transaction(&self, owner_id: u64, blocking: bool) -> Transaction<'_> {
         Transaction {
             table: self,
             owner_id,
@@ -1300,12 +1297,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockTable<L> {
     /// Panics if two items overlap: a batch is a set of independent spans,
     /// and "lock `[0, 10)` shared and `[5, 15)` exclusive atomically" has no
     /// coherent replace-semantics answer for the overlap.
-    fn begin_many(
-        &self,
-        owner_id: u64,
-        items: &[(Range, LockMode)],
-        blocking: bool,
-    ) -> Batch<'_, L> {
+    fn begin_many(&self, owner_id: u64, items: &[(Range, LockMode)], blocking: bool) -> Batch<'_> {
         let mut steps: Vec<(Range, Option<LockMode>)> = items
             .iter()
             .filter(|(range, _)| !range.is_empty())
@@ -1362,18 +1354,18 @@ fn batch_span(items: &[(Range, Option<LockMode>)]) -> Range {
     Range::new(start, end)
 }
 
-impl<L: TwoPhaseRwRangeLock + 'static> Drop for LockTable<L> {
+impl Drop for LockTable {
     fn drop(&mut self) {
         // Drop every guard before freeing the lock they borrow.
         let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
         state.owners.clear();
-        // SAFETY: Created by `Box::into_raw` in `new`; freed exactly once,
-        // and no guard referencing it remains.
+        // SAFETY: The box `new` was given, leaked by `Box::into_raw`; freed
+        // exactly once, and no guard referencing it remains.
         unsafe { drop(Box::from_raw(self.lock)) };
     }
 }
 
-impl<L: TwoPhaseRwRangeLock + 'static> fmt::Debug for LockTable<L> {
+impl fmt::Debug for LockTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LockTable")
             .field("lock", &self.lock_name())
@@ -1388,20 +1380,20 @@ impl<L: TwoPhaseRwRangeLock + 'static> fmt::Debug for LockTable<L> {
 /// `fcntl` calls in the kernel, and the borrow checker provides the same
 /// one-transaction-at-a-time guarantee per owner for free. Dropping the
 /// handle releases everything the owner still holds.
-pub struct LockOwner<L: TwoPhaseRwRangeLock + 'static> {
-    table: Arc<LockTable<L>>,
+pub struct LockOwner {
+    table: Arc<LockTable>,
     id: u64,
     name: String,
 }
 
-impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
+impl LockOwner {
     /// The owner's name, as passed to [`LockTable::owner`].
     pub fn name(&self) -> &str {
         &self.name
     }
 
     /// The table this owner is registered with.
-    pub fn table(&self) -> &Arc<LockTable<L>> {
+    pub fn table(&self) -> &Arc<LockTable> {
         &self.table
     }
 
@@ -1417,6 +1409,10 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     /// the next's committed records. The table is left as if the call had
     /// not been made. Detection is best-effort, exactly as POSIX allows;
     /// see the fidelity caveats in the [module documentation](self).
+    // `#[inline]` here and on `unlock`: the table is compiled once, here, and
+    // without the hint these thin entry points stop being inlined into their
+    // callers, as they were while the table was generic over its lock.
+    #[inline]
     pub fn lock(&mut self, range: Range, mode: LockMode) -> Result<(), DeadlockError> {
         self.table
             .apply(self.id, range, Some(mode), true)
@@ -1504,6 +1500,7 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     /// caveats in the [module documentation](self). Unlocking never fails:
     /// only the deadlock-checked *target* acquisitions of a `lock` can
     /// return `EDEADLK`, and an unlock has none.
+    #[inline]
     pub fn unlock(&mut self, range: Range) {
         unlock_cannot_fail(self.table.apply(self.id, range, None, true));
     }
@@ -1568,13 +1565,13 @@ impl<L: TwoPhaseRwRangeLock + 'static> LockOwner<L> {
     }
 }
 
-impl<L: TwoPhaseRwRangeLock + 'static> Drop for LockOwner<L> {
+impl Drop for LockOwner {
     fn drop(&mut self) {
         self.table.release_owner(self.id);
     }
 }
 
-impl<L: TwoPhaseRwRangeLock + 'static> fmt::Debug for LockOwner<L> {
+impl fmt::Debug for LockOwner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LockOwner")
             .field("name", &self.name)
@@ -1586,13 +1583,13 @@ impl<L: TwoPhaseRwRangeLock + 'static> fmt::Debug for LockOwner<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use range_lock::RwListRangeLock;
+    use range_lock::{RwListRangeLock, RwRangeLock};
 
-    fn table() -> Arc<LockTable<RwListRangeLock>> {
-        Arc::new(LockTable::new(RwListRangeLock::new()))
+    fn table() -> Arc<LockTable> {
+        Arc::new(LockTable::new(Box::new(RwListRangeLock::new())))
     }
 
-    fn held_of<L: TwoPhaseRwRangeLock + 'static>(o: &LockOwner<L>) -> Vec<(u64, u64, LockMode)> {
+    fn held_of(o: &LockOwner) -> Vec<(u64, u64, LockMode)> {
         o.held()
             .into_iter()
             .map(|(r, m)| (r.start, r.end, m))
@@ -1638,9 +1635,9 @@ mod tests {
         // the loser's rollback dissolves the cycle and the other completes
         // once the failing side releases.
         let stats = Arc::new(WaitStats::new("edeadlk"));
-        let t = Arc::new(LockTable::new(
+        let t = Arc::new(LockTable::new(Box::new(
             RwListRangeLock::new().with_stats(Arc::clone(&stats)),
-        ));
+        )));
         let mut a = t.owner("alice");
         a.lock(Range::new(0, 100), LockMode::Exclusive).unwrap();
 
@@ -1738,9 +1735,8 @@ mod tests {
 
     /// A table over a registry-built `list-rw` with wait statistics
     /// attached, and a waker that counts its deliveries.
-    #[allow(clippy::type_complexity)]
     fn abandonment_fixture() -> (
-        Arc<LockTable<Box<dyn TwoPhaseRwRangeLock>>>,
+        Arc<LockTable>,
         Arc<rl_sync::stats::WaitStats>,
         Arc<AtomicU64>,
         std::task::Waker,
@@ -1933,9 +1929,9 @@ mod tests {
         use std::task::{Context, Waker};
 
         let stats = Arc::new(WaitStats::new("batch-rollback"));
-        let t = Arc::new(LockTable::new(
+        let t = Arc::new(LockTable::new(Box::new(
             RwListRangeLock::new().with_stats(Arc::clone(&stats)),
-        ));
+        )));
         let mut alice = t.owner("alice");
         let mut bob = t.owner("bob");
         alice.lock(Range::new(0, 10), LockMode::Shared).unwrap();
@@ -2135,13 +2131,13 @@ mod tests {
         // of them and find B registered nowhere, while C's waker stays
         // filed until a release claims it.
         let stats = Arc::new(WaitStats::new("locktable-block"));
-        let t = Arc::new(LockTable::new(
+        let t = Arc::new(LockTable::new(Box::new(
             RwListRangeLock::with_config(range_lock::ListLockConfig {
                 wait: rl_sync::WaitPolicyKind::Block,
                 ..Default::default()
             })
             .with_stats(Arc::clone(&stats)),
-        ));
+        )));
         let a = {
             let mut a = t.owner("a");
             a.lock(Range::new(0, 100), LockMode::Exclusive).unwrap();
@@ -2250,11 +2246,23 @@ mod tests {
     }
 
     #[test]
+    fn the_table_keeps_the_registry_box() {
+        // A lock call goes through one pointer: `new` keeps the allocation
+        // of the box it is given rather than boxing the box again.
+        let lock = rl_baselines::registry::by_name("list-rw")
+            .expect("paper variant")
+            .build(rl_sync::WaitPolicyKind::Block, &Default::default());
+        let at: *const dyn TwoPhaseRwRangeLock = &*lock;
+        let t = LockTable::new(lock);
+        assert!(std::ptr::addr_eq(t.lock_ref(), at));
+    }
+
+    #[test]
     fn downgrade_fallback_works_without_lock_support() {
         // `kernel-rw` has no atomic downgrade: the table must fall back to
         // release + re-acquire and still produce the same record shape.
         use rl_baselines::RwTreeRangeLock;
-        let t = Arc::new(LockTable::new(RwTreeRangeLock::new()));
+        let t = Arc::new(LockTable::new(Box::new(RwTreeRangeLock::new())));
         let mut a = t.owner("a");
         a.lock(Range::new(0, 100), LockMode::Exclusive).unwrap();
         a.lock(Range::new(0, 100), LockMode::Shared).unwrap();
@@ -2400,80 +2408,81 @@ mod tests {
         }
     }
 
-    /// A forwarding lock that counts the two-phase steps the table takes.
-    #[derive(Default)]
-    struct Counting<L> {
-        inner: L,
-        enqueues: AtomicU64,
-        polls: AtomicU64,
-        cancels: AtomicU64,
-    }
+    /// A forwarding `list-rw` lock that counts the two-phase steps the
+    /// table takes, as `[enqueues, polls, cancels]` in an array the test
+    /// keeps.
+    struct Counting(RwListRangeLock, Arc<[AtomicU64; 3]>);
 
-    impl<L> Counting<L> {
-        /// `[enqueues, polls, cancels]` so far.
-        fn counts(&self) -> [u64; 3] {
-            [&self.enqueues, &self.polls, &self.cancels].map(|c| c.load(Ordering::SeqCst))
-        }
-    }
-
-    impl<L: TwoPhaseRwRangeLock> RwRangeLock for Counting<L> {
+    impl RwRangeLock for Counting {
         fn acquire(&self, range: Range, mode: LockMode) -> Held {
-            self.inner.acquire(range, mode)
+            self.0.acquire(range, mode)
         }
 
         fn try_acquire(&self, range: Range, mode: LockMode) -> Option<Held> {
-            self.inner.try_acquire(range, mode)
+            self.0.try_acquire(range, mode)
         }
 
         fn release(&self, held: Held) {
-            self.inner.release(held);
+            self.0.release(held);
         }
 
         fn downgrade(&self, held: &mut Held) -> bool {
-            self.inner.downgrade(held)
+            self.0.downgrade(held)
         }
 
         fn readers_share(&self) -> bool {
-            self.inner.readers_share()
+            self.0.readers_share()
         }
 
         fn name(&self) -> &'static str {
-            self.inner.name()
+            self.0.name()
         }
     }
 
-    impl<L: TwoPhaseRwRangeLock> TwoPhaseRwRangeLock for Counting<L> {
+    impl TwoPhaseRwRangeLock for Counting {
         fn enqueue(&self, range: Range, mode: LockMode) -> Pending {
-            self.enqueues.fetch_add(1, Ordering::SeqCst);
-            self.inner.enqueue(range, mode)
+            self.1[0].fetch_add(1, Ordering::SeqCst);
+            self.0.enqueue(range, mode)
         }
 
         fn poll(&self, pending: &mut Pending) -> Option<Held> {
-            self.polls.fetch_add(1, Ordering::SeqCst);
-            self.inner.poll(pending)
+            self.1[1].fetch_add(1, Ordering::SeqCst);
+            self.0.poll(pending)
         }
 
         fn cancel(&self, pending: &mut Pending) {
-            self.cancels.fetch_add(1, Ordering::SeqCst);
-            self.inner.cancel(pending);
+            self.1[2].fetch_add(1, Ordering::SeqCst);
+            self.0.cancel(pending);
         }
 
         fn wait_queue(&self) -> &rl_sync::WaitQueue {
-            self.inner.wait_queue()
+            self.0.wait_queue()
         }
     }
 
-    type CountingTable = Arc<LockTable<Counting<RwListRangeLock>>>;
+    /// A table over a [`Counting`] lock, and that lock's counts.
+    struct CountingTable(Arc<LockTable>, Arc<[AtomicU64; 3]>);
+
+    impl std::ops::Deref for CountingTable {
+        type Target = Arc<LockTable>;
+
+        fn deref(&self) -> &Arc<LockTable> {
+            &self.0
+        }
+    }
 
     fn counting_table() -> CountingTable {
-        Arc::new(LockTable::new(Counting::default()))
+        let counts = Arc::new([const { AtomicU64::new(0) }; 3]);
+        let lock = Box::new(Counting(RwListRangeLock::new(), Arc::clone(&counts)));
+        CountingTable(Arc::new(LockTable::new(lock)), counts)
     }
 
     /// The `[enqueues, polls, cancels]` that `op` cost the table's lock.
     fn steps_of(t: &CountingTable, op: impl FnOnce()) -> [u64; 3] {
-        let before = t.lock_ref().counts();
+        let read = || t.1.each_ref().map(|c| c.load(Ordering::SeqCst));
+        let before = read();
         op();
-        let after = t.lock_ref().counts();
+        let after = read();
         [0, 1, 2].map(|i| after[i] - before[i])
     }
 

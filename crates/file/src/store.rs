@@ -8,8 +8,8 @@
 //! on the file's [`RwRangeLock`], so disjoint operations run in parallel and
 //! overlapping reader/writer pairs serialize. This is the workload the range
 //! locks were originally built for (Lustre's byte-range locks, pNOVA's
-//! per-file segment locks), generalized over every lock variant in the
-//! workspace.
+//! per-file segment locks), over the registry's boxed lock; tests box a
+//! static one.
 //!
 //! Two supporting mechanisms make the store useful as a correctness harness
 //! and a benchmark:
@@ -40,7 +40,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use range_lock::{Range, RangeGuard, RwRangeLock};
+use range_lock::{LockMode, Range, RangeGuard, RwRangeLock};
 use rl_sync::stats::{LabeledStats, WaitKind, WaitStats};
 
 /// Bytes per page of the backing store.
@@ -132,7 +132,11 @@ impl Page {
         }
     }
 
+    // The four span walkers stay calls, as they were when the file's I/O was
+    // compiled in its caller's crate: folded into `for_pages`' callers here,
+    // they got those outlined instead (`table-mix` +2 % CPU per op).
     /// Copies `data` to bytes `[at, at + data.len())` of the page.
+    #[inline(never)]
     fn store(&self, at: usize, data: &[u8]) {
         self.walk(at, data.len(), |word, lo, k, pos| {
             let mut bytes = [0u8; WORD];
@@ -142,6 +146,7 @@ impl Page {
     }
 
     /// Copies bytes `[at, at + buf.len())` of the page to `buf`.
+    #[inline(never)]
     fn load(&self, at: usize, buf: &mut [u8]) {
         self.walk(at, buf.len(), |word, lo, k, pos| {
             let bytes = word.load(Ordering::Relaxed).to_le_bytes();
@@ -150,6 +155,7 @@ impl Page {
     }
 
     /// Sets bytes `[at, at + n)` of the page to `tag`.
+    #[inline(never)]
     fn fill(&self, at: usize, n: usize, tag: u8) {
         let pattern = splat(tag);
         self.walk(at, n, |word, lo, k, _| Page::put(word, lo, k, pattern));
@@ -158,6 +164,7 @@ impl Page {
     /// Whether every byte of `[at, at + n)` equals `tag`. XOR against the
     /// pattern keeps the check byte-granular: one differing byte anywhere
     /// under the span's masks leaves a non-zero bit.
+    #[inline(never)]
     fn all_eq(&self, at: usize, n: usize, tag: u8) -> bool {
         let pattern = splat(tag);
         let mut diff = 0;
@@ -209,7 +216,7 @@ struct OpStats {
 /// use range_lock::RwListRangeLock;
 /// use rl_file::RangeFile;
 ///
-/// let file = RangeFile::new(RwListRangeLock::new());
+/// let file = RangeFile::new(Box::new(RwListRangeLock::new()));
 /// file.pwrite(0, b"hello, range locks");
 /// let mut buf = [0u8; 5];
 /// assert_eq!(file.pread(7, &mut buf), 5);
@@ -228,8 +235,10 @@ struct OpStats {
 /// never overlap; a reader can observe a later append's bytes before an
 /// earlier in-flight append completes (the gap reads as zeros), which matches
 /// the usual "size is advisory under concurrency" file-system contract.
-pub struct RangeFile<L: RwRangeLock> {
-    lock: L,
+pub struct RangeFile {
+    /// The caller's box itself: the registry's `Box<dyn TwoPhaseRwRangeLock>`
+    /// upcasts to it in place, so a lock call goes through one pointer.
+    lock: Box<dyn RwRangeLock>,
     /// Page table. Pages are only ever added (truncation zeroes rather than
     /// frees). Its guard is the innermost lock of an operation: taken once,
     /// after the range lock is held, for the duration of the byte copy — so
@@ -242,9 +251,9 @@ pub struct RangeFile<L: RwRangeLock> {
     ops: Option<OpStats>,
 }
 
-impl<L: RwRangeLock> RangeFile<L> {
+impl RangeFile {
     /// Creates an empty file protected by `lock`.
-    pub fn new(lock: L) -> Self {
+    pub fn new(lock: Box<dyn RwRangeLock>) -> Self {
         RangeFile {
             lock,
             pages: RwLock::new(Vec::new()),
@@ -311,16 +320,27 @@ impl<L: RwRangeLock> RangeFile<L> {
         guard
     }
 
+    // `#[inline]` on the two lock helpers and the three byte movers: the file
+    // is compiled once, here, and without the hint each becomes an
+    // out-of-line call, where it was inlined while the file was generic.
+    #[inline]
     fn lock_write(
         &self,
         range: Range,
         stats: impl Fn(&OpStats) -> &Arc<WaitStats>,
-    ) -> RangeGuard<'_, L> {
-        self.timed(WaitKind::Write, stats, || self.lock.write(range))
+    ) -> RangeGuard<'_, dyn RwRangeLock> {
+        self.timed(WaitKind::Write, stats, || {
+            RangeGuard::new(&*self.lock, self.lock.acquire(range, LockMode::Exclusive))
+        })
     }
 
-    fn lock_read(&self, range: Range) -> RangeGuard<'_, L> {
-        self.timed(WaitKind::Read, |o| &o.pread, || self.lock.read(range))
+    #[inline]
+    fn lock_read(&self, range: Range) -> RangeGuard<'_, dyn RwRangeLock> {
+        self.timed(
+            WaitKind::Read,
+            |o| &o.pread,
+            || RangeGuard::new(&*self.lock, self.lock.acquire(range, LockMode::Shared)),
+        )
     }
 
     /// The page table with every page under bytes `[offset, end)` allocated.
@@ -350,6 +370,7 @@ impl<L: RwRangeLock> RangeFile<L> {
     /// Copies `data` into the file at `offset`. The caller must hold the
     /// covering range acquisition; `pages` must come from
     /// [`RangeFile::pages_for_write`] over the span.
+    #[inline]
     fn copy_in(pages: &[Option<Box<Page>>], offset: u64, data: &[u8]) {
         for_pages(offset, data.len(), |page, at, n, pos| {
             let page = page_at(pages, page).expect("write span is allocated");
@@ -359,6 +380,7 @@ impl<L: RwRangeLock> RangeFile<L> {
 
     /// Copies `buf.len()` bytes out of the file at `offset`; holes read as
     /// zeros.
+    #[inline]
     fn copy_out(pages: &[Option<Box<Page>>], offset: u64, buf: &mut [u8]) {
         for_pages(offset, buf.len(), |page, at, n, pos| {
             let buf = &mut buf[pos..pos + n];
@@ -370,6 +392,7 @@ impl<L: RwRangeLock> RangeFile<L> {
     }
 
     /// Whether every byte of `[offset, offset + len)` equals `tag`.
+    #[inline]
     fn span_all_eq(pages: &[Option<Box<Page>>], offset: u64, len: usize, tag: u8) -> bool {
         let mut uniform = true;
         for_pages(offset, len, |page, at, n, _| {
@@ -511,7 +534,7 @@ impl<L: RwRangeLock> RangeFile<L> {
     }
 }
 
-impl<L: RwRangeLock> std::fmt::Debug for RangeFile<L> {
+impl std::fmt::Debug for RangeFile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RangeFile")
             .field("lock", &self.lock_name())
@@ -534,51 +557,38 @@ impl<L: RwRangeLock> std::fmt::Debug for RangeFile<L> {
 /// use range_lock::RwListRangeLock;
 /// use rl_file::{FileStore, RangeFile};
 ///
-/// let store = FileStore::new(|| RangeFile::new(RwListRangeLock::new()));
+/// let store = FileStore::new(|| RangeFile::new(Box::new(RwListRangeLock::new())));
 /// let log = store.open("/var/log/app");
 /// log.append(b"started\n");
 /// assert!(std::sync::Arc::ptr_eq(&log, &store.open("/var/log/app")));
 /// assert_eq!(store.file_count(), 1);
 /// ```
-pub struct FileStore<L: RwRangeLock> {
-    shards: Vec<Mutex<HashMap<String, Arc<RangeFile<L>>>>>,
-    factory: Box<dyn Fn() -> RangeFile<L> + Send + Sync>,
+pub struct FileStore {
+    shards: Vec<Mutex<HashMap<String, Arc<RangeFile>>>>,
+    factory: Box<dyn Fn() -> RangeFile + Send + Sync>,
 }
 
-/// Default number of namespace shards.
-pub const DEFAULT_SHARDS: usize = 16;
+/// Number of namespace shards.
+const SHARDS: usize = 16;
 
-impl<L: RwRangeLock> FileStore<L> {
-    /// Creates a store with [`DEFAULT_SHARDS`] shards; `factory` builds the
-    /// backing file (and in particular its lock) for every newly opened path.
-    pub fn new(factory: impl Fn() -> RangeFile<L> + Send + Sync + 'static) -> Self {
-        Self::with_shards(DEFAULT_SHARDS, factory)
-    }
-
-    /// Creates a store with an explicit shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn with_shards(
-        shards: usize,
-        factory: impl Fn() -> RangeFile<L> + Send + Sync + 'static,
-    ) -> Self {
-        assert!(shards > 0, "shard count must be positive");
+impl FileStore {
+    /// Creates a store; `factory` builds the backing file (and in particular
+    /// its lock) for every newly opened path.
+    pub fn new(factory: impl Fn() -> RangeFile + Send + Sync + 'static) -> Self {
         FileStore {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             factory: Box::new(factory),
         }
     }
 
-    fn shard(&self, path: &str) -> &Mutex<HashMap<String, Arc<RangeFile<L>>>> {
+    fn shard(&self, path: &str) -> &Mutex<HashMap<String, Arc<RangeFile>>> {
         let mut hasher = DefaultHasher::new();
         path.hash(&mut hasher);
         &self.shards[(hasher.finish() as usize) % self.shards.len()]
     }
 
     /// Returns the file at `path`, creating it on first open.
-    pub fn open(&self, path: &str) -> Arc<RangeFile<L>> {
+    pub fn open(&self, path: &str) -> Arc<RangeFile> {
         let mut shard = self.shard(path).lock();
         if let Some(file) = shard.get(path) {
             return Arc::clone(file);
@@ -589,7 +599,7 @@ impl<L: RwRangeLock> FileStore<L> {
     }
 
     /// Returns the file at `path` if it exists.
-    pub fn get(&self, path: &str) -> Option<Arc<RangeFile<L>>> {
+    pub fn get(&self, path: &str) -> Option<Arc<RangeFile>> {
         self.shard(path).lock().get(path).map(Arc::clone)
     }
 
@@ -605,7 +615,7 @@ impl<L: RwRangeLock> FileStore<L> {
     }
 }
 
-impl<L: RwRangeLock> std::fmt::Debug for FileStore<L> {
+impl std::fmt::Debug for FileStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FileStore")
             .field("files", &self.file_count())
@@ -620,12 +630,12 @@ mod tests {
     use proptest::prelude::*;
     use range_lock::RwListRangeLock;
 
-    fn file() -> RangeFile<RwListRangeLock> {
-        RangeFile::new(RwListRangeLock::new())
+    fn file() -> RangeFile {
+        RangeFile::new(Box::new(RwListRangeLock::new()))
     }
 
     /// The whole file as `pread` sees it.
-    fn contents(f: &RangeFile<RwListRangeLock>) -> Vec<u8> {
+    fn contents(f: &RangeFile) -> Vec<u8> {
         let mut buf = vec![0xAA; f.len() as usize];
         assert_eq!(f.pread(0, &mut buf), buf.len());
         buf
@@ -952,7 +962,7 @@ mod tests {
     #[test]
     fn op_stats_are_recorded_per_label() {
         let labels = LabeledStats::new();
-        let f = RangeFile::new(RwListRangeLock::new()).with_op_stats(&labels);
+        let f = RangeFile::new(Box::new(RwListRangeLock::new())).with_op_stats(&labels);
         f.pwrite(0, b"abc");
         let mut buf = [0u8; 3];
         f.pread(0, &mut buf);
@@ -969,8 +979,19 @@ mod tests {
     }
 
     #[test]
+    fn the_file_keeps_the_registry_box() {
+        // A lock call goes through one pointer: the registry's box upcasts
+        // in place, and `new` keeps its allocation rather than boxing it
+        // again.
+        let lock: Box<dyn range_lock::TwoPhaseRwRangeLock> = Box::new(RwListRangeLock::new());
+        let at: *const dyn range_lock::TwoPhaseRwRangeLock = &*lock;
+        let file = RangeFile::new(lock);
+        assert!(std::ptr::addr_eq(&*file.lock, at));
+    }
+
+    #[test]
     fn store_shards_paths_and_dedups_handles() {
-        let store = FileStore::with_shards(4, || RangeFile::new(RwListRangeLock::new()));
+        let store = FileStore::new(|| RangeFile::new(Box::new(RwListRangeLock::new())));
         let a = store.open("/a");
         let a2 = store.open("/a");
         assert!(Arc::ptr_eq(&a, &a2));

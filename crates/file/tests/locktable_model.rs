@@ -121,8 +121,8 @@ type Op = (u64, u64, u64, u8);
 /// entry point that can wait is only chosen when `conflict_free`; `Err`
 /// means "would block" (the waiting forms fail only with `EDEADLK`, which a
 /// single-threaded run cannot produce).
-fn set_lock<L: TwoPhaseRwRangeLock + 'static>(
-    owner: &mut LockOwner<L>,
+fn set_lock(
+    owner: &mut LockOwner,
     range: Range,
     mode: LockMode,
     driver: u8,
@@ -147,8 +147,8 @@ fn set_lock<L: TwoPhaseRwRangeLock + 'static>(
 /// multiple (1 = byte granularity); `exact_try` additionally requires
 /// `try_lock` to fail *exactly* when the reference sees a conflict (true for
 /// exact-granularity locks).
-fn run_model<L: TwoPhaseRwRangeLock + 'static>(
-    lock: L,
+fn run_model(
+    lock: Box<dyn TwoPhaseRwRangeLock>,
     ops: &[Op],
     align: u64,
     exact_try: bool,
@@ -239,7 +239,7 @@ proptest! {
     fn list_rw_matches_reference(
         ops in collection::vec((0u64..3, 0u64..240, 1u64..50, any::<u8>()), 1..40),
     ) {
-        run_model(RwListRangeLock::new(), &ops, 1, true)?;
+        run_model(Box::new(RwListRangeLock::new()), &ops, 1, true)?;
     }
 
     /// Byte-granular model check over the kernel's reader-writer tree lock.
@@ -247,7 +247,7 @@ proptest! {
     fn kernel_rw_matches_reference(
         ops in collection::vec((0u64..3, 0u64..240, 1u64..50, any::<u8>()), 1..40),
     ) {
-        run_model(RwTreeRangeLock::new(), &ops, 1, true)?;
+        run_model(Box::new(RwTreeRangeLock::new()), &ops, 1, true)?;
     }
 
     /// Segment-aligned model check over the pNOVA segment lock: boundaries
@@ -260,7 +260,7 @@ proptest! {
         // 16 bytes per segment; ops stay inside the configured span so that
         // segment alignment is preserved (past-span ranges all clamp onto the
         // last segment, which would reintroduce false sharing).
-        run_model(SegmentRangeLock::new(4096, 256), &ops, 16, false)?;
+        run_model(Box::new(SegmentRangeLock::new(4096, 256)), &ops, 16, false)?;
     }
 }
 
@@ -279,21 +279,21 @@ proptest! {
             wait: Block,
             ..ListLockConfig::default()
         });
-        run_model(lock, &ops, 1, true)?;
+        run_model(Box::new(lock), &ops, 1, true)?;
     }
 
     #[test]
     fn kernel_rw_matches_reference_under_spin_policy(
         ops in collection::vec((0u64..3, 0u64..240, 1u64..50, any::<u8>()), 1..40),
     ) {
-        run_model(RwTreeRangeLock::with_wait(Spin, None), &ops, 1, true)?;
+        run_model(Box::new(RwTreeRangeLock::with_wait(Spin, None)), &ops, 1, true)?;
     }
 
     #[test]
     fn pnova_rw_matches_reference_under_block_policy(
         ops in collection::vec((0u64..3, 0u64..200, 1u64..50, any::<u8>()), 1..40),
     ) {
-        run_model(SegmentRangeLock::with_wait(4096, 256, Block), &ops, 16, false)?;
+        run_model(Box::new(SegmentRangeLock::with_wait(4096, 256, Block)), &ops, 16, false)?;
     }
 }
 
@@ -311,5 +311,5 @@ fn split_merge_upgrade_worked_example() {
         (1, 210, 10, 2), // o1: unlock [210, 220)   -> split exclusive record
         (0, 0, 300, 2),  // o0: unlock everything
     ];
-    run_model(RwListRangeLock::new(), &ops, 1, true).expect("model agreement");
+    run_model(Box::new(RwListRangeLock::new()), &ops, 1, true).expect("model agreement");
 }

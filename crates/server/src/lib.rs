@@ -47,7 +47,7 @@ pub mod transport;
 pub mod wire;
 
 pub use client::{Client, ClientError};
-pub use server::{DynLock, Server, ServerConfig, TcpHandle, DEFAULT_MAX_FILE_SIZE};
+pub use server::{Server, ServerConfig, TcpHandle, DEFAULT_MAX_FILE_SIZE};
 pub use stats::{OpKind, StatsSnapshot};
 pub use transport::{Conn, FrameQueue};
 pub use wire::{ErrCode, Reply, Request, WireError, MAX_FRAME};

@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
-use range_lock::{RwRangeLock, TwoPhaseRwRangeLock};
 use rl_baselines::registry::{self, RegistryConfig, VariantSpec};
 use rl_exec::{Spawner, TaskPool};
 use rl_file::{FileStore, LockTable, RangeFile};
@@ -45,30 +44,6 @@ use crate::client::Client;
 use crate::session;
 use crate::stats::{ServerStats, StatsSnapshot};
 use crate::transport::{Conn, FrameQueue};
-
-/// The registry-built lock every table and file in one server uses.
-///
-/// A newtype over the boxed dyn lock rather than a type alias: session
-/// futures are spawned as `'static` tasks, and rustc's auto-trait checking
-/// over-generalizes the lifetime of a bare `Box<dyn Trait>` inside such a
-/// future ("implementation is not general enough"). A nominal type keeps the
-/// trait obligations lifetime-free, and derefs to the dyn lock, which is all
-/// `range_lock` asks of a pointer to make it a static-trait lock again.
-pub struct DynLock(Box<dyn TwoPhaseRwRangeLock>);
-
-impl std::ops::Deref for DynLock {
-    type Target = dyn TwoPhaseRwRangeLock;
-
-    fn deref(&self) -> &Self::Target {
-        &*self.0
-    }
-}
-
-impl std::fmt::Debug for DynLock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("DynLock").field(&self.name()).finish()
-    }
-}
 
 /// What to build a [`Server`] from.
 #[derive(Debug, Clone)]
@@ -123,11 +98,11 @@ pub(crate) struct ServerState {
     pub(crate) wait: WaitPolicyKind,
     pub(crate) registry: RegistryConfig,
     /// Advisory lock tables, one per file path, created on first touch.
-    tables: Mutex<HashMap<String, Arc<LockTable<DynLock>>>>,
+    tables: Mutex<HashMap<String, Arc<LockTable>>>,
     /// The data plane; its files carry their own (mandatory, brief)
     /// internal range locks, separate from the advisory tables — the same
     /// split POSIX makes.
-    pub(crate) store: FileStore<DynLock>,
+    pub(crate) store: FileStore,
     /// Trust-boundary cap on data-plane spans; see
     /// [`ServerConfig::max_file_size`].
     pub(crate) max_file_size: u64,
@@ -145,7 +120,7 @@ impl ServerState {
             wait,
             registry,
             tables: Mutex::new(HashMap::new()),
-            store: FileStore::new(move || RangeFile::new(DynLock(spec.build(wait, &registry)))),
+            store: FileStore::new(move || RangeFile::new(spec.build(wait, &registry))),
             max_file_size: config.max_file_size,
             stats: Arc::new(ServerStats::new()),
             inboxes: Mutex::new(Vec::new()),
@@ -153,14 +128,12 @@ impl ServerState {
     }
 
     /// The advisory lock table for `path`, created on demand.
-    pub(crate) fn table_for(&self, path: &str) -> Arc<LockTable<DynLock>> {
+    pub(crate) fn table_for(&self, path: &str) -> Arc<LockTable> {
         let mut tables = self.tables.lock().unwrap();
         if let Some(table) = tables.get(path) {
             return Arc::clone(table);
         }
-        let table = Arc::new(LockTable::new(DynLock(
-            self.spec.build(self.wait, &self.registry),
-        )));
+        let table = Arc::new(LockTable::new(self.spec.build(self.wait, &self.registry)));
         tables.insert(path.to_string(), Arc::clone(&table));
         table
     }

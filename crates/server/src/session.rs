@@ -78,7 +78,7 @@ use range_lock::Range;
 use rl_file::{LockMode, LockOwner, RangeFile};
 use rl_obs::{trace, LatencyHistogram};
 
-use crate::server::{DynLock, ServerState};
+use crate::server::ServerState;
 use crate::stats::OpKind;
 use crate::transport::{recycle, Conn, FrameQueue};
 use crate::wire::{decode_with, encode_reply_into, ErrCode, Reply, Request};
@@ -253,8 +253,8 @@ fn checked_file_span(state: &ServerState, offset: u64, len: u64) -> Result<(), S
 /// One path as this session knows it; see the [module docs](self).
 #[derive(Default)]
 struct PathHandle {
-    owner: Option<LockOwner<DynLock>>,
-    file: Option<Arc<RangeFile<DynLock>>>,
+    owner: Option<LockOwner>,
+    file: Option<Arc<RangeFile>>,
 }
 
 /// The session's path handles. The map holds indices rather than the
@@ -289,7 +289,7 @@ impl Paths {
     }
 
     /// The store's file at `path`, opened on first use.
-    fn file(&mut self, state: &ServerState, path: &str) -> &RangeFile<DynLock> {
+    fn file(&mut self, state: &ServerState, path: &str) -> &RangeFile {
         let at = self.handle(path);
         self.handles[at]
             .file

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use range_lock::{ListRangeLock, Range, RwListRangeLock, RwRangeLock, TwoPhaseRwRangeLock};
+use range_lock::{ListRangeLock, Range, RwListRangeLock};
 use rl_baselines::TreeRangeLock;
 use rl_file::{FileStore, LockMode, LockTable, RangeFile};
 use rl_sync::LabeledStats;
@@ -36,7 +36,7 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// Mixed reader/writer storm over one file of `store`; panics on any
 /// integrity violation.
-fn run_store<L: RwRangeLock + 'static>(name: &str, store: &FileStore<L>, threads: usize) {
+fn run_store(name: &str, store: &FileStore, threads: usize) {
     let file = store.open("/data/shared.bin");
     file.truncate(FILE_SIZE);
     let torn = Arc::new(AtomicU64::new(0));
@@ -74,7 +74,7 @@ fn run_store<L: RwRangeLock + 'static>(name: &str, store: &FileStore<L>, threads
     );
 }
 
-fn print_table_state<L: TwoPhaseRwRangeLock + 'static>(what: &str, table: &LockTable<L>) {
+fn print_table_state(what: &str, table: &LockTable) {
     print!("  {what}:");
     for rec in table.records() {
         print!(
@@ -96,18 +96,18 @@ fn main() {
     println!("concurrent region I/O over one {FILE_SIZE}-byte file in rl-file::FileStore\n");
 
     // The paper's reader-writer list lock...
-    let store = FileStore::new(|| RangeFile::new(RwListRangeLock::new()));
+    let store = FileStore::new(|| RangeFile::new(Box::new(RwListRangeLock::new())));
     run_store("list-rw", &store, threads);
     // ...the exclusive list lock (readers serialize)...
-    let store = FileStore::new(|| RangeFile::new(ListRangeLock::new()));
+    let store = FileStore::new(|| RangeFile::new(Box::new(ListRangeLock::new())));
     run_store("list-ex", &store, threads);
     // ...and the Lustre/Kara tree baseline the paper starts from.
-    let store = FileStore::new(|| RangeFile::new(TreeRangeLock::new()));
+    let store = FileStore::new(|| RangeFile::new(Box::new(TreeRangeLock::new())));
     run_store("lustre-ex", &store, threads);
 
     // Per-operation wait accounting, the Figures 7-8 analogue for files.
     let ops = LabeledStats::new();
-    let file = RangeFile::new(RwListRangeLock::new()).with_op_stats(&ops);
+    let file = RangeFile::new(Box::new(RwListRangeLock::new())).with_op_stats(&ops);
     file.pwrite(0, &[1u8; 4096]);
     let mut buf = [0u8; 1024];
     file.pread(512, &mut buf);
@@ -126,7 +126,7 @@ fn main() {
 
     // The POSIX-style lock table: split, merge, upgrade, release-on-drop.
     println!("\nfcntl-style LockTable over the list-rw lock:");
-    let table = Arc::new(LockTable::new(RwListRangeLock::new()));
+    let table = Arc::new(LockTable::new(Box::new(RwListRangeLock::new())));
     let mut alice = table.owner("alice");
     let mut bob = table.owner("bob");
     alice

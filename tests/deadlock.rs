@@ -67,10 +67,7 @@ fn xorshift(state: &mut u64) -> u64 {
 ///
 /// With `hold_and_wait` off every owner holds one slot at a time: no cycle
 /// can form, and the run only proves that contended acquisitions complete.
-fn run_storm<L>(table: Arc<LockTable<L>>, label: &str, hold_and_wait: bool) -> u64
-where
-    L: range_locks_repro::range_lock::TwoPhaseRwRangeLock + 'static,
-{
+fn run_storm(table: Arc<LockTable>, label: &str, hold_and_wait: bool) -> u64 {
     let deadlocks = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..OWNERS)
         .map(|t| {
@@ -169,7 +166,7 @@ fn async_storm_resolves_cycles_among_suspended_tasks() {
     // watchdog thread so a wedge fails the test instead of hanging it.
     let worker = std::thread::spawn(|| {
         let pool = range_locks_repro::rl_exec::TaskPool::new(2);
-        let table = Arc::new(LockTable::new(RwListRangeLock::new()));
+        let table = Arc::new(LockTable::new(Box::new(RwListRangeLock::new())));
         let deadlocks = Arc::new(AtomicU64::new(0));
         let tasks: Vec<_> = (0..OWNERS)
             .map(|t| {

@@ -228,10 +228,7 @@ fn mode_rank(mode: LockMode) -> u8 {
 }
 
 /// The full committed state of a table as a comparable, order-free value.
-fn table_state<L>(table: &LockTable<L>) -> Vec<(String, u64, u64, u8)>
-where
-    L: range_locks_repro::range_lock::TwoPhaseRwRangeLock + 'static,
-{
+fn table_state(table: &LockTable) -> Vec<(String, u64, u64, u8)> {
     let mut out: Vec<_> = table
         .records()
         .into_iter()
@@ -244,8 +241,8 @@ where
 /// Replays a batched-acquisition program against two identically-driven
 /// tables: `try_lock_many` vs the sequential-ascending `try_lock` oracle.
 fn replay_batches(ops: &[BatchOp]) -> Result<(), TestCaseError> {
-    let atomic = Arc::new(LockTable::new(RwListRangeLock::new()));
-    let oracle = Arc::new(LockTable::new(RwListRangeLock::new()));
+    let atomic = Arc::new(LockTable::new(Box::new(RwListRangeLock::new())));
+    let oracle = Arc::new(LockTable::new(Box::new(RwListRangeLock::new())));
     let mut atomic_bg: Vec<_> = (0..2).map(|i| atomic.owner(format!("bg{i}"))).collect();
     let mut oracle_bg: Vec<_> = (0..2).map(|i| oracle.owner(format!("bg{i}"))).collect();
     let mut atomic_batcher = atomic.owner("batcher");

@@ -42,7 +42,7 @@ fn xorshift(state: &mut u64) -> u64 {
 
 /// Runs the mixed reader/writer storm over one file and returns the number
 /// of observed integrity violations.
-fn storm<L: RwRangeLock + 'static>(lock: L) -> u64 {
+fn storm(lock: Box<dyn RwRangeLock>) -> u64 {
     let file = Arc::new(RangeFile::new(lock));
     file.truncate(FILE_SIZE);
     let violations = Arc::new(AtomicU64::new(0));
@@ -87,31 +87,29 @@ fn storm<L: RwRangeLock + 'static>(lock: L) -> u64 {
 
 #[test]
 fn no_torn_io_under_list_rw() {
-    assert_eq!(storm(RwListRangeLock::new()), 0);
+    assert_eq!(storm(Box::new(RwListRangeLock::new())), 0);
 }
 
 #[test]
 fn no_torn_io_under_kernel_rw() {
-    assert_eq!(storm(RwTreeRangeLock::new()), 0);
+    assert_eq!(storm(Box::new(RwTreeRangeLock::new())), 0);
 }
 
 #[test]
 fn no_torn_io_under_pnova_rw() {
     // One segment per 4 KiB page, pNOVA's natural granularity.
-    assert_eq!(
-        storm(SegmentRangeLock::new(FILE_SIZE, (FILE_SIZE >> 12) as usize)),
-        0
-    );
+    let lock = SegmentRangeLock::new(FILE_SIZE, (FILE_SIZE >> 12) as usize);
+    assert_eq!(storm(Box::new(lock)), 0);
 }
 
 #[test]
 fn no_torn_io_under_list_ex() {
-    assert_eq!(storm(ListRangeLock::new()), 0);
+    assert_eq!(storm(Box::new(ListRangeLock::new())), 0);
 }
 
 #[test]
 fn no_torn_io_under_lustre_ex() {
-    assert_eq!(storm(TreeRangeLock::new()), 0);
+    assert_eq!(storm(Box::new(TreeRangeLock::new())), 0);
 }
 
 /// A "range lock" that grants every request at once: the broken lock the
@@ -146,7 +144,7 @@ fn stamped_io_reports_a_lock_that_excludes_nothing() {
         return;
     }
     const SPAN: usize = 64 << 10;
-    let file = RangeFile::new(GrantAll::default());
+    let file = RangeFile::new(Box::new(GrantAll::default()));
     let violations = AtomicU64::new(0);
     let start = Barrier::new(2);
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -188,7 +186,7 @@ const SLOT: u64 = 256;
 
 /// Stamps every byte of `range` with `tag` one `pwrite` at a time and reads
 /// it back: only the table's exclusion keeps another owner out in between.
-fn stamp_holds(file: &RangeFile<RwListRangeLock>, range: Range, tag: u8) -> bool {
+fn stamp_holds(file: &RangeFile, range: Range, tag: u8) -> bool {
     for b in range.start..range.end {
         file.pwrite(b, &[tag]);
     }
@@ -199,7 +197,7 @@ fn stamp_holds(file: &RangeFile<RwListRangeLock>, range: Range, tag: u8) -> bool
 
 /// Whether every slot of `range` reads as one writer's stamp (each writer
 /// stamps whole slots, so a mixed slot is a torn one).
-fn slots_uniform(file: &RangeFile<RwListRangeLock>, range: Range) -> bool {
+fn slots_uniform(file: &RangeFile, range: Range) -> bool {
     let mut buf = vec![0u8; (range.end - range.start) as usize];
     file.pread(range.start, &mut buf);
     buf.chunks(SLOT as usize)
@@ -213,8 +211,8 @@ fn slots_uniform(file: &RangeFile<RwListRangeLock>, range: Range) -> bool {
 /// lets a blocking lock refuse when waiting could close a cycle.
 fn table_storm(input: TableInput) -> u64 {
     const OWNERS: u64 = 4;
-    let table = Arc::new(LockTable::new(RwListRangeLock::new()));
-    let file = Arc::new(RangeFile::new(RwListRangeLock::new()));
+    let table = Arc::new(LockTable::new(Box::new(RwListRangeLock::new())));
+    let file = Arc::new(RangeFile::new(Box::new(RwListRangeLock::new())));
     file.truncate(SLOTS * SLOT);
     let violations = Arc::new(AtomicU64::new(0));
     let deadlocks = Arc::new(AtomicU64::new(0));
@@ -327,7 +325,9 @@ fn lock_table_excludes_concurrent_owners() {
 /// The sharded store hands out one file per path under concurrent opens.
 #[test]
 fn file_store_concurrent_opens_agree() {
-    let store = Arc::new(FileStore::new(|| RangeFile::new(RwListRangeLock::new())));
+    let store = Arc::new(FileStore::new(|| {
+        RangeFile::new(Box::new(RwListRangeLock::new()))
+    }));
     std::thread::scope(|scope| {
         for t in 0..4usize {
             let store = Arc::clone(&store);

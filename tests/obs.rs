@@ -230,7 +230,7 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
         use std::future::Future;
         use std::task::{Context, Poll, Waker};
 
-        let table = Arc::new(LockTable::new(RwListRangeLock::new()));
+        let table = Arc::new(LockTable::new(Box::new(RwListRangeLock::new())));
         let mut alice = table.owner("obs-alice");
         let mut bob = table.owner("obs-bob");
         alice.lock(Range::new(0, 10), LockMode::Shared).unwrap();
@@ -309,7 +309,7 @@ fn short_storm_exports_every_event_kind_as_valid_chrome_trace_json() {
     let deadlock_err = {
         let s0 = Range::new(0, 64);
         let s1 = Range::new(64, 128);
-        let table = Arc::new(LockTable::new(RwListRangeLock::new()));
+        let table = Arc::new(LockTable::new(Box::new(RwListRangeLock::new())));
         let barrier = Arc::new(Barrier::new(2));
         let thread_a = {
             let table = Arc::clone(&table);

@@ -260,7 +260,7 @@ fn lock_table_block_policy_never_loses_a_wakeup() {
     // Each worker is its own fcntl owner; overlapping lock/unlock cycles
     // drive the parking paths through split/merge re-acquisition, and the
     // final owner drop exercises the release-everything wake.
-    let table = Arc::new(LockTable::new(parking::<ReaderWriter>()));
+    let table = Arc::new(LockTable::new(Box::new(parking::<ReaderWriter>())));
     let completed = Arc::new(AtomicU64::new(0));
     join_bounded("lock-table/block", |t| {
         let table = Arc::clone(&table);
